@@ -48,7 +48,7 @@ from .graphs import (
     pf_complex,
     pm_complex,
 )
-from .homology import reduced_cohomology, reduced_homology
+from .homology import reduced_homology
 from .verify import (
     DEFAULT_SEED,
     cad_report,
@@ -210,8 +210,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "homology":
         c = complex_from_json(_load(args.complex))
-        payload = reduced_homology(c).to_json()
-        payload["cohomology"] = reduced_cohomology(c).to_json()
+        profile = reduced_homology(c)
+        payload = profile.to_json()
+        payload["cohomology"] = profile.cohomology().to_json()
         _emit(payload)
         return 0
 

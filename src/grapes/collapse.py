@@ -131,7 +131,7 @@ def collapse_search(
     for fixed inputs.
     """
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InputError("budget must be positive")
     nodes = 0
     failed: set = set()
     steps: list = []
@@ -220,12 +220,9 @@ def sequence_from_json(data: object) -> tuple:
         raise InputError('collapse sequence JSON needs a "steps" array')
     steps = []
     for step in data["steps"]:
-        if (
-            not isinstance(step, dict)
-            or not isinstance(step.get("sigma"), list)
-            or not isinstance(step.get("tau"), list)
-        ):
-            raise InputError('each step needs "sigma" and "tau" arrays')
+        faces = (step.get("sigma"), step.get("tau")) if isinstance(step, dict) else (None,)
+        if not all(isinstance(f, list) and all(isinstance(x, str) for x in f) for f in faces):
+            raise InputError('each step needs "sigma" and "tau" arrays of strings')
         try:
             steps.append(CollapsePair(frozenset(step["sigma"]), frozenset(step["tau"])))
         except ReplayError as exc:

@@ -13,14 +13,14 @@ import string
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .complexes import Complex, irrelevant_complex, new_complex, void_complex
+from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
 from .graphs import Arc, Digraph, Graph, graph
 
 
 def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
     """Seeded random complex: sample generator faces at the given density."""
     if ground_size < 0 or ground_size > 26:
-        raise ValueError("ground size must be between 0 and 26")
+        raise InputError("ground size must be between 0 and 26")
     rng = random.Random(seed)
     ground = tuple(string.ascii_lowercase[:ground_size])
     if ground_size == 0:
@@ -36,7 +36,7 @@ def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
 def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
     """Seeded random tree by random attachment, minus ``drop`` random edges."""
     if n < 1:
-        raise ValueError("forest needs at least one vertex")
+        raise InputError("forest needs at least one vertex")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     edges = [
@@ -51,7 +51,7 @@ def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
 def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
     """Seeded random multigraph with uniform arcs and distinguished s, t."""
     if n_vertices < 1:
-        raise ValueError("digraph needs at least one vertex")
+        raise InputError("digraph needs at least one vertex")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
     arcs = tuple(
@@ -79,7 +79,7 @@ def star_graph(leaves: int) -> Graph:
 def cycle_complex(n: int) -> Complex:
     """The n-cycle as a one-dimensional complex (edge facets)."""
     if n < 3:
-        raise ValueError("cycle needs at least three vertices")
+        raise InputError("cycle needs at least three vertices")
     names = [string.ascii_lowercase[i] for i in range(n)]
     facets = [
         frozenset((names[i], names[(i + 1) % n])) for i in range(n)

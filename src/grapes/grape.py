@@ -537,11 +537,11 @@ def _witness_from_json(data: object) -> object:
         raise InputError("witness must be an object")
     kind = data.get("kind")
     if kind == "strong":
-        return StrongWitness(
-            data.get("cone_side", ""),
-            data.get("link_apex"),
-            data.get("deletion_apex"),
-        )
+        side = data.get("cone_side", "")
+        apexes = (data.get("link_apex"), data.get("deletion_apex"))
+        if not isinstance(side, str) or not all(a is None or isinstance(a, str) for a in apexes):
+            raise InputError('strong witness needs a "cone_side" string and string apexes')
+        return StrongWitness(side, *apexes)
     if kind == "combinatorial":
         x = data.get("cone_element")
         if not isinstance(x, str):
@@ -549,8 +549,10 @@ def _witness_from_json(data: object) -> object:
         return ConeContainmentWitness(x)
     if kind == "weak":
         facets = data.get("gamma_facets")
-        if not isinstance(facets, list):
-            raise InputError('weak witness needs a "gamma_facets" array')
+        if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(isinstance(x, str) for x in f) for f in facets
+        ):
+            raise InputError('weak witness needs a "gamma_facets" array of string arrays')
         return TrivialIntermediateWitness(
             frozenset(frozenset(f) for f in facets),
             sequence_from_json(data.get("collapse", {})),

@@ -1,9 +1,14 @@
 """CLI wire formats and exit codes, exercised in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grapes
 from grapes.cli import main
 from grapes.complexes import complex_to_json, void_complex
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, path_graph
@@ -205,3 +210,67 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     wrong.write_text(json.dumps({"ground": ["a"], "facets": [["z"]]}))
     assert main(["dual", str(wrong)]) == 2
     assert main(["link", str(wrong), "x"]) == 2
+
+
+def run_module(*argv):
+    """Run ``python -m grapes`` in a child process, as a shell user would."""
+    src = str(Path(grapes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "grapes", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_dash_m_entry_point(write_json):
+    result = run_module("homology", write_json("c5.json", C5))
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["betti"]["1"] == 1
+
+
+STRONG_LIST_APEX = {
+    "pivot": "a",
+    "witness": {"kind": "strong", "cone_side": "link", "link_apex": ["x"]},
+    "link": {"base": "point"},
+    "deletion": {"base": "point"},
+}
+WEAK_NESTED_FACET = {
+    "pivot": "a",
+    "witness": {"kind": "weak", "gamma_facets": [[["x"]]], "collapse": {"steps": []}},
+    "link": {"base": "point"},
+    "deletion": {"base": "point"},
+}
+WEAK_NESTED_STEP = {
+    "pivot": "a",
+    "witness": {
+        "kind": "weak",
+        "gamma_facets": [],
+        "collapse": {"steps": [{"sigma": [["a"]], "tau": []}]},
+    },
+    "link": {"base": "point"},
+    "deletion": {"base": "point"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "{edge}", "--budget", "-1"],
+        ["gen", "complex", "--ground", "30", "--seed", "1"],
+        ["gen", "forest", "--n", "0", "--seed", "1"],
+        ["gen", "digraph", "--v", "0", "--arcs", "1", "--seed", "1"],
+        ["grape", "verify-cert", "{edge}", "{strong_list_apex}"],
+        ["grape", "verify-cert", "{edge}", "{weak_nested_facet}"],
+        ["grape", "verify-cert", "{edge}", "{weak_nested_step}"],
+    ],
+)
+def test_bad_values_exit_two_without_traceback(write_json, argv):
+    files = {
+        "edge": write_json("edge.json", EDGE),
+        "strong_list_apex": write_json("c1.json", STRONG_LIST_APEX),
+        "weak_nested_facet": write_json("c2.json", WEAK_NESTED_FACET),
+        "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
+    }
+    result = run_module(*(a.format(**files) for a in argv))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("input error:")

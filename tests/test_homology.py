@@ -22,6 +22,8 @@ from grapes import (
     void_complex,
 )
 from grapes.generators import cycle_complex
+from grapes.homology import _columns, _invariant_factors, faces_by_dim
+from grapes.verify import DEFAULT_SEED, standard_complexes
 
 
 def cx(ground, *facets):
@@ -152,6 +154,27 @@ def test_projective_plane_torsion():
     assert profile.betti_at(2) == 0
     assert profile.torsion_at(1) == (2,)
     assert profile.torsion_at(2) == ()
+
+
+def test_projective_plane_leaves_a_two_for_the_dense_block():
+    # nine unit pivots on the triangle boundaries, then the 2 behind
+    # torsion_1 = cotorsion_2 = (2,) comes from the residual block
+    assert _invariant_factors(_columns(faces_by_dim(RP2), 2)) == [1] * 9 + [2]
+
+
+def sparse_factors_match_dense(c):
+    by_dim = faces_by_dim(c)
+    for k in range(-1, c.dim() + 1):
+        dense = smith_normal_form(boundary_matrix(c, k))
+        assert _invariant_factors(_columns(by_dim, k)) == dense, (c, k)
+
+
+def test_sparse_factors_match_dense_on_acceptance_instances():
+    instances = standard_complexes(
+        n_random=500, max_ground=6, exhaustive_max=4, seed=DEFAULT_SEED
+    )
+    for c in instances + [RP2, suspension(RP2, "s", "n")]:
+        sparse_factors_match_dense(c)
 
 
 def test_cohomology_of_four_cycle():

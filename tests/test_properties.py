@@ -32,6 +32,7 @@ from grapes import (
     suspension,
     verify_certificate,
 )
+from grapes.homology import _columns, _invariant_factors, faces_by_dim
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -225,6 +226,22 @@ def test_boundary_squares_to_zero(c):
         for i in range(len(lower)):
             for j in range(len(upper[0])):
                 assert sum(lower[i][r] * upper[r][j] for r in range(len(upper))) == 0
+
+
+@SETTINGS
+@given(small_complexes(max_ground=6))
+def test_sparse_factors_match_dense_on_boundaries(c):
+    by_dim = faces_by_dim(c)
+    for k in range(-1, c.dim() + 1):
+        assert _invariant_factors(_columns(by_dim, k)) == smith_normal_form(boundary_matrix(c, k))
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=5))
+def test_sparse_factors_match_dense_on_integer_matrices(matrix):
+    # entries beyond +-1 leave a residual block for the dense reduction
+    columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(4)]
+    assert _invariant_factors(columns) == smith_normal_form(matrix)
 
 
 @SETTINGS
