@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Optional
 
-from .collapse import ReplayError, collapse_search, sequence_to_json
+from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search, sequence_to_json
 from .complexes import (
     InputError,
     alexander_dual,
@@ -68,6 +68,8 @@ def _load(path: str) -> object:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests deeper than the JSON parser allows") from None
 
 
 def _emit(payload: object) -> None:
@@ -118,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="search for a collapse to void")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--exhaustive", action="store_true")
 
     grape = sub.add_parser("grape", help="grape recognition commands")
@@ -127,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("check", help="decide one grape variant")
     p.add_argument("complex")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--exhaustive-gamma", action="store_true")
 
     p = gsub.add_parser("classify", help="simple-homotopy class of a strong grape")
@@ -294,7 +296,7 @@ def _dispatch_grape(args: argparse.Namespace) -> int:
         if not verdict.is_yes:
             _emit({"strong": False, "verdict": verdict.verdict})
             return _verdict_exit(verdict.verdict)
-        cls = classify_strong(c, verdict.certificate)
+        cls = classify_strong(verdict.certificate)
         _emit(
             {
                 "strong": True,
@@ -336,7 +338,7 @@ def _dispatch_verify(args: argparse.Namespace) -> int:
         )
         _emit(report)
         if not report["pass"]:
-            return 1
+            return 3 if report["primal_verdict"] == "unknown" else 1
         if report.get("unknown_tolerated"):
             return 3
         return 0

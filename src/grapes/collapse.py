@@ -27,6 +27,10 @@ from .complexes import (
 DEFAULT_BUDGET = 10**6
 
 
+class _BudgetExceeded(Exception):
+    """A node budget ran out (collapse search or grape recognition)."""
+
+
 class ReplayError(RuntimeError):
     """A collapse sequence or certificate failed to replay legally."""
 
@@ -111,10 +115,6 @@ def cone_sequence(c: Complex) -> list:
         key=lambda f: (-len(f), c.face_key(f)),
     )
     return [CollapsePair(f | {apex}, f) for f in base_faces]
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def collapse_search(

@@ -171,10 +171,8 @@ def link(c: Complex, x: str) -> Complex:
     """Faces sigma with x not in sigma and sigma + {x} a face, without x."""
     c.index(x)
     ground = tuple(e for e in c.ground if e != x)
-    gens = [facet - {x} for facet in c.facets if x in facet]
-    if not gens:
-        return void_complex(ground)
-    return Complex(ground, _maximal(gens))
+    # already an antichain: F - x <= G - x with x in F and G gives F <= G
+    return Complex(ground, frozenset(facet - {x} for facet in c.facets if x in facet))
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
@@ -206,8 +204,8 @@ def suspension(c: Complex, x: str, y: str) -> Complex:
         if apex in verts:
             raise InputError(f"suspension point {apex!r} is already a vertex")
     ground = c.ground + tuple(e for e in (x, y) if e not in c.ground)
-    gens = [facet | {x} for facet in c.facets] + [facet | {y} for facet in c.facets]
-    return Complex(ground, _maximal(gens))
+    # already an antichain: x and y are fresh and distinct
+    return Complex(ground, frozenset(facet | {p} for facet in c.facets for p in (x, y)))
 
 
 def cone_apexes(c: Complex) -> frozenset:

@@ -28,7 +28,9 @@ from enum import Enum
 from typing import Optional
 
 from .collapse import (
+    DEFAULT_BUDGET,
     ReplayError,
+    _BudgetExceeded,
     collapse_search,
     cone_sequence,
     replay,
@@ -47,7 +49,6 @@ from .complexes import (
 )
 from .homology import SHClass
 
-DEFAULT_BUDGET = 10**6
 EXHAUSTIVE_GAMMA_MAX_GROUND = 6
 
 
@@ -125,10 +126,6 @@ class GrapeVerdict:
         return self.verdict == "yes"
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 # -- recognition -------------------------------------------------------------
 
 
@@ -188,7 +185,6 @@ def check_grape(
     variant: GrapeVariant,
     budget: int = DEFAULT_BUDGET,
     exhaustive_gamma: bool = False,
-    collapse_budget: int = DEFAULT_BUDGET,
 ) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
@@ -201,7 +197,7 @@ def check_grape(
     less conclusive is reported "unknown", never guessed.
 
     The budget counts recognition nodes (pivot expansions and intermediate
-    candidates); collapse searches carry their own collapse_budget.
+    candidates); each collapse search has its own DEFAULT_BUDGET nodes.
     """
     state = {"nodes": 0}
     memo: dict = {}
@@ -239,7 +235,7 @@ def check_grape(
         if variant is GrapeVariant.STRONG_WEAK:
             inconclusive = False
             for side, side_c in (("link", lk), ("deletion", dl)):
-                r = collapse_search(side_c, collapse_budget, exhaustive=True)
+                r = collapse_search(side_c, exhaustive=True)
                 if r.is_yes:
                     return "yes", TrivialSideWitness(side, r.sequence)
                 if r.verdict == "unknown":
@@ -255,7 +251,7 @@ def check_grape(
         # weak: look for a collapsible complex between link and deletion
         inconclusive = False
         for candidate in (lk, dl):
-            r = collapse_search(candidate, collapse_budget, exhaustive=True)
+            r = collapse_search(candidate, exhaustive=True)
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
             if r.verdict == "unknown":
@@ -272,7 +268,7 @@ def check_grape(
         for faces in _between_complexes(lk, dl):
             tick()
             gamma = Complex(dl.ground, _maximal(faces))
-            r = collapse_search(gamma, collapse_budget, exhaustive=True)
+            r = collapse_search(gamma, exhaustive=True)
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
             if r.verdict == "unknown":
@@ -409,56 +405,65 @@ def _verify_witness(variant: GrapeVariant, witness: object, lk: Complex, dl: Com
 # -- classification ------------------------------------------------------------
 
 
-def classify_strong(c: Complex, cert: CertificateTree, prefer: str = "deletion") -> SHClass:
-    """Simple-homotopy class of a strong grape, read off its certificate.
+def classify_strong(cert: CertificateTree, prefer: str = "deletion") -> SHClass:
+    """Simple-homotopy class of a strong grape, read off its certificate alone.
 
     Deletion-is-cone steps suspend the class of the link; link-is-cone steps
-    keep the class of the deletion.  When both sides are cones the branch
-    named by ``prefer`` is taken (the result is the same either way; the
-    default mirrors the deterministic search).
+    keep the class of the deletion; so one branch is followed per level.
+    When both sides are cones the branch named by ``prefer`` is taken (the
+    result is the same either way; the default mirrors the search).
     """
     if prefer not in ("deletion", "link"):
         raise InputError('prefer must be "deletion" or "link"')
-    cr = restrict_ground(c)
-    if cert.is_base:
-        if cert.base in ("void", "point"):
-            return SHClass(None)
-        if cert.base == "irrelevant":
-            return SHClass(0)
-        raise ReplayError(f"unknown base kind {cert.base!r}")
-    w = cert.witness
-    if not isinstance(w, StrongWitness):
-        raise ReplayError("classification needs a strong certificate")
-    side = w.cone_side if w.cone_side != "both" else prefer
-    if side == "deletion":
-        return classify_strong(link(cr, cert.pivot), cert.link_cert, prefer).suspend()
-    return classify_strong(deletion(cr, cert.pivot), cert.del_cert, prefer)
+    suspensions = 0
+    while not cert.is_base:
+        w = cert.witness
+        if not isinstance(w, StrongWitness):
+            raise ReplayError("classification needs a strong certificate")
+        side = w.cone_side if w.cone_side != "both" else prefer
+        if side == "deletion":
+            suspensions += 1
+            cert = cert.link_cert
+        else:
+            cert = cert.del_cert
+    if cert.base in ("void", "point"):
+        return SHClass(None)
+    if cert.base == "irrelevant":
+        return SHClass(suspensions)
+    raise ReplayError(f"unknown base kind {cert.base!r}")
 
 
-def predicted_wedge(c: Complex, cert: CertificateTree) -> dict:
-    """Predicted reduced Betti numbers from a certificate tree.
+def predicted_wedge(cert: CertificateTree) -> dict:
+    """Predicted reduced Betti numbers, folded from a certificate alone.
 
     At every split the complex is homotopy equivalent to the deletion wedged
     with the suspended link, so predictions add up recursively: the empty
     dict means contractible, otherwise dimension -> sphere multiplicity.
     Meaningful for combinatorial and weak certificates (and the stronger
-    ones, whose witnesses imply the same wedge splitting).
+    ones, whose witnesses imply the same wedge splitting).  Nodes shared by
+    several parents (recognition memoises subproblems) are folded once.
     """
-    cr = restrict_ground(c)
-    if cert.is_base:
-        if cert.base in ("void", "point"):
-            return {}
-        if cert.base == "irrelevant":
-            return {-1: 1}
-        raise ReplayError(f"unknown base kind {cert.base!r}")
-    if cert.pivot is None or cert.link_cert is None or cert.del_cert is None:
-        raise ReplayError("malformed split node")
-    from_del = predicted_wedge(deletion(cr, cert.pivot), cert.del_cert)
-    from_lk = predicted_wedge(link(cr, cert.pivot), cert.link_cert)
-    out = dict(from_del)
-    for k, mult in from_lk.items():
-        out[k + 1] = out.get(k + 1, 0) + mult
-    return out
+    memo: dict = {}  # id(node) -> prediction; the tree keeps every node alive
+
+    def fold(node: CertificateTree) -> dict:
+        if id(node) in memo:
+            return memo[id(node)]
+        if node.base in ("void", "point"):
+            out = {}
+        elif node.base == "irrelevant":
+            out = {-1: 1}
+        elif node.is_base:
+            raise ReplayError(f"unknown base kind {node.base!r}")
+        elif node.pivot is None or node.link_cert is None or node.del_cert is None:
+            raise ReplayError("malformed split node")
+        else:
+            out = dict(fold(node.del_cert))
+            for k, mult in fold(node.link_cert).items():
+                out[k + 1] = out.get(k + 1, 0) + mult
+        memo[id(node)] = out
+        return out
+
+    return fold(cert)
 
 
 # -- duality transfer ------------------------------------------------------------
@@ -467,34 +472,36 @@ def predicted_wedge(c: Complex, cert: CertificateTree) -> dict:
 def verify_dual_invariance(
     c: Complex,
     variant: GrapeVariant,
-    budget: int = DEFAULT_BUDGET,
     exhaustive_gamma: bool = False,
 ) -> dict:
     """Check that the Alexander dual is a grape of the same variant.
 
-    Requires the primal verdict to be yes.  For the strong variant the
+    The report always carries the primal verdict.  Unless it is "yes" the
+    report fails and the dual is not examined.  For the strong variant the
     simple-homotopy classes must additionally match across duality: the
     void class maps to itself and a cross-polytope boundary of dimension n
     maps to dimension |X| - n - 1 (only asserted for nonempty ground sets).
     Weak-variant duals may come back "unknown"; this is tolerated, flagged.
     """
-    primal = check_grape(c, variant, budget, exhaustive_gamma)
-    if not primal.is_yes:
-        raise InputError("dual-invariance check needs a yes instance")
-    dual = alexander_dual(c)
-    dual_verdict = check_grape(dual, variant, budget, exhaustive_gamma)
-    weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
-    ok = dual_verdict.is_yes or (weak_family and dual_verdict.verdict == "unknown")
+    primal = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
     report = {
         "variant": variant.value,
         "ground_size": len(c.ground),
-        "dual_verdict": dual_verdict.verdict,
-        "unknown_tolerated": weak_family and dual_verdict.verdict == "unknown",
-        "pass": ok,
+        "primal_verdict": primal.verdict,
+        "pass": primal.is_yes,
     }
+    if not primal.is_yes:
+        return report
+    dual = alexander_dual(c)
+    dual_verdict = check_grape(dual, variant, exhaustive_gamma=exhaustive_gamma)
+    weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
+    tolerated = weak_family and dual_verdict.verdict == "unknown"
+    report["dual_verdict"] = dual_verdict.verdict
+    report["unknown_tolerated"] = tolerated
+    report["pass"] = dual_verdict.is_yes or tolerated
     if variant is GrapeVariant.STRONG and dual_verdict.is_yes and len(c.ground) > 0:
-        primal_class = classify_strong(c, primal.certificate)
-        dual_class = classify_strong(dual, dual_verdict.certificate)
+        primal_class = classify_strong(primal.certificate)
+        dual_class = classify_strong(dual_verdict.certificate)
         expected = primal_class.dual_expected(len(c.ground))
         report["class"] = str(primal_class)
         report["dual_class"] = str(dual_class)

@@ -180,33 +180,24 @@ def grape_duality_reports(
     c: Complex,
     small_variants_max_ground: int = 5,
 ) -> list:
-    """Dual invariance of grape membership (and classes, for strong)."""
+    """Dual invariance of grape membership (and classes, for strong).
+
+    Variants other than strong are checked up to small_variants_max_ground
+    ground elements; each yes instance of a variant gives one report.
+    """
     instance = complex_to_json(c)
+    small = len(c.ground) <= small_variants_max_ground
     out = []
-    strong = check_grape(c, GrapeVariant.STRONG)
-    if strong.is_yes:
-        rep = verify_dual_invariance(c, GrapeVariant.STRONG)
-        out.append(
-            _report(
-                "grape-duality-strong", instance, rep["pass"], details=rep
-            )
-        )
-    if len(c.ground) <= small_variants_max_ground:
-        for variant in (
-            GrapeVariant.COMBINATORIAL,
-            GrapeVariant.WEAK,
-            GrapeVariant.STRONG_WEAK,
-        ):
-            primal = check_grape(c, variant, exhaustive_gamma=True)
-            if not primal.is_yes:
-                continue
-            rep = verify_dual_invariance(c, variant, exhaustive_gamma=True)
+    for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
+        # exhaustive_gamma changes only the weak-family verdicts
+        rep = verify_dual_invariance(c, variant, exhaustive_gamma=True)
+        if rep["primal_verdict"] == "yes":
             out.append(
                 _report(
                     f"grape-duality-{variant.value}",
                     instance,
                     rep["pass"],
-                    unknown=rep.get("unknown_tolerated", False),
+                    unknown=rep["unknown_tolerated"],
                     details=rep,
                 )
             )
@@ -218,7 +209,7 @@ def strong_homology_report(c: Complex) -> Optional[VerificationReport]:
     verdict = check_grape(c, GrapeVariant.STRONG)
     if not verdict.is_yes:
         return None
-    cls = classify_strong(c, verdict.certificate)
+    cls = classify_strong(verdict.certificate)
     return _report(
         "strong-class-homology",
         complex_to_json(c),
@@ -244,34 +235,27 @@ def _forest_formula_checks(g: Graph) -> list:
     def exactly(n: int):
         return lambda cls: cls == SHClass(n)
 
+    ind = independence_complex(g)
+    dom = dominance_complex(g)
+    ec = edge_cover_complex(g)
+    ed = edge_dominance_complex(g)
     checks = [
-        ("independence", independence_complex(g), False, sphere_or_void(inv.i_dom)),
-        ("dominance", dominance_complex(g), False, exactly(inv.alpha0)),
-        (
-            "edge-cover",
-            edge_cover_complex(g),
-            False,
-            sphere_or_void(n_e - n_v + inv.i_dom),
-        ),
-        ("edge-dominance", edge_dominance_complex(g), False, exactly(n_e - inv.alpha0)),
-        ("independence", independence_complex(g), True, sphere_or_void(n_v - inv.i_dom - 1)),
-        ("dominance", dominance_complex(g), True, exactly(n_v - inv.alpha0 - 1)),
+        ("independence", ind, False, sphere_or_void(inv.i_dom)),
+        ("dominance", dom, False, exactly(inv.alpha0)),
+        ("edge-cover", ec, False, sphere_or_void(n_e - n_v + inv.i_dom)),
+        ("edge-dominance", ed, False, exactly(n_e - inv.alpha0)),
+        ("independence", ind, True, sphere_or_void(n_v - inv.i_dom - 1)),
+        ("dominance", dom, True, exactly(n_v - inv.alpha0 - 1)),
     ]
     if n_e > 0:
-        checks.append(
-            ("edge-cover", edge_cover_complex(g), True, sphere_or_void(n_v - inv.i_dom - 1))
-        )
-        checks.append(
-            ("edge-dominance", edge_dominance_complex(g), True, exactly(inv.alpha0 - 1))
-        )
+        checks.append(("edge-cover", ec, True, sphere_or_void(n_v - inv.i_dom - 1)))
+        checks.append(("edge-dominance", ed, True, exactly(inv.alpha0 - 1)))
     else:
         # empty edge set: the duals live on an empty ground set, where the
         # dimension formulas do not apply; the classes are forced directly
         # (dual of the void complex is irrelevant, and vice versa)
-        checks.append(("edge-cover", edge_cover_complex(g), True, exactly(0)))
-        checks.append(
-            ("edge-dominance", edge_dominance_complex(g), True, lambda cls: cls.is_void_class)
-        )
+        checks.append(("edge-cover", ec, True, exactly(0)))
+        checks.append(("edge-dominance", ed, True, lambda cls: cls.is_void_class))
     return checks
 
 
@@ -291,7 +275,7 @@ def verify_forest_theorem(g: Graph) -> list:
                 _report(label, instance, False, expected="strong grape", observed=verdict.verdict)
             )
             continue
-        cls = classify_strong(cpx, verdict.certificate)
+        cls = classify_strong(verdict.certificate)
         ok = class_ok(cls) and matches_sphere(cpx, cls)
         out.append(_report(label, instance, ok, observed=str(cls)))
     return out
@@ -337,7 +321,7 @@ def verify_pfpm_theorem(d: Digraph) -> list:
                 )
             )
             continue
-        cls = classify_strong(cpx, verdict.certificate)
+        cls = classify_strong(verdict.certificate)
         out.append(
             _report(
                 f"pfpm-{name}",
@@ -419,7 +403,7 @@ def wedge_reports(c: Complex) -> Optional[VerificationReport]:
     verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
     if not verdict.is_yes:
         return None
-    predicted = predicted_wedge(c, verdict.certificate)
+    predicted = predicted_wedge(verdict.certificate)
     profile = reduced_homology(c)
     dims = set(predicted) | {k for k, b in profile.betti.items() if b}
     ok = all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
@@ -463,7 +447,7 @@ def five_cycle_reports() -> list:
             ok = False
             out.append(_report("five-cycle-weak", instance, False, observed=str(exc)))
     if ok:
-        predicted = predicted_wedge(c5, weak.certificate)
+        predicted = predicted_wedge(weak.certificate)
         profile = reduced_homology(c5)
         ok = predicted == {1: 1} and profile.betti_at(1) == 1
         out.append(
@@ -506,7 +490,7 @@ def cyclic_no_useless_reports() -> list:
         _report("cyclic-no-useless-arc-check", instance, not useless_arcs(d)),
     ]
     verdict = check_grape(pf, GrapeVariant.STRONG)
-    cls_ok = verdict.is_yes and classify_strong(pf, verdict.certificate).is_void_class
+    cls_ok = verdict.is_yes and classify_strong(verdict.certificate).is_void_class
     out.append(_report("cyclic-no-useless-pf-void-class", instance, cls_ok))
     return out
 

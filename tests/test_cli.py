@@ -35,6 +35,12 @@ def run_cli(capsys, *argv):
 C5 = complex_to_json(cycle_complex(5))
 EDGE = {"ground": ["a", "b"], "facets": [["a", "b"]]}
 TWO_POINTS = {"ground": ["a", "b"], "facets": [["a"], ["b"]]}
+RP2 = {
+    "ground": list("123456"),
+    "facets": [
+        list(t) for t in ("123", "124", "135", "146", "156", "236", "245", "256", "345", "346")
+    ],
+}
 
 
 def test_dual_command(write_json, capsys):
@@ -76,15 +82,7 @@ def test_grape_check_yes_no_unknown(write_json, capsys):
     assert code == 0 and out["verdict"] == "yes" and "certificate" in out
     code, out = run_cli(capsys, "grape", "check", c5, "--variant", "comb")
     assert code == 1 and out["verdict"] == "no"
-    rp2 = write_json(
-        "rp2.json",
-        {
-            "ground": list("123456"),
-            "facets": [list(t) for t in (
-                "123", "124", "135", "146", "156", "236", "245", "256", "345", "346"
-            )],
-        },
-    )
+    rp2 = write_json("rp2.json", RP2)
     code, out = run_cli(capsys, "grape", "check", rp2, "--variant", "weak")
     assert code == 3 and out["verdict"] == "unknown"
     code, out = run_cli(
@@ -168,11 +166,15 @@ def test_verify_duality_command(write_json, capsys):
         "strong",
     )
     assert code == 0 and out["pass"] is True
-    # precondition violation: not a yes instance
-    code = main(
-        ["verify", "duality", write_json("c5.json", C5), "--variant", "strong"]
+    # a well-formed non-grape exits by its primal verdict
+    code, out = run_cli(
+        capsys, "verify", "duality", write_json("c5.json", C5), "--variant", "comb"
     )
-    assert code == 2
+    assert code == 1 and out["primal_verdict"] == "no" and out["pass"] is False
+    code, out = run_cli(
+        capsys, "verify", "duality", write_json("rp2.json", RP2), "--variant", "weak"
+    )
+    assert code == 3 and out["primal_verdict"] == "unknown" and out["pass"] is False
 
 
 def test_verify_cad_command(write_json, capsys):
@@ -261,10 +263,14 @@ WEAK_NESTED_STEP = {
         ["grape", "verify-cert", "{edge}", "{strong_list_apex}"],
         ["grape", "verify-cert", "{edge}", "{weak_nested_facet}"],
         ["grape", "verify-cert", "{edge}", "{weak_nested_step}"],
+        ["dual", "{deep}"],
     ],
 )
-def test_bad_values_exit_two_without_traceback(write_json, argv):
+def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
     files = {
+        "deep": str(deep),
         "edge": write_json("edge.json", EDGE),
         "strong_list_apex": write_json("c1.json", STRONG_LIST_APEX),
         "weak_nested_facet": write_json("c2.json", WEAK_NESTED_FACET),

@@ -102,7 +102,7 @@ def test_five_cycle_weak_with_replayable_certificate():
     verdict = check_grape(c5, GrapeVariant.WEAK)
     assert verdict.is_yes
     verify_certificate(c5, GrapeVariant.WEAK, verdict.certificate)
-    assert predicted_wedge(c5, verdict.certificate) == {1: 1}
+    assert predicted_wedge(verdict.certificate) == {1: 1}
     assert reduced_homology(c5).betti_at(1) == 1
 
 
@@ -204,7 +204,7 @@ def test_ground_independence_of_verdicts():
 def classify(c):
     verdict = check_grape(c, GrapeVariant.STRONG)
     assert verdict.is_yes
-    return classify_strong(c, verdict.certificate)
+    return classify_strong(verdict.certificate)
 
 
 def test_classify_base_cases():
@@ -239,7 +239,7 @@ def test_classification_matches_homology_on_small_complexes():
     for c in enumerate_complexes("abcd"):
         verdict = check_grape(c, GrapeVariant.STRONG)
         if verdict.is_yes:
-            assert matches_sphere(c, classify_strong(c, verdict.certificate))
+            assert matches_sphere(c, classify_strong(verdict.certificate))
 
 
 def test_classification_branch_independence():
@@ -248,8 +248,8 @@ def test_classification_branch_independence():
             verdict = check_grape(c, GrapeVariant.STRONG)
             if not verdict.is_yes:
                 continue
-            left = classify_strong(c, verdict.certificate, prefer="deletion")
-            right = classify_strong(c, verdict.certificate, prefer="link")
+            left = classify_strong(verdict.certificate, prefer="deletion")
+            right = classify_strong(verdict.certificate, prefer="link")
             assert left == right
 
 
@@ -258,10 +258,10 @@ def test_classification_branch_independence():
 
 def test_predicted_wedge_examples():
     verdict = check_grape(IND_P3, GrapeVariant.COMBINATORIAL)
-    assert predicted_wedge(IND_P3, verdict.certificate) == {0: 1}
+    assert predicted_wedge(verdict.certificate) == {0: 1}
     cone = cone_over(cycle_complex(5), "z")
     verdict = check_grape(cone, GrapeVariant.COMBINATORIAL)
-    assert predicted_wedge(cone, verdict.certificate) == {}
+    assert predicted_wedge(verdict.certificate) == {}
 
 
 def test_predicted_wedge_matches_betti_on_small_complexes():
@@ -269,10 +269,31 @@ def test_predicted_wedge_matches_betti_on_small_complexes():
         verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
         if not verdict.is_yes:
             continue
-        predicted = predicted_wedge(c, verdict.certificate)
+        predicted = predicted_wedge(verdict.certificate)
         profile = reduced_homology(c)
         dims = set(predicted) | {k for k, b in profile.betti.items() if b}
         assert all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
+
+
+def test_certificate_folds_visit_shared_nodes_once():
+    # 60 split levels whose link and deletion children are one node: a tree
+    # walk would take 2^60 steps
+    from math import comb
+    from time import perf_counter
+
+    node = CertificateTree(base="irrelevant")
+    for i in range(60):
+        apex = f"v{i}"
+        node = CertificateTree(
+            pivot=apex,
+            witness=StrongWitness("deletion", deletion_apex=apex),
+            link_cert=node,
+            del_cert=node,
+        )
+    start = perf_counter()
+    assert predicted_wedge(node) == {k - 1: comb(60, k) for k in range(61)}
+    assert str(classify_strong(node)) == "cross-polytope-boundary(60)"
+    assert perf_counter() - start < 1.0
 
 
 # -- certificates -----------------------------------------------------------------------------
@@ -411,10 +432,10 @@ def test_dual_invariance_irrelevant_on_three():
 
 
 def test_dual_invariance_needs_yes_instance():
-    from grapes import InputError
-
-    with pytest.raises(InputError):
-        verify_dual_invariance(RP2, GrapeVariant.STRONG)
+    report = verify_dual_invariance(cycle_complex(5), GrapeVariant.COMBINATORIAL)
+    assert report["primal_verdict"] == "no"
+    assert report["pass"] is False
+    assert "dual_verdict" not in report
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -73,6 +73,7 @@ def test_antichain_preserved_by_operations(pair):
         link(c, x),
         alexander_dual(c),
         restrict_ground(c),
+        suspension(c, "X", "Y"),
     ):
         assert is_antichain(result.facets)
 
@@ -277,7 +278,7 @@ def test_certificates_replay_and_classes_match_homology(c):
             verify_certificate(c, variant, verdict.certificate)
     strong = check_grape(c, GrapeVariant.STRONG)
     if strong.is_yes:
-        assert matches_sphere(c, classify_strong(c, strong.certificate))
+        assert matches_sphere(c, classify_strong(strong.certificate))
 
 
 @SETTINGS
@@ -308,7 +309,7 @@ def test_wedge_prediction_matches_betti(c):
     verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
     if not verdict.is_yes:
         return
-    predicted = predicted_wedge(c, verdict.certificate)
+    predicted = predicted_wedge(verdict.certificate)
     profile = reduced_homology(c)
     for k in set(predicted) | set(profile.betti):
         assert predicted.get(k, 0) == profile.betti_at(k)
