@@ -8,6 +8,7 @@ and all labeled digraph shapes up to given vertex/arc counts.
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from itertools import combinations_with_replacement
@@ -21,6 +22,8 @@ def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
     """Seeded random complex: sample generator faces at the given density."""
     if ground_size < 0 or ground_size > 26:
         raise InputError("ground size must be between 0 and 26")
+    if not math.isfinite(density):
+        raise InputError("density must be a finite number")
     rng = random.Random(seed)
     ground = tuple(string.ascii_lowercase[:ground_size])
     if ground_size == 0:

@@ -443,8 +443,8 @@ def graph_from_json(data: object) -> Graph:
         raise InputError('graph JSON needs an "edges" array')
     out = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError("each edge must be a two-element array")
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
+            raise InputError("each edge must be a two-element array of strings")
         out.append(frozenset(e))
     return Graph(tuple(vertices), frozenset(out))
 

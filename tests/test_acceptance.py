@@ -161,7 +161,7 @@ def test_criterion_10_ground_independence(instance_set):
     reports = []
     for c in instance_set:
         reports.extend(ground_independence_reports(c))
-    finish("criterion 10 (verdicts ignore unused ground elements)",
+    finish("criterion 10 (verdicts ignore unused ground elements and ground order)",
            reports, started, 300)
 
 

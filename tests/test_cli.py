@@ -264,6 +264,10 @@ WEAK_NESTED_STEP = {
         ["grape", "verify-cert", "{edge}", "{weak_nested_facet}"],
         ["grape", "verify-cert", "{edge}", "{weak_nested_step}"],
         ["dual", "{deep}"],
+        ["from-graph", "{int_endpoint}", "--complex", "ind"],
+        ["from-graph", "{list_endpoint}", "--complex", "ind"],
+        ["gen", "complex", "--ground", "3", "--density", "nan", "--seed", "1"],
+        ["gen", "complex", "--ground", "3", "--density", "inf", "--seed", "1"],
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
@@ -275,6 +279,8 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "strong_list_apex": write_json("c1.json", STRONG_LIST_APEX),
         "weak_nested_facet": write_json("c2.json", WEAK_NESTED_FACET),
         "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
+        "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),
+        "list_endpoint": write_json("g2.json", {"vertices": ["a"], "edges": [[["x"], "a"]]}),
     }
     result = run_module(*(a.format(**files) for a in argv))
     assert result.returncode == 2

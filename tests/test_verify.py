@@ -1,17 +1,24 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
 import json
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
+import grapes.verify as verify
 from grapes import ReplayError, digraph, graph, new_complex
+from grapes.complexes import Complex, complex_to_json
 from grapes.generators import (
     cyclic_no_useless_digraph,
     gen_digraph,
     path_graph,
     star_graph,
 )
+from grapes.graphs import Digraph, Graph, digraph_to_json, graph_to_json
 from grapes.verify import (
+    SIZES,
+    VerificationReport,
     cad_report,
     duality_identity_reports,
     cyclic_no_useless_reports,
@@ -160,3 +167,181 @@ def test_suite_smoke_passes_and_is_deterministic():
 def test_suite_rejects_unknown_level():
     with pytest.raises(ValueError):
         run_suite("gigantic")
+
+
+def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
+    def by_first_element(c, variant):
+        verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
+        return SimpleNamespace(verdict=verdict)
+
+    monkeypatch.setattr(verify, "check_grape", by_first_element)
+    reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]))
+    assert len(reports) == 4
+    assert all(r.status == "fail" for r in reports)
+
+
+# -- the suite against a naive runner -------------------------------------------
+
+
+def reference_suite(level, seed, log=None):
+    """The suite as one loop per stage, checking every occurrence of every
+    instance from scratch; harnesses are looked up on the module at call
+    time so that tests can replace them."""
+    sizes = SIZES[level]
+    say = log or (lambda msg: None)
+    reports = []
+    complexes = verify.standard_complexes(
+        sizes.n_random_complexes, sizes.max_ground, sizes.exhaustive_ground, seed
+    )
+    say(f"instance set: {len(complexes)} complexes")
+    for c in complexes:
+        reports.extend(verify.duality_identity_reports(c))
+    say("duality identities done")
+    for c in complexes:
+        if len(c.ground) >= 1:
+            reports.append(verify.cad_report(c))
+    say("alexander duality done")
+    for c in complexes:
+        reports.extend(verify.grape_duality_reports(c, sizes.small_variants_max_ground))
+    say("grape duality done")
+    for c in complexes:
+        rep = verify.strong_homology_report(c)
+        if rep is not None:
+            reports.append(rep)
+    say("strong/homology consistency done")
+    forests = verify.standard_forests(sizes.n_forests, sizes.max_tree, seed)
+    for g in forests:
+        reports.extend(verify.verify_forest_theorem(g))
+        rep = verify.konig_report(g)
+        if rep is not None:
+            reports.append(rep)
+    say(f"forest theorem done ({len(forests)} forests)")
+    digraphs = verify.standard_digraphs(
+        sizes.n_random_digraphs, *sizes.exhaustive_digraph, seed=seed
+    )
+    for d in digraphs:
+        reports.extend(verify.verify_pfpm_theorem(d))
+    say(f"path-free/path-missing done ({len(digraphs)} digraphs)")
+    for i in range(sizes.n_identity_digraphs):
+        d = gen_digraph(1 + i % 5, i % 8, seed + 7000 + i)
+        reports.extend(verify.deletion_contraction_reports(d))
+    say("deletion/contraction identities done")
+    for c in complexes:
+        reports.extend(verify.ground_independence_reports(c))
+    say("ground independence done")
+    for c in complexes:
+        reports.extend(verify.lifted_collapse_reports(c))
+    say("lifted collapses done")
+    for c in complexes:
+        rep = verify.wedge_reports(c)
+        if rep is not None:
+            reports.append(rep)
+    say("wedge predictions done")
+    reports.extend(verify.five_cycle_reports())
+    reports.extend(verify.cyclic_no_useless_reports())
+    say("named instances done")
+    return {
+        "level": level,
+        "seed": seed,
+        "pass": sum(1 for r in reports if r.status == "pass"),
+        "fail": sum(1 for r in reports if r.status == "fail"),
+        "unknown": sum(1 for r in reports if r.status == "unknown"),
+        "notes": [
+            "(co)homological duality checked on nonempty ground sets only: the "
+            "index map i -> |X|-i-3 is degenerate for |X| = 0 and the identity "
+            "provably fails there"
+        ],
+        "reports": [r.to_json() for r in reports if r.status != "pass"],
+    }
+
+
+SMOKE_7_STAGE_LINES = [
+    "instance set: 91 complexes",
+    "duality identities done",
+    "alexander duality done",
+    "grape duality done",
+    "strong/homology consistency done",
+    "forest theorem done (44 forests)",
+    "path-free/path-missing done (184 digraphs)",
+    "deletion/contraction identities done",
+    "ground independence done",
+    "lifted collapses done",
+    "wedge predictions done",
+    "named instances done",
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_suite_matches_the_naive_reference(seed):
+    fast, naive = [], []
+    got = run_suite("smoke", seed, log=fast.append)
+    want = reference_suite("smoke", seed, log=naive.append)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert fast == naive
+
+
+def test_suite_stage_lines_are_pinned():
+    # perfbench names its verify.stage.* metrics after these exact lines
+    lines = []
+    run_suite("smoke", 7, log=lines.append)
+    assert lines == SMOKE_7_STAGE_LINES
+
+
+TO_JSON = {Complex: complex_to_json, Graph: graph_to_json, Digraph: digraph_to_json}
+
+
+HARNESSES = {
+    # name: what the harness returns, a list of reports, one report, or
+    # one report or None
+    "duality_identity_reports": "list",
+    "cad_report": "one",
+    "grape_duality_reports": "list",
+    "strong_homology_report": "optional",
+    "verify_forest_theorem": "list",
+    "konig_report": "optional",
+    "verify_pfpm_theorem": "list",
+    "deletion_contraction_reports": "list",
+    "ground_independence_reports": "list",
+    "lifted_collapse_reports": "list",
+    "wedge_reports": "optional",
+    "five_cycle_reports": "list",
+    "cyclic_no_useless_reports": "list",
+}
+
+
+def _recorded_run(monkeypatch, runner):
+    """Run a suite with every harness replaced by one that records its
+    arguments and returns a failing report naming them (or None, on some
+    instances, where the real harness may)."""
+    calls = defaultdict(list)
+
+    def fake(name, returns):
+        def harness(*args):
+            calls[name].append(args)
+            instance = {"args": [TO_JSON.get(type(a), lambda v: v)(a) for a in args]}
+            if returns == "optional" and len(json.dumps(instance)) % 3 == 0:
+                return None
+            rep = VerificationReport(name, instance, "fail")
+            return [rep] if returns == "list" else rep
+
+        return harness
+
+    with monkeypatch.context() as patch:
+        for name, returns in HARNESSES.items():
+            patch.setattr(verify, name, fake(name, returns))
+        summary = runner("smoke", 7)
+    return summary, calls
+
+
+def test_each_stage_runs_its_harness_once_per_distinct_instance(monkeypatch):
+    fast, fast_calls = _recorded_run(monkeypatch, run_suite)
+    naive, naive_calls = _recorded_run(monkeypatch, reference_suite)
+    # same reports in the same order, repeats counted at every occurrence
+    assert json.dumps(fast, sort_keys=True) == json.dumps(naive, sort_keys=True)
+    assert set(fast_calls) == set(naive_calls) == set(HARNESSES)
+    for name, args in fast_calls.items():
+        assert len(args) == len(set(args)), name
+        assert set(args) == set(naive_calls[name]), name
+    # the smoke instance sets do repeat instances, so the test has teeth
+    assert len(naive_calls["duality_identity_reports"]) > len(fast_calls["duality_identity_reports"])
+    assert len(naive_calls["verify_pfpm_theorem"]) > len(fast_calls["verify_pfpm_theorem"])
