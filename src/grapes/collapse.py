@@ -28,7 +28,7 @@ DEFAULT_BUDGET = 10**6
 
 
 class _BudgetExceeded(Exception):
-    """A node budget ran out (collapse search or grape recognition)."""
+    """A node budget ran out during grape recognition."""
 
 
 class ReplayError(RuntimeError):
@@ -124,47 +124,45 @@ def collapse_search(
 ) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
 
-    Backtracking DFS trying free pairs in the canonical order.  Cones are
-    collapsed directly via :func:`cone_sequence`.  Greedy mode (the default)
-    answers "yes" or "unknown"; exhaustive mode memoizes dead face-sets and
-    may certify "no" once the whole search tree is exhausted.  Deterministic
-    for fixed inputs.
+    Backtracking DFS trying free pairs in the canonical order, on an
+    explicit stack of (complex, untried free pairs) so that long collapse
+    sequences do not hit the recursion limit.  Cones are collapsed directly
+    via :func:`cone_sequence`.  Greedy mode (the default) answers "yes" or
+    "unknown"; exhaustive mode memoizes dead face-sets and may certify "no"
+    once the whole search tree is exhausted.  Deterministic for fixed inputs.
     """
     if budget <= 0:
         raise InputError("budget must be positive")
     nodes = 0
     failed: set = set()
-    steps: list = []
-
-    def dfs(cur: Complex) -> bool:
-        nonlocal nodes
+    stack: list = []  # (complex, iterator over its untried free pairs)
+    steps: list = []  # steps[i]: the free pair being tried at stack[i]
+    cur: Optional[Complex] = c
+    while cur is not None:
         nodes += 1
         if nodes > budget:
-            raise _BudgetExceeded
-        if cur.is_void:
-            return True
-        if cone_apexes(cur):
-            steps.extend(cone_sequence(cur))
-            return True
-        if exhaustive and cur.facets in failed:
-            return False
-        for pair in free_pairs(cur):
-            steps.append(pair)
-            if dfs(apply_collapse(cur, pair)):
-                return True
-            steps.pop()
-        if exhaustive:
-            failed.add(cur.facets)
-        return False
-
-    try:
-        found = dfs(c)
-    except _BudgetExceeded:
-        return ShvResult("unknown", None, nodes)
-    if found:
-        if not replay(c, steps).is_void:
-            raise ReplayError("search produced a sequence that does not replay")
-        return ShvResult("yes", tuple(steps), nodes)
+            return ShvResult("unknown", None, nodes)
+        if cur.is_void or cone_apexes(cur):
+            if not cur.is_void:
+                steps.extend(cone_sequence(cur))
+            if not replay(c, steps).is_void:
+                raise ReplayError("search produced a sequence that does not replay")
+            return ShvResult("yes", tuple(steps), nodes)
+        dead = exhaustive and cur.facets in failed
+        stack.append((cur, iter(() if dead else free_pairs(cur))))
+        cur = None
+        while stack and cur is None:
+            top, pairs = stack[-1]
+            pair = next(pairs, None)
+            if pair is None:
+                stack.pop()
+                if exhaustive:
+                    failed.add(top.facets)
+                if stack:
+                    steps.pop()
+            else:
+                steps.append(pair)
+                cur = apply_collapse(top, pair)
     return ShvResult("no" if exhaustive else "unknown", None, nodes)
 
 

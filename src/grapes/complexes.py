@@ -233,19 +233,19 @@ def is_cone(c: Complex) -> bool:
 def minimal_nonfaces(c: Complex) -> frozenset:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
-    Scans subsets by size, skipping supersets of non-faces already found,
-    so every reported set has only faces as proper subsets.  For the void
-    complex this is {{}}; for the full simplex it is empty.
+    These are the minimal transversals of the facet complements, found by
+    Berge's algorithm, largest facet first: transversals meeting the next
+    complement stay, each one missing it grows by one of its elements, and a
+    grown set containing a kept one is dropped.  For the void complex this
+    is {{}}; for the full simplex it is empty.
     """
-    found: list = []
-    ground = c.ground
-    for k in range(len(ground) + 1):
-        for combo in combinations(ground, k):
-            s = frozenset(combo)
-            if any(m <= s for m in found):
-                continue
-            if not c.has_face(s):
-                found.append(s)
+    full = frozenset(c.ground)
+    found = {EMPTY_FACE}
+    for facet in sorted(c.facets, key=len, reverse=True):
+        rest = full - facet
+        kept = {t for t in found if t & rest}
+        grown = {t | {x} for t in found - kept for x in rest}
+        found = kept | {u for u in grown if not any(k <= u for k in kept)}
     return frozenset(found)
 
 

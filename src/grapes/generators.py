@@ -8,7 +8,6 @@ and all labeled digraph shapes up to given vertex/arc counts.
 
 from __future__ import annotations
 
-import math
 import random
 import string
 from itertools import combinations_with_replacement
@@ -17,13 +16,15 @@ from typing import Iterator
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
 from .graphs import Arc, Digraph, Graph, graph
 
+MAX_GENERATORS = 2**16  # cap on the generator faces gen_complex draws
+
 
 def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
     """Seeded random complex: sample generator faces at the given density."""
     if ground_size < 0 or ground_size > 26:
         raise InputError("ground size must be between 0 and 26")
-    if not math.isfinite(density):
-        raise InputError("density must be a finite number")
+    if not 0 <= density * 2**ground_size <= MAX_GENERATORS:
+        raise InputError(f"density * 2**ground must be in [0, {MAX_GENERATORS}]")
     rng = random.Random(seed)
     ground = tuple(string.ascii_lowercase[:ground_size])
     if ground_size == 0:

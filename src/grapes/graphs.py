@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .complexes import Complex, InputError, _maximal, full_simplex, void_complex
+from .complexes import EMPTY_FACE, Complex, InputError, alexander_dual, new_complex
 
 
 # -- undirected graphs -------------------------------------------------------
@@ -201,54 +201,40 @@ def edge_ground(g: Graph) -> tuple:
     return labels
 
 
-def _complex_from_predicate(ground: tuple, is_face) -> Complex:
-    faces = [
-        frozenset(combo)
-        for k in range(len(ground) + 1)
-        for combo in combinations(ground, k)
-        if is_face(frozenset(combo))
-    ]
-    return Complex(ground, _maximal(faces))
+def _avoiding(ground: tuple, forbidden) -> Complex:
+    """Sets containing no forbidden set: the Alexander dual of the complex
+    generated by the forbidden sets' complements."""
+    full = frozenset(ground)
+    return alexander_dual(new_complex(ground, [full - s for s in forbidden]))
 
 
 def independence_complex(g: Graph) -> Complex:
-    """Faces are the independent vertex sets; facets the maximal ones."""
-    return _complex_from_predicate(
-        tuple(g.vertices), lambda f: is_independent(g, f)
-    )
+    """Faces are the independent vertex sets: those containing no edge."""
+    return _avoiding(tuple(g.vertices), g.edges)
 
 
 def dominance_complex(g: Graph) -> Complex:
-    """Faces are the sets whose complement is dominating."""
-    vset = set(g.vertices)
-    return _complex_from_predicate(
-        tuple(g.vertices), lambda f: is_dominating(g, vset - f)
-    )
+    """Faces are the sets whose complement is dominating: those containing
+    no closed neighbourhood."""
+    nbhds = [closed_neighborhood(g, [v]) for v in g.vertices]
+    return _avoiding(tuple(g.vertices), nbhds)
 
 
 def edge_cover_complex(g: Graph) -> Complex:
-    """Faces are edge sets whose complement still covers every vertex.
+    """Faces are edge sets whose complement still covers every vertex: those
+    containing, for no vertex, all the edges at it.
 
     Void when the graph has an isolated vertex (then nothing covers it).
     """
-    ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
-    return _complex_from_predicate(
-        ground,
-        lambda f: is_edge_cover(g, [by_label[x] for x in ground if x not in f]),
-    )
+    stars = [{edge_label(g, e) for e in g.edges if v in e} for v in g.vertices]
+    return _avoiding(edge_ground(g), stars)
 
 
 def edge_dominance_complex(g: Graph) -> Complex:
-    """Faces are edge sets F where every edge meets some edge outside F."""
-    ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
-
-    def is_face(f: frozenset) -> bool:
-        remaining = [by_label[x] for x in ground if x not in f]
-        return all(any(e & r for r in remaining) for e in g.edges)
-
-    return _complex_from_predicate(ground, is_face)
+    """Faces are edge sets F where every edge meets some edge outside F:
+    those containing, for no edge, all the edges meeting it (itself too)."""
+    meets = [{edge_label(g, f) for f in g.edges if e & f} for e in g.edges]
+    return _avoiding(edge_ground(g), meets)
 
 
 def line_dual(g: Graph) -> Graph:
@@ -330,49 +316,43 @@ def _reaches(d: Digraph, allowed: frozenset, start: str, goal: str) -> bool:
     return False
 
 
+def st_paths(d: Digraph) -> list:
+    """Arc-id sets of the simple s-t paths; [{}] (the trivial path) if s = t."""
+    out_arcs: dict = {v: [] for v in d.vertices}
+    for a in d.arcs:
+        out_arcs[a.src].append(a)
+    paths = []
+    stack = [(d.s, frozenset({d.s}), EMPTY_FACE)]
+    while stack:
+        v, visited, trail = stack.pop()
+        if v == d.t:
+            paths.append(trail)
+            continue
+        for a in out_arcs[v]:
+            if a.tgt not in visited:
+                stack.append((a.tgt, visited | {a.tgt}, trail | {a.id}))
+    return paths
+
+
 def pf_complex(d: Digraph) -> Complex:
     """Path-free complex: arc sets containing no path from s to t.
 
     With s = t every set contains the trivial path, so the complex is void;
     with s != t and no arcs it is the irrelevant complex.
     """
-    ground = d.arc_ids()
-    if d.s == d.t:
-        return void_complex(ground)
-    return _complex_from_predicate(
-        ground, lambda f: not _reaches(d, f, d.s, d.t)
-    )
+    return _avoiding(d.arc_ids(), st_paths(d))
 
 
 def pm_complex(d: Digraph) -> Complex:
-    """Path-missing complex: arc sets whose complement still has an s-t path."""
-    ground = d.arc_ids()
-    if d.s == d.t:
-        return full_simplex(ground)
-    all_ids = frozenset(ground)
-    return _complex_from_predicate(
-        ground, lambda f: _reaches(d, all_ids - f, d.s, d.t)
-    )
+    """Path-missing complex: arc sets whose complement still has an s-t path;
+    the facets are the complements of the simple s-t paths."""
+    full = frozenset(d.arc_ids())
+    return new_complex(d.arc_ids(), [full - p for p in st_paths(d)])
 
 
 def useless_arcs(d: Digraph) -> frozenset:
     """Arcs lying on no simple path from s to t (loops always qualify)."""
-    used: set = set()
-    if d.s != d.t:
-        adjacency: dict = {v: [] for v in d.vertices}
-        for a in d.arcs:
-            adjacency[a.src].append(a)
-
-        def dfs(v: str, visited: frozenset, trail: tuple) -> None:
-            if v == d.t:
-                used.update(trail)
-                return
-            for a in adjacency[v]:
-                if a.tgt not in visited:
-                    dfs(a.tgt, visited | {a.tgt}, trail + (a.id,))
-
-        dfs(d.s, frozenset({d.s}), ())
-    return frozenset(d.arc_ids()) - used
+    return frozenset(d.arc_ids()).difference(*st_paths(d))
 
 
 def has_cycle(d: Digraph) -> bool:

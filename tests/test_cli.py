@@ -268,6 +268,9 @@ WEAK_NESTED_STEP = {
         ["from-graph", "{list_endpoint}", "--complex", "ind"],
         ["gen", "complex", "--ground", "3", "--density", "nan", "--seed", "1"],
         ["gen", "complex", "--ground", "3", "--density", "inf", "--seed", "1"],
+        ["gen", "complex", "--ground", "3", "--density", "1e300", "--seed", "1"],
+        ["gen", "complex", "--ground", "3", "--density", "-1", "--seed", "1"],
+        ["gen", "complex", "--ground", "26", "--density", "1", "--seed", "1"],
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):

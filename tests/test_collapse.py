@@ -1,5 +1,8 @@
 """Elementary collapse machinery: free pairs, search, lifting, suspension."""
 
+import inspect
+import sys
+
 import pytest
 
 from grapes import (
@@ -157,6 +160,20 @@ def test_collapsible_implies_trivial_homology():
         result = collapse_search(c, exhaustive=True)
         assert result.is_yes
         assert reduced_homology(c).is_trivial()
+
+
+def test_long_path_collapses_under_a_low_recursion_limit():
+    names = [f"v{i}" for i in range(1, 251)]
+    path = new_complex(names, [frozenset(p) for p in zip(names, names[1:])])
+    limit = sys.getrecursionlimit()
+    # well below the 247 nested calls a recursive search would need
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        result = collapse_search(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.is_yes
+    assert replay(path, result.sequence).is_void
 
 
 def test_search_is_deterministic():

@@ -1,0 +1,198 @@
+"""Minimal non-faces as minimal transversals, graph complexes as duals.
+
+The subset scans these replaced are kept here as oracles: the scan of the
+ground set for minimal non-faces, the predicate scan over every vertex, edge
+or arc subset for the six graph complexes, and the recursive path search for
+useless arcs.
+"""
+
+import random
+import string
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from grapes import (
+    alexander_dual,
+    dominance_complex,
+    edge_cover_complex,
+    edge_dominance_complex,
+    enumerate_complexes,
+    graph,
+    independence_complex,
+    minimal_nonfaces,
+    new_complex,
+    pf_complex,
+    pm_complex,
+    simplex_boundary,
+    useless_arcs,
+)
+from grapes.generators import all_digraphs, all_trees, path_graph
+from grapes.graphs import (
+    _reaches,
+    edge_ground,
+    edge_label,
+    is_dominating,
+    is_edge_cover,
+    is_independent,
+)
+
+
+def scan_minimal_nonfaces(c):
+    """Subsets by size, skipping supersets of non-faces already found."""
+    found = []
+    for k in range(len(c.ground) + 1):
+        for combo in combinations(c.ground, k):
+            s = frozenset(combo)
+            if not any(m <= s for m in found) and not c.has_face(s):
+                found.append(s)
+    return frozenset(found)
+
+
+def scan_complex(ground, is_face):
+    """The complex of every ground subset that passes the face predicate."""
+    return new_complex(
+        ground,
+        [
+            frozenset(combo)
+            for k in range(len(ground) + 1)
+            for combo in combinations(ground, k)
+            if is_face(frozenset(combo))
+        ],
+    )
+
+
+def scan_independence(g):
+    return scan_complex(tuple(g.vertices), lambda f: is_independent(g, f))
+
+
+def scan_dominance(g):
+    vset = set(g.vertices)
+    return scan_complex(tuple(g.vertices), lambda f: is_dominating(g, vset - f))
+
+
+def scan_edge_cover(g):
+    ground = edge_ground(g)
+    by_label = {edge_label(g, e): e for e in g.edges}
+    return scan_complex(
+        ground,
+        lambda f: is_edge_cover(g, [by_label[x] for x in ground if x not in f]),
+    )
+
+
+def scan_edge_dominance(g):
+    ground = edge_ground(g)
+    by_label = {edge_label(g, e): e for e in g.edges}
+
+    def is_face(f):
+        remaining = [by_label[x] for x in ground if x not in f]
+        return all(any(e & r for r in remaining) for e in g.edges)
+
+    return scan_complex(ground, is_face)
+
+
+def recursive_useless_arcs(d):
+    used = set()
+    if d.s != d.t:
+        adjacency = {v: [] for v in d.vertices}
+        for a in d.arcs:
+            adjacency[a.src].append(a)
+
+        def dfs(v, visited, trail):
+            if v == d.t:
+                used.update(trail)
+                return
+            for a in adjacency[v]:
+                if a.tgt not in visited:
+                    dfs(a.tgt, visited | {a.tgt}, trail + (a.id,))
+
+        dfs(d.s, frozenset({d.s}), ())
+    return frozenset(d.arc_ids()) - used
+
+
+# -- minimal non-faces -----------------------------------------------------------
+
+
+def test_minimal_nonfaces_match_the_scan_on_all_small_complexes():
+    for n in range(5):
+        for c in enumerate_complexes(string.ascii_lowercase[:n]):
+            assert minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+
+
+@st.composite
+def complexes_up_to_six(draw):
+    ground = string.ascii_lowercase[: draw(st.integers(min_value=0, max_value=6))]
+    face = st.frozensets(st.sampled_from(ground)) if ground else st.just(frozenset())
+    return new_complex(ground, draw(st.lists(face, max_size=10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_up_to_six())
+def test_minimal_nonfaces_match_the_scan(c):
+    assert minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+
+
+def test_dual_of_a_large_simplex_boundary_is_irrelevant():
+    names = [f"x{i}" for i in range(40)]
+    dual = alexander_dual(simplex_boundary(names))
+    assert dual.is_irrelevant
+    assert dual.ground == tuple(names)
+
+
+# -- graph complexes ---------------------------------------------------------------
+
+BUILDERS = [
+    (independence_complex, scan_independence),
+    (dominance_complex, scan_dominance),
+    (edge_cover_complex, scan_edge_cover),
+    (edge_dominance_complex, scan_edge_dominance),
+]
+
+
+def labelled_graphs_on_four():
+    pairs = list(combinations("abcd", 2))
+    for mask in range(2 ** len(pairs)):
+        yield graph("abcd", [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def seeded_graphs(count=200, max_vertices=7, max_edges=9):
+    for seed in range(count):
+        rng = random.Random(seed)
+        vertices = [f"v{i}" for i in range(1, rng.randint(1, max_vertices) + 1)]
+        pairs = list(combinations(vertices, 2))
+        yield graph(vertices, rng.sample(pairs, rng.randint(0, min(max_edges, len(pairs)))))
+
+
+def test_graph_complexes_match_the_predicate_scan():
+    graphs = [*all_trees(8), *labelled_graphs_on_four(), *seeded_graphs()]
+    assert len(graphs) == 48 + 64 + 200
+    for g in graphs:
+        for build, scan in BUILDERS:
+            assert build(g) == scan(g), (build.__name__, g)
+
+
+def test_independence_complex_of_a_long_path():
+    # facets of Ind(P_n): a(n) = a(n-2) + a(n-3), a(1..3) = 1, 2, 2
+    counts = {1: 1, 2: 2, 3: 2}
+    for n in range(4, 25):
+        counts[n] = counts[n - 2] + counts[n - 3]
+    for n in range(1, 11):
+        c = independence_complex(path_graph(n))
+        assert c == scan_independence(path_graph(n))
+        assert len(c.facets) == counts[n]
+    assert len(independence_complex(path_graph(24)).facets) == counts[24] == 816
+
+
+# -- digraph complexes -------------------------------------------------------------
+
+
+def test_path_complexes_and_useless_arcs_match_their_definitions():
+    for d in all_digraphs(3, 4):
+        arcs = frozenset(d.arc_ids())
+        assert pf_complex(d) == scan_complex(
+            d.arc_ids(), lambda f: not _reaches(d, f, d.s, d.t)
+        )
+        assert pm_complex(d) == scan_complex(
+            d.arc_ids(), lambda f: _reaches(d, arcs - f, d.s, d.t)
+        )
+        assert useless_arcs(d) == recursive_useless_arcs(d)
