@@ -45,7 +45,7 @@ from .complexes import (
     void_complex,
 )
 from .grape import (
-    CertificateTree,
+    CertNode,
     GrapeVariant,
     GrapeVerdict,
     certificate_from_json,

@@ -310,11 +310,8 @@ def _dispatch_grape(args: argparse.Namespace) -> int:
     cert = certificate_from_json(_load(args.certificate))
     variant = certificate_variant(cert)
     try:
-        if variant is None:
-            # base-only tree: valid for every variant if the leaf matches
-            verify_certificate(c, GrapeVariant.STRONG, cert)
-        else:
-            verify_certificate(c, variant, cert)
+        # a base-only certificate is valid for every variant if the leaf matches
+        verify_certificate(c, variant or GrapeVariant.STRONG, cert)
     except ReplayError as exc:
         _emit({"valid": False, "error": str(exc)})
         return 1

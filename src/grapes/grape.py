@@ -16,16 +16,17 @@ variant-specific gluing condition.  The four variants decided here:
 
 Grape status depends only on the vertex set, so recognition normalizes the
 ground set to the vertices at every node.  Every "yes" comes with a
-certificate tree that replays without searching; strong certificates also
-drive the simple-homotopy classification (void, or a cross-polytope
+certificate that replays without searching: a table of nodes listed
+children first, root last, in memory and on the wire.  Strong certificates
+also drive the simple-homotopy classification (void, or a cross-polytope
 boundary whose dimension the recursion computes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -66,6 +67,7 @@ class GrapeVariant(Enum):
 class StrongWitness:
     """Which of link/deletion is a cone, with the apexes found."""
 
+    variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG
     cone_side: str  # "link" | "deletion" | "both"
     link_apex: Optional[str] = None
     deletion_apex: Optional[str] = None
@@ -75,6 +77,7 @@ class StrongWitness:
 class ConeContainmentWitness:
     """Element x whose cone over the link lies inside the deletion."""
 
+    variant: ClassVar[GrapeVariant] = GrapeVariant.COMBINATORIAL
     cone_element: str
 
 
@@ -82,6 +85,7 @@ class ConeContainmentWitness:
 class TrivialIntermediateWitness:
     """Collapsible complex squeezed between link and deletion."""
 
+    variant: ClassVar[GrapeVariant] = GrapeVariant.WEAK
     gamma_facets: frozenset
     sequence: tuple
 
@@ -90,34 +94,32 @@ class TrivialIntermediateWitness:
 class TrivialSideWitness:
     """Side (link or deletion) that collapses to void, with its sequence."""
 
+    variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG_WEAK
     side: str  # "link" | "deletion"
     sequence: tuple
 
 
 @dataclass(frozen=True)
-class CertificateTree:
-    """Recursive witness that a complex is a grape of some variant.
+class CertNode:
+    """One node of a certificate, a tuple of nodes listed children first.
 
-    Either a base leaf (at most one vertex: "void", "irrelevant" or
-    "point") or a split node carrying the pivot, the variant witness, and
-    certificates for the link and the deletion.
+    A base leaf (at most one vertex: "void", "irrelevant" or "point") or a
+    split carrying the pivot, the variant witness, and the indices of its
+    link's and its deletion's nodes, earlier in the tuple.  The last node is
+    the root; memoised subproblems give a node several parents.
     """
 
     base: Optional[str] = None
     pivot: Optional[str] = None
     witness: Optional[object] = None
-    link_cert: Optional["CertificateTree"] = None
-    del_cert: Optional["CertificateTree"] = None
-
-    @property
-    def is_base(self) -> bool:
-        return self.base is not None
+    link: Optional[int] = None
+    deletion: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class GrapeVerdict:
     verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[CertificateTree] = None
+    certificate: Optional[tuple] = None  # of CertNode, root last
     reason: Optional[str] = None
     nodes: int = 0
 
@@ -210,21 +212,12 @@ def check_grape(
     def witness(cr: Complex, lk: Complex, dl: Complex):
         """Variant gluing condition at one pivot: (status, witness or reason)."""
         if variant is GrapeVariant.STRONG:
-            lk_apexes = cone_apexes(lk)
-            dl_apexes = cone_apexes(dl)
-            if lk_apexes and dl_apexes:
-                return "yes", StrongWitness(
-                    "both",
-                    min(lk_apexes, key=lk.index),
-                    min(dl_apexes, key=dl.index),
-                )
-            if lk_apexes:
-                return "yes", StrongWitness("link", link_apex=min(lk_apexes, key=lk.index))
-            if dl_apexes:
-                return "yes", StrongWitness(
-                    "deletion", deletion_apex=min(dl_apexes, key=dl.index)
-                )
-            return "no", "neither side is a cone"
+            lk_apex = min(cone_apexes(lk), key=lk.index, default=None)
+            dl_apex = min(cone_apexes(dl), key=dl.index, default=None)
+            if lk_apex is None and dl_apex is None:
+                return "no", "neither side is a cone"
+            side = "deletion" if lk_apex is None else "link" if dl_apex is None else "both"
+            return "yes", StrongWitness(side, lk_apex, dl_apex)
 
         if variant is GrapeVariant.COMBINATORIAL:
             for x in dl.ground:
@@ -277,16 +270,16 @@ def check_grape(
             return "unknown", "some collapsibility searches ran out of budget"
         return "no", "no intermediate complex collapses (exhaustive sweep)"
 
+    nodes: list = []  # certificate nodes of solved subproblems, children first
+
     def solve(cr: Complex):
-        key = cr.facets
-        if key in memo:
-            return memo[key]
+        """One subproblem, as a generator: it yields each link or deletion it
+        needs solved and is sent back that one's (status, node index)."""
         tick()
         kind = _base_kind(cr)
         if kind is not None:
-            result = ("yes", CertificateTree(base=kind))
-            memo[key] = result
-            return result
+            nodes.append(CertNode(base=kind))
+            return "yes", len(nodes) - 1
         some_unknown = False
         for a in cr.ground:
             lk = link(cr, a)
@@ -294,80 +287,98 @@ def check_grape(
             status, payload = witness(cr, lk, dl)
             if status == "no":
                 continue
-            lk_status, lk_payload = solve(restrict_ground(lk))
+            lk_status, lk_ref = yield restrict_ground(lk)
             if lk_status == "no":
                 continue
-            dl_status, dl_payload = solve(restrict_ground(dl))
+            dl_status, dl_ref = yield restrict_ground(dl)
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                cert = CertificateTree(
-                    pivot=a,
-                    witness=payload,
-                    link_cert=lk_payload,
-                    del_cert=dl_payload,
-                )
-                memo[key] = ("yes", cert)
-                return memo[key]
+                nodes.append(CertNode(pivot=a, witness=payload, link=lk_ref, deletion=dl_ref))
+                return "yes", len(nodes) - 1
             some_unknown = True
-        result = ("unknown", None) if some_unknown else ("no", None)
-        memo[key] = result
-        return result
+        return ("unknown" if some_unknown else "no"), None
 
+    # solve's frames on an explicit stack; a memoised subproblem is not pushed
+    root = restrict_ground(c)
+    stack = [(root.facets, solve(root))]
+    result = None
     try:
-        status, payload = solve(restrict_ground(c))
+        while stack:
+            key, frame = stack[-1]
+            try:
+                sub = frame.send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = memo[key] = done.value
+                continue
+            result = memo.get(sub.facets)
+            if result is None:
+                stack.append((sub.facets, solve(sub)))
     except _BudgetExceeded:
         return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=state["nodes"])
-    if status == "yes":
-        return GrapeVerdict("yes", certificate=payload, nodes=state["nodes"])
-    if status == "no":
+    if result[0] == "yes":
+        return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=state["nodes"])
+    if result[0] == "no":
         return GrapeVerdict("no", nodes=state["nodes"])
     return GrapeVerdict("unknown", reason="search inconclusive", nodes=state["nodes"])
+
+
+def _reachable(nodes: list) -> tuple:
+    """The nodes reachable from the last one, renumbered in their order."""
+    keep = {len(nodes) - 1}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in keep and not nodes[i].base:
+            keep |= {nodes[i].link, nodes[i].deletion}
+    index = {i: k for k, i in enumerate(sorted(keep))}
+    return tuple(
+        n if n.base else replace(n, link=index[n.link], deletion=index[n.deletion])
+        for n in map(nodes.__getitem__, index)
+    )
 
 
 # -- certificate replay --------------------------------------------------------
 
 
-def verify_certificate(c: Complex, variant: GrapeVariant, cert: CertificateTree) -> None:
+def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     """Replay a certificate against a complex; raises ReplayError on any gap.
 
     Verification is independent of the search: pivot legality, the variant
-    witness, and both sub-certificates are all checked from scratch.
+    witness, and both sub-certificates are all checked from scratch.  Each
+    node replays once per distinct complex its parents hand down.
     """
-    cr = restrict_ground(c)
-    if cert.is_base:
-        kind = _base_kind(cr)
-        if kind != cert.base:
-            raise ReplayError(f"base leaf says {cert.base!r} but complex is {kind!r}")
-        return
-    a = cert.pivot
-    if a is None or not cr.has_face(frozenset({a})):
-        raise ReplayError(f"pivot {a!r} is not a vertex")
-    lk = link(cr, a)
-    dl = deletion(cr, a)
-    _verify_witness(variant, cert.witness, lk, dl)
-    if cert.link_cert is None or cert.del_cert is None:
-        raise ReplayError("split node is missing a sub-certificate")
-    verify_certificate(lk, variant, cert.link_cert)
-    verify_certificate(dl, variant, cert.del_cert)
+    todo = [{} for _ in cert]  # per node: its complexes, as insertion-ordered keys
+    todo[-1][restrict_ground(c)] = None
+    for i in range(len(cert) - 1, -1, -1):
+        node = cert[i]
+        for cr in todo[i]:
+            if node.base:
+                kind = _base_kind(cr)
+                if kind != node.base:
+                    raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
+                continue
+            a = node.pivot
+            if not cr.has_face(frozenset({a})):
+                raise ReplayError(f"pivot {a!r} is not a vertex")
+            lk = link(cr, a)
+            dl = deletion(cr, a)
+            _verify_witness(variant, node.witness, lk, dl)
+            todo[node.link][restrict_ground(lk)] = None
+            todo[node.deletion][restrict_ground(dl)] = None
+        todo[i] = None
 
 
 def _verify_witness(variant: GrapeVariant, witness: object, lk: Complex, dl: Complex) -> None:
+    if getattr(witness, "variant", None) is not variant:
+        raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
-        if not isinstance(witness, StrongWitness):
-            raise ReplayError("strong certificate needs a cone-side witness")
-        if witness.cone_side not in ("link", "deletion", "both"):
-            raise ReplayError(f"unknown cone side {witness.cone_side!r}")
-        if witness.cone_side in ("link", "both"):
-            if witness.link_apex not in cone_apexes(lk):
-                raise ReplayError("claimed link apex does not cone the link")
-        if witness.cone_side in ("deletion", "both"):
-            if witness.deletion_apex not in cone_apexes(dl):
-                raise ReplayError("claimed deletion apex does not cone the deletion")
+        # "both" claims both cones
+        if witness.cone_side != "deletion" and witness.link_apex not in cone_apexes(lk):
+            raise ReplayError("claimed link apex does not cone the link")
+        if witness.cone_side != "link" and witness.deletion_apex not in cone_apexes(dl):
+            raise ReplayError("claimed deletion apex does not cone the deletion")
         return
     if variant is GrapeVariant.COMBINATORIAL:
-        if not isinstance(witness, ConeContainmentWitness):
-            raise ReplayError("combinatorial certificate needs a cone element")
         x = witness.cone_element
         if x not in dl.ground:
             raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
@@ -375,8 +386,6 @@ def _verify_witness(variant: GrapeVariant, witness: object, lk: Complex, dl: Com
             raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
         return
     if variant is GrapeVariant.WEAK:
-        if not isinstance(witness, TrivialIntermediateWitness):
-            raise ReplayError("weak certificate needs an intermediate complex")
         try:
             gamma = Complex(dl.ground, _maximal(witness.gamma_facets))
         except InputError as exc:
@@ -390,80 +399,56 @@ def _verify_witness(variant: GrapeVariant, witness: object, lk: Complex, dl: Com
         if not replay(gamma, witness.sequence).is_void:
             raise ReplayError("intermediate complex does not collapse to void")
         return
-    if variant is GrapeVariant.STRONG_WEAK:
-        if not isinstance(witness, TrivialSideWitness):
-            raise ReplayError("strong-weak certificate needs a collapsing side")
-        if witness.side not in ("link", "deletion"):
-            raise ReplayError(f"unknown side {witness.side!r}")
-        side = lk if witness.side == "link" else dl
-        if not replay(side, witness.sequence).is_void:
-            raise ReplayError(f"{witness.side} does not collapse to void")
-        return
-    raise ReplayError(f"unknown variant {variant!r}")
+    # strong-weak
+    side = lk if witness.side == "link" else dl
+    if not replay(side, witness.sequence).is_void:
+        raise ReplayError(f"{witness.side} does not collapse to void")
 
 
 # -- classification ------------------------------------------------------------
 
 
-def classify_strong(cert: CertificateTree, prefer: str = "deletion") -> SHClass:
+def classify_strong(cert: tuple) -> SHClass:
     """Simple-homotopy class of a strong grape, read off its certificate alone.
 
     Deletion-is-cone steps suspend the class of the link; link-is-cone steps
     keep the class of the deletion; so one branch is followed per level.
-    When both sides are cones the branch named by ``prefer`` is taken (the
-    result is the same either way; the default mirrors the search).
+    When both sides are cones the deletion is taken as the cone, as the
+    search does (the class is the same either way).
     """
-    if prefer not in ("deletion", "link"):
-        raise InputError('prefer must be "deletion" or "link"')
+    node = cert[-1]
     suspensions = 0
-    while not cert.is_base:
-        w = cert.witness
+    while not node.base:
+        w = node.witness
         if not isinstance(w, StrongWitness):
             raise ReplayError("classification needs a strong certificate")
-        side = w.cone_side if w.cone_side != "both" else prefer
-        if side == "deletion":
-            suspensions += 1
-            cert = cert.link_cert
+        if w.cone_side == "link":
+            node = cert[node.deletion]
         else:
-            cert = cert.del_cert
-    if cert.base in ("void", "point"):
-        return SHClass(None)
-    if cert.base == "irrelevant":
-        return SHClass(suspensions)
-    raise ReplayError(f"unknown base kind {cert.base!r}")
+            suspensions += 1
+            node = cert[node.link]
+    return SHClass(suspensions if node.base == "irrelevant" else None)
 
 
-def predicted_wedge(cert: CertificateTree) -> dict:
+def predicted_wedge(cert: tuple) -> dict:
     """Predicted reduced Betti numbers, folded from a certificate alone.
 
     At every split the complex is homotopy equivalent to the deletion wedged
-    with the suspended link, so predictions add up recursively: the empty
-    dict means contractible, otherwise dimension -> sphere multiplicity.
-    Meaningful for combinatorial and weak certificates (and the stronger
-    ones, whose witnesses imply the same wedge splitting).  Nodes shared by
-    several parents (recognition memoises subproblems) are folded once.
+    with the suspended link, so predictions add up from the leaves: the
+    empty dict means contractible, otherwise dimension -> sphere
+    multiplicity.  Meaningful for combinatorial and weak certificates (and
+    the stronger ones, whose witnesses imply the same wedge splitting).
     """
-    memo: dict = {}  # id(node) -> prediction; the tree keeps every node alive
-
-    def fold(node: CertificateTree) -> dict:
-        if id(node) in memo:
-            return memo[id(node)]
-        if node.base in ("void", "point"):
-            out = {}
-        elif node.base == "irrelevant":
-            out = {-1: 1}
-        elif node.is_base:
-            raise ReplayError(f"unknown base kind {node.base!r}")
-        elif node.pivot is None or node.link_cert is None or node.del_cert is None:
-            raise ReplayError("malformed split node")
-        else:
-            out = dict(fold(node.del_cert))
-            for k, mult in fold(node.link_cert).items():
-                out[k + 1] = out.get(k + 1, 0) + mult
-        memo[id(node)] = out
-        return out
-
-    return fold(cert)
+    folds: list = []
+    for node in cert:
+        if node.base:
+            folds.append({-1: 1} if node.base == "irrelevant" else {})
+            continue
+        out = dict(folds[node.deletion])
+        for k, mult in folds[node.link].items():
+            out[k + 1] = out.get(k + 1, 0) + mult
+        folds.append(out)
+    return folds[-1]
 
 
 # -- duality transfer ------------------------------------------------------------
@@ -544,10 +529,12 @@ def _witness_from_json(data: object) -> object:
         raise InputError("witness must be an object")
     kind = data.get("kind")
     if kind == "strong":
-        side = data.get("cone_side", "")
+        side = data.get("cone_side")
         apexes = (data.get("link_apex"), data.get("deletion_apex"))
-        if not isinstance(side, str) or not all(a is None or isinstance(a, str) for a in apexes):
-            raise InputError('strong witness needs a "cone_side" string and string apexes')
+        if side not in ("link", "deletion", "both") or not all(
+            a is None or isinstance(a, str) for a in apexes
+        ):
+            raise InputError('strong witness needs a link/deletion/both "cone_side", string apexes')
         return StrongWitness(side, *apexes)
     if kind == "combinatorial":
         x = data.get("cone_element")
@@ -572,46 +559,64 @@ def _witness_from_json(data: object) -> object:
     raise InputError(f"unknown witness kind {kind!r}")
 
 
-def certificate_to_json(cert: CertificateTree) -> dict:
-    if cert.is_base:
-        return {"base": cert.base}
-    return {
-        "pivot": cert.pivot,
-        "witness": _witness_to_json(cert.witness),
-        "link": certificate_to_json(cert.link_cert),
-        "deletion": certificate_to_json(cert.del_cert),
-    }
+def certificate_to_json(cert: tuple) -> dict:
+    """The wire form of a certificate: {"format": 2, "nodes": [...]}."""
+    return {"format": 2, "nodes": [
+        {"base": n.base} if n.base else
+        {"pivot": n.pivot, "witness": _witness_to_json(n.witness), "link": n.link,
+         "deletion": n.deletion}
+        for n in cert
+    ]}
 
 
-def certificate_from_json(data: object) -> CertificateTree:
+def _node_from_json(data: object, i: int) -> CertNode:
     if not isinstance(data, dict):
-        raise InputError("certificate must be an object")
+        raise InputError("certificate node must be an object")
     if "base" in data:
         if data["base"] not in ("void", "irrelevant", "point"):
             raise InputError(f"unknown base kind {data['base']!r}")
-        return CertificateTree(base=data["base"])
+        return CertNode(base=data["base"])
     pivot = data.get("pivot")
     if not isinstance(pivot, str):
         raise InputError('split node needs a "pivot" string')
-    return CertificateTree(
-        pivot=pivot,
-        witness=_witness_from_json(data.get("witness")),
-        link_cert=certificate_from_json(data.get("link")),
-        del_cert=certificate_from_json(data.get("deletion")),
-    )
+    lk, dl = data.get("link"), data.get("deletion")
+    # ints below i: children come first, which also rules out cycles
+    if not all(type(ref) is int and 0 <= ref < i for ref in (lk, dl)):
+        raise InputError(f"node {i} must name earlier nodes by index, not {lk!r} and {dl!r}")
+    witness = _witness_from_json(data.get("witness"))
+    return CertNode(pivot=pivot, witness=witness, link=lk, deletion=dl)
 
 
-def certificate_variant(cert: CertificateTree) -> Optional[GrapeVariant]:
-    """Variant implied by the witnesses in a tree; None for base-only trees."""
-    if cert.is_base:
-        return None
-    w = cert.witness
-    if isinstance(w, StrongWitness):
-        return GrapeVariant.STRONG
-    if isinstance(w, ConeContainmentWitness):
-        return GrapeVariant.COMBINATORIAL
-    if isinstance(w, TrivialIntermediateWitness):
-        return GrapeVariant.WEAK
-    if isinstance(w, TrivialSideWitness):
-        return GrapeVariant.STRONG_WEAK
-    return None
+def _flatten_nested(data: dict) -> list:
+    """Nested (format 1) certificate nodes, children first, subtrees as indices."""
+    nodes, done = [], []  # done: indices of finished subtrees, link before deletion
+    stack = [(data, False)]
+    while stack:
+        obj, expanded = stack.pop()
+        if expanded:
+            dl_ref, lk_ref = done.pop(), done.pop()
+            obj = {**obj, "link": lk_ref, "deletion": dl_ref}
+        elif isinstance(obj, dict) and "base" not in obj:
+            stack += [(obj, True), (obj.get("deletion"), False), (obj.get("link"), False)]
+            continue
+        done.append(len(nodes))
+        nodes.append(obj)
+    return nodes
+
+
+def certificate_from_json(data: object) -> tuple:
+    """Read a node table (format 2) or a nested certificate (format 1)."""
+    if not isinstance(data, dict):
+        raise InputError("certificate must be an object")
+    fmt = data.get("format", 1)
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise InputError(f"unsupported certificate format {fmt!r}")
+    raw = data.get("nodes") if fmt == 2 else _flatten_nested(data)
+    if not isinstance(raw, list) or not raw:
+        raise InputError('certificate needs a nonempty "nodes" array')
+    return tuple(_node_from_json(node, i) for i, node in enumerate(raw))
+
+
+def certificate_variant(cert: tuple) -> Optional[GrapeVariant]:
+    """Variant implied by the root's witness; None for a base-only certificate."""
+    return getattr(cert[-1].witness, "variant", None)

@@ -12,8 +12,8 @@ computed by plain exhaustive search: exactness over speed, at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from .complexes import EMPTY_FACE, Complex, InputError, alexander_dual, new_complex
 
@@ -205,7 +205,7 @@ def _avoiding(ground: tuple, forbidden) -> Complex:
     """Sets containing no forbidden set: the Alexander dual of the complex
     generated by the forbidden sets' complements."""
     full = frozenset(ground)
-    return alexander_dual(new_complex(ground, [full - s for s in forbidden]))
+    return alexander_dual(new_complex(ground, (full - s for s in forbidden)))
 
 
 def independence_complex(g: Graph) -> Complex:
@@ -316,22 +316,20 @@ def _reaches(d: Digraph, allowed: frozenset, start: str, goal: str) -> bool:
     return False
 
 
-def st_paths(d: Digraph) -> list:
-    """Arc-id sets of the simple s-t paths; [{}] (the trivial path) if s = t."""
+def st_paths(d: Digraph) -> Iterator[frozenset]:
+    """Yield the arc-id sets of the simple s-t paths; {} alone if s = t."""
     out_arcs: dict = {v: [] for v in d.vertices}
     for a in d.arcs:
         out_arcs[a.src].append(a)
-    paths = []
     stack = [(d.s, frozenset({d.s}), EMPTY_FACE)]
     while stack:
         v, visited, trail = stack.pop()
         if v == d.t:
-            paths.append(trail)
+            yield trail
             continue
         for a in out_arcs[v]:
             if a.tgt not in visited:
                 stack.append((a.tgt, visited | {a.tgt}, trail | {a.id}))
-    return paths
 
 
 def pf_complex(d: Digraph) -> Complex:
@@ -347,12 +345,12 @@ def pm_complex(d: Digraph) -> Complex:
     """Path-missing complex: arc sets whose complement still has an s-t path;
     the facets are the complements of the simple s-t paths."""
     full = frozenset(d.arc_ids())
-    return new_complex(d.arc_ids(), [full - p for p in st_paths(d)])
+    return new_complex(d.arc_ids(), (full - p for p in st_paths(d)))
 
 
 def useless_arcs(d: Digraph) -> frozenset:
     """Arcs lying on no simple path from s to t (loops always qualify)."""
-    return frozenset(d.arc_ids()).difference(*st_paths(d))
+    return frozenset(d.arc_ids()).difference(chain.from_iterable(st_paths(d)))
 
 
 def has_cycle(d: Digraph) -> bool:

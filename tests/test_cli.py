@@ -1,5 +1,6 @@
 """CLI wire formats and exit codes, exercised in-process."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -74,6 +75,25 @@ def test_collapse_command_yes_and_no(write_json, capsys):
     assert code == 1 and out["verdict"] == "no"
     code, out = run_cli(capsys, "collapse", write_json("p2.json", TWO_POINTS))
     assert code == 3 and out["verdict"] == "unknown"
+
+
+def test_strong_round_trip_on_a_long_path_under_a_low_recursion_limit(
+    write_json, capsys, tmp_path
+):
+    names = [f"v{i}" for i in range(1, 251)]
+    path = write_json("path.json", {"ground": names, "facets": [list(p) for p in zip(names, names[1:])]})
+    cert_path = tmp_path / "cert.json"
+    limit = sys.getrecursionlimit()
+    # well below the 250 nested calls a recursive recognition would need
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        check_code, check = run_cli(capsys, "grape", "check", path, "--variant", "strong")
+        cert_path.write_text(json.dumps(check["certificate"]))
+        code, out = run_cli(capsys, "grape", "verify-cert", path, str(cert_path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert check_code == 0 and check["verdict"] == "yes"
+    assert code == 0 and out == {"valid": True, "variant": "strong"}
 
 
 def test_grape_check_yes_no_unknown(write_json, capsys):
@@ -252,6 +272,25 @@ WEAK_NESTED_STEP = {
     "deletion": {"base": "point"},
 }
 
+STRONG_LINK = {"kind": "strong", "cone_side": "link", "link_apex": "b"}
+
+
+def node_table(link, deletion, fmt=2):
+    """A two-node certificate whose root names its children by the given refs."""
+    root = {"pivot": "a", "witness": STRONG_LINK, "link": link, "deletion": deletion}
+    return {"format": fmt, "nodes": [{"base": "point"}, root]}
+
+
+BAD_TABLES = {
+    "forward_ref": {"format": 2, "nodes": [node_table(1, 1)["nodes"][1], {"base": "point"}]},
+    "self_ref": node_table(0, 1),
+    "out_of_range_ref": node_table(0, -1),
+    "bool_ref": node_table(True, 0),
+    "string_ref": node_table(0, "0"),
+    "empty_nodes": {"format": 2, "nodes": []},
+    "format_three": node_table(0, 0, fmt=3),
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -271,6 +310,7 @@ WEAK_NESTED_STEP = {
         ["gen", "complex", "--ground", "3", "--density", "1e300", "--seed", "1"],
         ["gen", "complex", "--ground", "3", "--density", "-1", "--seed", "1"],
         ["gen", "complex", "--ground", "26", "--density", "1", "--seed", "1"],
+        *(["grape", "verify-cert", "{edge}", "{%s}" % name] for name in BAD_TABLES),
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
@@ -284,6 +324,7 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
         "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),
         "list_endpoint": write_json("g2.json", {"vertices": ["a"], "edges": [[["x"], "a"]]}),
+        **{name: write_json(f"{name}.json", table) for name, table in BAD_TABLES.items()},
     }
     result = run_module(*(a.format(**files) for a in argv))
     assert result.returncode == 2

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from grapes import (
     alexander_dual,
+    digraph,
     dominance_complex,
     edge_cover_complex,
     edge_dominance_complex,
@@ -196,3 +197,26 @@ def test_path_complexes_and_useless_arcs_match_their_definitions():
             d.arc_ids(), lambda f: _reaches(d, arcs - f, d.s, d.t)
         )
         assert useless_arcs(d) == recursive_useless_arcs(d)
+
+
+def complete_dag(n):
+    """All arcs u_i -> u_j with i < j, plus a back arc t -> s and a loop, which
+    lie on no simple s-t path."""
+    names = [f"u{i}" for i in range(n)]
+    arcs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    arcs += [(names[-1], names[0]), (names[1], names[1])]
+    return digraph(names, [(f"a{i}", a, b) for i, (a, b) in enumerate(arcs)], names[0], names[-1])
+
+
+def test_useless_arcs_stream_the_paths_of_a_complete_dag():
+    import tracemalloc
+
+    d = complete_dag(16)  # 2^14 simple s-t paths
+    tracemalloc.start()
+    try:
+        useless = useless_arcs(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert useless == recursive_useless_arcs(d) == {"a120", "a121"}

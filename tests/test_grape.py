@@ -26,8 +26,10 @@ from grapes import (
     verify_dual_invariance,
     void_complex,
 )
+from dataclasses import replace
+
 from grapes.grape import (
-    CertificateTree,
+    CertNode,
     ConeContainmentWitness,
     StrongWitness,
     TrivialIntermediateWitness,
@@ -60,7 +62,7 @@ def test_base_cases_are_grapes(variant):
     for c in (void_complex("ab"), irrelevant_complex("ab"), cx("ab", "a")):
         verdict = check_grape(c, variant)
         assert verdict.is_yes
-        assert verdict.certificate.is_base
+        assert len(verdict.certificate) == 1 and verdict.certificate[0].base
 
 
 def test_independence_complex_of_path_is_strong():
@@ -242,14 +244,26 @@ def test_classification_matches_homology_on_small_complexes():
             assert matches_sphere(c, classify_strong(verdict.certificate))
 
 
+def classify_via_link_cones(cert):
+    """classify_strong, but taking the link as the cone where both sides are."""
+    node, suspensions = cert[-1], 0
+    while not node.base:
+        if node.witness.cone_side == "deletion":
+            suspensions += 1
+            node = cert[node.link]
+        else:
+            node = cert[node.deletion]
+    return SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS
+
+
 def test_classification_branch_independence():
     for ground in ("abcd", "abcde"):
         for c in enumerate_complexes(ground):
             verdict = check_grape(c, GrapeVariant.STRONG)
             if not verdict.is_yes:
                 continue
-            left = classify_strong(verdict.certificate, prefer="deletion")
-            right = classify_strong(verdict.certificate, prefer="link")
+            left = classify_strong(verdict.certificate)
+            right = classify_via_link_cones(verdict.certificate)
             assert left == right
 
 
@@ -281,18 +295,21 @@ def test_certificate_folds_visit_shared_nodes_once():
     from math import comb
     from time import perf_counter
 
-    node = CertificateTree(base="irrelevant")
-    for i in range(60):
-        apex = f"v{i}"
-        node = CertificateTree(
-            pivot=apex,
-            witness=StrongWitness("deletion", deletion_apex=apex),
-            link_cert=node,
-            del_cert=node,
+    cert = (CertNode(base="irrelevant"),) + tuple(
+        CertNode(
+            pivot=f"v{i}",
+            witness=StrongWitness("deletion", deletion_apex=f"v{i}"),
+            link=i,
+            deletion=i,
         )
+        for i in range(60)
+    )
     start = perf_counter()
-    assert predicted_wedge(node) == {k - 1: comb(60, k) for k in range(61)}
-    assert str(classify_strong(node)) == "cross-polytope-boundary(60)"
+    assert predicted_wedge(cert) == {k - 1: comb(60, k) for k in range(61)}
+    assert str(classify_strong(cert)) == "cross-polytope-boundary(60)"
+    data = certificate_to_json(cert)
+    assert data["format"] == 2 and len(data["nodes"]) == 61
+    assert certificate_from_json(data) == cert
     assert perf_counter() - start < 1.0
 
 
@@ -310,48 +327,32 @@ def test_certificates_replay_for_all_variants(variant):
 def test_certificate_rejects_wrong_base():
     with pytest.raises(ReplayError):
         verify_certificate(
-            void_complex("ab"), GrapeVariant.STRONG, CertificateTree(base="point")
+            void_complex("ab"), GrapeVariant.STRONG, (CertNode(base="point"),)
         )
 
 
 def test_certificate_rejects_bad_pivot():
-    verdict = check_grape(IND_P3, GrapeVariant.STRONG)
-    tampered = CertificateTree(
-        pivot="zz",
-        witness=verdict.certificate.witness,
-        link_cert=verdict.certificate.link_cert,
-        del_cert=verdict.certificate.del_cert,
-    )
+    cert = check_grape(IND_P3, GrapeVariant.STRONG).certificate
+    tampered = cert[:-1] + (replace(cert[-1], pivot="zz"),)
     with pytest.raises(ReplayError):
         verify_certificate(IND_P3, GrapeVariant.STRONG, tampered)
 
 
 def test_certificate_rejects_wrong_apex():
-    verdict = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG)
-    cert = verdict.certificate
-    tampered = CertificateTree(
-        pivot=cert.pivot,
-        witness=StrongWitness("deletion", deletion_apex="zz"),
-        link_cert=cert.link_cert,
-        del_cert=cert.del_cert,
-    )
+    cert = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).certificate
+    bad_witness = StrongWitness("deletion", deletion_apex="zz")
+    tampered = cert[:-1] + (replace(cert[-1], witness=bad_witness),)
     with pytest.raises(ReplayError):
         verify_certificate(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
 
 
 def test_certificate_rejects_noncontained_gamma():
     c5 = cycle_complex(5)
-    verdict = check_grape(c5, GrapeVariant.WEAK)
-    cert = verdict.certificate
+    cert = check_grape(c5, GrapeVariant.WEAK).certificate
     bad_witness = TrivialIntermediateWitness(
         frozenset({frozenset("abc")}), ()
     )
-    tampered = CertificateTree(
-        pivot=cert.pivot,
-        witness=bad_witness,
-        link_cert=cert.link_cert,
-        del_cert=cert.del_cert,
-    )
+    tampered = cert[:-1] + (replace(cert[-1], witness=bad_witness),)
     with pytest.raises(ReplayError):
         verify_certificate(c5, GrapeVariant.WEAK, tampered)
 
@@ -373,13 +374,13 @@ def test_certificate_json_round_trip():
 
 def test_combinatorial_witness_is_the_cone_element():
     verdict = check_grape(cycle_complex(4), GrapeVariant.COMBINATORIAL)
-    cert = verdict.certificate
-    assert isinstance(cert.witness, ConeContainmentWitness)
+    root = verdict.certificate[-1]
+    assert isinstance(root.witness, ConeContainmentWitness)
     # replay by hand: every link facet plus the witness element is a face
     c = restrict_ground(cycle_complex(4))
-    lk = link(c, cert.pivot)
-    dl = deletion(c, cert.pivot)
-    x = cert.witness.cone_element
+    lk = link(c, root.pivot)
+    dl = deletion(c, root.pivot)
+    x = root.witness.cone_element
     assert all(dl.has_face(f | {x}) for f in lk.facets)
 
 
