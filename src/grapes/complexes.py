@@ -160,11 +160,20 @@ def cross_polytope_boundary(n: int, prefix: str = "p") -> Complex:
 
 
 def deletion(c: Complex, x: str) -> Complex:
-    """Faces avoiding x, on the ground set without x."""
+    """Faces avoiding x, on the ground set without x.
+
+    Facets avoiding x stay facets.  F - x for a facet F through x is one
+    unless it lies in a facet avoiding x: it cannot lie in G - x for another
+    facet G through x, since then F would lie in G.
+    """
     c.index(x)
     ground = tuple(e for e in c.ground if e != x)
-    gens = [facet - {x} for facet in c.facets]
-    return Complex(ground, _maximal(gens))
+    avoiding = [facet for facet in c.facets if x not in facet]
+    cut = (facet - {x} for facet in c.facets if x in facet)
+    return Complex(
+        ground,
+        frozenset(avoiding).union(f for f in cut if not any(f <= g for g in avoiding)),
+    )
 
 
 def link(c: Complex, x: str) -> Complex:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -451,6 +451,52 @@ def predicted_wedge(cert: tuple) -> dict:
     return folds[-1]
 
 
+# -- recognition outcomes ----------------------------------------------------------
+
+
+class Outcome(NamedTuple):
+    """What a theorem check reads of one recognition, never the certificate.
+
+    A NamedTuple rather than a dataclass: the class is built at every
+    import, and a dataclass takes about ten times as long to build.
+    """
+
+    verdict: str
+    strong_class: Optional[SHClass] = None  # a strong yes only
+    wedge: Optional[dict] = None  # a combinatorial yes only
+
+    @property
+    def is_yes(self) -> bool:
+        return self.verdict == "yes"
+
+
+class OutcomeTable:
+    """Recognition outcomes by (complex, variant, exhaustive_gamma).
+
+    Each key is searched once; the class or wedge is folded from the
+    certificate at once and the certificate dropped, so a table holds a few
+    small values per distinct complex.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+
+    def recognise(
+        self, c: Complex, variant: GrapeVariant, exhaustive_gamma: bool = False
+    ) -> Outcome:
+        key = (c, variant, exhaustive_gamma)
+        found = self.entries.get(key)
+        if found is None:
+            verdict = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
+            cert = verdict.certificate  # None unless yes
+            found = self.entries[key] = Outcome(
+                verdict.verdict,
+                classify_strong(cert) if cert and variant is GrapeVariant.STRONG else None,
+                predicted_wedge(cert) if cert and variant is GrapeVariant.COMBINATORIAL else None,
+            )
+        return found
+
+
 # -- duality transfer ------------------------------------------------------------
 
 
@@ -458,6 +504,7 @@ def verify_dual_invariance(
     c: Complex,
     variant: GrapeVariant,
     exhaustive_gamma: bool = False,
+    outcomes: Optional[OutcomeTable] = None,
 ) -> dict:
     """Check that the Alexander dual is a grape of the same variant.
 
@@ -467,8 +514,11 @@ def verify_dual_invariance(
     void class maps to itself and a cross-polytope boundary of dimension n
     maps to dimension |X| - n - 1 (only asserted for nonempty ground sets).
     Weak-variant duals may come back "unknown"; this is tolerated, flagged.
+    Both recognitions go through the outcome table (a fresh one by
+    default), so a complex the table has seen is not searched again.
     """
-    primal = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    primal = outcomes.recognise(c, variant, exhaustive_gamma)
     report = {
         "variant": variant.value,
         "ground_size": len(c.ground),
@@ -477,16 +527,15 @@ def verify_dual_invariance(
     }
     if not primal.is_yes:
         return report
-    dual = alexander_dual(c)
-    dual_verdict = check_grape(dual, variant, exhaustive_gamma=exhaustive_gamma)
+    dual = outcomes.recognise(alexander_dual(c), variant, exhaustive_gamma)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
-    tolerated = weak_family and dual_verdict.verdict == "unknown"
-    report["dual_verdict"] = dual_verdict.verdict
+    tolerated = weak_family and dual.verdict == "unknown"
+    report["dual_verdict"] = dual.verdict
     report["unknown_tolerated"] = tolerated
-    report["pass"] = dual_verdict.is_yes or tolerated
-    if variant is GrapeVariant.STRONG and dual_verdict.is_yes and len(c.ground) > 0:
-        primal_class = classify_strong(primal.certificate)
-        dual_class = classify_strong(dual_verdict.certificate)
+    report["pass"] = dual.is_yes or tolerated
+    if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
+        primal_class = primal.strong_class
+        dual_class = dual.strong_class
         expected = primal_class.dual_expected(len(c.ground))
         report["class"] = str(primal_class)
         report["dual_class"] = str(dual_class)

@@ -35,6 +35,7 @@ from .generators import (
 )
 from .grape import (
     GrapeVariant,
+    OutcomeTable,
     check_grape,
     classify_strong,
     predicted_wedge,
@@ -178,6 +179,7 @@ def cad_report(c: Complex) -> VerificationReport:
 def grape_duality_reports(
     c: Complex,
     small_variants_max_ground: int = 5,
+    outcomes: Optional[OutcomeTable] = None,
 ) -> list:
     """Dual invariance of grape membership (and classes, for strong).
 
@@ -189,7 +191,7 @@ def grape_duality_reports(
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
         # exhaustive_gamma changes only the weak-family verdicts
-        rep = verify_dual_invariance(c, variant, exhaustive_gamma=True)
+        rep = verify_dual_invariance(c, variant, exhaustive_gamma=True, outcomes=outcomes)
         if rep["primal_verdict"] == "yes":
             out.append(
                 _report(
@@ -203,12 +205,14 @@ def grape_duality_reports(
     return out
 
 
-def strong_homology_report(c: Complex) -> Optional[VerificationReport]:
+def strong_homology_report(
+    c: Complex, outcomes: Optional[OutcomeTable] = None
+) -> Optional[VerificationReport]:
     """Strong classification must match the homology profile exactly."""
-    verdict = check_grape(c, GrapeVariant.STRONG)
-    if not verdict.is_yes:
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    cls = outcomes.recognise(c, GrapeVariant.STRONG).strong_class
+    if cls is None:
         return None
-    cls = classify_strong(verdict.certificate)
     return _report(
         "strong-class-homology",
         complex_to_json(c),
@@ -258,30 +262,37 @@ def _forest_formula_checks(g: Graph) -> list:
     return checks
 
 
-def verify_forest_theorem(g: Graph) -> list:
+def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
     """Check the forest theorem: the four graph complexes and their duals are
     strong grapes whose classes follow the invariant formulas."""
     if not is_forest(g):
         raise ReplayError("forest theorem harness needs a forest")
+    outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = graph_to_json(g)
     out = []
     for name, base, dualize, class_ok in _forest_formula_checks(g):
         cpx = alexander_dual(base) if dualize else base
         label = f"forest-{name}{'-dual' if dualize else ''}"
-        verdict = check_grape(cpx, GrapeVariant.STRONG)
-        if not verdict.is_yes:
+        outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
+        if not outcome.is_yes:
             out.append(
-                _report(label, instance, False, expected="strong grape", observed=verdict.verdict)
+                _report(label, instance, False, expected="strong grape", observed=outcome.verdict)
             )
             continue
-        cls = classify_strong(verdict.certificate)
+        cls = outcome.strong_class
         ok = class_ok(cls) and matches_sphere(cpx, cls)
         out.append(_report(label, instance, ok, observed=str(cls)))
     return out
 
 
-def verify_pfpm_theorem(d: Digraph) -> list:
-    """Path-free/path-missing: duality, strong grape status, and dimensions."""
+def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> list:
+    """Path-free/path-missing: duality, strong grape status, and dimensions.
+
+    Many digraphs share a path-free complex (the full suite at seed 1729
+    has 108 distinct ones among 7,020 digraphs), so the recognitions go
+    through the outcome table, a fresh one by default.
+    """
+    outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
     pf = pf_complex(d)
     pm = pm_complex(d)
@@ -308,19 +319,19 @@ def verify_pfpm_theorem(d: Digraph) -> list:
         ),
     ]
     for name, cpx, expected_cls in expectations:
-        verdict = check_grape(cpx, GrapeVariant.STRONG)
-        if not verdict.is_yes:
+        outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
+        if not outcome.is_yes:
             out.append(
                 _report(
                     f"pfpm-{name}",
                     instance,
                     False,
                     expected="strong grape",
-                    observed=verdict.verdict,
+                    observed=outcome.verdict,
                 )
             )
             continue
-        cls = classify_strong(verdict.certificate)
+        cls = outcome.strong_class
         out.append(
             _report(
                 f"pfpm-{name}",
@@ -358,16 +369,18 @@ def deletion_contraction_reports(d: Digraph) -> list:
     return out
 
 
-def ground_independence_reports(c: Complex) -> list:
+def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
     """Verdicts must not change when the ground order is reversed and an
-    unused ground element is added (this moves every pivot choice)."""
+    unused ground element is added (this moves every pivot choice).  The
+    moved complex is another key of the outcome table, so both are searched."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = complex_to_json(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = Complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
-        a = check_grape(c, variant).verdict
-        b = check_grape(moved, variant).verdict
+        a = outcomes.recognise(c, variant).verdict
+        b = outcomes.recognise(moved, variant).verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
@@ -399,12 +412,14 @@ def lifted_collapse_reports(c: Complex) -> list:
     return out
 
 
-def wedge_reports(c: Complex) -> Optional[VerificationReport]:
+def wedge_reports(
+    c: Complex, outcomes: Optional[OutcomeTable] = None
+) -> Optional[VerificationReport]:
     """Certificate wedge prediction must equal the computed Betti numbers."""
-    verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
-    if not verdict.is_yes:
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    predicted = outcomes.recognise(c, GrapeVariant.COMBINATORIAL).wedge
+    if predicted is None:
         return None
-    predicted = predicted_wedge(verdict.certificate)
     profile = reduced_homology(c)
     dims = set(predicted) | {k for k, b in profile.betti.items() if b}
     ok = all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
@@ -540,7 +555,7 @@ SIZES = {
 
 def _listed(harness: Callable) -> Callable:
     """Adapt a harness that returns one report or None to return a list."""
-    return lambda x: [rep for rep in (harness(x),) if rep is not None]
+    return lambda *args: [rep for rep in (harness(*args),) if rep is not None]
 
 
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
@@ -548,7 +563,11 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
 
     Deterministic for a fixed seed and level.  Each stage runs its harness
     once per distinct instance and counts the reports at every occurrence.
-    The summary lists every non-passing report with its embedded instance.
+    Each stage also has its own outcome table, dropped when the stage ends,
+    so a complex met again within a stage (a repeated path-free complex, a
+    dual that is another instance) is recognised once; the table keeps
+    verdicts, classes and wedges, not certificates.  The summary lists
+    every non-passing report with its embedded instance.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
@@ -576,37 +595,43 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         "index map i -> |X|-i-3 is degenerate for |X| = 0 and the identity "
         "provably fails there"
     ]
+    # each harness takes an instance and the stage's outcome table
     stages = [
-        ("duality identities done", complexes, duality_identity_reports),
-        ("alexander duality done", complexes, lambda c: [cad_report(c)] if c.ground else []),
+        ("duality identities done", complexes, lambda c, _: duality_identity_reports(c)),
+        ("alexander duality done", complexes, lambda c, _: [cad_report(c)] if c.ground else []),
         (
             "grape duality done",
             complexes,
-            lambda c: grape_duality_reports(c, sizes.small_variants_max_ground),
+            lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
         ("strong/homology consistency done", complexes, _listed(strong_homology_report)),
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
-            lambda g: verify_forest_theorem(g) + _listed(konig_report)(g),
+            lambda g, table: verify_forest_theorem(g, table) + _listed(konig_report)(g),
         ),
         (
             f"path-free/path-missing done ({len(digraphs)} digraphs)",
             digraphs,
             verify_pfpm_theorem,
         ),
-        ("deletion/contraction identities done", identity_digraphs, deletion_contraction_reports),
+        (
+            "deletion/contraction identities done",
+            identity_digraphs,
+            lambda d, _: deletion_contraction_reports(d),
+        ),
         ("ground independence done", complexes, ground_independence_reports),
-        ("lifted collapses done", complexes, lifted_collapse_reports),
+        ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
         ("wedge predictions done", complexes, _listed(wedge_reports)),
         # the named-instance harnesses take no argument; each is its own instance
-        ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h: h()),
+        ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]
     for line, instances, harness in stages:
+        outcomes = OutcomeTable()
         done: dict = {}
         for x in instances:
             if x not in done:
-                done[x] = harness(x)
+                done[x] = harness(x, outcomes)
             reports.extend(done[x])
         say(line)
 

@@ -96,6 +96,24 @@ def test_strong_round_trip_on_a_long_path_under_a_low_recursion_limit(
     assert code == 0 and out == {"valid": True, "variant": "strong"}
 
 
+def test_strong_check_and_replay_of_a_600_vertex_path_are_fast(write_json, capsys, tmp_path):
+    # each deletion down the path keeps its facets without a pairwise
+    # antichain scan; with one, check and replay took about 10 s together
+    from time import perf_counter
+
+    names = [f"v{i}" for i in range(1, 601)]
+    path = write_json("path.json", {"ground": names, "facets": [list(p) for p in zip(names, names[1:])]})
+    cert_path = tmp_path / "cert.json"
+    start = perf_counter()
+    check_code, check = run_cli(capsys, "grape", "check", path, "--variant", "strong")
+    cert_path.write_text(json.dumps(check["certificate"]))
+    code, out = run_cli(capsys, "grape", "verify-cert", path, str(cert_path))
+    elapsed = perf_counter() - start
+    assert check_code == 0 and check["verdict"] == "yes"
+    assert code == 0 and out == {"valid": True, "variant": "strong"}
+    assert elapsed < 4.0
+
+
 def test_grape_check_yes_no_unknown(write_json, capsys):
     c5 = write_json("c5.json", C5)
     code, out = run_cli(capsys, "grape", "check", c5, "--variant", "weak")

@@ -28,6 +28,7 @@ from grapes import (
     suspension,
     void_complex,
 )
+from grapes.complexes import _maximal
 from grapes.generators import cycle_complex
 
 
@@ -142,6 +143,19 @@ def test_link_of_independence_complex_center():
     faces = brute_faces(c)
     expected = {s for s in faces if "b" not in s and (s | {"b"}) in faces}
     assert brute_faces(result) == expected
+
+
+def maximal_deletion(c, x):
+    """Oracle: drop x from every facet, then keep the inclusion-maximal sets."""
+    return Complex(
+        tuple(e for e in c.ground if e != x), _maximal(f - {x} for f in c.facets)
+    )
+
+
+def test_deletion_matches_the_maximal_oracle_on_every_small_complex():
+    for c in enumerate_complexes("abcd"):
+        for x in c.ground:
+            assert deletion(c, x) == maximal_deletion(c, x)
 
 
 def test_deletion_link_require_ground_element():

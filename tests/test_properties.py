@@ -32,6 +32,7 @@ from grapes import (
     suspension,
     verify_certificate,
 )
+from grapes.complexes import Complex, _maximal
 from grapes.homology import _columns, _invariant_factors, faces_by_dim
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -76,6 +77,15 @@ def test_antichain_preserved_by_operations(pair):
         suspension(c, "X", "Y"),
     ):
         assert is_antichain(result.facets)
+
+
+@SETTINGS
+@given(complexes_with_element(max_ground=6))
+def test_deletion_matches_the_maximal_oracle(pair):
+    c, x = pair
+    assert deletion(c, x) == Complex(
+        tuple(e for e in c.ground if e != x), _maximal(f - {x} for f in c.facets)
+    )
 
 
 @SETTINGS

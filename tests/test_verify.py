@@ -1,13 +1,15 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
+import hashlib
 import json
 from collections import defaultdict
-from types import SimpleNamespace
 
 import pytest
 
+import grapes.grape as grape
 import grapes.verify as verify
-from grapes import ReplayError, digraph, graph, new_complex
+from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex
+from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import (
     cyclic_no_useless_digraph,
@@ -170,11 +172,10 @@ def test_suite_rejects_unknown_level():
 
 
 def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
-    def by_first_element(c, variant):
-        verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
-        return SimpleNamespace(verdict=verdict)
+    def by_first_element(c, variant, exhaustive_gamma=False):
+        return grape.GrapeVerdict("unknown" if c.ground and c.ground[0] == "a" else "no")
 
-    monkeypatch.setattr(verify, "check_grape", by_first_element)
+    monkeypatch.setattr(grape, "check_grape", by_first_element)
     reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]))
     assert len(reports) == 4
     assert all(r.status == "fail" for r in reports)
@@ -317,6 +318,8 @@ def _recorded_run(monkeypatch, runner):
 
     def fake(name, returns):
         def harness(*args):
+            # the suite also hands over its stage's outcome table
+            args = tuple(a for a in args if not isinstance(a, grape.OutcomeTable))
             calls[name].append(args)
             instance = {"args": [TO_JSON.get(type(a), lambda v: v)(a) for a in args]}
             if returns == "optional" and len(json.dumps(instance)) % 3 == 0:
@@ -345,3 +348,78 @@ def test_each_stage_runs_its_harness_once_per_distinct_instance(monkeypatch):
     # the smoke instance sets do repeat instances, so the test has teeth
     assert len(naive_calls["duality_identity_reports"]) > len(fast_calls["duality_identity_reports"])
     assert len(naive_calls["verify_pfpm_theorem"]) > len(fast_calls["verify_pfpm_theorem"])
+
+
+# -- outcome tables -------------------------------------------------------------------
+
+
+def counting_check_grape(monkeypatch):
+    """Replace check_grape where the harnesses call it; returns the list of
+    (complex, variant, exhaustive_gamma) keys it is called with."""
+    keys = []
+    real = grape.check_grape
+
+    def counting(c, variant, exhaustive_gamma=False):
+        keys.append((c, variant, exhaustive_gamma))
+        return real(c, variant, exhaustive_gamma=exhaustive_gamma)
+
+    monkeypatch.setattr(grape, "check_grape", counting)
+    monkeypatch.setattr(verify, "check_grape", counting)
+    return keys
+
+
+def searches_per_stage(monkeypatch, runner, seed):
+    """The check_grape keys of each stage of a smoke suite, by stage line."""
+    keys = counting_check_grape(monkeypatch)
+    per_stage = {}
+
+    def close_stage(line):
+        per_stage[line] = keys[:]
+        keys.clear()
+
+    runner("smoke", seed, log=close_stage)
+    return per_stage
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_no_suite_stage_searches_a_key_twice(monkeypatch, seed):
+    for line, searched in searches_per_stage(monkeypatch, run_suite, seed).items():
+        assert len(searched) == len(set(searched)), line
+    # checking every occurrence on its own does repeat keys, so the test has teeth
+    naive = searches_per_stage(monkeypatch, reference_suite, seed)
+    assert any(len(searched) > len(set(searched)) for searched in naive.values())
+
+
+def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
+    keys = counting_check_grape(monkeypatch)
+    c = new_complex("abc", [frozenset("ab"), frozenset("bc")])
+    reports = ground_independence_reports(c)
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert len(keys) == 8 and len(set(keys)) == 8
+    for variant in GrapeVariant:
+        (orig, _, _), (moved, _, _) = [k for k in keys if k[1] is variant]
+        assert orig == c and moved != c and moved.facets == c.facets
+
+
+def test_outcome_table_entries_hold_no_certificate():
+    table = grape.OutcomeTable()
+    for c in standard_complexes(n_random=10, max_ground=4, exhaustive_max=2, seed=3):
+        for variant in GrapeVariant:
+            table.recognise(c, variant)
+    assert grape.Outcome._fields == ("verdict", "strong_class", "wedge")
+    kinds = {type(v) for entry in table.entries.values() for v in entry}
+    assert kinds <= {str, dict, type(None), grape.SHClass}
+    assert any(e.strong_class is not None for e in table.entries.values())
+    assert any(e.wedge is not None for e in table.entries.values())
+
+
+def test_full_suite_output_is_byte_stable(capsys):
+    # sha256 of `grapes suite --level full --seed 1729` stdout and stderr
+    assert main(["suite", "--level", "full", "--seed", "1729"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "912ab1ad32d355bdfd0fa32424b881c690a80946993a7497e52186b6256f4ec5"
+    )
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == (
+        "a76aceb3e30fdac21b474e25da8e0dca55d70d027914f5d6faad169c057be9e2"
+    )
