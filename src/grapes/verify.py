@@ -205,14 +205,12 @@ def grape_duality_reports(
     return out
 
 
-def strong_homology_report(
-    c: Complex, outcomes: Optional[OutcomeTable] = None
-) -> Optional[VerificationReport]:
+def strong_homology_report(c: Complex) -> Optional[VerificationReport]:
     """Strong classification must match the homology profile exactly."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    cls = outcomes.recognise(c, GrapeVariant.STRONG).strong_class
-    if cls is None:
+    verdict = check_grape(c, GrapeVariant.STRONG)
+    if not verdict.is_yes:
         return None
+    cls = classify_strong(verdict.certificate)
     return _report(
         "strong-class-homology",
         complex_to_json(c),
@@ -369,18 +367,16 @@ def deletion_contraction_reports(d: Digraph) -> list:
     return out
 
 
-def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
+def ground_independence_reports(c: Complex) -> list:
     """Verdicts must not change when the ground order is reversed and an
-    unused ground element is added (this moves every pivot choice).  The
-    moved complex is another key of the outcome table, so both are searched."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
+    unused ground element is added (this moves every pivot choice)."""
     instance = complex_to_json(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = Complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
-        a = outcomes.recognise(c, variant).verdict
-        b = outcomes.recognise(moved, variant).verdict
+        a = check_grape(c, variant).verdict
+        b = check_grape(moved, variant).verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
@@ -412,14 +408,12 @@ def lifted_collapse_reports(c: Complex) -> list:
     return out
 
 
-def wedge_reports(
-    c: Complex, outcomes: Optional[OutcomeTable] = None
-) -> Optional[VerificationReport]:
+def wedge_reports(c: Complex) -> Optional[VerificationReport]:
     """Certificate wedge prediction must equal the computed Betti numbers."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    predicted = outcomes.recognise(c, GrapeVariant.COMBINATORIAL).wedge
-    if predicted is None:
+    verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
+    if not verdict.is_yes:
         return None
+    predicted = predicted_wedge(verdict.certificate)
     profile = reduced_homology(c)
     dims = set(predicted) | {k for k, b in profile.betti.items() if b}
     ok = all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
@@ -555,7 +549,7 @@ SIZES = {
 
 def _listed(harness: Callable) -> Callable:
     """Adapt a harness that returns one report or None to return a list."""
-    return lambda *args: [rep for rep in (harness(*args),) if rep is not None]
+    return lambda x: [rep for rep in (harness(x),) if rep is not None]
 
 
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
@@ -595,7 +589,8 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         "index map i -> |X|-i-3 is degenerate for |X| = 0 and the identity "
         "provably fails there"
     ]
-    # each harness takes an instance and the stage's outcome table
+    # each harness takes an instance and the stage's outcome table; only the
+    # grape duality, forest and PF/PM stages meet a key twice, so only they read it
     stages = [
         ("duality identities done", complexes, lambda c, _: duality_identity_reports(c)),
         ("alexander duality done", complexes, lambda c, _: [cad_report(c)] if c.ground else []),
@@ -604,7 +599,11 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             complexes,
             lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
-        ("strong/homology consistency done", complexes, _listed(strong_homology_report)),
+        (
+            "strong/homology consistency done",
+            complexes,
+            lambda c, _: _listed(strong_homology_report)(c),
+        ),
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
@@ -620,9 +619,9 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             identity_digraphs,
             lambda d, _: deletion_contraction_reports(d),
         ),
-        ("ground independence done", complexes, ground_independence_reports),
+        ("ground independence done", complexes, lambda c, _: ground_independence_reports(c)),
         ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
-        ("wedge predictions done", complexes, _listed(wedge_reports)),
+        ("wedge predictions done", complexes, lambda c, _: _listed(wedge_reports)(c)),
         # the named-instance harnesses take no argument; each is its own instance
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]

@@ -32,8 +32,8 @@ from grapes import (
     suspension,
     verify_certificate,
 )
-from grapes.complexes import Complex, _maximal
 from grapes.homology import _columns, _invariant_factors, faces_by_dim
+from test_complexes import maximal_deletion
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -83,9 +83,7 @@ def test_antichain_preserved_by_operations(pair):
 @given(complexes_with_element(max_ground=6))
 def test_deletion_matches_the_maximal_oracle(pair):
     c, x = pair
-    assert deletion(c, x) == Complex(
-        tuple(e for e in c.ground if e != x), _maximal(f - {x} for f in c.facets)
-    )
+    assert deletion(c, x) == maximal_deletion(c, x)
 
 
 @SETTINGS
