@@ -120,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="search for a collapse to void")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="complexes the search may visit before it answers unknown")
     p.add_argument("--exhaustive", action="store_true")
 
     grape = sub.add_parser("grape", help="grape recognition commands")
@@ -129,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("check", help="decide one grape variant")
     p.add_argument("complex")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="nodes it may spend, collapse searches included, before it answers unknown")
     p.add_argument("--exhaustive-gamma", action="store_true")
 
     p = gsub.add_parser("classify", help="simple-homotopy class of a strong grape")

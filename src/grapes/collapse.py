@@ -27,10 +27,6 @@ from .complexes import (
 DEFAULT_BUDGET = 10**6
 
 
-class _BudgetExceeded(Exception):
-    """A node budget ran out during grape recognition."""
-
-
 class ReplayError(RuntimeError):
     """A collapse sequence or certificate failed to replay legally."""
 

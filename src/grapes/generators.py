@@ -39,8 +39,8 @@ def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
 
 def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
     """Seeded random tree by random attachment, minus ``drop`` random edges."""
-    if n < 1:
-        raise InputError("forest needs at least one vertex")
+    if n < 1 or drop < 0:
+        raise InputError("forest needs at least one vertex and a nonnegative drop")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     edges = [
@@ -54,8 +54,8 @@ def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
 
 def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
     """Seeded random multigraph with uniform arcs and distinguished s, t."""
-    if n_vertices < 1:
-        raise InputError("digraph needs at least one vertex")
+    if n_vertices < 1 or n_arcs < 0:
+        raise InputError("digraph needs at least one vertex and a nonnegative arc count")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
     arcs = tuple(

@@ -31,7 +31,6 @@ from typing import ClassVar, NamedTuple, Optional
 from .collapse import (
     DEFAULT_BUDGET,
     ReplayError,
-    _BudgetExceeded,
     collapse_search,
     cone_sequence,
     replay,
@@ -51,6 +50,10 @@ from .complexes import (
 from .homology import SHClass
 
 EXHAUSTIVE_GAMMA_MAX_GROUND = 6
+
+
+class _BudgetExceeded(Exception):
+    """check_grape's budget ran out, in a node of its own or of a collapse search."""
 
 
 class GrapeVariant(Enum):
@@ -195,19 +198,30 @@ def check_grape(
     it, so a "no" needs the exhaustive_gamma opt-in: for the weak variant
     the whole intermediate-complex family is then swept (gated to at most
     EXHAUSTIVE_GAMMA_MAX_GROUND vertices per node), and for the strong-weak
-    variant both sides' searches must have run to exhaustion.  Anything
-    less conclusive is reported "unknown", never guessed.
+    variant it is read from exhausted side searches.  Anything less
+    conclusive is reported "unknown", never guessed.
 
-    The budget counts recognition nodes (pivot expansions and intermediate
-    candidates); each collapse search has its own DEFAULT_BUDGET nodes.
+    The budget bounds all of the work: pivot expansions, intermediate
+    candidates, and the nodes of every collapse search, which may spend only
+    what is left.  Running out anywhere ends the recognition "unknown".
     """
+    if budget <= 0:
+        raise InputError("budget must be positive")
     state = {"nodes": 0}
     memo: dict = {}
 
-    def tick() -> None:
-        state["nodes"] += 1
+    def tick(n: int = 1) -> None:
+        state["nodes"] += n
         if state["nodes"] > budget:
             raise _BudgetExceeded
+
+    def collapses(sub: Complex):
+        """Exhaustive collapse search ("yes" or "no") on the nodes left, counted as ours."""
+        if state["nodes"] == budget:
+            raise _BudgetExceeded  # collapse_search takes no budget of 0
+        r = collapse_search(sub, budget - state["nodes"], exhaustive=True)
+        tick(r.nodes)  # a search that runs out reports one node more than it had
+        return r
 
     def witness(cr: Complex, lk: Complex, dl: Complex):
         """Variant gluing condition at one pivot: (status, witness or reason)."""
@@ -226,29 +240,20 @@ def check_grape(
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
-            inconclusive = False
             for side, side_c in (("link", lk), ("deletion", dl)):
-                r = collapse_search(side_c, exhaustive=True)
+                r = collapses(side_c)
                 if r.is_yes:
                     return "yes", TrivialSideWitness(side, r.sequence)
-                if r.verdict == "unknown":
-                    inconclusive = True
-            if inconclusive:
-                return "unknown", "collapsibility searches ran out of budget"
-            if not exhaustive_gamma:
-                # a side that fails to collapse might still be
-                # simple-homotopy trivial; "no" needs the explicit opt-in
-                return "unknown", "neither side collapses (collapse-only test)"
-            return "no", "neither side collapses (collapse-only test)"
+            # a side that fails to collapse might still be simple-homotopy
+            # trivial, so "no" needs the explicit opt-in
+            status = "no" if exhaustive_gamma else "unknown"
+            return status, "neither side collapses (collapse-only test)"
 
         # weak: look for a collapsible complex between link and deletion
-        inconclusive = False
         for candidate in (lk, dl):
-            r = collapse_search(candidate, exhaustive=True)
+            r = collapses(candidate)
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
-            if r.verdict == "unknown":
-                inconclusive = True
         for x in dl.ground:
             if _cone_fits(lk, dl, x):
                 gamma = _cone_complex(lk, x)
@@ -261,13 +266,9 @@ def check_grape(
         for faces in _between_complexes(lk, dl):
             tick()
             gamma = Complex(dl.ground, _maximal(faces))
-            r = collapse_search(gamma, exhaustive=True)
+            r = collapses(gamma)
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
-            if r.verdict == "unknown":
-                inconclusive = True
-        if inconclusive:
-            return "unknown", "some collapsibility searches ran out of budget"
         return "no", "no intermediate complex collapses (exhaustive sweep)"
 
     nodes: list = []  # certificate nodes of solved subproblems, children first

@@ -194,8 +194,6 @@ class HomologyProfile:
     return 0 / no torsion.  Torsion is stored as invariant factors > 1.
     """
 
-    lo: int
-    hi: int
     betti: dict
     torsion: dict
 
@@ -213,7 +211,7 @@ class HomologyProfile:
     def cohomology(self) -> "HomologyProfile":
         """Cohomology by universal coefficients: H^k = Hom(H_k, Z) + Ext(H_{k-1}, Z)."""
         torsion = {k: self.torsion_at(k - 1) for k in self.betti}
-        return HomologyProfile(self.lo, self.hi, dict(self.betti), torsion)
+        return HomologyProfile(dict(self.betti), torsion)
 
     def to_json(self) -> dict:
         return {
@@ -225,7 +223,7 @@ class HomologyProfile:
 def reduced_homology(c: Complex) -> HomologyProfile:
     """Reduced integral homology, dimensions -1 through dim(c)."""
     if c.is_void:
-        return HomologyProfile(-1, -2, {}, {})
+        return HomologyProfile({}, {})
     by_dim = faces_by_dim(c)
     top = c.dim()
     factors = {k: _invariant_factors(_columns(by_dim, k)) for k in range(top + 1)}
@@ -235,7 +233,7 @@ def reduced_homology(c: Complex) -> HomologyProfile:
         below, above = factors.get(k, []), factors.get(k + 1, [])
         betti[k] = len(by_dim[k]) - len(below) - len(above)
         torsion[k] = tuple(d for d in above if d > 1)
-    return HomologyProfile(-1, top, betti, torsion)
+    return HomologyProfile(betti, torsion)
 
 
 def reduced_cohomology(c: Complex) -> HomologyProfile:

@@ -329,6 +329,10 @@ BAD_TABLES = {
         ["gen", "complex", "--ground", "3", "--density", "-1", "--seed", "1"],
         ["gen", "complex", "--ground", "26", "--density", "1", "--seed", "1"],
         *(["grape", "verify-cert", "{edge}", "{%s}" % name] for name in BAD_TABLES),
+        ["grape", "check", "{edge}", "--variant", "strong", "--budget", "0"],
+        ["grape", "check", "{edge}", "--variant", "strong", "--budget", "-5"],
+        ["gen", "digraph", "--v", "2", "--arcs", "-3", "--seed", "1"],
+        ["gen", "forest", "--n", "3", "--seed", "1", "--drop", "-2"],
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):

@@ -1,9 +1,13 @@
 """Grape recognition, certificates, classification, and dual invariance."""
 
+import time
+
 import pytest
 
+import grapes.grape
 from grapes import (
     GrapeVariant,
+    InputError,
     ReplayError,
     SHClass,
     VOID_CLASS,
@@ -11,6 +15,7 @@ from grapes import (
     certificate_to_json,
     check_grape,
     classify_strong,
+    collapse_search,
     cone_over,
     cross_polytope_boundary,
     enumerate_complexes,
@@ -136,6 +141,77 @@ def test_budget_exhaustion_is_unknown():
     verdict = check_grape(c, GrapeVariant.STRONG, budget=1)
     assert verdict.verdict == "unknown"
     assert verdict.reason == "recognition budget exhausted"
+
+
+def rp2_with_path(k):
+    """RP2 with a path of k edges hanging from vertex 1."""
+    chain = ["1"] + [f"p{i}" for i in range(1, k + 1)]
+    return cx([*"123456", *chain[1:]], *RP2.facets, *zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("variant", [GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK])
+def test_budget_bounds_collapse_searches_too(variant):
+    # each pivot's collapse searches on RP2 plus a path take 10^5 nodes or
+    # more; they spend from the recognition's budget, so three nodes stop it
+    start = time.perf_counter()
+    verdict = check_grape(rp2_with_path(12), variant, budget=3)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.verdict == "unknown"
+    assert verdict.reason == "recognition budget exhausted"
+
+
+@pytest.mark.parametrize(
+    "c, variant, exhaustive_gamma, expected",
+    [
+        (cycle_complex(5), GrapeVariant.WEAK, False, "yes"),
+        (RP2, GrapeVariant.STRONG_WEAK, True, "no"),
+    ],
+)
+def test_budget_edge_is_exactly_the_nodes_spent(c, variant, exhaustive_gamma, expected):
+    n = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma).nodes
+    at_edge = check_grape(c, variant, budget=n, exhaustive_gamma=exhaustive_gamma)
+    assert (at_edge.verdict, at_edge.nodes) == (expected, n)
+    below = check_grape(c, variant, budget=n - 1, exhaustive_gamma=exhaustive_gamma)
+    assert below.verdict == "unknown"
+    assert below.reason == "recognition budget exhausted"
+
+
+@pytest.mark.parametrize("c, exhaustive_gamma", [(cycle_complex(5), False), (RP2, True)])
+def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gamma):
+    spent = []
+
+    def recording(*args, **kwargs):
+        result = collapse_search(*args, **kwargs)
+        spent.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(grapes.grape, "collapse_search", recording)
+    verdict = check_grape(c, GrapeVariant.WEAK, exhaustive_gamma=exhaustive_gamma)
+    assert spent
+    assert verdict.nodes >= sum(spent)
+
+
+@pytest.mark.parametrize(
+    "c, nodes",
+    [
+        (RP2, 1),
+        (cycle_complex(5), 1),
+        (cross_polytope_boundary(3), 13),
+        (simplex_boundary("abcde"), 9),
+        (rp2_with_path(4), 9),
+    ],
+)
+@pytest.mark.parametrize("variant", [GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL])
+def test_strong_and_combinatorial_nodes_are_recognition_nodes_only(c, nodes, variant):
+    # neither variant starts a collapse search, so these are recognition
+    # nodes alone, the same whether or not collapse nodes are charged
+    assert check_grape(c, variant).nodes == nodes
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_budget_is_input_error(budget):
+    with pytest.raises(InputError):
+        check_grape(IND_P3, GrapeVariant.STRONG, budget=budget)
 
 
 # -- hierarchy -------------------------------------------------------------------------
