@@ -12,6 +12,7 @@ failed (or a recognition answered "no"); 2 malformed input; 3 inconclusive
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -96,7 +97,9 @@ def _reports_exit(reports: list) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing stores nothing on it."""
     parser = argparse.ArgumentParser(
         prog="grapes",
         description="Exact simplicial-complex engine: duality, collapses, "

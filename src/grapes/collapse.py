@@ -8,6 +8,13 @@ participates, so a single point collapses to void.
 Collapsibility is used here as a sound but incomplete test for being
 simple-homotopy trivial (collapses only, no expansions); callers get an
 explicit "unknown" verdict when the search is inconclusive.
+
+The search and replay run on facet masks (see ``complexes``), and names come
+back only in the ``CollapsePair``s of a sequence.  Pairs are tried in
+``face_key`` order: larger faces first, then lexicographic on the ascending
+ground indices.  That is not integer order of the masks ({0, 3} comes before
+{1, 2}, though 9 > 6): it is descending order of the bit string read from
+bit 0 up, which is the key ``_order`` gives.
 """
 
 from __future__ import annotations
@@ -18,9 +25,13 @@ from typing import Optional
 from .complexes import (
     Complex,
     InputError,
-    cone_apexes,
+    complex_masks,
+    complex_of,
     deletion,
+    face_of,
     link,
+    mask_of,
+    meet_mask,
     suspension,
 )
 
@@ -59,58 +70,145 @@ class ShvResult:
         return self.verdict == "yes"
 
 
-def free_pairs(c: Complex) -> list:
-    """All free pairs, ordered by (facet size descending, facet, subface)."""
+# -- the mask kernel -------------------------------------------------------------
+
+
+def _order(m: int) -> tuple:
+    """Sort key, reversed, for face_key order: size, then bit string from bit 0."""
+    return m.bit_count(), format(m, "b")[::-1]
+
+
+def _free_faces(masks, sigma: int) -> list:
+    """Free codimension-1 faces of the facet sigma, highest removed bit first.
+
+    A face sigma - y lies in another facet g exactly when sigma & g is it.
+    """
+    blocked = {sigma & g for g in masks}
     out = []
-    for sigma in c.facets:
-        if not sigma:
-            continue
-        for y in sigma:
-            tau = sigma - {y}
-            if not any(tau <= other for other in c.facets if other != sigma):
-                out.append(CollapsePair(sigma, tau))
-    out.sort(key=lambda p: (-len(p.sigma), c.face_key(p.sigma), c.face_key(p.tau)))
+    rest = sigma
+    while rest:
+        y = 1 << (rest.bit_length() - 1)
+        rest ^= y
+        if sigma ^ y not in blocked:
+            out.append(sigma ^ y)
     return out
 
 
-def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
-    """Remove a free pair; raises ReplayError if the pair is not free in c."""
-    sigma, tau = pair.sigma, pair.tau
-    if sigma not in c.facets:
-        raise ReplayError(f"{sorted(sigma)} is not a facet")
-    if any(tau <= other for other in c.facets if other != sigma):
-        raise ReplayError(f"{sorted(tau)} is contained in another face")
-    rest = [f for f in c.facets if f != sigma]
-    new_facets = list(rest)
-    for y in sigma:
-        candidate = sigma - {y}
-        if candidate != tau and not any(candidate <= f for f in rest):
-            new_facets.append(candidate)
-    return Complex(c.ground, frozenset(new_facets))
+def _free_pairs(masks: frozenset):
+    """(sigma, tau, free faces of sigma) for every free pair, in face_key order."""
+    free = [(sigma, _free_faces(masks, sigma)) for sigma in masks if sigma]
+    free.sort(key=lambda p: _order(p[0]), reverse=True)
+    return [(sigma, tau, faces) for sigma, faces in free for tau in faces]
 
 
-def replay(c: Complex, sequence) -> Complex:
-    """Apply a collapse sequence step by step; raises ReplayError when illegal."""
-    current = c
+def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
+    """Apply (sigma, tau) mask steps; raises ReplayError, naming faces, when illegal."""
+    cur = set(masks)
+    for sigma, tau in steps:
+        if sigma not in cur:
+            raise ReplayError(f"{sorted(face_of(sigma, names))} is not a facet")
+        free = _free_faces(cur, sigma)
+        if tau not in free:
+            raise ReplayError(f"{sorted(face_of(tau, names))} is contained in another face")
+        cur.remove(sigma)
+        cur.update(f for f in free if f != tau)
+    return frozenset(cur)
+
+
+def replay_pairs(masks: frozenset, sequence, bit: dict, names: tuple) -> frozenset:
+    """Replay CollapsePairs by name; a face naming an element outside bit is no facet."""
+    steps = []
     for pair in sequence:
-        current = apply_collapse(current, pair)
-    return current
+        if not bit.keys() >= pair.sigma:
+            replay_masks(masks, steps, names)  # an earlier step may fail first
+            raise ReplayError(f"{sorted(pair.sigma)} is not a facet")
+        steps.append((mask_of(pair.sigma, bit), mask_of(pair.tau, bit)))
+    return replay_masks(masks, steps, names)
 
 
-def cone_sequence(c: Complex) -> list:
+def cone_steps(masks: frozenset, apex: int) -> list:
     """Canonical collapse of a cone to void: pair every base face with the apex.
 
     Base faces are processed by decreasing size, which keeps every pair free.
     """
-    apexes = cone_apexes(c)
+    faces = set()
+    for f in masks:
+        base = s = f ^ apex
+        while True:  # every submask of base
+            faces.add(s)
+            if not s:
+                break
+            s = (s - 1) & base
+    return [(s | apex, s) for s in sorted(faces, key=_order, reverse=True)]
+
+
+def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) -> tuple:
+    """collapse_search on facet masks: (verdict, mask steps or None, nodes)."""
+    nodes = 0
+    failed: set = set()
+    stack: list = []  # (facets, iterator over their untried free pairs)
+    steps: list = []  # steps[i]: the free pair being tried at stack[i]
+    cur: Optional[frozenset] = masks
+    while cur is not None:
+        nodes += 1
+        if nodes > budget:
+            return "unknown", None, nodes
+        apexes = meet_mask(cur)
+        if not cur or apexes:
+            if cur:
+                steps.extend(cone_steps(cur, apexes & -apexes))
+            if replay_masks(masks, steps, names):
+                raise ReplayError("search produced a sequence that does not replay")
+            return "yes", tuple(steps), nodes
+        dead = exhaustive and cur in failed
+        stack.append((cur, iter(() if dead else _free_pairs(cur))))
+        cur = None
+        while stack and cur is None:
+            top, pairs = stack[-1]
+            pair = next(pairs, None)
+            if pair is None:
+                stack.pop()
+                if exhaustive:
+                    failed.add(top)
+                if stack:
+                    steps.pop()
+            else:
+                sigma, tau, faces = pair
+                steps.append((sigma, tau))
+                cur = top.difference((sigma,)).union(f for f in faces if f != tau)
+    return ("no" if exhaustive else "unknown"), None, nodes
+
+
+def named_steps(steps, names: tuple) -> tuple:
+    return tuple(CollapsePair(face_of(s, names), face_of(t, names)) for s, t in steps)
+
+
+# -- by name ------------------------------------------------------------------------
+
+
+def free_pairs(c: Complex) -> list:
+    """All free pairs, ordered by (facet size descending, facet, subface)."""
+    return list(named_steps([(s, t) for s, t, _ in _free_pairs(complex_masks(c)[1])], c.ground))
+
+
+def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
+    """Remove a free pair; raises ReplayError if the pair is not free in c."""
+    return replay(c, (pair,))
+
+
+def replay(c: Complex, sequence) -> Complex:
+    """Apply a collapse sequence step by step; raises ReplayError when illegal."""
+    bit, masks = complex_masks(c)
+    return complex_of(c.ground, replay_pairs(masks, sequence, bit, c.ground), c.ground)
+
+
+def cone_sequence(c: Complex) -> list:
+    """Canonical collapse of a cone to void (see cone_steps), by name."""
+    masks = complex_masks(c)[1]
+    apexes = meet_mask(masks)
     if not apexes:
         raise ReplayError("cone_sequence requires a cone")
-    apex = min(apexes, key=c.index)
-    base_faces = sorted(
-        deletion(c, apex).faces(),
-        key=lambda f: (-len(f), c.face_key(f)),
-    )
-    return [CollapsePair(f | {apex}, f) for f in base_faces]
+    return list(named_steps(cone_steps(masks, apexes & -apexes), c.ground))
 
 
 def collapse_search(
@@ -123,43 +221,15 @@ def collapse_search(
     Backtracking DFS trying free pairs in the canonical order, on an
     explicit stack of (complex, untried free pairs) so that long collapse
     sequences do not hit the recursion limit.  Cones are collapsed directly
-    via :func:`cone_sequence`.  Greedy mode (the default) answers "yes" or
+    via :func:`cone_steps`.  Greedy mode (the default) answers "yes" or
     "unknown"; exhaustive mode memoizes dead face-sets and may certify "no"
-    once the whole search tree is exhausted.  Deterministic for fixed inputs.
+    once the whole search tree is exhausted.  A "yes" sequence is replayed
+    before it is returned.  Deterministic for fixed inputs.
     """
     if budget <= 0:
         raise InputError("budget must be positive")
-    nodes = 0
-    failed: set = set()
-    stack: list = []  # (complex, iterator over its untried free pairs)
-    steps: list = []  # steps[i]: the free pair being tried at stack[i]
-    cur: Optional[Complex] = c
-    while cur is not None:
-        nodes += 1
-        if nodes > budget:
-            return ShvResult("unknown", None, nodes)
-        if cur.is_void or cone_apexes(cur):
-            if not cur.is_void:
-                steps.extend(cone_sequence(cur))
-            if not replay(c, steps).is_void:
-                raise ReplayError("search produced a sequence that does not replay")
-            return ShvResult("yes", tuple(steps), nodes)
-        dead = exhaustive and cur.facets in failed
-        stack.append((cur, iter(() if dead else free_pairs(cur))))
-        cur = None
-        while stack and cur is None:
-            top, pairs = stack[-1]
-            pair = next(pairs, None)
-            if pair is None:
-                stack.pop()
-                if exhaustive:
-                    failed.add(top.facets)
-                if stack:
-                    steps.pop()
-            else:
-                steps.append(pair)
-                cur = apply_collapse(top, pair)
-    return ShvResult("no" if exhaustive else "unknown", None, nodes)
+    verdict, steps, nodes = search_masks(complex_masks(c)[1], budget, exhaustive, c.ground)
+    return ShvResult(verdict, None if steps is None else named_steps(steps, c.ground), nodes)
 
 
 def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:

@@ -12,13 +12,25 @@ The ground set matters: elements that appear in no face still influence the
 Alexander dual, so every operation tracks the ground set explicitly.
 
 All operations are pure; a Complex is immutable after construction.
+
+Links, deletions and cone apexes are computed on int masks, the kernel that
+recognition, certificate replay and collapse search run on: bit i stands for
+element i of a ground tuple, so a face is an int and a complex a frozenset
+of facet masks.  A ground restricted to the vertices keeps the ground order,
+so its order is increasing bit order and the lowest apex of a cone is
+``m & -m``.  Names come back only where a result leaves the kernel; the
+name-level ``link``, ``deletion`` and ``cone_apexes`` are wrappers over it.
+Faces are still ordered by ``face_key`` (size, then ground indices), which is
+not integer order of masks: {0, 3} comes before {1, 2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from operator import and_, or_
+from typing import Iterable, Iterator
 
 Face = frozenset  # faces are frozensets of ground-element names
 
@@ -160,28 +172,19 @@ def cross_polytope_boundary(n: int, prefix: str = "p") -> Complex:
 
 
 def deletion(c: Complex, x: str) -> Complex:
-    """Faces avoiding x, on the ground set without x.
-
-    Facets avoiding x stay facets.  F - x for a facet F through x is one
-    unless it lies in a facet avoiding x: it cannot lie in G - x for another
-    facet G through x, since then F would lie in G.
-    """
-    c.index(x)
-    ground = tuple(e for e in c.ground if e != x)
-    avoiding = [facet for facet in c.facets if x not in facet]
-    cut = (facet - {x} for facet in c.facets if x in facet)
-    return Complex(
-        ground,
-        frozenset(avoiding).union(f for f in cut if not any(f <= g for g in avoiding)),
-    )
+    """Faces avoiding x, on the ground set without x."""
+    return _vertex_op(deletion_masks, c, x)
 
 
 def link(c: Complex, x: str) -> Complex:
     """Faces sigma with x not in sigma and sigma + {x} a face, without x."""
+    return _vertex_op(link_masks, c, x)
+
+
+def _vertex_op(op, c: Complex, x: str) -> Complex:
     c.index(x)
-    ground = tuple(e for e in c.ground if e != x)
-    # already an antichain: F - x <= G - x with x in F and G gives F <= G
-    return Complex(ground, frozenset(facet - {x} for facet in c.facets if x in facet))
+    bit, masks = complex_masks(c)
+    return complex_of(tuple(e for e in c.ground if e != x), op(masks, bit[x]), c.ground)
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
@@ -222,14 +225,7 @@ def cone_apexes(c: Complex) -> frozenset:
 
     The void and irrelevant complexes have no vertices and are not cones.
     """
-    if c.is_void:
-        return frozenset()
-    out: Optional[frozenset] = None
-    for facet in c.facets:
-        out = facet if out is None else out & facet
-        if not out:
-            return frozenset()
-    return out if out is not None else frozenset()
+    return face_of(meet_mask(complex_masks(c)[1]), c.ground)
 
 
 def is_cone(c: Complex) -> bool:
@@ -299,6 +295,85 @@ def is_subcomplex(c1: Complex, c2: Complex) -> bool:
     if set(c1.ground) != set(c2.ground):
         raise InputError("subcomplex test requires equal ground sets")
     return all(c2.has_face(f) for f in c1.facets)
+
+
+# -- the mask kernel -------------------------------------------------------
+
+
+def bit_table(ground: Iterable[str]) -> dict:
+    """Name -> bit: element i of the ground is 1 << i."""
+    return {x: 1 << i for i, x in enumerate(ground)}
+
+
+def mask_of(face: Iterable[str], bit: dict) -> int:
+    m = 0
+    for x in face:
+        m |= bit[x]
+    return m
+
+
+def face_of(m: int, ground: tuple) -> Face:
+    """The names of a mask's bits."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(ground[low.bit_length() - 1])
+        m ^= low
+    return frozenset(out)
+
+
+def complex_masks(c: Complex) -> tuple:
+    """(bit table, facet masks) over the whole ground of c."""
+    bit = bit_table(c.ground)
+    return bit, frozenset(mask_of(f, bit) for f in c.facets)
+
+
+def vertex_masks(c: Complex) -> tuple:
+    """(vertices in ground order, facet masks over them): c restricted."""
+    cr = restrict_ground(c)
+    return cr.ground, complex_masks(cr)[1]
+
+
+def complex_of(ground: tuple, masks: Iterable[int], names: tuple) -> Complex:
+    """The complex on ground whose facets are masks over names."""
+    return Complex(ground, frozenset(face_of(m, names) for m in masks))
+
+
+def join_mask(masks: Iterable[int]) -> int:
+    """The vertices, as a mask."""
+    return reduce(or_, masks, 0)
+
+
+def meet_mask(masks: frozenset) -> int:
+    """The cone apexes, as a mask: 0 for the void and irrelevant complexes."""
+    return reduce(and_, masks) if masks else 0
+
+
+def has_face_mask(masks: Iterable[int], m: int) -> bool:
+    return any(m & g == m for g in masks)
+
+
+def link_masks(masks: frozenset, a: int) -> frozenset:
+    """The link of bit a; already an antichain, since F - a <= G - a gives F <= G."""
+    return frozenset(f ^ a for f in masks if f & a)
+
+
+def deletion_masks(masks: frozenset, a: int) -> frozenset:
+    """The deletion of bit a.
+
+    Facets avoiding a stay facets.  F - a for a facet F through a is one
+    unless it lies in a facet avoiding a: it cannot lie in G - a for another
+    facet G through a, since then F would lie in G.
+    """
+    avoiding = [f for f in masks if not f & a]
+    cut = [f ^ a for f in masks if f & a]
+    return frozenset(avoiding).union(f for f in cut if not has_face_mask(avoiding, f))
+
+
+def maximal_masks(masks: Iterable[int]) -> frozenset:
+    """Inclusion-maximal members of a family of masks."""
+    pool = set(masks)
+    return frozenset(f for f in pool if not any(f & g == f != g for g in pool))
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -20,20 +20,32 @@ certificate that replays without searching: a table of nodes listed
 children first, root last, in memory and on the wire.  Strong certificates
 also drive the simple-homotopy classification (void, or a cross-polytope
 boundary whose dimension the recursion computes).
+
+Recognition and replay run on the mask kernel of ``complexes``: bit i is
+element i of the root's vertices in ground order, a subproblem is the
+frozenset of its facet masks (also its memo key), pivots are tried lowest
+bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
+subproblem to its vertices keeps the bit order, so it costs nothing.  Names
+come back only in the certificate: pivots, apexes, cone elements, the
+intermediate complex and the collapse pairs of a sequence, found in
+``face_key`` order, not integer order (see ``collapse``).  An "unknown"
+names its origin: the reason the first inconclusive pivot test gave, and
+the pivots and sides leading to it from the root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
     ReplayError,
-    collapse_search,
-    cone_sequence,
-    replay,
+    cone_steps,
+    named_steps,
+    replay_pairs,
+    search_masks,
     sequence_from_json,
     sequence_to_json,
 )
@@ -42,10 +54,17 @@ from .complexes import (
     InputError,
     _maximal,
     alexander_dual,
-    cone_apexes,
-    deletion,
-    link,
-    restrict_ground,
+    bit_table,
+    complex_of,
+    deletion_masks,
+    face_of,
+    has_face_mask,
+    join_mask,
+    link_masks,
+    mask_of,
+    maximal_masks,
+    meet_mask,
+    vertex_masks,
 )
 from .homology import SHClass
 
@@ -134,26 +153,25 @@ class GrapeVerdict:
 # -- recognition -------------------------------------------------------------
 
 
-def _base_kind(c: Complex) -> Optional[str]:
-    if c.is_void:
+def _base_kind(masks: frozenset) -> Optional[str]:
+    if not masks:
         return "void"
-    if c.is_irrelevant:
+    verts = join_mask(masks)
+    if not verts:
         return "irrelevant"
-    if len(c.vertices()) == 1:
+    if not verts & (verts - 1):
         return "point"
     return None
 
 
-def _cone_complex(base: Complex, apex: str) -> Complex:
-    """The join of a complex with {void face, apex}, on the same ground."""
-    return Complex(base.ground, _maximal(f | {apex} for f in base.facets))
-
-
-def _cone_fits(lk: Complex, dl: Complex, x: str) -> bool:
-    """Does the cone over lk with apex x sit inside dl?"""
-    if lk.is_void:
-        return dl.has_face(frozenset({x}))
-    return all(dl.has_face(f | {x}) for f in lk.facets)
+def _cone_points(lk: frozenset, dl: frozenset) -> int:
+    """The x whose cone over lk sits inside dl, as a mask (vertices of dl):
+    every link facet F must give a face F + {x} of dl, so x lies in a facet
+    of dl through F."""
+    out = join_mask(dl)
+    for f in lk:
+        out &= join_mask(g for g in dl if f & g == f)
+    return out
 
 
 def _between_complexes(lk: Complex, dl: Complex):
@@ -199,7 +217,7 @@ def check_grape(
     the whole intermediate-complex family is then swept (gated to at most
     EXHAUSTIVE_GAMMA_MAX_GROUND vertices per node), and for the strong-weak
     variant it is read from exhausted side searches.  Anything less
-    conclusive is reported "unknown", never guessed.
+    conclusive is reported "unknown", never guessed, with its origin.
 
     The budget bounds all of the work: pivot expansions, intermediate
     candidates, and the nodes of every collapse search, which may spend only
@@ -207,102 +225,120 @@ def check_grape(
     """
     if budget <= 0:
         raise InputError("budget must be positive")
+    names, root = vertex_masks(c)
     state = {"nodes": 0}
     memo: dict = {}
+
+    def name(x: int) -> Optional[str]:
+        return names[x.bit_length() - 1] if x else None
 
     def tick(n: int = 1) -> None:
         state["nodes"] += n
         if state["nodes"] > budget:
             raise _BudgetExceeded
 
-    def collapses(sub: Complex):
-        """Exhaustive collapse search ("yes" or "no") on the nodes left, counted as ours."""
+    def collapses(sub: frozenset) -> Optional[tuple]:
+        """Exhaustive collapse search on the nodes left, counted as ours: its steps or None."""
         if state["nodes"] == budget:
-            raise _BudgetExceeded  # collapse_search takes no budget of 0
-        r = collapse_search(sub, budget - state["nodes"], exhaustive=True)
-        tick(r.nodes)  # a search that runs out reports one node more than it had
-        return r
+            raise _BudgetExceeded  # a search takes no budget of 0
+        _, steps, spent = search_masks(sub, budget - state["nodes"], True, names)
+        tick(spent)  # a search that runs out reports one node more than it had
+        return steps
 
-    def witness(cr: Complex, lk: Complex, dl: Complex):
-        """Variant gluing condition at one pivot: (status, witness or reason)."""
+    def witness(ground: int, lk: frozenset, dl: frozenset):
+        """Variant gluing condition at one pivot, with ground the node's other
+        vertices: (status, witness or reason)."""
         if variant is GrapeVariant.STRONG:
-            lk_apex = min(cone_apexes(lk), key=lk.index, default=None)
-            dl_apex = min(cone_apexes(dl), key=dl.index, default=None)
-            if lk_apex is None and dl_apex is None:
+            lk_apex, dl_apex = meet_mask(lk), meet_mask(dl)
+            if not lk_apex and not dl_apex:
                 return "no", "neither side is a cone"
-            side = "deletion" if lk_apex is None else "link" if dl_apex is None else "both"
-            return "yes", StrongWitness(side, lk_apex, dl_apex)
+            side = "deletion" if not lk_apex else "link" if not dl_apex else "both"
+            return "yes", StrongWitness(side, name(lk_apex & -lk_apex), name(dl_apex & -dl_apex))
 
         if variant is GrapeVariant.COMBINATORIAL:
-            for x in dl.ground:
-                if _cone_fits(lk, dl, x):
-                    return "yes", ConeContainmentWitness(x)
+            x = _cone_points(lk, dl)
+            if x:
+                return "yes", ConeContainmentWitness(name(x & -x))
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
-            for side, side_c in (("link", lk), ("deletion", dl)):
-                r = collapses(side_c)
-                if r.is_yes:
-                    return "yes", TrivialSideWitness(side, r.sequence)
+            for side, side_masks in (("link", lk), ("deletion", dl)):
+                steps = collapses(side_masks)
+                if steps is not None:
+                    return "yes", TrivialSideWitness(side, named_steps(steps, names))
             # a side that fails to collapse might still be simple-homotopy
             # trivial, so "no" needs the explicit opt-in
             status = "no" if exhaustive_gamma else "unknown"
             return status, "neither side collapses (collapse-only test)"
 
         # weak: look for a collapsible complex between link and deletion
-        for candidate in (lk, dl):
-            r = collapses(candidate)
-            if r.is_yes:
-                return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
-        for x in dl.ground:
-            if _cone_fits(lk, dl, x):
-                gamma = _cone_complex(lk, x)
-                seq = tuple(cone_sequence(gamma)) if not gamma.is_void else ()
-                return "yes", TrivialIntermediateWitness(gamma.facets, seq)
+        for gamma in (lk, dl):
+            steps = collapses(gamma)
+            if steps is not None:
+                return "yes", intermediate(gamma, steps)
+        x = _cone_points(lk, dl)
+        if x:
+            gamma = maximal_masks(f | (x & -x) for f in lk)
+            apexes = meet_mask(gamma)
+            return "yes", intermediate(gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
         if not exhaustive_gamma:
             return "unknown", "no collapsible intermediate in the fast family"
-        if len(cr.ground) > EXHAUSTIVE_GAMMA_MAX_GROUND:
+        if ground.bit_count() >= EXHAUSTIVE_GAMMA_MAX_GROUND:
             return "unknown", "too many vertices for the exhaustive sweep"
-        for faces in _between_complexes(lk, dl):
+        sub = _ground_of(ground, names)
+        bit = bit_table(names)
+        for faces in _between_complexes(complex_of(sub, lk, names), complex_of(sub, dl, names)):
             tick()
-            gamma = Complex(dl.ground, _maximal(faces))
-            r = collapses(gamma)
-            if r.is_yes:
-                return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
+            gamma = frozenset(mask_of(f, bit) for f in _maximal(faces))
+            steps = collapses(gamma)
+            if steps is not None:
+                return "yes", intermediate(gamma, steps)
         return "no", "no intermediate complex collapses (exhaustive sweep)"
+
+    def intermediate(gamma: frozenset, steps) -> TrivialIntermediateWitness:
+        gamma_facets = frozenset(face_of(g, names) for g in gamma)
+        return TrivialIntermediateWitness(gamma_facets, named_steps(steps, names))
 
     nodes: list = []  # certificate nodes of solved subproblems, children first
 
-    def solve(cr: Complex):
+    def solve(masks: frozenset):
         """One subproblem, as a generator: it yields each link or deletion it
-        needs solved and is sent back that one's (status, node index)."""
+        needs solved and is sent back that one's (status, node index); an
+        "unknown" carries its origin (reason, pivots, sides) instead."""
         tick()
-        kind = _base_kind(cr)
+        kind = _base_kind(masks)
         if kind is not None:
             nodes.append(CertNode(base=kind))
             return "yes", len(nodes) - 1
-        some_unknown = False
-        for a in cr.ground:
-            lk = link(cr, a)
-            dl = deletion(cr, a)
-            status, payload = witness(cr, lk, dl)
+        origin = None
+        verts = rest = join_mask(masks)
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            lk = link_masks(masks, a)
+            dl = deletion_masks(masks, a)
+            status, payload = witness(verts ^ a, lk, dl)
             if status == "no":
                 continue
-            lk_status, lk_ref = yield restrict_ground(lk)
+            lk_status, lk_ref = yield lk
             if lk_status == "no":
                 continue
-            dl_status, dl_ref = yield restrict_ground(dl)
+            dl_status, dl_ref = yield dl
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                nodes.append(CertNode(pivot=a, witness=payload, link=lk_ref, deletion=dl_ref))
+                nodes.append(CertNode(pivot=name(a), witness=payload, link=lk_ref, deletion=dl_ref))
                 return "yes", len(nodes) - 1
-            some_unknown = True
-        return ("unknown" if some_unknown else "no"), None
+            if origin is None and status == "unknown":
+                origin = (payload, (name(a),), ())
+            elif origin is None:
+                side, (reason, pivots, sides) = (
+                    ("link", lk_ref) if lk_status == "unknown" else ("deletion", dl_ref))
+                origin = (reason, (name(a),) + pivots, (side,) + sides)
+        return ("no", None) if origin is None else ("unknown", origin)
 
     # solve's frames on an explicit stack; a memoised subproblem is not pushed
-    root = restrict_ground(c)
-    stack = [(root.facets, solve(root))]
+    stack = [(root, solve(root))]
     result = None
     try:
         while stack:
@@ -313,16 +349,26 @@ def check_grape(
                 stack.pop()
                 result = memo[key] = done.value
                 continue
-            result = memo.get(sub.facets)
+            result = memo.get(sub)
             if result is None:
-                stack.append((sub.facets, solve(sub)))
+                stack.append((sub, solve(sub)))
     except _BudgetExceeded:
         return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=state["nodes"])
     if result[0] == "yes":
         return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=state["nodes"])
     if result[0] == "no":
         return GrapeVerdict("no", nodes=state["nodes"])
-    return GrapeVerdict("unknown", reason="search inconclusive", nodes=state["nodes"])
+    # the pivots from the root down to the inconclusive test, and the side
+    # taken below each of them but the last
+    reason, pivots, sides = result[1]
+    where = f"pivots {' > '.join(pivots)}, {' > '.join(sides)}" if sides else (
+        f"pivot {pivots[0]}, at the root")
+    return GrapeVerdict("unknown", reason=f"{reason} ({where})", nodes=state["nodes"])
+
+
+def _ground_of(m: int, names: tuple) -> tuple:
+    """The names of a mask's bits, in bit order."""
+    return tuple(x for i, x in enumerate(names) if m >> i & 1)
 
 
 def _reachable(nodes: list) -> tuple:
@@ -333,7 +379,8 @@ def _reachable(nodes: list) -> tuple:
             keep |= {nodes[i].link, nodes[i].deletion}
     index = {i: k for k, i in enumerate(sorted(keep))}
     return tuple(
-        n if n.base else replace(n, link=index[n.link], deletion=index[n.deletion])
+        n if n.base else CertNode(pivot=n.pivot, witness=n.witness, link=index[n.link],
+                                  deletion=index[n.deletion])
         for n in map(nodes.__getitem__, index)
     )
 
@@ -348,61 +395,67 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     witness, and both sub-certificates are all checked from scratch.  Each
     node replays once per distinct complex its parents hand down.
     """
+    names, root = vertex_masks(c)
+    bit = bit_table(names)
     todo = [{} for _ in cert]  # per node: its complexes, as insertion-ordered keys
-    todo[-1][restrict_ground(c)] = None
+    todo[-1][root] = None
     for i in range(len(cert) - 1, -1, -1):
         node = cert[i]
-        for cr in todo[i]:
+        for masks in todo[i]:
             if node.base:
-                kind = _base_kind(cr)
+                kind = _base_kind(masks)
                 if kind != node.base:
                     raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
                 continue
             a = node.pivot
-            if not cr.has_face(frozenset({a})):
+            verts = join_mask(masks)
+            if not bit.get(a, 0) & verts:
                 raise ReplayError(f"pivot {a!r} is not a vertex")
-            lk = link(cr, a)
-            dl = deletion(cr, a)
-            _verify_witness(variant, node.witness, lk, dl)
-            todo[node.link][restrict_ground(lk)] = None
-            todo[node.deletion][restrict_ground(dl)] = None
+            lk = link_masks(masks, bit[a])
+            dl = deletion_masks(masks, bit[a])
+            _verify_witness(variant, node.witness, lk, dl, verts ^ bit[a], names, bit)
+            todo[node.link][lk] = None
+            todo[node.deletion][dl] = None
         todo[i] = None
 
 
-def _verify_witness(variant: GrapeVariant, witness: object, lk: Complex, dl: Complex) -> None:
+def _verify_witness(
+    variant: GrapeVariant, witness: object, lk: frozenset, dl: frozenset, ground: int,
+    names: tuple, bit: dict,
+) -> None:
+    """One node's witness, with ground the deletion's ground set as a mask."""
     if getattr(witness, "variant", None) is not variant:
         raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
         # "both" claims both cones
-        if witness.cone_side != "deletion" and witness.link_apex not in cone_apexes(lk):
+        if witness.cone_side != "deletion" and not bit.get(witness.link_apex, 0) & meet_mask(lk):
             raise ReplayError("claimed link apex does not cone the link")
-        if witness.cone_side != "link" and witness.deletion_apex not in cone_apexes(dl):
+        if witness.cone_side != "link" and not bit.get(witness.deletion_apex, 0) & meet_mask(dl):
             raise ReplayError("claimed deletion apex does not cone the deletion")
         return
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness.cone_element
-        if x not in dl.ground:
+        if not bit.get(x, 0) & ground:
             raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
-        if not _cone_fits(lk, dl, x):
+        if not bit[x] & _cone_points(lk, dl):
             raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
         return
     if variant is GrapeVariant.WEAK:
         try:
-            gamma = Complex(dl.ground, _maximal(witness.gamma_facets))
+            gamma = Complex(_ground_of(ground, names), _maximal(witness.gamma_facets))
         except InputError as exc:
             raise ReplayError(f"intermediate complex is malformed: {exc}") from None
-        for f in lk.facets:
-            if not gamma.has_face(f):
-                raise ReplayError("link is not contained in the intermediate complex")
-        for f in gamma.facets:
-            if not dl.has_face(f):
-                raise ReplayError("intermediate complex is not contained in the deletion")
-        if not replay(gamma, witness.sequence).is_void:
+        gamma_masks = frozenset(mask_of(f, bit) for f in gamma.facets)
+        if not all(has_face_mask(gamma_masks, f) for f in lk):
+            raise ReplayError("link is not contained in the intermediate complex")
+        if not all(has_face_mask(dl, g) for g in gamma_masks):
+            raise ReplayError("intermediate complex is not contained in the deletion")
+        if replay_pairs(gamma_masks, witness.sequence, bit, names):
             raise ReplayError("intermediate complex does not collapse to void")
         return
     # strong-weak
     side = lk if witness.side == "link" else dl
-    if not replay(side, witness.sequence).is_void:
+    if replay_pairs(side, witness.sequence, bit, names):
         raise ReplayError(f"{witness.side} does not collapse to void")
 
 

@@ -2,7 +2,9 @@
 
 The tree serialiser and the tree replay are kept here as oracles: a table
 expanded to a tree must serialise like the tree, and both replays must
-accept and reject the same certificates.
+accept and reject the same certificates.  So is the table replay on
+frozensets of names that the mask kernel replaced: it must reject every
+tampered certificate with the same error.
 """
 
 import json
@@ -14,7 +16,9 @@ import pytest
 
 import grapes.grape as grape
 from grapes import (
+    Complex,
     GrapeVariant,
+    InputError,
     ReplayError,
     alexander_dual,
     certificate_from_json,
@@ -25,9 +29,19 @@ from grapes import (
     restrict_ground,
     verify_certificate,
 )
-from grapes.complexes import deletion, link
+from grapes.complexes import _maximal, deletion, link
 from grapes.generators import cycle_complex, path_graph
-from grapes.grape import CertNode, _base_kind, _verify_witness, _witness_to_json
+from grapes.collapse import CollapsePair
+from grapes.grape import (
+    CertNode,
+    ConeContainmentWitness,
+    StrongWitness,
+    TrivialSideWitness,
+    _witness_to_json,
+)
+from test_collapse import frozenset_replay
+from test_complexes import frozenset_cone_apexes, frozenset_link, maximal_deletion
+from test_grape import frozenset_base_kind, frozenset_cone_fits
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,18 +90,76 @@ def oracle_to_json(tree):
 def oracle_verify(c, variant, tree):
     cr = restrict_ground(c)
     if tree.base is not None:
-        kind = _base_kind(cr)
+        kind = frozenset_base_kind(cr)
         if kind != tree.base:
             raise ReplayError(f"base leaf says {tree.base!r} but complex is {kind!r}")
         return
     a = tree.pivot
     if a is None or not cr.has_face(frozenset({a})):
         raise ReplayError(f"pivot {a!r} is not a vertex")
-    lk = link(cr, a)
-    dl = deletion(cr, a)
-    _verify_witness(variant, tree.witness, lk, dl)
+    lk = frozenset_link(cr, a)
+    dl = maximal_deletion(cr, a)
+    frozenset_verify_witness(variant, tree.witness, lk, dl)
     oracle_verify(lk, variant, tree.link_cert)
     oracle_verify(dl, variant, tree.del_cert)
+
+
+def frozenset_verify_certificate(c, variant, cert):
+    """The table replay on frozensets of names."""
+    todo = [{} for _ in cert]
+    todo[-1][restrict_ground(c)] = None
+    for i in range(len(cert) - 1, -1, -1):
+        node = cert[i]
+        for cr in todo[i]:
+            if node.base:
+                kind = frozenset_base_kind(cr)
+                if kind != node.base:
+                    raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
+                continue
+            a = node.pivot
+            if not cr.has_face(frozenset({a})):
+                raise ReplayError(f"pivot {a!r} is not a vertex")
+            lk = frozenset_link(cr, a)
+            dl = maximal_deletion(cr, a)
+            frozenset_verify_witness(variant, node.witness, lk, dl)
+            todo[node.link][restrict_ground(lk)] = None
+            todo[node.deletion][restrict_ground(dl)] = None
+        todo[i] = None
+
+
+def frozenset_verify_witness(variant, witness, lk, dl):
+    if getattr(witness, "variant", None) is not variant:
+        raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
+    if variant is GrapeVariant.STRONG:
+        if witness.cone_side != "deletion" and witness.link_apex not in frozenset_cone_apexes(lk):
+            raise ReplayError("claimed link apex does not cone the link")
+        if witness.cone_side != "link" and witness.deletion_apex not in frozenset_cone_apexes(dl):
+            raise ReplayError("claimed deletion apex does not cone the deletion")
+        return
+    if variant is GrapeVariant.COMBINATORIAL:
+        x = witness.cone_element
+        if x not in dl.ground:
+            raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
+        if not frozenset_cone_fits(lk, dl, x):
+            raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
+        return
+    if variant is GrapeVariant.WEAK:
+        try:
+            gamma = Complex(dl.ground, _maximal(witness.gamma_facets))
+        except InputError as exc:
+            raise ReplayError(f"intermediate complex is malformed: {exc}") from None
+        for f in lk.facets:
+            if not gamma.has_face(f):
+                raise ReplayError("link is not contained in the intermediate complex")
+        for f in gamma.facets:
+            if not dl.has_face(f):
+                raise ReplayError("intermediate complex is not contained in the deletion")
+        if not frozenset_replay(gamma, witness.sequence).is_void:
+            raise ReplayError("intermediate complex does not collapse to void")
+        return
+    side = lk if witness.side == "link" else dl
+    if not frozenset_replay(side, witness.sequence).is_void:
+        raise ReplayError(f"{witness.side} does not collapse to void")
 
 
 def expand(data):
@@ -108,6 +180,15 @@ def accepts(replay, c, variant, cert):
     return True
 
 
+def replay_error(replay, c, variant, cert):
+    """The message a replay rejects a certificate with, or None."""
+    try:
+        replay(c, variant, cert)
+    except ReplayError as exc:
+        return str(exc)
+    return None
+
+
 def tamperings(c, cert):
     """Certificates that differ from a valid one in one place."""
     root = cert[-1]
@@ -120,6 +201,45 @@ def tamperings(c, cert):
                 yield cert[:i] + (CertNode(base=kind),) + cert[i + 1 :]
     if not root.base and root.link != root.deletion:
         yield cert[:-1] + (replace(root, link=root.deletion, deletion=root.link),)
+
+
+def witness_tamperings(c, cert):
+    """Certificates whose root witness names something outside the ground,
+    claims a wrong apex or side, or carries an illegal collapse step."""
+    root = cert[-1]
+    w = root.witness
+    if root.base:
+        return
+    if isinstance(w, StrongWitness):
+        changes = [replace(w, link_apex="zz"), replace(w, deletion_apex="zz"),
+                   replace(w, cone_side="both"), replace(w, link_apex=root.pivot, cone_side="link")]
+    elif isinstance(w, ConeContainmentWitness):
+        changes = [replace(w, cone_element=x) for x in ("zz", root.pivot, *c.ground)]
+    else:
+        seq = w.sequence
+        zz = CollapsePair(frozenset({"zz", "yy"}), frozenset({"zz"}))
+        changes = [replace(w, sequence=seq[:-1]), replace(w, sequence=(zz,) + seq),
+                   replace(w, sequence=seq[:1] + (zz,) + seq[1:]),
+                   replace(w, sequence=seq[:1] + seq)]
+        if isinstance(w, TrivialSideWitness):
+            changes.append(replace(w, side="link" if w.side == "deletion" else "deletion"))
+        else:
+            changes += [replace(w, gamma_facets=w.gamma_facets | {frozenset({"zz"})}),
+                        replace(w, gamma_facets=frozenset())]
+    for change in changes:
+        yield cert[:-1] + (replace(root, witness=change),)
+
+
+def test_replays_reject_tampered_witnesses_alike():
+    rejected = 0
+    for variant in GrapeVariant:
+        for c in enumerate_complexes("abcd"):
+            cert = check_grape(c, variant).certificate
+            for bad in witness_tamperings(c, cert) if cert else ():
+                error = replay_error(verify_certificate, c, variant, bad)
+                assert error == replay_error(frozenset_verify_certificate, c, variant, bad)
+                rejected += error is not None
+    assert rejected > 1000
 
 
 def _flat(cert):
@@ -141,10 +261,9 @@ def _flat(cert):
 # -- differential checks ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", list(GrapeVariant))
-def test_tables_match_the_tree_walkers(variant):
+def tables_match_the_tree_walkers(variant):
     complexes = list(enumerate_complexes("abcd"))
-    checked = 0
+    checked = tampered = 0
     for c in complexes:
         verdict = check_grape(c, variant)
         if not verdict.is_yes:
@@ -157,11 +276,27 @@ def test_tables_match_the_tree_walkers(variant):
         verify_certificate(c, variant, cert)
         oracle_verify(c, variant, tree)
         for bad in tamperings(c, cert):
-            assert accepts(verify_certificate, c, variant, bad) == accepts(
-                oracle_verify, c, variant, as_tree(bad)
-            )
+            error = replay_error(verify_certificate, c, variant, bad)
+            assert error == replay_error(frozenset_verify_certificate, c, variant, bad)
+            assert (error is None) == accepts(oracle_verify, c, variant, as_tree(bad))
+            tampered += 1
         checked += 1
     assert checked > 100
+    return tampered
+
+
+# 5,112 tampered certificates in all
+TAMPERED = {
+    GrapeVariant.STRONG: 1166,
+    GrapeVariant.COMBINATORIAL: 1390,
+    GrapeVariant.WEAK: 1390,
+    GrapeVariant.STRONG_WEAK: 1166,
+}
+
+
+@pytest.mark.parametrize("variant", list(GrapeVariant))
+def test_tables_match_the_tree_walkers(variant):
+    assert tables_match_the_tree_walkers(variant) == TAMPERED[variant]
 
 
 def test_replay_links_once_per_node_and_complex(monkeypatch):
@@ -179,12 +314,13 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
             (node.deletion, restrict_ground(deletion(cr, node.pivot))),
         ]
     calls = []
+    link_masks = grape.link_masks
 
-    def counted(cx, e):
-        calls.append(e)
-        return link(cx, e)
+    def counted(masks, a):
+        calls.append(a)
+        return link_masks(masks, a)
 
-    monkeypatch.setattr(grape, "link", counted)
+    monkeypatch.setattr(grape, "link_masks", counted)
     verify_certificate(c, GrapeVariant.STRONG, cert)
     assert len(calls) == len(pairs)
     # a tree replay would link once per split of the written-out tree

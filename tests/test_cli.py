@@ -1,5 +1,6 @@
 """CLI wire formats and exit codes, exercised in-process."""
 
+import argparse
 import inspect
 import json
 import os
@@ -56,6 +57,21 @@ def test_link_and_del_commands(write_json, capsys):
     assert code == 0 and out["facets"] == [["a"], ["c"]]
     code, out = run_cli(capsys, "del", path, "b")
     assert code == 0 and out["facets"] == [["a"], ["c"]]
+
+
+def test_main_builds_its_parser_once(write_json, capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    path = write_json("c.json", {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]})
+    assert run_cli(capsys, "link", path, "a") == (0, {"ground": ["b", "c"], "facets": [["b"]]})
+    assert run_cli(capsys, "del", path, "a") == (0, {"ground": ["b", "c"], "facets": [["b", "c"]]})
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_homology_command(write_json, capsys):

@@ -1,11 +1,19 @@
-"""Elementary collapse machinery: free pairs, search, lifting, suspension."""
+"""Elementary collapse machinery: free pairs, search, lifting, suspension.
+
+The search and replay on names that the mask kernel replaced are kept here
+as oracles; the kernel must give the same pairs, sequences, node counts and
+replay errors.
+"""
 
 import inspect
+import string
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grapes import (
+    Complex,
     CollapsePair,
     ReplayError,
     apply_collapse,
@@ -17,6 +25,7 @@ from grapes import (
     lifted_collapse,
     link,
     deletion,
+    enumerate_complexes,
     new_complex,
     reduced_homology,
     replay,
@@ -25,8 +34,9 @@ from grapes import (
     suspension_transport,
     void_complex,
 )
-from grapes.collapse import cone_sequence, sequence_from_json, sequence_to_json
+from grapes.collapse import ShvResult, cone_sequence, sequence_from_json, sequence_to_json
 from grapes.generators import cycle_complex
+from test_complexes import frozenset_cone_apexes, maximal_deletion
 
 
 def fs(*names):
@@ -86,6 +96,144 @@ def test_collapse_pair_shape_is_validated():
         CollapsePair(fs("a", "b"), fs("c"))
     with pytest.raises(ReplayError):
         CollapsePair(fs("a", "b"), fs())
+
+
+# -- the frozenset oracles ------------------------------------------------------
+
+
+def frozenset_free_pairs(c):
+    out = []
+    for sigma in c.facets:
+        if not sigma:
+            continue
+        for y in sigma:
+            tau = sigma - {y}
+            if not any(tau <= other for other in c.facets if other != sigma):
+                out.append(CollapsePair(sigma, tau))
+    out.sort(key=lambda p: (-len(p.sigma), c.face_key(p.sigma), c.face_key(p.tau)))
+    return out
+
+
+def frozenset_apply_collapse(c, pair):
+    sigma, tau = pair.sigma, pair.tau
+    if sigma not in c.facets:
+        raise ReplayError(f"{sorted(sigma)} is not a facet")
+    if any(tau <= other for other in c.facets if other != sigma):
+        raise ReplayError(f"{sorted(tau)} is contained in another face")
+    rest = [f for f in c.facets if f != sigma]
+    new_facets = list(rest)
+    for y in sigma:
+        candidate = sigma - {y}
+        if candidate != tau and not any(candidate <= f for f in rest):
+            new_facets.append(candidate)
+    return Complex(c.ground, frozenset(new_facets))
+
+
+def frozenset_replay(c, sequence):
+    for pair in sequence:
+        c = frozenset_apply_collapse(c, pair)
+    return c
+
+
+def frozenset_cone_sequence(c):
+    apexes = frozenset_cone_apexes(c)
+    if not apexes:
+        raise ReplayError("cone_sequence requires a cone")
+    apex = min(apexes, key=c.index)
+    base_faces = sorted(maximal_deletion(c, apex).faces(), key=lambda f: (-len(f), c.face_key(f)))
+    return [CollapsePair(f | {apex}, f) for f in base_faces]
+
+
+def frozenset_collapse_search(c, budget=10**6, exhaustive=False):
+    nodes = 0
+    failed = set()
+    stack = []
+    steps = []
+    cur = c
+    while cur is not None:
+        nodes += 1
+        if nodes > budget:
+            return ShvResult("unknown", None, nodes)
+        if cur.is_void or frozenset_cone_apexes(cur):
+            if not cur.is_void:
+                steps.extend(frozenset_cone_sequence(cur))
+            if not frozenset_replay(c, steps).is_void:
+                raise ReplayError("search produced a sequence that does not replay")
+            return ShvResult("yes", tuple(steps), nodes)
+        dead = exhaustive and cur.facets in failed
+        stack.append((cur, iter(() if dead else frozenset_free_pairs(cur))))
+        cur = None
+        while stack and cur is None:
+            top, pairs = stack[-1]
+            pair = next(pairs, None)
+            if pair is None:
+                stack.pop()
+                if exhaustive:
+                    failed.add(top.facets)
+                if stack:
+                    steps.pop()
+            else:
+                steps.append(pair)
+                cur = frozenset_apply_collapse(top, pair)
+    return ShvResult("no" if exhaustive else "unknown", None, nodes)
+
+
+def replay_outcome(replay_fn, c, sequence):
+    """The replayed facets, or the ReplayError message."""
+    try:
+        return replay_fn(c, sequence).facets
+    except ReplayError as exc:
+        return str(exc)
+
+
+def assert_search_matches_the_oracle(c, budget=10**6):
+    for exhaustive in (False, True):
+        for budget in (budget, 3):
+            got = collapse_search(c, budget, exhaustive)
+            assert got == frozenset_collapse_search(c, budget, exhaustive)
+    assert free_pairs(c) == frozenset_free_pairs(c)
+    if frozenset_cone_apexes(c):
+        assert cone_sequence(c) == frozenset_cone_sequence(c)
+
+
+def wrong_steps(c):
+    """Collapse sequences that go wrong somewhere, by name."""
+    ground = sorted(c.ground)
+    yield [CollapsePair(fs("zz", ground[0]), fs(ground[0]))]
+    yield [CollapsePair(fs(*ground[:2]), fs(ground[0]))] if len(ground) > 1 else []
+    for pair in frozenset_free_pairs(c)[:3]:
+        rest = frozenset_apply_collapse(c, pair)
+        yield [pair, pair]
+        yield [pair, CollapsePair(pair.sigma | {"zz"}, pair.sigma)]
+        yield [pair] + frozenset_free_pairs(rest)[:1] + [CollapsePair(fs("zz"), fs())]
+
+
+def test_search_and_replay_match_the_frozenset_oracle_on_every_small_complex():
+    for c in list(enumerate_complexes("abcd")) + [cycle_complex(5), cx("dcba", "ab", "bcd")]:
+        assert_search_matches_the_oracle(c)
+        for sequence in wrong_steps(c):
+            assert replay_outcome(replay, c, sequence) == replay_outcome(frozenset_replay, c, sequence)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(tuple(string.ascii_lowercase[:n])),
+            st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=6),
+        )
+    )
+)
+def test_search_matches_the_frozenset_oracle(case):
+    ground, faces = case
+    c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
+    assert_search_matches_the_oracle(c, budget=2000)
+
+
+def test_face_key_order_is_not_integer_order():
+    # {a, d} (mask 9) comes before {b, c} (mask 6): lexicographic on indices
+    c = cx("abcd", "ad", "bc")
+    assert free_pairs(c)[0].sigma == fs("a", "d")
 
 
 # -- search --------------------------------------------------------------------

@@ -152,10 +152,29 @@ def maximal_deletion(c, x):
     )
 
 
+def frozenset_link(c, x):
+    """Oracle: the link on frozensets of names, as before the mask kernel."""
+    c.index(x)
+    ground = tuple(e for e in c.ground if e != x)
+    return Complex(ground, frozenset(facet - {x} for facet in c.facets if x in facet))
+
+
+def frozenset_cone_apexes(c):
+    """Oracle: the intersection of the facets, on frozensets of names."""
+    return frozenset.intersection(*c.facets) if c.facets else frozenset()
+
+
 def test_deletion_matches_the_maximal_oracle_on_every_small_complex():
     for c in enumerate_complexes("abcd"):
         for x in c.ground:
             assert deletion(c, x) == maximal_deletion(c, x)
+
+
+def test_mask_kernel_matches_the_frozenset_oracles_on_every_small_complex():
+    for c in list(enumerate_complexes("abcd")) + [cycle_complex(5), cx("dcba", "ab", "bcd")]:
+        assert cone_apexes(c) == frozenset_cone_apexes(c)
+        for x in c.ground:
+            assert link(c, x) == frozenset_link(c, x)
 
 
 def test_deletion_link_require_ground_element():

@@ -1,11 +1,18 @@
-"""Grape recognition, certificates, classification, and dual invariance."""
+"""Grape recognition, certificates, classification, and dual invariance.
 
+The recognition on frozensets of names that the mask kernel replaced is kept
+here as an oracle: both must give the same verdict, certificate and nodes.
+"""
+
+import string
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grapes.grape
 from grapes import (
+    Complex,
     GrapeVariant,
     InputError,
     ReplayError,
@@ -15,7 +22,6 @@ from grapes import (
     certificate_to_json,
     check_grape,
     classify_strong,
-    collapse_search,
     cone_over,
     cross_polytope_boundary,
     enumerate_complexes,
@@ -33,16 +39,21 @@ from grapes import (
 )
 from dataclasses import replace
 
+from grapes.complexes import _maximal, link, deletion
 from grapes.grape import (
+    EXHAUSTIVE_GAMMA_MAX_GROUND,
     CertNode,
     ConeContainmentWitness,
+    GrapeVerdict,
     StrongWitness,
     TrivialIntermediateWitness,
+    TrivialSideWitness,
     _between_complexes,
     certificate_variant,
 )
-from grapes.complexes import link, deletion
 from grapes.generators import cycle_complex
+from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
+from test_complexes import frozenset_cone_apexes, frozenset_link, maximal_deletion
 
 ALL_VARIANTS = list(GrapeVariant)
 
@@ -57,6 +68,185 @@ RP2 = cx(
 )
 
 IND_P3 = cx("abc", "ac", "b")
+
+
+# -- the frozenset oracle ------------------------------------------------------------
+
+
+class OutOfBudget(Exception):
+    pass
+
+
+def frozenset_base_kind(c):
+    if c.is_void:
+        return "void"
+    if c.is_irrelevant:
+        return "irrelevant"
+    if len(c.vertices()) == 1:
+        return "point"
+    return None
+
+
+def frozenset_cone_fits(lk, dl, x):
+    if lk.is_void:
+        return dl.has_face(frozenset({x}))
+    return all(dl.has_face(f | {x}) for f in lk.facets)
+
+
+def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
+    """check_grape on frozensets of names, solve on an explicit stack."""
+    state = {"nodes": 0}
+    memo = {}
+
+    def tick(n=1):
+        state["nodes"] += n
+        if state["nodes"] > budget:
+            raise OutOfBudget
+
+    def collapses(sub):
+        if state["nodes"] == budget:
+            raise OutOfBudget
+        r = frozenset_collapse_search(sub, budget - state["nodes"], exhaustive=True)
+        tick(r.nodes)
+        return r
+
+    def witness(cr, lk, dl):
+        if variant is GrapeVariant.STRONG:
+            lk_apex = min(frozenset_cone_apexes(lk), key=lk.index, default=None)
+            dl_apex = min(frozenset_cone_apexes(dl), key=dl.index, default=None)
+            if lk_apex is None and dl_apex is None:
+                return "no", None
+            side = "deletion" if lk_apex is None else "link" if dl_apex is None else "both"
+            return "yes", StrongWitness(side, lk_apex, dl_apex)
+        if variant is GrapeVariant.COMBINATORIAL:
+            for x in dl.ground:
+                if frozenset_cone_fits(lk, dl, x):
+                    return "yes", ConeContainmentWitness(x)
+            return "no", None
+        if variant is GrapeVariant.STRONG_WEAK:
+            for side, side_c in (("link", lk), ("deletion", dl)):
+                r = collapses(side_c)
+                if r.is_yes:
+                    return "yes", TrivialSideWitness(side, r.sequence)
+            return ("no" if exhaustive_gamma else "unknown"), None
+        for candidate in (lk, dl):
+            r = collapses(candidate)
+            if r.is_yes:
+                return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
+        for x in dl.ground:
+            if frozenset_cone_fits(lk, dl, x):
+                gamma = Complex(lk.ground, _maximal(f | {x} for f in lk.facets))
+                seq = tuple(frozenset_cone_sequence(gamma)) if not gamma.is_void else ()
+                return "yes", TrivialIntermediateWitness(gamma.facets, seq)
+        if not exhaustive_gamma or len(cr.ground) > EXHAUSTIVE_GAMMA_MAX_GROUND:
+            return "unknown", None
+        for faces in _between_complexes(lk, dl):
+            tick()
+            gamma = Complex(dl.ground, _maximal(faces))
+            r = collapses(gamma)
+            if r.is_yes:
+                return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
+        return "no", None
+
+    nodes = []
+
+    def solve(cr):
+        tick()
+        kind = frozenset_base_kind(cr)
+        if kind is not None:
+            nodes.append(CertNode(base=kind))
+            return "yes", len(nodes) - 1
+        some_unknown = False
+        for a in cr.ground:
+            lk = frozenset_link(cr, a)
+            dl = maximal_deletion(cr, a)
+            status, payload = witness(cr, lk, dl)
+            if status == "no":
+                continue
+            lk_status, lk_ref = yield restrict_ground(lk)
+            if lk_status == "no":
+                continue
+            dl_status, dl_ref = yield restrict_ground(dl)
+            if dl_status == "no":
+                continue
+            if status == lk_status == dl_status == "yes":
+                nodes.append(CertNode(pivot=a, witness=payload, link=lk_ref, deletion=dl_ref))
+                return "yes", len(nodes) - 1
+            some_unknown = True
+        return ("unknown" if some_unknown else "no"), None
+
+    root = restrict_ground(c)
+    stack = [(root.facets, solve(root))]
+    result = None
+    try:
+        while stack:
+            key, frame = stack[-1]
+            try:
+                sub = frame.send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = memo[key] = done.value
+                continue
+            result = memo.get(sub.facets)
+            if result is None:
+                stack.append((sub.facets, solve(sub)))
+    except OutOfBudget:
+        return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=state["nodes"])
+    if result[0] != "yes":
+        return GrapeVerdict(result[0], nodes=state["nodes"])
+    keep = {len(nodes) - 1}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in keep and not nodes[i].base:
+            keep |= {nodes[i].link, nodes[i].deletion}
+    index = {i: k for k, i in enumerate(sorted(keep))}
+    cert = tuple(
+        n if n.base else replace(n, link=index[n.link], deletion=index[n.deletion])
+        for n in map(nodes.__getitem__, index)
+    )
+    return GrapeVerdict("yes", certificate=cert, nodes=state["nodes"])
+
+
+def assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma, budget=10**6):
+    got = check_grape(c, variant, budget, exhaustive_gamma)
+    want = frozenset_check_grape(c, variant, budget, exhaustive_gamma)
+    assert (got.verdict, got.certificate, got.nodes) == (want.verdict, want.certificate, want.nodes)
+    if want.reason:  # budget exhaustion; the oracle names no other origin
+        assert got.reason == want.reason
+
+
+@pytest.mark.parametrize("exhaustive_gamma", [False, True])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_recognition_matches_the_frozenset_oracle_on_every_small_complex(
+    variant, exhaustive_gamma
+):
+    for c in enumerate_complexes("abcd"):
+        assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_recognition_matches_the_frozenset_oracle_on_named_instances(variant):
+    for c in (RP2, cycle_complex(5), cross_polytope_boundary(3),
+              cx("abcde", "abc", "bcd", "cde", "dea", "eab"), cx("dcba", "ad", "bc", "ca")):
+        for exhaustive_gamma in (False, True):
+            assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
+    assert_recognition_matches_the_oracle(rp2_with_path(2), variant, False, budget=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(tuple(string.ascii_lowercase[:n])),
+            st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=6),
+        )
+    ),
+    st.sampled_from(ALL_VARIANTS),
+    st.booleans(),
+)
+def test_recognition_matches_the_frozenset_oracle(case, variant, exhaustive_gamma):
+    ground, faces = case
+    c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
+    assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
 
 
 # -- base cases and easy instances ------------------------------------------------
@@ -135,6 +325,33 @@ def test_projective_plane_is_no_grape_at_all():
     )
 
 
+@pytest.mark.parametrize(
+    "variant, reason",
+    [
+        (GrapeVariant.WEAK, "no collapsible intermediate in the fast family (pivot 1, at the root)"),
+        (GrapeVariant.STRONG_WEAK, "neither side collapses (collapse-only test) (pivot 1, at the root)"),
+    ],
+)
+def test_unknown_on_the_projective_plane_names_its_origin(variant, reason):
+    verdict = check_grape(RP2, variant)
+    assert (verdict.verdict, verdict.reason, verdict.nodes) == ("unknown", reason, 6698)
+
+
+@pytest.mark.parametrize(
+    "c, origin",
+    [
+        # K_{2,3}: the deletion of a is a star, its link three points
+        (cx("abcde", "ab", "ac", "ad", "be", "ce", "de"), "(pivots a > b, link)"),
+        # the link of a is a point, its deletion four points
+        (cx("abcde", "ab", "c", "d", "e"), "(pivots a > b, deletion)"),
+    ],
+)
+def test_unknown_below_the_root_names_the_pivots_and_sides(c, origin):
+    verdict = check_grape(c, GrapeVariant.STRONG_WEAK)
+    assert verdict.verdict == "unknown"
+    assert verdict.reason == f"neither side collapses (collapse-only test) {origin}"
+
+
 def test_budget_exhaustion_is_unknown():
     # needs recursion: the cone passes the witness test at the first pivot
     c = cone_over(cycle_complex(5), "z")
@@ -179,13 +396,14 @@ def test_budget_edge_is_exactly_the_nodes_spent(c, variant, exhaustive_gamma, ex
 @pytest.mark.parametrize("c, exhaustive_gamma", [(cycle_complex(5), False), (RP2, True)])
 def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gamma):
     spent = []
+    search_masks = grapes.grape.search_masks
 
-    def recording(*args, **kwargs):
-        result = collapse_search(*args, **kwargs)
-        spent.append(result.nodes)
+    def recording(*args):
+        result = search_masks(*args)
+        spent.append(result[2])  # (verdict, steps, nodes)
         return result
 
-    monkeypatch.setattr(grapes.grape, "collapse_search", recording)
+    monkeypatch.setattr(grapes.grape, "search_masks", recording)
     verdict = check_grape(c, GrapeVariant.WEAK, exhaustive_gamma=exhaustive_gamma)
     assert spent
     assert verdict.nodes >= sum(spent)
