@@ -67,7 +67,7 @@ def _load(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, over-long int literals
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests deeper than the JSON parser allows") from None

@@ -14,7 +14,7 @@ back only in the ``CollapsePair``s of a sequence.  Pairs are tried in
 ``face_key`` order: larger faces first, then lexicographic on the ascending
 ground indices.  That is not integer order of the masks ({0, 3} comes before
 {1, 2}, though 9 > 6): it is descending order of the bit string read from
-bit 0 up, which is the key ``_order`` gives.
+bit 0 up, which is the key ``mask_order`` gives.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .complexes import (
     complex_masks,
     complex_of,
     deletion,
+    face_masks,
     face_of,
     link,
     mask_of,
+    mask_order,
     meet_mask,
     suspension,
 )
@@ -73,11 +75,6 @@ class ShvResult:
 # -- the mask kernel -------------------------------------------------------------
 
 
-def _order(m: int) -> tuple:
-    """Sort key, reversed, for face_key order: size, then bit string from bit 0."""
-    return m.bit_count(), format(m, "b")[::-1]
-
-
 def _free_faces(masks, sigma: int) -> list:
     """Free codimension-1 faces of the facet sigma, highest removed bit first.
 
@@ -97,7 +94,7 @@ def _free_faces(masks, sigma: int) -> list:
 def _free_pairs(masks: frozenset):
     """(sigma, tau, free faces of sigma) for every free pair, in face_key order."""
     free = [(sigma, _free_faces(masks, sigma)) for sigma in masks if sigma]
-    free.sort(key=lambda p: _order(p[0]), reverse=True)
+    free.sort(key=lambda p: mask_order(p[0]), reverse=True)
     return [(sigma, tau, faces) for sigma, faces in free for tau in faces]
 
 
@@ -131,15 +128,8 @@ def cone_steps(masks: frozenset, apex: int) -> list:
 
     Base faces are processed by decreasing size, which keeps every pair free.
     """
-    faces = set()
-    for f in masks:
-        base = s = f ^ apex
-        while True:  # every submask of base
-            faces.add(s)
-            if not s:
-                break
-            s = (s - 1) & base
-    return [(s | apex, s) for s in sorted(faces, key=_order, reverse=True)]
+    faces = face_masks(f ^ apex for f in masks)
+    return [(s | apex, s) for s in sorted(faces, key=mask_order, reverse=True)]
 
 
 def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) -> tuple:

@@ -322,6 +322,11 @@ def face_of(m: int, ground: tuple) -> Face:
     return frozenset(out)
 
 
+def mask_order(m: int) -> tuple:
+    """Sort key, reversed, for face_key order: size, then bit string from bit 0."""
+    return m.bit_count(), format(m, "b")[::-1]
+
+
 def complex_masks(c: Complex) -> tuple:
     """(bit table, facet masks) over the whole ground of c."""
     bit = bit_table(c.ground)
@@ -347,6 +352,18 @@ def join_mask(masks: Iterable[int]) -> int:
 def meet_mask(masks: frozenset) -> int:
     """The cone apexes, as a mask: 0 for the void and irrelevant complexes."""
     return reduce(and_, masks) if masks else 0
+
+
+def face_masks(masks: Iterable[int]) -> set:
+    """Every face of the facet masks: all their submasks, 0 included."""
+    faces = set()
+    for f in masks:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
+    return faces
 
 
 def has_face_mask(masks: Iterable[int], m: int) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, NamedTuple, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -571,6 +571,13 @@ def verify_dual_invariance(
     Both recognitions go through the outcome table (a fresh one by
     default), so a complex the table has seen is not searched again.
     """
+    return _dual_invariance(c, lambda: alexander_dual(c), variant, exhaustive_gamma, outcomes)
+
+
+def _dual_invariance(c: Complex, dual_of_c: Callable, variant: GrapeVariant,
+                     exhaustive_gamma: bool, outcomes: Optional[OutcomeTable]) -> dict:
+    """:func:`verify_dual_invariance`, asking ``dual_of_c`` for the dual
+    only once the primal verdict is yes."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
     primal = outcomes.recognise(c, variant, exhaustive_gamma)
     report = {
@@ -581,7 +588,7 @@ def verify_dual_invariance(
     }
     if not primal.is_yes:
         return report
-    dual = outcomes.recognise(alexander_dual(c), variant, exhaustive_gamma)
+    dual = outcomes.recognise(dual_of_c(), variant, exhaustive_gamma)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
     tolerated = weak_family and dual.verdict == "unknown"
     report["dual_verdict"] = dual.verdict

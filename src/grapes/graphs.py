@@ -344,13 +344,21 @@ def pf_complex(d: Digraph) -> Complex:
 def pm_complex(d: Digraph) -> Complex:
     """Path-missing complex: arc sets whose complement still has an s-t path;
     the facets are the complements of the simple s-t paths."""
-    full = frozenset(d.arc_ids())
-    return new_complex(d.arc_ids(), (full - p for p in st_paths(d)))
+    return _path_missing(d, st_paths(d))
 
 
 def useless_arcs(d: Digraph) -> frozenset:
     """Arcs lying on no simple path from s to t (loops always qualify)."""
-    return frozenset(d.arc_ids()).difference(chain.from_iterable(st_paths(d)))
+    return _useless(d, st_paths(d))
+
+
+def _path_missing(d: Digraph, paths: Iterable[frozenset]) -> Complex:
+    full = frozenset(d.arc_ids())
+    return new_complex(d.arc_ids(), (full - p for p in paths))
+
+
+def _useless(d: Digraph, paths: Iterable[frozenset]) -> frozenset:
+    return frozenset(d.arc_ids()).difference(chain.from_iterable(paths))
 
 
 def has_cycle(d: Digraph) -> bool:

@@ -2,9 +2,10 @@
 
 The chain complex is augmented: the empty face spans the chain group in
 dimension -1, so the irrelevant complex has one unit of homology there and
-the void complex (no faces at all) has all groups zero.  Boundary maps are
-sparse and reduced on unit pivots before any dense Smith reduction;
-cohomology follows from homology by universal coefficients.
+the void complex (no faces at all) has all groups zero.  Faces are int masks
+over the ground, submasks of the facets; the sparse boundary maps are reduced
+top down with clearing, and on unit pivots before any dense Smith reduction.
+Cohomology follows from homology by universal coefficients.
 
 All arithmetic is exact over Python integers.
 """
@@ -14,10 +15,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from typing import Optional
 
-from .complexes import Complex, InputError, alexander_dual
+from .complexes import Complex, InputError, alexander_dual, complex_masks, face_masks, mask_order
+
+MAX_FACES = 1 << 20  # the most faces a complex may span, counted as the sum of 2^|F|
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -99,8 +101,8 @@ def _dense(columns: list, rows: list) -> list:
     return matrix
 
 
-def _invariant_factors(columns: list) -> list:
-    """Invariant factors of a sparse integer matrix of {row: value} columns.
+def _invariant_factors(columns: list) -> tuple:
+    """Invariant factors, and the unit-pivot rows, of a sparse matrix of {row: value} columns.
 
     Pivots on entries of absolute value 1 (shortest column first, then the
     shortest row with a unit in it) are unimodular and each contribute a 1;
@@ -112,7 +114,7 @@ def _invariant_factors(columns: list) -> list:
             rows[i].add(j)
     heap = [(len(col), j) for j, col in enumerate(columns)]
     heapify(heap)
-    units = 0
+    pivots = set()
     while heap:
         size, p = heappop(heap)
         col = columns[p]
@@ -138,36 +140,35 @@ def _invariant_factors(columns: list) -> list:
                     del other[i]
                     rows[i].discard(j)
             heappush(heap, (len(other), j))
-        units += 1
+        pivots.add(r)
     live = [col for col in columns if col]
     residual = _dense(live, sorted({i for col in live for i in col}))
-    return [1] * units + smith_normal_form(residual)
+    return [1] * len(pivots) + smith_normal_form(residual), pivots
 
 
-# -- boundary matrices -------------------------------------------------------
+# -- boundary maps on mask faces -----------------------------------------------
 
 
-def faces_by_dim(c: Complex) -> dict:
-    """Faces by dimension (the empty face at -1) as ascending ground positions, sorted."""
-    pos = {x: i for i, x in enumerate(c.ground)}
-    faces: set = set()
-    for facet in c.facets:
-        items = sorted(pos[x] for x in facet)
-        for k in range(len(items) + 1):
-            faces.update(combinations(items, k))
-    out: dict = {}
-    for face in sorted(faces):
-        out.setdefault(len(face) - 1, []).append(face)
-    return out
+def _faces(c: Complex) -> dict:
+    """Faces by dimension (the empty face at -1) as masks over the ground;
+    InputError, before any is built, when there would be over MAX_FACES."""
+    masks = complex_masks(c)[1]
+    if sum(1 << f.bit_count() for f in masks) > MAX_FACES:
+        raise InputError(f"the facets span more than {MAX_FACES} faces")
+    by_dim = defaultdict(list)
+    for s in face_masks(masks):
+        by_dim[s.bit_count() - 1].append(s)
+    return by_dim
 
 
-def _columns(by_dim: dict, k: int) -> list:
-    """The boundary map of :func:`boundary_matrix` as sparse {row: sign} columns."""
-    row = {face: i for i, face in enumerate(by_dim.get(k - 1, []))}
-    return [
-        {row[f[:p] + f[p + 1:]]: -1 if p % 2 else 1 for p in range(len(f))}
-        for f in by_dim.get(k, [])
-    ]
+def _boundary(f: int) -> dict:
+    """Face f's boundary as a {face: sign} column, signs alternating along ascending bits."""
+    col, sign, rest = {}, 1, f
+    while rest:
+        low = rest & -rest
+        col[f ^ low] = sign
+        sign, rest = -sign, rest ^ low
+    return col
 
 
 def boundary_matrix(c: Complex, k: int) -> list:
@@ -179,8 +180,9 @@ def boundary_matrix(c: Complex, k: int) -> list:
     """
     if k < -1 or k > c.dim():
         raise InputError(f"dimension {k} out of range for this complex")
-    by_dim = faces_by_dim(c)
-    return _dense(_columns(by_dim, k), range(len(by_dim.get(k - 1, []))))
+    by_dim = _faces(c)
+    rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
+    return _dense([_boundary(f) for f in cols], rows)
 
 
 # -- profiles ----------------------------------------------------------------
@@ -221,17 +223,25 @@ class HomologyProfile:
 
 
 def reduced_homology(c: Complex) -> HomologyProfile:
-    """Reduced integral homology, dimensions -1 through dim(c)."""
+    """Reduced integral homology, dimensions -1 through dim(c).
+
+    Top down, a k-face that a unit pivot of the map above was taken on is no
+    column of this map (clearing).  Exact over Z: those pivot columns are
+    boundaries with +-1 on their rows, triangular in pivot order, so a
+    unimodular change of basis zeroes the cleared columns of this map.
+    """
     if c.is_void:
         return HomologyProfile({}, {})
-    by_dim = faces_by_dim(c)
-    top = c.dim()
-    factors = {k: _invariant_factors(_columns(by_dim, k)) for k in range(top + 1)}
-    betti = {}
-    torsion = {}
-    for k in range(-1, top + 1):
-        below, above = factors.get(k, []), factors.get(k + 1, [])
-        betti[k] = len(by_dim[k]) - len(below) - len(above)
+    by_dim = _faces(c)
+    factors = {c.dim() + 1: []}
+    cleared = frozenset()
+    for k in range(c.dim(), -1, -1):
+        columns = [_boundary(f) for f in by_dim[k] if f not in cleared]
+        factors[k], cleared = _invariant_factors(columns)
+    betti, torsion = {}, {}
+    for k in range(-1, c.dim() + 1):
+        above = factors[k + 1]
+        betti[k] = len(by_dim[k]) - len(factors.get(k, ())) - len(above)
         torsion[k] = tuple(d for d in above if d > 1)
     return HomologyProfile(betti, torsion)
 

@@ -9,6 +9,7 @@ fail / unknown counts.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,7 +41,7 @@ from .grape import (
     classify_strong,
     predicted_wedge,
     verify_certificate,
-    verify_dual_invariance,
+    _dual_invariance,
 )
 from .graphs import (
     Digraph,
@@ -59,8 +60,11 @@ from .graphs import (
     is_forest,
     nonsinks,
     pf_complex,
-    pm_complex,
+    st_paths,
     useless_arcs,
+    _avoiding,
+    _path_missing,
+    _useless,
 )
 from .homology import (
     SHClass,
@@ -188,20 +192,14 @@ def grape_duality_reports(
     """
     instance = complex_to_json(c)
     small = len(c.ground) <= small_variants_max_ground
+    dual = functools.cache(lambda: alexander_dual(c))  # built once, and only for a yes
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
         # exhaustive_gamma changes only the weak-family verdicts
-        rep = verify_dual_invariance(c, variant, exhaustive_gamma=True, outcomes=outcomes)
+        rep = _dual_invariance(c, dual, variant, True, outcomes)
         if rep["primal_verdict"] == "yes":
-            out.append(
-                _report(
-                    f"grape-duality-{variant.value}",
-                    instance,
-                    rep["pass"],
-                    unknown=rep["unknown_tolerated"],
-                    details=rep,
-                )
-            )
+            out.append(_report(f"grape-duality-{variant.value}", instance, rep["pass"],
+                               unknown=rep["unknown_tolerated"], details=rep))
     return out
 
 
@@ -292,53 +290,26 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
-    pf = pf_complex(d)
-    pm = pm_complex(d)
-    out = []
+    paths = list(st_paths(d))
+    pf = _avoiding(d.arc_ids(), paths)
+    pm = _path_missing(d, paths)
     if not d.arcs:
-        ok = (
-            (pf.is_irrelevant and pm.is_void)
-            if d.s != d.t
-            else (pf.is_void and pm.is_irrelevant)
-        )
-        out.append(_report("pfpm-empty-conventions", instance, ok))
-        return out
-    out.append(
-        _report("pfpm-alexander-dual", instance, equals(pm, alexander_dual(pf)))
-    )
-    degenerate = bool(useless_arcs(d)) or has_cycle(d)
+        ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
+        return [_report("pfpm-empty-conventions", instance, ok)]
+    out = [_report("pfpm-alexander-dual", instance, equals(pm, alexander_dual(pf)))]
+    degenerate = bool(_useless(d, paths)) or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
-    expectations = [
-        ("path-free", pf, SHClass(None) if degenerate else SHClass(n_nonsinks - 1)),
-        (
-            "path-missing",
-            pm,
-            SHClass(None) if degenerate else SHClass(len(d.arcs) - n_nonsinks),
-        ),
-    ]
-    for name, cpx, expected_cls in expectations:
+    spheres = (("path-free", pf, n_nonsinks - 1), ("path-missing", pm, len(d.arcs) - n_nonsinks))
+    for name, cpx, n in spheres:
+        expected = SHClass(None) if degenerate else SHClass(n)
         outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
-            out.append(
-                _report(
-                    f"pfpm-{name}",
-                    instance,
-                    False,
-                    expected="strong grape",
-                    observed=outcome.verdict,
-                )
-            )
+            out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
+                               observed=outcome.verdict))
             continue
         cls = outcome.strong_class
-        out.append(
-            _report(
-                f"pfpm-{name}",
-                instance,
-                cls == expected_cls,
-                expected=str(expected_cls),
-                observed=str(cls),
-            )
-        )
+        out.append(_report(f"pfpm-{name}", instance, cls == expected, expected=str(expected),
+                           observed=str(cls)))
     return out
 
 
@@ -346,7 +317,8 @@ def deletion_contraction_reports(d: Digraph) -> list:
     """Deletion/contraction identities for the path-free complex, plus the
     guaranteed-useless-arc implication after deleting a source arc."""
     instance = digraph_to_json(d)
-    pf = pf_complex(d)
+    paths = list(st_paths(d))
+    pf = _avoiding(d.arc_ids(), paths)
     out = []
     for arc in d.arcs:
         ok = equals(deletion(pf, arc.id), pf_complex(delete_arc(d, arc.id)))
@@ -354,7 +326,7 @@ def deletion_contraction_reports(d: Digraph) -> list:
         if arc.src == d.s:
             ok = equals(link(pf, arc.id), pf_complex(contract_arc(d, arc.id)))
             out.append(_report("pf-contraction-identity", instance, ok, arc=arc.id))
-    useless = useless_arcs(d)
+    useless = _useless(d, paths)
     for arc in d.arcs:
         if (
             arc.src == d.s

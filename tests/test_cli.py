@@ -1,14 +1,18 @@
 """CLI wire formats and exit codes, exercised in-process."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grapes
 from grapes.cli import main
@@ -349,12 +353,25 @@ BAD_TABLES = {
         ["grape", "check", "{edge}", "--variant", "strong", "--budget", "-5"],
         ["gen", "digraph", "--v", "2", "--arcs", "-3", "--seed", "1"],
         ["gen", "forest", "--n", "3", "--seed", "1", "--drop", "-2"],
+        ["homology", "{not_utf8}"],
+        ["homology", "{huge_int}"],
+        ["verify", "cad", "{not_utf8}"],
+        ["verify", "cad", "{huge_int}"],
+        ["homology", "{forty}"],
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000)
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00garbage")
+    huge_int = tmp_path / "huge_int.json"
+    huge_int.write_text('{"ground": ["a"], "facets": [["a"]], "x": %s}' % ("9" * 5000))
+    forty = [f"x{i}" for i in range(40)]
     files = {
+        "not_utf8": str(not_utf8),
+        "huge_int": str(huge_int),
+        "forty": write_json("forty.json", {"ground": forty, "facets": [forty]}),
         "deep": str(deep),
         "edge": write_json("edge.json", EDGE),
         "strong_list_apex": write_json("c1.json", STRONG_LIST_APEX),
@@ -368,3 +385,51 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("input error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def hostile_files(draw):
+    """Bytes of a complex file that a user, or an attacker, might hand the CLI."""
+    kind = draw(st.sampled_from(["bytes", "huge_int", "deep", "wrong_types", "names"]))
+    if kind == "bytes":
+        return draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"{\"ground\": [\"\xe9\"]"])) + draw(
+            st.binary(max_size=20)
+        )
+    if kind == "huge_int":
+        digits = "9" * draw(st.integers(4301, 6000))
+        where = draw(st.sampled_from(['"x": %s', '"ground": [%s]', '"facets": [[%s]]']))
+        return ('{"ground": ["a"], "facets": [["a"]], ' + where % digits + "}").encode()
+    if kind == "deep":
+        depth = draw(st.integers(1, 3000))
+        return ('{"ground": ' + "[" * depth + "]" * depth + ', "facets": []}').encode()
+    if kind == "wrong_types":
+        data = draw(
+            JSON_VALUES
+            | st.fixed_dictionaries({"ground": JSON_VALUES, "facets": JSON_VALUES})
+        )
+        return json.dumps(data).encode()
+    names = draw(st.lists(st.text(max_size=2), max_size=6))
+    facets = draw(st.lists(st.lists(st.sampled_from(names + ["\u2603"]), max_size=4), max_size=4))
+    return json.dumps({"ground": names, "facets": facets}, ensure_ascii=draw(st.booleans())).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_files())
+def test_hostile_complex_files_never_end_in_a_traceback(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        for command in (["homology"], ["verify", "cad"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, path])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()

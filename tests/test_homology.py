@@ -1,8 +1,11 @@
 """Homology/cohomology via Smith normal form, and the duality check."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+
+import grapes.homology as homology
 
 from grapes import (
     InputError,
@@ -10,8 +13,14 @@ from grapes import (
     VOID_CLASS,
     boundary_matrix,
     check_alexander_duality,
+    alexander_dual,
     cross_polytope_boundary,
+    dominance_complex,
+    edge_cover_complex,
+    edge_dominance_complex,
+    enumerate_complexes,
     full_simplex,
+    independence_complex,
     irrelevant_complex,
     matches_sphere,
     new_complex,
@@ -22,8 +31,8 @@ from grapes import (
     void_complex,
 )
 from grapes.generators import cycle_complex
-from grapes.homology import _columns, _invariant_factors, faces_by_dim
-from grapes.verify import DEFAULT_SEED, standard_complexes
+from grapes.homology import HomologyProfile, _dense, _invariant_factors
+from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
 
 
 def cx(ground, *facets):
@@ -55,6 +64,53 @@ def rational_rank(matrix):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# -- the oracle: tuple faces, every column of every boundary map -------------
+
+
+def faces_by_dim(c):
+    """Faces by dimension (the empty face at -1) as ascending ground positions, sorted."""
+    pos = {x: i for i, x in enumerate(c.ground)}
+    faces = set()
+    for facet in c.facets:
+        items = sorted(pos[x] for x in facet)
+        for k in range(len(items) + 1):
+            faces.update(combinations(items, k))
+    out = {}
+    for face in sorted(faces):
+        out.setdefault(len(face) - 1, []).append(face)
+    return out
+
+
+def tuple_columns(by_dim, k):
+    """The boundary map from k-faces as sparse {row: sign} columns, rows in ground-order lex."""
+    row = {face: i for i, face in enumerate(by_dim.get(k - 1, []))}
+    return [
+        {row[f[:p] + f[p + 1:]]: -1 if p % 2 else 1 for p in range(len(f))}
+        for f in by_dim.get(k, [])
+    ]
+
+
+def oracle_boundary_matrix(c, k):
+    by_dim = faces_by_dim(c)
+    return _dense(tuple_columns(by_dim, k), range(len(by_dim.get(k - 1, []))))
+
+
+def oracle_reduced_homology(c):
+    """Reduced homology from every column of every boundary map, no clearing."""
+    if c.is_void:
+        return HomologyProfile({}, {})
+    by_dim = faces_by_dim(c)
+    top = c.dim()
+    factors = {k: _invariant_factors(tuple_columns(by_dim, k))[0] for k in range(top + 1)}
+    betti = {}
+    torsion = {}
+    for k in range(-1, top + 1):
+        below, above = factors.get(k, []), factors.get(k + 1, [])
+        betti[k] = len(by_dim[k]) - len(below) - len(above)
+        torsion[k] = tuple(d for d in above if d > 1)
+    return HomologyProfile(betti, torsion)
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -159,14 +215,16 @@ def test_projective_plane_torsion():
 def test_projective_plane_leaves_a_two_for_the_dense_block():
     # nine unit pivots on the triangle boundaries, then the 2 behind
     # torsion_1 = cotorsion_2 = (2,) comes from the residual block
-    assert _invariant_factors(_columns(faces_by_dim(RP2), 2)) == [1] * 9 + [2]
+    factors, pivots = _invariant_factors(tuple_columns(faces_by_dim(RP2), 2))
+    assert factors == [1] * 9 + [2]
+    assert len(pivots) == 9
 
 
 def sparse_factors_match_dense(c):
     by_dim = faces_by_dim(c)
     for k in range(-1, c.dim() + 1):
         dense = smith_normal_form(boundary_matrix(c, k))
-        assert _invariant_factors(_columns(by_dim, k)) == dense, (c, k)
+        assert _invariant_factors(tuple_columns(by_dim, k))[0] == dense, (c, k)
 
 
 def test_sparse_factors_match_dense_on_acceptance_instances():
@@ -175,6 +233,81 @@ def test_sparse_factors_match_dense_on_acceptance_instances():
     )
     for c in instances + [RP2, suspension(RP2, "s", "n")]:
         sparse_factors_match_dense(c)
+
+
+def test_homology_matches_the_oracle_on_every_complex_on_four_elements():
+    for n in range(5):
+        for c in enumerate_complexes("abcd"[:n]):
+            assert reduced_homology(c) == oracle_reduced_homology(c), c
+
+
+def test_homology_matches_the_oracle_on_the_full_suite_complexes():
+    full = SIZES["full"]
+    instances = standard_complexes(
+        full.n_random_complexes, full.max_ground, full.exhaustive_ground, DEFAULT_SEED
+    )
+    for c in instances + [RP2, suspension(RP2, "s", "n")]:
+        assert reduced_homology(c) == oracle_reduced_homology(c), c
+
+
+def test_homology_matches_the_oracle_on_forest_complexes_and_their_duals():
+    full = SIZES["full"]
+    builders = (independence_complex, dominance_complex, edge_cover_complex, edge_dominance_complex)
+    for g in standard_forests(full.n_forests, full.max_tree, DEFAULT_SEED):
+        for build in builders:
+            c = build(g)
+            for x in (c, alexander_dual(c)):
+                assert reduced_homology(x) == oracle_reduced_homology(x), (g, build)
+
+
+def test_boundary_matrix_matches_the_oracle():
+    for n in range(5):
+        for c in enumerate_complexes("abcd"[:n]):
+            for k in range(-1, c.dim() + 1):
+                assert boundary_matrix(c, k) == oracle_boundary_matrix(c, k), (c, k)
+    for k in range(-1, 3):
+        assert boundary_matrix(RP2, k) == oracle_boundary_matrix(RP2, k)
+
+
+def columns_eliminated(monkeypatch, c):
+    """Columns reduced_homology hands to elimination, by call, top dimension first."""
+    handed = []
+    reduce = homology._invariant_factors
+
+    def counting(columns):
+        handed.append(len(columns))
+        return reduce(columns)
+
+    monkeypatch.setattr(homology, "_invariant_factors", counting)
+    reduced_homology(c)
+    return handed
+
+
+def test_clearing_drops_every_column_the_map_above_paired(monkeypatch):
+    # the boundary of the simplex on 12 vertices: 2^12 - 2 faces of dimension
+    # 0 to 10; clearing leaves C(11, k) k-faces below the top, 2^11 in all
+    simplex = new_complex(
+        [f"v{i}" for i in range(12)],
+        [frozenset(f"v{j}" for j in range(12) if j != i) for i in range(12)],
+    )
+    assert columns_eliminated(monkeypatch, simplex) == [12, 55, 165, 330, 462, 462, 330, 165, 55, 11, 1]
+    # the boundary of the 4-dimensional cross-polytope: 16, 32, 24, 8 faces
+    # of dimension 3, 2, 1, 0
+    assert columns_eliminated(monkeypatch, cross_polytope_boundary(4)) == [16, 17, 7, 1]
+
+
+def test_face_enumeration_is_bounded_before_it_starts(monkeypatch):
+    huge = new_complex([f"x{i}" for i in range(40)], [frozenset(f"x{i}" for i in range(40))])
+    with pytest.raises(InputError, match="faces"):
+        reduced_homology(huge)
+    with pytest.raises(InputError, match="faces"):
+        boundary_matrix(huge, 1)
+    # the bound counts 2^|F| per facet, the empty face included: a triangle
+    # spans 8 faces, two triangles 16 (their shared faces count twice)
+    monkeypatch.setattr(homology, "MAX_FACES", 8)
+    assert reduced_homology(full_simplex("abc")).is_trivial()
+    with pytest.raises(InputError, match="faces"):
+        reduced_homology(cx("abcd", "abc", "bcd"))
 
 
 def test_cohomology_of_four_cycle():

@@ -32,8 +32,9 @@ from grapes import (
     suspension,
     verify_certificate,
 )
-from grapes.homology import _columns, _invariant_factors, faces_by_dim
+from grapes.homology import _invariant_factors
 from test_complexes import maximal_deletion
+from test_homology import faces_by_dim, oracle_reduced_homology, tuple_columns
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -242,7 +243,9 @@ def test_boundary_squares_to_zero(c):
 def test_sparse_factors_match_dense_on_boundaries(c):
     by_dim = faces_by_dim(c)
     for k in range(-1, c.dim() + 1):
-        assert _invariant_factors(_columns(by_dim, k)) == smith_normal_form(boundary_matrix(c, k))
+        assert _invariant_factors(tuple_columns(by_dim, k))[0] == smith_normal_form(
+            boundary_matrix(c, k)
+        )
 
 
 @SETTINGS
@@ -250,7 +253,18 @@ def test_sparse_factors_match_dense_on_boundaries(c):
 def test_sparse_factors_match_dense_on_integer_matrices(matrix):
     # entries beyond +-1 leave a residual block for the dense reduction
     columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(4)]
-    assert _invariant_factors(columns) == smith_normal_form(matrix)
+    factors, pivots = _invariant_factors(columns)
+    assert factors == smith_normal_form(matrix)
+    # each unit pivot row contributes one of the 1s
+    assert len(pivots) <= factors.count(1)
+    assert all(0 <= r < len(matrix) for r in pivots)
+
+
+@SETTINGS
+@given(small_complexes(max_ground=7))
+def test_homology_matches_the_oracle(c):
+    # mask faces with clearing against tuple faces with every column
+    assert reduced_homology(c) == oracle_reduced_homology(c)
 
 
 @SETTINGS

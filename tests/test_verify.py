@@ -9,7 +9,7 @@ import pytest
 
 import grapes.grape as grape
 import grapes.verify as verify
-from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex
+from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex, verify_dual_invariance
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import (
@@ -104,6 +104,49 @@ def test_pfpm_empty_conventions():
         d = digraph("st", [], s, t)
         reports = verify_pfpm_theorem(d)
         assert [r.status for r in reports] == ["pass"]
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_pfpm_lists_the_st_paths_once(monkeypatch):
+    d = cyclic_no_useless_digraph()
+    before = verify_pfpm_theorem(d)
+    paths = counting(monkeypatch, verify, "st_paths")
+    assert [r.to_json() for r in verify_pfpm_theorem(d)] == [r.to_json() for r in before]
+    assert len(paths) == 1
+    paths.clear()
+    deletion_contraction_reports(d)
+    assert len(paths) == 1
+
+
+def test_grape_duality_builds_the_dual_once(monkeypatch):
+    c = new_complex("abc", [frozenset("ab"), frozenset("c")])
+    expected = [
+        verify_dual_invariance(c, variant, exhaustive_gamma=True) for variant in GrapeVariant
+    ]
+    assert sum(rep["primal_verdict"] == "yes" for rep in expected) > 1
+    duals = counting(monkeypatch, verify, "alexander_dual")
+    reports = verify.grape_duality_reports(c)
+    assert len(duals) == 1
+    assert [r.details["details"] for r in reports] == [
+        rep for rep in expected if rep["primal_verdict"] == "yes"
+    ]
+    # no yes, no dual: the projective plane is not a strong grape
+    duals.clear()
+    rp2 = new_complex("123456", [frozenset(f) for f in "123 124 135 146 156 236 245 256 345 346".split()])
+    assert verify.grape_duality_reports(rp2) == []
+    assert duals == []
 
 
 def test_named_instance_harnesses():
