@@ -34,7 +34,6 @@ from .complexes import (
     full_simplex,
     irrelevant_complex,
     is_cone,
-    is_subcomplex,
     join,
     link,
     minimal_nonfaces,

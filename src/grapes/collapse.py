@@ -25,9 +25,8 @@ from typing import Optional
 from .complexes import (
     Complex,
     InputError,
-    complex_masks,
-    complex_of,
-    deletion,
+    bit_table,
+    deletion_masks,
     face_masks,
     face_of,
     link,
@@ -178,7 +177,7 @@ def named_steps(steps, names: tuple) -> tuple:
 
 def free_pairs(c: Complex) -> list:
     """All free pairs, ordered by (facet size descending, facet, subface)."""
-    return list(named_steps([(s, t) for s, t, _ in _free_pairs(complex_masks(c)[1])], c.ground))
+    return list(named_steps([(s, t) for s, t, _ in _free_pairs(c.masks)], c.ground))
 
 
 def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
@@ -188,17 +187,15 @@ def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
 
 def replay(c: Complex, sequence) -> Complex:
     """Apply a collapse sequence step by step; raises ReplayError when illegal."""
-    bit, masks = complex_masks(c)
-    return complex_of(c.ground, replay_pairs(masks, sequence, bit, c.ground), c.ground)
+    return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
 
 def cone_sequence(c: Complex) -> list:
     """Canonical collapse of a cone to void (see cone_steps), by name."""
-    masks = complex_masks(c)[1]
-    apexes = meet_mask(masks)
+    apexes = meet_mask(c.masks)
     if not apexes:
         raise ReplayError("cone_sequence requires a cone")
-    return list(named_steps(cone_steps(masks, apexes & -apexes), c.ground))
+    return list(named_steps(cone_steps(c.masks, apexes & -apexes), c.ground))
 
 
 def collapse_search(
@@ -218,7 +215,7 @@ def collapse_search(
     """
     if budget <= 0:
         raise InputError("budget must be positive")
-    verdict, steps, nodes = search_masks(complex_masks(c)[1], budget, exhaustive, c.ground)
+    verdict, steps, nodes = search_masks(c.masks, budget, exhaustive, c.ground)
     return ShvResult(verdict, None if steps is None else named_steps(steps, c.ground), nodes)
 
 
@@ -237,7 +234,7 @@ def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:
         CollapsePair(p.sigma | {a}, p.tau | {a}) for p in lk_sequence
     )
     result = replay(c, lifted)
-    if result.facets != deletion(c, a).facets:
+    if result.masks != deletion_masks(c.masks, 1 << c.index(a)):
         raise ReplayError("lifted sequence did not land on the deletion")
     return lifted
 

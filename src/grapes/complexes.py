@@ -4,85 +4,75 @@ A complex is a pair (faces, ground set).  We keep only the inclusion-maximal
 faces (the facets); the face family is their downward closure.  Two complexes
 with no vertices exist on every ground set and must be kept distinct:
 
-* the void complex, with no faces at all (``facets == frozenset()``), and
-* the irrelevant complex, whose only face is the empty face
-  (``facets == {frozenset()}``).
+* the void complex, with no faces at all (no facets), and
+* the irrelevant complex, whose only face is the empty face (one empty
+  facet).
 
 The ground set matters: elements that appear in no face still influence the
 Alexander dual, so every operation tracks the ground set explicitly.
 
 All operations are pure; a Complex is immutable after construction.
 
-Links, deletions and cone apexes are computed on int masks, the kernel that
-recognition, certificate replay and collapse search run on: bit i stands for
-element i of a ground tuple, so a face is an int and a complex a frozenset
-of facet masks.  A ground restricted to the vertices keeps the ground order,
-so its order is increasing bit order and the lowest apex of a cone is
-``m & -m``.  Names come back only where a result leaves the kernel; the
-name-level ``link``, ``deletion`` and ``cone_apexes`` are wrappers over it.
-Faces are still ordered by ``face_key`` (size, then ground indices), which is
-not integer order of masks: {0, 3} comes before {1, 2}.
+There is one face representation, an int mask: bit i stands for element i
+of the ground tuple, and a Complex holds its facets as masks, which every
+operation here and in recognition, replay, collapse search and homology
+runs on.  Names appear only at the boundary: ``new_complex`` and
+``complex_from_json`` turn names into masks and validate them, and
+``Complex.facets``, ``complex_to_json`` and the name-level queries turn
+masks back into names.  A ground restricted to the vertices keeps the
+ground order, so the lowest apex of a cone is ``m & -m``.  Faces are
+ordered by ``face_key`` (size, then ground indices), which is not integer
+order of masks: {0, 3} comes before {1, 2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Iterator
 
-Face = frozenset  # faces are frozensets of ground-element names
+Face = frozenset  # faces by name are frozensets of ground-element names
+
+MAX_FACES = 1 << 20  # the most faces a complex may span, and the most facets a dual may have
 
 
 class InputError(ValueError):
     """Raised when caller-supplied data violates an operation's contract."""
 
 
-EMPTY_FACE: Face = frozenset()
-
-
 @dataclass(frozen=True)
 class Complex:
-    """A simplicial complex: ordered ground elements plus a facet antichain."""
+    """A simplicial complex: ordered ground elements plus a facet antichain
+    of masks, bit i standing for ``ground[i]``.  Unchecked: build one from
+    names with :func:`new_complex`, which validates them."""
 
-    ground: tuple[str, ...]
-    facets: frozenset
+    ground: tuple
+    masks: frozenset
 
-    def __post_init__(self) -> None:
-        gset = set(self.ground)
-        if len(gset) != len(self.ground):
-            raise InputError("ground elements must be pairwise distinct")
-        for name in self.ground:
-            if not isinstance(name, str) or not name:
-                raise InputError("ground elements must be nonempty strings")
-        for facet in self.facets:
-            if not facet <= gset:
-                unknown = sorted(facet - gset)
-                raise InputError(f"facet uses unknown ground elements: {unknown}")
+    @cached_property
+    def facets(self) -> frozenset:
+        """The facets as frozensets of names, for reports, JSON and tests."""
+        return frozenset(face_of(m, self.ground) for m in self.masks)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.masks
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.facets == frozenset({EMPTY_FACE})
+        return self.masks == {0}
 
     def dim(self) -> int:
         """Max facet cardinality minus one; -1 for irrelevant, -2 for void."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.facets) - 1
+        return max((m.bit_count() for m in self.masks), default=-1) - 1
 
     def vertices(self) -> frozenset:
         """Elements that occur in at least one face."""
-        out: set = set()
-        for facet in self.facets:
-            out |= facet
-        return frozenset(out)
+        return face_of(join_mask(self.masks), self.ground)
 
     def has_face(self, face: Face) -> bool:
         """Face membership: contained in some facet."""
@@ -93,13 +83,7 @@ class Complex:
 
         Exponential in facet size; meant for desk-scale complexes only.
         """
-        out: set = set()
-        for facet in self.facets:
-            items = sorted(facet, key=self.index)
-            for k in range(len(items) + 1):
-                for combo in combinations(items, k):
-                    out.add(frozenset(combo))
-        return frozenset(out)
+        return frozenset(face_of(s, self.ground) for s in face_masks(self.masks))
 
     def index(self, element: str) -> int:
         try:
@@ -112,45 +96,43 @@ class Complex:
         return tuple(sorted(self.index(x) for x in face))
 
     def sorted_facets(self) -> list:
-        return sorted(self.facets, key=lambda f: (len(f), self.face_key(f)))
-
-
-def _maximal(faces: Iterable[Face]) -> frozenset:
-    """Inclusion-maximal members of a face family (antichain normalization)."""
-    pool = set(faces)
-    return frozenset(
-        f for f in pool if not any(f < g for g in pool)
-    )
+        """Facets by name in face_key order."""
+        return [frozenset(self.ground[i] for i in row) for row in _sorted_rows(self.masks)]
 
 
 def new_complex(ground: Iterable[str], generators: Iterable[Face]) -> Complex:
-    """Build a complex from generating faces; keeps only the maximal ones."""
+    """Build a complex from generating faces; keeps only the maximal ones.
+    Checks the names: distinct nonempty strings, generators in the ground."""
     ground_t = tuple(ground)
-    return Complex(ground_t, _maximal(frozenset(g) for g in generators))
+    if not all(isinstance(x, str) and x for x in ground_t):
+        raise InputError("ground elements must be nonempty strings")
+    bit = bit_table(ground_t)
+    if len(bit) != len(ground_t):
+        raise InputError("ground elements must be pairwise distinct")
+    faces = [frozenset(g) for g in generators]
+    unknown = set().union(*faces) - bit.keys()
+    if unknown:
+        raise InputError(f"facet uses unknown ground elements: {sorted(unknown, key=str)}")
+    return Complex(ground_t, maximal_masks(mask_of(f, bit) for f in faces))
 
 
 def void_complex(ground: Iterable[str] = ()) -> Complex:
-    return Complex(tuple(ground), frozenset())
+    return new_complex(ground, ())
 
 
 def irrelevant_complex(ground: Iterable[str] = ()) -> Complex:
-    return Complex(tuple(ground), frozenset({EMPTY_FACE}))
+    return new_complex(ground, (Face(),))
 
 
 def full_simplex(ground: Iterable[str]) -> Complex:
     ground_t = tuple(ground)
-    return Complex(ground_t, frozenset({frozenset(ground_t)}))
+    return new_complex(ground_t, (ground_t,))
 
 
 def simplex_boundary(ground: Iterable[str]) -> Complex:
     """All proper subsets of the ground set (boundary of the full simplex)."""
     ground_t = tuple(ground)
-    if not ground_t:
-        return void_complex(ground_t)
-    full = frozenset(ground_t)
-    return Complex(
-        ground_t, frozenset(full - {x} for x in ground_t)
-    )
+    return new_complex(ground_t, (set(ground_t) - {x} for x in ground_t))
 
 
 def cross_polytope_boundary(n: int, prefix: str = "p") -> Complex:
@@ -182,17 +164,17 @@ def link(c: Complex, x: str) -> Complex:
 
 
 def _vertex_op(op, c: Complex, x: str) -> Complex:
-    c.index(x)
-    bit, masks = complex_masks(c)
-    return complex_of(tuple(e for e in c.ground if e != x), op(masks, bit[x]), c.ground)
+    i = c.index(x)
+    return Complex(c.ground[:i] + c.ground[i + 1 :], _drop_bits(op(c.masks, 1 << i), 1 << i))
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
     """Join of two complexes sharing one ground set: unions of faces."""
     if set(c1.ground) != set(c2.ground):
         raise InputError("join requires equal ground sets; extend_ground first")
-    gens = [f1 | f2 for f1 in c1.facets for f2 in c2.facets]
-    return Complex(c1.ground, _maximal(gens))
+    bit = bit_table(c1.ground)
+    other = [mask_of(f, bit) for f in c2.facets]
+    return Complex(c1.ground, maximal_masks(f | g for f in c1.masks for g in other))
 
 
 def cone_over(c: Complex, apex: str) -> Complex:
@@ -201,23 +183,25 @@ def cone_over(c: Complex, apex: str) -> Complex:
     Extends the ground set when the apex is not already a ground element.
     Void stays void; the cone over the irrelevant complex is a single point.
     """
-    if apex in c.vertices():
-        raise InputError(f"cone apex {apex!r} is already a vertex")
     ground = c.ground if apex in c.ground else c.ground + (apex,)
-    return Complex(ground, frozenset(facet | {apex} for facet in c.facets))
+    a = 1 << ground.index(apex)
+    if a & join_mask(c.masks):
+        raise InputError(f"cone apex {apex!r} is already a vertex")
+    return Complex(ground, frozenset(m | a for m in c.masks))
 
 
 def suspension(c: Complex, x: str, y: str) -> Complex:
     """Join with the two-point complex on fresh elements x, y."""
     if x == y:
         raise InputError("suspension needs two distinct fresh elements")
-    verts = c.vertices()
-    for apex in (x, y):
-        if apex in verts:
-            raise InputError(f"suspension point {apex!r} is already a vertex")
     ground = c.ground + tuple(e for e in (x, y) if e not in c.ground)
+    verts = join_mask(c.masks)
+    points = [1 << ground.index(p) for p in (x, y)]
+    for p, b in zip((x, y), points):
+        if b & verts:
+            raise InputError(f"suspension point {p!r} is already a vertex")
     # already an antichain: x and y are fresh and distinct
-    return Complex(ground, frozenset(facet | {p} for facet in c.facets for p in (x, y)))
+    return Complex(ground, frozenset(m | b for m in c.masks for b in points))
 
 
 def cone_apexes(c: Complex) -> frozenset:
@@ -225,44 +209,74 @@ def cone_apexes(c: Complex) -> frozenset:
 
     The void and irrelevant complexes have no vertices and are not cones.
     """
-    return face_of(meet_mask(complex_masks(c)[1]), c.ground)
+    return face_of(meet_mask(c.masks), c.ground)
 
 
 def is_cone(c: Complex) -> bool:
-    return bool(cone_apexes(c))
+    return bool(meet_mask(c.masks))
 
 
 # -- duality ---------------------------------------------------------------
 
 
+def _transversals(edges: Iterable[int]) -> list:
+    """Minimal transversals of a family of masks, by Berge's algorithm.
+
+    Edges go smallest first, ties in integer order.  A found set meeting the
+    edge is kept; one missing it, t, grows by each bit x of the edge, and
+    t + x is dropped if it contains a kept k.  Such a k meets the edge in x
+    alone, so kept sets are filed by that bit, without it, and t + x is
+    tested only against the file of x.  Grown sets form an antichain, as
+    the found sets did.  InputError past MAX_FACES sets.
+    """
+    found = [0]
+    for e in sorted(set(edges), key=lambda m: (m.bit_count(), m)):
+        missed = [t for t in found if not t & e]
+        if not missed:
+            continue
+        found = [t for t in found if t & e]
+        filed: dict = {}
+        for k in found:
+            hit = k & e
+            if not hit & (hit - 1):
+                filed.setdefault(hit, []).append(k ^ hit)
+        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
+        for t in missed:
+            for x in bits:
+                if not any(k & t == k for k in filed.get(x, ())):
+                    found.append(t | x)
+            if len(found) > MAX_FACES:
+                raise InputError(f"the dual has more than {MAX_FACES} facets")
+    return found
+
+
+def avoiding(ground: tuple, forbidden: Iterable[int]) -> Complex:
+    """The ground subsets containing no forbidden set (masks over ground):
+    F is one when X - F meets every forbidden set, so the facets are the
+    complements of the minimal transversals."""
+    full = (1 << len(ground)) - 1
+    return Complex(ground, frozenset(full ^ t for t in _transversals(forbidden)))
+
+
 def minimal_nonfaces(c: Complex) -> frozenset:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
-    These are the minimal transversals of the facet complements, found by
-    Berge's algorithm, largest facet first: transversals meeting the next
-    complement stay, each one missing it grows by one of its elements, and a
-    grown set containing a kept one is dropped.  For the void complex this
-    is {{}}; for the full simplex it is empty.
+    These are the minimal transversals of the facet complements.  For the
+    void complex this is {{}}; for the full simplex it is empty.
     """
-    full = frozenset(c.ground)
-    found = {EMPTY_FACE}
-    for facet in sorted(c.facets, key=len, reverse=True):
-        rest = full - facet
-        kept = {t for t in found if t & rest}
-        grown = {t | {x} for t in found - kept for x in rest}
-        found = kept | {u for u in grown if not any(k <= u for k in kept)}
-    return frozenset(found)
+    full = (1 << len(c.ground)) - 1
+    return frozenset(face_of(t, c.ground) for t in _transversals(full ^ f for f in c.masks))
 
 
 def alexander_dual(c: Complex) -> Complex:
     """Dual complex on the same ground set: F is a face iff X - F is not.
 
-    Facets of the dual are the complements of the minimal non-faces, so the
-    result depends on the ground set, not just on the face family.
+    X - F is a face when it lies in a facet G, that is when F contains X - G;
+    so the dual avoids the facet complements.  The result depends on the
+    ground set, not just on the face family.
     """
-    full = frozenset(c.ground)
-    gens = frozenset(full - m for m in minimal_nonfaces(c))
-    return Complex(c.ground, gens)
+    full = (1 << len(c.ground)) - 1
+    return avoiding(c.ground, (full ^ f for f in c.masks))
 
 
 # -- ground-set plumbing ---------------------------------------------------
@@ -270,8 +284,9 @@ def alexander_dual(c: Complex) -> Complex:
 
 def restrict_ground(c: Complex) -> Complex:
     """Drop ground elements that are not vertices; facets unchanged."""
-    verts = c.vertices()
-    return Complex(tuple(e for e in c.ground if e in verts), c.facets)
+    verts = join_mask(c.masks)
+    ground = tuple(x for i, x in enumerate(c.ground) if verts >> i & 1)
+    return Complex(ground, _drop_bits(c.masks, ((1 << len(c.ground)) - 1) ^ verts))
 
 
 def extend_ground(c: Complex, extra: Iterable[str]) -> Complex:
@@ -282,19 +297,25 @@ def extend_ground(c: Complex, extra: Iterable[str]) -> Complex:
         if e not in seen:
             ground.append(e)
             seen.add(e)
-    return Complex(tuple(ground), c.facets)
+    return Complex(tuple(ground), c.masks)
 
 
 def equals(c1: Complex, c2: Complex) -> bool:
     """Same ground set (as a set) and same facet family."""
+    if c1.ground == c2.ground:
+        return c1.masks == c2.masks
     return set(c1.ground) == set(c2.ground) and c1.facets == c2.facets
 
 
-def is_subcomplex(c1: Complex, c2: Complex) -> bool:
-    """Every face of c1 is a face of c2; requires equal ground sets."""
-    if set(c1.ground) != set(c2.ground):
-        raise InputError("subcomplex test requires equal ground sets")
-    return all(c2.has_face(f) for f in c1.facets)
+def _drop_bits(masks: Iterable[int], drop: int) -> frozenset:
+    """Masks that avoid the bits of drop, over the ground without them: the
+    bits above each dropped one move down one place."""
+    out = frozenset(masks)
+    while drop:
+        a = 1 << (drop.bit_length() - 1)  # highest first, so the lower ones stay put
+        drop ^= a
+        out = frozenset((m & (a - 1)) | ((m >> 1) & -a) for m in out)
+    return out
 
 
 # -- the mask kernel -------------------------------------------------------
@@ -322,26 +343,16 @@ def face_of(m: int, ground: tuple) -> Face:
     return frozenset(out)
 
 
+def _sorted_rows(masks: Iterable[int]) -> list:
+    """The masks as ascending bit-index tuples, in face_key order."""
+    rows = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+    rows.sort(key=lambda row: (len(row), row))
+    return rows
+
+
 def mask_order(m: int) -> tuple:
     """Sort key, reversed, for face_key order: size, then bit string from bit 0."""
     return m.bit_count(), format(m, "b")[::-1]
-
-
-def complex_masks(c: Complex) -> tuple:
-    """(bit table, facet masks) over the whole ground of c."""
-    bit = bit_table(c.ground)
-    return bit, frozenset(mask_of(f, bit) for f in c.facets)
-
-
-def vertex_masks(c: Complex) -> tuple:
-    """(vertices in ground order, facet masks over them): c restricted."""
-    cr = restrict_ground(c)
-    return cr.ground, complex_masks(cr)[1]
-
-
-def complex_of(ground: tuple, masks: Iterable[int], names: tuple) -> Complex:
-    """The complex on ground whose facets are masks over names."""
-    return Complex(ground, frozenset(face_of(m, names) for m in masks))
 
 
 def join_mask(masks: Iterable[int]) -> int:
@@ -382,15 +393,19 @@ def deletion_masks(masks: frozenset, a: int) -> frozenset:
     unless it lies in a facet avoiding a: it cannot lie in G - a for another
     facet G through a, since then F would lie in G.
     """
-    avoiding = [f for f in masks if not f & a]
+    away = [f for f in masks if not f & a]
     cut = [f ^ a for f in masks if f & a]
-    return frozenset(avoiding).union(f for f in cut if not has_face_mask(avoiding, f))
+    return frozenset(away).union(f for f in cut if not has_face_mask(away, f))
 
 
 def maximal_masks(masks: Iterable[int]) -> frozenset:
-    """Inclusion-maximal members of a family of masks."""
-    pool = set(masks)
-    return frozenset(f for f in pool if not any(f & g == f != g for g in pool))
+    """Inclusion-maximal members of a family of masks, largest first: one is
+    maximal unless it lies in one kept already, which are all larger."""
+    kept: list = []
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(f & g == f for g in kept):
+            kept.append(f)
+    return frozenset(kept)
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -399,9 +414,7 @@ def maximal_masks(masks: Iterable[int]) -> frozenset:
 def complex_to_json(c: Complex) -> dict:
     return {
         "ground": list(c.ground),
-        "facets": [
-            sorted(facet, key=c.index) for facet in c.sorted_facets()
-        ],
+        "facets": [[c.ground[i] for i in row] for row in _sorted_rows(c.masks)],
     }
 
 
@@ -417,7 +430,7 @@ def complex_from_json(data: object) -> Complex:
     for f in facets:
         if not all(isinstance(x, str) for x in f):
             raise InputError("facet entries must be strings")
-    return new_complex(ground, [frozenset(f) for f in facets])
+    return new_complex(ground, facets)
 
 
 def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:
@@ -425,11 +438,11 @@ def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:
 
     Exponential in 2^|ground|; intended for |ground| <= 4.
     """
-    ground_t = tuple(ground)
+    ground_t = new_complex(ground, ()).ground
     subsets = [
-        frozenset(combo)
+        sum(1 << i for i in combo)
         for k in range(len(ground_t) + 1)
-        for combo in combinations(ground_t, k)
+        for combo in combinations(range(len(ground_t)), k)
     ]
 
     def rec(i: int, chosen: list) -> Iterator[Complex]:
@@ -438,7 +451,7 @@ def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:
             return
         yield from rec(i + 1, chosen)
         s = subsets[i]
-        if not any(s <= t or t <= s for t in chosen):
+        if not any(s & t in (s, t) for t in chosen):
             chosen.append(s)
             yield from rec(i + 1, chosen)
             chosen.pop()

@@ -65,21 +65,6 @@ def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
     return Digraph(vertices, arcs, rng.choice(vertices), rng.choice(vertices))
 
 
-def path_graph(n: int) -> Graph:
-    vertices = tuple(f"v{i}" for i in range(1, n + 1))
-    return Graph(
-        vertices, frozenset(frozenset(p) for p in zip(vertices, vertices[1:]))
-    )
-
-
-def star_graph(leaves: int) -> Graph:
-    center = "v1"
-    vertices = (center,) + tuple(f"v{i}" for i in range(2, leaves + 2))
-    return Graph(
-        vertices, frozenset(frozenset((center, v)) for v in vertices[1:])
-    )
-
-
 def cycle_complex(n: int) -> Complex:
     """The n-cycle as a one-dimensional complex (edge facets)."""
     if n < 3:

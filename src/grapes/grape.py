@@ -52,11 +52,10 @@ from .collapse import (
 from .complexes import (
     Complex,
     InputError,
-    _maximal,
     alexander_dual,
     bit_table,
-    complex_of,
     deletion_masks,
+    face_masks,
     face_of,
     has_face_mask,
     join_mask,
@@ -64,7 +63,7 @@ from .complexes import (
     mask_of,
     maximal_masks,
     meet_mask,
-    vertex_masks,
+    restrict_ground,
 )
 from .homology import SHClass
 
@@ -174,19 +173,21 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-def _between_complexes(lk: Complex, dl: Complex):
-    """All complexes G with lk <= G <= dl (face-wise), as facet families.
+def _between_complexes(lk: frozenset, dl: frozenset, names: tuple):
+    """All complexes G with lk <= G <= dl (face-wise), as face mask families.
 
     Enumerates the downward-closed subsets of faces(dl) - faces(lk) by
-    adding faces in size order, requiring each face's codimension-1
-    subfaces to be present already.
+    adding faces in size order, then by sorted names, requiring each face's
+    codimension-1 subfaces to be present already.
     """
-    lk_faces = lk.faces()
-    extra = sorted(dl.faces() - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))
+    lk_faces = face_masks(lk)
+    extra = sorted(face_masks(dl) - lk_faces,
+                   key=lambda f: (f.bit_count(), tuple(sorted(face_of(f, names)))))
 
     def closed(face, have):
         return all(
-            (face - {y}) in lk_faces or (face - {y}) in have for y in face
+            face ^ y in lk_faces or face ^ y in have
+            for y in (1 << i for i in range(face.bit_length())) if face & y
         )
 
     def rec(i: int, have: set):
@@ -225,7 +226,8 @@ def check_grape(
     """
     if budget <= 0:
         raise InputError("budget must be positive")
-    names, root = vertex_masks(c)
+    c = restrict_ground(c)
+    names, root = c.ground, c.masks
     state = {"nodes": 0}
     memo: dict = {}
 
@@ -285,11 +287,9 @@ def check_grape(
             return "unknown", "no collapsible intermediate in the fast family"
         if ground.bit_count() >= EXHAUSTIVE_GAMMA_MAX_GROUND:
             return "unknown", "too many vertices for the exhaustive sweep"
-        sub = _ground_of(ground, names)
-        bit = bit_table(names)
-        for faces in _between_complexes(complex_of(sub, lk, names), complex_of(sub, dl, names)):
+        for faces in _between_complexes(lk, dl, names):
             tick()
-            gamma = frozenset(mask_of(f, bit) for f in _maximal(faces))
+            gamma = maximal_masks(faces)
             steps = collapses(gamma)
             if steps is not None:
                 return "yes", intermediate(gamma, steps)
@@ -366,11 +366,6 @@ def check_grape(
     return GrapeVerdict("unknown", reason=f"{reason} ({where})", nodes=state["nodes"])
 
 
-def _ground_of(m: int, names: tuple) -> tuple:
-    """The names of a mask's bits, in bit order."""
-    return tuple(x for i, x in enumerate(names) if m >> i & 1)
-
-
 def _reachable(nodes: list) -> tuple:
     """The nodes reachable from the last one, renumbered in their order."""
     keep = {len(nodes) - 1}
@@ -395,8 +390,8 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     witness, and both sub-certificates are all checked from scratch.  Each
     node replays once per distinct complex its parents hand down.
     """
-    names, root = vertex_masks(c)
-    bit = bit_table(names)
+    c = restrict_ground(c)
+    names, root, bit = c.ground, c.masks, bit_table(c.ground)
     todo = [{} for _ in cert]  # per node: its complexes, as insertion-ordered keys
     todo[-1][root] = None
     for i in range(len(cert) - 1, -1, -1):
@@ -441,11 +436,11 @@ def _verify_witness(
             raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
         return
     if variant is GrapeVariant.WEAK:
-        try:
-            gamma = Complex(_ground_of(ground, names), _maximal(witness.gamma_facets))
-        except InputError as exc:
-            raise ReplayError(f"intermediate complex is malformed: {exc}") from None
-        gamma_masks = frozenset(mask_of(f, bit) for f in gamma.facets)
+        unknown = {x for f in witness.gamma_facets for x in f if not bit.get(x, 0) & ground}
+        if unknown:
+            raise ReplayError("intermediate complex is malformed: facet uses unknown ground "
+                              f"elements: {sorted(unknown)}")
+        gamma_masks = maximal_masks(mask_of(f, bit) for f in witness.gamma_facets)
         if not all(has_face_mask(gamma_masks, f) for f in lk):
             raise ReplayError("link is not contained in the intermediate complex")
         if not all(has_face_mask(dl, g) for g in gamma_masks):
@@ -529,11 +524,13 @@ class OutcomeTable:
 
     Each key is searched once; the class or wedge is folded from the
     certificate at once and the certificate dropped, so a table holds a few
-    small values per distinct complex.
+    small values per distinct complex.  ``built`` keeps what a harness
+    builds from an instance, under a key of its own, for the same span.
     """
 
     def __init__(self) -> None:
         self.entries: dict = {}
+        self.built: dict = {}
 
     def recognise(
         self, c: Complex, variant: GrapeVariant, exhaustive_gamma: bool = False

@@ -12,10 +12,10 @@ computed by plain exhaustive search: exactness over speed, at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
-from .complexes import EMPTY_FACE, Complex, InputError, alexander_dual, new_complex
+from .complexes import Complex, InputError, avoiding, bit_table, face_of, join_mask, mask_of
 
 
 # -- undirected graphs -------------------------------------------------------
@@ -84,13 +84,6 @@ def is_independent(g: Graph, s: Iterable[str]) -> bool:
 def is_vertex_cover(g: Graph, s: Iterable[str]) -> bool:
     sset = set(s)
     return all(e & sset for e in g.edges)
-
-
-def is_edge_cover(g: Graph, chosen: Iterable) -> bool:
-    covered: set = set()
-    for e in chosen:
-        covered |= e
-    return covered == set(g.vertices)
 
 
 def is_matching(edges: Iterable) -> bool:
@@ -201,23 +194,17 @@ def edge_ground(g: Graph) -> tuple:
     return labels
 
 
-def _avoiding(ground: tuple, forbidden) -> Complex:
-    """Sets containing no forbidden set: the Alexander dual of the complex
-    generated by the forbidden sets' complements."""
-    full = frozenset(ground)
-    return alexander_dual(new_complex(ground, (full - s for s in forbidden)))
-
-
 def independence_complex(g: Graph) -> Complex:
     """Faces are the independent vertex sets: those containing no edge."""
-    return _avoiding(tuple(g.vertices), g.edges)
+    bit = bit_table(g.vertices)
+    return avoiding(g.vertices, (mask_of(e, bit) for e in g.edges))
 
 
 def dominance_complex(g: Graph) -> Complex:
     """Faces are the sets whose complement is dominating: those containing
     no closed neighbourhood."""
-    nbhds = [closed_neighborhood(g, [v]) for v in g.vertices]
-    return _avoiding(tuple(g.vertices), nbhds)
+    bit = bit_table(g.vertices)
+    return avoiding(g.vertices, (mask_of(closed_neighborhood(g, [v]), bit) for v in g.vertices))
 
 
 def edge_cover_complex(g: Graph) -> Complex:
@@ -226,15 +213,19 @@ def edge_cover_complex(g: Graph) -> Complex:
 
     Void when the graph has an isolated vertex (then nothing covers it).
     """
-    stars = [{edge_label(g, e) for e in g.edges if v in e} for v in g.vertices]
-    return _avoiding(edge_ground(g), stars)
+    ground = edge_ground(g)
+    bit = bit_table(ground)
+    stars = ({edge_label(g, e) for e in g.edges if v in e} for v in g.vertices)
+    return avoiding(ground, (mask_of(s, bit) for s in stars))
 
 
 def edge_dominance_complex(g: Graph) -> Complex:
     """Faces are edge sets F where every edge meets some edge outside F:
     those containing, for no edge, all the edges meeting it (itself too)."""
-    meets = [{edge_label(g, f) for f in g.edges if e & f} for e in g.edges]
-    return _avoiding(edge_ground(g), meets)
+    ground = edge_ground(g)
+    bit = bit_table(ground)
+    meets = ({edge_label(g, f) for f in g.edges if e & f} for e in g.edges)
+    return avoiding(ground, (mask_of(s, bit) for s in meets))
 
 
 def line_dual(g: Graph) -> Graph:
@@ -316,20 +307,21 @@ def _reaches(d: Digraph, allowed: frozenset, start: str, goal: str) -> bool:
     return False
 
 
-def st_paths(d: Digraph) -> Iterator[frozenset]:
-    """Yield the arc-id sets of the simple s-t paths; {} alone if s = t."""
+def st_paths(d: Digraph) -> Iterator[int]:
+    """Yield the simple s-t paths as masks over the arcs (bit i for
+    ``d.arcs[i]``); 0 alone if s = t."""
     out_arcs: dict = {v: [] for v in d.vertices}
-    for a in d.arcs:
-        out_arcs[a.src].append(a)
-    stack = [(d.s, frozenset({d.s}), EMPTY_FACE)]
+    for i, a in enumerate(d.arcs):
+        out_arcs[a.src].append((a.tgt, 1 << i))
+    stack = [(d.s, frozenset({d.s}), 0)]
     while stack:
         v, visited, trail = stack.pop()
         if v == d.t:
             yield trail
             continue
-        for a in out_arcs[v]:
-            if a.tgt not in visited:
-                stack.append((a.tgt, visited | {a.tgt}, trail | {a.id}))
+        for tgt, a in out_arcs[v]:
+            if tgt not in visited:
+                stack.append((tgt, visited | {tgt}, trail | a))
 
 
 def pf_complex(d: Digraph) -> Complex:
@@ -338,7 +330,7 @@ def pf_complex(d: Digraph) -> Complex:
     With s = t every set contains the trivial path, so the complex is void;
     with s != t and no arcs it is the irrelevant complex.
     """
-    return _avoiding(d.arc_ids(), st_paths(d))
+    return avoiding(d.arc_ids(), st_paths(d))
 
 
 def pm_complex(d: Digraph) -> Complex:
@@ -352,13 +344,16 @@ def useless_arcs(d: Digraph) -> frozenset:
     return _useless(d, st_paths(d))
 
 
-def _path_missing(d: Digraph, paths: Iterable[frozenset]) -> Complex:
-    full = frozenset(d.arc_ids())
-    return new_complex(d.arc_ids(), (full - p for p in paths))
+def _path_missing(d: Digraph, paths: Iterable[int]) -> Complex:
+    """The complements of the path masks.  They need no maximality test: a
+    simple path leaves each of its vertices by one arc, so a path whose arcs
+    lie in another's follows it from s to t and is the same path."""
+    full = (1 << len(d.arcs)) - 1
+    return Complex(d.arc_ids(), frozenset(full ^ p for p in paths))
 
 
-def _useless(d: Digraph, paths: Iterable[frozenset]) -> frozenset:
-    return frozenset(d.arc_ids()).difference(chain.from_iterable(paths))
+def _useless(d: Digraph, paths: Iterable[int]) -> frozenset:
+    return face_of(((1 << len(d.arcs)) - 1) & ~join_mask(paths), d.arc_ids())
 
 
 def has_cycle(d: Digraph) -> bool:

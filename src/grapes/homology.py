@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .complexes import Complex, InputError, alexander_dual, complex_masks, face_masks, mask_order
-
-MAX_FACES = 1 << 20  # the most faces a complex may span, counted as the sum of 2^|F|
+from .complexes import MAX_FACES, Complex, InputError, alexander_dual, face_masks, mask_order
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -152,11 +150,10 @@ def _invariant_factors(columns: list) -> tuple:
 def _faces(c: Complex) -> dict:
     """Faces by dimension (the empty face at -1) as masks over the ground;
     InputError, before any is built, when there would be over MAX_FACES."""
-    masks = complex_masks(c)[1]
-    if sum(1 << f.bit_count() for f in masks) > MAX_FACES:
+    if sum(1 << f.bit_count() for f in c.masks) > MAX_FACES:
         raise InputError(f"the facets span more than {MAX_FACES} faces")
     by_dim = defaultdict(list)
-    for s in face_masks(masks):
+    for s in face_masks(c.masks):
         by_dim[s.bit_count() - 1].append(s)
     return by_dim
 

@@ -18,12 +18,14 @@ from .collapse import ReplayError, collapse_search, lifted_collapse
 from .complexes import (
     Complex,
     alexander_dual,
+    avoiding,
     complex_to_json,
     deletion,
     enumerate_complexes,
     equals,
     is_cone,
     link,
+    new_complex,
 )
 from .generators import (
     all_digraphs,
@@ -62,7 +64,6 @@ from .graphs import (
     pf_complex,
     st_paths,
     useless_arcs,
-    _avoiding,
     _path_missing,
     _useless,
 )
@@ -284,19 +285,24 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
 def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> list:
     """Path-free/path-missing: duality, strong grape status, and dimensions.
 
-    Many digraphs share a path-free complex (the full suite at seed 1729
-    has 108 distinct ones among 7,020 digraphs), so the recognitions go
-    through the outcome table, a fresh one by default.
+    PF and PM depend only on the arc ids and the s-t paths (the full suite
+    at seed 1729 meets 108 path families in 7,020 digraphs), so the outcome
+    table, a fresh one by default, keeps them per path family, with whether
+    PM is the dual of PF, besides the recognitions.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
     paths = list(st_paths(d))
-    pf = _avoiding(d.arc_ids(), paths)
-    pm = _path_missing(d, paths)
+    key = (d.arc_ids(), frozenset(paths))
+    built = outcomes.built.get(key)
+    if built is None:
+        pf, pm = avoiding(d.arc_ids(), paths), _path_missing(d, paths)
+        built = outcomes.built[key] = (pf, pm, equals(pm, alexander_dual(pf)))
+    pf, pm, dual_ok = built
     if not d.arcs:
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
-    out = [_report("pfpm-alexander-dual", instance, equals(pm, alexander_dual(pf)))]
+    out = [_report("pfpm-alexander-dual", instance, dual_ok)]
     degenerate = bool(_useless(d, paths)) or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
     spheres = (("path-free", pf, n_nonsinks - 1), ("path-missing", pm, len(d.arcs) - n_nonsinks))
@@ -318,7 +324,7 @@ def deletion_contraction_reports(d: Digraph) -> list:
     guaranteed-useless-arc implication after deleting a source arc."""
     instance = digraph_to_json(d)
     paths = list(st_paths(d))
-    pf = _avoiding(d.arc_ids(), paths)
+    pf = avoiding(d.arc_ids(), paths)
     out = []
     for arc in d.arcs:
         ok = equals(deletion(pf, arc.id), pf_complex(delete_arc(d, arc.id)))
@@ -344,7 +350,7 @@ def ground_independence_reports(c: Complex) -> list:
     unused ground element is added (this moves every pivot choice)."""
     instance = complex_to_json(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
-    moved = Complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
+    moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
         a = check_grape(c, variant).verdict
@@ -532,8 +538,8 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     Each stage also has its own outcome table, dropped when the stage ends,
     so a complex met again within a stage (a repeated path-free complex, a
     dual that is another instance) is recognised once; the table keeps
-    verdicts, classes and wedges, not certificates.  The summary lists
-    every non-passing report with its embedded instance.
+    verdicts, classes and wedges, not certificates (and PF/PM per path
+    family).  The summary lists every non-passing report with its instance.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")

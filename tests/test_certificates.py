@@ -16,7 +16,6 @@ import pytest
 
 import grapes.grape as grape
 from grapes import (
-    Complex,
     GrapeVariant,
     InputError,
     ReplayError,
@@ -29,8 +28,8 @@ from grapes import (
     restrict_ground,
     verify_certificate,
 )
-from grapes.complexes import _maximal, deletion, link
-from grapes.generators import cycle_complex, path_graph
+from grapes.complexes import deletion, link, new_complex
+from grapes.generators import cycle_complex
 from grapes.collapse import CollapsePair
 from grapes.grape import (
     CertNode,
@@ -42,6 +41,7 @@ from grapes.grape import (
 from test_collapse import frozenset_replay
 from test_complexes import frozenset_cone_apexes, frozenset_link, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
+from test_graphs import path_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,7 +145,7 @@ def frozenset_verify_witness(variant, witness, lk, dl):
         return
     if variant is GrapeVariant.WEAK:
         try:
-            gamma = Complex(dl.ground, _maximal(witness.gamma_facets))
+            gamma = new_complex(dl.ground, witness.gamma_facets)
         except InputError as exc:
             raise ReplayError(f"intermediate complex is malformed: {exc}") from None
         for f in lk.facets:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 import grapes
 from grapes.cli import main
 from grapes.complexes import complex_to_json, void_complex
-from grapes.generators import cycle_complex, cyclic_no_useless_digraph, path_graph
+from grapes.generators import cycle_complex, cyclic_no_useless_digraph
 from grapes.graphs import digraph_to_json, graph_to_json
+from test_graphs import path_graph
 
 
 @pytest.fixture
@@ -420,16 +422,90 @@ def hostile_files(draw):
     return json.dumps({"ground": names, "facets": facets}, ensure_ascii=draw(st.booleans())).encode()
 
 
-@settings(max_examples=150, deadline=None)
-@given(hostile_files())
-def test_hostile_complex_files_never_end_in_a_traceback(raw):
+HOSTILE_NAMES = st.sampled_from(["a", "b", "c", "", "a-b", "\u2603"]) | st.text(max_size=2)
+HOSTILE_ENTRIES = HOSTILE_NAMES | st.integers(-1, 1) | st.none() | st.lists(HOSTILE_NAMES, max_size=2)
+
+
+def as_json_bytes(data):
+    return st.booleans().map(lambda ascii: json.dumps(data, ensure_ascii=ascii).encode())
+
+
+@st.composite
+def hostile_graph_files(draw):
+    """Graph and digraph files with duplicate, empty, unknown or non-string names."""
+    vertices = draw(st.lists(HOSTILE_NAMES, max_size=6) | JSON_VALUES)
+    if draw(st.booleans()):
+        edges = st.lists(st.lists(HOSTILE_ENTRIES, max_size=3), max_size=7)
+        data = {"vertices": vertices, "edges": draw(edges | JSON_VALUES)}
+    else:
+        arc = st.fixed_dictionaries({k: HOSTILE_ENTRIES for k in ("id", "src", "tgt")})
+        data = {"vertices": vertices, "arcs": draw(st.lists(arc, max_size=7) | JSON_VALUES),
+                "s": draw(HOSTILE_ENTRIES), "t": draw(HOSTILE_ENTRIES)}
+    return draw(as_json_bytes(data) | hostile_files())
+
+
+FILE = "<file>"  # longer than any hostile name, so no drawn argument equals it
+
+
+def exits_cleanly(raw, commands):
+    """Each command, with FILE standing for the file, ends with an exit code,
+    never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.json")
+        path = os.path.join(tmp, "input.json")
         with open(path, "wb") as handle:
             handle.write(raw)
-        for command in (["homology"], ["verify", "cad"]):
+        for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*command, path])
+                code = main([path if arg == FILE else arg for arg in command])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_files(), HOSTILE_NAMES)
+def test_hostile_complex_files_never_end_in_a_traceback(raw, element):
+    exits_cleanly(raw, [["homology", FILE], ["verify", "cad", FILE], ["dual", FILE],
+                        ["link", "--", FILE, element], ["del", "--", FILE, element]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_graph_files())
+def test_hostile_graph_files_never_end_in_a_traceback(raw):
+    exits_cleanly(raw, [
+        *(["from-graph", FILE, "--complex", kind, *dual]
+          for kind in ("ind", "dom", "ec", "ed") for dual in ([], ["--dual"])),
+        *(["from-digraph", FILE, "--complex", kind] for kind in ("pf", "pm")),
+    ])
+
+
+# fixed inputs whose builder outputs CI also hashes on other Python versions
+CHORDED_PATH = {
+    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12"],
+    "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v5"], ["v5", "v6"], ["v6", "v7"],
+              ["v7", "v8"], ["v8", "v9"], ["v9", "v10"], ["v10", "v11"], ["v11", "v12"],
+              ["v1", "v4"], ["v2", "v7"], ["v3", "v11"], ["v5", "v10"], ["v8", "v12"]],
+}
+TEN_ARC_DAG = {
+    "vertices": ["s", "u", "v", "w", "x", "t"],
+    "arcs": [{"id": "e1", "src": "s", "tgt": "u"}, {"id": "e2", "src": "s", "tgt": "v"},
+             {"id": "e3", "src": "u", "tgt": "v"}, {"id": "e4", "src": "u", "tgt": "w"},
+             {"id": "e5", "src": "v", "tgt": "w"}, {"id": "e6", "src": "v", "tgt": "x"},
+             {"id": "e7", "src": "w", "tgt": "x"}, {"id": "e8", "src": "w", "tgt": "t"},
+             {"id": "e9", "src": "x", "tgt": "t"}, {"id": "e10", "src": "u", "tgt": "t"}],
+    "s": "s",
+    "t": "t",
+}
+
+
+def test_builder_outputs_are_byte_stable(write_json, capsys):
+    # sha256 of `from-graph --complex dom --dual` and `from-digraph --complex pf` stdout
+    outputs = []
+    for argv in (["from-graph", write_json("g.json", CHORDED_PATH), "--complex", "dom", "--dual"],
+                 ["from-digraph", write_json("d.json", TEN_ARC_DAG), "--complex", "pf"]):
+        assert main(argv) == 0
+        outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert outputs == [
+        "b50c8ddb68d3b588ed0946cb19490733adbcf4da5cec2ec914f53569ba9a1921",
+        "e2a2488453cc8d785b95fec40a671ca0a3baed5fe95b3dd15db8fb53ac4e18b3",
+    ]

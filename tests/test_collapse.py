@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grapes import (
-    Complex,
     CollapsePair,
     ReplayError,
     apply_collapse,
@@ -126,7 +125,7 @@ def frozenset_apply_collapse(c, pair):
         candidate = sigma - {y}
         if candidate != tau and not any(candidate <= f for f in rest):
             new_facets.append(candidate)
-    return Complex(c.ground, frozenset(new_facets))
+    return new_complex(c.ground, new_facets)
 
 
 def frozenset_replay(c, sequence):

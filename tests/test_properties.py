@@ -17,7 +17,6 @@ from grapes import (
     cone_over,
     deletion,
     equals,
-    is_subcomplex,
     join,
     lifted_collapse,
     link,
@@ -33,7 +32,7 @@ from grapes import (
     verify_certificate,
 )
 from grapes.homology import _invariant_factors
-from test_complexes import maximal_deletion
+from test_complexes import is_subcomplex, maximal_deletion
 from test_homology import faces_by_dim, oracle_reduced_homology, tuple_columns
 
 SETTINGS = settings(max_examples=60, deadline=None)

@@ -7,18 +7,16 @@ from types import SimpleNamespace
 
 import pytest
 
+import grapes.complexes as complexes
 import grapes.grape as grape
+import grapes.homology as homology
 import grapes.verify as verify
 from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex, verify_dual_invariance
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
-from grapes.generators import (
-    cyclic_no_useless_digraph,
-    gen_digraph,
-    path_graph,
-    star_graph,
-)
+from grapes.generators import cyclic_no_useless_digraph, gen_digraph
 from grapes.graphs import Digraph, Graph, digraph_to_json, graph_to_json
+from test_graphs import path_graph, star_graph
 from grapes.verify import (
     SIZES,
     VerificationReport,
@@ -128,6 +126,53 @@ def test_pfpm_lists_the_st_paths_once(monkeypatch):
     paths.clear()
     deletion_contraction_reports(d)
     assert len(paths) == 1
+
+
+SMOKE_1729_DUALS = {
+    # alexander_dual calls per stage; the graph builders call none, and PF/PM
+    # makes one per path family, not two per digraph
+    "duality identities done": 288,
+    "alexander duality done": 36,
+    "grape duality done": 38,
+    "forest theorem done (44 forests)": 132,
+    "path-free/path-missing done (184 digraphs)": 30,
+}
+
+
+def test_alexander_dual_calls_per_stage_are_pinned(monkeypatch):
+    calls = []
+    real = complexes.alexander_dual
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    for module in (verify, grape, homology):
+        monkeypatch.setattr(module, "alexander_dual", counted)
+    # no suite input comes near the bound on the dual: 2^6 against 2^20
+    monkeypatch.setattr(complexes, "MAX_FACES", 2**6)
+    per_stage = {}
+
+    def close_stage(line):
+        if calls:
+            per_stage[line] = len(calls)
+        calls.clear()
+
+    summary = run_suite("smoke", 1729, log=close_stage)
+    assert (summary["pass"], summary["fail"], summary["unknown"]) == (2607, 0, 0)
+    assert per_stage == SMOKE_1729_DUALS
+
+
+def test_pfpm_builds_once_per_path_family(monkeypatch):
+    # two digraphs with one path family, {e1}, that differ off the path
+    first = digraph("stu", [("e1", "s", "t"), ("e2", "u", "s")], "s", "t")
+    second = digraph("stu", [("e1", "s", "t"), ("e2", "t", "u")], "s", "t")
+    fresh = [[r.to_json() for r in verify_pfpm_theorem(d)] for d in (first, second)]
+    table = grape.OutcomeTable()
+    duals = counting(monkeypatch, verify, "alexander_dual")
+    shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in (first, second)]
+    assert len(duals) == 1 and len(table.built) == 1
+    assert shared == fresh
 
 
 def test_grape_duality_builds_the_dual_once(monkeypatch):
