@@ -5,8 +5,9 @@ All commands read and write the JSON interchange formats of the library
 to stdout as JSON; diagnostics go to stderr.
 
 Exit codes: 0 all checks passed (or plain result produced); 1 some check
-failed (or a recognition answered "no"); 2 malformed input; 3 inconclusive
-("unknown") verdicts present without failures.
+failed (or a recognition answered "no", or stdout was closed early); 2
+malformed input; 3 inconclusive ("unknown") verdicts present without
+failures.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -54,6 +56,7 @@ from .verify import (
     DEFAULT_SEED,
     cad_report,
     run_suite,
+    summarise,
     verify_forest_theorem,
     verify_pfpm_theorem,
 )
@@ -82,19 +85,15 @@ def _verdict_exit(verdict: str) -> int:
     return {"yes": 0, "pass": 0, "no": 1, "fail": 1, "unknown": 3}[verdict]
 
 
+def _summary_exit(summary: dict) -> int:
+    """1 if anything failed, else 3 if anything is unknown, else 0."""
+    return 1 if summary["fail"] else 3 if summary["unknown"] else 0
+
+
 def _reports_exit(reports: list) -> int:
-    payload = {
-        "pass": sum(1 for r in reports if r.status == "pass"),
-        "fail": sum(1 for r in reports if r.status == "fail"),
-        "unknown": sum(1 for r in reports if r.status == "unknown"),
-        "reports": [r.to_json() for r in reports],
-    }
-    _emit(payload)
-    if payload["fail"]:
-        return 1
-    if payload["unknown"]:
-        return 3
-    return 0
+    summary = summarise(reports, ("pass", "fail", "unknown"))
+    _emit(summary)
+    return _summary_exit(summary)
 
 
 @functools.cache
@@ -270,11 +269,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "suite":
         summary = run_suite(args.level, args.seed, log=lambda m: print(m, file=sys.stderr))
         _emit(summary)
-        if summary["fail"]:
-            return 1
-        if summary["unknown"]:
-            return 3
-        return 0
+        return _summary_exit(summary)
 
     raise InputError(f"unknown command {args.command!r}")
 
@@ -339,29 +334,34 @@ def _dispatch_verify(args: argparse.Namespace) -> int:
             c, VARIANTS[args.variant], exhaustive_gamma=args.exhaustive_gamma
         )
         _emit(report)
-        if not report["pass"]:
-            return 3 if report["primal_verdict"] == "unknown" else 1
-        if report.get("unknown_tolerated"):
-            return 3
-        return 0
+        primal_unknown = report["primal_verdict"] == "unknown"
+        return _summary_exit({"fail": not report["pass"] and not primal_unknown,
+                              "unknown": primal_unknown or report.get("unknown_tolerated")})
 
     # cad
     c = complex_from_json(_load(args.complex))
     report = cad_report(c)
     _emit(report.to_json())
-    return 0 if report.status == "pass" else 1
+    return _verdict_exit(report.status)
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ReplayError as exc:
         print(f"replay error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit does not raise again (recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -10,9 +10,9 @@ simple-homotopy trivial (collapses only, no expansions); callers get an
 explicit "unknown" verdict when the search is inconclusive.
 
 The search and replay run on facet masks (see ``complexes``), and names come
-back only in the ``CollapsePair``s of a sequence.  Pairs are tried in
-``face_key`` order: larger faces first, then lexicographic on the ascending
-ground indices.  That is not integer order of the masks ({0, 3} comes before
+back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
+order: larger faces first, then lexicographic on the ascending ground
+indices.  That is not integer order of the masks ({0, 3} comes before
 {1, 2}, though 9 > 6): it is descending order of the bit string read from
 bit 0 up, which is the key ``mask_order`` gives.
 """
@@ -91,7 +91,7 @@ def _free_faces(masks, sigma: int) -> list:
 
 
 def _free_pairs(masks: frozenset):
-    """(sigma, tau, free faces of sigma) for every free pair, in face_key order."""
+    """(sigma, tau, free faces of sigma) for every free pair, in face order."""
     free = [(sigma, _free_faces(masks, sigma)) for sigma in masks if sigma]
     free.sort(key=lambda p: mask_order(p[0]), reverse=True)
     return [(sigma, tau, faces) for sigma, faces in free for tau in faces]
@@ -188,14 +188,6 @@ def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
 def replay(c: Complex, sequence) -> Complex:
     """Apply a collapse sequence step by step; raises ReplayError when illegal."""
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
-
-
-def cone_sequence(c: Complex) -> list:
-    """Canonical collapse of a cone to void (see cone_steps), by name."""
-    apexes = meet_mask(c.masks)
-    if not apexes:
-        raise ReplayError("cone_sequence requires a cone")
-    return list(named_steps(cone_steps(c.masks, apexes & -apexes), c.ground))
 
 
 def collapse_search(

@@ -20,9 +20,9 @@ runs on.  Names appear only at the boundary: ``new_complex`` and
 ``complex_from_json`` turn names into masks and validate them, and
 ``Complex.facets``, ``complex_to_json`` and the name-level queries turn
 masks back into names.  A ground restricted to the vertices keeps the
-ground order, so the lowest apex of a cone is ``m & -m``.  Faces are
-ordered by ``face_key`` (size, then ground indices), which is not integer
-order of masks: {0, 3} comes before {1, 2}.
+ground order, so the lowest apex of a cone is ``m & -m``.  The face order
+is by size, then by the ascending tuple of ground indices, which is not
+integer order of masks: {0, 3} comes before {1, 2}.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class Complex:
         """Elements that occur in at least one face."""
         return face_of(join_mask(self.masks), self.ground)
 
-    def has_face(self, face: Face) -> bool:
-        """Face membership: contained in some facet."""
-        return any(face <= facet for facet in self.facets)
-
     def faces(self) -> frozenset:
         """All faces, including the empty face unless the complex is void.
 
@@ -91,12 +87,8 @@ class Complex:
         except ValueError:
             raise InputError(f"{element!r} is not a ground element") from None
 
-    def face_key(self, face: Face) -> tuple[int, ...]:
-        """Deterministic sort key for a face (ground-order index tuple)."""
-        return tuple(sorted(self.index(x) for x in face))
-
     def sorted_facets(self) -> list:
-        """Facets by name in face_key order."""
+        """Facets by name in face order."""
         return [frozenset(self.ground[i] for i in row) for row in _sorted_rows(self.masks)]
 
 
@@ -344,14 +336,14 @@ def face_of(m: int, ground: tuple) -> Face:
 
 
 def _sorted_rows(masks: Iterable[int]) -> list:
-    """The masks as ascending bit-index tuples, in face_key order."""
+    """The masks as ascending bit-index tuples, in face order."""
     rows = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
     rows.sort(key=lambda row: (len(row), row))
     return rows
 
 
 def mask_order(m: int) -> tuple:
-    """Sort key, reversed, for face_key order: size, then bit string from bit 0."""
+    """Sort key, reversed, for face order: size, then bit string from bit 0."""
     return m.bit_count(), format(m, "b")[::-1]
 
 

@@ -27,10 +27,12 @@ frozenset of its facet masks (also its memo key), pivots are tried lowest
 bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
 subproblem to its vertices keeps the bit order, so it costs nothing.  Names
 come back only in the certificate: pivots, apexes, cone elements, the
-intermediate complex and the collapse pairs of a sequence, found in
-``face_key`` order, not integer order (see ``collapse``).  An "unknown"
+intermediate complex and the collapse pairs of a sequence, found in face
+order, not integer order (see ``collapse``).  An "unknown"
 names its origin: the reason the first inconclusive pivot test gave, and
-the pivots and sides leading to it from the root.
+the pivots and sides leading to it from the root.  Theorem checks recognise
+through an ``OutcomeTable``, a memo that keeps outcomes, never certificates,
+and the duals ``verify_dual_invariance`` builds after a primal yes.
 """
 
 from __future__ import annotations
@@ -506,7 +508,7 @@ def predicted_wedge(cert: tuple) -> dict:
 class Outcome(NamedTuple):
     """What a theorem check reads of one recognition, never the certificate.
 
-    A NamedTuple rather than a dataclass: the class is built at every
+    A NamedTuple rather than a dataclass: the class is created at every
     import, and a dataclass takes about ten times as long to build.
     """
 
@@ -520,32 +522,36 @@ class Outcome(NamedTuple):
 
 
 class OutcomeTable:
-    """Recognition outcomes by (complex, variant, exhaustive_gamma).
+    """A memo that computes each key once; one per suite stage.
 
-    Each key is searched once; the class or wedge is folded from the
-    certificate at once and the certificate dropped, so a table holds a few
-    small values per distinct complex.  ``built`` keeps what a harness
-    builds from an instance, under a key of its own, for the same span.
+    :meth:`recognise` keeps outcomes by (complex, variant, exhaustive_gamma),
+    the class or wedge folded from the certificate and the certificate
+    dropped; harnesses keep a dual, PF/PM or reports under keys of their own.
     """
 
     def __init__(self) -> None:
         self.entries: dict = {}
-        self.built: dict = {}
+
+    def once(self, key, compute: Callable):
+        """The value under key, calling compute() only if there is none yet
+        (a falsy value, such as an empty list, counts as one)."""
+        if key not in self.entries:
+            self.entries[key] = compute()
+        return self.entries[key]
 
     def recognise(
         self, c: Complex, variant: GrapeVariant, exhaustive_gamma: bool = False
     ) -> Outcome:
-        key = (c, variant, exhaustive_gamma)
-        found = self.entries.get(key)
-        if found is None:
+        def outcome() -> Outcome:
             verdict = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
             cert = verdict.certificate  # None unless yes
-            found = self.entries[key] = Outcome(
+            return Outcome(
                 verdict.verdict,
                 classify_strong(cert) if cert and variant is GrapeVariant.STRONG else None,
                 predicted_wedge(cert) if cert and variant is GrapeVariant.COMBINATORIAL else None,
             )
-        return found
+
+        return self.once((c, variant, exhaustive_gamma), outcome)
 
 
 # -- duality transfer ------------------------------------------------------------
@@ -560,21 +566,14 @@ def verify_dual_invariance(
     """Check that the Alexander dual is a grape of the same variant.
 
     The report always carries the primal verdict.  Unless it is "yes" the
-    report fails and the dual is not examined.  For the strong variant the
+    report fails and the dual is not computed.  For the strong variant the
     simple-homotopy classes must additionally match across duality: the
     void class maps to itself and a cross-polytope boundary of dimension n
     maps to dimension |X| - n - 1 (only asserted for nonempty ground sets).
     Weak-variant duals may come back "unknown"; this is tolerated, flagged.
-    Both recognitions go through the outcome table (a fresh one by
-    default), so a complex the table has seen is not searched again.
+    The dual and both recognitions go through the outcome table (a fresh
+    one by default), so nothing the table holds is computed again.
     """
-    return _dual_invariance(c, lambda: alexander_dual(c), variant, exhaustive_gamma, outcomes)
-
-
-def _dual_invariance(c: Complex, dual_of_c: Callable, variant: GrapeVariant,
-                     exhaustive_gamma: bool, outcomes: Optional[OutcomeTable]) -> dict:
-    """:func:`verify_dual_invariance`, asking ``dual_of_c`` for the dual
-    only once the primal verdict is yes."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
     primal = outcomes.recognise(c, variant, exhaustive_gamma)
     report = {
@@ -585,7 +584,8 @@ def _dual_invariance(c: Complex, dual_of_c: Callable, variant: GrapeVariant,
     }
     if not primal.is_yes:
         return report
-    dual = outcomes.recognise(dual_of_c(), variant, exhaustive_gamma)
+    dual_c = outcomes.once(("dual", c), lambda: alexander_dual(c))
+    dual = outcomes.recognise(dual_c, variant, exhaustive_gamma)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
     tolerated = weak_family and dual.verdict == "unknown"
     report["dual_verdict"] = dual.verdict

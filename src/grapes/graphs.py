@@ -23,18 +23,10 @@ from .complexes import Complex, InputError, avoiding, bit_table, face_of, join_m
 
 @dataclass(frozen=True)
 class Graph:
+    """Unchecked: build one from names with :func:`graph`, which validates them."""
+
     vertices: tuple[str, ...]
     edges: frozenset  # frozensets of two distinct vertex names
-
-    def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise InputError("graph vertices must be distinct")
-        for e in self.edges:
-            if len(e) != 2:
-                raise InputError("edges join two distinct vertices (no loops)")
-            if not e <= vset:
-                raise InputError(f"edge {sorted(e)} uses unknown vertices")
 
     def index(self, v: str) -> int:
         try:
@@ -53,7 +45,18 @@ class Graph:
 
 
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
-    return Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
+    """Build a graph; checks that the vertices are distinct and that each
+    edge joins two distinct vertices."""
+    g = Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
+    vset = set(g.vertices)
+    if len(vset) != len(g.vertices):
+        raise InputError("graph vertices must be distinct")
+    for e in g.edges:
+        if len(e) != 2:
+            raise InputError("edges join two distinct vertices (no loops)")
+        if not e <= vset:
+            raise InputError(f"edge {sorted(e)} uses unknown vertices")
+    return g
 
 
 def closed_neighborhood(g: Graph, s: Iterable[str]) -> frozenset:
@@ -253,23 +256,12 @@ class Arc:
 
 @dataclass(frozen=True)
 class Digraph:
+    """Unchecked: build one from names with :func:`digraph`, which validates them."""
+
     vertices: tuple[str, ...]
     arcs: tuple[Arc, ...]
     s: str
     t: str
-
-    def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise InputError("digraph vertices must be distinct")
-        ids = [a.id for a in self.arcs]
-        if len(set(ids)) != len(ids):
-            raise InputError("arc ids must be distinct")
-        for a in self.arcs:
-            if a.src not in vset or a.tgt not in vset:
-                raise InputError(f"arc {a.id!r} uses unknown vertices")
-        if self.s not in vset or self.t not in vset:
-            raise InputError("s and t must be vertices")
 
     def arc(self, arc_id: str) -> Arc:
         for a in self.arcs:
@@ -282,12 +274,21 @@ class Digraph:
 
 
 def digraph(vertices, arcs, s: str, t: str) -> Digraph:
-    return Digraph(
-        tuple(vertices),
-        tuple(Arc(i, a, b) for i, a, b in arcs),
-        s,
-        t,
-    )
+    """Build a digraph from (id, src, tgt) triples; checks that vertices and
+    arc ids are distinct and that the arcs, s and t use known vertices."""
+    d = Digraph(tuple(vertices), tuple(Arc(i, a, b) for i, a, b in arcs), s, t)
+    vset = set(d.vertices)
+    if len(vset) != len(d.vertices):
+        raise InputError("digraph vertices must be distinct")
+    ids = d.arc_ids()
+    if len(set(ids)) != len(ids):
+        raise InputError("arc ids must be distinct")
+    for a in d.arcs:
+        if a.src not in vset or a.tgt not in vset:
+            raise InputError(f"arc {a.id!r} uses unknown vertices")
+    if s not in vset or t not in vset:
+        raise InputError("s and t must be vertices")
+    return d
 
 
 def _reaches(d: Digraph, allowed: frozenset, start: str, goal: str) -> bool:
@@ -426,8 +427,8 @@ def graph_from_json(data: object) -> Graph:
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
             raise InputError("each edge must be a two-element array of strings")
-        out.append(frozenset(e))
-    return Graph(tuple(vertices), frozenset(out))
+        out.append(e)
+    return graph(vertices, out)
 
 
 def digraph_to_json(d: Digraph) -> dict:
@@ -454,8 +455,8 @@ def digraph_from_json(data: object) -> Digraph:
             isinstance(a.get(k), str) for k in ("id", "src", "tgt")
         ):
             raise InputError('each arc needs string fields "id", "src", "tgt"')
-        out.append(Arc(a["id"], a["src"], a["tgt"]))
+        out.append((a["id"], a["src"], a["tgt"]))
     s, t = data.get("s"), data.get("t")
     if not isinstance(s, str) or not isinstance(t, str):
         raise InputError('digraph JSON needs string fields "s" and "t"')
-    return Digraph(tuple(vertices), tuple(out), s, t)
+    return digraph(vertices, out, s, t)

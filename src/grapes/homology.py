@@ -270,12 +270,6 @@ class SHClass:
     def is_void_class(self) -> bool:
         return self.cross_dim is None
 
-    def suspend(self) -> "SHClass":
-        """Suspension: void stays void, sphere dimension goes up by one."""
-        if self.cross_dim is None:
-            return self
-        return SHClass(self.cross_dim + 1)
-
     def dual_expected(self, ground_size: int) -> "SHClass":
         """Class of the Alexander dual predicted by duality (needs |X| > 0)."""
         if ground_size <= 0:

@@ -1,15 +1,15 @@
 """Theorem-verification harnesses and the reproducible acceptance suite.
 
-Each harness checks one statement on one instance and returns reports; a
-failing report embeds the serialized instance so the failure can be replayed
-on its own.  The suite runner wires the harnesses to deterministic instance
-sets (fixed seeds, exhaustive small enumerations) and aggregates pass /
-fail / unknown counts.
+Each harness checks one statement on one instance and returns a list of
+reports (``cad_report``, which the CLI also runs, returns one); a failing
+report embeds the serialized instance so the failure can be replayed on its
+own.  The suite runner wires the harnesses to deterministic instance sets
+(fixed seeds, exhaustive small enumerations), and :func:`summarise` counts
+pass / fail / unknown for the suite and the CLI alike.
 """
 
 from __future__ import annotations
 
-import functools
 import string
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -43,7 +43,7 @@ from .grape import (
     classify_strong,
     predicted_wedge,
     verify_certificate,
-    _dual_invariance,
+    verify_dual_invariance,
 )
 from .graphs import (
     Digraph,
@@ -193,29 +193,25 @@ def grape_duality_reports(
     """
     instance = complex_to_json(c)
     small = len(c.ground) <= small_variants_max_ground
-    dual = functools.cache(lambda: alexander_dual(c))  # built once, and only for a yes
+    outcomes = OutcomeTable() if outcomes is None else outcomes
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
         # exhaustive_gamma changes only the weak-family verdicts
-        rep = _dual_invariance(c, dual, variant, True, outcomes)
+        rep = verify_dual_invariance(c, variant, True, outcomes)
         if rep["primal_verdict"] == "yes":
             out.append(_report(f"grape-duality-{variant.value}", instance, rep["pass"],
-                               unknown=rep["unknown_tolerated"], details=rep))
+                               unknown=rep["unknown_tolerated"], **rep))
     return out
 
 
-def strong_homology_report(c: Complex) -> Optional[VerificationReport]:
+def strong_homology_reports(c: Complex) -> list:
     """Strong classification must match the homology profile exactly."""
     verdict = check_grape(c, GrapeVariant.STRONG)
     if not verdict.is_yes:
-        return None
+        return []
     cls = classify_strong(verdict.certificate)
-    return _report(
-        "strong-class-homology",
-        complex_to_json(c),
-        matches_sphere(c, cls),
-        expected=str(cls),
-    )
+    return [_report("strong-class-homology", complex_to_json(c), matches_sphere(c, cls),
+                    expected=str(cls))]
 
 
 def _forest_formula_checks(g: Graph) -> list:
@@ -293,12 +289,12 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
     paths = list(st_paths(d))
-    key = (d.arc_ids(), frozenset(paths))
-    built = outcomes.built.get(key)
-    if built is None:
+
+    def build() -> tuple:
         pf, pm = avoiding(d.arc_ids(), paths), _path_missing(d, paths)
-        built = outcomes.built[key] = (pf, pm, equals(pm, alexander_dual(pf)))
-    pf, pm, dual_ok = built
+        return pf, pm, equals(pm, alexander_dual(pf))
+
+    pf, pm, dual_ok = outcomes.once(("pfpm", d.arc_ids(), frozenset(paths)), build)
     if not d.arcs:
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
@@ -386,35 +382,30 @@ def lifted_collapse_reports(c: Complex) -> list:
     return out
 
 
-def wedge_reports(c: Complex) -> Optional[VerificationReport]:
+def wedge_reports(c: Complex) -> list:
     """Certificate wedge prediction must equal the computed Betti numbers."""
     verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
     if not verdict.is_yes:
-        return None
+        return []
     predicted = predicted_wedge(verdict.certificate)
     profile = reduced_homology(c)
     dims = set(predicted) | {k for k, b in profile.betti.items() if b}
     ok = all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
-    return _report(
+    return [_report(
         "wedge-prediction",
         complex_to_json(c),
         ok,
         expected={str(k): v for k, v in sorted(predicted.items())},
         observed={str(k): v for k, v in sorted(profile.betti.items()) if v},
-    )
+    )]
 
 
-def konig_report(g: Graph) -> Optional[VerificationReport]:
+def konig_reports(g: Graph) -> list:
     if not is_bipartite(g):
-        return None
+        return []
     inv = invariants(g)
-    return _report(
-        "konig-cover-matching",
-        graph_to_json(g),
-        inv.alpha0 == inv.beta1,
-        expected=inv.beta1,
-        observed=inv.alpha0,
-    )
+    return [_report("konig-cover-matching", graph_to_json(g), inv.alpha0 == inv.beta1,
+                    expected=inv.beta1, observed=inv.alpha0)]
 
 
 def five_cycle_reports() -> list:
@@ -525,21 +516,23 @@ SIZES = {
 }
 
 
-def _listed(harness: Callable) -> Callable:
-    """Adapt a harness that returns one report or None to return a list."""
-    return lambda x: [rep for rep in (harness(x),) if rep is not None]
+def summarise(reports: list, shown: tuple) -> dict:
+    """The pass, fail and unknown counts, and the reports with a status in shown, as JSON."""
+    statuses = [r.status for r in reports]
+    counts = {status: statuses.count(status) for status in ("pass", "fail", "unknown")}
+    return {**counts, "reports": [r.to_json() for r in reports if r.status in shown]}
 
 
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
     """Run the whole verification matrix; returns the aggregated summary.
 
-    Deterministic for a fixed seed and level.  Each stage runs its harness
-    once per distinct instance and counts the reports at every occurrence.
-    Each stage also has its own outcome table, dropped when the stage ends,
-    so a complex met again within a stage (a repeated path-free complex, a
-    dual that is another instance) is recognised once; the table keeps
-    verdicts, classes and wedges, not certificates (and PF/PM per path
-    family).  The summary lists every non-passing report with its instance.
+    Deterministic for a fixed seed and level.  Each stage has one outcome
+    table, dropped when the stage ends.  It keeps each distinct instance's
+    reports, counted at every occurrence, and the recognition outcomes
+    (verdicts, classes and wedges, not certificates), duals and PF/PM per
+    path family, so a complex met again within a stage (a repeated path-free
+    complex, a dual that is another instance) is recognised once.  The
+    summary lists every non-passing report with its instance.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
@@ -568,7 +561,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         "provably fails there"
     ]
     # each harness takes an instance and the stage's outcome table; only the
-    # grape duality, forest and PF/PM stages meet a key twice, so only they read it
+    # grape duality, forest and PF/PM stages meet a complex twice, so only they pass it on
     stages = [
         ("duality identities done", complexes, lambda c, _: duality_identity_reports(c)),
         ("alexander duality done", complexes, lambda c, _: [cad_report(c)] if c.ground else []),
@@ -577,15 +570,11 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             complexes,
             lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
-        (
-            "strong/homology consistency done",
-            complexes,
-            lambda c, _: _listed(strong_homology_report)(c),
-        ),
+        ("strong/homology consistency done", complexes, lambda c, _: strong_homology_reports(c)),
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
-            lambda g, table: verify_forest_theorem(g, table) + _listed(konig_report)(g),
+            lambda g, table: verify_forest_theorem(g, table) + konig_reports(g),
         ),
         (
             f"path-free/path-missing done ({len(digraphs)} digraphs)",
@@ -599,26 +588,14 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         ),
         ("ground independence done", complexes, lambda c, _: ground_independence_reports(c)),
         ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
-        ("wedge predictions done", complexes, lambda c, _: _listed(wedge_reports)(c)),
+        ("wedge predictions done", complexes, lambda c, _: wedge_reports(c)),
         # the named-instance harnesses take no argument; each is its own instance
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]
     for line, instances, harness in stages:
-        outcomes = OutcomeTable()
-        done: dict = {}
+        table = OutcomeTable()
         for x in instances:
-            if x not in done:
-                done[x] = harness(x, outcomes)
-            reports.extend(done[x])
+            reports.extend(table.once(("reports", x), lambda: harness(x, table)))
         say(line)
-
-    summary = {
-        "level": level,
-        "seed": seed,
-        "pass": sum(1 for r in reports if r.status == "pass"),
-        "fail": sum(1 for r in reports if r.status == "fail"),
-        "unknown": sum(1 for r in reports if r.status == "unknown"),
-        "notes": notes,
-        "reports": [r.to_json() for r in reports if r.status != "pass"],
-    }
-    return summary
+    return {"level": level, "seed": seed, "notes": notes,
+            **summarise(reports, ("fail", "unknown"))}

@@ -39,7 +39,7 @@ from grapes.grape import (
     _witness_to_json,
 )
 from test_collapse import frozenset_replay
-from test_complexes import frozenset_cone_apexes, frozenset_link, maximal_deletion
+from test_complexes import frozenset_cone_apexes, frozenset_link, has_face, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
 from test_graphs import path_graph
 
@@ -95,7 +95,7 @@ def oracle_verify(c, variant, tree):
             raise ReplayError(f"base leaf says {tree.base!r} but complex is {kind!r}")
         return
     a = tree.pivot
-    if a is None or not cr.has_face(frozenset({a})):
+    if a is None or not has_face(cr, frozenset({a})):
         raise ReplayError(f"pivot {a!r} is not a vertex")
     lk = frozenset_link(cr, a)
     dl = maximal_deletion(cr, a)
@@ -117,7 +117,7 @@ def frozenset_verify_certificate(c, variant, cert):
                     raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
                 continue
             a = node.pivot
-            if not cr.has_face(frozenset({a})):
+            if not has_face(cr, frozenset({a})):
                 raise ReplayError(f"pivot {a!r} is not a vertex")
             lk = frozenset_link(cr, a)
             dl = maximal_deletion(cr, a)
@@ -149,10 +149,10 @@ def frozenset_verify_witness(variant, witness, lk, dl):
         except InputError as exc:
             raise ReplayError(f"intermediate complex is malformed: {exc}") from None
         for f in lk.facets:
-            if not gamma.has_face(f):
+            if not has_face(gamma, f):
                 raise ReplayError("link is not contained in the intermediate complex")
         for f in gamma.facets:
-            if not dl.has_face(f):
+            if not has_face(dl, f):
                 raise ReplayError("intermediate complex is not contained in the deletion")
         if not frozenset_replay(gamma, witness.sequence).is_void:
             raise ReplayError("intermediate complex does not collapse to void")

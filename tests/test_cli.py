@@ -274,12 +274,16 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert main(["link", str(wrong), "x"]) == 2
 
 
+def module_env():
+    """The environment for ``python -m grapes`` on this checkout's source."""
+    src = str(Path(grapes.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_module(*argv):
     """Run ``python -m grapes`` in a child process, as a shell user would."""
-    src = str(Path(grapes.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "grapes", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "grapes", *argv], capture_output=True, text=True, env=module_env()
     )
 
 
@@ -287,6 +291,27 @@ def test_python_dash_m_entry_point(write_json):
     result = run_module("homology", write_json("c5.json", C5))
     assert result.returncode == 0
     assert json.loads(result.stdout)["betti"]["1"] == 1
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback(write_json):
+    # both outputs are larger than a pipe's buffer, so the writer meets the
+    # closed end: the 4,096 facets of the independence complex of a perfect
+    # matching on 24 vertices (about 650 KB), and a 600-vertex path's
+    # certificate (about 150 KB)
+    v = [f"v{i}" for i in range(24)]
+    matching = write_json("matching.json", {"vertices": v, "edges": [v[i:i + 2] for i in range(0, 24, 2)]})
+    names = [f"v{i}" for i in range(1, 601)]
+    path = write_json("path.json", {"ground": names, "facets": [list(p) for p in zip(names, names[1:])]})
+    for argv in (("from-graph", matching, "--complex", "ind"),
+                 ("grape", "check", path, "--variant", "strong")):
+        # as `| head -c 1` does: read one byte, then close the pipe
+        with subprocess.Popen([sys.executable, "-m", "grapes", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=module_env()) as proc:
+            assert proc.stdout.read(1) == "{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 STRONG_LIST_APEX = {

@@ -33,7 +33,8 @@ from grapes import (
     suspension_transport,
     void_complex,
 )
-from grapes.collapse import ShvResult, cone_sequence, sequence_from_json, sequence_to_json
+from grapes.collapse import ShvResult, cone_steps, named_steps, sequence_from_json, sequence_to_json
+from grapes.complexes import meet_mask
 from grapes.generators import cycle_complex
 from test_complexes import frozenset_cone_apexes, maximal_deletion
 
@@ -100,6 +101,19 @@ def test_collapse_pair_shape_is_validated():
 # -- the frozenset oracles ------------------------------------------------------
 
 
+def face_key(c, face):
+    """Sort key for a face by name: its ground indices, ascending."""
+    return tuple(sorted(c.index(x) for x in face))
+
+
+def cone_sequence(c):
+    """Canonical collapse of a cone to void (see cone_steps), by name."""
+    apexes = meet_mask(c.masks)
+    if not apexes:
+        raise ReplayError("cone_sequence requires a cone")
+    return list(named_steps(cone_steps(c.masks, apexes & -apexes), c.ground))
+
+
 def frozenset_free_pairs(c):
     out = []
     for sigma in c.facets:
@@ -109,7 +123,7 @@ def frozenset_free_pairs(c):
             tau = sigma - {y}
             if not any(tau <= other for other in c.facets if other != sigma):
                 out.append(CollapsePair(sigma, tau))
-    out.sort(key=lambda p: (-len(p.sigma), c.face_key(p.sigma), c.face_key(p.tau)))
+    out.sort(key=lambda p: (-len(p.sigma), face_key(c, p.sigma), face_key(c, p.tau)))
     return out
 
 
@@ -139,7 +153,7 @@ def frozenset_cone_sequence(c):
     if not apexes:
         raise ReplayError("cone_sequence requires a cone")
     apex = min(apexes, key=c.index)
-    base_faces = sorted(maximal_deletion(c, apex).faces(), key=lambda f: (-len(f), c.face_key(f)))
+    base_faces = sorted(maximal_deletion(c, apex).faces(), key=lambda f: (-len(f), face_key(c, f)))
     return [CollapsePair(f | {apex}, f) for f in base_faces]
 
 

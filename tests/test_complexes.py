@@ -38,6 +38,11 @@ def cx(ground, *facets):
     return new_complex(ground, [frozenset(f) for f in facets])
 
 
+def has_face(c, face):
+    """Face membership by name: contained in some facet."""
+    return any(face <= facet for facet in c.facets)
+
+
 def all_subsets(ground):
     for k in range(len(ground) + 1):
         for combo in combinations(ground, k):
@@ -54,7 +59,7 @@ def is_subcomplex(c1, c2):
     """Every face of c1 is a face of c2; requires equal ground sets."""
     if set(c1.ground) != set(c2.ground):
         raise InputError("subcomplex test requires equal ground sets")
-    return all(c2.has_face(f) for f in c1.facets)
+    return all(has_face(c2, f) for f in c1.facets)
 
 
 def brute_faces(c):

@@ -43,6 +43,7 @@ from grapes.graphs import (
     is_independent,
 )
 from test_cli import run_module
+from test_complexes import has_face
 from test_graphs import is_edge_cover, path_graph
 
 
@@ -71,7 +72,7 @@ def scan_minimal_nonfaces(c):
     for k in range(len(c.ground) + 1):
         for combo in combinations(c.ground, k):
             s = frozenset(combo)
-            if not any(m <= s for m in found) and not c.has_face(s):
+            if not any(m <= s for m in found) and not has_face(c, s):
                 found.append(s)
     return frozenset(found)
 

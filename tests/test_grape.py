@@ -56,6 +56,7 @@ from test_complexes import (
     frozenset_cone_apexes,
     frozenset_link,
     frozenset_maximal,
+    has_face,
     maximal_deletion,
 )
 
@@ -93,8 +94,8 @@ def frozenset_base_kind(c):
 
 def frozenset_cone_fits(lk, dl, x):
     if lk.is_void:
-        return dl.has_face(frozenset({x}))
-    return all(dl.has_face(f | {x}) for f in lk.facets)
+        return has_face(dl, frozenset({x}))
+    return all(has_face(dl, f | {x}) for f in lk.facets)
 
 
 def frozenset_between_complexes(lk, dl):
@@ -702,7 +703,7 @@ def test_combinatorial_witness_is_the_cone_element():
     lk = link(c, root.pivot)
     dl = deletion(c, root.pivot)
     x = root.witness.cone_element
-    assert all(dl.has_face(f | {x}) for f in lk.facets)
+    assert all(has_face(dl, f | {x}) for f in lk.facets)
 
 
 # -- intermediate-complex enumeration ----------------------------------------------------------

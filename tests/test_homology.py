@@ -356,9 +356,23 @@ def test_matches_sphere_examples():
     assert not matches_sphere(RP2, VOID_CLASS)
 
 
+def suspend(cls):
+    """Suspension of a class: void stays void, the sphere dimension goes up by one."""
+    return cls if cls.is_void_class else SHClass(cls.cross_dim + 1)
+
+
+def test_suspension_suspends_the_class():
+    assert suspend(SHClass(None)) == SHClass(None)
+    assert suspend(SHClass(1)) == SHClass(2)
+    cases = [(cx("v", "v"), VOID_CLASS), (irrelevant_complex("ab"), SHClass(0)),
+             (cross_polytope_boundary(2), SHClass(2))]
+    for c, cls in cases:
+        assert matches_sphere(c, cls)
+        assert matches_sphere(suspension(c, "n", "s"), suspend(cls))
+        assert cls.is_void_class or not matches_sphere(suspension(c, "n", "s"), cls)
+
+
 def test_sh_class_algebra():
-    assert SHClass(None).suspend() == SHClass(None)
-    assert SHClass(1).suspend() == SHClass(2)
     assert SHClass(1).dual_expected(2) == SHClass(0)
     assert SHClass(None).dual_expected(3) == SHClass(None)
     with pytest.raises(InputError):

@@ -32,7 +32,7 @@ from grapes import (
     verify_certificate,
 )
 from grapes.homology import _invariant_factors
-from test_complexes import is_subcomplex, maximal_deletion
+from test_complexes import has_face, is_subcomplex, maximal_deletion
 from test_homology import faces_by_dim, oracle_reduced_homology, tuple_columns
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -148,7 +148,7 @@ def test_deletion_link_duality(pair):
 def test_nonvertex_detection_via_dual(pair):
     c, x = pair
     full_minus_x = frozenset(c.ground) - {x}
-    assert (x not in c.vertices()) == alexander_dual(c).has_face(full_minus_x)
+    assert (x not in c.vertices()) == has_face(alexander_dual(c), full_minus_x)
 
 
 @SETTINGS
@@ -166,8 +166,8 @@ def test_join_is_associative_and_commutative(a, b, c):
 @given(small_complexes())
 def test_minimal_nonfaces_are_nonfaces_with_face_boundaries(c):
     for m in minimal_nonfaces(c):
-        assert not c.has_face(m)
-        assert all(c.has_face(m - {x}) for x in m)
+        assert not has_face(c, m)
+        assert all(has_face(c, m - {x}) for x in m)
 
 
 # -- collapse invariants ----------------------------------------------------------

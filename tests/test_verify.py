@@ -26,11 +26,11 @@ from grapes.verify import (
     deletion_contraction_reports,
     five_cycle_reports,
     ground_independence_reports,
-    konig_report,
+    konig_reports,
     lifted_collapse_reports,
     run_suite,
     standard_complexes,
-    strong_homology_report,
+    strong_homology_reports,
     verify_forest_theorem,
     verify_pfpm_theorem,
     wedge_reports,
@@ -171,7 +171,7 @@ def test_pfpm_builds_once_per_path_family(monkeypatch):
     table = grape.OutcomeTable()
     duals = counting(monkeypatch, verify, "alexander_dual")
     shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in (first, second)]
-    assert len(duals) == 1 and len(table.built) == 1
+    assert len(duals) == 1 and [key[0] for key in table.entries].count("pfpm") == 1
     assert shared == fresh
 
 
@@ -181,10 +181,10 @@ def test_grape_duality_builds_the_dual_once(monkeypatch):
         verify_dual_invariance(c, variant, exhaustive_gamma=True) for variant in GrapeVariant
     ]
     assert sum(rep["primal_verdict"] == "yes" for rep in expected) > 1
-    duals = counting(monkeypatch, verify, "alexander_dual")
+    duals = counting(monkeypatch, grape, "alexander_dual")
     reports = verify.grape_duality_reports(c)
     assert len(duals) == 1
-    assert [r.details["details"] for r in reports] == [
+    assert [r.details for r in reports] == [
         rep for rep in expected if rep["primal_verdict"] == "yes"
     ]
     # no yes, no dual: the projective plane is not a strong grape
@@ -220,18 +220,16 @@ def test_core_reports_on_a_mixed_bag():
         assert all(r.status == "pass" for r in duality_identity_reports(c))
         assert all(r.status == "pass" for r in ground_independence_reports(c))
         assert all(r.status == "pass" for r in lifted_collapse_reports(c))
-        rep = strong_homology_report(c)
-        assert rep is None or rep.status == "pass"
-        rep = wedge_reports(c)
-        assert rep is None or rep.status == "pass"
+        assert all(r.status == "pass" for r in strong_homology_reports(c))
+        assert all(r.status == "pass" for r in wedge_reports(c))
         if len(c.ground) >= 1:
             assert cad_report(c).status == "pass"
 
 
 def test_konig_on_bipartite_graphs():
-    assert konig_report(path_graph(5)).status == "pass"
-    assert konig_report(star_graph(4)).status == "pass"
-    assert konig_report(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])) is None
+    assert [r.status for r in konig_reports(path_graph(5))] == ["pass"]
+    assert [r.status for r in konig_reports(star_graph(4))] == ["pass"]
+    assert konig_reports(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])) == []
 
 
 def test_reports_embed_a_reproducible_instance():
@@ -296,16 +294,12 @@ def reference_suite(level, seed, log=None):
         reports.extend(verify.grape_duality_reports(c, sizes.small_variants_max_ground))
     say("grape duality done")
     for c in complexes:
-        rep = verify.strong_homology_report(c)
-        if rep is not None:
-            reports.append(rep)
+        reports.extend(verify.strong_homology_reports(c))
     say("strong/homology consistency done")
     forests = verify.standard_forests(sizes.n_forests, sizes.max_tree, seed)
     for g in forests:
         reports.extend(verify.verify_forest_theorem(g))
-        rep = verify.konig_report(g)
-        if rep is not None:
-            reports.append(rep)
+        reports.extend(verify.konig_reports(g))
     say(f"forest theorem done ({len(forests)} forests)")
     digraphs = verify.standard_digraphs(
         sizes.n_random_digraphs, *sizes.exhaustive_digraph, seed=seed
@@ -324,9 +318,7 @@ def reference_suite(level, seed, log=None):
         reports.extend(verify.lifted_collapse_reports(c))
     say("lifted collapses done")
     for c in complexes:
-        rep = verify.wedge_reports(c)
-        if rep is not None:
-            reports.append(rep)
+        reports.extend(verify.wedge_reports(c))
     say("wedge predictions done")
     reports.extend(verify.five_cycle_reports())
     reports.extend(verify.cyclic_no_useless_reports())
@@ -382,19 +374,19 @@ TO_JSON = {Complex: complex_to_json, Graph: graph_to_json, Digraph: digraph_to_j
 
 
 HARNESSES = {
-    # name: what the harness returns, a list of reports, one report, or
-    # one report or None
+    # name: what the harness returns, a list of reports, one report, or a
+    # list that may be empty
     "duality_identity_reports": "list",
     "cad_report": "one",
     "grape_duality_reports": "list",
-    "strong_homology_report": "optional",
+    "strong_homology_reports": "maybe",
     "verify_forest_theorem": "list",
-    "konig_report": "optional",
+    "konig_reports": "maybe",
     "verify_pfpm_theorem": "list",
     "deletion_contraction_reports": "list",
     "ground_independence_reports": "list",
     "lifted_collapse_reports": "list",
-    "wedge_reports": "optional",
+    "wedge_reports": "maybe",
     "five_cycle_reports": "list",
     "cyclic_no_useless_reports": "list",
 }
@@ -402,8 +394,8 @@ HARNESSES = {
 
 def _recorded_run(monkeypatch, runner):
     """Run a suite with every harness replaced by one that records its
-    arguments and returns a failing report naming them (or None, on some
-    instances, where the real harness may)."""
+    arguments and returns a failing report naming them (or no report, on
+    some instances, where the real harness may)."""
     calls = defaultdict(list)
 
     def fake(name, returns):
@@ -412,10 +404,10 @@ def _recorded_run(monkeypatch, runner):
             args = tuple(a for a in args if not isinstance(a, grape.OutcomeTable))
             calls[name].append(args)
             instance = {"args": [TO_JSON.get(type(a), lambda v: v)(a) for a in args]}
-            if returns == "optional" and len(json.dumps(instance)) % 3 == 0:
-                return None
+            if returns == "maybe" and len(json.dumps(instance)) % 3 == 0:
+                return []
             rep = VerificationReport(name, instance, "fail")
-            return [rep] if returns == "list" else rep
+            return rep if returns == "one" else [rep]
 
         return harness
 
@@ -489,6 +481,20 @@ def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
     for variant in GrapeVariant:
         (orig, _, _), (moved, _, _) = [k for k in keys if k[1] is variant]
         assert orig == c and moved != c and moved.facets == c.facets
+
+
+def test_outcome_table_computes_each_key_once():
+    table = grape.OutcomeTable()
+    calls = []
+
+    def compute(value):
+        calls.append(value)
+        return value
+
+    # an empty list or a False is a value like any other, not a miss
+    for value in ([], False, None, [1], [], False, None, [1]):
+        assert table.once(("k", repr(value)), lambda: compute(value)) == value
+    assert calls == [[], False, None, [1]]
 
 
 def test_outcome_table_entries_hold_no_certificate():
