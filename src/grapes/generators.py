@@ -16,7 +16,7 @@ from typing import Iterator
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
 from .graphs import Arc, Digraph, Graph, graph
 
-MAX_GENERATORS = 2**16  # cap on the generator faces gen_complex draws
+MAX_GENERATORS = 2**16  # cap on gen_complex's generator faces and gen's vertex and arc counts
 
 
 def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
@@ -39,8 +39,8 @@ def gen_complex(ground_size: int, density: float, seed: int) -> Complex:
 
 def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
     """Seeded random tree by random attachment, minus ``drop`` random edges."""
-    if n < 1 or drop < 0:
-        raise InputError("forest needs at least one vertex and a nonnegative drop")
+    if not 1 <= n <= MAX_GENERATORS or drop < 0:
+        raise InputError(f"forest needs 1 to {MAX_GENERATORS} vertices and a nonnegative drop")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     edges = [
@@ -54,8 +54,8 @@ def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
 
 def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
     """Seeded random multigraph with uniform arcs and distinguished s, t."""
-    if n_vertices < 1 or n_arcs < 0:
-        raise InputError("digraph needs at least one vertex and a nonnegative arc count")
+    if not (1 <= n_vertices <= MAX_GENERATORS and 0 <= n_arcs <= MAX_GENERATORS):
+        raise InputError(f"digraph needs 1 to {MAX_GENERATORS} vertices and at most as many arcs")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
     arcs = tuple(

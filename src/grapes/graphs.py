@@ -6,16 +6,31 @@ possibly equal; arcs carry identifiers, which become the ground elements of
 the path-free and path-missing complexes.
 
 Invariants (domination, independent domination, vertex cover, matching) are
-computed by plain exhaustive search: exactness over speed, at desk scale.
+computed by exhaustive search over vertex masks (bit i for ``vertices[i]``):
+a set dominates when it meets every closed neighbourhood, covers when it
+meets every edge, and is independent when it contains none.  A digraph
+lists its simple s-t paths once, as arc masks, in :attr:`Digraph.paths`;
+the path-free and path-missing complexes and the useless arcs read that
+list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
-from .complexes import Complex, InputError, avoiding, bit_table, face_of, join_mask, mask_of
+from .complexes import (
+    MAX_FACES,
+    Complex,
+    InputError,
+    avoiding,
+    bit_table,
+    face_of,
+    join_mask,
+    mask_of,
+)
 
 
 # -- undirected graphs -------------------------------------------------------
@@ -59,43 +74,17 @@ def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
     return g
 
 
-def closed_neighborhood(g: Graph, s: Iterable[str]) -> frozenset:
-    base = set(s)
-    out = set(base)
-    for e in g.edges:
-        u, v = tuple(e)
-        if u in base:
-            out.add(v)
-        if v in base:
-            out.add(u)
-    return frozenset(out)
+def _masks(g: Graph) -> tuple:
+    """The edges and each vertex's closed neighbourhood, as vertex masks."""
+    bit = bit_table(g.vertices)
+    edges = [mask_of(e, bit) for e in g.edges]
+    return edges, [b | join_mask(e for e in edges if e & b) for b in bit.values()]
 
 
-def is_dominating(g: Graph, s: Iterable[str]) -> bool:
-    return closed_neighborhood(g, s) == set(g.vertices)
-
-
-def is_independent(g: Graph, s: Iterable[str]) -> bool:
-    items = list(s)
-    return all(
-        not g.adjacent(items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    )
-
-
-def is_vertex_cover(g: Graph, s: Iterable[str]) -> bool:
-    sset = set(s)
-    return all(e & sset for e in g.edges)
-
-
-def is_matching(edges: Iterable) -> bool:
-    seen: set = set()
-    for e in edges:
-        if e & seen:
-            return False
-        seen |= e
-    return True
+def _subsets(n: int) -> Iterator[int]:
+    """Every subset of n bits as a mask, smallest first."""
+    bits = [1 << i for i in range(n)]
+    return (sum(c) for k in range(n + 1) for c in combinations(bits, k))
 
 
 @dataclass(frozen=True)
@@ -107,33 +96,17 @@ class GraphInvariants:
 
 
 def invariants(g: Graph) -> GraphInvariants:
-    """Exact domination/cover/matching invariants by subset enumeration."""
-    verts = g.vertices
-    gamma = i_dom = None
-    for k in range(len(verts) + 1):
-        for combo in combinations(verts, k):
-            if is_dominating(g, combo):
-                if gamma is None:
-                    gamma = k
-                if i_dom is None and is_independent(g, combo):
-                    i_dom = k
-            if gamma is not None and i_dom is not None:
-                break
-        if gamma is not None and i_dom is not None:
-            break
-    alpha0 = next(
-        k
-        for k in range(len(verts) + 1)
-        for combo in combinations(verts, k)
-        if is_vertex_cover(g, combo)
-    )
-    edges = list(g.edges)
-    beta1 = 0
-    for k in range(len(verts) // 2, 0, -1):
-        if any(is_matching(combo) for combo in combinations(edges, k)):
-            beta1 = k
-            break
-    return GraphInvariants(gamma, i_dom, alpha0, beta1)
+    """Exact invariants by subset search, stopping at the first independent
+    dominating set, the first vertex cover and the largest matching."""
+    edges, closed = _masks(g)
+    n = len(g.vertices)
+    dominating = (s for s in _subsets(n) if all(c & s for c in closed))
+    first = next(dominating)
+    independent = next(s for s in chain([first], dominating) if not any(e & s == e for e in edges))
+    cover = next(s for s in _subsets(n) if all(e & s for e in edges))
+    beta1 = next((k for k in range(n // 2, 0, -1)
+                  if any(join_mask(m).bit_count() == 2 * k for m in combinations(edges, k))), 0)
+    return GraphInvariants(first.bit_count(), independent.bit_count(), cover.bit_count(), beta1)
 
 
 def is_forest(g: Graph) -> bool:
@@ -199,15 +172,13 @@ def edge_ground(g: Graph) -> tuple:
 
 def independence_complex(g: Graph) -> Complex:
     """Faces are the independent vertex sets: those containing no edge."""
-    bit = bit_table(g.vertices)
-    return avoiding(g.vertices, (mask_of(e, bit) for e in g.edges))
+    return avoiding(g.vertices, _masks(g)[0])
 
 
 def dominance_complex(g: Graph) -> Complex:
     """Faces are the sets whose complement is dominating: those containing
     no closed neighbourhood."""
-    bit = bit_table(g.vertices)
-    return avoiding(g.vertices, (mask_of(closed_neighborhood(g, [v]), bit) for v in g.vertices))
+    return avoiding(g.vertices, _masks(g)[1])
 
 
 def edge_cover_complex(g: Graph) -> Complex:
@@ -272,6 +243,28 @@ class Digraph:
     def arc_ids(self) -> tuple:
         return tuple(a.id for a in self.arcs)
 
+    @cached_property
+    def paths(self) -> tuple:
+        """The simple s-t paths as masks over the arcs (bit i for
+        ``arcs[i]``), listed once per digraph, depth first; (0,) alone if
+        s = t.  InputError once past MAX_FACES paths."""
+        out_arcs: dict = {v: [] for v in self.vertices}
+        for i, a in enumerate(self.arcs):
+            out_arcs[a.src].append((a.tgt, 1 << i))
+        paths = []
+        stack = [(self.s, frozenset({self.s}), 0)]
+        while stack:
+            v, visited, trail = stack.pop()
+            if v == self.t:
+                paths.append(trail)
+                if len(paths) > MAX_FACES:
+                    raise InputError(f"the digraph has more than {MAX_FACES} s-t paths")
+                continue
+            for tgt, a in out_arcs[v]:
+                if tgt not in visited:
+                    stack.append((tgt, visited | {tgt}, trail | a))
+        return tuple(paths)
+
 
 def digraph(vertices, arcs, s: str, t: str) -> Digraph:
     """Build a digraph from (id, src, tgt) triples; checks that vertices and
@@ -291,77 +284,46 @@ def digraph(vertices, arcs, s: str, t: str) -> Digraph:
     return d
 
 
-def _reaches(d: Digraph, allowed: frozenset, start: str, goal: str) -> bool:
-    """Is goal reachable from start using only arcs with ids in allowed?"""
-    if start == goal:
-        return True
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for a in d.arcs:
-            if a.id in allowed and a.src == v and a.tgt not in seen:
-                if a.tgt == goal:
-                    return True
-                seen.add(a.tgt)
-                queue.append(a.tgt)
-    return False
-
-
-def st_paths(d: Digraph) -> Iterator[int]:
-    """Yield the simple s-t paths as masks over the arcs (bit i for
-    ``d.arcs[i]``); 0 alone if s = t."""
-    out_arcs: dict = {v: [] for v in d.vertices}
-    for i, a in enumerate(d.arcs):
-        out_arcs[a.src].append((a.tgt, 1 << i))
-    stack = [(d.s, frozenset({d.s}), 0)]
-    while stack:
-        v, visited, trail = stack.pop()
-        if v == d.t:
-            yield trail
-            continue
-        for tgt, a in out_arcs[v]:
-            if tgt not in visited:
-                stack.append((tgt, visited | {tgt}, trail | a))
-
-
 def pf_complex(d: Digraph) -> Complex:
     """Path-free complex: arc sets containing no path from s to t.
 
     With s = t every set contains the trivial path, so the complex is void;
     with s != t and no arcs it is the irrelevant complex.
     """
-    return avoiding(d.arc_ids(), st_paths(d))
+    return avoiding(d.arc_ids(), d.paths)
 
 
 def pm_complex(d: Digraph) -> Complex:
-    """Path-missing complex: arc sets whose complement still has an s-t path;
-    the facets are the complements of the simple s-t paths."""
-    return _path_missing(d, st_paths(d))
+    """Path-missing complex: arc sets whose complement still has an s-t path.
+
+    The facets are the path complements, with no maximality test: a simple
+    path leaves each of its vertices by one arc, so a path inside another
+    follows it from s to t and is the same path.
+    """
+    full = (1 << len(d.arcs)) - 1
+    return Complex(d.arc_ids(), frozenset(full ^ p for p in d.paths))
 
 
 def useless_arcs(d: Digraph) -> frozenset:
     """Arcs lying on no simple path from s to t (loops always qualify)."""
-    return _useless(d, st_paths(d))
-
-
-def _path_missing(d: Digraph, paths: Iterable[int]) -> Complex:
-    """The complements of the path masks.  They need no maximality test: a
-    simple path leaves each of its vertices by one arc, so a path whose arcs
-    lie in another's follows it from s to t and is the same path."""
-    full = (1 << len(d.arcs)) - 1
-    return Complex(d.arc_ids(), frozenset(full ^ p for p in paths))
-
-
-def _useless(d: Digraph, paths: Iterable[int]) -> frozenset:
-    return face_of(((1 << len(d.arcs)) - 1) & ~join_mask(paths), d.arc_ids())
+    return face_of(((1 << len(d.arcs)) - 1) & ~join_mask(d.paths), d.arc_ids())
 
 
 def has_cycle(d: Digraph) -> bool:
-    """Any nontrivial closed walk: some arc whose source is reachable from
-    its target (covers loops and anti-parallel pairs)."""
-    everything = frozenset(d.arc_ids())
-    return any(_reaches(d, everything, a.tgt, a.src) for a in d.arcs)
+    """Any nontrivial closed walk (loops and anti-parallel pairs count): some
+    vertex is left when those with no arc in are peeled off (Kahn's order)."""
+    arcs_in = dict.fromkeys(d.vertices, 0)
+    out_arcs: dict = {v: [] for v in d.vertices}
+    for a in d.arcs:
+        arcs_in[a.tgt] += 1
+        out_arcs[a.src].append(a.tgt)
+    peeled = [v for v, k in arcs_in.items() if not k]
+    for v in peeled:  # grows while it is read
+        for w in out_arcs[v]:
+            arcs_in[w] -= 1
+            if not arcs_in[w]:
+                peeled.append(w)
+    return len(peeled) < len(d.vertices)
 
 
 def nonsinks(d: Digraph) -> frozenset:

@@ -18,7 +18,6 @@ from .collapse import ReplayError, collapse_search, lifted_collapse
 from .complexes import (
     Complex,
     alexander_dual,
-    avoiding,
     complex_to_json,
     deletion,
     enumerate_complexes,
@@ -62,10 +61,8 @@ from .graphs import (
     is_forest,
     nonsinks,
     pf_complex,
-    st_paths,
+    pm_complex,
     useless_arcs,
-    _path_missing,
-    _useless,
 )
 from .homology import (
     SHClass,
@@ -139,13 +136,13 @@ def standard_digraphs(
     n_random: int = 300,
     exhaustive_v: int = 3,
     exhaustive_e: int = 4,
-    max_v: int = 5,
-    max_e: int = 7,
     seed: int = DEFAULT_SEED,
 ):
+    """Every digraph shape up to the exhaustive sizes, then seeded random
+    digraphs on 1-5 vertices with 0-7 arcs."""
     out = list(all_digraphs(exhaustive_v, exhaustive_e))
     for i in range(n_random):
-        out.append(gen_digraph(1 + i % max_v, i % (max_e + 1), seed + i))
+        out.append(gen_digraph(1 + i % 5, i % 8, seed + i))
     return out
 
 
@@ -214,9 +211,8 @@ def strong_homology_reports(c: Complex) -> list:
                     expected=str(cls))]
 
 
-def _forest_formula_checks(g: Graph) -> list:
+def _forest_formula_checks(g: Graph, inv) -> list:
     """Expected classes for the eight forest complexes, from the invariants."""
-    inv = invariants(g)
     n_v = len(g.vertices)
     n_e = len(g.edges)
 
@@ -263,7 +259,8 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = graph_to_json(g)
     out = []
-    for name, base, dualize, class_ok in _forest_formula_checks(g):
+    inv = outcomes.once(("invariants", g), lambda: invariants(g))
+    for name, base, dualize, class_ok in _forest_formula_checks(g, inv):
         cpx = alexander_dual(base) if dualize else base
         label = f"forest-{name}{'-dual' if dualize else ''}"
         outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
@@ -288,18 +285,17 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
-    paths = list(st_paths(d))
 
     def build() -> tuple:
-        pf, pm = avoiding(d.arc_ids(), paths), _path_missing(d, paths)
+        pf, pm = pf_complex(d), pm_complex(d)
         return pf, pm, equals(pm, alexander_dual(pf))
 
-    pf, pm, dual_ok = outcomes.once(("pfpm", d.arc_ids(), frozenset(paths)), build)
+    pf, pm, dual_ok = outcomes.once(("pfpm", d.arc_ids(), frozenset(d.paths)), build)
     if not d.arcs:
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
     out = [_report("pfpm-alexander-dual", instance, dual_ok)]
-    degenerate = bool(_useless(d, paths)) or has_cycle(d)
+    degenerate = bool(useless_arcs(d)) or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
     spheres = (("path-free", pf, n_nonsinks - 1), ("path-missing", pm, len(d.arcs) - n_nonsinks))
     for name, cpx, n in spheres:
@@ -319,8 +315,7 @@ def deletion_contraction_reports(d: Digraph) -> list:
     """Deletion/contraction identities for the path-free complex, plus the
     guaranteed-useless-arc implication after deleting a source arc."""
     instance = digraph_to_json(d)
-    paths = list(st_paths(d))
-    pf = avoiding(d.arc_ids(), paths)
+    pf = pf_complex(d)
     out = []
     for arc in d.arcs:
         ok = equals(deletion(pf, arc.id), pf_complex(delete_arc(d, arc.id)))
@@ -328,7 +323,7 @@ def deletion_contraction_reports(d: Digraph) -> list:
         if arc.src == d.s:
             ok = equals(link(pf, arc.id), pf_complex(contract_arc(d, arc.id)))
             out.append(_report("pf-contraction-identity", instance, ok, arc=arc.id))
-    useless = _useless(d, paths)
+    useless = useless_arcs(d)
     for arc in d.arcs:
         if (
             arc.src == d.s
@@ -400,10 +395,11 @@ def wedge_reports(c: Complex) -> list:
     )]
 
 
-def konig_reports(g: Graph) -> list:
+def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
     if not is_bipartite(g):
         return []
-    inv = invariants(g)
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    inv = outcomes.once(("invariants", g), lambda: invariants(g))
     return [_report("konig-cover-matching", graph_to_json(g), inv.alpha0 == inv.beta1,
                     expected=inv.beta1, observed=inv.alpha0)]
 
@@ -418,28 +414,16 @@ def five_cycle_reports() -> list:
         _report("five-cycle-not-combinatorial", instance, comb.verdict == "no", observed=comb.verdict)
     )
     weak = check_grape(c5, GrapeVariant.WEAK)
-    ok = weak.is_yes
-    if ok:
-        try:
-            verify_certificate(c5, GrapeVariant.WEAK, weak.certificate)
-        except ReplayError as exc:
-            ok = False
-            out.append(_report("five-cycle-weak", instance, False, observed=str(exc)))
-    if ok:
-        predicted = predicted_wedge(weak.certificate)
-        profile = reduced_homology(c5)
-        ok = predicted == {1: 1} and profile.betti_at(1) == 1
-        out.append(
-            _report(
-                "five-cycle-weak",
-                instance,
-                ok,
-                expected={"1": 1},
-                observed={str(k): v for k, v in predicted.items()},
-            )
-        )
-    else:
-        out.append(_report("five-cycle-weak", instance, False, observed=weak.verdict))
+    if not weak.is_yes:
+        return out + [_report("five-cycle-weak", instance, False, observed=weak.verdict)]
+    try:
+        verify_certificate(c5, GrapeVariant.WEAK, weak.certificate)
+    except ReplayError as exc:
+        return out + [_report("five-cycle-weak", instance, False, observed=str(exc))]
+    predicted = predicted_wedge(weak.certificate)
+    ok = predicted == {1: 1} and reduced_homology(c5).betti_at(1) == 1
+    out.append(_report("five-cycle-weak", instance, ok, expected={"1": 1},
+                       observed={str(k): v for k, v in predicted.items()}))
     return out
 
 
@@ -550,10 +534,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         sizes.exhaustive_digraph[1],
         seed=seed,
     )
-    identity_digraphs = [
-        gen_digraph(1 + i % 5, i % 8, seed + 7000 + i)
-        for i in range(sizes.n_identity_digraphs)
-    ]
+    identity_digraphs = standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed=seed + 7000)
     say(f"instance set: {len(complexes)} complexes")
     notes = [
         "(co)homological duality checked on nonempty ground sets only: the "
@@ -574,7 +555,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
-            lambda g, table: verify_forest_theorem(g, table) + konig_reports(g),
+            lambda g, table: verify_forest_theorem(g, table) + konig_reports(g, table),
         ),
         (
             f"path-free/path-missing done ({len(digraphs)} digraphs)",

@@ -52,10 +52,7 @@ def forest_set():
 def digraph_set():
     # exhaustive shapes with up to 3 vertices and 4 arcs, plus 300 seeded
     # digraphs with up to 5 vertices and 7 arcs
-    return standard_digraphs(
-        n_random=300, exhaustive_v=3, exhaustive_e=4, max_v=5, max_e=7,
-        seed=DEFAULT_SEED,
-    )
+    return standard_digraphs(n_random=300, exhaustive_v=3, exhaustive_e=4, seed=DEFAULT_SEED)
 
 
 def finish(name, reports, started, limit):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grapes
+import grapes.graphs as graphs
 from grapes.cli import main
 from grapes.complexes import complex_to_json, void_complex
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph
@@ -380,6 +381,9 @@ BAD_TABLES = {
         ["grape", "check", "{edge}", "--variant", "strong", "--budget", "-5"],
         ["gen", "digraph", "--v", "2", "--arcs", "-3", "--seed", "1"],
         ["gen", "forest", "--n", "3", "--seed", "1", "--drop", "-2"],
+        ["gen", "forest", "--n", "100000000", "--seed", "1"],
+        ["gen", "digraph", "--v", "100000000", "--arcs", "1", "--seed", "1"],
+        ["gen", "digraph", "--v", "2", "--arcs", "100000000", "--seed", "1"],
         ["homology", "{not_utf8}"],
         ["homology", "{huge_int}"],
         ["verify", "cad", "{not_utf8}"],
@@ -501,6 +505,8 @@ def test_hostile_graph_files_never_end_in_a_traceback(raw):
         *(["from-graph", FILE, "--complex", kind, *dual]
           for kind in ("ind", "dom", "ec", "ed") for dual in ([], ["--dual"])),
         *(["from-digraph", FILE, "--complex", kind] for kind in ("pf", "pm")),
+        ["verify", "forest", FILE],
+        ["verify", "pfpm", FILE],
     ])
 
 
@@ -510,6 +516,10 @@ CHORDED_PATH = {
     "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v5"], ["v5", "v6"], ["v6", "v7"],
               ["v7", "v8"], ["v8", "v9"], ["v9", "v10"], ["v10", "v11"], ["v11", "v12"],
               ["v1", "v4"], ["v2", "v7"], ["v3", "v11"], ["v5", "v10"], ["v8", "v12"]],
+}
+EIGHT_VERTEX_FOREST = {
+    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
+    "edges": [["v1", "v2"], ["v2", "v3"], ["v2", "v4"], ["v4", "v5"], ["v5", "v6"], ["v7", "v8"]],
 }
 TEN_ARC_DAG = {
     "vertices": ["s", "u", "v", "w", "x", "t"],
@@ -524,13 +534,40 @@ TEN_ARC_DAG = {
 
 
 def test_builder_outputs_are_byte_stable(write_json, capsys):
-    # sha256 of `from-graph --complex dom --dual` and `from-digraph --complex pf` stdout
+    # sha256 of the stdout of `from-graph --complex dom --dual`, `from-digraph
+    # --complex pf`, `verify forest` and `verify pfpm`
     outputs = []
+    dag = write_json("d.json", TEN_ARC_DAG)
     for argv in (["from-graph", write_json("g.json", CHORDED_PATH), "--complex", "dom", "--dual"],
-                 ["from-digraph", write_json("d.json", TEN_ARC_DAG), "--complex", "pf"]):
+                 ["from-digraph", dag, "--complex", "pf"],
+                 ["verify", "forest", write_json("f.json", EIGHT_VERTEX_FOREST)],
+                 ["verify", "pfpm", dag]):
         assert main(argv) == 0
         outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert outputs == [
         "b50c8ddb68d3b588ed0946cb19490733adbcf4da5cec2ec914f53569ba9a1921",
         "e2a2488453cc8d785b95fec40a671ca0a3baed5fe95b3dd15db8fb53ac4e18b3",
+        "dc00289257449c73749c1dd3dd9c3c7148d581ec7836a29a486d9d1d325e8328",
+        "cd7e823b53e73bb444e9dd5d7769394ea740388bb891aa1cd0233aa8c3d88d35",
     ]
+
+
+def ladder(k):
+    """A DAG of k layers, each two parallel arcs: 2^k simple s-t paths."""
+    names = [f"u{i}" for i in range(k + 1)]
+    arcs = [{"id": f"e{i}{side}", "src": names[i], "tgt": names[i + 1]}
+            for i in range(k) for side in "ab"]
+    return {"vertices": names, "arcs": arcs, "s": names[0], "t": names[-1]}
+
+
+@pytest.mark.parametrize("argv", [["from-digraph", "{}", "--complex", "pf"],
+                                  ["from-digraph", "{}", "--complex", "pm"],
+                                  ["verify", "pfpm", "{}"]])
+def test_path_listing_is_bounded_by_max_faces(monkeypatch, write_json, capsys, argv):
+    monkeypatch.setattr(graphs, "MAX_FACES", 2**6)
+    # 2^6 paths is the bound itself; 2^7 is past it
+    assert main([a.format(write_json("six.json", ladder(6))) for a in argv]) == 0
+    capsys.readouterr()
+    assert main([a.format(write_json("seven.json", ladder(7))) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: the digraph has more than {2**6} s-t paths\n"

@@ -3,7 +3,8 @@
 The code these replaced is kept here as oracles: Berge's algorithm on
 frozensets of names, the scan of the ground set for minimal non-faces, the
 predicate scan over every vertex, edge or arc subset for the six graph
-complexes, and the recursive path search for useless arcs.
+complexes, the recursive path search for useless arcs, and the search from
+each arc's target for cycles.
 """
 
 import json
@@ -26,6 +27,7 @@ from grapes import (
     edge_dominance_complex,
     enumerate_complexes,
     graph,
+    has_cycle,
     independence_complex,
     minimal_nonfaces,
     new_complex,
@@ -35,16 +37,10 @@ from grapes import (
     useless_arcs,
 )
 from grapes.generators import all_digraphs, all_trees
-from grapes.graphs import (
-    _reaches,
-    edge_ground,
-    edge_label,
-    is_dominating,
-    is_independent,
-)
+from grapes.graphs import edge_ground, edge_label
 from test_cli import run_module
 from test_complexes import has_face
-from test_graphs import is_edge_cover, path_graph
+from test_graphs import is_dominating, is_edge_cover, is_independent, path_graph
 
 
 def frozenset_minimal_nonfaces(c):
@@ -117,6 +113,29 @@ def scan_edge_dominance(g):
         return all(any(e & r for r in remaining) for e in g.edges)
 
     return scan_complex(ground, is_face)
+
+
+def _reaches(d, allowed, start, goal):
+    """Is goal reachable from start using only arcs with ids in allowed?"""
+    if start == goal:
+        return True
+    seen = {start}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        for a in d.arcs:
+            if a.id in allowed and a.src == v and a.tgt not in seen:
+                if a.tgt == goal:
+                    return True
+                seen.add(a.tgt)
+                queue.append(a.tgt)
+    return False
+
+
+def reaching_has_cycle(d):
+    """Some arc whose source is reachable from its target."""
+    everything = frozenset(d.arc_ids())
+    return any(_reaches(d, everything, a.tgt, a.src) for a in d.arcs)
 
 
 def recursive_useless_arcs(d):
@@ -262,6 +281,7 @@ def test_path_complexes_and_useless_arcs_match_their_definitions():
             d.arc_ids(), lambda f: _reaches(d, arcs - f, d.s, d.t)
         )
         assert useless_arcs(d) == recursive_useless_arcs(d)
+        assert has_cycle(d) == reaching_has_cycle(d)
 
 
 def complete_dag(n):

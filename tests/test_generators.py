@@ -3,8 +3,9 @@
 import pytest
 
 from grapes import is_forest
-from grapes.complexes import complex_to_json
+from grapes.complexes import InputError, complex_to_json
 from grapes.generators import (
+    MAX_GENERATORS,
     all_digraphs,
     all_trees,
     cycle_complex,
@@ -72,6 +73,14 @@ def test_generator_input_validation():
         gen_forest(0, 0)
     with pytest.raises(ValueError):
         gen_digraph(0, 0, 0)
+    # sizes are bounded by MAX_GENERATORS, which is itself accepted
+    assert len(gen_forest(MAX_GENERATORS, 1).vertices) == MAX_GENERATORS
+    assert len(gen_digraph(1, MAX_GENERATORS, 1).arcs) == MAX_GENERATORS
+    for build in (lambda: gen_forest(MAX_GENERATORS + 1, 1),
+                  lambda: gen_digraph(MAX_GENERATORS + 1, 0, 1),
+                  lambda: gen_digraph(1, MAX_GENERATORS + 1, 1)):
+        with pytest.raises(InputError):
+            build()
 
 
 def test_all_trees_census():

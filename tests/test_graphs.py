@@ -29,15 +29,13 @@ from grapes import (
     useless_arcs,
 )
 from grapes.graphs import (
+    complement,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
     graph_to_json,
-    is_dominating,
-    is_independent,
-    is_vertex_cover,
 )
-from grapes.generators import cyclic_no_useless_digraph
+from grapes.generators import all_trees, cyclic_no_useless_digraph
 from test_complexes import has_face
 
 
@@ -54,6 +52,22 @@ def star_graph(leaves):
     center = "v1"
     vertices = (center,) + tuple(f"v{i}" for i in range(2, leaves + 2))
     return Graph(vertices, frozenset(frozenset((center, v)) for v in vertices[1:]))
+
+
+def is_dominating(g, chosen):
+    """Every vertex is chosen or next to a chosen one."""
+    chosen = set(chosen)
+    return chosen.union(*(e for e in g.edges if e & chosen)) == set(g.vertices)
+
+
+def is_independent(g, chosen):
+    chosen = set(chosen)
+    return not any(e <= chosen for e in g.edges)
+
+
+def is_vertex_cover(g, chosen):
+    chosen = set(chosen)
+    return all(e & chosen for e in g.edges)
 
 
 def is_edge_cover(g, chosen):
@@ -196,8 +210,6 @@ def test_edge_dominance_matches_dominance_of_line_dual():
 
 
 def test_dominance_dual_is_neighborhood_complex_of_complement():
-    from grapes.graphs import complement
-
     for g in (P3, P4, TRIANGLE, C4, star_graph(5)):
         dual = alexander_dual(dominance_complex(g))
         comp = complement(g)
@@ -241,6 +253,33 @@ def test_invariants_of_edgeless_graph():
 def test_invariants_of_star():
     inv = invariants(star_graph(3))
     assert (inv.gamma, inv.i_dom, inv.alpha0, inv.beta1) == (1, 1, 1, 1)
+
+
+def scan_invariants(g):
+    """The invariants from the name-level predicates: the smallest
+    dominating, independent dominating and covering vertex sets, and the
+    largest set of pairwise disjoint edges."""
+    subsets = list(all_subsets(g.vertices))
+    dominating = [s for s in subsets if is_dominating(g, s)]
+    return (
+        min(map(len, dominating)),
+        min(len(s) for s in dominating if is_independent(g, s)),
+        min(len(s) for s in subsets if is_vertex_cover(g, s)),
+        max(len(m) for m in all_subsets(g.edges) if len(frozenset().union(*m)) == 2 * len(m)),
+    )
+
+
+def test_invariants_match_the_name_level_scan():
+    four = list(combinations("abcd", 2))
+    graphs = [
+        *all_trees(8),
+        *(graph("abcd", [p for i, p in enumerate(four) if mask >> i & 1]) for mask in range(64)),
+        *(complement(t) for t in all_trees(6)),
+        graph("", []),
+    ]
+    for g in graphs:
+        inv = invariants(g)
+        assert (inv.gamma, inv.i_dom, inv.alpha0, inv.beta1) == scan_invariants(g), g
 
 
 def test_forest_and_bipartite_predicates():

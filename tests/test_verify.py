@@ -1,5 +1,6 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
+import functools
 import hashlib
 import json
 from collections import defaultdict
@@ -9,6 +10,7 @@ import pytest
 
 import grapes.complexes as complexes
 import grapes.grape as grape
+import grapes.graphs as graphs
 import grapes.homology as homology
 import grapes.verify as verify
 from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex, verify_dual_invariance
@@ -117,15 +119,42 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_path_lists(monkeypatch):
+    """Patch the Digraph.paths view with one that records each digraph whose
+    s-t paths it lists."""
+    listed = []
+    real = graphs.Digraph.paths.func
+
+    def paths(d):
+        listed.append(d)
+        return real(d)
+
+    view = functools.cached_property(paths)
+    view.__set_name__(graphs.Digraph, "paths")
+    monkeypatch.setattr(graphs.Digraph, "paths", view)
+    return listed
+
+
 def test_pfpm_lists_the_st_paths_once(monkeypatch):
+    # a digraph keeps its path list, so each check starts from a fresh one
+    before = verify_pfpm_theorem(cyclic_no_useless_digraph())
+    paths = counting_path_lists(monkeypatch)
     d = cyclic_no_useless_digraph()
-    before = verify_pfpm_theorem(d)
-    paths = counting(monkeypatch, verify, "st_paths")
     assert [r.to_json() for r in verify_pfpm_theorem(d)] == [r.to_json() for r in before]
     assert len(paths) == 1
     paths.clear()
+    d = cyclic_no_useless_digraph()
     deletion_contraction_reports(d)
-    assert len(paths) == 1
+    assert sum(listed is d for listed in paths) == 1
+    paths.clear()
+    digraphs = verify.standard_digraphs(40, 2, 3)
+    for d in digraphs:
+        verify_pfpm_theorem(d)
+        deletion_contraction_reports(d)
+    # the deleted and contracted digraphs list theirs too, each once
+    listed = list(map(id, paths))
+    assert len(listed) == len(set(listed)) > len(digraphs)
+    assert set(map(id, digraphs)) <= set(listed)
 
 
 SMOKE_1729_DUALS = {
@@ -149,8 +178,10 @@ def test_alexander_dual_calls_per_stage_are_pinned(monkeypatch):
 
     for module in (verify, grape, homology):
         monkeypatch.setattr(module, "alexander_dual", counted)
-    # no suite input comes near the bound on the dual: 2^6 against 2^20
+    # no suite input comes near the bound on the dual or on the s-t paths:
+    # 2^6 against 2^20
     monkeypatch.setattr(complexes, "MAX_FACES", 2**6)
+    monkeypatch.setattr(graphs, "MAX_FACES", 2**6)
     per_stage = {}
 
     def close_stage(line):
@@ -161,6 +192,20 @@ def test_alexander_dual_calls_per_stage_are_pinned(monkeypatch):
     summary = run_suite("smoke", 1729, log=close_stage)
     assert (summary["pass"], summary["fail"], summary["unknown"]) == (2607, 0, 0)
     assert per_stage == SMOKE_1729_DUALS
+
+
+def test_the_forest_stage_computes_the_invariants_once_per_distinct_forest(monkeypatch):
+    computed = counting(monkeypatch, verify, "invariants")
+    per_stage = {}
+
+    def close_stage(line):
+        if computed:
+            per_stage[line] = len(computed)
+        computed.clear()
+
+    run_suite("smoke", 1729, log=close_stage)
+    forests = verify.standard_forests(SIZES["smoke"].n_forests, SIZES["smoke"].max_tree, 1729)
+    assert per_stage == {"forest theorem done (44 forests)": len(set(forests))}
 
 
 def test_pfpm_builds_once_per_path_family(monkeypatch):
@@ -197,6 +242,15 @@ def test_grape_duality_builds_the_dual_once(monkeypatch):
 def test_named_instance_harnesses():
     assert all(r.status == "pass" for r in five_cycle_reports())
     assert all(r.status == "pass" for r in cyclic_no_useless_reports())
+
+
+def test_a_weak_certificate_that_fails_to_replay_gives_one_report(monkeypatch):
+    def refuse(c, variant, certificate):
+        raise ReplayError("refused")
+
+    monkeypatch.setattr(verify, "verify_certificate", refuse)
+    weak = [r for r in five_cycle_reports() if r.theorem == "five-cycle-weak"]
+    assert [(r.status, r.observed) for r in weak] == [("fail", "refused")]
 
 
 def test_deletion_contraction_on_cyclic_digraph():
