@@ -97,9 +97,12 @@ class GraphInvariants:
 
 def invariants(g: Graph) -> GraphInvariants:
     """Exact invariants by subset search, stopping at the first independent
-    dominating set, the first vertex cover and the largest matching."""
-    edges, closed = _masks(g)
+    dominating set, the first vertex cover and the largest matching.
+    InputError, before searching, when there are over MAX_FACES subsets."""
     n = len(g.vertices)
+    if 1 << n > MAX_FACES:
+        raise InputError(f"the invariants search 2^{n} vertex subsets, more than {MAX_FACES}")
+    edges, closed = _masks(g)
     dominating = (s for s in _subsets(n) if all(c & s for c in closed))
     first = next(dominating)
     independent = next(s for s in chain([first], dominating) if not any(e & s == e for e in edges))

@@ -3,8 +3,10 @@
 The chain complex is augmented: the empty face spans the chain group in
 dimension -1, so the irrelevant complex has one unit of homology there and
 the void complex (no faces at all) has all groups zero.  Faces are int masks
-over the ground, submasks of the facets; the sparse boundary maps are reduced
-top down with clearing, and on unit pivots before any dense Smith reduction.
+over the ground, submasks of the facets.  Homology is taken of the quotient
+by the star of one vertex, an acyclic cone, which leaves the cells of the
+pair (deletion, link); its sparse boundary maps are reduced top down with
+clearing, and on unit pivots before any dense Smith reduction.
 Cohomology follows from homology by universal coefficients.
 
 All arithmetic is exact over Python integers.
@@ -147,13 +149,18 @@ def _invariant_factors(columns: list) -> tuple:
 # -- boundary maps on mask faces -----------------------------------------------
 
 
-def _faces(c: Complex) -> dict:
-    """Faces by dimension (the empty face at -1) as masks over the ground;
+def _faces(c: Complex) -> set:
+    """Every face as a mask over the ground, the empty face included;
     InputError, before any is built, when there would be over MAX_FACES."""
     if sum(1 << f.bit_count() for f in c.masks) > MAX_FACES:
         raise InputError(f"the facets span more than {MAX_FACES} faces")
+    return face_masks(c.masks)
+
+
+def _by_dim(faces) -> dict:
+    """Faces by dimension, the empty face at -1."""
     by_dim = defaultdict(list)
-    for s in face_masks(c.masks):
+    for s in faces:
         by_dim[s.bit_count() - 1].append(s)
     return by_dim
 
@@ -177,7 +184,7 @@ def boundary_matrix(c: Complex, k: int) -> list:
     """
     if k < -1 or k > c.dim():
         raise InputError(f"dimension {k} out of range for this complex")
-    by_dim = _faces(c)
+    by_dim = _by_dim(_faces(c))
     rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
     return _dense([_boundary(f) for f in cols], rows)
 
@@ -219,21 +226,35 @@ class HomologyProfile:
         }
 
 
-def reduced_homology(c: Complex) -> HomologyProfile:
-    """Reduced integral homology, dimensions -1 through dim(c).
+def _apex(c: Complex) -> int:
+    """The vertex bit whose star is largest by the sum of 2^|F| over the
+    facets F through it; the lowest bit on ties."""
+    bits = range(len(c.ground))
+    weight = [sum(1 << f.bit_count() for f in c.masks if f >> i & 1) for i in bits]
+    return 1 << weight.index(max(weight))
 
-    Top down, a k-face that a unit pivot of the map above was taken on is no
-    column of this map (clearing).  Exact over Z: those pivot columns are
-    boundaries with +-1 on their rows, triangular in pivot order, so a
-    unimodular change of basis zeroes the cleared columns of this map.
+
+def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
+    """Reduced homology of c as that of the pair (del_v c, lk_v c), v a vertex bit.
+
+    The cells are the faces s with v not in s and s + v not in c, and a
+    column is s's boundary less its rows in the star of v.  Top down, a cell
+    that a unit pivot of the map above was taken on is no column of this map
+    (clearing): those pivot columns are boundaries with +-1 on their rows,
+    triangular in pivot order, so a unimodular change of basis zeroes the
+    cleared columns of this map.
     """
-    if c.is_void:
-        return HomologyProfile({}, {})
-    by_dim = _faces(c)
+    faces = _faces(c)
+    cells = {s for s in faces if not s & v and s | v not in faces}
+    by_dim = _by_dim(cells)
     factors = {c.dim() + 1: []}
     cleared = frozenset()
     for k in range(c.dim(), -1, -1):
-        columns = [_boundary(f) for f in by_dim[k] if f not in cleared]
+        columns = [
+            {t: e for t, e in _boundary(s).items() if t in cells}
+            for s in by_dim[k]
+            if s not in cleared
+        ]
         factors[k], cleared = _invariant_factors(columns)
     betti, torsion = {}, {}
     for k in range(-1, c.dim() + 1):
@@ -241,6 +262,21 @@ def reduced_homology(c: Complex) -> HomologyProfile:
         betti[k] = len(by_dim[k]) - len(factors.get(k, ())) - len(above)
         torsion[k] = tuple(d for d in above if d > 1)
     return HomologyProfile(betti, torsion)
+
+
+def reduced_homology(c: Complex) -> HomologyProfile:
+    """Reduced integral homology, dimensions -1 through dim(c).
+
+    Computed on the quotient by the star of one vertex v, the one with the
+    largest star (see :func:`_apex`): the star is a cone, so its augmented
+    chain complex is acyclic, and the long exact sequence of the pair gives
+    H~_k(c) = H_k(c, st v) = H_k(del_v c, lk_v c), torsion included.
+    """
+    if c.is_void:
+        return HomologyProfile({}, {})
+    if c.is_irrelevant:
+        return HomologyProfile({-1: 1}, {-1: ()})
+    return _star_quotient_homology(c, _apex(c))
 
 
 def reduced_cohomology(c: Complex) -> HomologyProfile:

@@ -19,7 +19,7 @@ import grapes
 import grapes.graphs as graphs
 from grapes.cli import main
 from grapes.complexes import complex_to_json, void_complex
-from grapes.generators import cycle_complex, cyclic_no_useless_digraph
+from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
 from grapes.graphs import digraph_to_json, graph_to_json
 from test_graphs import path_graph
 
@@ -389,6 +389,7 @@ BAD_TABLES = {
         ["verify", "cad", "{not_utf8}"],
         ["verify", "cad", "{huge_int}"],
         ["homology", "{forty}"],
+        ["verify", "forest", "{forest28}"],
     ],
 )
 def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
@@ -410,6 +411,8 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
         "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),
         "list_endpoint": write_json("g2.json", {"vertices": ["a"], "edges": [[["x"], "a"]]}),
+        # the invariants' subset search is refused past 2^20 subsets
+        "forest28": write_json("forest28.json", graph_to_json(gen_forest(28, 1))),
         **{name: write_json(f"{name}.json", table) for name, table in BAD_TABLES.items()},
     }
     result = run_module(*(a.format(**files) for a in argv))

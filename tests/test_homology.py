@@ -14,6 +14,7 @@ from grapes import (
     boundary_matrix,
     check_alexander_duality,
     alexander_dual,
+    cone_over,
     cross_polytope_boundary,
     dominance_complex,
     edge_cover_complex,
@@ -283,17 +284,36 @@ def columns_eliminated(monkeypatch, c):
     return handed
 
 
-def test_clearing_drops_every_column_the_map_above_paired(monkeypatch):
-    # the boundary of the simplex on 12 vertices: 2^12 - 2 faces of dimension
-    # 0 to 10; clearing leaves C(11, k) k-faces below the top, 2^11 in all
+def test_elimination_gets_only_the_star_quotients_uncleared_cells(monkeypatch):
+    # the boundary of the simplex on 12 vertices: past the star of v0, the
+    # one cell left is the facet opposite v0, whose boundary lies in the star
     simplex = new_complex(
         [f"v{i}" for i in range(12)],
         [frozenset(f"v{j}" for j in range(12) if j != i) for i in range(12)],
     )
-    assert columns_eliminated(monkeypatch, simplex) == [12, 55, 165, 330, 462, 462, 330, 165, 55, 11, 1]
-    # the boundary of the 4-dimensional cross-polytope: 16, 32, 24, 8 faces
-    # of dimension 3, 2, 1, 0
-    assert columns_eliminated(monkeypatch, cross_polytope_boundary(4)) == [16, 17, 7, 1]
+    assert columns_eliminated(monkeypatch, simplex) == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    # the boundary of the 4-dimensional cross-polytope: past the star of one
+    # vertex, 8, 12, 6, 1 cells of dimension 3, 2, 1, 0, and clearing drops
+    # the 7, 5, 1 that the map above paired
+    assert columns_eliminated(monkeypatch, cross_polytope_boundary(4)) == [8, 5, 1, 0]
+
+
+def test_the_star_quotient_matches_the_oracle_at_every_vertex():
+    # every choice of v, not only the one reduced_homology makes
+    rp2_family = [RP2, suspension(RP2, "s", "n"), cone_over(RP2, "a")]
+    complexes = [c for n in range(5) for c in enumerate_complexes("abcd"[:n])] + rp2_family
+    for c in complexes:
+        want = oracle_reduced_homology(c)
+        for v in range(len(c.ground)):
+            if any(f >> v & 1 for f in c.masks):
+                assert homology._star_quotient_homology(c, 1 << v) == want, (c, v)
+
+
+def test_the_apex_has_the_largest_star_and_the_lowest_bit_on_ties():
+    # a and c weigh 2^3 + 2^2, b 2^3 and d 2^2 + 2^2
+    assert homology._apex(cx("abcd", "abc", "ad", "cd")) == 0b001
+    assert homology._apex(cx("abcd", "b", "cd")) == 0b100
+    assert homology._apex(cross_polytope_boundary(3)) == 0b1
 
 
 def test_face_enumeration_is_bounded_before_it_starts(monkeypatch):

@@ -208,6 +208,24 @@ def test_the_forest_stage_computes_the_invariants_once_per_distinct_forest(monke
     assert per_stage == {"forest theorem done (44 forests)": len(set(forests))}
 
 
+def test_sphere_homology_calls_per_stage_are_pinned(monkeypatch):
+    # the forest stage meets 204 distinct (complex, class) pairs in 264
+    # checks and takes the homology of each once
+    checked = counting(monkeypatch, verify, "matches_sphere")
+    per_stage = {}
+
+    def close_stage(line):
+        if checked:
+            per_stage[line] = len(checked)
+        checked.clear()
+
+    run_suite("smoke", 1729, log=close_stage)
+    assert per_stage == {
+        "strong/homology consistency done": 37,
+        "forest theorem done (44 forests)": 204,
+    }
+
+
 def test_pfpm_builds_once_per_path_family(monkeypatch):
     # two digraphs with one path family, {e1}, that differ off the path
     first = digraph("stu", [("e1", "s", "t"), ("e2", "u", "s")], "s", "t")
