@@ -103,37 +103,19 @@ def cyclic_no_useless_digraph() -> Digraph:
 def _tree_canonical(n: int, edges: list) -> object:
     """Isomorphism-invariant form of a tree on vertices 0..n-1.
 
-    Roots the tree at its center(s) and takes the lexicographically
-    smallest recursive sorted-children form.
+    The least, over all roots, of the recursive sorted-children form: that
+    form is a complete invariant of rooted trees, so its least value over
+    the roots is one of unrooted trees.
     """
-    if n == 1:
-        return ()
-    adjacency = {v: set() for v in range(n)}
+    adjacency = [[] for _ in range(n)]
     for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    # strip leaves until one or two centers remain
-    degree = {v: len(adjacency[v]) for v in range(n)}
-    layer = [v for v in range(n) if degree[v] <= 1]
-    remaining = n
-    alive = {v: True for v in range(n)}
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for w in adjacency[v]:
-                if alive[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [v for v in range(n) if alive[v]]
+        adjacency[a].append(b)
+        adjacency[b].append(a)
 
     def form(v: int, parent: int) -> tuple:
         return tuple(sorted(form(w, v) for w in adjacency[v] if w != parent))
 
-    return min(form(c, -1) for c in centers)
+    return min(form(root, -1) for root in range(n))
 
 
 def all_trees(max_n: int) -> Iterator[Graph]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .complexes import MAX_FACES, Complex, InputError, alexander_dual, face_masks, mask_order
+from .complexes import MAX_FACES, Complex, InputError, alexander_dual, mask_order
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -151,10 +151,20 @@ def _invariant_factors(columns: list) -> tuple:
 
 def _faces(c: Complex) -> set:
     """Every face as a mask over the ground, the empty face included;
-    InputError, before any is built, when there would be over MAX_FACES."""
-    if sum(1 << f.bit_count() for f in c.masks) > MAX_FACES:
+    InputError once there are over MAX_FACES, before any is built when the
+    largest facet alone spans more."""
+    if 1 << max((f.bit_count() for f in c.masks), default=0) > MAX_FACES:
         raise InputError(f"the facets span more than {MAX_FACES} faces")
-    return face_masks(c.masks)
+    faces = set()
+    for f in c.masks:  # as face_masks does, with the count checked per facet
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
+        if len(faces) > MAX_FACES:
+            raise InputError(f"the facets span more than {MAX_FACES} faces")
+    return faces
 
 
 def _by_dim(faces) -> dict:

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grapes
+import grapes.cli as cli
 import grapes.graphs as graphs
-from grapes.cli import main
-from grapes.complexes import complex_to_json, void_complex
+from grapes.cli import VARIANTS, _build_parser, main
+from grapes.complexes import complex_from_json, complex_to_json, void_complex
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
+from grapes.grape import GrapeVariant, certificate_to_json, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
 from test_graphs import path_graph
 
@@ -64,6 +66,22 @@ def test_link_and_del_commands(write_json, capsys):
     assert code == 0 and out["facets"] == [["a"], ["c"]]
     code, out = run_cli(capsys, "del", path, "b")
     assert code == 0 and out["facets"] == [["a"], ["c"]]
+
+
+def test_handlers_read_library_functions_when_they_run(write_json, capsys, monkeypatch):
+    # a tracer rebinds the module's globals after the parser is built and cached
+    _build_parser()
+    calls = []
+    original = cli.alexander_dual
+
+    def traced(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(cli, "alexander_dual", traced)
+    code, out = run_cli(capsys, "dual", write_json("c.json", TWO_POINTS))
+    assert code == 0 and out == {"ground": ["a", "b"], "facets": [[]]}
+    assert len(calls) == 1
 
 
 def test_main_builds_its_parser_once(write_json, capsys, monkeypatch):
@@ -201,6 +219,15 @@ def test_verify_forest_command(write_json, capsys):
     code, out = run_cli(capsys, "verify", "forest", g)
     assert code == 0
     assert out["fail"] == 0 and out["pass"] == 8
+
+
+def test_verify_forest_command_on_eighteen_vertices(write_json, capsys):
+    # the face bound counts distinct faces: summed over facets, 2^|F| passed
+    # it on the dual side of this forest
+    g = write_json("g.json", graph_to_json(gen_forest(18, 1)))
+    code, out = run_cli(capsys, "verify", "forest", g)
+    assert code == 0
+    assert out["fail"] == 0 and out["unknown"] == 0 and out["pass"] == 8
 
 
 def test_verify_forest_rejects_nonforest(write_json, capsys):
@@ -477,40 +504,143 @@ def hostile_graph_files(draw):
 
 
 FILE = "<file>"  # longer than any hostile name, so no drawn argument equals it
+ELEMENT = "<element>"  # the drawn ground element
+PATH3_FILE, CERT_FILE = "<path3>", "<certificate>"  # fixed files beside the drawn one
+PATH3 = {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]}
+PATH3_CERTIFICATES = [
+    certificate_to_json(check_grape(complex_from_json(PATH3), variant).certificate)
+    for variant in GrapeVariant
+]
 
 
-def exits_cleanly(raw, commands):
-    """Each command, with FILE standing for the file, ends with an exit code,
-    never a traceback."""
+def exits_cleanly(raw, commands, element="a"):
+    """Each command, with FILE standing for a file of the raw bytes, ends with
+    an exit code, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "wb") as handle:
-            handle.write(raw)
+        fill = {ELEMENT: element}
+        for name, data in ((FILE, raw), (PATH3_FILE, json.dumps(PATH3).encode()),
+                           (CERT_FILE, json.dumps(PATH3_CERTIFICATES[0]).encode())):
+            fill[name] = os.path.join(tmp, f"{name[1:-1]}.json")
+            with open(fill[name], "wb") as handle:
+                handle.write(data)
         for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([path if arg == FILE else arg for arg in command])
+                code = main([fill.get(arg, arg) for arg in command])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(hostile_files(), HOSTILE_NAMES)
-def test_hostile_complex_files_never_end_in_a_traceback(raw, element):
-    exits_cleanly(raw, [["homology", FILE], ["verify", "cad", FILE], ["dual", FILE],
-                        ["link", "--", FILE, element], ["del", "--", FILE, element]])
+def dicts_in(data):
+    """Every object in a JSON value, outermost first."""
+    if isinstance(data, dict):
+        yield data
+        data = list(data.values())
+    for value in data if isinstance(data, list) else ():
+        yield from dicts_in(value)
 
 
-@settings(max_examples=150, deadline=None)
-@given(hostile_graph_files())
-def test_hostile_graph_files_never_end_in_a_traceback(raw):
-    exits_cleanly(raw, [
+CERTIFICATE_WORDS = st.sampled_from(["strong", "combinatorial", "weak", "strong-weak", "link",
+                                     "deletion", "both", "point", "void", "irrelevant"])
+
+
+@st.composite
+def hostile_certificates(draw):
+    """Certificates of PATH3 with one field of one object dropped or replaced,
+    node tables of such nodes in any order, or hostile bytes."""
+    kind = draw(st.sampled_from(["mutated", "table", "bytes"]))
+    if kind == "bytes":
+        return draw(hostile_files())
+    cert = json.loads(json.dumps(draw(st.sampled_from(PATH3_CERTIFICATES))))
+    if kind == "table":
+        nodes = cert["nodes"]
+        cert["nodes"] = draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) + 1))
+    target = draw(st.sampled_from(list(dicts_in(cert))))
+    key = draw(st.sampled_from(sorted(target)) | st.sampled_from(["base", "format", "kind"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(HOSTILE_ENTRIES | JSON_VALUES | st.integers(-1, 4) | CERTIFICATE_WORDS)
+    return draw(as_json_bytes(cert))
+
+
+BUDGET = ["--budget", "40"]
+FUZZED = {
+    "complex": [
+        ["homology", FILE], ["verify", "cad", FILE], ["dual", FILE],
+        ["link", "--", FILE, ELEMENT], ["del", "--", FILE, ELEMENT],
+        ["collapse", FILE, *BUDGET],
+        *(["grape", "check", FILE, "--variant", v, *BUDGET] for v in sorted(VARIANTS)),
+        ["grape", "classify", FILE],
+        ["grape", "verify-cert", FILE, CERT_FILE],
+        *(["verify", "duality", FILE, "--variant", v] for v in sorted(VARIANTS)),
+    ],
+    "graph": [
         *(["from-graph", FILE, "--complex", kind, *dual]
           for kind in ("ind", "dom", "ec", "ed") for dual in ([], ["--dual"])),
         *(["from-digraph", FILE, "--complex", kind] for kind in ("pf", "pm")),
         ["verify", "forest", FILE],
         ["verify", "pfpm", FILE],
-    ])
+    ],
+    "certificate": [["grape", "verify-cert", PATH3_FILE, FILE]],
+}
+NOT_FUZZED = {
+    ("gen", "forest"): "reads no file; test_bad_values_exit_two_without_traceback covers its values",
+    ("gen", "complex"): "reads no file; test_bad_values_exit_two_without_traceback covers its values",
+    ("gen", "digraph"): "reads no file; test_bad_values_exit_two_without_traceback covers its values",
+    ("suite",): "reads no file; it takes one of two levels and any integer seed",
+}
+
+
+def subcommands(parser):
+    """The {name: parser} of a parser's subcommands, empty for a leaf."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def leaf_commands(parser, prefix=()):
+    children = subcommands(parser)
+    if not children:
+        return [prefix]
+    return [leaf for name, child in children.items()
+            for leaf in leaf_commands(child, prefix + (name,))]
+
+
+def command_of(argv):
+    """The leading words of argv that name subcommands."""
+    parser, words = _build_parser(), ()
+    for word in argv:
+        children = subcommands(parser)
+        if word not in children:
+            break
+        parser, words = children[word], words + (word,)
+    return words
+
+
+def test_every_declared_command_is_fuzzed_or_named_with_a_reason():
+    leaves = leaf_commands(_build_parser())
+    fuzzed = {command_of(argv) for commands in FUZZED.values() for argv in commands}
+    assert fuzzed <= set(leaves) and set(NOT_FUZZED) <= set(leaves)
+    assert not fuzzed & set(NOT_FUZZED)
+    assert [leaf for leaf in leaves if leaf not in fuzzed | set(NOT_FUZZED)] == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_files(), HOSTILE_NAMES)
+def test_hostile_complex_files_never_end_in_a_traceback(raw, element):
+    exits_cleanly(raw, FUZZED["complex"], element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_graph_files())
+def test_hostile_graph_files_never_end_in_a_traceback(raw):
+    exits_cleanly(raw, FUZZED["graph"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_certificates())
+def test_hostile_certificate_files_never_end_in_a_traceback(raw):
+    exits_cleanly(raw, FUZZED["certificate"])
 
 
 # fixed inputs whose builder outputs CI also hashes on other Python versions

@@ -2,6 +2,7 @@
 
 import pytest
 
+import grapes.generators as generators
 from grapes import is_forest
 from grapes.complexes import InputError, complex_to_json
 from grapes.generators import (
@@ -90,6 +91,44 @@ def test_all_trees_census():
         assert is_forest(g)
         assert len(g.edges) == len(g.vertices) - 1
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+
+
+def centre_canonical(n, edges):
+    """The former tree canonical form: strip leaves down to the one or two
+    centres, and take the least sorted-children form rooted at a centre."""
+    if n == 1:
+        return ()
+    adjacency = {v: set() for v in range(n)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    degree = {v: len(adjacency[v]) for v in range(n)}
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    alive = {v: True for v in range(n)}
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            alive[v] = False
+            remaining -= 1
+            for w in adjacency[v]:
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+
+    def form(v, parent):
+        return tuple(sorted(form(w, v) for w in adjacency[v] if w != parent))
+
+    return min(form(c, -1) for c in range(n) if alive[c])
+
+
+def test_all_trees_matches_the_centre_rooted_canonical_form(monkeypatch):
+    trees = list(all_trees(10))
+    monkeypatch.setattr(generators, "_tree_canonical", centre_canonical)
+    assert trees == list(all_trees(10))
+    assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
 
 
 def test_all_digraphs_count():

@@ -322,12 +322,17 @@ def test_face_enumeration_is_bounded_before_it_starts(monkeypatch):
         reduced_homology(huge)
     with pytest.raises(InputError, match="faces"):
         boundary_matrix(huge, 1)
-    # the bound counts 2^|F| per facet, the empty face included: a triangle
-    # spans 8 faces, two triangles 16 (their shared faces count twice)
+    # the bound counts distinct faces, the empty face included: a triangle
+    # spans 8 faces, the triangles abc and bcd 12 (their shared edge bc, its
+    # vertices and the empty face count once)
     monkeypatch.setattr(homology, "MAX_FACES", 8)
     assert reduced_homology(full_simplex("abc")).is_trivial()
     with pytest.raises(InputError, match="faces"):
         reduced_homology(cx("abcd", "abc", "bcd"))
+    monkeypatch.setattr(homology, "MAX_FACES", 12)
+    assert reduced_homology(cx("abcd", "abc", "bcd")).is_trivial()
+    with pytest.raises(InputError, match="faces"):
+        reduced_homology(cx("abcde", "abc", "bcd", "de"))
 
 
 def test_cohomology_of_four_cycle():
