@@ -11,12 +11,9 @@ from .collapse import (
     CollapsePair,
     ReplayError,
     ShvResult,
-    apply_collapse,
     collapse_search,
-    free_pairs,
     lifted_collapse,
     replay,
-    suspension_transport,
 )
 from .complexes import (
     Complex,
@@ -24,7 +21,6 @@ from .complexes import (
     alexander_dual,
     complex_from_json,
     complex_to_json,
-    cone_apexes,
     cone_over,
     cross_polytope_boundary,
     deletion,
@@ -71,7 +67,6 @@ from .graphs import (
     invariants,
     is_bipartite,
     is_forest,
-    line_dual,
     nonsinks,
     pf_complex,
     pm_complex,
@@ -81,7 +76,6 @@ from .homology import (
     HomologyProfile,
     SHClass,
     VOID_CLASS,
-    boundary_matrix,
     check_alexander_duality,
     matches_sphere,
     reduced_cohomology,

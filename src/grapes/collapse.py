@@ -33,7 +33,6 @@ from .complexes import (
     mask_of,
     mask_order,
     meet_mask,
-    suspension,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -90,11 +89,13 @@ def _free_faces(masks, sigma: int) -> list:
     return out
 
 
-def _free_pairs(masks: frozenset):
+def _free_pairs(masks: frozenset, order_key):
     """(sigma, tau, free faces of sigma) for every free pair, in face order."""
-    free = [(sigma, _free_faces(masks, sigma)) for sigma in masks if sigma]
-    free.sort(key=lambda p: mask_order(p[0]), reverse=True)
-    return [(sigma, tau, faces) for sigma, faces in free for tau in faces]
+    out = []
+    for sigma in sorted(masks, key=order_key, reverse=True):
+        faces = _free_faces(masks, sigma)
+        out += [(sigma, tau, faces) for tau in faces]
+    return out
 
 
 def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
@@ -131,9 +132,18 @@ def cone_steps(masks: frozenset, apex: int) -> list:
     return [(s | apex, s) for s in sorted(faces, key=mask_order, reverse=True)]
 
 
+class _OrderKeys(dict):
+    """mask -> mask_order(mask), each computed on first use."""
+
+    def __missing__(self, m: int) -> tuple:
+        self[m] = key = mask_order(m)
+        return key
+
+
 def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) -> tuple:
     """collapse_search on facet masks: (verdict, mask steps or None, nodes)."""
     nodes = 0
+    order_key = _OrderKeys().__getitem__  # each face's key once per search
     failed: set = set()
     stack: list = []  # (facets, iterator over their untried free pairs)
     steps: list = []  # steps[i]: the free pair being tried at stack[i]
@@ -150,7 +160,7 @@ def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) 
                 raise ReplayError("search produced a sequence that does not replay")
             return "yes", tuple(steps), nodes
         dead = exhaustive and cur in failed
-        stack.append((cur, iter(() if dead else _free_pairs(cur))))
+        stack.append((cur, iter(() if dead else _free_pairs(cur, order_key))))
         cur = None
         while stack and cur is None:
             top, pairs = stack[-1]
@@ -173,16 +183,6 @@ def named_steps(steps, names: tuple) -> tuple:
 
 
 # -- by name ------------------------------------------------------------------------
-
-
-def free_pairs(c: Complex) -> list:
-    """All free pairs, ordered by (facet size descending, facet, subface)."""
-    return list(named_steps([(s, t) for s, t, _ in _free_pairs(c.masks)], c.ground))
-
-
-def apply_collapse(c: Complex, pair: CollapsePair) -> Complex:
-    """Remove a free pair; raises ReplayError if the pair is not free in c."""
-    return replay(c, (pair,))
 
 
 def replay(c: Complex, sequence) -> Complex:
@@ -229,25 +229,6 @@ def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:
     if result.masks != deletion_masks(c.masks, 1 << c.index(a)):
         raise ReplayError("lifted sequence did not land on the deletion")
     return lifted
-
-
-def suspension_transport(c: Complex, x: str, y: str, result: ShvResult) -> ShvResult:
-    """Turn a collapse of c into a collapse of its suspension over x, y.
-
-    The suspension is the cone over x glued to the cone over y along c; the
-    returned sequence collapses the y-cone onto the x-cone, the x-cone onto c,
-    then c itself, reusing the input sequence three times.
-    """
-    if not result.is_yes or result.sequence is None:
-        raise ReplayError("suspension transport needs a yes verdict")
-    susp = suspension(c, x, y)
-    seq = result.sequence
-    lifted_y = tuple(CollapsePair(p.sigma | {y}, p.tau | {y}) for p in seq)
-    lifted_x = tuple(CollapsePair(p.sigma | {x}, p.tau | {x}) for p in seq)
-    full = lifted_y + lifted_x + seq
-    if not replay(susp, full).is_void:
-        raise ReplayError("suspension sequence does not reach the void complex")
-    return ShvResult("yes", full, result.nodes)
 
 
 def sequence_to_json(sequence) -> dict:

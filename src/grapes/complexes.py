@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import and_, or_
 from typing import Iterable, Iterator
 
@@ -194,14 +194,6 @@ def suspension(c: Complex, x: str, y: str) -> Complex:
             raise InputError(f"suspension point {p!r} is already a vertex")
     # already an antichain: x and y are fresh and distinct
     return Complex(ground, frozenset(m | b for m in c.masks for b in points))
-
-
-def cone_apexes(c: Complex) -> frozenset:
-    """Vertices lying in every facet; nonempty iff the complex is a cone.
-
-    The void and irrelevant complexes have no vertices and are not cones.
-    """
-    return face_of(meet_mask(c.masks), c.ground)
 
 
 def is_cone(c: Complex) -> bool:
@@ -392,11 +384,12 @@ def deletion_masks(masks: frozenset, a: int) -> frozenset:
 
 def maximal_masks(masks: Iterable[int]) -> frozenset:
     """Inclusion-maximal members of a family of masks, largest first: one is
-    maximal unless it lies in one kept already, which are all larger."""
+    maximal unless it lies in one kept already, and only a larger one can
+    hold it, as two distinct masks of one size never nest."""
     kept: list = []
-    for f in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(f & g == f for g in kept):
-            kept.append(f)
+    for _, same_size in groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
+        # a size's masks join kept only once all are tested against the larger
+        kept += [f for f in same_size if not any(f & g == f for g in kept)]
     return frozenset(kept)
 
 

@@ -205,19 +205,6 @@ def edge_dominance_complex(g: Graph) -> Complex:
     return avoiding(ground, (mask_of(s, bit) for s in meets))
 
 
-def line_dual(g: Graph) -> Graph:
-    """Graph on the edge labels; two labels adjacent when the edges meet."""
-    ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
-    edges = [
-        frozenset((a, b))
-        for i, a in enumerate(ground)
-        for b in ground[i + 1 :]
-        if by_label[a] & by_label[b]
-    ]
-    return Graph(ground, frozenset(edges))
-
-
 # -- directed multigraphs ------------------------------------------------------
 
 

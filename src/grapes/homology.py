@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .complexes import MAX_FACES, Complex, InputError, alexander_dual, mask_order
+from .complexes import MAX_FACES, Complex, InputError, alexander_dual
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -183,20 +183,6 @@ def _boundary(f: int) -> dict:
         col[f ^ low] = sign
         sign, rest = -sign, rest ^ low
     return col
-
-
-def boundary_matrix(c: Complex, k: int) -> list:
-    """Matrix of the boundary map from k-faces to (k-1)-faces.
-
-    Rows are indexed by (k-1)-faces, columns by k-faces, both in ground
-    order; signs alternate along each face's ground-ordered vertex list.
-    The k = 0 row is the augmentation onto the empty face.
-    """
-    if k < -1 or k > c.dim():
-        raise InputError(f"dimension {k} out of range for this complex")
-    by_dim = _by_dim(_faces(c))
-    rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
-    return _dense([_boundary(f) for f in cols], rows)
 
 
 # -- profiles ----------------------------------------------------------------

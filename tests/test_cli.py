@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grapes
 import grapes.cli as cli
@@ -704,3 +704,114 @@ def test_path_listing_is_bounded_by_max_faces(monkeypatch, write_json, capsys, a
     assert main([a.format(write_json("seven.json", ladder(7))) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: the digraph has more than {2**6} s-t paths\n"
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+
+def oracle_json(payload):
+    """What the stdlib's indent path writes, and the CLI must write byte for byte."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def written(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    return out.getvalue()
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "b",
+                                     "\u00e9", "\u00df", "\u2028", "\ud7ff", "\U0001f600"]),
+                    max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+                | st.integers(-10**40, 10**40) | st.floats() | JSON_TEXT)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(JSON_TEXT, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_PAYLOADS)
+@example({"a": [True, 1, False, 0, None], "b": {"t": True, "one": 1}, "c": (False, 0)})
+def test_the_writer_matches_the_stdlib_indent_path(payload):
+    assert written(payload) == oracle_json(payload)
+
+
+# keys that are not strings, which json.dumps would turn into strings, and
+# values JSON has no form for
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2: "b"}],
+                                     {(1, 2): 3}, {"a": {1, 2}}, [object()], b"bytes"])
+def test_the_writer_refuses_keys_that_are_not_strings_and_unknown_types(payload):
+    with pytest.raises(TypeError):
+        written(payload)
+
+
+# one tiny run of every declared command: path3, points2, graph3 and dag3 as in CI
+PATH3 = {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]}
+GRAPH3 = {"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"], ["v2", "v3"]]}
+DAG3 = {"vertices": ["s", "u", "t"], "arcs": [{"id": "e1", "src": "s", "tgt": "u"},
+        {"id": "e2", "src": "u", "tgt": "t"}, {"id": "e3", "src": "s", "tgt": "t"}],
+        "s": "s", "t": "t"}
+EVERY_COMMAND = {
+    ("dual",): ["dual", "{path3}"],
+    ("link",): ["link", "{path3}", "a"],
+    ("del",): ["del", "{path3}", "b"],
+    ("homology",): ["homology", "{path3}"],
+    ("collapse",): ["collapse", "{points2}", "--budget", "50"],
+    ("grape", "check"): ["grape", "check", "{path3}", "--variant", "strong"],
+    ("grape", "classify"): ["grape", "classify", "{path3}"],
+    ("grape", "verify-cert"): ["grape", "verify-cert", "{path3}", "{cert}"],
+    ("from-graph",): ["from-graph", "{graph3}", "--complex", "ind", "--dual"],
+    ("from-digraph",): ["from-digraph", "{dag3}", "--complex", "pm"],
+    ("verify", "forest"): ["verify", "forest", "{graph3}"],
+    ("verify", "pfpm"): ["verify", "pfpm", "{dag3}"],
+    ("verify", "duality"): ["verify", "duality", "{path3}", "--variant", "weak"],
+    ("verify", "cad"): ["verify", "cad", "{void}"],
+    ("gen", "forest"): ["gen", "forest", "--n", "4", "--seed", "1"],
+    ("gen", "complex"): ["gen", "complex", "--ground", "5", "--seed", "1"],
+    ("gen", "digraph"): ["gen", "digraph", "--v", "3", "--arcs", "2", "--seed", "1"],
+    ("suite",): ["suite", "--level", "smoke", "--seed", "3"],
+}
+
+
+def test_every_command_writes_what_the_stdlib_writes(write_json, capsys):
+    assert sorted(EVERY_COMMAND) == sorted(leaf_commands(_build_parser()))
+    cert = certificate_to_json(check_grape(complex_from_json(PATH3), GrapeVariant.STRONG).certificate)
+    files = {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
+             "void": write_json("void.json", complex_to_json(void_complex(""))),
+             "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),
+             "cert": write_json("cert.json", cert)}
+    for argv in EVERY_COMMAND.values():
+        main([a.format(**files) for a in argv])
+        out = capsys.readouterr().out
+        assert out and out == oracle_json(json.loads(out)), argv
+
+
+class RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_a_small_result_is_one_write_and_a_large_one_several(write_json, monkeypatch):
+    small, large = RecordingStdout(), RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", small)
+    assert main(["gen", "complex", "--ground", "6", "--seed", "1"]) == 0
+    monkeypatch.setattr(sys, "stdout", large)
+    # the 2^14 paths of a 14-layer ladder: that many facets of 14 arcs, over 3 MB
+    assert main(["from-digraph", write_json("ladder.json", ladder(14)), "--complex", "pm"]) == 0
+    monkeypatch.undo()
+    # the document, then its newline on its own
+    assert len(small.writes) == 2 and small.writes[1] == 1
+    text = large.getvalue()
+    assert len(text) > 3_000_000 and len(large.writes) > 3 and max(large.writes) < len(text) / 2
+    assert text == oracle_json(json.loads(text))

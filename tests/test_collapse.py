@@ -15,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 from grapes import (
     CollapsePair,
     ReplayError,
-    apply_collapse,
     collapse_search,
     cone_over,
-    free_pairs,
     full_simplex,
     irrelevant_complex,
     lifted_collapse,
@@ -30,11 +28,17 @@ from grapes import (
     replay,
     simplex_boundary,
     suspension,
-    suspension_transport,
     void_complex,
 )
-from grapes.collapse import ShvResult, cone_steps, named_steps, sequence_from_json, sequence_to_json
-from grapes.complexes import meet_mask
+from grapes.collapse import (
+    ShvResult,
+    _free_pairs,
+    cone_steps,
+    named_steps,
+    sequence_from_json,
+    sequence_to_json,
+)
+from grapes.complexes import mask_order, meet_mask
 from grapes.generators import cycle_complex
 from test_complexes import frozenset_cone_apexes, maximal_deletion
 
@@ -45,6 +49,16 @@ def fs(*names):
 
 def cx(ground, *facets):
     return new_complex(ground, [frozenset(f) for f in facets])
+
+
+def free_pairs(c):
+    """All free pairs by name, in the order the search tries them."""
+    return list(named_steps([(s, t) for s, t, _ in _free_pairs(c.masks, mask_order)], c.ground))
+
+
+def apply_collapse(c, pair):
+    """Remove a free pair; raises ReplayError if the pair is not free in c."""
+    return replay(c, (pair,))
 
 
 POINT = cx("v", "v")
@@ -395,12 +409,12 @@ def test_lifted_collapse_rejects_invalid_link_sequence():
     ],
 )
 def test_suspension_transport(base):
-    result = collapse_search(base, exhaustive=True)
-    assert result.is_yes
-    transported = suspension_transport(base, "s1", "s2", result)
-    assert transported.is_yes
-    susp = suspension(base, "s1", "s2")
-    assert replay(susp, transported.sequence).is_void
+    # the s2-cone onto the s1-cone, the s1-cone onto c, then c itself: the
+    # sequence of c three times
+    seq = collapse_search(base, exhaustive=True).sequence
+    lifted_y = tuple(CollapsePair(p.sigma | {"s2"}, p.tau | {"s2"}) for p in seq)
+    lifted_x = tuple(CollapsePair(p.sigma | {"s1"}, p.tau | {"s1"}) for p in seq)
+    assert replay(suspension(base, "s1", "s2"), lifted_y + lifted_x + seq).is_void
 
 
 def test_suspension_of_point_is_two_edge_path():
@@ -408,12 +422,6 @@ def test_suspension_of_point_is_two_edge_path():
     assert susp.facets == {fs("v", "x"), fs("v", "y")}
     result = collapse_search(susp, exhaustive=True)
     assert result.is_yes
-
-
-def test_suspension_transport_needs_yes_verdict():
-    bad = collapse_search(TWO_POINTS, exhaustive=True)
-    with pytest.raises(ReplayError):
-        suspension_transport(TWO_POINTS, "x", "y", bad)
 
 
 # -- JSON -----------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grapes import (
     Complex,
@@ -10,7 +11,6 @@ from grapes import (
     alexander_dual,
     complex_from_json,
     complex_to_json,
-    cone_apexes,
     cone_over,
     deletion,
     enumerate_complexes,
@@ -27,6 +27,7 @@ from grapes import (
     suspension,
     void_complex,
 )
+from grapes.complexes import face_of, maximal_masks, meet_mask
 from grapes.generators import cycle_complex
 
 
@@ -184,9 +185,36 @@ def frozenset_link(c, x):
     return new_complex(ground, (facet - {x} for facet in c.facets if x in facet))
 
 
+def cone_apexes(c):
+    """Vertices lying in every facet; nonempty iff the complex is a cone.
+
+    The void and irrelevant complexes have no vertices and are not cones.
+    """
+    return face_of(meet_mask(c.masks), c.ground)
+
+
 def frozenset_cone_apexes(c):
     """Oracle: the intersection of the facets, on frozensets of names."""
     return frozenset.intersection(*c.facets) if c.facets else frozenset()
+
+
+def every_kept_maximal_masks(masks):
+    """Oracle: maximal_masks as it was, testing each mask against every kept one."""
+    kept = []
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(f & g == f for g in kept):
+            kept.append(f)
+    return frozenset(kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**7 - 1), max_size=40))
+def test_maximal_masks_matches_the_every_kept_oracle(masks):
+    # duplicates and the empty mask included; the frozensets are built from the
+    # same sequence, so they also iterate in the same order
+    got, want = maximal_masks(masks), every_kept_maximal_masks(masks)
+    assert got == want
+    assert list(got) == list(want)
 
 
 def test_deletion_matches_the_maximal_oracle_on_every_small_complex():

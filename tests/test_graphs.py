@@ -22,7 +22,6 @@ from grapes import (
     invariants,
     is_bipartite,
     is_forest,
-    line_dual,
     nonsinks,
     pf_complex,
     pm_complex,
@@ -30,6 +29,8 @@ from grapes import (
 )
 from grapes.graphs import (
     complement,
+    edge_ground,
+    edge_label,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
@@ -201,6 +202,19 @@ def test_edge_dominance_dual_description():
             assert has_face(dual, s) == witness
 
 
+def line_dual(g):
+    """Oracle: the graph on the edge labels, two labels adjacent when the edges meet."""
+    ground = edge_ground(g)
+    by_label = {edge_label(g, e): e for e in g.edges}
+    edges = [
+        frozenset((a, b))
+        for i, a in enumerate(ground)
+        for b in ground[i + 1 :]
+        if by_label[a] & by_label[b]
+    ]
+    return Graph(ground, frozenset(edges))
+
+
 def test_edge_dominance_matches_dominance_of_line_dual():
     for g in (P3, P4, star_graph(3), C4, path_graph(6)):
         direct = edge_dominance_complex(g)
@@ -220,19 +234,6 @@ def test_dominance_dual_is_neighborhood_complex_of_complement():
                 if v not in s
             )
             assert has_face(dual, s) == has_common_neighbor
-
-
-# -- line dual --------------------------------------------------------------------------
-
-
-def test_line_dual_examples():
-    ld = line_dual(P3)
-    assert set(ld.vertices) == {"v1-v2", "v2-v3"}
-    assert ld.edges == {fs("v1-v2", "v2-v3")}
-    star = line_dual(star_graph(3))
-    assert len(star.edges) == 3  # triangle
-    single = line_dual(P2)
-    assert single.vertices == ("v1-v2",) and not single.edges
 
 
 # -- invariants --------------------------------------------------------------------------

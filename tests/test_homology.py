@@ -11,7 +11,6 @@ from grapes import (
     InputError,
     SHClass,
     VOID_CLASS,
-    boundary_matrix,
     check_alexander_duality,
     alexander_dual,
     cone_over,
@@ -32,7 +31,8 @@ from grapes import (
     void_complex,
 )
 from grapes.generators import cycle_complex
-from grapes.homology import HomologyProfile, _dense, _invariant_factors
+from grapes.complexes import mask_order
+from grapes.homology import HomologyProfile, _boundary, _by_dim, _dense, _faces, _invariant_factors
 from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
 
 
@@ -91,6 +91,20 @@ def tuple_columns(by_dim, k):
         {row[f[:p] + f[p + 1:]]: -1 if p % 2 else 1 for p in range(len(f))}
         for f in by_dim.get(k, [])
     ]
+
+
+def boundary_matrix(c, k):
+    """Matrix of the boundary map from k-faces to (k-1)-faces, on the masks.
+
+    Rows are indexed by (k-1)-faces, columns by k-faces, both in ground
+    order; signs alternate along each face's ground-ordered vertex list.
+    The k = 0 row is the augmentation onto the empty face.
+    """
+    if k < -1 or k > c.dim():
+        raise InputError(f"dimension {k} out of range for this complex")
+    by_dim = _by_dim(_faces(c))
+    rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
+    return _dense([_boundary(f) for f in cols], rows)
 
 
 def oracle_boundary_matrix(c, k):

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from grapes import (
     GrapeVariant,
     alexander_dual,
-    boundary_matrix,
     check_grape,
     classify_strong,
     collapse_search,
-    cone_apexes,
     cone_over,
     deletion,
     equals,
@@ -32,8 +30,8 @@ from grapes import (
     verify_certificate,
 )
 from grapes.homology import _invariant_factors
-from test_complexes import has_face, is_subcomplex, maximal_deletion
-from test_homology import faces_by_dim, oracle_reduced_homology, tuple_columns
+from test_complexes import cone_apexes, has_face, is_subcomplex, maximal_deletion
+from test_homology import boundary_matrix, faces_by_dim, oracle_reduced_homology, tuple_columns
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
