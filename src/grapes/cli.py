@@ -145,9 +145,10 @@ def _emit(payload: object, status: str = "pass") -> int:
     """Write the payload to stdout; the exit code of the status.
 
     The document goes through json.dump, which perfbench's corrupted-output
-    test patches, with _Encoder doing the work.  The newline is a write of its own: when a reader closes the pipe during
-    a large write, the text layer drops the short count, and only a later
-    write meets the broken pipe.
+    test patches, with _Encoder doing the work.  The newline is a write of
+    its own: when a reader closes the pipe during a large write, the text
+    layer drops the short count, and only a later write meets the broken
+    pipe.
     """
     json.dump(payload, sys.stdout, indent=2, sort_keys=True, cls=_Encoder)
     sys.stdout.write("\n")

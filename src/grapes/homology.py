@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Optional
 
 from .complexes import MAX_FACES, Complex, InputError, alexander_dual
@@ -28,77 +29,36 @@ from .complexes import MAX_FACES, Complex, InputError, alexander_dual
 def smith_normal_form(matrix: list) -> list:
     """Invariant factors d1 | d2 | ... (positive) of an integer matrix.
 
-    Elementary row/column reduction; each round moves a minimum-magnitude
-    entry into pivot position to limit coefficient growth.
+    Euclidean pivoting: pivot on an entry of least magnitude, reduce its
+    column by row operations and its row by column operations, and pivot
+    again while a remainder (smaller than the pivot) is left.  A pivot that
+    stands alone in its row and column is recorded and its row dropped; a
+    gcd/lcm pass over the pivots gives the divisibility chain.
     """
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    factors: list = []
-    t = 0
-    while t < rows and t < cols:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
+    if not any(map(any, matrix)):
+        return []
+    m = [list(row) for row in matrix if any(row)]
+    d = []
+    while m:
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        top, p = m[i], m[i][j]
         for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, cols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-            if any(m[i][t] for i in range(t + 1, rows)):
-                continue
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, rows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-            if any(m[t][j] for j in range(t + 1, cols)):
-                continue
-            # force divisibility of the remaining block by the pivot
-            culprit = None
-            d = m[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % d:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            for j in range(t, cols):
-                m[t][j] += m[culprit][j]
-        factors.append(abs(m[t][t]))
-        t += 1
-    return factors
-
-
-def _dense(columns: list, rows: list) -> list:
-    """Rows-by-columns list matrix of sparse {row: value} columns."""
-    at = {i: n for n, i in enumerate(rows)}
-    matrix = [[0] * len(columns) for _ in rows]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            matrix[at[i]][j] = v
-    return matrix
+            if row[j] and row is not top:
+                q = row[j] // p
+                row[:] = [a - q * b for a, b in zip(row, top)]
+        if not any(row[j] for row in m if row is not top):
+            # column j holds p alone, so column operations touch only its row
+            top[:] = [a % p for a in top]
+            top[j] = p
+            if top.count(0) == len(top) - 1:
+                d.append(abs(p))
+                del m[i]
+        m = [row for row in m if any(row)]
+    for a in range(len(d)):
+        for b in range(a + 1, len(d)):
+            g = gcd(d[a], d[b])
+            d[a], d[b] = g, d[a] // g * d[b]
+    return d
 
 
 def _invariant_factors(columns: list) -> tuple:
@@ -142,7 +102,11 @@ def _invariant_factors(columns: list) -> tuple:
             heappush(heap, (len(other), j))
         pivots.add(r)
     live = [col for col in columns if col]
-    residual = _dense(live, sorted({i for col in live for i in col}))
+    at = {i: n for n, i in enumerate({i for col in live for i in col})}
+    residual = [[0] * len(live) for _ in at]
+    for j, col in enumerate(live):
+        for i, v in col.items():
+            residual[at[i]][j] = v
     return [1] * len(pivots) + smith_normal_form(residual), pivots
 
 

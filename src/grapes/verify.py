@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from .collapse import ReplayError, collapse_search, lifted_collapse
 from .complexes import (
     Complex,
+    InputError,
     alexander_dual,
     complex_to_json,
     deletion,
@@ -255,7 +256,7 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
     """Check the forest theorem: the four graph complexes and their duals are
     strong grapes whose classes follow the invariant formulas."""
     if not is_forest(g):
-        raise ReplayError("forest theorem harness needs a forest")
+        raise InputError("forest theorem harness needs a forest")
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = graph_to_json(g)
     out = []

@@ -231,11 +231,15 @@ def test_verify_forest_command_on_eighteen_vertices(write_json, capsys):
 
 
 def test_verify_forest_rejects_nonforest(write_json, capsys):
+    # a graph with a cycle is malformed input for the forest theorem: exit 2
     g = write_json(
         "g.json", {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
     )
-    code = main(["verify", "forest", g])
-    assert code == 1
+    assert main(["verify", "forest", g]) == 2
+    assert capsys.readouterr().err == "input error: forest theorem harness needs a forest\n"
+    result = run_module("verify", "forest", g)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("input error:") and "Traceback" not in result.stderr
 
 
 def test_verify_pfpm_command(write_json, capsys):

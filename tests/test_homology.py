@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import grapes.homology as homology
 
@@ -32,7 +33,7 @@ from grapes import (
 )
 from grapes.generators import cycle_complex
 from grapes.complexes import mask_order
-from grapes.homology import HomologyProfile, _boundary, _by_dim, _dense, _faces, _invariant_factors
+from grapes.homology import HomologyProfile, _boundary, _by_dim, _faces, _invariant_factors
 from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
 
 
@@ -65,6 +66,84 @@ def rational_rank(matrix):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# -- the oracle: dense three-phase Smith normal form ---------------------------
+
+
+def oracle_smith_normal_form(matrix):
+    """Invariant factors by the three-phase reduction that Euclidean pivoting
+    replaced: a least-magnitude pivot moves to the diagonal, its column and
+    then its row are cleared, and a row with an entry the pivot does not
+    divide is added to the pivot row until none is left."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    factors = []
+    t = 0
+    while t < rows and t < cols:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear the pivot column
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    for j in range(t, cols):
+                        m[i][j] -= q * m[t][j]
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+            if any(m[i][t] for i in range(t + 1, rows)):
+                continue
+            # clear the pivot row
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    for i in range(t, rows):
+                        m[i][j] -= q * m[i][t]
+                    if m[t][j]:
+                        for row in m:
+                            row[t], row[j] = row[j], row[t]
+            if any(m[t][j] for j in range(t + 1, cols)):
+                continue
+            # force divisibility of the remaining block by the pivot
+            culprit = None
+            d = m[t][t]
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % d:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            for j in range(t, cols):
+                m[t][j] += m[culprit][j]
+        factors.append(abs(m[t][t]))
+        t += 1
+    return factors
+
+
+def dense(columns, rows):
+    """Rows-by-columns list matrix of sparse {row: value} columns."""
+    at = {i: n for n, i in enumerate(rows)}
+    matrix = [[0] * len(columns) for _ in rows]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            matrix[at[i]][j] = v
+    return matrix
 
 
 # -- the oracle: tuple faces, every column of every boundary map -------------
@@ -104,12 +183,12 @@ def boundary_matrix(c, k):
         raise InputError(f"dimension {k} out of range for this complex")
     by_dim = _by_dim(_faces(c))
     rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
-    return _dense([_boundary(f) for f in cols], rows)
+    return dense([_boundary(f) for f in cols], rows)
 
 
 def oracle_boundary_matrix(c, k):
     by_dim = faces_by_dim(c)
-    return _dense(tuple_columns(by_dim, k), range(len(by_dim.get(k - 1, []))))
+    return dense(tuple_columns(by_dim, k), range(len(by_dim.get(k - 1, []))))
 
 
 def oracle_reduced_homology(c):
@@ -136,6 +215,10 @@ def test_snf_known_matrix():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
     assert smith_normal_form([]) == []
+    # diagonal pivots 4 and 6 are not a chain until the gcd/lcm pass
+    assert smith_normal_form([[6, 0], [0, 4]]) == [2, 12]
+    # the unit pivot's row holds a 2 until a column operation clears it
+    assert smith_normal_form([[2, 1], [0, 2]]) == [1, 4]
 
 
 def test_snf_divisibility_chain():
@@ -153,6 +236,30 @@ def test_snf_rank_matches_rational_rank():
     ]
     for m in matrices:
         assert sum(1 for d in smith_normal_form(m) if d) == rational_rank(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 6 x 6, with zero rows and columns, negative entries, and a
+    composite scale so that factors such as 4, 6 and 12 occur."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols))
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    scale = draw(st.sampled_from([1, -1, 2, 4, 6, 12]))
+    return [
+        [0 if i in zero_rows or j in zero_cols else scale * entries[i * cols + j] for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example([[0, 0, 0], [0, 4, 6], [0, 6, 9]])
+def test_snf_matches_the_three_phase_oracle(matrix):
+    factors = smith_normal_form(matrix)
+    assert factors == oracle_smith_normal_form(matrix)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 # -- boundary matrices ---------------------------------------------------------
@@ -235,11 +342,31 @@ def test_projective_plane_leaves_a_two_for_the_dense_block():
     assert len(pivots) == 9
 
 
+def test_two_projective_planes_on_one_vertex_leave_a_two_by_two_block(monkeypatch):
+    # the wedge point is the apex; each plane's half of the star quotient
+    # leaves a 2, so the dense block is diag(2, 2) and torsion_1 is (2, 2)
+    copy = dict(zip("123456", ["1", "7", "8", "9", "10", "11"]))
+    wedge = new_complex(
+        [str(i) for i in range(1, 12)],
+        [*RP2.facets, *(frozenset(copy[x] for x in f) for f in RP2.facets)],
+    )
+    blocks = []
+    reduce = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form", lambda m: blocks.append(m) or reduce(m))
+    profile = reduced_homology(wedge)
+    assert [(len(m), len(m[0])) for m in blocks if m] == [(2, 2)]
+    assert profile.torsion_at(1) == (2, 2)
+    assert profile.betti == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert profile == oracle_reduced_homology(wedge)
+
+
 def sparse_factors_match_dense(c):
     by_dim = faces_by_dim(c)
     for k in range(-1, c.dim() + 1):
-        dense = smith_normal_form(boundary_matrix(c, k))
-        assert _invariant_factors(tuple_columns(by_dim, k))[0] == dense, (c, k)
+        matrix = boundary_matrix(c, k)
+        want = oracle_smith_normal_form(matrix)
+        assert smith_normal_form(matrix) == want, (c, k)
+        assert _invariant_factors(tuple_columns(by_dim, k))[0] == want, (c, k)
 
 
 def test_sparse_factors_match_dense_on_acceptance_instances():

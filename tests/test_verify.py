@@ -13,7 +13,7 @@ import grapes.grape as grape
 import grapes.graphs as graphs
 import grapes.homology as homology
 import grapes.verify as verify
-from grapes import GrapeVariant, ReplayError, digraph, graph, new_complex, verify_dual_invariance
+from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_complex, verify_dual_invariance
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import cyclic_no_useless_digraph, gen_digraph
@@ -75,7 +75,7 @@ def test_forest_theorem_on_single_vertex():
 
 
 def test_forest_theorem_rejects_cycles():
-    with pytest.raises(ReplayError):
+    with pytest.raises(InputError, match="needs a forest"):
         verify_forest_theorem(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
 
 
