@@ -214,7 +214,7 @@ def _grape_verify_cert(args: argparse.Namespace) -> int:
     cert = certificate_from_json(_load(args.certificate))
     variant = certificate_variant(cert)
     try:
-        # a base-only certificate is valid for every variant if the leaf matches
+        # a one-leaf certificate (a cone's too) is valid for every variant if the leaf matches
         verify_certificate(c, variant or GrapeVariant.STRONG, cert)
     except ReplayError as exc:
         return _emit({"valid": False, "error": str(exc)}, "fail")

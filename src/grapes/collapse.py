@@ -57,8 +57,8 @@ class ShvResult:
     """Verdict of a collapsibility search.
 
     verdict "yes" carries a sequence that replays to the void complex;
-    "no" is only produced by an exhausted exhaustive-mode search;
-    "unknown" means the node budget ran out (or greedy mode gave up).
+    "no" means the search tried every free pair at every step, in either
+    mode; "unknown" means the node budget ran out first.
     """
 
     verdict: str  # "yes" | "no" | "unknown"
@@ -175,7 +175,7 @@ def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) 
                 sigma, tau, faces = pair
                 steps.append((sigma, tau))
                 cur = top.difference((sigma,)).union(f for f in faces if f != tau)
-    return ("no" if exhaustive else "unknown"), None, nodes
+    return "no", None, nodes
 
 
 def named_steps(steps, names: tuple) -> tuple:
@@ -200,10 +200,11 @@ def collapse_search(
     Backtracking DFS trying free pairs in the canonical order, on an
     explicit stack of (complex, untried free pairs) so that long collapse
     sequences do not hit the recursion limit.  Cones are collapsed directly
-    via :func:`cone_steps`.  Greedy mode (the default) answers "yes" or
-    "unknown"; exhaustive mode memoizes dead face-sets and may certify "no"
-    once the whole search tree is exhausted.  A "yes" sequence is replayed
-    before it is returned.  Deterministic for fixed inputs.
+    via :func:`cone_steps`.  Both modes search the whole tree and answer
+    "no" once it is exhausted within the budget; exhaustive mode also
+    memoizes dead face-sets, so it revisits none and needs fewer nodes
+    where collapse orders meet.  A "yes" sequence is replayed before it is
+    returned.  Deterministic for fixed inputs.
     """
     if budget <= 0:
         raise InputError("budget must be positive")

@@ -15,8 +15,12 @@ variant-specific gluing condition.  The four variants decided here:
   (same collapsibility caveat).
 
 Grape status depends only on the vertex set, so recognition normalizes the
-ground set to the vertices at every node.  Every "yes" comes with a
-certificate that replays without searching: a table of nodes listed
+ground set to the vertices at every node.  A cone is a grape of every
+variant: at any pivot other than its apex the link and the deletion are
+again cones with that apex, and a cone collapses to void.  So recognition
+ends at every cone with a leaf naming its lowest apex instead of splitting
+it down to points.  Every "yes" comes
+with a certificate that replays without searching: a table of nodes listed
 children first, root last, in memory and on the wire.  Strong certificates
 also drive the simple-homotopy classification (void, or a cross-polytope
 boundary whose dimension the recursion computes).
@@ -126,10 +130,11 @@ class TrivialSideWitness:
 class CertNode:
     """One node of a certificate, a tuple of nodes listed children first.
 
-    A base leaf (at most one vertex: "void", "irrelevant" or "point") or a
-    split carrying the pivot, the variant witness, and the indices of its
-    link's and its deletion's nodes, earlier in the tuple.  The last node is
-    the root; memoised subproblems give a node several parents.
+    A base leaf ("void", "irrelevant" or "point", with at most one vertex;
+    or "cone", naming an apex that lies in every facet) or a split carrying
+    the pivot, the variant witness, and the indices of its link's and its
+    deletion's nodes, earlier in the tuple.  The last node is the root;
+    memoised subproblems give a node several parents.
     """
 
     base: Optional[str] = None
@@ -137,6 +142,7 @@ class CertNode:
     witness: Optional[object] = None
     link: Optional[int] = None
     deletion: Optional[int] = None
+    apex: Optional[str] = None  # a "cone" leaf only
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,8 @@ def check_grape(
     EXHAUSTIVE_GAMMA_MAX_GROUND vertices per node), and for the strong-weak
     variant it is read from exhausted side searches.  Anything less
     conclusive is reported "unknown", never guessed, with its origin.
+    Every subproblem that is a cone, the root included, is answered "yes" by
+    a one-node "cone" leaf, with no pivot test.
 
     The budget bounds all of the work: pivot expansions, intermediate
     candidates, and the nodes of every collapse search, which may spend only
@@ -312,6 +320,10 @@ def check_grape(
         if kind is not None:
             nodes.append(CertNode(base=kind))
             return "yes", len(nodes) - 1
+        apexes = meet_mask(masks)
+        if apexes:  # a cone is a grape of every variant
+            nodes.append(CertNode(base="cone", apex=name(apexes & -apexes)))
+            return "yes", len(nodes) - 1
         origin = None
         verts = rest = join_mask(masks)
         while rest:
@@ -399,6 +411,10 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     for i in range(len(cert) - 1, -1, -1):
         node = cert[i]
         for masks in todo[i]:
+            if node.base == "cone":  # meet_mask is 0 on the void and irrelevant complexes
+                if not bit.get(node.apex, 0) & meet_mask(masks):
+                    raise ReplayError(f"cone leaf's apex {node.apex!r} is not in every facet")
+                continue
             if node.base:
                 kind = _base_kind(masks)
                 if kind != node.base:
@@ -666,19 +682,27 @@ def _witness_from_json(data: object) -> object:
     raise InputError(f"unknown witness kind {kind!r}")
 
 
+def _node_to_json(n: CertNode) -> dict:
+    if n.base == "cone":
+        return {"base": "cone", "apex": n.apex}
+    if n.base:
+        return {"base": n.base}
+    return {"pivot": n.pivot, "witness": _witness_to_json(n.witness), "link": n.link,
+            "deletion": n.deletion}
+
+
 def certificate_to_json(cert: tuple) -> dict:
     """The wire form of a certificate: {"format": 2, "nodes": [...]}."""
-    return {"format": 2, "nodes": [
-        {"base": n.base} if n.base else
-        {"pivot": n.pivot, "witness": _witness_to_json(n.witness), "link": n.link,
-         "deletion": n.deletion}
-        for n in cert
-    ]}
+    return {"format": 2, "nodes": [_node_to_json(n) for n in cert]}
 
 
 def _node_from_json(data: object, i: int) -> CertNode:
     if not isinstance(data, dict):
         raise InputError("certificate node must be an object")
+    if data.get("base") == "cone":
+        if not isinstance(data.get("apex"), str):
+            raise InputError('cone leaf needs an "apex" string')
+        return CertNode(base="cone", apex=data["apex"])
     if "base" in data:
         if data["base"] not in ("void", "irrelevant", "point"):
             raise InputError(f"unknown base kind {data['base']!r}")
@@ -725,5 +749,6 @@ def certificate_from_json(data: object) -> tuple:
 
 
 def certificate_variant(cert: tuple) -> Optional[GrapeVariant]:
-    """Variant implied by the root's witness; None for a base-only certificate."""
+    """Variant implied by the root's witness; None for a certificate that is
+    one base leaf (a cone's included), which holds for every variant."""
     return getattr(cert[-1].witness, "variant", None)

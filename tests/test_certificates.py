@@ -23,11 +23,15 @@ from grapes import (
     certificate_from_json,
     certificate_to_json,
     check_grape,
+    complex_to_json,
     enumerate_complexes,
     independence_complex,
+    irrelevant_complex,
     restrict_ground,
     verify_certificate,
+    void_complex,
 )
+from grapes.cli import main
 from grapes.complexes import deletion, link, new_complex
 from grapes.generators import cycle_complex
 from grapes.collapse import CollapsePair
@@ -52,6 +56,7 @@ DATA = Path(__file__).parent / "data"
 @dataclass(frozen=True)
 class Tree:
     base: Optional[str] = None
+    apex: Optional[str] = None
     pivot: Optional[str] = None
     witness: Optional[object] = None
     link_cert: Optional["Tree"] = None
@@ -63,7 +68,7 @@ def as_tree(cert):
     built = []
     for node in cert:
         if node.base:
-            built.append(Tree(base=node.base))
+            built.append(Tree(base=node.base, apex=node.apex))
         else:
             built.append(
                 Tree(
@@ -77,6 +82,8 @@ def as_tree(cert):
 
 
 def oracle_to_json(tree):
+    if tree.base == "cone":
+        return {"base": "cone", "apex": tree.apex}
     if tree.base is not None:
         return {"base": tree.base}
     return {
@@ -87,8 +94,16 @@ def oracle_to_json(tree):
     }
 
 
+def frozenset_verify_cone(cr, apex):
+    if apex not in frozenset_cone_apexes(cr):
+        raise ReplayError(f"cone leaf's apex {apex!r} is not in every facet")
+
+
 def oracle_verify(c, variant, tree):
     cr = restrict_ground(c)
+    if tree.base == "cone":
+        frozenset_verify_cone(cr, tree.apex)
+        return
     if tree.base is not None:
         kind = frozenset_base_kind(cr)
         if kind != tree.base:
@@ -111,6 +126,9 @@ def frozenset_verify_certificate(c, variant, cert):
     for i in range(len(cert) - 1, -1, -1):
         node = cert[i]
         for cr in todo[i]:
+            if node.base == "cone":
+                frozenset_verify_cone(cr, node.apex)
+                continue
             if node.base:
                 kind = frozenset_base_kind(cr)
                 if kind != node.base:
@@ -199,15 +217,22 @@ def tamperings(c, cert):
         if node.base:
             for kind in {"void", "irrelevant", "point"} - {node.base}:
                 yield cert[:i] + (CertNode(base=kind),) + cert[i + 1 :]
+            if node.base != "cone":
+                yield cert[:i] + (CertNode(base="cone", apex=c.ground[0]),) + cert[i + 1 :]
     if not root.base and root.link != root.deletion:
         yield cert[:-1] + (replace(root, link=root.deletion, deletion=root.link),)
 
 
 def witness_tamperings(c, cert):
-    """Certificates whose root witness names something outside the ground,
-    claims a wrong apex or side, or carries an illegal collapse step."""
+    """Certificates whose root witness, or the apex of a root cone leaf,
+    names something outside the ground, claims a wrong apex or side, or
+    carries an illegal collapse step."""
     root = cert[-1]
     w = root.witness
+    if root.base == "cone":
+        for apex in ("zz", None, *c.ground):
+            yield cert[:-1] + (replace(root, apex=apex),)
+        return
     if root.base:
         return
     if isinstance(w, StrongWitness):
@@ -285,12 +310,12 @@ def tables_match_the_tree_walkers(variant):
     return tampered
 
 
-# 5,112 tampered certificates in all
+# 6,482 tampered certificates in all
 TAMPERED = {
-    GrapeVariant.STRONG: 1166,
-    GrapeVariant.COMBINATORIAL: 1390,
-    GrapeVariant.WEAK: 1390,
-    GrapeVariant.STRONG_WEAK: 1166,
+    GrapeVariant.STRONG: 1462,
+    GrapeVariant.COMBINATORIAL: 1779,
+    GrapeVariant.WEAK: 1779,
+    GrapeVariant.STRONG_WEAK: 1462,
 }
 
 
@@ -300,8 +325,10 @@ def test_tables_match_the_tree_walkers(variant):
 
 
 def test_replay_links_once_per_node_and_complex(monkeypatch):
-    c = alexander_dual(independence_complex(path_graph(8)))
-    cert = check_grape(c, GrapeVariant.STRONG).certificate
+    # weak: the cone side of every strong split is a leaf, so a strong
+    # certificate is a chain and shares no split
+    c = alexander_dual(independence_complex(path_graph(6)))
+    cert = check_grape(c, GrapeVariant.WEAK).certificate
     pairs, todo = set(), [(len(cert) - 1, restrict_ground(c))]
     while todo:
         i, cr = todo.pop()
@@ -321,7 +348,7 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
         return link_masks(masks, a)
 
     monkeypatch.setattr(grape, "link_masks", counted)
-    verify_certificate(c, GrapeVariant.STRONG, cert)
+    verify_certificate(c, GrapeVariant.WEAK, cert)
     assert len(calls) == len(pairs)
     # a tree replay would link once per split of the written-out tree
     assert len(pairs) < sum(1 for node in _flat(cert) if not node.base)
@@ -334,3 +361,50 @@ def test_nested_certificate_still_replays():
     verify_certificate(c, GrapeVariant.WEAK, cert)
     assert expand(certificate_to_json(cert)) == data
 
+
+# -- cone leaves -------------------------------------------------------------------------
+
+
+PATH3 = new_complex("abc", [frozenset("ab"), frozenset("bc")])  # a cone with apex b
+
+
+def verify_cert_exit(tmp_path, c, cert_json):
+    """The exit code of grape verify-cert on a complex and a certificate object."""
+    c_path, cert_path = tmp_path / "c.json", tmp_path / "cert.json"
+    c_path.write_text(json.dumps(complex_to_json(c)))
+    cert_path.write_text(json.dumps(cert_json))
+    return main(["grape", "verify-cert", str(c_path), str(cert_path)])
+
+
+def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
+    cert = check_grape(PATH3, GrapeVariant.STRONG).certificate
+    assert certificate_to_json(cert) == {"format": 2, "nodes": [{"base": "cone", "apex": "b"}]}
+    assert verify_cert_exit(tmp_path, PATH3, certificate_to_json(cert)) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "any"}
+
+
+@pytest.mark.parametrize(
+    "c, apex",
+    [
+        (PATH3, "a"),  # a vertex, but not in every facet
+        (PATH3, "zz"),  # outside the ground
+        (void_complex("abc"), "b"),
+        (irrelevant_complex("abc"), "b"),
+    ],
+)
+def test_a_cone_leaf_whose_apex_cones_nothing_is_rejected(tmp_path, capsys, c, apex):
+    cert = (CertNode(base="cone", apex=apex),)
+    for replay in (verify_certificate, frozenset_verify_certificate):
+        with pytest.raises(ReplayError, match="not in every facet"):
+            replay(c, GrapeVariant.STRONG, cert)
+    assert verify_cert_exit(tmp_path, c, certificate_to_json(cert)) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+@pytest.mark.parametrize("leaf", [{"base": "cone"}, {"base": "cone", "apex": 2},
+                                  {"base": "cone", "apex": ["b"]}])
+def test_a_cone_leaf_needs_a_string_apex(tmp_path, capsys, leaf):
+    data = {"format": 2, "nodes": [leaf]}
+    with pytest.raises(InputError, match="apex"):
+        certificate_from_json(data)
+    assert verify_cert_exit(tmp_path, PATH3, data) == 2

@@ -115,7 +115,7 @@ def test_collapse_command_yes_and_no(write_json, capsys):
     )
     assert code == 1 and out["verdict"] == "no"
     code, out = run_cli(capsys, "collapse", write_json("p2.json", TWO_POINTS))
-    assert code == 3 and out["verdict"] == "unknown"
+    assert code == 1 and out["verdict"] == "no"
 
 
 def test_strong_round_trip_on_a_long_path_under_a_low_recursion_limit(
@@ -509,10 +509,11 @@ def hostile_graph_files(draw):
 
 FILE = "<file>"  # longer than any hostile name, so no drawn argument equals it
 ELEMENT = "<element>"  # the drawn ground element
-PATH3_FILE, CERT_FILE = "<path3>", "<certificate>"  # fixed files beside the drawn one
-PATH3 = {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]}
-PATH3_CERTIFICATES = [
-    certificate_to_json(check_grape(complex_from_json(PATH3), variant).certificate)
+C4_FILE, CERT_FILE = "<c4>", "<certificate>"  # fixed files beside the drawn one
+# the 4-cycle: no cone, so its certificates hold splits, witnesses and every leaf kind
+C4 = {"ground": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]}
+C4_CERTIFICATES = [
+    certificate_to_json(check_grape(complex_from_json(C4), variant).certificate)
     for variant in GrapeVariant
 ]
 
@@ -522,8 +523,8 @@ def exits_cleanly(raw, commands, element="a"):
     an exit code, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         fill = {ELEMENT: element}
-        for name, data in ((FILE, raw), (PATH3_FILE, json.dumps(PATH3).encode()),
-                           (CERT_FILE, json.dumps(PATH3_CERTIFICATES[0]).encode())):
+        for name, data in ((FILE, raw), (C4_FILE, json.dumps(C4).encode()),
+                           (CERT_FILE, json.dumps(C4_CERTIFICATES[0]).encode())):
             fill[name] = os.path.join(tmp, f"{name[1:-1]}.json")
             with open(fill[name], "wb") as handle:
                 handle.write(data)
@@ -545,22 +546,22 @@ def dicts_in(data):
 
 
 CERTIFICATE_WORDS = st.sampled_from(["strong", "combinatorial", "weak", "strong-weak", "link",
-                                     "deletion", "both", "point", "void", "irrelevant"])
+                                     "deletion", "both", "point", "void", "irrelevant", "cone"])
 
 
 @st.composite
 def hostile_certificates(draw):
-    """Certificates of PATH3 with one field of one object dropped or replaced,
+    """Certificates of C4 with one field of one object dropped or replaced,
     node tables of such nodes in any order, or hostile bytes."""
     kind = draw(st.sampled_from(["mutated", "table", "bytes"]))
     if kind == "bytes":
         return draw(hostile_files())
-    cert = json.loads(json.dumps(draw(st.sampled_from(PATH3_CERTIFICATES))))
+    cert = json.loads(json.dumps(draw(st.sampled_from(C4_CERTIFICATES))))
     if kind == "table":
         nodes = cert["nodes"]
         cert["nodes"] = draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) + 1))
     target = draw(st.sampled_from(list(dicts_in(cert))))
-    key = draw(st.sampled_from(sorted(target)) | st.sampled_from(["base", "format", "kind"]))
+    key = draw(st.sampled_from(sorted(target)) | st.sampled_from(["base", "format", "kind", "apex"]))
     if draw(st.booleans()):
         target.pop(key, None)
     else:
@@ -586,7 +587,7 @@ FUZZED = {
         ["verify", "forest", FILE],
         ["verify", "pfpm", FILE],
     ],
-    "certificate": [["grape", "verify-cert", PATH3_FILE, FILE]],
+    "certificate": [["grape", "verify-cert", C4_FILE, FILE]],
 }
 NOT_FUZZED = {
     ("gen", "forest"): "reads no file; test_bad_values_exit_two_without_traceback covers its values",
@@ -767,9 +768,9 @@ EVERY_COMMAND = {
     ("del",): ["del", "{path3}", "b"],
     ("homology",): ["homology", "{path3}"],
     ("collapse",): ["collapse", "{points2}", "--budget", "50"],
-    ("grape", "check"): ["grape", "check", "{path3}", "--variant", "strong"],
-    ("grape", "classify"): ["grape", "classify", "{path3}"],
-    ("grape", "verify-cert"): ["grape", "verify-cert", "{path3}", "{cert}"],
+    ("grape", "check"): ["grape", "check", "{points2}", "--variant", "strong"],
+    ("grape", "classify"): ["grape", "classify", "{points2}"],
+    ("grape", "verify-cert"): ["grape", "verify-cert", "{points2}", "{cert}"],
     ("from-graph",): ["from-graph", "{graph3}", "--complex", "ind", "--dual"],
     ("from-digraph",): ["from-digraph", "{dag3}", "--complex", "pm"],
     ("verify", "forest"): ["verify", "forest", "{graph3}"],
@@ -785,7 +786,7 @@ EVERY_COMMAND = {
 
 def test_every_command_writes_what_the_stdlib_writes(write_json, capsys):
     assert sorted(EVERY_COMMAND) == sorted(leaf_commands(_build_parser()))
-    cert = certificate_to_json(check_grape(complex_from_json(PATH3), GrapeVariant.STRONG).certificate)
+    cert = certificate_to_json(check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate)
     files = {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
              "void": write_json("void.json", complex_to_json(void_complex(""))),
              "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),

@@ -2,6 +2,8 @@
 
 The recognition on frozensets of names that the mask kernel replaced is kept
 here as an oracle: both must give the same verdict, certificate and nodes.
+With its cone rule off it splits every cone down to points, and must still
+give the same verdicts, strong classes and predicted wedges.
 """
 
 import string
@@ -26,6 +28,7 @@ from grapes import (
     enumerate_complexes,
     full_simplex,
     irrelevant_complex,
+    is_cone,
     matches_sphere,
     new_complex,
     predicted_wedge,
@@ -121,8 +124,9 @@ def frozenset_between_complexes(lk, dl):
     yield from rec(0, set())
 
 
-def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
-    """check_grape on frozensets of names, solve on an explicit stack."""
+def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone_leaf=True):
+    """check_grape on frozensets of names, solve on an explicit stack; with
+    cone_leaf off a cone is split like any other complex."""
     state = {"nodes": 0}
     memo = {}
 
@@ -184,6 +188,10 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
         if kind is not None:
             nodes.append(CertNode(base=kind))
             return "yes", len(nodes) - 1
+        apexes = frozenset_cone_apexes(cr)
+        if cone_leaf and apexes:
+            nodes.append(CertNode(base="cone", apex=min(apexes, key=cr.index)))
+            return "yes", len(nodes) - 1
         some_unknown = False
         for a in cr.ground:
             lk = frozenset_link(cr, a)
@@ -234,12 +242,25 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False):
     return GrapeVerdict("yes", certificate=cert, nodes=state["nodes"])
 
 
+def folds(verdict, variant):
+    """What a theorem check reads of a recognition: the verdict, and on yes
+    the strong class (strong only) and the predicted wedge."""
+    cert = verdict.certificate
+    if cert is None:
+        return verdict.verdict, None, None
+    strong = classify_strong(cert) if variant is GrapeVariant.STRONG else None
+    return verdict.verdict, strong, predicted_wedge(cert)
+
+
 def assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma, budget=10**6):
     got = check_grape(c, variant, budget, exhaustive_gamma)
     want = frozenset_check_grape(c, variant, budget, exhaustive_gamma)
     assert (got.verdict, got.certificate, got.nodes) == (want.verdict, want.certificate, want.nodes)
     if want.reason:  # budget exhaustion; the oracle names no other origin
         assert got.reason == want.reason
+    if budget == 10**6:  # splitting cones spends more nodes than a lower budget may allow
+        split = frozenset_check_grape(c, variant, budget, exhaustive_gamma, cone_leaf=False)
+        assert folds(got, variant) == folds(split, variant)
 
 
 @pytest.mark.parametrize("exhaustive_gamma", [False, True])
@@ -307,6 +328,20 @@ def test_cones_are_strong_grapes(n):
     verify_certificate(cone, GrapeVariant.STRONG, verdict.certificate)
 
 
+def test_every_small_cone_is_one_leaf():
+    cones = [c for c in enumerate_complexes("abcde") if is_cone(c)]
+    assert len(cones) == 686  # 5 of them points
+    for c in cones:
+        apex = min(frozenset_cone_apexes(c), key=c.index)
+        leaf = CertNode(base="point") if len(c.vertices()) == 1 else CertNode(base="cone", apex=apex)
+        for variant in ALL_VARIANTS:
+            verdict = check_grape(c, variant)
+            assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", (leaf,), 1)
+            verify_certificate(c, variant, verdict.certificate)
+        assert classify_strong(verdict.certificate) == VOID_CLASS
+        assert predicted_wedge(verdict.certificate) == {}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_simplex_boundary_is_strong_grape(n):
     c = simplex_boundary("abcdefgh"[:n])
@@ -362,7 +397,7 @@ def test_projective_plane_is_no_grape_at_all():
 )
 def test_unknown_on_the_projective_plane_names_its_origin(variant, reason):
     verdict = check_grape(RP2, variant)
-    assert (verdict.verdict, verdict.reason, verdict.nodes) == ("unknown", reason, 6698)
+    assert (verdict.verdict, verdict.reason, verdict.nodes) == ("unknown", reason, 6667)
 
 
 @pytest.mark.parametrize(
@@ -381,8 +416,9 @@ def test_unknown_below_the_root_names_the_pivots_and_sides(c, origin):
 
 
 def test_budget_exhaustion_is_unknown():
-    # needs recursion: the cone passes the witness test at the first pivot
-    c = cone_over(cycle_complex(5), "z")
+    # needs recursion: the octahedron is no cone, and passes the witness
+    # test at its first pivot
+    c = cross_polytope_boundary(3)
     verdict = check_grape(c, GrapeVariant.STRONG, budget=1)
     assert verdict.verdict == "unknown"
     assert verdict.reason == "recognition budget exhausted"
@@ -442,7 +478,7 @@ def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gam
     [
         (RP2, 1),
         (cycle_complex(5), 1),
-        (cross_polytope_boundary(3), 13),
+        (cross_polytope_boundary(3), 7),
         (simplex_boundary("abcde"), 9),
         (rp2_with_path(4), 9),
     ],
