@@ -178,6 +178,8 @@ def _collapse(args: argparse.Namespace) -> int:
     payload = {"verdict": result.verdict, "nodes": result.nodes}
     if result.sequence is not None:
         payload["sequence"] = sequence_to_json(result.sequence)
+    if result.obstruction is not None:
+        payload["obstruction"] = result.obstruction.to_json()
     return _emit(payload, result.verdict)
 
 

@@ -7,7 +7,12 @@ participates, so a single point collapses to void.
 
 Collapsibility is used here as a sound but incomplete test for being
 simple-homotopy trivial (collapses only, no expansions); callers get an
-explicit "unknown" verdict when the search is inconclusive.
+explicit "unknown" verdict when the search is inconclusive.  A collapsible
+complex is contractible, so its reduced homology vanishes: ``collapse_search``
+answers "no" at once, with the homology as its obstruction, for a complex
+whose reduced homology has a Betti number or torsion.  Deciding
+collapsibility is NP-complete (Tancer 2016); this refutes the non-acyclic
+inputs in polynomial time and leaves the search for the acyclic ones.
 
 The search and replay run on facet masks (see ``complexes``), and names come
 back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
@@ -34,6 +39,7 @@ from .complexes import (
     mask_order,
     meet_mask,
 )
+from .homology import HomologyProfile, reduced_homology
 
 DEFAULT_BUDGET = 10**6
 
@@ -57,13 +63,16 @@ class ShvResult:
     """Verdict of a collapsibility search.
 
     verdict "yes" carries a sequence that replays to the void complex;
-    "no" means the search tried every free pair at every step, in either
+    "no" carries an obstruction, the nonzero reduced homology that no
+    collapsible complex has and that ``reduced_homology`` recomputes, or
+    none when the search tried every free pair at every step, in either
     mode; "unknown" means the node budget ran out first.
     """
 
     verdict: str  # "yes" | "no" | "unknown"
     sequence: Optional[tuple] = None
     nodes: int = 0
+    obstruction: Optional[HomologyProfile] = None
 
     @property
     def is_yes(self) -> bool:
@@ -190,6 +199,16 @@ def replay(c: Complex, sequence) -> Complex:
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
 
+def _obstruction(c: Complex) -> Optional[HomologyProfile]:
+    """c's reduced homology when it is nonzero; None when it vanishes or when
+    homology refuses c's size."""
+    try:
+        profile = reduced_homology(c)
+    except InputError:
+        return None
+    return None if profile.is_trivial() else profile
+
+
 def collapse_search(
     c: Complex,
     budget: int = DEFAULT_BUDGET,
@@ -197,17 +216,25 @@ def collapse_search(
 ) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
 
-    Backtracking DFS trying free pairs in the canonical order, on an
-    explicit stack of (complex, untried free pairs) so that long collapse
-    sequences do not hit the recursion limit.  Cones are collapsed directly
-    via :func:`cone_steps`.  Both modes search the whole tree and answer
-    "no" once it is exhausted within the budget; exhaustive mode also
-    memoizes dead face-sets, so it revisits none and needs fewer nodes
-    where collapse orders meet.  A "yes" sequence is replayed before it is
+    A complex that is neither void nor a cone is first tested by its
+    reduced homology: when that is nonzero the answer is "no" after one
+    node, with the homology as ``obstruction``.  When homology finds the
+    complex acyclic, or refuses its size (over ``MAX_FACES`` faces), the
+    search runs: a backtracking DFS trying free pairs in the canonical
+    order, on an explicit stack of (complex, untried free pairs) so that
+    long collapse sequences do not hit the recursion limit.  Cones are
+    collapsed directly via :func:`cone_steps`.  Both modes search the whole
+    tree and answer "no" once it is exhausted within the budget; exhaustive
+    mode also memoizes dead face-sets, so it revisits none and needs fewer
+    nodes where collapse orders meet.  A "yes" sequence is replayed before it is
     returned.  Deterministic for fixed inputs.
     """
     if budget <= 0:
         raise InputError("budget must be positive")
+    if c.masks and not meet_mask(c.masks):
+        obstruction = _obstruction(c)
+        if obstruction is not None:
+            return ShvResult("no", None, 1, obstruction)
     verdict, steps, nodes = search_masks(c.masks, budget, exhaustive, c.ground)
     return ShvResult(verdict, None if steps is None else named_steps(steps, c.ground), nodes)
 

@@ -118,6 +118,31 @@ def test_collapse_command_yes_and_no(write_json, capsys):
     assert code == 1 and out["verdict"] == "no"
 
 
+def test_collapse_obstruction_replays_as_homology(write_json, capsys):
+    # RP2 has no free face and two disjoint edges run out of a budget of 3;
+    # each "no" carries the homology that the homology command recomputes
+    edges2 = {"ground": list("abcd"), "facets": [["a", "b"], ["c", "d"]]}
+    for name, c in (("rp2.json", RP2), ("edges2.json", edges2)):
+        path = write_json(name, c)
+        code, out = run_cli(capsys, "collapse", path, "--budget", "3")
+        assert (code, out["verdict"], out["nodes"]) == (1, "no", 1)
+        assert "sequence" not in out
+        _, homology = run_cli(capsys, "homology", path)
+        assert out["obstruction"] == {k: homology[k] for k in ("betti", "torsion")}
+    assert out["obstruction"]["betti"]["0"] == 1
+    code, out = run_cli(capsys, "collapse", write_json("e.json", EDGE))
+    assert code == 0 and "obstruction" not in out
+
+
+def test_collapse_past_the_homology_bound_still_searches(write_json, capsys):
+    # 2^21 faces are too many for homology, so the search runs and its
+    # budget ends it, as before: exit 3, never 2
+    simplex = [f"v{i}" for i in range(21)]
+    path = write_json("big.json", {"ground": [*simplex, "w"], "facets": [simplex, ["w"]]})
+    code, out = run_cli(capsys, "collapse", path, "--budget", "50")
+    assert code == 3 and out == {"nodes": 51, "verdict": "unknown"}
+
+
 def test_strong_round_trip_on_a_long_path_under_a_low_recursion_limit(
     write_json, capsys, tmp_path
 ):

@@ -1,8 +1,9 @@
 """Elementary collapse machinery: free pairs, search, lifting, suspension.
 
 The search and replay on names that the mask kernel replaced are kept here
-as oracles; the kernel must give the same pairs, sequences, node counts and
-replay errors.
+as oracles; the kernel must give the same pairs, sequences, node counts,
+obstructions and replay errors.  The oracle search without the homology
+rule is kept too, to show that the rule refutes no collapsible complex.
 """
 
 import inspect
@@ -10,7 +11,7 @@ import string
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grapes import (
     CollapsePair,
@@ -38,9 +39,10 @@ from grapes.collapse import (
     sequence_from_json,
     sequence_to_json,
 )
-from grapes.complexes import mask_order, meet_mask
+from grapes.complexes import face_of, mask_order, meet_mask
 from grapes.generators import cycle_complex
 from test_complexes import frozenset_cone_apexes, maximal_deletion
+from test_homology import RP2, oracle_reduced_homology
 
 
 def fs(*names):
@@ -171,7 +173,13 @@ def frozenset_cone_sequence(c):
     return [CollapsePair(f | {apex}, f) for f in base_faces]
 
 
-def frozenset_collapse_search(c, budget=10**6, exhaustive=False):
+def frozenset_collapse_search(c, budget=10**6, exhaustive=False, obstruction=True):
+    """collapse_search on frozensets; with obstruction off, the search alone,
+    as recognition runs it."""
+    if obstruction and c.facets and not frozenset_cone_apexes(c):
+        profile = oracle_reduced_homology(c)
+        if not profile.is_trivial():
+            return ShvResult("no", None, 1, profile)
     nodes = 0
     failed = set()
     stack = []
@@ -215,9 +223,14 @@ def replay_outcome(replay_fn, c, sequence):
 
 def assert_search_matches_the_oracle(c, budget=10**6):
     for exhaustive in (False, True):
-        for budget in (budget, 3):
-            got = collapse_search(c, budget, exhaustive)
-            assert got == frozenset_collapse_search(c, budget, exhaustive)
+        for nodes in (3, budget):
+            got = collapse_search(c, nodes, exhaustive)
+            assert got == frozenset_collapse_search(c, nodes, exhaustive)
+        # the search without the homology rule never collapses what the rule
+        # refutes, and whatever it collapses is acyclic
+        searched = frozenset_collapse_search(c, budget, exhaustive, obstruction=False)
+        assert got.obstruction is None or not searched.is_yes
+        assert not searched.is_yes or oracle_reduced_homology(c).is_trivial()
     assert free_pairs(c) == frozenset_free_pairs(c)
     if frozenset_cone_apexes(c):
         assert cone_sequence(c) == frozenset_cone_sequence(c)
@@ -244,16 +257,22 @@ def test_search_and_replay_match_the_frozenset_oracle_on_every_small_complex():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=7).flatmap(
+    st.integers(min_value=2, max_value=7).flatmap(
         lambda n: st.tuples(
             st.just(tuple(string.ascii_lowercase[:n])),
-            st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=6),
+            st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=2, max_size=6),
         )
     )
 )
 def test_search_matches_the_frozenset_oracle(case):
+    # a cone ends the search at its first node, and most draws are cones;
+    # the draw less its cone apexes is none, and one facet would leave only
+    # the irrelevant complex
     ground, faces = case
     c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
+    apexes = face_of(meet_mask(c.masks), c.ground)
+    c = new_complex(ground, [f - apexes for f in c.facets])
+    assume(len(c.facets) > 1)
     assert_search_matches_the_oracle(c, budget=2000)
 
 
@@ -328,6 +347,44 @@ def test_budget_exhaustion_reports_unknown():
 
 def test_five_cycle_is_not_collapsible():
     assert collapse_search(cycle_complex(5), exhaustive=True).verdict == "no"
+
+
+def dunce_hat():
+    """A triangle whose sides are glued along one edge path 1-2-3-1, twice
+    forward and once backward: contractible, and every edge lies in two or
+    three triangles, so no collapse can start.  Around the boundary 9-gon
+    (labels 1 2 3 1 2 3 1 3 2) run a ring r0..r8 of interior vertices and a
+    centre c."""
+    rim = "123123132"
+    ring = [f"r{i}" for i in range(9)]
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [{rim[i], rim[j], ring[i]}, {rim[j], ring[i], ring[j]}, {ring[i], ring[j], "c"}]
+    return new_complex(["1", "2", "3", *ring, "c"], [frozenset(f) for f in facets])
+
+
+DUNCE_HAT = dunce_hat()
+
+
+def test_projective_plane_is_refuted_by_its_torsion():
+    # all Betti numbers vanish: only the Z/2 in degree 1 refutes RP2
+    for exhaustive in (False, True):
+        result = collapse_search(RP2, budget=1, exhaustive=exhaustive)
+        assert (result.verdict, result.sequence, result.nodes) == ("no", None, 1)
+        assert result.obstruction == reduced_homology(RP2)
+        assert result.obstruction.to_json() == {
+            "betti": {"-1": 0, "0": 0, "1": 0, "2": 0},
+            "torsion": {"-1": [], "0": [], "1": [2], "2": []},
+        }
+
+
+def test_dunce_hat_is_refuted_by_the_exhausted_search():
+    # acyclic, so no obstruction: the "no" is the search's, after one node
+    assert reduced_homology(DUNCE_HAT).is_trivial() and len(DUNCE_HAT.facets) == 27
+    assert not meet_mask(DUNCE_HAT.masks) and free_pairs(DUNCE_HAT) == []
+    for exhaustive in (False, True):
+        assert collapse_search(DUNCE_HAT, exhaustive=exhaustive) == ShvResult("no", None, 1)
 
 
 def test_collapsible_implies_trivial_homology():

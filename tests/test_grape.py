@@ -138,7 +138,9 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
     def collapses(sub):
         if state["nodes"] == budget:
             raise OutOfBudget
-        r = frozenset_collapse_search(sub, budget - state["nodes"], exhaustive=True)
+        r = frozenset_collapse_search(
+            sub, budget - state["nodes"], exhaustive=True, obstruction=False
+        )
         tick(r.nodes)
         return r
 
