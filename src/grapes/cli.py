@@ -174,7 +174,7 @@ def _homology(args: argparse.Namespace) -> int:
 
 
 def _collapse(args: argparse.Namespace) -> int:
-    result = collapse_search(_complex(args), args.budget, exhaustive=args.exhaustive)
+    result = collapse_search(_complex(args), args.budget)
     payload = {"verdict": result.verdict, "nodes": result.nodes}
     if result.sequence is not None:
         payload["sequence"] = sequence_to_json(result.sequence)
@@ -291,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="complexes the search may visit before it answers unknown")
-    p.add_argument("--exhaustive", action="store_true")
+    # accepted for the callers that still pass it, such as perfbench's certify-large queries
+    p.add_argument("--exhaustive", action="store_true",
+                   help="no effect; every search remembers the face sets it has seen fail")
     p.set_defaults(run=_collapse)
 
     grape = sub.add_parser("grape", help="grape recognition commands")

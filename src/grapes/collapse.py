@@ -12,7 +12,9 @@ complex is contractible, so its reduced homology vanishes: ``collapse_search``
 answers "no" at once, with the homology as its obstruction, for a complex
 whose reduced homology has a Betti number or torsion.  Deciding
 collapsibility is NP-complete (Tancer 2016); this refutes the non-acyclic
-inputs in polynomial time and leaves the search for the acyclic ones.
+inputs in polynomial time and leaves the search for the acyclic ones.  The
+search is depth-first and remembers every face set it has seen fail, so it
+expands each face set it reaches at most once.
 
 The search and replay run on facet masks (see ``complexes``), and names come
 back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
@@ -65,8 +67,8 @@ class ShvResult:
     verdict "yes" carries a sequence that replays to the void complex;
     "no" carries an obstruction, the nonzero reduced homology that no
     collapsible complex has and that ``reduced_homology`` recomputes, or
-    none when the search tried every free pair at every step, in either
-    mode; "unknown" means the node budget ran out first.
+    none when the search tried every free pair at every step; "unknown"
+    means the node budget ran out first.
     """
 
     verdict: str  # "yes" | "no" | "unknown"
@@ -149,7 +151,7 @@ class _OrderKeys(dict):
         return key
 
 
-def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) -> tuple:
+def search_masks(masks: frozenset, budget: int, names: tuple) -> tuple:
     """collapse_search on facet masks: (verdict, mask steps or None, nodes)."""
     nodes = 0
     order_key = _OrderKeys().__getitem__  # each face's key once per search
@@ -168,16 +170,14 @@ def search_masks(masks: frozenset, budget: int, exhaustive: bool, names: tuple) 
             if replay_masks(masks, steps, names):
                 raise ReplayError("search produced a sequence that does not replay")
             return "yes", tuple(steps), nodes
-        dead = exhaustive and cur in failed
-        stack.append((cur, iter(() if dead else _free_pairs(cur, order_key))))
+        stack.append((cur, iter(() if cur in failed else _free_pairs(cur, order_key))))
         cur = None
         while stack and cur is None:
             top, pairs = stack[-1]
             pair = next(pairs, None)
             if pair is None:
                 stack.pop()
-                if exhaustive:
-                    failed.add(top)
+                failed.add(top)
                 if stack:
                     steps.pop()
             else:
@@ -209,11 +209,7 @@ def _obstruction(c: Complex) -> Optional[HomologyProfile]:
     return None if profile.is_trivial() else profile
 
 
-def collapse_search(
-    c: Complex,
-    budget: int = DEFAULT_BUDGET,
-    exhaustive: bool = False,
-) -> ShvResult:
+def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
 
     A complex that is neither void nor a cone is first tested by its
@@ -223,10 +219,10 @@ def collapse_search(
     search runs: a backtracking DFS trying free pairs in the canonical
     order, on an explicit stack of (complex, untried free pairs) so that
     long collapse sequences do not hit the recursion limit.  Cones are
-    collapsed directly via :func:`cone_steps`.  Both modes search the whole
-    tree and answer "no" once it is exhausted within the budget; exhaustive
-    mode also memoizes dead face-sets, so it revisits none and needs fewer
-    nodes where collapse orders meet.  A "yes" sequence is replayed before it is
+    collapsed directly via :func:`cone_steps`.  The search remembers every
+    face set whose free pairs all failed, so a face set that two collapse
+    orders reach is expanded once; it answers "no" once the whole tree is
+    exhausted within the budget.  A "yes" sequence is replayed before it is
     returned.  Deterministic for fixed inputs.
     """
     if budget <= 0:
@@ -235,7 +231,7 @@ def collapse_search(
         obstruction = _obstruction(c)
         if obstruction is not None:
             return ShvResult("no", None, 1, obstruction)
-    verdict, steps, nodes = search_masks(c.masks, budget, exhaustive, c.ground)
+    verdict, steps, nodes = search_masks(c.masks, budget, c.ground)
     return ShvResult(verdict, None if steps is None else named_steps(steps, c.ground), nodes)
 
 

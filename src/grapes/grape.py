@@ -92,12 +92,12 @@ class GrapeVariant(Enum):
 
 @dataclass(frozen=True)
 class StrongWitness:
-    """Which of link/deletion is a cone, with the apexes found."""
+    """Which of link/deletion is a cone; that side's child is a cone leaf
+    naming the apex.  Recognition names the deletion when both sides are
+    cones; "both" reads as "deletion" wherever a witness is read."""
 
     variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG
     cone_side: str  # "link" | "deletion" | "both"
-    link_apex: Optional[str] = None
-    deletion_apex: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -250,10 +250,10 @@ def check_grape(
             raise _BudgetExceeded
 
     def collapses(sub: frozenset) -> Optional[tuple]:
-        """Exhaustive collapse search on the nodes left, counted as ours: its steps or None."""
+        """Collapse search on the nodes left, counted as ours: its steps or None."""
         if state["nodes"] == budget:
             raise _BudgetExceeded  # a search takes no budget of 0
-        _, steps, spent = search_masks(sub, budget - state["nodes"], True, names)
+        _, steps, spent = search_masks(sub, budget - state["nodes"], names)
         tick(spent)  # a search that runs out reports one node more than it had
         return steps
 
@@ -261,11 +261,11 @@ def check_grape(
         """Variant gluing condition at one pivot, with ground the node's other
         vertices: (status, witness or reason)."""
         if variant is GrapeVariant.STRONG:
-            lk_apex, dl_apex = meet_mask(lk), meet_mask(dl)
-            if not lk_apex and not dl_apex:
-                return "no", "neither side is a cone"
-            side = "deletion" if not lk_apex else "link" if not dl_apex else "both"
-            return "yes", StrongWitness(side, name(lk_apex & -lk_apex), name(dl_apex & -dl_apex))
+            if meet_mask(dl):
+                return "yes", StrongWitness("deletion")
+            if meet_mask(lk):
+                return "yes", StrongWitness("link")
+            return "no", "neither side is a cone"
 
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
@@ -440,11 +440,9 @@ def _verify_witness(
     if getattr(witness, "variant", None) is not variant:
         raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
-        # "both" claims both cones
-        if witness.cone_side != "deletion" and not bit.get(witness.link_apex, 0) & meet_mask(lk):
-            raise ReplayError("claimed link apex does not cone the link")
-        if witness.cone_side != "link" and not bit.get(witness.deletion_apex, 0) & meet_mask(dl):
-            raise ReplayError("claimed deletion apex does not cone the deletion")
+        side, masks = ("link", lk) if witness.cone_side == "link" else ("deletion", dl)
+        if not meet_mask(masks):
+            raise ReplayError(f"{side} is not a cone")
         return
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness.cone_element
@@ -480,8 +478,9 @@ def classify_strong(cert: tuple) -> SHClass:
 
     Deletion-is-cone steps suspend the class of the link; link-is-cone steps
     keep the class of the deletion; so one branch is followed per level.
-    When both sides are cones the deletion is taken as the cone, as the
-    search does (the class is the same either way).
+    When both sides are cones recognition names the deletion, and a "both"
+    witness of an older certificate is read the same way (the class is the
+    same either way).
     """
     node = cert[-1]
     suspensions = 0
@@ -624,12 +623,7 @@ def verify_dual_invariance(
 
 def _witness_to_json(w: object) -> dict:
     if isinstance(w, StrongWitness):
-        out: dict = {"kind": "strong", "cone_side": w.cone_side}
-        if w.link_apex is not None:
-            out["link_apex"] = w.link_apex
-        if w.deletion_apex is not None:
-            out["deletion_apex"] = w.deletion_apex
-        return out
+        return {"kind": "strong", "cone_side": w.cone_side}
     if isinstance(w, ConeContainmentWitness):
         return {"kind": "combinatorial", "cone_element": w.cone_element}
     if isinstance(w, TrivialIntermediateWitness):
@@ -652,13 +646,11 @@ def _witness_from_json(data: object) -> object:
         raise InputError("witness must be an object")
     kind = data.get("kind")
     if kind == "strong":
+        # older certificates may say "both" and name apexes, which are ignored
         side = data.get("cone_side")
-        apexes = (data.get("link_apex"), data.get("deletion_apex"))
-        if side not in ("link", "deletion", "both") or not all(
-            a is None or isinstance(a, str) for a in apexes
-        ):
-            raise InputError('strong witness needs a link/deletion/both "cone_side", string apexes')
-        return StrongWitness(side, *apexes)
+        if side not in ("link", "deletion", "both"):
+            raise InputError('strong witness needs a link/deletion/both "cone_side"')
+        return StrongWitness(side)
     if kind == "combinatorial":
         x = data.get("cone_element")
         if not isinstance(x, str):

@@ -367,7 +367,7 @@ def lifted_collapse_reports(c: Complex) -> list:
     instance = complex_to_json(c)
     out = []
     for a in c.ground:
-        result = collapse_search(link(c, a), exhaustive=True)
+        result = collapse_search(link(c, a))
         if not result.is_yes:
             continue
         try:
@@ -451,7 +451,7 @@ def cyclic_no_useless_reports() -> list:
         _report(
             "cyclic-no-useless-pf-collapsible",
             instance,
-            collapse_search(pf, exhaustive=True).is_yes,
+            collapse_search(pf).is_yes,
         ),
         _report("cyclic-no-useless-arc-check", instance, not useless_arcs(d)),
     ]

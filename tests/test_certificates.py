@@ -149,10 +149,9 @@ def frozenset_verify_witness(variant, witness, lk, dl):
     if getattr(witness, "variant", None) is not variant:
         raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
-        if witness.cone_side != "deletion" and witness.link_apex not in frozenset_cone_apexes(lk):
-            raise ReplayError("claimed link apex does not cone the link")
-        if witness.cone_side != "link" and witness.deletion_apex not in frozenset_cone_apexes(dl):
-            raise ReplayError("claimed deletion apex does not cone the deletion")
+        side = "link" if witness.cone_side == "link" else "deletion"
+        if not frozenset_cone_apexes(lk if side == "link" else dl):
+            raise ReplayError(f"{side} is not a cone")
         return
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness.cone_element
@@ -236,8 +235,7 @@ def witness_tamperings(c, cert):
     if root.base:
         return
     if isinstance(w, StrongWitness):
-        changes = [replace(w, link_apex="zz"), replace(w, deletion_apex="zz"),
-                   replace(w, cone_side="both"), replace(w, link_apex=root.pivot, cone_side="link")]
+        changes = [replace(w, cone_side=side) for side in ("link", "deletion", "both")]
     elif isinstance(w, ConeContainmentWitness):
         changes = [replace(w, cone_element=x) for x in ("zz", root.pivot, *c.ground)]
     else:
@@ -360,6 +358,46 @@ def test_nested_certificate_still_replays():
     cert = certificate_from_json(data)
     verify_certificate(c, GrapeVariant.WEAK, cert)
     assert expand(certificate_to_json(cert)) == data
+
+
+# -- strong witnesses name their cone side only -------------------------------------------
+
+TWO_POINTS = new_complex("ab", [frozenset("a"), frozenset("b")])
+# a strong certificate of two points as earlier versions wrote it
+OLD_TWO_POINTS = {"format": 2, "nodes": [
+    {"base": "irrelevant"},
+    {"base": "point"},
+    {"pivot": "a",
+     "witness": {"kind": "strong", "cone_side": "deletion", "deletion_apex": "b"},
+     "link": 0, "deletion": 1},
+]}
+
+
+def test_a_strong_certificate_names_no_apex_in_its_witnesses():
+    data = certificate_to_json(check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate)
+    root = OLD_TWO_POINTS["nodes"][2]
+    assert data["nodes"][2] == {**root, "witness": {"kind": "strong", "cone_side": "deletion"}}
+    assert data["nodes"][:2] == OLD_TWO_POINTS["nodes"][:2]
+
+
+def test_an_older_strong_certificate_still_replays(tmp_path, capsys):
+    # its apexes, and the "both" side, are read and ignored
+    cert = certificate_from_json(OLD_TWO_POINTS)
+    assert cert == check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate
+    assert verify_cert_exit(tmp_path, TWO_POINTS, OLD_TWO_POINTS) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
+    # the path a-b-c-d at a: the link, the point b, and the deletion, with
+    # apex c, are both cones
+    path4 = new_complex("abcd", [frozenset("ab"), frozenset("bc"), frozenset("cd")])
+    both = {"format": 2, "nodes": [
+        {"base": "point"},
+        {"base": "cone", "apex": "c"},
+        {"pivot": "a", "witness": {"kind": "strong", "cone_side": "both", "link_apex": "b",
+                                   "deletion_apex": "c"}, "link": 0, "deletion": 1},
+    ]}
+    assert certificate_from_json(both)[-1].witness == StrongWitness("both")
+    assert verify_cert_exit(tmp_path, path4, both) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
 
 
 # -- cone leaves -------------------------------------------------------------------------

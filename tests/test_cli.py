@@ -23,6 +23,7 @@ from grapes.complexes import complex_from_json, complex_to_json, void_complex
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
 from grapes.grape import GrapeVariant, certificate_to_json, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
+from test_collapse import dunce_hat_with_star
 from test_graphs import path_graph
 
 
@@ -116,6 +117,17 @@ def test_collapse_command_yes_and_no(write_json, capsys):
     assert code == 1 and out["verdict"] == "no"
     code, out = run_cli(capsys, "collapse", write_json("p2.json", TWO_POINTS))
     assert code == 1 and out["verdict"] == "no"
+
+
+def test_collapse_exhaustive_flag_changes_nothing(write_json, capsys):
+    # the flag is still accepted; every search remembers failed face sets
+    path = write_json("star.json", complex_to_json(dunce_hat_with_star(7)))
+    outputs = []
+    for extra in ([], ["--exhaustive"]):
+        assert main(["collapse", path, *extra]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {"verdict": "no", "nodes": 449}
 
 
 def test_collapse_obstruction_replays_as_homology(write_json, capsys):
@@ -371,9 +383,9 @@ def test_a_closed_stdout_exits_one_without_a_traceback(write_json):
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-STRONG_LIST_APEX = {
+STRONG_LIST_SIDE = {
     "pivot": "a",
-    "witness": {"kind": "strong", "cone_side": "link", "link_apex": ["x"]},
+    "witness": {"kind": "strong", "cone_side": ["link"]},
     "link": {"base": "point"},
     "deletion": {"base": "point"},
 }
@@ -394,7 +406,7 @@ WEAK_NESTED_STEP = {
     "deletion": {"base": "point"},
 }
 
-STRONG_LINK = {"kind": "strong", "cone_side": "link", "link_apex": "b"}
+STRONG_LINK = {"kind": "strong", "cone_side": "link"}
 
 
 def node_table(link, deletion, fmt=2):
@@ -421,7 +433,7 @@ BAD_TABLES = {
         ["gen", "complex", "--ground", "30", "--seed", "1"],
         ["gen", "forest", "--n", "0", "--seed", "1"],
         ["gen", "digraph", "--v", "0", "--arcs", "1", "--seed", "1"],
-        ["grape", "verify-cert", "{edge}", "{strong_list_apex}"],
+        ["grape", "verify-cert", "{edge}", "{strong_list_side}"],
         ["grape", "verify-cert", "{edge}", "{weak_nested_facet}"],
         ["grape", "verify-cert", "{edge}", "{weak_nested_step}"],
         ["dual", "{deep}"],
@@ -462,7 +474,7 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "forty": write_json("forty.json", {"ground": forty, "facets": [forty]}),
         "deep": str(deep),
         "edge": write_json("edge.json", EDGE),
-        "strong_list_apex": write_json("c1.json", STRONG_LIST_APEX),
+        "strong_list_side": write_json("c1.json", STRONG_LIST_SIDE),
         "weak_nested_facet": write_json("c2.json", WEAK_NESTED_FACET),
         "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
         "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),

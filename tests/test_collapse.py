@@ -3,7 +3,9 @@
 The search and replay on names that the mask kernel replaced are kept here
 as oracles; the kernel must give the same pairs, sequences, node counts,
 obstructions and replay errors.  The oracle search without the homology
-rule is kept too, to show that the rule refutes no collapsible complex.
+rule is kept too, to show that the rule refutes no collapsible complex, and
+so is the search without the memo of failed face sets, to show that the
+memo changes no conclusion and never costs a node.
 """
 
 import inspect
@@ -173,9 +175,10 @@ def frozenset_cone_sequence(c):
     return [CollapsePair(f | {apex}, f) for f in base_faces]
 
 
-def frozenset_collapse_search(c, budget=10**6, exhaustive=False, obstruction=True):
+def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
     """collapse_search on frozensets; with obstruction off, the search alone,
-    as recognition runs it."""
+    as recognition runs it; with memo off, a search that expands a face set
+    again each time a collapse order reaches it."""
     if obstruction and c.facets and not frozenset_cone_apexes(c):
         profile = oracle_reduced_homology(c)
         if not profile.is_trivial():
@@ -195,7 +198,7 @@ def frozenset_collapse_search(c, budget=10**6, exhaustive=False, obstruction=Tru
             if not frozenset_replay(c, steps).is_void:
                 raise ReplayError("search produced a sequence that does not replay")
             return ShvResult("yes", tuple(steps), nodes)
-        dead = exhaustive and cur.facets in failed
+        dead = memo and cur.facets in failed
         stack.append((cur, iter(() if dead else frozenset_free_pairs(cur))))
         cur = None
         while stack and cur is None:
@@ -203,7 +206,7 @@ def frozenset_collapse_search(c, budget=10**6, exhaustive=False, obstruction=Tru
             pair = next(pairs, None)
             if pair is None:
                 stack.pop()
-                if exhaustive:
+                if memo:
                     failed.add(top.facets)
                 if stack:
                     steps.pop()
@@ -222,15 +225,20 @@ def replay_outcome(replay_fn, c, sequence):
 
 
 def assert_search_matches_the_oracle(c, budget=10**6):
-    for exhaustive in (False, True):
-        for nodes in (3, budget):
-            got = collapse_search(c, nodes, exhaustive)
-            assert got == frozenset_collapse_search(c, nodes, exhaustive)
-        # the search without the homology rule never collapses what the rule
-        # refutes, and whatever it collapses is acyclic
-        searched = frozenset_collapse_search(c, budget, exhaustive, obstruction=False)
-        assert got.obstruction is None or not searched.is_yes
-        assert not searched.is_yes or oracle_reduced_homology(c).is_trivial()
+    for nodes in (3, budget):
+        got = collapse_search(c, nodes)
+        assert got == frozenset_collapse_search(c, nodes)
+        # wherever the search without the memo concludes, it concludes the
+        # same, with the same sequence, and spends at least as many nodes
+        plain = frozenset_collapse_search(c, nodes, memo=False)
+        if plain.verdict != "unknown":
+            assert (got.verdict, got.sequence) == (plain.verdict, plain.sequence)
+            assert got.nodes <= plain.nodes
+    # the search without the homology rule never collapses what the rule
+    # refutes, and whatever it collapses is acyclic
+    searched = frozenset_collapse_search(c, budget, obstruction=False)
+    assert got.obstruction is None or not searched.is_yes
+    assert not searched.is_yes or oracle_reduced_homology(c).is_trivial()
     assert free_pairs(c) == frozenset_free_pairs(c)
     if frozenset_cone_apexes(c):
         assert cone_sequence(c) == frozenset_cone_sequence(c)
@@ -297,13 +305,11 @@ def test_point_collapses_to_void():
 
 
 def test_two_points_definitively_not_collapsible():
-    assert collapse_search(TWO_POINTS, exhaustive=True).verdict == "no"
-    # greedy mode searches the whole tree too, so it ends in "no" as well
-    assert collapse_search(TWO_POINTS, exhaustive=False).verdict == "no"
+    assert collapse_search(TWO_POINTS).verdict == "no"
 
 
 def test_irrelevant_complex_not_collapsible():
-    assert collapse_search(irrelevant_complex("a"), exhaustive=True).verdict == "no"
+    assert collapse_search(irrelevant_complex("a")).verdict == "no"
 
 
 @pytest.mark.parametrize(
@@ -333,7 +339,7 @@ def test_two_route_path_free_complex_collapses():
         "AFD",
         "BEC",
     )
-    result = collapse_search(pf, exhaustive=True)
+    result = collapse_search(pf)
     assert result.is_yes
     assert replay(pf, result.sequence).is_void
 
@@ -341,12 +347,12 @@ def test_two_route_path_free_complex_collapses():
 def test_budget_exhaustion_reports_unknown():
     # collapsible but not a cone, so the search must actually recurse
     pf = cx("ABCDEF", "AECD", "FBCD", "AFD", "BEC")
-    result = collapse_search(pf, budget=1, exhaustive=True)
+    result = collapse_search(pf, budget=1)
     assert result.verdict == "unknown"
 
 
 def test_five_cycle_is_not_collapsible():
-    assert collapse_search(cycle_complex(5), exhaustive=True).verdict == "no"
+    assert collapse_search(cycle_complex(5)).verdict == "no"
 
 
 def dunce_hat():
@@ -369,27 +375,46 @@ DUNCE_HAT = dunce_hat()
 
 def test_projective_plane_is_refuted_by_its_torsion():
     # all Betti numbers vanish: only the Z/2 in degree 1 refutes RP2
-    for exhaustive in (False, True):
-        result = collapse_search(RP2, budget=1, exhaustive=exhaustive)
-        assert (result.verdict, result.sequence, result.nodes) == ("no", None, 1)
-        assert result.obstruction == reduced_homology(RP2)
-        assert result.obstruction.to_json() == {
-            "betti": {"-1": 0, "0": 0, "1": 0, "2": 0},
-            "torsion": {"-1": [], "0": [], "1": [2], "2": []},
-        }
+    result = collapse_search(RP2, budget=1)
+    assert (result.verdict, result.sequence, result.nodes) == ("no", None, 1)
+    assert result.obstruction == reduced_homology(RP2)
+    assert result.obstruction.to_json() == {
+        "betti": {"-1": 0, "0": 0, "1": 0, "2": 0},
+        "torsion": {"-1": [], "0": [], "1": [2], "2": []},
+    }
 
 
 def test_dunce_hat_is_refuted_by_the_exhausted_search():
     # acyclic, so no obstruction: the "no" is the search's, after one node
     assert reduced_homology(DUNCE_HAT).is_trivial() and len(DUNCE_HAT.facets) == 27
     assert not meet_mask(DUNCE_HAT.masks) and free_pairs(DUNCE_HAT) == []
-    for exhaustive in (False, True):
-        assert collapse_search(DUNCE_HAT, exhaustive=exhaustive) == ShvResult("no", None, 1)
+    assert collapse_search(DUNCE_HAT) == ShvResult("no", None, 1)
+
+
+def dunce_hat_with_star(leaves):
+    """The dunce hat with edges from its centre c to new leaves s1, s2, ...:
+    still acyclic and no cone, so the search runs.  Each leaf edge is a free
+    pair, and no collapse order frees anything else, so the search meets
+    every subset of the leaves, once with the memo and once per order
+    without it."""
+    star = [f"s{i}" for i in range(1, leaves + 1)]
+    return new_complex([*DUNCE_HAT.ground, *star],
+                       [*DUNCE_HAT.facets, *(frozenset({"c", s}) for s in star)])
+
+
+def test_the_memo_meets_each_subset_of_the_star_once():
+    # with the memo a subset of the 7 leaves is entered once per leaf it
+    # lacks: 1 + 7 * 2^6 = 449 nodes; without it once per order of its
+    # removed leaves: the sum over k of 7!/(7 - k)! = 13,700 nodes
+    c = dunce_hat_with_star(7)
+    assert reduced_homology(c).is_trivial() and not meet_mask(c.masks)
+    assert collapse_search(c) == ShvResult("no", None, 449)
+    assert frozenset_collapse_search(c, memo=False) == ShvResult("no", None, 13700)
 
 
 def test_collapsible_implies_trivial_homology():
     for c in (POINT, EDGE, cx("abc", "ab", "bc"), full_simplex("abcd")):
-        result = collapse_search(c, exhaustive=True)
+        result = collapse_search(c)
         assert result.is_yes
         assert reduced_homology(c).is_trivial()
 
@@ -410,8 +435,8 @@ def test_long_path_collapses_under_a_low_recursion_limit():
 
 def test_search_is_deterministic():
     c = cx("abcd", "abc", "bd")
-    first = collapse_search(c, exhaustive=True)
-    second = collapse_search(c, exhaustive=True)
+    first = collapse_search(c)
+    second = collapse_search(c)
     assert first == second
 
 
@@ -434,7 +459,7 @@ def test_lifted_collapse_smallest_instance():
 
 def test_lifted_collapse_on_independence_complex():
     c = cx("abc", "ac", "b")
-    result = collapse_search(link(c, "c"), exhaustive=True)
+    result = collapse_search(link(c, "c"))
     assert result.is_yes
     lifted = lifted_collapse(c, "c", result.sequence)
     assert replay(c, lifted).facets == deletion(c, "c").facets == {fs("a"), fs("b")}
@@ -442,7 +467,7 @@ def test_lifted_collapse_on_independence_complex():
 
 def test_lifted_collapse_on_full_triangle():
     c = full_simplex("abc")
-    result = collapse_search(link(c, "a"), exhaustive=True)
+    result = collapse_search(link(c, "a"))
     assert result.is_yes and len(result.sequence) == 2
     lifted = lifted_collapse(c, "a", result.sequence)
     assert replay(c, lifted).facets == {fs("b", "c")}
@@ -468,7 +493,7 @@ def test_lifted_collapse_rejects_invalid_link_sequence():
 def test_suspension_transport(base):
     # the s2-cone onto the s1-cone, the s1-cone onto c, then c itself: the
     # sequence of c three times
-    seq = collapse_search(base, exhaustive=True).sequence
+    seq = collapse_search(base).sequence
     lifted_y = tuple(CollapsePair(p.sigma | {"s2"}, p.tau | {"s2"}) for p in seq)
     lifted_x = tuple(CollapsePair(p.sigma | {"s1"}, p.tau | {"s1"}) for p in seq)
     assert replay(suspension(base, "s1", "s2"), lifted_y + lifted_x + seq).is_void
@@ -477,7 +502,7 @@ def test_suspension_transport(base):
 def test_suspension_of_point_is_two_edge_path():
     susp = suspension(POINT, "x", "y")
     assert susp.facets == {fs("v", "x"), fs("v", "y")}
-    result = collapse_search(susp, exhaustive=True)
+    result = collapse_search(susp)
     assert result.is_yes
 
 
@@ -485,7 +510,7 @@ def test_suspension_of_point_is_two_edge_path():
 
 
 def test_sequence_json_round_trip():
-    result = collapse_search(cx("abc", "ab", "bc"), exhaustive=True)
+    result = collapse_search(cx("abc", "ab", "bc"))
     data = sequence_to_json(result.sequence)
     assert sequence_from_json(data) == result.sequence
     assert all(set(step) == {"sigma", "tau"} for step in data["steps"])

@@ -138,20 +138,17 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
     def collapses(sub):
         if state["nodes"] == budget:
             raise OutOfBudget
-        r = frozenset_collapse_search(
-            sub, budget - state["nodes"], exhaustive=True, obstruction=False
-        )
+        r = frozenset_collapse_search(sub, budget - state["nodes"], obstruction=False)
         tick(r.nodes)
         return r
 
     def witness(cr, lk, dl):
         if variant is GrapeVariant.STRONG:
-            lk_apex = min(frozenset_cone_apexes(lk), key=lk.index, default=None)
-            dl_apex = min(frozenset_cone_apexes(dl), key=dl.index, default=None)
-            if lk_apex is None and dl_apex is None:
-                return "no", None
-            side = "deletion" if lk_apex is None else "link" if dl_apex is None else "both"
-            return "yes", StrongWitness(side, lk_apex, dl_apex)
+            if frozenset_cone_apexes(dl):
+                return "yes", StrongWitness("deletion")
+            if frozenset_cone_apexes(lk):
+                return "yes", StrongWitness("link")
+            return "no", None
         if variant is GrapeVariant.COMBINATORIAL:
             for x in dl.ground:
                 if frozenset_cone_fits(lk, dl, x):
@@ -604,27 +601,35 @@ def test_classification_matches_homology_on_small_complexes():
             assert matches_sphere(c, classify_strong(verdict.certificate))
 
 
-def classify_via_link_cones(cert):
-    """classify_strong, but taking the link as the cone where both sides are."""
-    node, suspensions = cert[-1], 0
+def classify_via_link_cones(c, cert):
+    """classify_strong, but taking the link as the cone wherever it is one,
+    which the witness does not say where both sides are: (class, how many
+    splits had both sides cones)."""
+    node, cr, suspensions, both = cert[-1], restrict_ground(c), 0, 0
     while not node.base:
-        if node.witness.cone_side == "deletion":
-            suspensions += 1
-            node = cert[node.link]
+        lk = restrict_ground(frozenset_link(cr, node.pivot))
+        dl = restrict_ground(maximal_deletion(cr, node.pivot))
+        if frozenset_cone_apexes(lk):
+            both += node.witness.cone_side == "deletion"
+            node, cr = cert[node.deletion], dl
         else:
-            node = cert[node.deletion]
-    return SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS
+            suspensions += 1
+            node, cr = cert[node.link], lk
+    return (SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS), both
 
 
 def test_classification_branch_independence():
+    both = 0
     for ground in ("abcd", "abcde"):
         for c in enumerate_complexes(ground):
             verdict = check_grape(c, GrapeVariant.STRONG)
             if not verdict.is_yes:
                 continue
             left = classify_strong(verdict.certificate)
-            right = classify_via_link_cones(verdict.certificate)
+            right, n = classify_via_link_cones(c, verdict.certificate)
             assert left == right
+            both += n
+    assert both > 0
 
 
 # -- wedge predictions ----------------------------------------------------------------------
@@ -658,7 +663,7 @@ def test_certificate_folds_visit_shared_nodes_once():
     cert = (CertNode(base="irrelevant"),) + tuple(
         CertNode(
             pivot=f"v{i}",
-            witness=StrongWitness("deletion", deletion_apex=f"v{i}"),
+            witness=StrongWitness("deletion"),
             link=i,
             deletion=i,
         )
@@ -698,11 +703,12 @@ def test_certificate_rejects_bad_pivot():
         verify_certificate(IND_P3, GrapeVariant.STRONG, tampered)
 
 
-def test_certificate_rejects_wrong_apex():
+def test_certificate_rejects_wrong_cone_side():
+    # at a, the link of two points is the irrelevant complex, no cone
     cert = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).certificate
-    bad_witness = StrongWitness("deletion", deletion_apex="zz")
-    tampered = cert[:-1] + (replace(cert[-1], witness=bad_witness),)
-    with pytest.raises(ReplayError):
+    assert cert[-1].witness == StrongWitness("deletion")
+    tampered = cert[:-1] + (replace(cert[-1], witness=StrongWitness("link")),)
+    with pytest.raises(ReplayError, match="link is not a cone"):
         verify_certificate(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
 
 

@@ -174,7 +174,7 @@ def test_minimal_nonfaces_are_nonfaces_with_face_boundaries(c):
 @SETTINGS
 @given(small_complexes())
 def test_yes_collapse_verdicts_replay(c):
-    result = collapse_search(c, exhaustive=True)
+    result = collapse_search(c)
     if result.is_yes:
         assert replay(c, result.sequence).is_void
         assert reduced_homology(c).is_trivial()
@@ -184,7 +184,7 @@ def test_yes_collapse_verdicts_replay(c):
 @given(complexes_with_element())
 def test_collapsible_link_lifts_to_deletion_collapse(pair):
     c, a = pair
-    result = collapse_search(link(c, a), exhaustive=True)
+    result = collapse_search(link(c, a))
     if result.is_yes:
         lifted = lifted_collapse(c, a, result.sequence)
         assert replay(c, lifted).facets == deletion(c, a).facets
