@@ -7,14 +7,15 @@ participates, so a single point collapses to void.
 
 Collapsibility is used here as a sound but incomplete test for being
 simple-homotopy trivial (collapses only, no expansions); callers get an
-explicit "unknown" verdict when the search is inconclusive.  A collapsible
-complex is contractible, so its reduced homology vanishes: ``collapse_search``
-answers "no" at once, with the homology as its obstruction, for a complex
-whose reduced homology has a Betti number or torsion.  Deciding
-collapsibility is NP-complete (Tancer 2016); this refutes the non-acyclic
-inputs in polynomial time and leaves the search for the acyclic ones.  The
-search is depth-first and remembers every face set it has seen fail, so it
-expands each face set it reaches at most once.
+explicit "unknown" verdict when a ``Budget``, the node counter that grape
+recognition shares with its searches, runs out.  A collapsible complex is
+contractible, so its reduced homology vanishes: ``collapse_search`` answers
+"no" at once, with the homology as its obstruction, for a complex whose
+reduced homology has a Betti number or torsion.  Deciding collapsibility is
+NP-complete (Tancer 2016); this refutes the non-acyclic inputs in polynomial
+time and leaves the search for the acyclic ones.  The search is depth-first
+and remembers every face set it has seen fail, so it expands each face set
+it reaches at most once.
 
 The search and replay run on facet masks (see ``complexes``), and names come
 back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
@@ -48,6 +49,26 @@ DEFAULT_BUDGET = 10**6
 
 class ReplayError(RuntimeError):
     """A collapse sequence or certificate failed to replay legally."""
+
+
+class BudgetExceeded(Exception):
+    """A search spent one node more than its budget's limit."""
+
+
+class Budget:
+    """A node counter: ``spend`` raises BudgetExceeded once ``used`` passes
+    ``limit``, so a run that runs out has used limit + 1 nodes."""
+
+    def __init__(self, limit: int) -> None:
+        if limit <= 0:
+            raise InputError("budget must be positive")
+        self.limit = limit
+        self.used = 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -151,25 +172,23 @@ class _OrderKeys(dict):
         return key
 
 
-def search_masks(masks: frozenset, budget: int, names: tuple) -> tuple:
-    """collapse_search on facet masks: (verdict, mask steps or None, nodes)."""
-    nodes = 0
+def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tuple]:
+    """collapse_search on facet masks, spending a node per complex visited: the
+    mask steps, or None once every order failed; BudgetExceeded on running out."""
     order_key = _OrderKeys().__getitem__  # each face's key once per search
     failed: set = set()
     stack: list = []  # (facets, iterator over their untried free pairs)
     steps: list = []  # steps[i]: the free pair being tried at stack[i]
     cur: Optional[frozenset] = masks
     while cur is not None:
-        nodes += 1
-        if nodes > budget:
-            return "unknown", None, nodes
+        budget.spend()
         apexes = meet_mask(cur)
         if not cur or apexes:
             if cur:
                 steps.extend(cone_steps(cur, apexes & -apexes))
             if replay_masks(masks, steps, names):
                 raise ReplayError("search produced a sequence that does not replay")
-            return "yes", tuple(steps), nodes
+            return tuple(steps)
         stack.append((cur, iter(() if cur in failed else _free_pairs(cur, order_key))))
         cur = None
         while stack and cur is None:
@@ -184,7 +203,7 @@ def search_masks(masks: frozenset, budget: int, names: tuple) -> tuple:
                 sigma, tau, faces = pair
                 steps.append((sigma, tau))
                 cur = top.difference((sigma,)).union(f for f in faces if f != tau)
-    return "no", None, nodes
+    return None
 
 
 def named_steps(steps, names: tuple) -> tuple:
@@ -223,16 +242,21 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
     face set whose free pairs all failed, so a face set that two collapse
     orders reach is expanded once; it answers "no" once the whole tree is
     exhausted within the budget.  A "yes" sequence is replayed before it is
-    returned.  Deterministic for fixed inputs.
+    returned.  Running out of the budget is "unknown" after budget + 1
+    nodes.  Deterministic for fixed inputs.
     """
-    if budget <= 0:
-        raise InputError("budget must be positive")
+    budget = Budget(budget)
     if c.masks and not meet_mask(c.masks):
         obstruction = _obstruction(c)
         if obstruction is not None:
-            return ShvResult("no", None, 1, obstruction)
-    verdict, steps, nodes = search_masks(c.masks, budget, c.ground)
-    return ShvResult(verdict, None if steps is None else named_steps(steps, c.ground), nodes)
+            budget.spend()  # the refuting node, within every limit
+            return ShvResult("no", None, budget.used, obstruction)
+    try:
+        steps = search_masks(c.masks, budget, c.ground)
+    except BudgetExceeded:
+        return ShvResult("unknown", None, budget.used)
+    sequence = None if steps is None else named_steps(steps, c.ground)
+    return ShvResult("no" if steps is None else "yes", sequence, budget.used)
 
 
 def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:

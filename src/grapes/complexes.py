@@ -350,14 +350,20 @@ def meet_mask(masks: frozenset) -> int:
 
 
 def face_masks(masks: Iterable[int]) -> set:
-    """Every face of the facet masks: all their submasks, 0 included."""
+    """Every face of the facet masks: all their submasks, 0 included.
+    InputError once there are over MAX_FACES, before a facet's faces are
+    built when that facet alone spans more."""
     faces = set()
     for f in masks:
+        if 1 << f.bit_count() > MAX_FACES:
+            raise InputError(f"the facets span more than {MAX_FACES} faces")
         s = f
         while s:
             faces.add(s)
             s = (s - 1) & f
         faces.add(0)
+        if len(faces) > MAX_FACES:
+            raise InputError(f"the facets span more than {MAX_FACES} faces")
     return faces
 
 

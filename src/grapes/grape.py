@@ -32,11 +32,13 @@ bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
 subproblem to its vertices keeps the bit order, so it costs nothing.  Names
 come back only in the certificate: pivots, apexes, cone elements, the
 intermediate complex and the collapse pairs of a sequence, found in face
-order, not integer order (see ``collapse``).  An "unknown"
-names its origin: the reason the first inconclusive pivot test gave, and
-the pivots and sides leading to it from the root.  Theorem checks recognise
-through an ``OutcomeTable``, a memo that keeps outcomes, never certificates,
-and the duals ``verify_dual_invariance`` builds after a primal yes.
+order, not integer order (see ``collapse``).  One ``Budget`` counts the
+subproblems, the sweep's candidates and the nodes of every collapse search;
+running out is "unknown".  Any other "unknown" names its origin: the reason
+the first inconclusive pivot test gave, and the pivots and sides leading to
+it from the root.  Theorem checks recognise through an ``OutcomeTable``, a
+memo that keeps outcomes, never certificates, and the duals
+``verify_dual_invariance`` builds after a primal yes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from typing import Callable, ClassVar, NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
     ReplayError,
     cone_steps,
     named_steps,
@@ -74,10 +78,6 @@ from .complexes import (
 from .homology import SHClass
 
 EXHAUSTIVE_GAMMA_MAX_GROUND = 6
-
-
-class _BudgetExceeded(Exception):
-    """check_grape's budget ran out, in a node of its own or of a collapse search."""
 
 
 class GrapeVariant(Enum):
@@ -230,32 +230,18 @@ def check_grape(
     Every subproblem that is a cone, the root included, is answered "yes" by
     a one-node "cone" leaf, with no pivot test.
 
-    The budget bounds all of the work: pivot expansions, intermediate
-    candidates, and the nodes of every collapse search, which may spend only
-    what is left.  Running out anywhere ends the recognition "unknown".
+    One ``Budget`` of the given limit counts all of the work: each
+    subproblem, each intermediate candidate of the sweep, and each node of
+    every collapse search.  Running out anywhere ends the recognition
+    "unknown" after limit + 1 nodes.
     """
-    if budget <= 0:
-        raise InputError("budget must be positive")
+    budget = Budget(budget)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
-    state = {"nodes": 0}
     memo: dict = {}
 
     def name(x: int) -> Optional[str]:
         return names[x.bit_length() - 1] if x else None
-
-    def tick(n: int = 1) -> None:
-        state["nodes"] += n
-        if state["nodes"] > budget:
-            raise _BudgetExceeded
-
-    def collapses(sub: frozenset) -> Optional[tuple]:
-        """Collapse search on the nodes left, counted as ours: its steps or None."""
-        if state["nodes"] == budget:
-            raise _BudgetExceeded  # a search takes no budget of 0
-        _, steps, spent = search_masks(sub, budget - state["nodes"], names)
-        tick(spent)  # a search that runs out reports one node more than it had
-        return steps
 
     def witness(ground: int, lk: frozenset, dl: frozenset):
         """Variant gluing condition at one pivot, with ground the node's other
@@ -275,7 +261,7 @@ def check_grape(
 
         if variant is GrapeVariant.STRONG_WEAK:
             for side, side_masks in (("link", lk), ("deletion", dl)):
-                steps = collapses(side_masks)
+                steps = search_masks(side_masks, budget, names)
                 if steps is not None:
                     return "yes", TrivialSideWitness(side, named_steps(steps, names))
             # a side that fails to collapse might still be simple-homotopy
@@ -285,7 +271,7 @@ def check_grape(
 
         # weak: look for a collapsible complex between link and deletion
         for gamma in (lk, dl):
-            steps = collapses(gamma)
+            steps = search_masks(gamma, budget, names)
             if steps is not None:
                 return "yes", intermediate(gamma, steps)
         x = _cone_points(lk, dl)
@@ -298,9 +284,9 @@ def check_grape(
         if ground.bit_count() >= EXHAUSTIVE_GAMMA_MAX_GROUND:
             return "unknown", "too many vertices for the exhaustive sweep"
         for faces in _between_complexes(lk, dl, names):
-            tick()
+            budget.spend()
             gamma = maximal_masks(faces)
-            steps = collapses(gamma)
+            steps = search_masks(gamma, budget, names)
             if steps is not None:
                 return "yes", intermediate(gamma, steps)
         return "no", "no intermediate complex collapses (exhaustive sweep)"
@@ -315,7 +301,7 @@ def check_grape(
         """One subproblem, as a generator: it yields each link or deletion it
         needs solved and is sent back that one's (status, node index); an
         "unknown" carries its origin (reason, pivots, sides) instead."""
-        tick()
+        budget.spend()
         kind = _base_kind(masks)
         if kind is not None:
             nodes.append(CertNode(base=kind))
@@ -366,18 +352,18 @@ def check_grape(
             result = memo.get(sub)
             if result is None:
                 stack.append((sub, solve(sub)))
-    except _BudgetExceeded:
-        return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=state["nodes"])
+    except BudgetExceeded:
+        return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=budget.used)
     if result[0] == "yes":
-        return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=state["nodes"])
+        return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=budget.used)
     if result[0] == "no":
-        return GrapeVerdict("no", nodes=state["nodes"])
+        return GrapeVerdict("no", nodes=budget.used)
     # the pivots from the root down to the inconclusive test, and the side
     # taken below each of them but the last
     reason, pivots, sides = result[1]
     where = f"pivots {' > '.join(pivots)}, {' > '.join(sides)}" if sides else (
         f"pivot {pivots[0]}, at the root")
-    return GrapeVerdict("unknown", reason=f"{reason} ({where})", nodes=state["nodes"])
+    return GrapeVerdict("unknown", reason=f"{reason} ({where})", nodes=budget.used)
 
 
 def _reachable(nodes: list) -> tuple:

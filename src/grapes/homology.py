@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Optional
 
-from .complexes import MAX_FACES, Complex, InputError, alexander_dual
+from .complexes import Complex, InputError, alexander_dual, face_masks
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -113,24 +113,6 @@ def _invariant_factors(columns: list) -> tuple:
 # -- boundary maps on mask faces -----------------------------------------------
 
 
-def _faces(c: Complex) -> set:
-    """Every face as a mask over the ground, the empty face included;
-    InputError once there are over MAX_FACES, before any is built when the
-    largest facet alone spans more."""
-    if 1 << max((f.bit_count() for f in c.masks), default=0) > MAX_FACES:
-        raise InputError(f"the facets span more than {MAX_FACES} faces")
-    faces = set()
-    for f in c.masks:  # as face_masks does, with the count checked per facet
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
-        faces.add(0)
-        if len(faces) > MAX_FACES:
-            raise InputError(f"the facets span more than {MAX_FACES} faces")
-    return faces
-
-
 def _by_dim(faces) -> dict:
     """Faces by dimension, the empty face at -1."""
     by_dim = defaultdict(list)
@@ -204,7 +186,7 @@ def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
     triangular in pivot order, so a unimodular change of basis zeroes the
     cleared columns of this map.
     """
-    faces = _faces(c)
+    faces = face_masks(c.masks)
     cells = {s for s in faces if not s & v and s | v not in faces}
     by_dim = _by_dim(cells)
     factors = {c.dim() + 1: []}

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,28 @@ def test_collapse_past_the_homology_bound_still_searches(write_json, capsys):
     path = write_json("big.json", {"ground": [*simplex, "w"], "facets": [simplex, ["w"]]})
     code, out = run_cli(capsys, "collapse", path, "--budget", "50")
     assert code == 3 and out == {"nodes": 51, "verdict": "unknown"}
+
+
+def test_exhausted_grape_check_reports_one_node_more(write_json, capsys):
+    # recognition and its collapse searches spend one budget, so a run that
+    # runs out reports budget + 1 nodes wherever the last node fell
+    path = write_json("c5.json", C5)
+    for budget in (1, 3, 4, 5):
+        code, out = run_cli(capsys, "grape", "check", path, "--variant", "weak",
+                            "--budget", str(budget))
+        assert code == 3 and out == {"nodes": budget + 1, "reason": "recognition budget exhausted",
+                                     "verdict": "unknown"}
+
+
+def test_collapse_of_a_cone_past_the_face_bound_is_input_error(write_json, capsys):
+    # the full simplex on 22 vertices is a cone whose base spans 2^21 faces:
+    # the face enumerator refuses it before building one, so exit 2 at once
+    simplex = [f"v{i}" for i in range(22)]
+    path = write_json("simplex22.json", {"ground": simplex, "facets": [simplex]})
+    start = time.perf_counter()
+    assert main(["collapse", path, "--budget", "50"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "the facets span more than 1048576 faces" in capsys.readouterr().err
 
 
 def test_strong_round_trip_on_a_long_path_under_a_low_recursion_limit(

@@ -412,6 +412,19 @@ def test_the_memo_meets_each_subset_of_the_star_once():
     assert frozenset_collapse_search(c, memo=False) == ShvResult("no", None, 13700)
 
 
+@pytest.mark.parametrize(
+    "c, verdict",
+    [(cx("ABCDEF", "AECD", "FBCD", "AFD", "BEC"), "yes"), (dunce_hat_with_star(7), "no")],
+)
+def test_budget_edge_of_the_search_is_exactly_the_nodes_spent(c, verdict):
+    # a budget below the need runs out after one node more; the need suffices
+    n = collapse_search(c).nodes
+    at_edge = collapse_search(c, n)
+    assert (at_edge.verdict, at_edge.nodes) == (verdict, n)
+    for b in range(1, min(n - 1, 40) + 1):
+        assert collapse_search(c, b) == ShvResult("unknown", None, b + 1), b
+
+
 def test_collapsible_implies_trivial_homology():
     for c in (POINT, EDGE, cx("abc", "ab", "bc"), full_simplex("abcd")):
         result = collapse_search(c)

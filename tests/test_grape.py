@@ -136,8 +136,6 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
             raise OutOfBudget
 
     def collapses(sub):
-        if state["nodes"] == budget:
-            raise OutOfBudget
         r = frozenset_collapse_search(sub, budget - state["nodes"], obstruction=False)
         tick(r.nodes)
         return r
@@ -278,6 +276,8 @@ def test_recognition_matches_the_frozenset_oracle_on_named_instances(variant):
         for exhaustive_gamma in (False, True):
             assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
     assert_recognition_matches_the_oracle(rp2_with_path(2), variant, False, budget=40)
+    # five nodes run out as the weak variant starts a collapse search
+    assert_recognition_matches_the_oracle(cycle_complex(5), variant, False, budget=5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -445,31 +445,41 @@ def test_budget_bounds_collapse_searches_too(variant):
     [
         (cycle_complex(5), GrapeVariant.WEAK, False, "yes"),
         (RP2, GrapeVariant.STRONG_WEAK, True, "no"),
+        (RP2, GrapeVariant.WEAK, True, "no"),
+        # the path c-a-d-b runs out in all three places below 16 nodes
+        (cx("abcd", "ac", "ad", "bd"), GrapeVariant.WEAK, True, "yes"),
     ],
 )
 def test_budget_edge_is_exactly_the_nodes_spent(c, variant, exhaustive_gamma, expected):
+    # one counter: a budget below the need runs out after one node more,
+    # wherever that node falls (a subproblem, a sweep candidate or a
+    # collapse search), and a budget of exactly the need suffices
     n = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma).nodes
     at_edge = check_grape(c, variant, budget=n, exhaustive_gamma=exhaustive_gamma)
     assert (at_edge.verdict, at_edge.nodes) == (expected, n)
-    below = check_grape(c, variant, budget=n - 1, exhaustive_gamma=exhaustive_gamma)
-    assert below.verdict == "unknown"
-    assert below.reason == "recognition budget exhausted"
+    for b in range(1, min(n - 1, 40) + 1):
+        below = check_grape(c, variant, budget=b, exhaustive_gamma=exhaustive_gamma)
+        assert (below.verdict, below.reason, below.nodes) == (
+            "unknown", "recognition budget exhausted", b + 1), b
 
 
 @pytest.mark.parametrize("c, exhaustive_gamma", [(cycle_complex(5), False), (RP2, True)])
 def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gamma):
-    spent = []
+    budgets, spent = set(), []
     search_masks = grapes.grape.search_masks
 
-    def recording(*args):
-        result = search_masks(*args)
-        spent.append(result[2])  # (verdict, steps, nodes)
+    def recording(masks, budget, names):
+        before = budget.used
+        result = search_masks(masks, budget, names)
+        budgets.add(budget)
+        spent.append(budget.used - before)
         return result
 
     monkeypatch.setattr(grapes.grape, "search_masks", recording)
     verdict = check_grape(c, GrapeVariant.WEAK, exhaustive_gamma=exhaustive_gamma)
-    assert spent
-    assert verdict.nodes >= sum(spent)
+    assert spent and all(spent)
+    (budget,) = budgets  # every search spends from the recognition's one budget
+    assert verdict.nodes == budget.used > sum(spent)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import grapes.complexes
 import grapes.homology as homology
 
 from grapes import (
@@ -32,8 +33,8 @@ from grapes import (
     void_complex,
 )
 from grapes.generators import cycle_complex
-from grapes.complexes import mask_order
-from grapes.homology import HomologyProfile, _boundary, _by_dim, _faces, _invariant_factors
+from grapes.complexes import face_masks, mask_order
+from grapes.homology import HomologyProfile, _boundary, _by_dim, _invariant_factors
 from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
 
 
@@ -181,7 +182,7 @@ def boundary_matrix(c, k):
     """
     if k < -1 or k > c.dim():
         raise InputError(f"dimension {k} out of range for this complex")
-    by_dim = _by_dim(_faces(c))
+    by_dim = _by_dim(face_masks(c.masks))
     rows, cols = (sorted(by_dim[j], key=mask_order, reverse=True) for j in (k - 1, k))
     return dense([_boundary(f) for f in cols], rows)
 
@@ -466,11 +467,11 @@ def test_face_enumeration_is_bounded_before_it_starts(monkeypatch):
     # the bound counts distinct faces, the empty face included: a triangle
     # spans 8 faces, the triangles abc and bcd 12 (their shared edge bc, its
     # vertices and the empty face count once)
-    monkeypatch.setattr(homology, "MAX_FACES", 8)
+    monkeypatch.setattr(grapes.complexes, "MAX_FACES", 8)
     assert reduced_homology(full_simplex("abc")).is_trivial()
     with pytest.raises(InputError, match="faces"):
         reduced_homology(cx("abcd", "abc", "bcd"))
-    monkeypatch.setattr(homology, "MAX_FACES", 12)
+    monkeypatch.setattr(grapes.complexes, "MAX_FACES", 12)
     assert reduced_homology(cx("abcd", "abc", "bcd")).is_trivial()
     with pytest.raises(InputError, match="faces"):
         reduced_homology(cx("abcde", "abc", "bcd", "de"))
