@@ -27,6 +27,8 @@ from .complexes import (
     Complex,
     InputError,
     alexander_dual,
+    avoiding,
+    avoiding_dual,
     complex_from_json,
     complex_to_json,
     deletion,
@@ -44,14 +46,11 @@ from .grape import (
     verify_dual_invariance,
 )
 from .graphs import (
+    FORBIDDEN_SETS,
     digraph_from_json,
-    dominance_complex,
-    edge_cover_complex,
-    edge_dominance_complex,
     graph_from_json,
     graph_to_json,
     digraph_to_json,
-    independence_complex,
     pf_complex,
     pm_complex,
 )
@@ -224,17 +223,8 @@ def _grape_verify_cert(args: argparse.Namespace) -> int:
 
 
 def _from_graph(args: argparse.Namespace) -> int:
-    g = graph_from_json(_load(args.graph))
-    builders = {
-        "ind": independence_complex,
-        "dom": dominance_complex,
-        "ec": edge_cover_complex,
-        "ed": edge_dominance_complex,
-    }
-    c = builders[args.kind](g)
-    if args.dual:
-        c = alexander_dual(c)
-    return _emit(complex_to_json(c))
+    ground, forbidden = FORBIDDEN_SETS[args.kind](graph_from_json(_load(args.graph)))
+    return _emit(complex_to_json((avoiding_dual if args.dual else avoiding)(ground, forbidden)))
 
 
 def _from_digraph(args: argparse.Namespace) -> int:
@@ -319,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from_graph = sub.add_parser("from-graph", help="complex derived from a graph")
     from_graph.add_argument("graph")
     from_graph.add_argument(
-        "--complex", dest="kind", choices=["ind", "dom", "ec", "ed"], required=True
+        "--complex", dest="kind", choices=list(FORBIDDEN_SETS), required=True
     )
     from_graph.add_argument("--dual", action="store_true")
     from_graph.set_defaults(run=_from_graph)

@@ -242,6 +242,13 @@ def avoiding(ground: tuple, forbidden: Iterable[int]) -> Complex:
     return Complex(ground, frozenset(full ^ t for t in _transversals(forbidden)))
 
 
+def avoiding_dual(ground: tuple, forbidden: Iterable[int]) -> Complex:
+    """``alexander_dual(avoiding(ground, forbidden))`` with no search: X - F holds
+    a forbidden set s iff F lies in X - s, so the facets are the maximal X - s."""
+    full = (1 << len(ground)) - 1
+    return Complex(ground, maximal_masks(full ^ s for s in forbidden))
+
+
 def minimal_nonfaces(c: Complex) -> frozenset:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
@@ -329,7 +336,14 @@ def face_of(m: int, ground: tuple) -> Face:
 
 def _sorted_rows(masks: Iterable[int]) -> list:
     """The masks as ascending bit-index tuples, in face order."""
-    rows = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+    rows = []
+    for m in masks:
+        row = []
+        while m:
+            low = m & -m
+            row.append(low.bit_length() - 1)
+            m ^= low
+        rows.append(tuple(row))
     rows.sort(key=lambda row: (len(row), row))
     return rows
 

@@ -75,9 +75,9 @@ def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
 
 
 def _masks(g: Graph) -> tuple:
-    """The edges and each vertex's closed neighbourhood, as vertex masks."""
+    """The edges, in edge_ground's order, and the closed neighbourhoods, as vertex masks."""
     bit = bit_table(g.vertices)
-    edges = [mask_of(e, bit) for e in g.edges]
+    edges = sorted((mask_of(e, bit) for e in g.edges), key=lambda e: (e & -e, e))
     return edges, [b | join_mask(e for e in edges if e & b) for b in bit.values()]
 
 
@@ -160,11 +160,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.vertices, frozenset(edges))
 
 
-def edge_label(g: Graph, e: frozenset) -> str:
-    u, v = sorted(e, key=g.index)
-    return f"{u}-{v}"
-
-
 def edge_ground(g: Graph) -> tuple:
     """Edge labels in a deterministic order; the ground set for EC/ED."""
     labels = tuple(f"{u}-{v}" for u, v in g.sorted_edges())
@@ -173,15 +168,39 @@ def edge_ground(g: Graph) -> tuple:
     return labels
 
 
+def _meeting(edges: list, m: int) -> int:
+    """The edges that meet the vertex mask m, as a mask over the edge list."""
+    return sum(1 << i for i, e in enumerate(edges) if e & m)
+
+
+def _edge_cover_sets(g: Graph) -> tuple:
+    edges = _masks(g)[0]
+    return edge_ground(g), [_meeting(edges, 1 << i) for i in range(len(g.vertices))]
+
+
+def _edge_dominance_sets(g: Graph) -> tuple:
+    edges = _masks(g)[0]
+    return edge_ground(g), [_meeting(edges, e) for e in edges]
+
+
+# a graph's ground and forbidden sets, by kind: avoiding builds the complex, avoiding_dual its dual
+FORBIDDEN_SETS = {
+    "ind": lambda g: (g.vertices, _masks(g)[0]),
+    "dom": lambda g: (g.vertices, _masks(g)[1]),
+    "ec": _edge_cover_sets,
+    "ed": _edge_dominance_sets,
+}
+
+
 def independence_complex(g: Graph) -> Complex:
     """Faces are the independent vertex sets: those containing no edge."""
-    return avoiding(g.vertices, _masks(g)[0])
+    return avoiding(*FORBIDDEN_SETS["ind"](g))
 
 
 def dominance_complex(g: Graph) -> Complex:
     """Faces are the sets whose complement is dominating: those containing
     no closed neighbourhood."""
-    return avoiding(g.vertices, _masks(g)[1])
+    return avoiding(*FORBIDDEN_SETS["dom"](g))
 
 
 def edge_cover_complex(g: Graph) -> Complex:
@@ -190,19 +209,13 @@ def edge_cover_complex(g: Graph) -> Complex:
 
     Void when the graph has an isolated vertex (then nothing covers it).
     """
-    ground = edge_ground(g)
-    bit = bit_table(ground)
-    stars = ({edge_label(g, e) for e in g.edges if v in e} for v in g.vertices)
-    return avoiding(ground, (mask_of(s, bit) for s in stars))
+    return avoiding(*FORBIDDEN_SETS["ec"](g))
 
 
 def edge_dominance_complex(g: Graph) -> Complex:
     """Faces are edge sets F where every edge meets some edge outside F:
     those containing, for no edge, all the edges meeting it (itself too)."""
-    ground = edge_ground(g)
-    bit = bit_table(ground)
-    meets = ({edge_label(g, f) for f in g.edges if e & f} for e in g.edges)
-    return avoiding(ground, (mask_of(s, bit) for s in meets))
+    return avoiding(*FORBIDDEN_SETS["ed"](g))
 
 
 # -- directed multigraphs ------------------------------------------------------

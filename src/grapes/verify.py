@@ -19,6 +19,8 @@ from .complexes import (
     Complex,
     InputError,
     alexander_dual,
+    avoiding,
+    avoiding_dual,
     complex_to_json,
     deletion,
     enumerate_complexes,
@@ -46,17 +48,14 @@ from .grape import (
     verify_dual_invariance,
 )
 from .graphs import (
+    FORBIDDEN_SETS,
     Digraph,
     Graph,
     contract_arc,
     delete_arc,
     digraph_to_json,
-    dominance_complex,
-    edge_cover_complex,
-    edge_dominance_complex,
     graph_to_json,
     has_cycle,
-    independence_complex,
     invariants,
     is_bipartite,
     is_forest,
@@ -228,27 +227,27 @@ def _forest_formula_checks(g: Graph, inv) -> list:
     def exactly(n: int):
         return lambda cls: cls == SHClass(n)
 
-    ind = independence_complex(g)
-    dom = dominance_complex(g)
-    ec = edge_cover_complex(g)
-    ed = edge_dominance_complex(g)
+    primal, dual = {}, {}
+    for kind, forbidden_sets in FORBIDDEN_SETS.items():
+        ground, forbidden = forbidden_sets(g)
+        primal[kind], dual[kind] = avoiding(ground, forbidden), avoiding_dual(ground, forbidden)
     checks = [
-        ("independence", ind, False, sphere_or_void(inv.i_dom)),
-        ("dominance", dom, False, exactly(inv.alpha0)),
-        ("edge-cover", ec, False, sphere_or_void(n_e - n_v + inv.i_dom)),
-        ("edge-dominance", ed, False, exactly(n_e - inv.alpha0)),
-        ("independence", ind, True, sphere_or_void(n_v - inv.i_dom - 1)),
-        ("dominance", dom, True, exactly(n_v - inv.alpha0 - 1)),
+        ("independence", primal["ind"], False, sphere_or_void(inv.i_dom)),
+        ("dominance", primal["dom"], False, exactly(inv.alpha0)),
+        ("edge-cover", primal["ec"], False, sphere_or_void(n_e - n_v + inv.i_dom)),
+        ("edge-dominance", primal["ed"], False, exactly(n_e - inv.alpha0)),
+        ("independence", dual["ind"], True, sphere_or_void(n_v - inv.i_dom - 1)),
+        ("dominance", dual["dom"], True, exactly(n_v - inv.alpha0 - 1)),
     ]
     if n_e > 0:
-        checks.append(("edge-cover", ec, True, sphere_or_void(n_v - inv.i_dom - 1)))
-        checks.append(("edge-dominance", ed, True, exactly(inv.alpha0 - 1)))
+        checks.append(("edge-cover", dual["ec"], True, sphere_or_void(n_v - inv.i_dom - 1)))
+        checks.append(("edge-dominance", dual["ed"], True, exactly(inv.alpha0 - 1)))
     else:
         # empty edge set: the duals live on an empty ground set, where the
         # dimension formulas do not apply; the classes are forced directly
         # (dual of the void complex is irrelevant, and vice versa)
-        checks.append(("edge-cover", ec, True, exactly(0)))
-        checks.append(("edge-dominance", ed, True, lambda cls: cls.is_void_class))
+        checks.append(("edge-cover", dual["ec"], True, exactly(0)))
+        checks.append(("edge-dominance", dual["ed"], True, lambda cls: cls.is_void_class))
     return checks
 
 
@@ -261,8 +260,7 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
     instance = graph_to_json(g)
     out = []
     inv = outcomes.once(("invariants", g), lambda: invariants(g))
-    for name, base, dualize, class_ok in _forest_formula_checks(g, inv):
-        cpx = alexander_dual(base) if dualize else base
+    for name, cpx, dualize, class_ok in _forest_formula_checks(g, inv):
         label = f"forest-{name}{'-dual' if dualize else ''}"
         outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:

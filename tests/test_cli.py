@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import grapes
 import grapes.cli as cli
+import grapes.complexes as complexes
 import grapes.graphs as graphs
 from grapes.cli import VARIANTS, _build_parser, main
 from grapes.complexes import complex_from_json, complex_to_json, void_complex
@@ -260,6 +261,23 @@ def test_from_graph_and_dual(write_json, capsys):
     assert code == 0 and out["facets"] == [[]]
     code, dual = run_cli(capsys, "from-graph", g, "--complex", "ind", "--dual")
     assert code == 0 and dual["facets"]
+
+
+def test_from_graph_dual_runs_no_transversal_search(write_json, capsys, monkeypatch):
+    # Ind of a perfect matching with 21 edges has 2^21 facets, past MAX_FACES,
+    # and its dual one per edge, built from the edges with no Berge search
+    v = [f"v{i}" for i in range(42)]
+    matching = write_json("matching.json", {"vertices": v, "edges": [v[i:i + 2] for i in range(0, 42, 2)]})
+    calls = []
+    for module, name in ((cli, "alexander_dual"), (complexes, "_transversals")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for kind in cli.FORBIDDEN_SETS:
+        code, out = run_cli(capsys, "from-graph", matching, "--complex", kind, "--dual")
+        assert code == 0 and len(out["facets"]) == 21, kind
+    assert calls == []
+    code, out = run_cli(capsys, "from-graph", matching, "--complex", "ind")
+    assert code == 2 and out is None and calls == ["_transversals"]
 
 
 def test_from_digraph(write_json, capsys):

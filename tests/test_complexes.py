@@ -27,7 +27,7 @@ from grapes import (
     suspension,
     void_complex,
 )
-from grapes.complexes import face_of, maximal_masks, meet_mask
+from grapes.complexes import _sorted_rows, face_of, maximal_masks, meet_mask
 from grapes.generators import cycle_complex
 
 
@@ -420,6 +420,13 @@ def test_json_round_trip():
     data = complex_to_json(c)
     assert data == {"ground": ["a", "b", "c"], "facets": [["c"], ["a", "b"]]}
     assert equals(complex_from_json(data), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**15 - 1), max_size=40))
+def test_sorted_rows_match_the_bit_scan(masks):
+    scanned = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+    assert _sorted_rows(masks) == sorted(scanned, key=lambda row: (len(row), row))
 
 
 def test_json_void_and_irrelevant_encoding():

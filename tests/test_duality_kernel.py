@@ -3,8 +3,9 @@
 The code these replaced is kept here as oracles: Berge's algorithm on
 frozensets of names, the scan of the ground set for minimal non-faces, the
 predicate scan over every vertex, edge or arc subset for the six graph
-complexes, the recursive path search for useless arcs, and the search from
-each arc's target for cycles.
+complexes, the recursive path search for useless arcs, the search from
+each arc's target for cycles, and Berge's algorithm followed by the dual
+for the duals of the graph complexes.
 """
 
 import json
@@ -14,7 +15,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grapes.complexes as complexes
 from grapes import (
@@ -26,6 +27,7 @@ from grapes import (
     edge_cover_complex,
     edge_dominance_complex,
     enumerate_complexes,
+    full_simplex,
     graph,
     has_cycle,
     independence_complex,
@@ -36,11 +38,12 @@ from grapes import (
     simplex_boundary,
     useless_arcs,
 )
+from grapes.complexes import avoiding, avoiding_dual
 from grapes.generators import all_digraphs, all_trees
-from grapes.graphs import edge_ground, edge_label
+from grapes.graphs import FORBIDDEN_SETS, edge_ground
 from test_cli import run_module
 from test_complexes import has_face
-from test_graphs import is_dominating, is_edge_cover, is_independent, path_graph
+from test_graphs import edge_label, is_dominating, is_edge_cover, is_independent, path_graph
 
 
 def frozenset_minimal_nonfaces(c):
@@ -266,6 +269,61 @@ def test_independence_complex_of_a_long_path():
         assert c == scan_independence(path_graph(n))
         assert len(c.facets) == counts[n]
     assert len(independence_complex(path_graph(24)).facets) == counts[24] == 816
+
+
+# -- duals of avoiding complexes -----------------------------------------------------
+
+
+def berge_then_dual(ground, forbidden):
+    """Oracle: the avoiding complex by Berge's algorithm, then its dual."""
+    return alexander_dual(avoiding(ground, forbidden))
+
+
+def labelled_graphs(n):
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    pairs = list(combinations(vertices, 2))
+    for mask in range(2 ** len(pairs)):
+        yield graph(vertices, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_graph_duals_from_forbidden_sets_match_berge_then_dual():
+    # every labelled graph on at most five vertices, isolated vertices and the
+    # edgeless graphs included, and a seeded sample of those on six
+    graphs = [g for n in range(6) for g in labelled_graphs(n)]
+    six = list(labelled_graphs(6))
+    graphs += random.Random(1729).sample(six, 400)
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 400
+    for g in graphs:
+        for kind, forbidden_sets in FORBIDDEN_SETS.items():
+            ground, forbidden = forbidden_sets(g)
+            assert avoiding_dual(ground, forbidden) == berge_then_dual(ground, forbidden), (kind, g)
+
+
+def test_graph_duals_on_an_isolated_vertex_and_no_edges():
+    # an isolated vertex makes EC void, so its dual is the full simplex
+    isolated = graph("abc", [("a", "b")])
+    assert avoiding_dual(*FORBIDDEN_SETS["ec"](isolated)) == full_simplex(["a-b"])
+    # with no edges ED is irrelevant on an empty ground, so its dual is void
+    dual = avoiding_dual(*FORBIDDEN_SETS["ed"](graph("ab", [])))
+    assert dual.is_void and dual.ground == ()
+
+
+@st.composite
+def forbidden_families(draw):
+    """A ground of up to 8 elements and forbidden masks over it, with the
+    pairwise meets added, so some are nested and 0 often occurs."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=10))
+    return tuple(string.ascii_lowercase[:n]), masks + [f & g for f, g in zip(masks, masks[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(forbidden_families())
+@example((("a", "b", "c"), [0]))
+@example((("a", "b", "c"), [0b001, 0b011, 0b111, 0b110]))
+@example(((), []))
+def test_avoiding_dual_is_the_dual_of_avoiding(family):
+    assert avoiding_dual(*family) == berge_then_dual(*family)
 
 
 # -- digraph complexes -------------------------------------------------------------

@@ -30,7 +30,6 @@ from grapes import (
 from grapes.graphs import (
     complement,
     edge_ground,
-    edge_label,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
@@ -53,6 +52,12 @@ def star_graph(leaves):
     center = "v1"
     vertices = (center,) + tuple(f"v{i}" for i in range(2, leaves + 2))
     return Graph(vertices, frozenset(frozenset((center, v)) for v in vertices[1:]))
+
+
+def edge_label(g, e):
+    """An edge's name in the EC/ED ground: its ends in vertex order."""
+    u, v = sorted(e, key=g.index)
+    return f"{u}-{v}"
 
 
 def is_dominating(g, chosen):

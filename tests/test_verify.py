@@ -158,12 +158,12 @@ def test_pfpm_lists_the_st_paths_once(monkeypatch):
 
 
 SMOKE_1729_DUALS = {
-    # alexander_dual calls per stage; the graph builders call none, and PF/PM
-    # makes one per path family, not two per digraph
+    # alexander_dual calls per stage; the graph builders and the forest duals,
+    # built from their forbidden sets, call none, and PF/PM makes one per path
+    # family, not two per digraph
     "duality identities done": 288,
     "alexander duality done": 36,
     "grape duality done": 38,
-    "forest theorem done (44 forests)": 132,
     "path-free/path-missing done (184 digraphs)": 30,
 }
 
