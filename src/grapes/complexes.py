@@ -23,6 +23,11 @@ masks back into names.  A ground restricted to the vertices keeps the
 ground order, so the lowest apex of a cone is ``m & -m``.  The face order
 is by size, then by the ascending tuple of ground indices, which is not
 integer order of masks: {0, 3} comes before {1, 2}.
+
+Input is validated once, where it enters (``new_complex``,
+``complex_from_json``).  Every "does some facet hold this face?" test goes
+through :func:`holders`: one set lookup per vertex outside the face, plus a
+scan of the facets at least two elements larger, none in a pure complex.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, groupby
 from operator import and_, or_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Face = frozenset  # faces by name are frozensets of ground-element names
 
@@ -203,7 +208,7 @@ def is_cone(c: Complex) -> bool:
 # -- duality ---------------------------------------------------------------
 
 
-def _transversals(edges: Iterable[int]) -> list:
+def _transversals(edges: Iterable[int], overflow: str) -> list:
     """Minimal transversals of a family of masks, by Berge's algorithm.
 
     Edges go smallest first, ties in integer order.  A found set meeting the
@@ -211,7 +216,8 @@ def _transversals(edges: Iterable[int]) -> list:
     t + x is dropped if it contains a kept k.  Such a k meets the edge in x
     alone, so kept sets are filed by that bit, without it, and t + x is
     tested only against the file of x.  Grown sets form an antichain, as
-    the found sets did.  InputError past MAX_FACES sets.
+    the found sets did.  Past MAX_FACES sets, InputError with the caller's
+    overflow message, its ``{}`` filled with MAX_FACES.
     """
     found = [0]
     for e in sorted(set(edges), key=lambda m: (m.bit_count(), m)):
@@ -230,16 +236,19 @@ def _transversals(edges: Iterable[int]) -> list:
                 if not any(k & t == k for k in filed.get(x, ())):
                     found.append(t | x)
             if len(found) > MAX_FACES:
-                raise InputError(f"the dual has more than {MAX_FACES} facets")
+                raise InputError(overflow.format(MAX_FACES))
     return found
 
 
-def avoiding(ground: tuple, forbidden: Iterable[int]) -> Complex:
+def avoiding(
+    ground: tuple, forbidden: Iterable[int], overflow: str = "the complex has more than {} facets"
+) -> Complex:
     """The ground subsets containing no forbidden set (masks over ground):
     F is one when X - F meets every forbidden set, so the facets are the
-    complements of the minimal transversals."""
+    complements of the minimal transversals.  InputError with the overflow
+    message past MAX_FACES facets."""
     full = (1 << len(ground)) - 1
-    return Complex(ground, frozenset(full ^ t for t in _transversals(forbidden)))
+    return Complex(ground, frozenset(full ^ t for t in _transversals(forbidden, overflow)))
 
 
 def avoiding_dual(ground: tuple, forbidden: Iterable[int]) -> Complex:
@@ -256,7 +265,9 @@ def minimal_nonfaces(c: Complex) -> frozenset:
     void complex this is {{}}; for the full simplex it is empty.
     """
     full = (1 << len(c.ground)) - 1
-    return frozenset(face_of(t, c.ground) for t in _transversals(full ^ f for f in c.masks))
+    edges = (full ^ f for f in c.masks)
+    found = _transversals(edges, "the complex has more than {} minimal non-faces")
+    return frozenset(face_of(t, c.ground) for t in found)
 
 
 def alexander_dual(c: Complex) -> Complex:
@@ -267,7 +278,7 @@ def alexander_dual(c: Complex) -> Complex:
     ground set, not just on the face family.
     """
     full = (1 << len(c.ground)) - 1
-    return avoiding(c.ground, (full ^ f for f in c.masks))
+    return avoiding(c.ground, (full ^ f for f in c.masks), "the dual has more than {} facets")
 
 
 # -- ground-set plumbing ---------------------------------------------------
@@ -381,8 +392,32 @@ def face_masks(masks: Iterable[int]) -> set:
     return faces
 
 
-def has_face_mask(masks: Iterable[int], m: int) -> bool:
-    return any(m & g == m for g in masks)
+def holders(family: Iterable[int]) -> Callable[[int], Iterator[int]]:
+    """For a family of masks, a function from a mask m to the members that
+    hold m, lazily.  m itself, and each member one bit larger as m | b for
+    a vertex bit b of the family outside m, are found by lookup; only the
+    members two or more bits larger are scanned, by size, sorted once."""
+    members = frozenset(family)
+    by_size = sorted(members, key=int.bit_count, reverse=True)
+    verts = join_mask(by_size)
+
+    def holding(m: int) -> Iterator[int]:
+        if m in members:
+            yield m
+        rest = verts & ~m
+        while rest:
+            b = rest & -rest
+            if m | b in members:
+                yield m | b
+            rest ^= b
+        k = m.bit_count() + 1
+        for g in by_size:
+            if g.bit_count() <= k:
+                return
+            if g & m == m:
+                yield g
+
+    return holding
 
 
 def link_masks(masks: frozenset, a: int) -> frozenset:
@@ -397,19 +432,25 @@ def deletion_masks(masks: frozenset, a: int) -> frozenset:
     unless it lies in a facet avoiding a: it cannot lie in G - a for another
     facet G through a, since then F would lie in G.
     """
-    away = [f for f in masks if not f & a]
+    away = frozenset([f for f in masks if not f & a])
     cut = [f ^ a for f in masks if f & a]
-    return frozenset(away).union(f for f in cut if not has_face_mask(away, f))
+    if not (away and cut):
+        return away.union(cut)
+    held = holders(away)
+    return away.union(f for f in cut if not any(held(f)))
 
 
 def maximal_masks(masks: Iterable[int]) -> frozenset:
-    """Inclusion-maximal members of a family of masks, largest first: one is
-    maximal unless it lies in one kept already, and only a larger one can
-    hold it, as two distinct masks of one size never nest."""
-    kept: list = []
-    for _, same_size in groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
-        # a size's masks join kept only once all are tested against the larger
-        kept += [f for f in same_size if not any(f & g == f for g in kept)]
+    """Inclusion-maximal members of a family of masks, largest first: the
+    largest size is kept whole, and a smaller mask is kept unless another
+    member, necessarily larger, holds it."""
+    family = sorted(set(masks), key=int.bit_count, reverse=True)
+    groups = groupby(family, int.bit_count)
+    kept = list(next(groups, (0, ()))[1])
+    if len(kept) < len(family):
+        held = holders(family)
+        for _, same_size in groups:
+            kept += [f for f in same_size if not any(g != f for g in held(f))]
     return frozenset(kept)
 
 
@@ -424,6 +465,8 @@ def complex_to_json(c: Complex) -> dict:
 
 
 def complex_from_json(data: object) -> Complex:
+    """Decode in one pass, by name lookup; data that fails a lookup, or a
+    ground with empty or repeated names, is checked name by name."""
     if not isinstance(data, dict):
         raise InputError("complex JSON must be an object")
     ground = data.get("ground")
@@ -432,10 +475,17 @@ def complex_from_json(data: object) -> Complex:
         raise InputError('complex JSON needs a "ground" array of strings')
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError('complex JSON needs a "facets" array of arrays')
-    for f in facets:
-        if not all(isinstance(x, str) for x in f):
-            raise InputError("facet entries must be strings")
-    return new_complex(ground, facets)
+    bit = bit_table(ground)
+    try:
+        masks = [reduce(or_, map(bit.__getitem__, f), 0) for f in facets]
+    except (KeyError, TypeError):  # an unknown name or a non-string entry
+        masks = None
+    if masks is None or len(bit) != len(ground) or "" in bit:
+        for f in facets:
+            if not all(isinstance(x, str) for x in f):
+                raise InputError("facet entries must be strings")
+        return new_complex(ground, facets)
+    return Complex(tuple(ground), maximal_masks(masks))
 
 
 def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:

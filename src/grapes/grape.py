@@ -67,7 +67,7 @@ from .complexes import (
     deletion_masks,
     face_masks,
     face_of,
-    has_face_mask,
+    holders,
     join_mask,
     link_masks,
     mask_of,
@@ -174,10 +174,13 @@ def _base_kind(masks: frozenset) -> Optional[str]:
 def _cone_points(lk: frozenset, dl: frozenset) -> int:
     """The x whose cone over lk sits inside dl, as a mask (vertices of dl):
     every link facet F must give a face F + {x} of dl, so x lies in a facet
-    of dl through F."""
+    of dl through F.  Stops once no x is left."""
     out = join_mask(dl)
+    held = holders(dl)
     for f in lk:
-        out &= join_mask(g for g in dl if f & g == f)
+        out &= join_mask(held(f))
+        if not out:
+            break
     return out
 
 
@@ -443,9 +446,10 @@ def _verify_witness(
             raise ReplayError("intermediate complex is malformed: facet uses unknown ground "
                               f"elements: {sorted(unknown)}")
         gamma_masks = maximal_masks(mask_of(f, bit) for f in witness.gamma_facets)
-        if not all(has_face_mask(gamma_masks, f) for f in lk):
+        in_gamma, in_dl = holders(gamma_masks), holders(dl)
+        if not all(any(in_gamma(f)) for f in lk):
             raise ReplayError("link is not contained in the intermediate complex")
-        if not all(has_face_mask(dl, g) for g in gamma_masks):
+        if not all(any(in_dl(g)) for g in gamma_masks):
             raise ReplayError("intermediate complex is not contained in the deletion")
         if replay_pairs(gamma_masks, witness.sequence, bit, names):
             raise ReplayError("intermediate complex does not collapse to void")

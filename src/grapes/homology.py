@@ -170,9 +170,14 @@ class HomologyProfile:
 
 def _apex(c: Complex) -> int:
     """The vertex bit whose star is largest by the sum of 2^|F| over the
-    facets F through it; the lowest bit on ties."""
-    bits = range(len(c.ground))
-    weight = [sum(1 << f.bit_count() for f in c.masks if f >> i & 1) for i in bits]
+    facets F through it; the lowest bit on ties.  One pass over the facets."""
+    weight = [0] * len(c.ground)
+    for f in c.masks:
+        w = 1 << f.bit_count()
+        while f:
+            low = f & -f
+            weight[low.bit_length() - 1] += w
+            f ^= low
     return 1 << weight.index(max(weight))
 
 

@@ -280,6 +280,25 @@ def test_from_graph_dual_runs_no_transversal_search(write_json, capsys, monkeypa
     assert code == 2 and out is None and calls == ["_transversals"]
 
 
+def test_a_primal_build_past_max_faces_names_the_complex(write_json, capsys, monkeypatch):
+    # Ind of a 7-edge matching has 2^7 facets; no dual was asked for
+    monkeypatch.setattr(complexes, "MAX_FACES", 2**6)
+    v = [f"v{i}" for i in range(14)]
+    edges = [v[i:i + 2] for i in range(0, 14, 2)]
+    matching = write_json("matching.json", {"vertices": v, "edges": edges})
+    assert main(["from-graph", matching, "--complex", "ind"]) == 2
+    assert capsys.readouterr().err == "input error: the complex has more than 64 facets\n"
+    assert main(["from-graph", matching, "--complex", "ind", "--dual"]) == 0
+    capsys.readouterr()
+    # three disjoint s-t paths of 5 arcs: PF has a facet per cut, 5^3 of them
+    chains = [["s", *(f"{c}{i}" for i in range(1, 5)), "t"] for c in "xyz"]
+    arcs = [{"id": p[i] + p[i + 1], "src": p[i], "tgt": p[i + 1]} for p in chains for i in range(5)]
+    vertices = ["s", "t", *(x for p in chains for x in p[1:-1])]
+    pf = write_json("d.json", {"vertices": vertices, "arcs": arcs, "s": "s", "t": "t"})
+    assert main(["from-digraph", pf, "--complex", "pf"]) == 2
+    assert capsys.readouterr().err == "input error: the complex has more than 64 facets\n"
+
+
 def test_from_digraph(write_json, capsys):
     d = write_json("d.json", digraph_to_json(cyclic_no_useless_digraph()))
     code, out = run_cli(capsys, "from-digraph", d, "--complex", "pf")

@@ -27,7 +27,14 @@ from grapes import (
     suspension,
     void_complex,
 )
-from grapes.complexes import _sorted_rows, face_of, maximal_masks, meet_mask
+from grapes.complexes import (
+    _sorted_rows,
+    deletion_masks,
+    face_of,
+    holders,
+    maximal_masks,
+    meet_mask,
+)
 from grapes.generators import cycle_complex
 
 
@@ -215,6 +222,47 @@ def test_maximal_masks_matches_the_every_kept_oracle(masks):
     got, want = maximal_masks(masks), every_kept_maximal_masks(masks)
     assert got == want
     assert list(got) == list(want)
+
+
+def scan_deletion_masks(masks, a):
+    """Oracle: deletion_masks as it was, testing each cut face against every
+    facet avoiding a."""
+    away = [f for f in masks if not f & a]
+    cut = [f ^ a for f in masks if f & a]
+    return frozenset(away).union(f for f in cut if not any(f & g == f for g in away))
+
+
+# up to 8 bits: non-pure, non-antichain, duplicates and the empty mask all occur
+mask_lists = st.lists(st.integers(min_value=0, max_value=2**8 - 1), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_lists, st.integers(min_value=0, max_value=2**8 - 1))
+def test_holders_match_the_scan(family, m):
+    held = holders(family)
+    for x in family + [0, m]:
+        assert sorted(held(x)) == sorted(g for g in set(family) if g & x == x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_lists, st.integers(min_value=0, max_value=7))
+def test_deletion_masks_match_the_scan_in_iteration_order(masks, i):
+    masks = frozenset(masks)
+    got, want = deletion_masks(masks, 1 << i), scan_deletion_masks(masks, 1 << i)
+    assert got == want
+    assert list(got) == list(want)
+    if masks == maximal_masks(masks):
+        c = Complex(tuple("abcdefgh"), masks)
+        assert deletion(c, "abcdefgh"[i]) == maximal_deletion(c, "abcdefgh"[i])
+
+
+def test_only_a_holder_two_or_more_bits_larger_still_holds():
+    # bcd is the only facet holding b, b's one-bit extensions bc and bd are
+    # not facets, so only the scan of larger facets finds it
+    assert deletion(cx("abcd", "ab", "bcd"), "a") == cx("bcd", "bcd")
+    assert list(holders([0b1110, 0b0101])(0b0010)) == [0b1110]
+    assert maximal_masks([0b0010, 0b1110]) == {0b1110}
+    assert maximal_masks([0b0001, 0b1111, 0b0110]) == {0b1111}
 
 
 def test_deletion_matches_the_maximal_oracle_on_every_small_complex():
@@ -436,13 +484,52 @@ def test_json_void_and_irrelevant_encoding():
     assert complex_from_json({"ground": ["a"], "facets": [[]]}).is_irrelevant
 
 
-def test_json_rejects_malformed_input():
-    with pytest.raises(InputError):
-        complex_from_json({"ground": "ab", "facets": []})
-    with pytest.raises(InputError):
-        complex_from_json({"ground": ["a"], "facets": [["b"]]})
-    with pytest.raises(InputError):
-        complex_from_json([1, 2])
+OBJECT = "complex JSON must be an object"
+GROUND = 'complex JSON needs a "ground" array of strings'
+FACETS = 'complex JSON needs a "facets" array of arrays'
+ENTRIES = "facet entries must be strings"
+NONEMPTY = "ground elements must be nonempty strings"
+DISTINCT = "ground elements must be pairwise distinct"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], OBJECT),
+    ("ab", OBJECT),
+    ({}, GROUND),
+    ({"ground": "ab", "facets": []}, GROUND),
+    ({"ground": ["a", 1], "facets": []}, GROUND),
+    ({"ground": ["a", None], "facets": [[1]]}, GROUND),
+    ({"ground": ["a", ""], "facets": []}, NONEMPTY),
+    ({"ground": ["", ""], "facets": [["b"]]}, NONEMPTY),
+    ({"ground": ["a", "a"], "facets": []}, DISTINCT),
+    ({"ground": ["a", "a"], "facets": [["b"]]}, DISTINCT),
+    ({"ground": ["a"]}, FACETS),
+    ({"ground": ["a"], "facets": "a"}, FACETS),
+    ({"ground": ["a"], "facets": ["a"]}, FACETS),
+    ({"ground": ["a"], "facets": [["a"], "a"]}, FACETS),
+    ({"ground": ["a", "a"], "facets": [["a"], ("a",)]}, FACETS),
+    ({"ground": ["a"], "facets": [[1]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [["a", None]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [[True]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [[["a"]]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [[{"a": 1}]]}, ENTRIES),
+    ({"ground": ["a", ""], "facets": [[1]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [["b"]]}, "facet uses unknown ground elements: ['b']"),
+    ({"ground": ["a"], "facets": [["c", "a", "b"]]},
+     "facet uses unknown ground elements: ['b', 'c']"),
+    # a non-string anywhere wins over an unknown name
+    ({"ground": ["a"], "facets": [["b", 1]]}, ENTRIES),
+    ({"ground": ["a"], "facets": [["b"], [1]]}, ENTRIES),
+])
+def test_json_rejects_malformed_input(data, message):
+    with pytest.raises(InputError) as raised:
+        complex_from_json(data)
+    assert str(raised.value) == message
+
+
+def test_json_absorbs_repeated_and_smaller_faces():
+    data = {"ground": ["a", "b", "c"], "facets": [["a"], ["b", "a", "a"], ["a", "b"], [], ["c"]]}
+    assert complex_from_json(data) == Complex(("a", "b", "c"), frozenset({0b011, 0b100}))
 
 
 # -- enumeration ------------------------------------------------------------------------

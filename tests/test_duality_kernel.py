@@ -200,7 +200,7 @@ def test_the_dual_is_bounded_by_max_faces(monkeypatch):
     assert len(alexander_dual(complex_from_json(pairs_complex(3))).masks) == 8
     with pytest.raises(InputError, match="more than 8 facets"):
         alexander_dual(complex_from_json(pairs_complex(4)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="the complex has more than 8 minimal non-faces"):
         minimal_nonfaces(complex_from_json(pairs_complex(4)))
 
 

@@ -41,7 +41,7 @@ from grapes import (
 )
 from dataclasses import replace
 
-from grapes.complexes import face_of, link, deletion
+from grapes.complexes import deletion, face_of, join_mask, link
 from grapes.grape import (
     EXHAUSTIVE_GAMMA_MAX_GROUND,
     CertNode,
@@ -51,6 +51,7 @@ from grapes.grape import (
     TrivialIntermediateWitness,
     TrivialSideWitness,
     _between_complexes,
+    _cone_points,
     certificate_variant,
 )
 from grapes.generators import cycle_complex
@@ -295,6 +296,29 @@ def test_recognition_matches_the_frozenset_oracle(case, variant, exhaustive_gamm
     ground, faces = case
     c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
     assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
+
+
+def scan_cone_points(lk, dl):
+    """Oracle: _cone_points as it was, scanning all of dl for each link facet."""
+    out = join_mask(dl)
+    for f in lk:
+        out &= join_mask(g for g in dl if f & g == f)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**8 - 1), max_size=30),
+       st.lists(st.integers(min_value=0, max_value=2**8 - 1), max_size=30))
+def test_cone_points_match_the_scan(lk, dl):
+    # non-pure, non-antichain families with duplicates and the empty mask
+    lk, dl = frozenset(lk), frozenset(dl)
+    assert _cone_points(lk, dl) == scan_cone_points(lk, dl)
+
+
+def test_cone_points_find_a_holder_two_or_more_bits_larger():
+    # the only facet of dl through the link facet 0b0001 is 0b1101
+    assert _cone_points(frozenset({0b0001}), frozenset({0b1101, 0b0110})) == 0b1101
+    assert _cone_points(frozenset({0b0001, 0b0010}), frozenset({0b1101, 0b0110})) == 0b0100
 
 
 # -- base cases and easy instances ------------------------------------------------

@@ -33,7 +33,7 @@ from grapes import (
     void_complex,
 )
 from grapes.generators import cycle_complex
-from grapes.complexes import face_masks, mask_order
+from grapes.complexes import Complex, face_masks, mask_order, maximal_masks
 from grapes.homology import HomologyProfile, _boundary, _by_dim, _invariant_factors
 from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
 
@@ -456,6 +456,19 @@ def test_the_apex_has_the_largest_star_and_the_lowest_bit_on_ties():
     assert homology._apex(cx("abcd", "abc", "ad", "cd")) == 0b001
     assert homology._apex(cx("abcd", "b", "cd")) == 0b100
     assert homology._apex(cross_polytope_boundary(3)) == 0b1
+
+
+def per_bit_apex(c):
+    """Oracle: _apex as it was, one pass over the facets per ground bit."""
+    weight = [sum(1 << f.bit_count() for f in c.masks if f >> i & 1) for i in range(len(c.ground))]
+    return 1 << weight.index(max(weight))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2**8 - 1), min_size=1, max_size=30))
+def test_the_apex_matches_the_per_bit_scan(masks):
+    c = Complex(tuple("abcdefgh"), maximal_masks(masks))
+    assert homology._apex(c) == per_bit_apex(c)
 
 
 def test_face_enumeration_is_bounded_before_it_starts(monkeypatch):
