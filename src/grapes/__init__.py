@@ -77,7 +77,7 @@ from .homology import (
     SHClass,
     VOID_CLASS,
     check_alexander_duality,
-    matches_sphere,
+    matches_wedge,
     reduced_cohomology,
     reduced_homology,
     smith_normal_form,

@@ -21,9 +21,9 @@ again cones with that apex, and a cone collapses to void.  So recognition
 ends at every cone with a leaf naming its lowest apex instead of splitting
 it down to points.  Every "yes" comes
 with a certificate that replays without searching: a table of nodes listed
-children first, root last, in memory and on the wire.  Strong certificates
-also drive the simple-homotopy classification (void, or a cross-polytope
-boundary whose dimension the recursion computes).
+children first, root last, in memory and on the wire.  Every certificate
+folds into a predicted wedge of spheres, and the simple-homotopy class of a
+strong grape (void, or a cross-polytope boundary) is read off it.
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
@@ -37,8 +37,8 @@ subproblems, the sweep's candidates and the nodes of every collapse search;
 running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
 it from the root.  Theorem checks recognise through an ``OutcomeTable``, a
-memo that keeps outcomes, never certificates, and the duals
-``verify_dual_invariance`` builds after a primal yes.
+memo that keeps outcomes (verdicts plus predicted wedges), never
+certificates, and the duals ``verify_dual_invariance`` builds after a primal yes.
 """
 
 from __future__ import annotations
@@ -463,37 +463,14 @@ def _verify_witness(
 # -- classification ------------------------------------------------------------
 
 
-def classify_strong(cert: tuple) -> SHClass:
-    """Simple-homotopy class of a strong grape, read off its certificate alone.
-
-    Deletion-is-cone steps suspend the class of the link; link-is-cone steps
-    keep the class of the deletion; so one branch is followed per level.
-    When both sides are cones recognition names the deletion, and a "both"
-    witness of an older certificate is read the same way (the class is the
-    same either way).
-    """
-    node = cert[-1]
-    suspensions = 0
-    while not node.base:
-        w = node.witness
-        if not isinstance(w, StrongWitness):
-            raise ReplayError("classification needs a strong certificate")
-        if w.cone_side == "link":
-            node = cert[node.deletion]
-        else:
-            suspensions += 1
-            node = cert[node.link]
-    return SHClass(suspensions if node.base == "irrelevant" else None)
-
-
 def predicted_wedge(cert: tuple) -> dict:
     """Predicted reduced Betti numbers, folded from a certificate alone.
 
     At every split the complex is homotopy equivalent to the deletion wedged
     with the suspended link, so predictions add up from the leaves: the
     empty dict means contractible, otherwise dimension -> sphere
-    multiplicity.  Meaningful for combinatorial and weak certificates (and
-    the stronger ones, whose witnesses imply the same wedge splitting).
+    multiplicity.  This is the one homotopy type the engine derives, for
+    every variant: the strong class and the homology checks read it.
     """
     folds: list = []
     for node in cert:
@@ -507,19 +484,30 @@ def predicted_wedge(cert: tuple) -> dict:
     return folds[-1]
 
 
+def classify_strong(cert: tuple) -> SHClass:
+    """Simple-homotopy class of a strong grape, read off its predicted wedge;
+    ReplayError on another variant's witness or a wedge that is not one sphere."""
+    if any(not node.base and not isinstance(node.witness, StrongWitness) for node in cert):
+        raise ReplayError("classification needs a strong certificate")
+    try:
+        return SHClass.of_wedge(predicted_wedge(cert))
+    except InputError as exc:
+        raise ReplayError(f"not a strong grape's certificate: {exc}") from None
+
+
 # -- recognition outcomes ----------------------------------------------------------
 
 
 class Outcome(NamedTuple):
-    """What a theorem check reads of one recognition, never the certificate.
+    """What a theorem check reads of one recognition, never the certificate:
+    the verdict plus the predicted wedge, which a strong class is read off.
 
     A NamedTuple rather than a dataclass: the class is created at every
     import, and a dataclass takes about ten times as long to build.
     """
 
     verdict: str
-    strong_class: Optional[SHClass] = None  # a strong yes only
-    wedge: Optional[dict] = None  # a combinatorial yes only
+    wedge: Optional[dict] = None  # every yes
 
     @property
     def is_yes(self) -> bool:
@@ -529,8 +517,8 @@ class Outcome(NamedTuple):
 class OutcomeTable:
     """A memo that computes each key once; one per suite stage.
 
-    :meth:`recognise` keeps outcomes by (complex, variant, exhaustive_gamma),
-    the class or wedge folded from the certificate and the certificate
+    :meth:`recognise` keeps outcomes by (complex, variant, exhaustive_gamma):
+    the verdict plus the wedge folded from the certificate, which is
     dropped; harnesses keep a dual, PF/PM or reports under keys of their own.
     """
 
@@ -550,11 +538,7 @@ class OutcomeTable:
         def outcome() -> Outcome:
             verdict = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
             cert = verdict.certificate  # None unless yes
-            return Outcome(
-                verdict.verdict,
-                classify_strong(cert) if cert and variant is GrapeVariant.STRONG else None,
-                predicted_wedge(cert) if cert and variant is GrapeVariant.COMBINATORIAL else None,
-            )
+            return Outcome(verdict.verdict, predicted_wedge(cert) if cert else None)
 
         return self.once((c, variant, exhaustive_gamma), outcome)
 
@@ -597,8 +581,8 @@ def verify_dual_invariance(
     report["unknown_tolerated"] = tolerated
     report["pass"] = dual.is_yes or tolerated
     if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
-        primal_class = primal.strong_class
-        dual_class = dual.strong_class
+        primal_class = SHClass.of_wedge(primal.wedge)
+        dual_class = SHClass.of_wedge(dual.wedge)
         expected = primal_class.dual_expected(len(c.ground))
         report["class"] = str(primal_class)
         report["dual_class"] = str(dual_class)

@@ -249,6 +249,21 @@ class SHClass:
         if self.cross_dim is not None and self.cross_dim < 0:
             raise InputError("cross-polytope dimension must be >= 0")
 
+    @classmethod
+    def of_wedge(cls, wedge: dict) -> "SHClass":
+        """The empty wedge is void, one (n-1)-sphere the boundary of the
+        n-dimensional cross-polytope; any other wedge is an InputError."""
+        if not wedge:
+            return cls(None)
+        if list(wedge.values()) != [1]:
+            raise InputError(f"the wedge {wedge} is not one sphere")
+        return cls(min(wedge) + 1)
+
+    @property
+    def wedge(self) -> dict:
+        """The wedge of spheres of this class, the inverse of :meth:`of_wedge`."""
+        return {} if self.cross_dim is None else {self.cross_dim - 1: 1}
+
     @property
     def is_void_class(self) -> bool:
         return self.cross_dim is None
@@ -275,22 +290,16 @@ class SHClass:
 VOID_CLASS = SHClass(None)
 
 
-def matches_sphere(c: Complex, cls: SHClass) -> bool:
-    """Does the reduced homology of c match the claimed class exactly?
+def matches_wedge(c: Complex, wedge: dict) -> bool:
+    """Is the reduced homology of c that of a wedge of spheres exactly?
 
-    Void class: all groups zero.  Cross-polytope boundary of dimension n:
-    one free unit in degree n - 1, nothing else, no torsion.
+    ``wedge`` maps a dimension to its multiplicity, as ``predicted_wedge``
+    gives it: the nonzero Betti numbers of c must be these, and there must
+    be no torsion.  The empty wedge is the void class, all groups zero.
     """
     profile = reduced_homology(c)
-    if cls.is_void_class:
-        return profile.is_trivial()
-    want = cls.cross_dim - 1
-    for k, b in profile.betti.items():
-        if b != (1 if k == want else 0):
-            return False
-    if profile.betti_at(want) != 1:
-        return False
-    return all(not t for t in profile.torsion.values())
+    betti = {k: b for k, b in profile.betti.items() if b}
+    return betti == wedge and not any(profile.torsion.values())
 
 
 # -- duality check -----------------------------------------------------------

@@ -42,7 +42,6 @@ from .grape import (
     GrapeVariant,
     OutcomeTable,
     check_grape,
-    classify_strong,
     predicted_wedge,
     verify_certificate,
     verify_dual_invariance,
@@ -64,12 +63,7 @@ from .graphs import (
     pm_complex,
     useless_arcs,
 )
-from .homology import (
-    SHClass,
-    check_alexander_duality,
-    matches_sphere,
-    reduced_homology,
-)
+from .homology import SHClass, check_alexander_duality, matches_wedge
 
 DEFAULT_SEED = 1729
 
@@ -201,16 +195,6 @@ def grape_duality_reports(
     return out
 
 
-def strong_homology_reports(c: Complex) -> list:
-    """Strong classification must match the homology profile exactly."""
-    verdict = check_grape(c, GrapeVariant.STRONG)
-    if not verdict.is_yes:
-        return []
-    cls = classify_strong(verdict.certificate)
-    return [_report("strong-class-homology", complex_to_json(c), matches_sphere(c, cls),
-                    expected=str(cls))]
-
-
 def _forest_formula_checks(g: Graph, inv) -> list:
     """Expected classes for the eight forest complexes, from the invariants."""
     n_v = len(g.vertices)
@@ -268,10 +252,8 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
                 _report(label, instance, False, expected="strong grape", observed=outcome.verdict)
             )
             continue
-        cls = outcome.strong_class
-        ok = class_ok(cls) and outcomes.once(
-            ("sphere", cpx, cls), lambda: matches_sphere(cpx, cls)
-        )
+        cls = SHClass.of_wedge(outcome.wedge)
+        ok = class_ok(cls) and outcomes.once(("wedge", cpx), lambda: matches_wedge(cpx, cls.wedge))
         out.append(_report(label, instance, ok, observed=str(cls)))
     return out
 
@@ -306,7 +288,7 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
             out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
                                observed=outcome.verdict))
             continue
-        cls = outcome.strong_class
+        cls = SHClass.of_wedge(outcome.wedge)
         out.append(_report(f"pfpm-{name}", instance, cls == expected, expected=str(expected),
                            observed=str(cls)))
     return out
@@ -378,22 +360,18 @@ def lifted_collapse_reports(c: Complex) -> list:
     return out
 
 
-def wedge_reports(c: Complex) -> list:
-    """Certificate wedge prediction must equal the computed Betti numbers."""
-    verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
+def wedge_reports(c: Complex, variant: GrapeVariant) -> list:
+    """A yes certificate's predicted wedge must be the homology of c exactly,
+    torsion included; a strong one's is reported as its class."""
+    verdict = check_grape(c, variant)
     if not verdict.is_yes:
         return []
-    predicted = predicted_wedge(verdict.certificate)
-    profile = reduced_homology(c)
-    dims = set(predicted) | {k for k, b in profile.betti.items() if b}
-    ok = all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
-    return [_report(
-        "wedge-prediction",
-        complex_to_json(c),
-        ok,
-        expected={str(k): v for k, v in sorted(predicted.items())},
-        observed={str(k): v for k, v in sorted(profile.betti.items()) if v},
-    )]
+    wedge = predicted_wedge(verdict.certificate)
+    if variant is GrapeVariant.STRONG:
+        theorem, expected = "strong-class-homology", str(SHClass.of_wedge(wedge))
+    else:
+        theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
+    return [_report(theorem, complex_to_json(c), matches_wedge(c, wedge), expected=expected)]
 
 
 def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
@@ -422,7 +400,7 @@ def five_cycle_reports() -> list:
     except ReplayError as exc:
         return out + [_report("five-cycle-weak", instance, False, observed=str(exc))]
     predicted = predicted_wedge(weak.certificate)
-    ok = predicted == {1: 1} and reduced_homology(c5).betti_at(1) == 1
+    ok = predicted == {1: 1} and matches_wedge(c5, {1: 1})
     out.append(_report("five-cycle-weak", instance, ok, expected={"1": 1},
                        observed={str(k): v for k, v in predicted.items()}))
     return out
@@ -454,7 +432,7 @@ def cyclic_no_useless_reports() -> list:
         _report("cyclic-no-useless-arc-check", instance, not useless_arcs(d)),
     ]
     verdict = check_grape(pf, GrapeVariant.STRONG)
-    cls_ok = verdict.is_yes and classify_strong(verdict.certificate).is_void_class
+    cls_ok = verdict.is_yes and predicted_wedge(verdict.certificate) == {}
     out.append(_report("cyclic-no-useless-pf-void-class", instance, cls_ok))
     return out
 
@@ -513,11 +491,11 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
 
     Deterministic for a fixed seed and level.  Each stage has one outcome
     table, dropped when the stage ends.  It keeps each distinct instance's
-    reports, counted at every occurrence, and the recognition outcomes
-    (verdicts, classes and wedges, not certificates), duals and PF/PM per
-    path family, so a complex met again within a stage (a repeated path-free
-    complex, a dual that is another instance) is recognised once.  The
-    summary lists every non-passing report with its instance.
+    reports, counted at every occurrence, and the recognition outcomes (the
+    verdict plus the predicted wedge, not the certificate), duals and PF/PM
+    per path family, so a complex met again within a stage (a repeated
+    path-free complex, a dual that is another instance) is recognised once.
+    The summary lists every non-passing report with its instance.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
@@ -552,7 +530,8 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             complexes,
             lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
-        ("strong/homology consistency done", complexes, lambda c, _: strong_homology_reports(c)),
+        ("strong/homology consistency done", complexes,
+         lambda c, _: wedge_reports(c, GrapeVariant.STRONG)),
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
@@ -570,7 +549,8 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         ),
         ("ground independence done", complexes, lambda c, _: ground_independence_reports(c)),
         ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
-        ("wedge predictions done", complexes, lambda c, _: wedge_reports(c)),
+        ("wedge predictions done", complexes,
+         lambda c, _: wedge_reports(c, GrapeVariant.COMBINATORIAL)),
         # the named-instance harnesses take no argument; each is its own instance
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]

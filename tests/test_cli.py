@@ -21,7 +21,12 @@ import grapes.cli as cli
 import grapes.complexes as complexes
 import grapes.graphs as graphs
 from grapes.cli import VARIANTS, _build_parser, main
-from grapes.complexes import complex_from_json, complex_to_json, void_complex
+from grapes.complexes import (
+    complex_from_json,
+    complex_to_json,
+    cross_polytope_boundary,
+    void_complex,
+)
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
 from grapes.grape import GrapeVariant, certificate_to_json, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
@@ -766,17 +771,22 @@ TEN_ARC_DAG = {
     "s": "s",
     "t": "t",
 }
+CROSS_4 = complex_to_json(cross_polytope_boundary(4))
 
 
 def test_builder_outputs_are_byte_stable(write_json, capsys):
     # sha256 of the stdout of `from-graph --complex dom --dual`, `from-digraph
-    # --complex pf`, `verify forest` and `verify pfpm`
+    # --complex pf`, `verify forest`, `verify pfpm`, and of `grape classify`
+    # and `verify duality --variant strong` on the boundary of the 4-cross-polytope
     outputs = []
     dag = write_json("d.json", TEN_ARC_DAG)
+    cross = write_json("x.json", CROSS_4)
     for argv in (["from-graph", write_json("g.json", CHORDED_PATH), "--complex", "dom", "--dual"],
                  ["from-digraph", dag, "--complex", "pf"],
                  ["verify", "forest", write_json("f.json", EIGHT_VERTEX_FOREST)],
-                 ["verify", "pfpm", dag]):
+                 ["verify", "pfpm", dag],
+                 ["grape", "classify", cross],
+                 ["verify", "duality", cross, "--variant", "strong"]):
         assert main(argv) == 0
         outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert outputs == [
@@ -784,6 +794,8 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
         "e2a2488453cc8d785b95fec40a671ca0a3baed5fe95b3dd15db8fb53ac4e18b3",
         "dc00289257449c73749c1dd3dd9c3c7148d581ec7836a29a486d9d1d325e8328",
         "cd7e823b53e73bb444e9dd5d7769394ea740388bb891aa1cd0233aa8c3d88d35",
+        "9bc2da9061d2326d48c0a2e5a70a3dc736c5855ba50271567a9ff3b925b56af4",
+        "bba6832c2733f9af7bdc79c11350c206ea14c84fc1a86d326dacef76669cd44d",
     ]
 
 

@@ -3,7 +3,9 @@
 The recognition on frozensets of names that the mask kernel replaced is kept
 here as an oracle: both must give the same verdict, certificate and nodes.
 With its cone rule off it splits every cone down to points, and must still
-give the same verdicts, strong classes and predicted wedges.
+give the same verdicts, strong classes and predicted wedges.  The strong
+class, now read off the predicted wedge, is also checked against the walk
+that follows one branch of a strong certificate by its witness sides.
 """
 
 import string
@@ -29,7 +31,7 @@ from grapes import (
     full_simplex,
     irrelevant_complex,
     is_cone,
-    matches_sphere,
+    matches_wedge,
     new_complex,
     predicted_wedge,
     reduced_homology,
@@ -632,11 +634,27 @@ def test_classification_matches_homology_on_small_complexes():
     for c in enumerate_complexes("abcd"):
         verdict = check_grape(c, GrapeVariant.STRONG)
         if verdict.is_yes:
-            assert matches_sphere(c, classify_strong(verdict.certificate))
+            assert matches_wedge(c, classify_strong(verdict.certificate).wedge)
+
+
+def branch_classify_strong(cert):
+    """The class of a strong grape by the walk that classify_strong once was:
+    deletion-is-cone steps suspend the class of the link, link-is-cone steps
+    keep the class of the deletion, so one branch is followed per level, by
+    the witness sides alone ("both" reads as "deletion")."""
+    node = cert[-1]
+    suspensions = 0
+    while not node.base:
+        if node.witness.cone_side == "link":
+            node = cert[node.deletion]
+        else:
+            suspensions += 1
+            node = cert[node.link]
+    return SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS
 
 
 def classify_via_link_cones(c, cert):
-    """classify_strong, but taking the link as the cone wherever it is one,
+    """branch_classify_strong, but taking the link as the cone wherever it is one,
     which the witness does not say where both sides are: (class, how many
     splits had both sides cones)."""
     node, cr, suspensions, both = cert[-1], restrict_ground(c), 0, 0
@@ -661,9 +679,16 @@ def test_classification_branch_independence():
                 continue
             left = classify_strong(verdict.certificate)
             right, n = classify_via_link_cones(c, verdict.certificate)
-            assert left == right
+            assert left == right == branch_classify_strong(verdict.certificate)
             both += n
     assert both > 0
+
+
+def test_classify_strong_needs_a_strong_certificate():
+    verdict = check_grape(IND_P3, GrapeVariant.COMBINATORIAL)
+    assert not verdict.certificate[-1].base
+    with pytest.raises(ReplayError, match="needs a strong certificate"):
+        classify_strong(verdict.certificate)
 
 
 # -- wedge predictions ----------------------------------------------------------------------
@@ -682,15 +707,14 @@ def test_predicted_wedge_matches_betti_on_small_complexes():
         verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
         if not verdict.is_yes:
             continue
-        predicted = predicted_wedge(verdict.certificate)
-        profile = reduced_homology(c)
-        dims = set(predicted) | {k for k, b in profile.betti.items() if b}
-        assert all(predicted.get(k, 0) == profile.betti_at(k) for k in dims)
+        assert matches_wedge(c, predicted_wedge(verdict.certificate))
 
 
 def test_certificate_folds_visit_shared_nodes_once():
     # 60 split levels whose link and deletion children are one node: a tree
-    # walk would take 2^60 steps
+    # walk would take 2^60 steps.  The sides do not match the children (the
+    # deletion is no cone), so the wedge is binomial, not one sphere, and
+    # the certificate has no strong class
     from math import comb
     from time import perf_counter
 
@@ -705,7 +729,8 @@ def test_certificate_folds_visit_shared_nodes_once():
     )
     start = perf_counter()
     assert predicted_wedge(cert) == {k - 1: comb(60, k) for k in range(61)}
-    assert str(classify_strong(cert)) == "cross-polytope-boundary(60)"
+    with pytest.raises(ReplayError, match="not one sphere"):
+        classify_strong(cert)
     data = certificate_to_json(cert)
     assert data["format"] == 2 and len(data["nodes"]) == 61
     assert certificate_from_json(data) == cert

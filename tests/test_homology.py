@@ -24,7 +24,7 @@ from grapes import (
     full_simplex,
     independence_complex,
     irrelevant_complex,
-    matches_sphere,
+    matches_wedge,
     new_complex,
     reduced_cohomology,
     reduced_homology,
@@ -523,17 +523,30 @@ def test_suspension_shifts_betti():
             assert after.betti_at(k + 1) == before.betti_at(k)
 
 
-# -- sphere matching -----------------------------------------------------------------
+# -- wedge matching -----------------------------------------------------------------
 
 
-def test_matches_sphere_examples():
+def test_matches_wedge_examples():
     point = cx("v", "v")
     square = cross_polytope_boundary(2)
-    assert matches_sphere(point, VOID_CLASS)
-    assert matches_sphere(square, SHClass(2))
-    assert not matches_sphere(square, SHClass(1))
-    assert matches_sphere(irrelevant_complex("ab"), SHClass(0))
-    assert not matches_sphere(RP2, VOID_CLASS)
+    two_triangles = cx("abcde", "ab", "bc", "ca", "cd", "de", "ec")  # sharing c
+    assert matches_wedge(point, {})
+    assert matches_wedge(square, {1: 1})
+    assert matches_wedge(two_triangles, {1: 2})
+    assert matches_wedge(irrelevant_complex("ab"), {-1: 1})
+    # RP2 has no free homology, but Z/2 in degree 1
+    assert not matches_wedge(RP2, {})
+    # an extra sphere, in the same degree or another
+    assert not matches_wedge(square, {1: 2})
+    assert not matches_wedge(square, {0: 1, 1: 1})
+    assert not matches_wedge(two_triangles, {1: 1})
+    # the right sphere in a shifted degree
+    assert not matches_wedge(square, {0: 1})
+    assert not matches_wedge(square, {2: 1})
+    # void against irrelevant, both ways
+    assert not matches_wedge(irrelevant_complex("ab"), {})
+    assert not matches_wedge(void_complex("ab"), {-1: 1})
+    assert matches_wedge(void_complex("ab"), {})
 
 
 def suspend(cls):
@@ -547,9 +560,9 @@ def test_suspension_suspends_the_class():
     cases = [(cx("v", "v"), VOID_CLASS), (irrelevant_complex("ab"), SHClass(0)),
              (cross_polytope_boundary(2), SHClass(2))]
     for c, cls in cases:
-        assert matches_sphere(c, cls)
-        assert matches_sphere(suspension(c, "n", "s"), suspend(cls))
-        assert cls.is_void_class or not matches_sphere(suspension(c, "n", "s"), cls)
+        assert matches_wedge(c, cls.wedge)
+        assert matches_wedge(suspension(c, "n", "s"), suspend(cls).wedge)
+        assert cls.is_void_class or not matches_wedge(suspension(c, "n", "s"), cls.wedge)
 
 
 def test_sh_class_algebra():
@@ -559,6 +572,17 @@ def test_sh_class_algebra():
         SHClass(None).dual_expected(0)
     with pytest.raises(InputError):
         SHClass(-1)
+
+
+def test_sh_class_of_wedge_and_back():
+    assert SHClass.of_wedge({}) == VOID_CLASS
+    assert SHClass.of_wedge({-1: 1}) == SHClass(0)
+    assert SHClass.of_wedge({2: 1}) == SHClass(3)
+    for cls in (VOID_CLASS, SHClass(0), SHClass(1), SHClass(5)):
+        assert SHClass.of_wedge(cls.wedge) == cls
+    for wedge in ({1: 2}, {0: 1, 1: 1}, {-1: 1, 3: 1}):
+        with pytest.raises(InputError, match="not one sphere"):
+            SHClass.of_wedge(wedge)
 
 
 # -- Alexander duality in (co)homology ----------------------------------------------

@@ -32,7 +32,6 @@ from grapes.verify import (
     lifted_collapse_reports,
     run_suite,
     standard_complexes,
-    strong_homology_reports,
     verify_forest_theorem,
     verify_pfpm_theorem,
     wedge_reports,
@@ -209,9 +208,10 @@ def test_the_forest_stage_computes_the_invariants_once_per_distinct_forest(monke
 
 
 def test_sphere_homology_calls_per_stage_are_pinned(monkeypatch):
-    # the forest stage meets 204 distinct (complex, class) pairs in 264
-    # checks and takes the homology of each once
-    checked = counting(monkeypatch, verify, "matches_sphere")
+    # every stage that reads a predicted wedge checks it with matches_wedge;
+    # the forest stage meets 204 distinct complexes in 264 checks and takes
+    # the homology of each once
+    checked = counting(monkeypatch, verify, "matches_wedge")
     per_stage = {}
 
     def close_stage(line):
@@ -223,6 +223,8 @@ def test_sphere_homology_calls_per_stage_are_pinned(monkeypatch):
     assert per_stage == {
         "strong/homology consistency done": 37,
         "forest theorem done (44 forests)": 204,
+        "wedge predictions done": 38,
+        "named instances done": 1,
     }
 
 
@@ -292,8 +294,8 @@ def test_core_reports_on_a_mixed_bag():
         assert all(r.status == "pass" for r in duality_identity_reports(c))
         assert all(r.status == "pass" for r in ground_independence_reports(c))
         assert all(r.status == "pass" for r in lifted_collapse_reports(c))
-        assert all(r.status == "pass" for r in strong_homology_reports(c))
-        assert all(r.status == "pass" for r in wedge_reports(c))
+        for variant in (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL):
+            assert all(r.status == "pass" for r in wedge_reports(c, variant))
         if len(c.ground) >= 1:
             assert cad_report(c).status == "pass"
 
@@ -366,7 +368,7 @@ def reference_suite(level, seed, log=None):
         reports.extend(verify.grape_duality_reports(c, sizes.small_variants_max_ground))
     say("grape duality done")
     for c in complexes:
-        reports.extend(verify.strong_homology_reports(c))
+        reports.extend(verify.wedge_reports(c, GrapeVariant.STRONG))
     say("strong/homology consistency done")
     forests = verify.standard_forests(sizes.n_forests, sizes.max_tree, seed)
     for g in forests:
@@ -390,7 +392,7 @@ def reference_suite(level, seed, log=None):
         reports.extend(verify.lifted_collapse_reports(c))
     say("lifted collapses done")
     for c in complexes:
-        reports.extend(verify.wedge_reports(c))
+        reports.extend(verify.wedge_reports(c, GrapeVariant.COMBINATORIAL))
     say("wedge predictions done")
     reports.extend(verify.five_cycle_reports())
     reports.extend(verify.cyclic_no_useless_reports())
@@ -442,7 +444,8 @@ def test_suite_stage_lines_are_pinned():
     assert lines == SMOKE_7_STAGE_LINES
 
 
-TO_JSON = {Complex: complex_to_json, Graph: graph_to_json, Digraph: digraph_to_json}
+TO_JSON = {Complex: complex_to_json, Graph: graph_to_json, Digraph: digraph_to_json,
+           GrapeVariant: lambda v: v.value}
 
 
 HARNESSES = {
@@ -451,7 +454,6 @@ HARNESSES = {
     "duality_identity_reports": "list",
     "cad_report": "one",
     "grape_duality_reports": "list",
-    "strong_homology_reports": "maybe",
     "verify_forest_theorem": "list",
     "konig_reports": "maybe",
     "verify_pfpm_theorem": "list",
@@ -574,11 +576,12 @@ def test_outcome_table_entries_hold_no_certificate():
     for c in standard_complexes(n_random=10, max_ground=4, exhaustive_max=2, seed=3):
         for variant in GrapeVariant:
             table.recognise(c, variant)
-    assert grape.Outcome._fields == ("verdict", "strong_class", "wedge")
+    assert grape.Outcome._fields == ("verdict", "wedge")
     kinds = {type(v) for entry in table.entries.values() for v in entry}
-    assert kinds <= {str, dict, type(None), grape.SHClass}
-    assert any(e.strong_class is not None for e in table.entries.values())
-    assert any(e.wedge is not None for e in table.entries.values())
+    assert kinds <= {str, dict, type(None)}
+    # the wedge is set on every yes, of every variant
+    assert all((e.wedge is not None) == e.is_yes for e in table.entries.values())
+    assert {v for (_, v, _), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
 
 
 def test_full_suite_output_is_byte_stable(capsys):
