@@ -183,12 +183,7 @@ def _collapse(args: argparse.Namespace) -> int:
 
 
 def _grape_check(args: argparse.Namespace) -> int:
-    verdict = check_grape(
-        _complex(args),
-        VARIANTS[args.variant],
-        budget=args.budget,
-        exhaustive_gamma=args.exhaustive_gamma,
-    )
+    verdict = check_grape(_complex(args), VARIANTS[args.variant], budget=args.budget)
     payload = {"verdict": verdict.verdict, "nodes": verdict.nodes}
     if verdict.certificate is not None:
         payload["certificate"] = certificate_to_json(verdict.certificate)
@@ -233,9 +228,7 @@ def _from_digraph(args: argparse.Namespace) -> int:
 
 
 def _verify_duality(args: argparse.Namespace) -> int:
-    report = verify_dual_invariance(
-        _complex(args), VARIANTS[args.variant], exhaustive_gamma=args.exhaustive_gamma
-    )
+    report = verify_dual_invariance(_complex(args), VARIANTS[args.variant])
     unknown = report["primal_verdict"] == "unknown" or report.get("unknown_tolerated")
     return _emit(report, "unknown" if unknown else "pass" if report["pass"] else "fail")
 
@@ -294,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="nodes it may spend, collapse searches included, before it answers unknown")
-    p.add_argument("--exhaustive-gamma", action="store_true")
     p.set_defaults(run=_grape_check)
 
     p = gsub.add_parser("classify", help="simple-homotopy class of a strong grape")
@@ -339,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("duality", help="grape dual-invariance for one complex")
     p.add_argument("complex")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.add_argument("--exhaustive-gamma", action="store_true")
     p.set_defaults(run=_verify_duality)
 
     p = vsub.add_parser("cad", help="Alexander duality in (co)homology")

@@ -9,13 +9,13 @@ Collapsibility is used here as a sound but incomplete test for being
 simple-homotopy trivial (collapses only, no expansions); callers get an
 explicit "unknown" verdict when a ``Budget``, the node counter that grape
 recognition shares with its searches, runs out.  A collapsible complex is
-contractible, so its reduced homology vanishes: ``collapse_search`` answers
-"no" at once, with the homology as its obstruction, for a complex whose
-reduced homology has a Betti number or torsion.  Deciding collapsibility is
-NP-complete (Tancer 2016); this refutes the non-acyclic inputs in polynomial
-time and leaves the search for the acyclic ones.  The search is depth-first
-and remembers every face set it has seen fail, so it expands each face set
-it reaches at most once.
+contractible, so its reduced homology vanishes: :func:`obstruction` refutes a
+complex whose reduced homology has a Betti number or torsion, for one node
+and no search, in ``collapse_search`` and in grape recognition alike.
+Deciding collapsibility is NP-complete (Tancer 2016); this refutes the
+non-acyclic inputs in polynomial time and leaves the search for the acyclic
+ones.  The search is depth-first and remembers every face set it has seen
+fail, so it expands each face set it reaches at most once.
 
 The search and replay run on facet masks (see ``complexes``), and names come
 back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
@@ -218,11 +218,15 @@ def replay(c: Complex, sequence) -> Complex:
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
 
-def _obstruction(c: Complex) -> Optional[HomologyProfile]:
-    """c's reduced homology when it is nonzero; None when it vanishes or when
-    homology refuses c's size."""
+def obstruction(masks: frozenset, names: tuple) -> Optional[HomologyProfile]:
+    """The reduced homology of a face set that is neither void nor a cone,
+    when it is nonzero: the refutation that no collapse to void exists.
+    None when it vanishes, for void and cones, and when homology refuses
+    the size.  Callers spend one node on each refutation."""
+    if not masks or meet_mask(masks):
+        return None
     try:
-        profile = reduced_homology(c)
+        profile = reduced_homology(Complex(names, masks))
     except InputError:
         return None
     return None if profile.is_trivial() else profile
@@ -231,8 +235,7 @@ def _obstruction(c: Complex) -> Optional[HomologyProfile]:
 def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
 
-    A complex that is neither void nor a cone is first tested by its
-    reduced homology: when that is nonzero the answer is "no" after one
+    A complex that :func:`obstruction` refutes is answered "no" after one
     node, with the homology as ``obstruction``.  When homology finds the
     complex acyclic, or refuses its size (over ``MAX_FACES`` faces), the
     search runs: a backtracking DFS trying free pairs in the canonical
@@ -246,11 +249,10 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
     nodes.  Deterministic for fixed inputs.
     """
     budget = Budget(budget)
-    if c.masks and not meet_mask(c.masks):
-        obstruction = _obstruction(c)
-        if obstruction is not None:
-            budget.spend()  # the refuting node, within every limit
-            return ShvResult("no", None, budget.used, obstruction)
+    refuted = obstruction(c.masks, c.ground)
+    if refuted is not None:
+        budget.spend()  # the refuting node, within every limit
+        return ShvResult("no", None, budget.used, refuted)
     try:
         steps = search_masks(c.masks, budget, c.ground)
     except BudgetExceeded:

@@ -10,9 +10,15 @@ variant-specific gluing condition.  The four variants decided here:
   of the deletion -- the cone over the link with apex x then sits inside);
 * weak: some intermediate complex between link and deletion is
   simple-homotopy trivial (tested by collapsibility, so inconclusive
-  searches surface as "unknown", never as "no");
+  searches surface as "unknown");
 * strong-weak: the link or deletion itself is simple-homotopy trivial
   (same collapsibility caveat).
+
+Every witness makes the link null-homotopic in the deletion, so a grape is
+the deletion wedged with the suspended link and its reduced homology is
+free.  A weak-family "no" is read off homology, which carries the proof: a
+strong-weak pivot fails when both sides have nonzero reduced homology, and
+a complex with torsion is no grape of any variant.
 
 Grape status depends only on the vertex set, so recognition normalizes the
 ground set to the vertices at every node.  A cone is a grape of every
@@ -33,7 +39,7 @@ subproblem to its vertices keeps the bit order, so it costs nothing.  Names
 come back only in the certificate: pivots, apexes, cone elements, the
 intermediate complex and the collapse pairs of a sequence, found in face
 order, not integer order (see ``collapse``).  One ``Budget`` counts the
-subproblems, the sweep's candidates and the nodes of every collapse search;
+subproblems, the refutations and the nodes of every collapse search;
 running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
 it from the root.  Theorem checks recognise through an ``OutcomeTable``, a
@@ -54,6 +60,7 @@ from .collapse import (
     ReplayError,
     cone_steps,
     named_steps,
+    obstruction,
     replay_pairs,
     search_masks,
     sequence_from_json,
@@ -65,7 +72,6 @@ from .complexes import (
     alexander_dual,
     bit_table,
     deletion_masks,
-    face_masks,
     face_of,
     holders,
     join_mask,
@@ -77,7 +83,11 @@ from .complexes import (
 )
 from .homology import SHClass
 
-EXHAUSTIVE_GAMMA_MAX_GROUND = 6
+TORSION_REASON = "the reduced homology has torsion, which no grape has"
+
+
+class _Torsion(Exception):
+    """The root's reduced homology has torsion: no variant's grape."""
 
 
 class GrapeVariant(Enum):
@@ -184,59 +194,23 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-def _between_complexes(lk: frozenset, dl: frozenset, names: tuple):
-    """All complexes G with lk <= G <= dl (face-wise), as face mask families.
-
-    Enumerates the downward-closed subsets of faces(dl) - faces(lk) by
-    adding faces in size order, then by sorted names, requiring each face's
-    codimension-1 subfaces to be present already.
-    """
-    lk_faces = face_masks(lk)
-    extra = sorted(face_masks(dl) - lk_faces,
-                   key=lambda f: (f.bit_count(), tuple(sorted(face_of(f, names)))))
-
-    def closed(face, have):
-        return all(
-            face ^ y in lk_faces or face ^ y in have
-            for y in (1 << i for i in range(face.bit_length())) if face & y
-        )
-
-    def rec(i: int, have: set):
-        if i == len(extra):
-            yield frozenset(lk_faces | have)
-            return
-        yield from rec(i + 1, have)
-        face = extra[i]
-        if closed(face, have):
-            have.add(face)
-            yield from rec(i + 1, have)
-            have.remove(face)
-
-    yield from rec(0, set())
-
-
-def check_grape(
-    c: Complex,
-    variant: GrapeVariant,
-    budget: int = DEFAULT_BUDGET,
-    exhaustive_gamma: bool = False,
-) -> GrapeVerdict:
+def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
     Strong and combinatorial answers are definitive.  The weak variants test
-    simple-homotopy triviality by collapsibility, which under-approximates
-    it, so a "no" needs the exhaustive_gamma opt-in: for the weak variant
-    the whole intermediate-complex family is then swept (gated to at most
-    EXHAUSTIVE_GAMMA_MAX_GROUND vertices per node), and for the strong-weak
-    variant it is read from exhausted side searches.  Anything less
-    conclusive is reported "unknown", never guessed, with its origin.
-    Every subproblem that is a cone, the root included, is answered "yes" by
-    a one-node "cone" leaf, with no pivot test.
+    simple-homotopy triviality by collapsibility and refute it by homology:
+    a side or intermediate candidate that :func:`collapse.obstruction`
+    refutes costs one node and no search, a strong-weak pivot with both
+    sides refuted fails, and torsion in the root's homology, read once at
+    the first inconclusive pivot test, answers "no" with TORSION_REASON.
+    Anything else inconclusive is reported "unknown", never guessed, with
+    its origin.  Every subproblem that is a cone, the root included, is
+    answered "yes" by a one-node "cone" leaf, with no pivot test.
 
     One ``Budget`` of the given limit counts all of the work: each
-    subproblem, each intermediate candidate of the sweep, and each node of
-    every collapse search.  Running out anywhere ends the recognition
-    "unknown" after limit + 1 nodes.
+    subproblem, each refutation, and each node of every collapse search.
+    Running out anywhere ends the recognition "unknown" after limit + 1
+    nodes.
     """
     budget = Budget(budget)
     c = restrict_ground(c)
@@ -246,9 +220,15 @@ def check_grape(
     def name(x: int) -> Optional[str]:
         return names[x.bit_length() - 1] if x else None
 
-    def witness(ground: int, lk: frozenset, dl: frozenset):
-        """Variant gluing condition at one pivot, with ground the node's other
-        vertices: (status, witness or reason)."""
+    def refutes(masks: frozenset) -> bool:
+        """Whether homology refutes a collapse of masks, for one node."""
+        if obstruction(masks, names) is None:
+            return False
+        budget.spend()
+        return True
+
+    def witness(lk: frozenset, dl: frozenset):
+        """Variant gluing condition at one pivot: (status, witness or reason)."""
         if variant is GrapeVariant.STRONG:
             if meet_mask(dl):
                 return "yes", StrongWitness("deletion")
@@ -263,18 +243,23 @@ def check_grape(
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
+            refuted = 0
             for side, side_masks in (("link", lk), ("deletion", dl)):
+                if refutes(side_masks):
+                    refuted += 1
+                    continue
                 steps = search_masks(side_masks, budget, names)
                 if steps is not None:
                     return "yes", TrivialSideWitness(side, named_steps(steps, names))
-            # a side that fails to collapse might still be simple-homotopy
-            # trivial, so "no" needs the explicit opt-in
-            status = "no" if exhaustive_gamma else "unknown"
-            return status, "neither side collapses (collapse-only test)"
+            if refuted == 2:
+                return "no", "both sides have nonzero reduced homology"
+            # an acyclic side that fails to collapse might still be
+            # simple-homotopy trivial
+            return "unknown", "neither side collapses (collapse-only test)"
 
         # weak: look for a collapsible complex between link and deletion
         for gamma in (lk, dl):
-            steps = search_masks(gamma, budget, names)
+            steps = None if refutes(gamma) else search_masks(gamma, budget, names)
             if steps is not None:
                 return "yes", intermediate(gamma, steps)
         x = _cone_points(lk, dl)
@@ -282,28 +267,20 @@ def check_grape(
             gamma = maximal_masks(f | (x & -x) for f in lk)
             apexes = meet_mask(gamma)
             return "yes", intermediate(gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
-        if not exhaustive_gamma:
-            return "unknown", "no collapsible intermediate in the fast family"
-        if ground.bit_count() >= EXHAUSTIVE_GAMMA_MAX_GROUND:
-            return "unknown", "too many vertices for the exhaustive sweep"
-        for faces in _between_complexes(lk, dl, names):
-            budget.spend()
-            gamma = maximal_masks(faces)
-            steps = search_masks(gamma, budget, names)
-            if steps is not None:
-                return "yes", intermediate(gamma, steps)
-        return "no", "no intermediate complex collapses (exhaustive sweep)"
+        return "unknown", "no collapsible intermediate in the fast family"
 
     def intermediate(gamma: frozenset, steps) -> TrivialIntermediateWitness:
         gamma_facets = frozenset(face_of(g, names) for g in gamma)
         return TrivialIntermediateWitness(gamma_facets, named_steps(steps, names))
 
     nodes: list = []  # certificate nodes of solved subproblems, children first
+    torsion_read = False  # the root's homology, read at the first inconclusive pivot test
 
     def solve(masks: frozenset):
         """One subproblem, as a generator: it yields each link or deletion it
         needs solved and is sent back that one's (status, node index); an
         "unknown" carries its origin (reason, pivots, sides) instead."""
+        nonlocal torsion_read
         budget.spend()
         kind = _base_kind(masks)
         if kind is not None:
@@ -314,15 +291,20 @@ def check_grape(
             nodes.append(CertNode(base="cone", apex=name(apexes & -apexes)))
             return "yes", len(nodes) - 1
         origin = None
-        verts = rest = join_mask(masks)
+        rest = join_mask(masks)
         while rest:
             a = rest & -rest
             rest ^= a
             lk = link_masks(masks, a)
             dl = deletion_masks(masks, a)
-            status, payload = witness(verts ^ a, lk, dl)
+            status, payload = witness(lk, dl)
             if status == "no":
                 continue
+            if status == "unknown" and not torsion_read:
+                torsion_read = True
+                profile = obstruction(root, names)
+                if profile is not None and any(profile.torsion.values()):
+                    raise _Torsion
             lk_status, lk_ref = yield lk
             if lk_status == "no":
                 continue
@@ -357,6 +339,8 @@ def check_grape(
                 stack.append((sub, solve(sub)))
     except BudgetExceeded:
         return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=budget.used)
+    except _Torsion:
+        return GrapeVerdict("no", reason=TORSION_REASON, nodes=budget.used)
     if result[0] == "yes":
         return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=budget.used)
     if result[0] == "no":
@@ -517,7 +501,7 @@ class Outcome(NamedTuple):
 class OutcomeTable:
     """A memo that computes each key once; one per suite stage.
 
-    :meth:`recognise` keeps outcomes by (complex, variant, exhaustive_gamma):
+    :meth:`recognise` keeps outcomes by (complex, variant):
     the verdict plus the wedge folded from the certificate, which is
     dropped; harnesses keep a dual, PF/PM or reports under keys of their own.
     """
@@ -532,15 +516,13 @@ class OutcomeTable:
             self.entries[key] = compute()
         return self.entries[key]
 
-    def recognise(
-        self, c: Complex, variant: GrapeVariant, exhaustive_gamma: bool = False
-    ) -> Outcome:
+    def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
         def outcome() -> Outcome:
-            verdict = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma)
+            verdict = check_grape(c, variant)
             cert = verdict.certificate  # None unless yes
             return Outcome(verdict.verdict, predicted_wedge(cert) if cert else None)
 
-        return self.once((c, variant, exhaustive_gamma), outcome)
+        return self.once((c, variant), outcome)
 
 
 # -- duality transfer ------------------------------------------------------------
@@ -549,7 +531,6 @@ class OutcomeTable:
 def verify_dual_invariance(
     c: Complex,
     variant: GrapeVariant,
-    exhaustive_gamma: bool = False,
     outcomes: Optional[OutcomeTable] = None,
 ) -> dict:
     """Check that the Alexander dual is a grape of the same variant.
@@ -564,7 +545,7 @@ def verify_dual_invariance(
     one by default), so nothing the table holds is computed again.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    primal = outcomes.recognise(c, variant, exhaustive_gamma)
+    primal = outcomes.recognise(c, variant)
     report = {
         "variant": variant.value,
         "ground_size": len(c.ground),
@@ -574,7 +555,7 @@ def verify_dual_invariance(
     if not primal.is_yes:
         return report
     dual_c = outcomes.once(("dual", c), lambda: alexander_dual(c))
-    dual = outcomes.recognise(dual_c, variant, exhaustive_gamma)
+    dual = outcomes.recognise(dual_c, variant)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
     tolerated = weak_family and dual.verdict == "unknown"
     report["dual_verdict"] = dual.verdict

@@ -187,8 +187,7 @@ def grape_duality_reports(
     outcomes = OutcomeTable() if outcomes is None else outcomes
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
-        # exhaustive_gamma changes only the weak-family verdicts
-        rep = verify_dual_invariance(c, variant, True, outcomes)
+        rep = verify_dual_invariance(c, variant, outcomes)
         if rep["primal_verdict"] == "yes":
             out.append(_report(f"grape-duality-{variant.value}", instance, rep["pass"],
                                unknown=rep["unknown_tolerated"], **rep))

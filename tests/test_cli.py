@@ -60,6 +60,11 @@ RP2 = {
         list(t) for t in ("123", "124", "135", "146", "156", "236", "245", "256", "345", "346")
     ],
 }
+# the 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS = {
+    "ground": list("0123456"),
+    "facets": [[str(i), str((i + d) % 7), str((i + 3) % 7)] for i in range(7) for d in (1, 2)],
+}
 
 
 def test_dual_command(write_json, capsys):
@@ -229,11 +234,17 @@ def test_grape_check_yes_no_unknown(write_json, capsys):
     assert code == 1 and out["verdict"] == "no"
     rp2 = write_json("rp2.json", RP2)
     code, out = run_cli(capsys, "grape", "check", rp2, "--variant", "weak")
-    assert code == 3 and out["verdict"] == "unknown"
-    code, out = run_cli(
-        capsys, "grape", "check", rp2, "--variant", "weak", "--exhaustive-gamma"
-    )
+    assert (code, out["verdict"], out["reason"]) == (
+        1, "no", "the reduced homology has torsion, which no grape has")
+    torus = write_json("torus.json", TORUS)
+    code, out = run_cli(capsys, "grape", "check", torus, "--variant", "strong-weak")
     assert code == 1 and out["verdict"] == "no"
+    code, out = run_cli(capsys, "grape", "check", torus, "--variant", "weak")
+    assert code == 3 and out["verdict"] == "unknown"
+    # homology refutes unasked, so there is no switch for it
+    with pytest.raises(SystemExit) as exc:
+        main(["grape", "check", rp2, "--variant", "weak", "--exhaustive-gamma"])
+    assert exc.value.code == 2
 
 
 def test_grape_classify(write_json, capsys):
@@ -366,7 +377,7 @@ def test_verify_duality_command(write_json, capsys):
     )
     assert code == 1 and out["primal_verdict"] == "no" and out["pass"] is False
     code, out = run_cli(
-        capsys, "verify", "duality", write_json("rp2.json", RP2), "--variant", "weak"
+        capsys, "verify", "duality", write_json("torus.json", TORUS), "--variant", "weak"
     )
     assert code == 3 and out["primal_verdict"] == "unknown" and out["pass"] is False
 

@@ -177,7 +177,7 @@ def frozenset_cone_sequence(c):
 
 def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
     """collapse_search on frozensets; with obstruction off, the search alone,
-    as recognition runs it; with memo off, a search that expands a face set
+    as search_masks runs it; with memo off, a search that expands a face set
     again each time a collapse order reaches it."""
     if obstruction and c.facets and not frozenset_cone_apexes(c):
         profile = oracle_reduced_homology(c)

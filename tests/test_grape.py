@@ -3,9 +3,12 @@
 The recognition on frozensets of names that the mask kernel replaced is kept
 here as an oracle: both must give the same verdict, certificate and nodes.
 With its cone rule off it splits every cone down to points, and must still
-give the same verdicts, strong classes and predicted wedges.  The strong
-class, now read off the predicted wedge, is also checked against the walk
-that follows one branch of a strong certificate by its witness sides.
+give the same verdicts, strong classes and predicted wedges.  With its old
+rule on it refutes nothing by homology and sweeps every intermediate complex
+instead, as recognition once did on request; the homology rule may only
+settle what that rule left "unknown".  The strong class, now read off the
+predicted wedge, is also checked against the walk that follows one branch
+of a strong certificate by its witness sides.
 """
 
 import string
@@ -45,19 +48,19 @@ from dataclasses import replace
 
 from grapes.complexes import deletion, face_of, join_mask, link
 from grapes.grape import (
-    EXHAUSTIVE_GAMMA_MAX_GROUND,
+    TORSION_REASON,
     CertNode,
     ConeContainmentWitness,
     GrapeVerdict,
     StrongWitness,
     TrivialIntermediateWitness,
     TrivialSideWitness,
-    _between_complexes,
     _cone_points,
     certificate_variant,
 )
 from grapes.generators import cycle_complex
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
+from test_homology import oracle_reduced_homology
 from test_complexes import (
     frozenset_cone_apexes,
     frozenset_link,
@@ -80,12 +83,27 @@ RP2 = cx(
 
 IND_P3 = cx("abc", "ac", "b")
 
+# the 7-vertex torus: free homology Z^2 in degree 1, Z in degree 2
+TORUS = cx("0123456", *({str(i), str((i + 1) % 7), str((i + 3) % 7)} for i in range(7)),
+           *({str(i), str((i + 2) % 7), str((i + 3) % 7)} for i in range(7)))
+
+# the 7-simplex with a handle v00-w-x-v01: contractible simplex, one loop
+SIMPLEX_WITH_HANDLE = cx([f"v0{i}" for i in range(8)] + ["w", "x"],
+                         [f"v0{i}" for i in range(8)], ("v00", "w"), ("w", "x"), ("x", "v01"))
+
 
 # -- the frozenset oracle ------------------------------------------------------------
 
 
 class OutOfBudget(Exception):
     pass
+
+
+class Torsion(Exception):
+    pass
+
+
+OLD_SWEEP_MAX_GROUND = 6  # the old rule sweeps nodes on at most this many vertices
 
 
 def frozenset_base_kind(c):
@@ -127,10 +145,13 @@ def frozenset_between_complexes(lk, dl):
     yield from rec(0, set())
 
 
-def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone_leaf=True):
+def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=False):
     """check_grape on frozensets of names, solve on an explicit stack; with
-    cone_leaf off a cone is split like any other complex."""
-    state = {"nodes": 0}
+    cone_leaf off a cone is split like any other complex.  With old_rule on,
+    no homology is read: the weak family's "no" comes from collapse-only
+    searches, of both sides (strong-weak) or of every intermediate complex
+    of a node on at most OLD_SWEEP_MAX_GROUND vertices (weak)."""
+    state = {"nodes": 0, "torsion_read": False}
     memo = {}
 
     def tick(n=1):
@@ -139,7 +160,7 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
             raise OutOfBudget
 
     def collapses(sub):
-        r = frozenset_collapse_search(sub, budget - state["nodes"], obstruction=False)
+        r = frozenset_collapse_search(sub, budget - state["nodes"], obstruction=not old_rule)
         tick(r.nodes)
         return r
 
@@ -156,11 +177,13 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
                     return "yes", ConeContainmentWitness(x)
             return "no", None
         if variant is GrapeVariant.STRONG_WEAK:
+            refuted = 0
             for side, side_c in (("link", lk), ("deletion", dl)):
                 r = collapses(side_c)
                 if r.is_yes:
                     return "yes", TrivialSideWitness(side, r.sequence)
-            return ("no" if exhaustive_gamma else "unknown"), None
+                refuted += r.obstruction is not None
+            return ("no" if old_rule or refuted == 2 else "unknown"), None
         for candidate in (lk, dl):
             r = collapses(candidate)
             if r.is_yes:
@@ -170,7 +193,7 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
                 gamma = new_complex(lk.ground, frozenset_maximal(f | {x} for f in lk.facets))
                 seq = tuple(frozenset_cone_sequence(gamma)) if not gamma.is_void else ()
                 return "yes", TrivialIntermediateWitness(gamma.facets, seq)
-        if not exhaustive_gamma or len(cr.ground) > EXHAUSTIVE_GAMMA_MAX_GROUND:
+        if not old_rule or len(cr.ground) > OLD_SWEEP_MAX_GROUND:
             return "unknown", None
         for faces in frozenset_between_complexes(lk, dl):
             tick()
@@ -179,6 +202,14 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
             if r.is_yes:
                 return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
         return "no", None
+
+    def read_torsion():
+        """At the first inconclusive pivot test: Torsion if the root has it."""
+        if old_rule or state["torsion_read"]:
+            return
+        state["torsion_read"] = True
+        if any(oracle_reduced_homology(root).torsion.values()):
+            raise Torsion
 
     nodes = []
 
@@ -199,6 +230,8 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
             status, payload = witness(cr, lk, dl)
             if status == "no":
                 continue
+            if status == "unknown":
+                read_torsion()
             lk_status, lk_ref = yield restrict_ground(lk)
             if lk_status == "no":
                 continue
@@ -228,6 +261,8 @@ def frozenset_check_grape(c, variant, budget=10**6, exhaustive_gamma=False, cone
                 stack.append((sub.facets, solve(sub)))
     except OutOfBudget:
         return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=state["nodes"])
+    except Torsion:
+        return GrapeVerdict("no", reason=TORSION_REASON, nodes=state["nodes"])
     if result[0] != "yes":
         return GrapeVerdict(result[0], nodes=state["nodes"])
     keep = {len(nodes) - 1}
@@ -252,52 +287,67 @@ def folds(verdict, variant):
     return verdict.verdict, strong, predicted_wedge(cert)
 
 
-def assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma, budget=10**6):
-    got = check_grape(c, variant, budget, exhaustive_gamma)
-    want = frozenset_check_grape(c, variant, budget, exhaustive_gamma)
+def assert_recognition_matches_the_oracle(c, variant, budget=10**6):
+    got = check_grape(c, variant, budget)
+    want = frozenset_check_grape(c, variant, budget)
     assert (got.verdict, got.certificate, got.nodes) == (want.verdict, want.certificate, want.nodes)
-    if want.reason:  # budget exhaustion; the oracle names no other origin
+    if want.reason:  # budget exhaustion or torsion; the oracle names no other origin
         assert got.reason == want.reason
     if budget == 10**6:  # splitting cones spends more nodes than a lower budget may allow
-        split = frozenset_check_grape(c, variant, budget, exhaustive_gamma, cone_leaf=False)
+        split = frozenset_check_grape(c, variant, budget, cone_leaf=False)
         assert folds(got, variant) == folds(split, variant)
 
 
-@pytest.mark.parametrize("exhaustive_gamma", [False, True])
+def assert_homology_settles_only_unknowns(c, variant):
+    old = frozenset_check_grape(c, variant, old_rule=True).verdict
+    assert old == "unknown" or check_grape(c, variant).verdict == old, old
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_recognition_matches_the_frozenset_oracle_on_every_small_complex(
-    variant, exhaustive_gamma
-):
+def test_recognition_matches_the_frozenset_oracle_on_every_small_complex(variant):
     for c in enumerate_complexes("abcd"):
-        assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
+        assert_recognition_matches_the_oracle(c, variant)
+
+
+@pytest.mark.parametrize("variant", [GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK])
+def test_homology_settles_only_what_the_old_rule_left_unknown_on_every_small_complex(variant):
+    for c in enumerate_complexes("abcd"):
+        assert_homology_settles_only_unknowns(c, variant)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_recognition_matches_the_frozenset_oracle_on_named_instances(variant):
     for c in (RP2, cycle_complex(5), cross_polytope_boundary(3),
-              cx("abcde", "abc", "bcd", "cde", "dea", "eab"), cx("dcba", "ad", "bc", "ca")):
-        for exhaustive_gamma in (False, True):
-            assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
-    assert_recognition_matches_the_oracle(rp2_with_path(2), variant, False, budget=40)
+              cx("abcde", "abc", "bcd", "cde", "dea", "eab"), cx("dcba", "ad", "bc", "ca"),
+              TORUS, rp2_with_path(2)):
+        assert_recognition_matches_the_oracle(c, variant)
+    assert_recognition_matches_the_oracle(rp2_with_path(2), variant, budget=40)
     # five nodes run out as the weak variant starts a collapse search
-    assert_recognition_matches_the_oracle(cycle_complex(5), variant, False, budget=5)
+    assert_recognition_matches_the_oracle(cycle_complex(5), variant, budget=5)
+
+
+small_complexes = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.just(tuple(string.ascii_lowercase[:n])),
+        st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=6),
+    )
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=7).flatmap(
-        lambda n: st.tuples(
-            st.just(tuple(string.ascii_lowercase[:n])),
-            st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=6),
-        )
-    ),
-    st.sampled_from(ALL_VARIANTS),
-    st.booleans(),
-)
-def test_recognition_matches_the_frozenset_oracle(case, variant, exhaustive_gamma):
+@given(small_complexes, st.sampled_from(ALL_VARIANTS))
+def test_recognition_matches_the_frozenset_oracle(case, variant):
     ground, faces = case
     c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
-    assert_recognition_matches_the_oracle(c, variant, exhaustive_gamma)
+    assert_recognition_matches_the_oracle(c, variant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes, st.sampled_from([GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK]))
+def test_homology_settles_only_what_the_old_rule_left_unknown(case, variant):
+    ground, faces = case
+    c = new_complex(ground, [frozenset(ground[i] for i in f) for f in faces])
+    assert_homology_settles_only_unknowns(c, variant)
 
 
 def scan_cone_points(lk, dl):
@@ -402,42 +452,54 @@ def test_five_cycle_strong_weak():
 def test_projective_plane_is_no_grape_at_all():
     assert check_grape(RP2, GrapeVariant.STRONG).verdict == "no"
     assert check_grape(RP2, GrapeVariant.COMBINATORIAL).verdict == "no"
-    # without the exhaustive opt-in the weak family stays inconclusive:
-    # a non-collapsible side could still be simple-homotopy trivial
-    assert check_grape(RP2, GrapeVariant.WEAK).verdict == "unknown"
-    assert check_grape(RP2, GrapeVariant.STRONG_WEAK).verdict == "unknown"
-    assert check_grape(RP2, GrapeVariant.WEAK, exhaustive_gamma=True).verdict == "no"
-    assert (
-        check_grape(RP2, GrapeVariant.STRONG_WEAK, exhaustive_gamma=True).verdict
-        == "no"
-    )
+    # every link is a 5-cycle and every deletion a Moebius band, circles
+    # both: homology refutes both sides at each of the six pivots
+    assert (check_grape(RP2, GrapeVariant.STRONG_WEAK).verdict,
+            check_grape(RP2, GrapeVariant.STRONG_WEAK).nodes) == ("no", 13)
+    # no weak pivot is refuted, but Z/2 in degree 1 is no grape's homology
+    weak = check_grape(RP2, GrapeVariant.WEAK)
+    assert (weak.verdict, weak.reason, weak.nodes) == ("no", TORSION_REASON, 3)
 
 
-@pytest.mark.parametrize(
-    "variant, reason",
-    [
-        (GrapeVariant.WEAK, "no collapsible intermediate in the fast family (pivot 1, at the root)"),
-        (GrapeVariant.STRONG_WEAK, "neither side collapses (collapse-only test) (pivot 1, at the root)"),
-    ],
-)
-def test_unknown_on_the_projective_plane_names_its_origin(variant, reason):
-    verdict = check_grape(RP2, variant)
-    assert (verdict.verdict, verdict.reason, verdict.nodes) == ("unknown", reason, 6667)
+def test_torus_is_no_strong_weak_grape():
+    # the torus's homology is free, so only the strong-weak pivots, whose
+    # hexagon links and punctured-torus deletions homology refutes, say no
+    verdict = check_grape(TORUS, GrapeVariant.STRONG_WEAK)
+    assert (verdict.verdict, verdict.nodes) == ("no", 15)
+
+
+def test_unknown_on_the_torus_names_its_origin():
+    verdict = check_grape(TORUS, GrapeVariant.WEAK)
+    reason = "no collapsible intermediate in the fast family (pivot 0, at the root)"
+    assert (verdict.verdict, verdict.reason, verdict.nodes) == ("unknown", reason, 347)
+
+
+@pytest.mark.parametrize("variant", [GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK])
+def test_a_refuted_side_is_not_searched(variant):
+    # at v00 the link is the 6-simplex plus the point w, whose collapse
+    # orders a search would enumerate; its H~_0 refutes it at one node
+    start = time.perf_counter()
+    verdict = check_grape(SIMPLEX_WITH_HANDLE, variant)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.is_yes
+    verify_certificate(SIMPLEX_WITH_HANDLE, variant, verdict.certificate)
+    assert predicted_wedge(verdict.certificate) == {1: 1}
 
 
 @pytest.mark.parametrize(
     "c, origin",
     [
-        # K_{2,3}: the deletion of a is a star, its link three points
-        (cx("abcde", "ab", "ac", "ad", "be", "ce", "de"), "(pivots a > b, link)"),
-        # the link of a is a point, its deletion four points
-        (cx("abcde", "ab", "c", "d", "e"), "(pivots a > b, deletion)"),
+        # the suspension of the torus: the deletion of n is a cone, its link the torus
+        (cx(["n", "s", *TORUS.ground], *(f | {x} for f in TORUS.facets for x in "ns")),
+         "(pivots n > 0, link)"),
+        # the torus and a point: the link of p is irrelevant, its deletion the torus
+        (cx(["p", *TORUS.ground], *TORUS.facets, "p"), "(pivots p > 0, deletion)"),
     ],
 )
 def test_unknown_below_the_root_names_the_pivots_and_sides(c, origin):
-    verdict = check_grape(c, GrapeVariant.STRONG_WEAK)
+    verdict = check_grape(c, GrapeVariant.WEAK)
     assert verdict.verdict == "unknown"
-    assert verdict.reason == f"neither side collapses (collapse-only test) {origin}"
+    assert verdict.reason == f"no collapsible intermediate in the fast family {origin}"
 
 
 def test_budget_exhaustion_is_unknown():
@@ -455,42 +517,53 @@ def rp2_with_path(k):
     return cx([*"123456", *chain[1:]], *RP2.facets, *zip(chain, chain[1:]))
 
 
-@pytest.mark.parametrize("variant", [GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK])
-def test_budget_bounds_collapse_searches_too(variant):
-    # each pivot's collapse searches on RP2 plus a path take 10^5 nodes or
-    # more; they spend from the recognition's budget, so three nodes stop it
+@pytest.mark.parametrize("variant, nodes", [(GrapeVariant.WEAK, 3), (GrapeVariant.STRONG_WEAK, 325)])
+def test_budget_bounds_collapse_searches_too(variant, nodes):
+    # every side of RP2 plus a path whose collapse search would run long
+    # is refuted at one node; within three nodes the weak variant reads the
+    # torsion, and the strong-weak variant runs out
     start = time.perf_counter()
     verdict = check_grape(rp2_with_path(12), variant, budget=3)
     assert time.perf_counter() - start < 1.0
-    assert verdict.verdict == "unknown"
-    assert verdict.reason == "recognition budget exhausted"
+    if variant is GrapeVariant.WEAK:
+        assert (verdict.verdict, verdict.reason, verdict.nodes) == ("no", TORSION_REASON, 3)
+    else:
+        assert (verdict.verdict, verdict.reason) == ("unknown", "recognition budget exhausted")
+    verdict = check_grape(rp2_with_path(12), variant)
+    assert (verdict.verdict, verdict.nodes) == ("no", nodes)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
-    "c, variant, exhaustive_gamma, expected",
+    "c, variant, expected",
     [
-        (cycle_complex(5), GrapeVariant.WEAK, False, "yes"),
-        (RP2, GrapeVariant.STRONG_WEAK, True, "no"),
-        (RP2, GrapeVariant.WEAK, True, "no"),
+        (cycle_complex(5), GrapeVariant.WEAK, "yes"),
+        (TORUS, GrapeVariant.STRONG_WEAK, "no"),
+        (TORUS, GrapeVariant.WEAK, "unknown"),
+        (SIMPLEX_WITH_HANDLE, GrapeVariant.WEAK, "yes"),
+        (SIMPLEX_WITH_HANDLE, GrapeVariant.STRONG_WEAK, "yes"),
         # the path c-a-d-b runs out in all three places below 16 nodes
-        (cx("abcd", "ac", "ad", "bd"), GrapeVariant.WEAK, True, "yes"),
+        (cx("abcd", "ac", "ad", "bd"), GrapeVariant.WEAK, "yes"),
     ],
 )
-def test_budget_edge_is_exactly_the_nodes_spent(c, variant, exhaustive_gamma, expected):
+def test_budget_edge_is_exactly_the_nodes_spent(c, variant, expected):
     # one counter: a budget below the need runs out after one node more,
-    # wherever that node falls (a subproblem, a sweep candidate or a
-    # collapse search), and a budget of exactly the need suffices
-    n = check_grape(c, variant, exhaustive_gamma=exhaustive_gamma).nodes
-    at_edge = check_grape(c, variant, budget=n, exhaustive_gamma=exhaustive_gamma)
+    # wherever that node falls (a subproblem, a refutation or a collapse
+    # search), and a budget of exactly the need suffices
+    n = check_grape(c, variant).nodes
+    at_edge = check_grape(c, variant, budget=n)
     assert (at_edge.verdict, at_edge.nodes) == (expected, n)
     for b in range(1, min(n - 1, 40) + 1):
-        below = check_grape(c, variant, budget=b, exhaustive_gamma=exhaustive_gamma)
+        below = check_grape(c, variant, budget=b)
         assert (below.verdict, below.reason, below.nodes) == (
             "unknown", "recognition budget exhausted", b + 1), b
 
 
-@pytest.mark.parametrize("c, exhaustive_gamma", [(cycle_complex(5), False), (RP2, True)])
-def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gamma):
+@pytest.mark.parametrize("c, searches", [(cycle_complex(5), True), (RP2, False)])
+def test_weak_nodes_include_every_collapse_search(monkeypatch, c, searches):
+    # C5's links, two points, are refuted and its deletions, paths, are
+    # searched; both sides of RP2's first pivot are refuted, and its torsion
+    # ends the recognition before any search runs
     budgets, spent = set(), []
     search_masks = grapes.grape.search_masks
 
@@ -502,10 +575,13 @@ def test_weak_nodes_include_every_collapse_search(monkeypatch, c, exhaustive_gam
         return result
 
     monkeypatch.setattr(grapes.grape, "search_masks", recording)
-    verdict = check_grape(c, GrapeVariant.WEAK, exhaustive_gamma=exhaustive_gamma)
-    assert spent and all(spent)
-    (budget,) = budgets  # every search spends from the recognition's one budget
-    assert verdict.nodes == budget.used > sum(spent)
+    verdict = check_grape(c, GrapeVariant.WEAK)
+    assert bool(spent) is searches and all(spent)
+    if searches:
+        (budget,) = budgets  # every search spends from the recognition's one budget
+        assert verdict.nodes == budget.used > sum(spent)
+    else:
+        assert (verdict.verdict, verdict.nodes) == ("no", 3)
 
 
 @pytest.mark.parametrize(
@@ -575,10 +651,9 @@ def test_disjoint_union_breaks_strong_variants():
     union = cx("abcd", "a", "b", "c", "d")
     assert check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).is_yes
     assert check_grape(union, GrapeVariant.STRONG).verdict == "no"
-    assert (
-        check_grape(union, GrapeVariant.STRONG_WEAK, exhaustive_gamma=True).verdict
-        == "no"
-    )
+    # every link is the irrelevant complex, refuted in degree -1, and every
+    # deletion three points, refuted in degree 0
+    assert check_grape(union, GrapeVariant.STRONG_WEAK).verdict == "no"
     # the combinatorial and weak variants do survive the union
     assert check_grape(union, GrapeVariant.COMBINATORIAL).is_yes
     assert check_grape(union, GrapeVariant.WEAK).is_yes
@@ -702,12 +777,14 @@ def test_predicted_wedge_examples():
     assert predicted_wedge(verdict.certificate) == {}
 
 
-def test_predicted_wedge_matches_betti_on_small_complexes():
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_predicted_wedge_matches_betti_on_small_complexes(variant):
+    # the lemma behind the torsion rule: every variant's yes certificate
+    # predicts a wedge of spheres, so its homology is free
     for c in enumerate_complexes("abcd"):
-        verdict = check_grape(c, GrapeVariant.COMBINATORIAL)
-        if not verdict.is_yes:
-            continue
-        assert matches_wedge(c, predicted_wedge(verdict.certificate))
+        verdict = check_grape(c, variant)
+        if verdict.is_yes:
+            assert matches_wedge(c, predicted_wedge(verdict.certificate))
 
 
 def test_certificate_folds_visit_shared_nodes_once():
@@ -809,7 +886,7 @@ def test_combinatorial_witness_is_the_cone_element():
     assert all(has_face(dl, f | {x}) for f in lk.facets)
 
 
-# -- intermediate-complex enumeration ----------------------------------------------------------
+# -- the old rule's intermediate-complex enumeration --------------------------------------------
 
 
 def test_between_complexes_matches_brute_force():
@@ -818,9 +895,8 @@ def test_between_complexes_matches_brute_force():
     c5 = cycle_complex(5)
     lk = link(c5, "a")
     dl = deletion(c5, "a")
-    listed = [frozenset(face_of(f, lk.ground) for f in faces)
-              for faces in _between_complexes(lk.masks, dl.masks, lk.ground)]
-    assert listed == list(frozenset_between_complexes(lk, dl))
+    listed = list(frozenset_between_complexes(lk, dl))
+    assert len(listed) == len(set(listed))
     listed = set(listed)
     # oracle: filter every subset of the extra faces for downward closure
     lk_faces, dl_faces = lk.faces(), dl.faces()

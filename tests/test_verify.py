@@ -242,9 +242,7 @@ def test_pfpm_builds_once_per_path_family(monkeypatch):
 
 def test_grape_duality_builds_the_dual_once(monkeypatch):
     c = new_complex("abc", [frozenset("ab"), frozenset("c")])
-    expected = [
-        verify_dual_invariance(c, variant, exhaustive_gamma=True) for variant in GrapeVariant
-    ]
+    expected = [verify_dual_invariance(c, variant) for variant in GrapeVariant]
     assert sum(rep["primal_verdict"] == "yes" for rep in expected) > 1
     duals = counting(monkeypatch, grape, "alexander_dual")
     reports = verify.grape_duality_reports(c)
@@ -511,13 +509,13 @@ def test_each_stage_runs_its_harness_once_per_distinct_instance(monkeypatch):
 
 def counting_check_grape(monkeypatch):
     """Replace check_grape where the harnesses call it; returns the list of
-    (complex, variant, exhaustive_gamma) keys it is called with."""
+    (complex, variant) keys it is called with."""
     keys = []
     real = grape.check_grape
 
-    def counting(c, variant, exhaustive_gamma=False):
-        keys.append((c, variant, exhaustive_gamma))
-        return real(c, variant, exhaustive_gamma=exhaustive_gamma)
+    def counting(c, variant):
+        keys.append((c, variant))
+        return real(c, variant)
 
     monkeypatch.setattr(grape, "check_grape", counting)
     monkeypatch.setattr(verify, "check_grape", counting)
@@ -553,7 +551,7 @@ def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
     assert [r.status for r in reports] == ["pass"] * 4
     assert len(keys) == 8 and len(set(keys)) == 8
     for variant in GrapeVariant:
-        (orig, _, _), (moved, _, _) = [k for k in keys if k[1] is variant]
+        (orig, _), (moved, _) = [k for k in keys if k[1] is variant]
         assert orig == c and moved != c and moved.facets == c.facets
 
 
@@ -581,7 +579,7 @@ def test_outcome_table_entries_hold_no_certificate():
     assert kinds <= {str, dict, type(None)}
     # the wedge is set on every yes, of every variant
     assert all((e.wedge is not None) == e.is_yes for e in table.entries.values())
-    assert {v for (_, v, _), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
+    assert {v for (_, v), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
 
 
 def test_full_suite_output_is_byte_stable(capsys):
