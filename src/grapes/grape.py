@@ -203,6 +203,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     refutes costs one node and no search, a strong-weak pivot with both
     sides refuted fails, and torsion in the root's homology, read once at
     the first inconclusive pivot test, answers "no" with TORSION_REASON.
+    Each face set's homology is computed at most once per recognition.
     Anything else inconclusive is reported "unknown", never guessed, with
     its origin.  Every subproblem that is a cone, the root included, is
     answered "yes" by a one-node "cone" leaf, with no pivot test.
@@ -216,13 +217,19 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
     memo: dict = {}
+    homology: dict = {}  # face set -> its obstruction
 
     def name(x: int) -> Optional[str]:
         return names[x.bit_length() - 1] if x else None
 
+    def obstructed(masks: frozenset):
+        if masks not in homology:
+            homology[masks] = obstruction(masks, names)
+        return homology[masks]
+
     def refutes(masks: frozenset) -> bool:
         """Whether homology refutes a collapse of masks, for one node."""
-        if obstruction(masks, names) is None:
+        if obstructed(masks) is None:
             return False
         budget.spend()
         return True
@@ -302,7 +309,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
                 continue
             if status == "unknown" and not torsion_read:
                 torsion_read = True
-                profile = obstruction(root, names)
+                profile = obstructed(root)
                 if profile is not None and any(profile.torsion.values()):
                     raise _Torsion
             lk_status, lk_ref = yield lk

@@ -787,17 +787,22 @@ CROSS_4 = complex_to_json(cross_polytope_boundary(4))
 
 def test_builder_outputs_are_byte_stable(write_json, capsys):
     # sha256 of the stdout of `from-graph --complex dom --dual`, `from-digraph
-    # --complex pf`, `verify forest`, `verify pfpm`, and of `grape classify`
-    # and `verify duality --variant strong` on the boundary of the 4-cross-polytope
+    # --complex pf`, `verify forest`, `verify pfpm`, of `grape classify` and
+    # `verify duality --variant strong` on the boundary of the 4-cross-polytope,
+    # and of the two Berge runs `from-graph --complex dom` (minimal
+    # transversals of the closed neighbourhoods) and `dual` on that boundary
     outputs = []
+    graph = write_json("g.json", CHORDED_PATH)
     dag = write_json("d.json", TEN_ARC_DAG)
     cross = write_json("x.json", CROSS_4)
-    for argv in (["from-graph", write_json("g.json", CHORDED_PATH), "--complex", "dom", "--dual"],
+    for argv in (["from-graph", graph, "--complex", "dom", "--dual"],
                  ["from-digraph", dag, "--complex", "pf"],
                  ["verify", "forest", write_json("f.json", EIGHT_VERTEX_FOREST)],
                  ["verify", "pfpm", dag],
                  ["grape", "classify", cross],
-                 ["verify", "duality", cross, "--variant", "strong"]):
+                 ["verify", "duality", cross, "--variant", "strong"],
+                 ["from-graph", graph, "--complex", "dom"],
+                 ["dual", cross]):
         assert main(argv) == 0
         outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert outputs == [
@@ -807,6 +812,8 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
         "cd7e823b53e73bb444e9dd5d7769394ea740388bb891aa1cd0233aa8c3d88d35",
         "9bc2da9061d2326d48c0a2e5a70a3dc736c5855ba50271567a9ff3b925b56af4",
         "bba6832c2733f9af7bdc79c11350c206ea14c84fc1a86d326dacef76669cd44d",
+        "6a7b0e849ce08d33205cb576078761ea360f5cbe2382a892f1c758808d4b23fb",
+        "d328551e91e2d233ed69cf67f3ee0b502e854cdfa192672b25a5e22a39ee07e6",
     ]
 
 

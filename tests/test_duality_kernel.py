@@ -1,7 +1,8 @@
 """Minimal non-faces as minimal transversals, graph complexes as duals.
 
-The code these replaced is kept here as oracles: Berge's algorithm on
-frozensets of names, the scan of the ground set for minimal non-faces, the
+The code these replaced is kept here as oracles: the kernel's own earlier
+loop, whose returned list the kernel must reproduce element for element,
+Berge's algorithm on frozensets of names, the scan of the ground set for minimal non-faces, the
 predicate scan over every vertex, edge or arc subset for the six graph
 complexes, the recursive path search for useless arcs, the search from
 each arc's target for cycles, and Berge's algorithm followed by the dual
@@ -38,7 +39,7 @@ from grapes import (
     simplex_boundary,
     useless_arcs,
 )
-from grapes.complexes import avoiding, avoiding_dual
+from grapes.complexes import MAX_FACES, avoiding, avoiding_dual, cross_polytope_boundary
 from grapes.generators import all_digraphs, all_trees
 from grapes.graphs import FORBIDDEN_SETS, edge_ground
 from test_cli import run_module
@@ -158,6 +159,106 @@ def recursive_useless_arcs(d):
 
         dfs(d.s, frozenset({d.s}), ())
     return frozenset(d.arc_ids()) - used
+
+
+# -- the transversal kernel ------------------------------------------------------
+
+
+def generator_transversals(edges, overflow):
+    """The kernel before its inner loops were flattened, verbatim: each grown
+    set is tested by ``any()`` over a generator."""
+    found = [0]
+    for e in sorted(set(edges), key=lambda m: (m.bit_count(), m)):
+        missed = [t for t in found if not t & e]
+        if not missed:
+            continue
+        found = [t for t in found if t & e]
+        filed: dict = {}
+        for k in found:
+            hit = k & e
+            if not hit & (hit - 1):
+                filed.setdefault(hit, []).append(k ^ hit)
+        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
+        for t in missed:
+            for x in bits:
+                if not any(k & t == k for k in filed.get(x, ())):
+                    found.append(t | x)
+            if len(found) > MAX_FACES:
+                raise InputError(overflow.format(MAX_FACES))
+    return found
+
+
+def kernel_outcome(kernel, edges):
+    """The returned list, order included, or the overflow's text."""
+    try:
+        return kernel(list(edges), "more than {} sets")
+    except InputError as error:
+        return str(error)
+
+
+def assert_kernel_matches_the_oracle(edges, max_faces=None):
+    with pytest.MonkeyPatch.context() as patch:
+        if max_faces is not None:
+            patch.setattr(complexes, "MAX_FACES", max_faces)
+            patch.setitem(globals(), "MAX_FACES", max_faces)
+        got = kernel_outcome(complexes._transversals, edges)
+        assert got == kernel_outcome(generator_transversals, edges)
+    return got
+
+
+@st.composite
+def edge_families(draw):
+    """Up to 16 edges on up to 10 bits, with duplicates, the empty edge and
+    edges nested in one another mixed in."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    edge = st.integers(min_value=0, max_value=(1 << n) - 1)
+    edges = draw(st.lists(edge, max_size=16))
+    extra = st.sampled_from(["duplicate", "empty", "meet", "join"])
+    for kind in draw(st.lists(extra, max_size=4)):
+        if kind == "empty":
+            edges.append(0)
+        elif edges:
+            i, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, len(edges) - 1))
+            edges.append({"duplicate": edges[i], "meet": edges[i] & edges[j],
+                          "join": edges[i] | edges[j]}[kind])
+    return edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_families())
+@example([])
+@example([0])
+@example([0b1, 0b11, 0b111, 0b11, 0b110, 0])
+def test_the_kernel_returns_the_oracles_list(edges):
+    assert_kernel_matches_the_oracle(edges)
+    assert_kernel_matches_the_oracle(edges, max_faces=8)
+
+
+def facet_complements(c):
+    full = (1 << len(c.ground)) - 1
+    return [full ^ f for f in c.masks]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_kernel_returns_the_oracles_list_on_cross_polytopes(n):
+    # 2^n facet complements, and the dual's n facets, the pairs {p_i, q_i}
+    assert len(assert_kernel_matches_the_oracle(facet_complements(cross_polytope_boundary(n)))) == n
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_kernel_returns_the_oracles_list_on_pairs(m):
+    # m disjoint pairs, and the dual's 2^m facets
+    pairs = facet_complements(complex_from_json(pairs_complex(m)))
+    assert len(assert_kernel_matches_the_oracle(pairs)) == 2**m
+
+
+def test_both_kernels_overflow_with_the_same_text():
+    # the dual of four pairs has 16 facets; the dual of cross(5) has 5, but
+    # Berge's intermediate families on its 32 complements reach 9 sets
+    pairs = facet_complements(complex_from_json(pairs_complex(4)))
+    assert assert_kernel_matches_the_oracle(pairs, max_faces=8) == "more than 8 sets"
+    cross = facet_complements(cross_polytope_boundary(5))
+    assert assert_kernel_matches_the_oracle(cross, max_faces=8) == "more than 8 sets"
 
 
 # -- minimal non-faces -----------------------------------------------------------

@@ -46,6 +46,7 @@ from grapes import (
 )
 from dataclasses import replace
 
+from grapes.collapse import obstruction
 from grapes.complexes import deletion, face_of, join_mask, link
 from grapes.grape import (
     TORSION_REASON,
@@ -484,6 +485,25 @@ def test_a_refuted_side_is_not_searched(variant):
     assert verdict.is_yes
     verify_certificate(SIMPLEX_WITH_HANDLE, variant, verdict.certificate)
     assert predicted_wedge(verdict.certificate) == {1: 1}
+
+
+@pytest.mark.parametrize("c, variant, verdict, nodes", [
+    (TORUS, GrapeVariant.WEAK, "unknown", 347),
+    (TORUS, GrapeVariant.STRONG_WEAK, "no", 15),
+    (SIMPLEX_WITH_HANDLE, GrapeVariant.WEAK, "yes", 148),
+    (SIMPLEX_WITH_HANDLE, GrapeVariant.STRONG_WEAK, "yes", 120),
+])
+def test_each_face_set_homology_is_read_once_per_recognition(monkeypatch, c, variant, verdict, nodes):
+    read = []
+
+    def counted(masks, names):
+        read.append(masks)
+        return obstruction(masks, names)
+
+    monkeypatch.setattr(grapes.grape, "obstruction", counted)
+    result = check_grape(c, variant)
+    assert (result.verdict, result.nodes) == (verdict, nodes)
+    assert read and len(read) == len(set(read))
 
 
 @pytest.mark.parametrize(
