@@ -24,12 +24,12 @@ Grape status depends only on the vertex set, so recognition normalizes the
 ground set to the vertices at every node.  A cone is a grape of every
 variant: at any pivot other than its apex the link and the deletion are
 again cones with that apex, and a cone collapses to void.  So recognition
-ends at every cone with a leaf naming its lowest apex instead of splitting
-it down to points.  Every "yes" comes
-with a certificate that replays without searching: a table of nodes listed
-children first, root last, in memory and on the wire.  Every certificate
-folds into a predicted wedge of spheres, and the simple-homotopy class of a
-strong grape (void, or a cross-polytope boundary) is read off it.
+ends at every cone, a point included, with a leaf naming its lowest apex,
+and a strong split's witness is a child that is such a leaf.  Every "yes"
+comes with a certificate that replays without searching: a table of nodes
+listed children first, root last, in memory and on the wire.  Every
+certificate folds into a predicted wedge of spheres, and the simple-homotopy
+class of a strong grape (void, or a cross-polytope boundary) is read off it.
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
@@ -102,12 +102,10 @@ class GrapeVariant(Enum):
 
 @dataclass(frozen=True)
 class StrongWitness:
-    """Which of link/deletion is a cone; that side's child is a cone leaf
-    naming the apex.  Recognition names the deletion when both sides are
-    cones; "both" reads as "deletion" wherever a witness is read."""
+    """The link or the deletion is a cone.  It names nothing: the split's
+    link or deletion child is a cone leaf, which names the apex."""
 
     variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG
-    cone_side: str  # "link" | "deletion" | "both"
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,10 @@ class TrivialSideWitness:
 class CertNode:
     """One node of a certificate, a tuple of nodes listed children first.
 
-    A base leaf ("void", "irrelevant" or "point", with at most one vertex;
-    or "cone", naming an apex that lies in every facet) or a split carrying
-    the pivot, the variant witness, and the indices of its link's and its
-    deletion's nodes, earlier in the tuple.  The last node is the root;
+    A base leaf ("void" or "irrelevant", with no vertex; or "cone", naming
+    an apex that lies in every facet) or a split carrying the pivot, the
+    variant witness, and the indices of its link's and its deletion's
+    nodes, earlier in the tuple.  The last node is the root;
     memoised subproblems give a node several parents.
     """
 
@@ -171,14 +169,9 @@ class GrapeVerdict:
 
 
 def _base_kind(masks: frozenset) -> Optional[str]:
-    if not masks:
-        return "void"
-    verts = join_mask(masks)
-    if not verts:
-        return "irrelevant"
-    if not verts & (verts - 1):
-        return "point"
-    return None
+    if join_mask(masks):
+        return None
+    return "irrelevant" if masks else "void"
 
 
 def _cone_points(lk: frozenset, dl: frozenset) -> int:
@@ -205,8 +198,8 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     the first inconclusive pivot test, answers "no" with TORSION_REASON.
     Each face set's homology is computed at most once per recognition.
     Anything else inconclusive is reported "unknown", never guessed, with
-    its origin.  Every subproblem that is a cone, the root included, is
-    answered "yes" by a one-node "cone" leaf, with no pivot test.
+    its origin.  Every subproblem that is a cone, a point or the root
+    included, is answered "yes" by a one-node "cone" leaf, with no pivot test.
 
     One ``Budget`` of the given limit counts all of the work: each
     subproblem, each refutation, and each node of every collapse search.
@@ -237,10 +230,9 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     def witness(lk: frozenset, dl: frozenset):
         """Variant gluing condition at one pivot: (status, witness or reason)."""
         if variant is GrapeVariant.STRONG:
-            if meet_mask(dl):
-                return "yes", StrongWitness("deletion")
-            if meet_mask(lk):
-                return "yes", StrongWitness("link")
+            # a cone side is solved as a cone leaf
+            if meet_mask(dl) or meet_mask(lk):
+                return "yes", StrongWitness()
             return "no", "neither side is a cone"
 
         if variant is GrapeVariant.COMBINATORIAL:
@@ -381,8 +373,9 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     """Replay a certificate against a complex; raises ReplayError on any gap.
 
     Verification is independent of the search: pivot legality, the variant
-    witness, and both sub-certificates are all checked from scratch.  Each
-    node replays once per distinct complex its parents hand down.
+    witness (for a strong split, a cone-leaf child), and both
+    sub-certificates are all checked from scratch.  Each node replays once
+    per distinct complex its parents hand down.
     """
     c = restrict_ground(c)
     names, root, bit = c.ground, c.masks, bit_table(c.ground)
@@ -407,6 +400,9 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
             lk = link_masks(masks, bit[a])
             dl = deletion_masks(masks, bit[a])
             _verify_witness(variant, node.witness, lk, dl, verts ^ bit[a], names, bit)
+            if variant is GrapeVariant.STRONG and "cone" not in (
+                    cert[node.link].base, cert[node.deletion].base):
+                raise ReplayError("strong split has no cone-leaf child")
             todo[node.link][lk] = None
             todo[node.deletion][dl] = None
         todo[i] = None
@@ -420,10 +416,7 @@ def _verify_witness(
     if getattr(witness, "variant", None) is not variant:
         raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
-        side, masks = ("link", lk) if witness.cone_side == "link" else ("deletion", dl)
-        if not meet_mask(masks):
-            raise ReplayError(f"{side} is not a cone")
-        return
+        return  # the cone-leaf child replays the cone
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness.cone_element
         if not bit.get(x, 0) & ground:
@@ -585,7 +578,7 @@ def verify_dual_invariance(
 
 def _witness_to_json(w: object) -> dict:
     if isinstance(w, StrongWitness):
-        return {"kind": "strong", "cone_side": w.cone_side}
+        return {"kind": "strong"}
     if isinstance(w, ConeContainmentWitness):
         return {"kind": "combinatorial", "cone_element": w.cone_element}
     if isinstance(w, TrivialIntermediateWitness):
@@ -608,11 +601,7 @@ def _witness_from_json(data: object) -> object:
         raise InputError("witness must be an object")
     kind = data.get("kind")
     if kind == "strong":
-        # older certificates may say "both" and name apexes, which are ignored
-        side = data.get("cone_side")
-        if side not in ("link", "deletion", "both"):
-            raise InputError('strong witness needs a link/deletion/both "cone_side"')
-        return StrongWitness(side)
+        return StrongWitness()
     if kind == "combinatorial":
         x = data.get("cone_element")
         if not isinstance(x, str):
@@ -646,8 +635,8 @@ def _node_to_json(n: CertNode) -> dict:
 
 
 def certificate_to_json(cert: tuple) -> dict:
-    """The wire form of a certificate: {"format": 2, "nodes": [...]}."""
-    return {"format": 2, "nodes": [_node_to_json(n) for n in cert]}
+    """The wire form of a certificate: {"format": 3, "nodes": [...]}."""
+    return {"format": 3, "nodes": [_node_to_json(n) for n in cert]}
 
 
 def _node_from_json(data: object, i: int) -> CertNode:
@@ -658,7 +647,7 @@ def _node_from_json(data: object, i: int) -> CertNode:
             raise InputError('cone leaf needs an "apex" string')
         return CertNode(base="cone", apex=data["apex"])
     if "base" in data:
-        if data["base"] not in ("void", "irrelevant", "point"):
+        if data["base"] not in ("void", "irrelevant"):
             raise InputError(f"unknown base kind {data['base']!r}")
         return CertNode(base=data["base"])
     pivot = data.get("pivot")
@@ -672,31 +661,14 @@ def _node_from_json(data: object, i: int) -> CertNode:
     return CertNode(pivot=pivot, witness=witness, link=lk, deletion=dl)
 
 
-def _flatten_nested(data: dict) -> list:
-    """Nested (format 1) certificate nodes, children first, subtrees as indices."""
-    nodes, done = [], []  # done: indices of finished subtrees, link before deletion
-    stack = [(data, False)]
-    while stack:
-        obj, expanded = stack.pop()
-        if expanded:
-            dl_ref, lk_ref = done.pop(), done.pop()
-            obj = {**obj, "link": lk_ref, "deletion": dl_ref}
-        elif isinstance(obj, dict) and "base" not in obj:
-            stack += [(obj, True), (obj.get("deletion"), False), (obj.get("link"), False)]
-            continue
-        done.append(len(nodes))
-        nodes.append(obj)
-    return nodes
-
-
 def certificate_from_json(data: object) -> tuple:
-    """Read a node table (format 2) or a nested certificate (format 1)."""
+    """Read a node table of format 3, the only format written."""
     if not isinstance(data, dict):
         raise InputError("certificate must be an object")
-    fmt = data.get("format", 1)
-    if type(fmt) is not int or fmt not in (1, 2):
-        raise InputError(f"unsupported certificate format {fmt!r}")
-    raw = data.get("nodes") if fmt == 2 else _flatten_nested(data)
+    fmt = data.get("format")
+    if type(fmt) is not int or fmt != 3:
+        raise InputError(f"unsupported certificate format {fmt!r}; run grape check again")
+    raw = data.get("nodes")
     if not isinstance(raw, list) or not raw:
         raise InputError('certificate needs a nonempty "nodes" array')
     return tuple(_node_from_json(node, i) for i, node in enumerate(raw))
@@ -704,5 +676,5 @@ def certificate_from_json(data: object) -> tuple:
 
 def certificate_variant(cert: tuple) -> Optional[GrapeVariant]:
     """Variant implied by the root's witness; None for a certificate that is
-    one base leaf (a cone's included), which holds for every variant."""
+    one leaf (void, irrelevant or a cone), which holds for every variant."""
     return getattr(cert[-1].witness, "variant", None)

@@ -9,7 +9,6 @@ tampered certificate with the same error.
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -33,7 +32,6 @@ from grapes import (
 )
 from grapes.cli import main
 from grapes.complexes import deletion, link, new_complex
-from grapes.generators import cycle_complex
 from grapes.collapse import CollapsePair
 from grapes.grape import (
     CertNode,
@@ -46,9 +44,6 @@ from test_collapse import frozenset_replay
 from test_complexes import frozenset_cone_apexes, frozenset_link, has_face, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
 from test_graphs import path_graph
-
-DATA = Path(__file__).parent / "data"
-
 
 # -- the recursive oracles ----------------------------------------------------------
 
@@ -99,6 +94,13 @@ def frozenset_verify_cone(cr, apex):
         raise ReplayError(f"cone leaf's apex {apex!r} is not in every facet")
 
 
+def has_cone_leaf_child(variant, link_base, deletion_base):
+    """A strong split holds only with a cone-leaf child, whose replay checks
+    the cone; another variant's split needs none."""
+    if variant is GrapeVariant.STRONG and "cone" not in (link_base, deletion_base):
+        raise ReplayError("strong split has no cone-leaf child")
+
+
 def oracle_verify(c, variant, tree):
     cr = restrict_ground(c)
     if tree.base == "cone":
@@ -115,6 +117,7 @@ def oracle_verify(c, variant, tree):
     lk = frozenset_link(cr, a)
     dl = maximal_deletion(cr, a)
     frozenset_verify_witness(variant, tree.witness, lk, dl)
+    has_cone_leaf_child(variant, tree.link_cert.base, tree.del_cert.base)
     oracle_verify(lk, variant, tree.link_cert)
     oracle_verify(dl, variant, tree.del_cert)
 
@@ -140,6 +143,7 @@ def frozenset_verify_certificate(c, variant, cert):
             lk = frozenset_link(cr, a)
             dl = maximal_deletion(cr, a)
             frozenset_verify_witness(variant, node.witness, lk, dl)
+            has_cone_leaf_child(variant, cert[node.link].base, cert[node.deletion].base)
             todo[node.link][restrict_ground(lk)] = None
             todo[node.deletion][restrict_ground(dl)] = None
         todo[i] = None
@@ -149,9 +153,6 @@ def frozenset_verify_witness(variant, witness, lk, dl):
     if getattr(witness, "variant", None) is not variant:
         raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
     if variant is GrapeVariant.STRONG:
-        side = "link" if witness.cone_side == "link" else "deletion"
-        if not frozenset_cone_apexes(lk if side == "link" else dl):
-            raise ReplayError(f"{side} is not a cone")
         return
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness.cone_element
@@ -180,7 +181,7 @@ def frozenset_verify_witness(variant, witness, lk, dl):
 
 
 def expand(data):
-    """A format-2 certificate object expanded to the nested format-1 tree."""
+    """A certificate object expanded to a nested tree, as format 1 wrote it."""
     built = []
     for node in data["nodes"]:
         if "base" not in node:
@@ -214,7 +215,7 @@ def tamperings(c, cert):
             yield cert[:-1] + (replace(root, pivot=e),)
     for i, node in enumerate(cert):
         if node.base:
-            for kind in {"void", "irrelevant", "point"} - {node.base}:
+            for kind in {"void", "irrelevant"} - {node.base}:
                 yield cert[:i] + (CertNode(base=kind),) + cert[i + 1 :]
             if node.base != "cone":
                 yield cert[:i] + (CertNode(base="cone", apex=c.ground[0]),) + cert[i + 1 :]
@@ -225,7 +226,8 @@ def tamperings(c, cert):
 def witness_tamperings(c, cert):
     """Certificates whose root witness, or the apex of a root cone leaf,
     names something outside the ground, claims a wrong apex or side, or
-    carries an illegal collapse step."""
+    carries an illegal collapse step; a strong root, whose witness names
+    nothing, gets its children swapped or one child twice."""
     root = cert[-1]
     w = root.witness
     if root.base == "cone":
@@ -235,8 +237,11 @@ def witness_tamperings(c, cert):
     if root.base:
         return
     if isinstance(w, StrongWitness):
-        changes = [replace(w, cone_side=side) for side in ("link", "deletion", "both")]
-    elif isinstance(w, ConeContainmentWitness):
+        for link, deletion in ((root.deletion, root.link), (root.link, root.link),
+                               (root.deletion, root.deletion)):
+            yield cert[:-1] + (replace(root, link=link, deletion=deletion),)
+        return
+    if isinstance(w, ConeContainmentWitness):
         changes = [replace(w, cone_element=x) for x in ("zz", root.pivot, *c.ground)]
     else:
         seq = w.sequence
@@ -266,8 +271,8 @@ def test_replays_reject_tampered_witnesses_alike():
 
 
 def _flat(cert):
-    """A certificate with its shared nodes written out once per path, the way
-    a nested certificate reads back."""
+    """A certificate with its shared nodes written out once per path, as a
+    tree would hold them."""
     out = []
 
     def walk(i):
@@ -295,7 +300,6 @@ def tables_match_the_tree_walkers(variant):
         data = certificate_to_json(cert)
         assert expand(data) == oracle_to_json(tree)
         assert certificate_from_json(data) == cert
-        assert certificate_from_json(oracle_to_json(tree)) == _flat(cert)
         verify_certificate(c, variant, cert)
         oracle_verify(c, variant, tree)
         for bad in tamperings(c, cert):
@@ -308,12 +312,12 @@ def tables_match_the_tree_walkers(variant):
     return tampered
 
 
-# 6,482 tampered certificates in all
+# 5,148 tampered certificates in all
 TAMPERED = {
-    GrapeVariant.STRONG: 1462,
-    GrapeVariant.COMBINATORIAL: 1779,
-    GrapeVariant.WEAK: 1779,
-    GrapeVariant.STRONG_WEAK: 1462,
+    GrapeVariant.STRONG: 1164,
+    GrapeVariant.COMBINATORIAL: 1410,
+    GrapeVariant.WEAK: 1410,
+    GrapeVariant.STRONG_WEAK: 1164,
 }
 
 
@@ -352,52 +356,92 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
     assert len(pairs) < sum(1 for node in _flat(cert) if not node.base)
 
 
-def test_nested_certificate_still_replays():
-    c = cycle_complex(5)
-    data = json.loads((DATA / "c5-weak-nested.json").read_text())
-    cert = certificate_from_json(data)
-    verify_certificate(c, GrapeVariant.WEAK, cert)
-    assert expand(certificate_to_json(cert)) == data
-
-
-# -- strong witnesses name their cone side only -------------------------------------------
+# -- a strong witness is a cone-leaf child -------------------------------------------------
 
 TWO_POINTS = new_complex("ab", [frozenset("a"), frozenset("b")])
-# a strong certificate of two points as earlier versions wrote it
-OLD_TWO_POINTS = {"format": 2, "nodes": [
+# the strong certificate of two points: at a, the link is irrelevant and the
+# deletion is the point b, a cone
+STRONG_TWO_POINTS = {"format": 3, "nodes": [
     {"base": "irrelevant"},
-    {"base": "point"},
-    {"pivot": "a",
-     "witness": {"kind": "strong", "cone_side": "deletion", "deletion_apex": "b"},
-     "link": 0, "deletion": 1},
+    {"base": "cone", "apex": "b"},
+    {"pivot": "a", "witness": {"kind": "strong"}, "link": 0, "deletion": 1},
 ]}
 
 
-def test_a_strong_certificate_names_no_apex_in_its_witnesses():
-    data = certificate_to_json(check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate)
-    root = OLD_TWO_POINTS["nodes"][2]
-    assert data["nodes"][2] == {**root, "witness": {"kind": "strong", "cone_side": "deletion"}}
-    assert data["nodes"][:2] == OLD_TWO_POINTS["nodes"][:2]
-
-
-def test_an_older_strong_certificate_still_replays(tmp_path, capsys):
-    # its apexes, and the "both" side, are read and ignored
-    cert = certificate_from_json(OLD_TWO_POINTS)
-    assert cert == check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate
-    assert verify_cert_exit(tmp_path, TWO_POINTS, OLD_TWO_POINTS) == 0
+def test_a_strong_witness_names_nothing_and_a_point_is_a_cone_leaf(tmp_path, capsys):
+    cert = check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate
+    assert certificate_to_json(cert) == STRONG_TWO_POINTS
+    assert certificate_from_json(STRONG_TWO_POINTS) == cert
+    assert verify_cert_exit(tmp_path, TWO_POINTS, STRONG_TWO_POINTS) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
-    # the path a-b-c-d at a: the link, the point b, and the deletion, with
-    # apex c, are both cones
-    path4 = new_complex("abcd", [frozenset("ab"), frozenset("bc"), frozenset("cd")])
-    both = {"format": 2, "nodes": [
+
+
+# verdicts and node sums on the 7,581 complexes on five elements
+FIVE_ELEMENT_PINS = {
+    GrapeVariant.STRONG: ({"yes": 4359, "no": 3222}, 35689),
+    GrapeVariant.COMBINATORIAL: ({"yes": 7557, "no": 24}, 52416),
+}
+
+
+@pytest.mark.parametrize("variant", list(FIVE_ELEMENT_PINS))
+def test_every_strong_split_on_five_elements_has_a_cone_leaf_child(variant):
+    # recognition solves the cone side of a strong split as a cone leaf, or
+    # finds it so in the memo
+    verdicts, nodes, splits = {"yes": 0, "no": 0}, 0, 0
+    for c in enumerate_complexes("abcde"):
+        verdict = check_grape(c, variant)
+        verdicts[verdict.verdict] += 1
+        nodes += verdict.nodes
+        cert = verdict.certificate or ()
+        for node in cert:
+            if isinstance(node.witness, StrongWitness):
+                assert "cone" in (cert[node.link].base, cert[node.deletion].base)
+                splits += 1
+    assert (verdicts, nodes) == FIVE_ELEMENT_PINS[variant]
+    assert (splits > 1000) == (variant is GrapeVariant.STRONG)
+
+
+# K4 less the edge ab: a combinatorial grape, but no strong one
+K4_LESS_AB = new_complex("abcd", [frozenset(f) for f in ("ac", "ad", "bc", "bd", "cd")])
+
+
+def test_a_strong_split_without_a_cone_leaf_child_is_rejected():
+    assert check_grape(K4_LESS_AB, GrapeVariant.STRONG).verdict == "no"
+    cert = check_grape(K4_LESS_AB, GrapeVariant.COMBINATORIAL).certificate
+    relabelled = tuple(n if n.base else replace(n, witness=StrongWitness()) for n in cert)
+    # every leaf and pivot replays; only the splits whose sides are no cones fail
+    for replay in (verify_certificate, frozenset_verify_certificate):
+        with pytest.raises(ReplayError, match="strong split has no cone-leaf child"):
+            replay(K4_LESS_AB, GrapeVariant.STRONG, relabelled)
+    assert not accepts(oracle_verify, K4_LESS_AB, GrapeVariant.STRONG, as_tree(relabelled))
+
+
+# certificates that no version writes any more: the nested tree of format 1,
+# the table of format 2 with its cone side and apex keys, and a format-3
+# table holding a point leaf
+OLD_CERTIFICATES = {
+    "format_one": expand(STRONG_TWO_POINTS),
+    "format_two": {"format": 2, "nodes": [
+        {"base": "irrelevant"},
         {"base": "point"},
-        {"base": "cone", "apex": "c"},
-        {"pivot": "a", "witness": {"kind": "strong", "cone_side": "both", "link_apex": "b",
-                                   "deletion_apex": "c"}, "link": 0, "deletion": 1},
-    ]}
-    assert certificate_from_json(both)[-1].witness == StrongWitness("both")
-    assert verify_cert_exit(tmp_path, path4, both) == 0
-    assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
+        {"pivot": "a",
+         "witness": {"kind": "strong", "cone_side": "deletion", "deletion_apex": "b"},
+         "link": 0, "deletion": 1},
+    ]},
+    "point_leaf": {**STRONG_TWO_POINTS, "nodes": [
+        {"base": "irrelevant"}, {"base": "point"}, STRONG_TWO_POINTS["nodes"][2]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_CERTIFICATES))
+def test_an_old_certificate_is_refused(tmp_path, capsys, name):
+    data = OLD_CERTIFICATES[name]
+    match = "unknown base kind 'point'" if name == "point_leaf" else "unsupported certificate format"
+    with pytest.raises(InputError, match=match):
+        certificate_from_json(data)
+    assert verify_cert_exit(tmp_path, TWO_POINTS, data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
 
 
 # -- cone leaves -------------------------------------------------------------------------
@@ -416,7 +460,7 @@ def verify_cert_exit(tmp_path, c, cert_json):
 
 def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
     cert = check_grape(PATH3, GrapeVariant.STRONG).certificate
-    assert certificate_to_json(cert) == {"format": 2, "nodes": [{"base": "cone", "apex": "b"}]}
+    assert certificate_to_json(cert) == {"format": 3, "nodes": [{"base": "cone", "apex": "b"}]}
     assert verify_cert_exit(tmp_path, PATH3, certificate_to_json(cert)) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "any"}
 
@@ -442,7 +486,7 @@ def test_a_cone_leaf_whose_apex_cones_nothing_is_rejected(tmp_path, capsys, c, a
 @pytest.mark.parametrize("leaf", [{"base": "cone"}, {"base": "cone", "apex": 2},
                                   {"base": "cone", "apex": ["b"]}])
 def test_a_cone_leaf_needs_a_string_apex(tmp_path, capsys, leaf):
-    data = {"format": 2, "nodes": [leaf]}
+    data = {"format": 3, "nodes": [leaf]}
     with pytest.raises(InputError, match="apex"):
         certificate_from_json(data)
     assert verify_cert_exit(tmp_path, PATH3, data) == 2

@@ -459,46 +459,31 @@ def test_a_closed_stdout_exits_one_without_a_traceback(write_json):
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-STRONG_LIST_SIDE = {
-    "pivot": "a",
-    "witness": {"kind": "strong", "cone_side": ["link"]},
-    "link": {"base": "point"},
-    "deletion": {"base": "point"},
-}
-WEAK_NESTED_FACET = {
-    "pivot": "a",
-    "witness": {"kind": "weak", "gamma_facets": [[["x"]]], "collapse": {"steps": []}},
-    "link": {"base": "point"},
-    "deletion": {"base": "point"},
-}
-WEAK_NESTED_STEP = {
-    "pivot": "a",
-    "witness": {
-        "kind": "weak",
-        "gamma_facets": [],
-        "collapse": {"steps": [{"sigma": [["a"]], "tau": []}]},
-    },
-    "link": {"base": "point"},
-    "deletion": {"base": "point"},
-}
-
-STRONG_LINK = {"kind": "strong", "cone_side": "link"}
-
-
-def node_table(link, deletion, fmt=2):
+def node_table(link, deletion, fmt=3, witness=None, leaf=None):
     """A two-node certificate whose root names its children by the given refs."""
-    root = {"pivot": "a", "witness": STRONG_LINK, "link": link, "deletion": deletion}
-    return {"format": fmt, "nodes": [{"base": "point"}, root]}
+    root = {"pivot": "a", "witness": witness or {"kind": "strong"}, "link": link,
+            "deletion": deletion}
+    return {"format": fmt, "nodes": [leaf or {"base": "cone", "apex": "b"}, root]}
 
 
 BAD_TABLES = {
-    "forward_ref": {"format": 2, "nodes": [node_table(1, 1)["nodes"][1], {"base": "point"}]},
+    "forward_ref": {"format": 3, "nodes": [node_table(1, 1)["nodes"][1], {"base": "irrelevant"}]},
     "self_ref": node_table(0, 1),
     "out_of_range_ref": node_table(0, -1),
     "bool_ref": node_table(True, 0),
     "string_ref": node_table(0, "0"),
-    "empty_nodes": {"format": 2, "nodes": []},
-    "format_three": node_table(0, 0, fmt=3),
+    "empty_nodes": {"format": 3, "nodes": []},
+    "weak_nested_facet": node_table(0, 0, witness={
+        "kind": "weak", "gamma_facets": [[["x"]]], "collapse": {"steps": []}}),
+    "weak_nested_step": node_table(0, 0, witness={
+        "kind": "weak", "gamma_facets": [], "collapse": {"steps": [{"sigma": [["a"]], "tau": []}]}}),
+    # formats no version writes any more: the nested tree of format 1, the
+    # table of format 2, and a point leaf, which is now a cone leaf
+    "format_one": {"pivot": "a", "witness": {"kind": "strong", "cone_side": "link"},
+                   "link": {"base": "point"}, "deletion": {"base": "point"}},
+    "format_two": node_table(0, 0, fmt=2),
+    "point_leaf": node_table(0, 0, leaf={"base": "point"}),
+    "format_four": node_table(0, 0, fmt=4),
 }
 
 
@@ -509,9 +494,6 @@ BAD_TABLES = {
         ["gen", "complex", "--ground", "30", "--seed", "1"],
         ["gen", "forest", "--n", "0", "--seed", "1"],
         ["gen", "digraph", "--v", "0", "--arcs", "1", "--seed", "1"],
-        ["grape", "verify-cert", "{edge}", "{strong_list_side}"],
-        ["grape", "verify-cert", "{edge}", "{weak_nested_facet}"],
-        ["grape", "verify-cert", "{edge}", "{weak_nested_step}"],
         ["dual", "{deep}"],
         ["from-graph", "{int_endpoint}", "--complex", "ind"],
         ["from-graph", "{list_endpoint}", "--complex", "ind"],
@@ -550,9 +532,6 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "forty": write_json("forty.json", {"ground": forty, "facets": [forty]}),
         "deep": str(deep),
         "edge": write_json("edge.json", EDGE),
-        "strong_list_side": write_json("c1.json", STRONG_LIST_SIDE),
-        "weak_nested_facet": write_json("c2.json", WEAK_NESTED_FACET),
-        "weak_nested_step": write_json("c3.json", WEAK_NESTED_STEP),
         "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),
         "list_endpoint": write_json("g2.json", {"vertices": ["a"], "edges": [[["x"], "a"]]}),
         # the invariants' subset search is refused past 2^20 subsets
@@ -623,7 +602,7 @@ def hostile_graph_files(draw):
 FILE = "<file>"  # longer than any hostile name, so no drawn argument equals it
 ELEMENT = "<element>"  # the drawn ground element
 C4_FILE, CERT_FILE = "<c4>", "<certificate>"  # fixed files beside the drawn one
-# the 4-cycle: no cone, so its certificates hold splits, witnesses and every leaf kind
+# the 4-cycle: no cone, so its certificates hold splits, witnesses, irrelevant and cone leaves
 C4 = {"ground": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]}
 C4_CERTIFICATES = [
     certificate_to_json(check_grape(complex_from_json(C4), variant).certificate)
@@ -810,7 +789,7 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
         "e2a2488453cc8d785b95fec40a671ca0a3baed5fe95b3dd15db8fb53ac4e18b3",
         "dc00289257449c73749c1dd3dd9c3c7148d581ec7836a29a486d9d1d325e8328",
         "cd7e823b53e73bb444e9dd5d7769394ea740388bb891aa1cd0233aa8c3d88d35",
-        "9bc2da9061d2326d48c0a2e5a70a3dc736c5855ba50271567a9ff3b925b56af4",
+        "11ed2e773905cf80957b0c3935ed12794a12b9771257e7a4d70212eaa488fc34",
         "bba6832c2733f9af7bdc79c11350c206ea14c84fc1a86d326dacef76669cd44d",
         "6a7b0e849ce08d33205cb576078761ea360f5cbe2382a892f1c758808d4b23fb",
         "d328551e91e2d233ed69cf67f3ee0b502e854cdfa192672b25a5e22a39ee07e6",

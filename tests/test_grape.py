@@ -8,7 +8,7 @@ rule on it refutes nothing by homology and sweeps every intermediate complex
 instead, as recognition once did on request; the homology rule may only
 settle what that rule left "unknown".  The strong class, now read off the
 predicted wedge, is also checked against the walk that follows one branch
-of a strong certificate by its witness sides.
+of a strong certificate by its cone-leaf children.
 """
 
 import string
@@ -112,8 +112,6 @@ def frozenset_base_kind(c):
         return "void"
     if c.is_irrelevant:
         return "irrelevant"
-    if len(c.vertices()) == 1:
-        return "point"
     return None
 
 
@@ -148,7 +146,8 @@ def frozenset_between_complexes(lk, dl):
 
 def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=False):
     """check_grape on frozensets of names, solve on an explicit stack; with
-    cone_leaf off a cone is split like any other complex.  With old_rule on,
+    cone_leaf off a cone is split like any other complex down to points,
+    which stay cone leaves.  With old_rule on,
     no homology is read: the weak family's "no" comes from collapse-only
     searches, of both sides (strong-weak) or of every intermediate complex
     of a node on at most OLD_SWEEP_MAX_GROUND vertices (weak)."""
@@ -167,10 +166,8 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
 
     def witness(cr, lk, dl):
         if variant is GrapeVariant.STRONG:
-            if frozenset_cone_apexes(dl):
-                return "yes", StrongWitness("deletion")
-            if frozenset_cone_apexes(lk):
-                return "yes", StrongWitness("link")
+            if frozenset_cone_apexes(dl) or frozenset_cone_apexes(lk):
+                return "yes", StrongWitness()
             return "no", None
         if variant is GrapeVariant.COMBINATORIAL:
             for x in dl.ground:
@@ -221,7 +218,7 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
             nodes.append(CertNode(base=kind))
             return "yes", len(nodes) - 1
         apexes = frozenset_cone_apexes(cr)
-        if cone_leaf and apexes:
+        if apexes and (cone_leaf or len(cr.vertices()) == 1):
             nodes.append(CertNode(base="cone", apex=min(apexes, key=cr.index)))
             return "yes", len(nodes) - 1
         some_unknown = False
@@ -406,10 +403,9 @@ def test_cones_are_strong_grapes(n):
 
 def test_every_small_cone_is_one_leaf():
     cones = [c for c in enumerate_complexes("abcde") if is_cone(c)]
-    assert len(cones) == 686  # 5 of them points
+    assert len(cones) == 686  # 5 of them points, cones too
     for c in cones:
-        apex = min(frozenset_cone_apexes(c), key=c.index)
-        leaf = CertNode(base="point") if len(c.vertices()) == 1 else CertNode(base="cone", apex=apex)
+        leaf = CertNode(base="cone", apex=min(frozenset_cone_apexes(c), key=c.index))
         for variant in ALL_VARIANTS:
             verdict = check_grape(c, variant)
             assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", (leaf,), 1)
@@ -736,28 +732,28 @@ def branch_classify_strong(cert):
     """The class of a strong grape by the walk that classify_strong once was:
     deletion-is-cone steps suspend the class of the link, link-is-cone steps
     keep the class of the deletion, so one branch is followed per level, by
-    the witness sides alone ("both" reads as "deletion")."""
+    the children alone (the deletion where both are cone leaves)."""
     node = cert[-1]
     suspensions = 0
     while not node.base:
-        if node.witness.cone_side == "link":
-            node = cert[node.deletion]
-        else:
+        if cert[node.deletion].base == "cone":
             suspensions += 1
             node = cert[node.link]
+        else:
+            node = cert[node.deletion]
     return SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS
 
 
 def classify_via_link_cones(c, cert):
     """branch_classify_strong, but taking the link as the cone wherever it is one,
-    which the witness does not say where both sides are: (class, how many
-    splits had both sides cones)."""
+    read off the complexes, not the children: (class, how many splits had
+    both sides cones)."""
     node, cr, suspensions, both = cert[-1], restrict_ground(c), 0, 0
     while not node.base:
         lk = restrict_ground(frozenset_link(cr, node.pivot))
         dl = restrict_ground(maximal_deletion(cr, node.pivot))
         if frozenset_cone_apexes(lk):
-            both += node.witness.cone_side == "deletion"
+            both += cert[node.deletion].base == "cone"
             node, cr = cert[node.deletion], dl
         else:
             suspensions += 1
@@ -818,7 +814,7 @@ def test_certificate_folds_visit_shared_nodes_once():
     cert = (CertNode(base="irrelevant"),) + tuple(
         CertNode(
             pivot=f"v{i}",
-            witness=StrongWitness("deletion"),
+            witness=StrongWitness(),
             link=i,
             deletion=i,
         )
@@ -829,7 +825,7 @@ def test_certificate_folds_visit_shared_nodes_once():
     with pytest.raises(ReplayError, match="not one sphere"):
         classify_strong(cert)
     data = certificate_to_json(cert)
-    assert data["format"] == 2 and len(data["nodes"]) == 61
+    assert data["format"] == 3 and len(data["nodes"]) == 61
     assert certificate_from_json(data) == cert
     assert perf_counter() - start < 1.0
 
@@ -848,7 +844,7 @@ def test_certificates_replay_for_all_variants(variant):
 def test_certificate_rejects_wrong_base():
     with pytest.raises(ReplayError):
         verify_certificate(
-            void_complex("ab"), GrapeVariant.STRONG, (CertNode(base="point"),)
+            void_complex("ab"), GrapeVariant.STRONG, (CertNode(base="irrelevant"),)
         )
 
 
@@ -859,12 +855,13 @@ def test_certificate_rejects_bad_pivot():
         verify_certificate(IND_P3, GrapeVariant.STRONG, tampered)
 
 
-def test_certificate_rejects_wrong_cone_side():
+def test_certificate_rejects_a_cone_leaf_on_the_wrong_side():
     # at a, the link of two points is the irrelevant complex, no cone
     cert = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).certificate
-    assert cert[-1].witness == StrongWitness("deletion")
-    tampered = cert[:-1] + (replace(cert[-1], witness=StrongWitness("link")),)
-    with pytest.raises(ReplayError, match="link is not a cone"):
+    assert cert == (CertNode(base="irrelevant"), CertNode(base="cone", apex="b"),
+                    CertNode(pivot="a", witness=StrongWitness(), link=0, deletion=1))
+    tampered = cert[:-1] + (replace(cert[-1], link=1, deletion=0),)
+    with pytest.raises(ReplayError, match="apex 'b' is not in every facet"):
         verify_certificate(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
 
 
