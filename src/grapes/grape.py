@@ -43,8 +43,9 @@ subproblems, the refutations and the nodes of every collapse search;
 running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
 it from the root.  Theorem checks recognise through an ``OutcomeTable``, a
-memo that keeps outcomes (verdicts plus predicted wedges), never
-certificates, and the duals ``verify_dual_invariance`` builds after a primal yes.
+memo keyed by facet masks, as recognition's own memo is, that keeps outcomes
+(verdicts plus predicted wedges), never certificates, homology profiles,
+and the duals ``verify_dual_invariance`` builds after a primal yes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .complexes import (
     meet_mask,
     restrict_ground,
 )
-from .homology import SHClass
+from .homology import HomologyProfile, SHClass, reduced_homology
 
 TORSION_REASON = "the reduced homology has torsion, which no grape has"
 
@@ -499,11 +500,12 @@ class Outcome(NamedTuple):
 
 
 class OutcomeTable:
-    """A memo that computes each key once; one per suite stage.
+    """A memo that computes each key once; one per suite run.
 
-    :meth:`recognise` keeps outcomes by (complex, variant):
-    the verdict plus the wedge folded from the certificate, which is
-    dropped; harnesses keep a dual, PF/PM or reports under keys of their own.
+    Recognition and homology read facet masks only, so :meth:`recognise`
+    keeps outcomes by (masks, variant), the verdict plus the wedge folded
+    from the certificate, which is dropped, and :meth:`homology` profiles
+    by masks; harnesses keep a dual, PF/PM or invariants under keys of their own.
     """
 
     def __init__(self) -> None:
@@ -522,7 +524,10 @@ class OutcomeTable:
             cert = verdict.certificate  # None unless yes
             return Outcome(verdict.verdict, predicted_wedge(cert) if cert else None)
 
-        return self.once((c, variant), outcome)
+        return self.once((c.masks, variant), outcome)
+
+    def homology(self, c: Complex) -> HomologyProfile:
+        return self.once(("homology", c.masks), lambda: reduced_homology(c))
 
 
 # -- duality transfer ------------------------------------------------------------

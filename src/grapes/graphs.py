@@ -250,12 +250,13 @@ class Digraph:
     def paths(self) -> tuple:
         """The simple s-t paths as masks over the arcs (bit i for
         ``arcs[i]``), listed once per digraph, depth first; (0,) alone if
-        s = t.  InputError once past MAX_FACES paths."""
-        out_arcs: dict = {v: [] for v in self.vertices}
+        s = t.  InputError once past MAX_FACES paths.  The visited vertices
+        are a mask too, bit i for ``vertices[i]``."""
+        out: dict = {v: (1 << i, []) for i, v in enumerate(self.vertices)}  # bit, arcs out
         for i, a in enumerate(self.arcs):
-            out_arcs[a.src].append((a.tgt, 1 << i))
+            out[a.src][1].append((a.tgt, out[a.tgt][0], 1 << i))
         paths = []
-        stack = [(self.s, frozenset({self.s}), 0)]
+        stack = [(self.s, out[self.s][0], 0)]
         while stack:
             v, visited, trail = stack.pop()
             if v == self.t:
@@ -263,9 +264,9 @@ class Digraph:
                 if len(paths) > MAX_FACES:
                     raise InputError(f"the digraph has more than {MAX_FACES} s-t paths")
                 continue
-            for tgt, a in out_arcs[v]:
-                if tgt not in visited:
-                    stack.append((tgt, visited | {tgt}, trail | a))
+            for tgt, b, a in out[v][1]:
+                if not visited & b:
+                    stack.append((tgt, visited | b, trail | a))
         return tuple(paths)
 
 

@@ -156,6 +156,13 @@ class HomologyProfile:
             not t for t in self.torsion.values()
         )
 
+    def is_wedge(self, wedge: dict) -> bool:
+        """Is this the homology of a wedge of spheres exactly?  ``wedge`` maps
+        a dimension to its multiplicity, as ``predicted_wedge`` gives it, and
+        there must be no torsion; the empty wedge is the void class."""
+        betti = {k: b for k, b in self.betti.items() if b}
+        return betti == wedge and not any(self.torsion.values())
+
     def cohomology(self) -> "HomologyProfile":
         """Cohomology by universal coefficients: H^k = Hom(H_k, Z) + Ext(H_{k-1}, Z)."""
         torsion = {k: self.torsion_at(k - 1) for k in self.betti}
@@ -291,15 +298,8 @@ VOID_CLASS = SHClass(None)
 
 
 def matches_wedge(c: Complex, wedge: dict) -> bool:
-    """Is the reduced homology of c that of a wedge of spheres exactly?
-
-    ``wedge`` maps a dimension to its multiplicity, as ``predicted_wedge``
-    gives it: the nonzero Betti numbers of c must be these, and there must
-    be no torsion.  The empty wedge is the void class, all groups zero.
-    """
-    profile = reduced_homology(c)
-    betti = {k: b for k, b in profile.betti.items() if b}
-    return betti == wedge and not any(profile.torsion.values())
+    """Is c's reduced homology exactly this wedge?  See :meth:`HomologyProfile.is_wedge`."""
+    return reduced_homology(c).is_wedge(wedge)
 
 
 # -- duality check -----------------------------------------------------------

@@ -68,7 +68,7 @@ from .homology import SHClass, check_alexander_duality, matches_wedge
 DEFAULT_SEED = 1729
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     theorem: str
     instance: dict
@@ -94,7 +94,7 @@ class VerificationReport:
 
 def _report(theorem, instance, ok, expected=None, observed=None, unknown=False, **details):
     status = "unknown" if unknown else ("pass" if ok else "fail")
-    return VerificationReport(theorem, instance, status, expected, observed, dict(details))
+    return VerificationReport(theorem, instance, status, expected, observed, details)
 
 
 # -- instance sets ----------------------------------------------------------
@@ -252,7 +252,7 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
             )
             continue
         cls = SHClass.of_wedge(outcome.wedge)
-        ok = class_ok(cls) and outcomes.once(("wedge", cpx), lambda: matches_wedge(cpx, cls.wedge))
+        ok = class_ok(cls) and outcomes.homology(cpx).is_wedge(cls.wedge)
         out.append(_report(label, instance, ok, observed=str(cls)))
     return out
 
@@ -262,32 +262,34 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
 
     PF and PM depend only on the arc ids and the s-t paths (the full suite
     at seed 1729 meets 108 path families in 7,020 digraphs), so the outcome
-    table, a fresh one by default, keeps them per path family, with whether
-    PM is the dual of PF, besides the recognitions.
+    table, a fresh one by default, keeps per path family whether PM is the
+    dual of PF, whether some arc is useless, and both strong outcomes, a
+    class on yes and the verdict otherwise.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
-
-    def build() -> tuple:
-        pf, pm = pf_complex(d), pm_complex(d)
-        return pf, pm, equals(pm, alexander_dual(pf))
-
-    pf, pm, dual_ok = outcomes.once(("pfpm", d.arc_ids(), frozenset(d.paths)), build)
     if not d.arcs:
+        pf, pm = pf_complex(d), pm_complex(d)
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
+
+    def family() -> tuple:
+        pf, pm = pf_complex(d), pm_complex(d)
+        strong = [outcomes.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
+        return (equals(pm, alexander_dual(pf)), bool(useless_arcs(d)),
+                *(SHClass.of_wedge(o.wedge) if o.is_yes else o.verdict for o in strong))
+
+    dual_ok, useless, *found = outcomes.once(("pfpm", d.arc_ids(), frozenset(d.paths)), family)
     out = [_report("pfpm-alexander-dual", instance, dual_ok)]
-    degenerate = bool(useless_arcs(d)) or has_cycle(d)
+    degenerate = useless or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
-    spheres = (("path-free", pf, n_nonsinks - 1), ("path-missing", pm, len(d.arcs) - n_nonsinks))
-    for name, cpx, n in spheres:
-        expected = SHClass(None) if degenerate else SHClass(n)
-        outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
-        if not outcome.is_yes:
+    spheres = (("path-free", n_nonsinks - 1), ("path-missing", len(d.arcs) - n_nonsinks))
+    for (name, n), cls in zip(spheres, found):
+        if not isinstance(cls, SHClass):
             out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
-                               observed=outcome.verdict))
+                               observed=cls))
             continue
-        cls = SHClass.of_wedge(outcome.wedge)
+        expected = SHClass(None) if degenerate else SHClass(n)
         out.append(_report(f"pfpm-{name}", instance, cls == expected, expected=str(expected),
                            observed=str(cls)))
     return out
@@ -318,15 +320,18 @@ def deletion_contraction_reports(d: Digraph) -> list:
     return out
 
 
-def ground_independence_reports(c: Complex) -> list:
+def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
     """Verdicts must not change when the ground order is reversed and an
-    unused ground element is added (this moves every pivot choice)."""
+    unused ground element is added (this moves every pivot choice).  c's
+    verdicts come from the outcome table, a fresh one by default, and the
+    moved complex is searched afresh: that search is the check."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = complex_to_json(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
-        a = check_grape(c, variant).verdict
+        a = outcomes.recognise(c, variant).verdict
         b = check_grape(moved, variant).verdict
         out.append(
             _report(
@@ -359,18 +364,21 @@ def lifted_collapse_reports(c: Complex) -> list:
     return out
 
 
-def wedge_reports(c: Complex, variant: GrapeVariant) -> list:
+def wedge_reports(c: Complex, variant: GrapeVariant,
+                  outcomes: Optional[OutcomeTable] = None) -> list:
     """A yes certificate's predicted wedge must be the homology of c exactly,
-    torsion included; a strong one's is reported as its class."""
-    verdict = check_grape(c, variant)
-    if not verdict.is_yes:
+    torsion included; a strong one's is reported as its class.  Both come
+    from the outcome table, a fresh one by default."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    wedge = outcomes.recognise(c, variant).wedge
+    if wedge is None:
         return []
-    wedge = predicted_wedge(verdict.certificate)
     if variant is GrapeVariant.STRONG:
         theorem, expected = "strong-class-homology", str(SHClass.of_wedge(wedge))
     else:
         theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
-    return [_report(theorem, complex_to_json(c), matches_wedge(c, wedge), expected=expected)]
+    ok = outcomes.homology(c).is_wedge(wedge)
+    return [_report(theorem, complex_to_json(c), ok, expected=expected)]
 
 
 def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
@@ -488,13 +496,13 @@ def summarise(reports: list, shown: tuple) -> dict:
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
     """Run the whole verification matrix; returns the aggregated summary.
 
-    Deterministic for a fixed seed and level.  Each stage has one outcome
-    table, dropped when the stage ends.  It keeps each distinct instance's
-    reports, counted at every occurrence, and the recognition outcomes (the
-    verdict plus the predicted wedge, not the certificate), duals and PF/PM
-    per path family, so a complex met again within a stage (a repeated
-    path-free complex, a dual that is another instance) is recognised once.
-    The summary lists every non-passing report with its instance.
+    Deterministic for a fixed seed and level.  The run has one outcome
+    table: a mask set met again anywhere in the run (in another stage, as a
+    dual, under other names) is recognised and its homology taken once, and
+    duals, PF/PM per path family and forest invariants are kept too.  Each
+    stage checks each distinct instance once, and its reports count at
+    every occurrence.  The summary lists every non-passing report with its
+    instance.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
@@ -519,8 +527,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         "index map i -> |X|-i-3 is degenerate for |X| = 0 and the identity "
         "provably fails there"
     ]
-    # each harness takes an instance and the stage's outcome table; only the
-    # grape duality, forest and PF/PM stages meet a complex twice, so only they pass it on
+    # each harness takes an instance and the run's outcome table
     stages = [
         ("duality identities done", complexes, lambda c, _: duality_identity_reports(c)),
         ("alexander duality done", complexes, lambda c, _: [cad_report(c)] if c.ground else []),
@@ -530,7 +537,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
         ("strong/homology consistency done", complexes,
-         lambda c, _: wedge_reports(c, GrapeVariant.STRONG)),
+         lambda c, table: wedge_reports(c, GrapeVariant.STRONG, table)),
         (
             f"forest theorem done ({len(forests)} forests)",
             forests,
@@ -546,17 +553,17 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             identity_digraphs,
             lambda d, _: deletion_contraction_reports(d),
         ),
-        ("ground independence done", complexes, lambda c, _: ground_independence_reports(c)),
+        ("ground independence done", complexes, ground_independence_reports),
         ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
         ("wedge predictions done", complexes,
-         lambda c, _: wedge_reports(c, GrapeVariant.COMBINATORIAL)),
+         lambda c, table: wedge_reports(c, GrapeVariant.COMBINATORIAL, table)),
         # the named-instance harnesses take no argument; each is its own instance
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]
+    outcomes = OutcomeTable()
     for line, instances, harness in stages:
-        table = OutcomeTable()
-        for x in instances:
-            reports.extend(table.once(("reports", x), lambda: harness(x, table)))
+        seen = {x: harness(x, outcomes) for x in dict.fromkeys(instances)}  # dropped after the stage
+        reports.extend(r for x in instances for r in seen[x])
         say(line)
     return {"level": level, "seed": seed, "notes": notes,
             **summarise(reports, ("fail", "unknown"))}

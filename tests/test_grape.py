@@ -47,7 +47,7 @@ from grapes import (
 from dataclasses import replace
 
 from grapes.collapse import obstruction
-from grapes.complexes import deletion, face_of, join_mask, link
+from grapes.complexes import Complex, deletion, face_of, join_mask, link
 from grapes.grape import (
     TORSION_REASON,
     CertNode,
@@ -305,6 +305,19 @@ def assert_homology_settles_only_unknowns(c, variant):
 def test_recognition_matches_the_frozenset_oracle_on_every_small_complex(variant):
     for c in enumerate_complexes("abcd"):
         assert_recognition_matches_the_oracle(c, variant)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_recognition_reads_masks_not_names(variant):
+    # the premise of an outcome table keyed by facet masks: the same masks
+    # under names sorting the other way give the same verdict, the same
+    # nodes and the same predicted wedge
+    for c in enumerate_complexes("abcd"):
+        renamed = Complex(("z", "y", "x", "w"), c.masks)
+        got, want = check_grape(renamed, variant), check_grape(c, variant)
+        assert (got.verdict, got.nodes) == (want.verdict, want.nodes), c
+        if want.is_yes:
+            assert predicted_wedge(got.certificate) == predicted_wedge(want.certificate), c
 
 
 @pytest.mark.parametrize("variant", [GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK])

@@ -1,8 +1,11 @@
 """Graph/digraph models, invariants, and the derived complexes."""
 
+import random
 from itertools import combinations
 
 import pytest
+
+import grapes.verify as verify
 
 from grapes import (
     Graph,
@@ -322,6 +325,54 @@ def test_equal_endpoints_with_arcs():
     d = digraph("sv", [("e", "s", "v")], "s", "s")
     assert pf_complex(d).is_void
     assert equals(pm_complex(d), full_simplex(["e"]))
+
+
+def frozenset_paths(d):
+    """The s-t paths by a depth-first search that keeps the visited vertices
+    as a frozenset per step: the reference for Digraph.paths, which keeps a
+    vertex mask, and must list the same paths in the same order."""
+    out_arcs = {v: [] for v in d.vertices}
+    for i, a in enumerate(d.arcs):
+        out_arcs[a.src].append((a.tgt, 1 << i))
+    paths = []
+    stack = [(d.s, frozenset({d.s}), 0)]
+    while stack:
+        v, visited, trail = stack.pop()
+        if v == d.t:
+            paths.append(trail)
+            continue
+        for tgt, a in out_arcs[v]:
+            if tgt not in visited:
+                stack.append((tgt, visited | {tgt}, trail | a))
+    return tuple(paths)
+
+
+def random_dag(seed):
+    """A seeded DAG on 2-8 vertices with 0-16 forward arcs, parallels allowed,
+    from its first vertex to its last in topological order; every fourth
+    has s and t drawn at random (s may come after t, or equal it)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    order = [f"v{i}" for i in range(n)]
+    rng.shuffle(order)
+    arcs = []
+    for i in range(rng.randint(0, 16)):
+        a, b = sorted(rng.sample(range(n), 2))
+        arcs.append((f"e{i}", order[a], order[b]))
+    s, t = (rng.choice(order), rng.choice(order)) if seed % 4 == 0 else (order[0], order[-1])
+    return digraph(order, arcs, s, t)
+
+
+def test_paths_match_the_frozenset_search():
+    suite = [verify.standard_digraphs(sizes.n_random_digraphs, *sizes.exhaustive_digraph)
+             for sizes in verify.SIZES.values()]
+    identity = [verify.standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed=verify.DEFAULT_SEED + 7000)
+                for sizes in verify.SIZES.values()]
+    dags = [random_dag(seed) for seed in range(400)]
+    digraphs = [d for family in suite + identity + [dags] for d in family]
+    assert sum(len(frozenset_paths(d)) > 1 for d in dags) > 100  # many DAGs branch
+    for d in digraphs + [cyclic_no_useless_digraph()]:
+        assert d.paths == frozenset_paths(d), digraph_to_json(d)
 
 
 def test_cyclic_no_useless_path_free_facets():

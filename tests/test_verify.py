@@ -159,11 +159,12 @@ def test_pfpm_lists_the_st_paths_once(monkeypatch):
 SMOKE_1729_DUALS = {
     # alexander_dual calls per stage; the graph builders and the forest duals,
     # built from their forbidden sets, call none, and PF/PM makes one per path
-    # family, not two per digraph
+    # family with arcs, not two per digraph (an arcless digraph's report reads
+    # no dual)
     "duality identities done": 288,
     "alexander duality done": 36,
     "grape duality done": 38,
-    "path-free/path-missing done (184 digraphs)": 30,
+    "path-free/path-missing done (184 digraphs)": 28,
 }
 
 
@@ -207,24 +208,30 @@ def test_the_forest_stage_computes_the_invariants_once_per_distinct_forest(monke
     assert per_stage == {"forest theorem done (44 forests)": len(set(forests))}
 
 
-def test_sphere_homology_calls_per_stage_are_pinned(monkeypatch):
-    # every stage that reads a predicted wedge checks it with matches_wedge;
-    # the forest stage meets 204 distinct complexes in 264 checks and takes
-    # the homology of each once
-    checked = counting(monkeypatch, verify, "matches_wedge")
+def test_homology_computations_per_run_are_pinned(monkeypatch):
+    # the strong, forest and wedge-prediction stages check predicted wedges
+    # against homology from the run's table, which takes each mask set's
+    # homology once, in the stage that first needs it: 126 at smoke/1729,
+    # where a table per stage took 279
+    computed = []
+    real = homology.reduced_homology
+
+    def counting_homology(c):
+        computed.append(c.masks)
+        return real(c)
+
+    monkeypatch.setattr(grape, "reduced_homology", counting_homology)
     per_stage = {}
 
     def close_stage(line):
-        if checked:
-            per_stage[line] = len(checked)
-        checked.clear()
+        per_stage[line] = len(computed) - sum(per_stage.values())
 
     run_suite("smoke", 1729, log=close_stage)
-    assert per_stage == {
-        "strong/homology consistency done": 37,
-        "forest theorem done (44 forests)": 204,
-        "wedge predictions done": 38,
-        "named instances done": 1,
+    assert len(computed) == len(set(computed)) == 126
+    assert {line: n for line, n in per_stage.items() if n} == {
+        "strong/homology consistency done": 25,
+        "forest theorem done (44 forests)": 100,
+        "wedge predictions done": 1,
     }
 
 
@@ -472,7 +479,7 @@ def _recorded_run(monkeypatch, runner):
 
     def fake(name, returns):
         def harness(*args):
-            # the suite also hands over its stage's outcome table
+            # the suite also hands over the run's outcome table
             args = tuple(a for a in args if not isinstance(a, grape.OutcomeTable))
             calls[name].append(args)
             instance = {"args": [TO_JSON.get(type(a), lambda v: v)(a) for a in args]}
@@ -542,6 +549,49 @@ def test_no_suite_stage_searches_a_key_twice(monkeypatch, seed):
     # checking every occurrence on its own does repeat keys, so the test has teeth
     naive = searches_per_stage(monkeypatch, reference_suite, seed)
     assert any(len(searched) > len(set(searched)) for searched in naive.values())
+
+
+def test_searches_per_smoke_run_are_pinned(monkeypatch):
+    # one table per run: a mask set recognised in one stage is not searched
+    # again in another, under any names; 371 searches at smoke/1729, where a
+    # table per stage made 770.  Ground independence still searches every
+    # distinct complex's moved copy afresh, for each variant.
+    keys = counting_check_grape(monkeypatch)
+    run_suite("smoke", 1729)
+    assert len(keys) == 371
+    moved = [(c, variant) for c, variant in keys if c.ground and c.ground[-1].startswith("_")]
+    sizes = SIZES["smoke"]
+    complexes = standard_complexes(sizes.n_random_complexes, sizes.max_ground,
+                                   sizes.exhaustive_ground, 1729)
+    assert len(moved) == len(set(moved)) == 4 * len(set(complexes)) == 152
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
+    tables = []
+
+    class Captured(grape.OutcomeTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(verify, "OutcomeTable", Captured)
+    run_suite("smoke", seed)
+    (table,) = tables  # one for the whole run
+
+    def on_masks(masks):
+        names = tuple(f"x{i}" for i in range(complexes.join_mask(masks).bit_length()))
+        return Complex(names, masks)
+
+    profiles = {key[1]: v for key, v in table.entries.items() if key[0] == "homology"}
+    outcomes = {key: v for key, v in table.entries.items() if isinstance(key[-1], GrapeVariant)}
+    assert len(profiles) > 100 and len(outcomes) > 200
+    for masks, profile in profiles.items():
+        assert profile == homology.reduced_homology(on_masks(masks)), masks
+    for (masks, variant), outcome in outcomes.items():
+        fresh = grape.check_grape(on_masks(masks), variant)
+        wedge = grape.predicted_wedge(fresh.certificate) if fresh.is_yes else None
+        assert outcome == (fresh.verdict, wedge), (masks, variant)
 
 
 def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
