@@ -42,7 +42,7 @@ from .complexes import (
     mask_order,
     meet_mask,
 )
-from .homology import HomologyProfile, reduced_homology
+from .homology import HomologyProfile, memo_homology
 
 DEFAULT_BUDGET = 10**6
 
@@ -218,29 +218,33 @@ def replay(c: Complex, sequence) -> Complex:
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
 
-def obstruction(masks: frozenset, names: tuple) -> Optional[HomologyProfile]:
+def obstruction(masks: frozenset, names: tuple,
+                profiles: Optional[dict] = None) -> Optional[HomologyProfile]:
     """The reduced homology of a face set that is neither void nor a cone,
     when it is nonzero: the refutation that no collapse to void exists.
     None when it vanishes, for void and cones, and when homology refuses
-    the size.  Callers spend one node on each refutation."""
+    the size.  The profile comes from profiles, a memo keyed by facet masks
+    (a fresh one by default).  Callers spend one node on each refutation."""
     if not masks or meet_mask(masks):
         return None
     try:
-        profile = reduced_homology(Complex(names, masks))
+        profile = memo_homology(Complex(names, masks), {} if profiles is None else profiles)
     except InputError:
         return None
     return None if profile.is_trivial() else profile
 
 
-def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
+def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
+                    profiles: Optional[dict] = None) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
 
     A complex that :func:`obstruction` refutes is answered "no" after one
-    node, with the homology as ``obstruction``.  When homology finds the
-    complex acyclic, or refuses its size (over ``MAX_FACES`` faces), the
-    search runs: a backtracking DFS trying free pairs in the canonical
-    order, on an explicit stack of (complex, untried free pairs) so that
-    long collapse sequences do not hit the recursion limit.  Cones are
+    node, with the homology as ``obstruction``, read from profiles (a suite
+    run passes its table's).  When homology finds the complex acyclic, or
+    refuses its size (over ``MAX_FACES`` faces), the search runs: a
+    backtracking DFS trying free pairs in the canonical order, on an
+    explicit stack of (complex, untried free pairs) so that long collapse
+    sequences do not hit the recursion limit.  Cones are
     collapsed directly via :func:`cone_steps`.  The search remembers every
     face set whose free pairs all failed, so a face set that two collapse
     orders reach is expanded once; it answers "no" once the whole tree is
@@ -249,7 +253,7 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShvResult:
     nodes.  Deterministic for fixed inputs.
     """
     budget = Budget(budget)
-    refuted = obstruction(c.masks, c.ground)
+    refuted = obstruction(c.masks, c.ground, profiles)
     if refuted is not None:
         budget.spend()  # the refuting node, within every limit
         return ShvResult("no", None, budget.used, refuted)

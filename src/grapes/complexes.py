@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator
 
 Face = frozenset  # faces by name are frozensets of ground-element names
 
-MAX_FACES = 1 << 20  # the most faces a complex may span, and the most facets a dual may have
+MAX_FACES = 1 << 20  # the most faces a complex may span, and the most sets a Berge family may hold
 
 
 class InputError(ValueError):
@@ -228,7 +228,8 @@ def _transversals(edges: Iterable[int], overflow: str) -> list:
     order (kept sets, then each missed set grown by its bits in ascending
     order) is part of the contract: callers' frozensets iterate in it.  Past
     MAX_FACES sets, checked after each missed set, InputError with the
-    caller's overflow message, its ``{}`` filled with MAX_FACES.
+    caller's overflow message, its ``{}`` filled with MAX_FACES: it guards
+    memory, so it holds for the intermediate families, which may outgrow the result.
     """
     found = [0]
     order = sorted(set(edges))
@@ -259,12 +260,13 @@ def _transversals(edges: Iterable[int], overflow: str) -> list:
 
 
 def avoiding(
-    ground: tuple, forbidden: Iterable[int], overflow: str = "the complex has more than {} facets"
+    ground: tuple, forbidden: Iterable[int],
+    overflow: str = "the complex's computation has an intermediate family of more than {} sets",
 ) -> Complex:
     """The ground subsets containing no forbidden set (masks over ground):
     F is one when X - F meets every forbidden set, so the facets are the
     complements of the minimal transversals.  InputError with the overflow
-    message past MAX_FACES facets."""
+    message once a family of Berge's algorithm passes MAX_FACES sets."""
     full = (1 << len(ground)) - 1
     return Complex(ground, frozenset(full ^ t for t in _transversals(forbidden, overflow)))
 
@@ -284,7 +286,8 @@ def minimal_nonfaces(c: Complex) -> frozenset:
     """
     full = (1 << len(c.ground)) - 1
     edges = (full ^ f for f in c.masks)
-    found = _transversals(edges, "the complex has more than {} minimal non-faces")
+    found = _transversals(
+        edges, "the minimal non-faces' computation has an intermediate family of more than {} sets")
     return frozenset(face_of(t, c.ground) for t in found)
 
 
@@ -296,7 +299,8 @@ def alexander_dual(c: Complex) -> Complex:
     ground set, not just on the face family.
     """
     full = (1 << len(c.ground)) - 1
-    return avoiding(c.ground, (full ^ f for f in c.masks), "the dual has more than {} facets")
+    return avoiding(c.ground, (full ^ f for f in c.masks),
+                    "the dual's computation has an intermediate family of more than {} sets")
 
 
 # -- ground-set plumbing ---------------------------------------------------

@@ -42,10 +42,10 @@ order, not integer order (see ``collapse``).  One ``Budget`` counts the
 subproblems, the refutations and the nodes of every collapse search;
 running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
-it from the root.  Theorem checks recognise through an ``OutcomeTable``, a
-memo keyed by facet masks, as recognition's own memo is, that keeps outcomes
-(verdicts plus predicted wedges), never certificates, homology profiles,
-and the duals ``verify_dual_invariance`` builds after a primal yes.
+it from the root.  Theorem checks recognise through an ``OutcomeTable``, one
+per suite run, keyed by facet masks as recognition's own memo is.  It keeps
+outcomes (verdicts plus predicted wedges, never certificates), duals, and the
+homology profiles that recognition, a fresh memo otherwise, reads and fills.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .complexes import (
     InputError,
     alexander_dual,
     bit_table,
+    complex_to_json,
     deletion_masks,
     face_of,
     holders,
@@ -82,7 +83,7 @@ from .complexes import (
     meet_mask,
     restrict_ground,
 )
-from .homology import HomologyProfile, SHClass, reduced_homology
+from .homology import HomologyProfile, SHClass, memo_homology
 
 TORSION_REASON = "the reduced homology has torsion, which no grape has"
 
@@ -188,7 +189,8 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET) -> GrapeVerdict:
+def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
+                profiles: Optional[dict] = None) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
     Strong and combinatorial answers are definitive.  The weak variants test
@@ -197,7 +199,8 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     refutes costs one node and no search, a strong-weak pivot with both
     sides refuted fails, and torsion in the root's homology, read once at
     the first inconclusive pivot test, answers "no" with TORSION_REASON.
-    Each face set's homology is computed at most once per recognition.
+    Homology comes from profiles, a memo keyed by facet masks (a fresh one
+    by default): each face set's homology is computed once per memo.
     Anything else inconclusive is reported "unknown", never guessed, with
     its origin.  Every subproblem that is a cone, a point or the root
     included, is answered "yes" by a one-node "cone" leaf, with no pivot test.
@@ -211,19 +214,14 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
     memo: dict = {}
-    homology: dict = {}  # face set -> its obstruction
+    profiles = {} if profiles is None else profiles
 
     def name(x: int) -> Optional[str]:
         return names[x.bit_length() - 1] if x else None
 
-    def obstructed(masks: frozenset):
-        if masks not in homology:
-            homology[masks] = obstruction(masks, names)
-        return homology[masks]
-
     def refutes(masks: frozenset) -> bool:
         """Whether homology refutes a collapse of masks, for one node."""
-        if obstructed(masks) is None:
+        if obstruction(masks, names, profiles) is None:
             return False
         budget.spend()
         return True
@@ -302,7 +300,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
                 continue
             if status == "unknown" and not torsion_read:
                 torsion_read = True
-                profile = obstructed(root)
+                profile = obstruction(root, names, profiles)
                 if profile is not None and any(profile.torsion.values()):
                     raise _Torsion
             lk_status, lk_ref = yield lk
@@ -500,16 +498,19 @@ class Outcome(NamedTuple):
 
 
 class OutcomeTable:
-    """A memo that computes each key once; one per suite run.
+    """A memo that computes each key once; one per suite run, dropped with it.
 
     Recognition and homology read facet masks only, so :meth:`recognise`
     keeps outcomes by (masks, variant), the verdict plus the wedge folded
-    from the certificate, which is dropped, and :meth:`homology` profiles
-    by masks; harnesses keep a dual, PF/PM or invariants under keys of their own.
+    from the certificate, which is dropped, and ``profiles`` homology by
+    masks, for :meth:`homology` and the table's recognitions and collapse
+    searches.  :meth:`dual` keeps duals by (ground, masks), :meth:`instance`
+    the JSON its reports share; harnesses keep PF/PM or invariants too.
     """
 
     def __init__(self) -> None:
         self.entries: dict = {}
+        self.profiles: dict = {}
 
     def once(self, key, compute: Callable):
         """The value under key, calling compute() only if there is none yet
@@ -520,14 +521,22 @@ class OutcomeTable:
 
     def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
         def outcome() -> Outcome:
-            verdict = check_grape(c, variant)
+            verdict = check_grape(c, variant, profiles=self.profiles)
             cert = verdict.certificate  # None unless yes
             return Outcome(verdict.verdict, predicted_wedge(cert) if cert else None)
 
         return self.once((c.masks, variant), outcome)
 
     def homology(self, c: Complex) -> HomologyProfile:
-        return self.once(("homology", c.masks), lambda: reduced_homology(c))
+        return memo_homology(c, self.profiles)
+
+    def dual(self, c: Complex) -> Complex:
+        """Forward only: c is never filed as the dual of its dual, which
+        would make the involution check read back what it checks."""
+        return self.once(("dual", c), lambda: alexander_dual(c))
+
+    def instance(self, c: Complex) -> dict:
+        return self.once(("instance", c), lambda: complex_to_json(c))
 
 
 # -- duality transfer ------------------------------------------------------------
@@ -559,7 +568,7 @@ def verify_dual_invariance(
     }
     if not primal.is_yes:
         return report
-    dual_c = outcomes.once(("dual", c), lambda: alexander_dual(c))
+    dual_c = outcomes.dual(c)
     dual = outcomes.recognise(dual_c, variant)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
     tolerated = weak_family and dual.verdict == "unknown"

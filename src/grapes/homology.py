@@ -233,6 +233,20 @@ def reduced_homology(c: Complex) -> HomologyProfile:
     return _star_quotient_homology(c, _apex(c))
 
 
+def memo_homology(c: Complex, profiles: dict) -> HomologyProfile:
+    """reduced_homology(c) read from, or filled into, profiles, a memo keyed
+    by facet masks: homology reads only the faces, so a mask set is reduced
+    once whatever its names.  A refusal of the size is kept and raised again."""
+    if c.masks not in profiles:
+        try:
+            profiles[c.masks] = reduced_homology(c)
+        except InputError as exc:
+            profiles[c.masks] = exc
+    if isinstance(profiles[c.masks], InputError):
+        raise profiles[c.masks]
+    return profiles[c.masks]
+
+
 def reduced_cohomology(c: Complex) -> HomologyProfile:
     """Reduced integral cohomology, derived from homology by universal coefficients."""
     return reduced_homology(c).cohomology()
@@ -305,18 +319,21 @@ def matches_wedge(c: Complex, wedge: dict) -> bool:
 # -- duality check -----------------------------------------------------------
 
 
-def check_alexander_duality(c: Complex) -> dict:
+def check_alexander_duality(c: Complex, profiles: Optional[dict] = None,
+                            dual: Optional[Complex] = None) -> dict:
     """Compare homology of c against cohomology of its Alexander dual.
 
     Verifies betti_i(c) = cobetti_{|X|-i-3}(dual) with matching torsion, over
-    every index where either side could be nonzero.  The two sides come from
-    separate reductions of two different complexes; the dual's cohomology is
-    derived from its homology by universal coefficients.
+    every index where either side could be nonzero.  Each side's profile is
+    reduced from its own complex, through profiles, a memo keyed by facet
+    masks (a fresh one by default); neither is derived from the other.  The
+    dual's cohomology follows from its homology by universal coefficients.
+    A caller that holds the dual passes it; otherwise it is built here.
     """
-    dual = alexander_dual(c)
+    profiles = {} if profiles is None else profiles
     n = len(c.ground)
-    h_c = reduced_homology(c)
-    ch_d = reduced_homology(dual).cohomology()
+    h_c = memo_homology(c, profiles)
+    ch_d = memo_homology(alexander_dual(c) if dual is None else dual, profiles).cohomology()
     for i in range(-2, n + 1):
         j = n - i - 3
         checks = [

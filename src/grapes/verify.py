@@ -143,30 +143,30 @@ def standard_digraphs(
 # -- per-instance harnesses ---------------------------------------------------
 
 
-def duality_identity_reports(c: Complex) -> list:
-    """Double dual is the identity; deletion and link swap across duality."""
-    instance = complex_to_json(c)
-    dual = alexander_dual(c)
-    out = [
-        _report(
-            "duality-involution",
-            instance,
-            equals(alexander_dual(dual), c),
-        )
-    ]
+def duality_identity_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
+    """Double dual is the identity; deletion and link swap across duality.
+    Every dual comes from the outcome table (a fresh one by default), which
+    files a dual under its complex only, so the double dual is built anew."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    instance = outcomes.instance(c)
+    dual = outcomes.dual(c)
+    out = [_report("duality-involution", instance, equals(outcomes.dual(dual), c))]
     for a in c.ground:
-        ok = equals(alexander_dual(deletion(c, a)), link(dual, a)) and equals(
-            alexander_dual(link(c, a)), deletion(dual, a)
+        ok = equals(outcomes.dual(deletion(c, a)), link(dual, a)) and equals(
+            outcomes.dual(link(c, a)), deletion(dual, a)
         )
         out.append(_report("duality-deletion-link-swap", instance, ok, element=a))
     return out
 
 
-def cad_report(c: Complex) -> VerificationReport:
-    result = check_alexander_duality(c)
+def cad_report(c: Complex, outcomes: Optional[OutcomeTable] = None) -> VerificationReport:
+    """Alexander duality in (co)homology, with the dual and both profiles
+    from the outcome table, a fresh one by default."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    result = check_alexander_duality(c, outcomes.profiles, outcomes.dual(c))
     return _report(
         "combinatorial-alexander-duality",
-        complex_to_json(c),
+        outcomes.instance(c),
         result["pass"],
         observed=None if result["pass"] else result,
     )
@@ -182,9 +182,9 @@ def grape_duality_reports(
     Variants other than strong are checked up to small_variants_max_ground
     ground elements; each yes instance of a variant gives one report.
     """
-    instance = complex_to_json(c)
-    small = len(c.ground) <= small_variants_max_ground
     outcomes = OutcomeTable() if outcomes is None else outcomes
+    instance = outcomes.instance(c)
+    small = len(c.ground) <= small_variants_max_ground
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
         rep = verify_dual_invariance(c, variant, outcomes)
@@ -324,15 +324,16 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     """Verdicts must not change when the ground order is reversed and an
     unused ground element is added (this moves every pivot choice).  c's
     verdicts come from the outcome table, a fresh one by default, and the
-    moved complex is searched afresh: that search is the check."""
+    moved complex is searched afresh, reading homology from the table's
+    profiles: that search is the check."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = complex_to_json(c)
+    instance = outcomes.instance(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
         a = outcomes.recognise(c, variant).verdict
-        b = check_grape(moved, variant).verdict
+        b = check_grape(moved, variant, profiles=outcomes.profiles).verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
@@ -345,13 +346,15 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     return out
 
 
-def lifted_collapse_reports(c: Complex) -> list:
+def lifted_collapse_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
     """Wherever a link collapses, the lifted sequence must collapse the
-    complex onto the deletion."""
-    instance = complex_to_json(c)
+    complex onto the deletion.  Each link's search reads its homology from
+    the outcome table's profiles (a fresh table by default)."""
+    outcomes = OutcomeTable() if outcomes is None else outcomes
+    instance = outcomes.instance(c)
     out = []
     for a in c.ground:
-        result = collapse_search(link(c, a))
+        result = collapse_search(link(c, a), profiles=outcomes.profiles)
         if not result.is_yes:
             continue
         try:
@@ -378,7 +381,7 @@ def wedge_reports(c: Complex, variant: GrapeVariant,
     else:
         theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
     ok = outcomes.homology(c).is_wedge(wedge)
-    return [_report(theorem, complex_to_json(c), ok, expected=expected)]
+    return [_report(theorem, outcomes.instance(c), ok, expected=expected)]
 
 
 def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
@@ -497,9 +500,12 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     """Run the whole verification matrix; returns the aggregated summary.
 
     Deterministic for a fixed seed and level.  The run has one outcome
-    table: a mask set met again anywhere in the run (in another stage, as a
-    dual, under other names) is recognised and its homology taken once, and
-    duals, PF/PM per path family and forest invariants are kept too.  Each
+    table, dropped when it returns: a mask set met again anywhere in the run
+    (in another stage, as a dual, under other names) is recognised once and
+    its homology reduced once, for recognition, collapse searches, the
+    Alexander-duality check and the wedge checks alike.  Each Alexander dual
+    is built once per (ground, masks), each complex's instance JSON once,
+    and PF/PM per path family and forest invariants are kept too.  Each
     stage checks each distinct instance once, and its reports count at
     every occurrence.  The summary lists every non-passing report with its
     instance.
@@ -529,8 +535,9 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     ]
     # each harness takes an instance and the run's outcome table
     stages = [
-        ("duality identities done", complexes, lambda c, _: duality_identity_reports(c)),
-        ("alexander duality done", complexes, lambda c, _: [cad_report(c)] if c.ground else []),
+        ("duality identities done", complexes, duality_identity_reports),
+        ("alexander duality done", complexes,
+         lambda c, table: [cad_report(c, table)] if c.ground else []),
         (
             "grape duality done",
             complexes,
@@ -554,7 +561,7 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
             lambda d, _: deletion_contraction_reports(d),
         ),
         ("ground independence done", complexes, ground_independence_reports),
-        ("lifted collapses done", complexes, lambda c, _: lifted_collapse_reports(c)),
+        ("lifted collapses done", complexes, lifted_collapse_reports),
         ("wedge predictions done", complexes,
          lambda c, table: wedge_reports(c, GrapeVariant.COMBINATORIAL, table)),
         # the named-instance harnesses take no argument; each is its own instance

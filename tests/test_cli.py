@@ -303,7 +303,7 @@ def test_a_primal_build_past_max_faces_names_the_complex(write_json, capsys, mon
     edges = [v[i:i + 2] for i in range(0, 14, 2)]
     matching = write_json("matching.json", {"vertices": v, "edges": edges})
     assert main(["from-graph", matching, "--complex", "ind"]) == 2
-    assert capsys.readouterr().err == "input error: the complex has more than 64 facets\n"
+    assert capsys.readouterr().err == "input error: the complex's computation has an intermediate family of more than 64 sets\n"
     assert main(["from-graph", matching, "--complex", "ind", "--dual"]) == 0
     capsys.readouterr()
     # three disjoint s-t paths of 5 arcs: PF has a facet per cut, 5^3 of them
@@ -312,7 +312,7 @@ def test_a_primal_build_past_max_faces_names_the_complex(write_json, capsys, mon
     vertices = ["s", "t", *(x for p in chains for x in p[1:-1])]
     pf = write_json("d.json", {"vertices": vertices, "arcs": arcs, "s": "s", "t": "t"})
     assert main(["from-digraph", pf, "--complex", "pf"]) == 2
-    assert capsys.readouterr().err == "input error: the complex has more than 64 facets\n"
+    assert capsys.readouterr().err == "input error: the complex's computation has an intermediate family of more than 64 sets\n"
 
 
 def test_from_digraph(write_json, capsys):

@@ -299,10 +299,22 @@ def pairs_complex(m):
 def test_the_dual_is_bounded_by_max_faces(monkeypatch):
     monkeypatch.setattr(complexes, "MAX_FACES", 8)
     assert len(alexander_dual(complex_from_json(pairs_complex(3))).masks) == 8
-    with pytest.raises(InputError, match="more than 8 facets"):
+    with pytest.raises(InputError, match="the dual's computation has an intermediate family of more than 8 sets"):
         alexander_dual(complex_from_json(pairs_complex(4)))
-    with pytest.raises(InputError, match="the complex has more than 8 minimal non-faces"):
+    with pytest.raises(InputError, match="the minimal non-faces' computation has an intermediate family of more than 8 sets"):
         minimal_nonfaces(complex_from_json(pairs_complex(4)))
+
+
+def test_the_bound_names_an_intermediate_family(monkeypatch):
+    # Berge's family on cross(8)'s 256 facet complements peaks at 15 sets,
+    # though the dual has 8 facets: the refusal names the family, not the dual
+    cross8 = complexes.cross_polytope_boundary(8)
+    assert len(alexander_dual(cross8).masks) == 8
+    monkeypatch.setattr(complexes, "MAX_FACES", 10)
+    with pytest.raises(InputError) as refused:
+        alexander_dual(cross8)
+    assert str(refused.value) == (
+        "the dual's computation has an intermediate family of more than 10 sets")
 
 
 def test_sixteen_pairs_give_two_to_the_sixteen_dual_facets():
@@ -318,7 +330,7 @@ def test_twenty_five_pairs_exit_two_within_seconds(tmp_path):
     result = run_module("dual", str(path))
     assert time.perf_counter() - started < 20
     assert result.returncode == 2
-    assert result.stderr == f"input error: the dual has more than {2**20} facets\n"
+    assert result.stderr == f"input error: the dual's computation has an intermediate family of more than {2**20} sets\n"
 
 
 def test_dual_of_a_large_simplex_boundary_is_irrelevant():

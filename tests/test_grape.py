@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grapes.grape
+import grapes.homology
 from grapes import (
     GrapeVariant,
     InputError,
@@ -503,16 +504,24 @@ def test_a_refuted_side_is_not_searched(variant):
     (SIMPLEX_WITH_HANDLE, GrapeVariant.STRONG_WEAK, "yes", 120),
 ])
 def test_each_face_set_homology_is_read_once_per_recognition(monkeypatch, c, variant, verdict, nodes):
-    read = []
+    reduced = []
+    real = grapes.homology._star_quotient_homology
 
-    def counted(masks, names):
-        read.append(masks)
-        return obstruction(masks, names)
+    def counted(cpx, v):
+        reduced.append(cpx.masks)
+        return real(cpx, v)
 
-    monkeypatch.setattr(grapes.grape, "obstruction", counted)
+    monkeypatch.setattr(grapes.homology, "_star_quotient_homology", counted)
     result = check_grape(c, variant)
     assert (result.verdict, result.nodes) == (verdict, nodes)
-    assert read and len(read) == len(set(read))
+    assert reduced and len(reduced) == len(set(reduced))
+    # a memo passed in is read and filled, and a second recognition reduces nothing
+    profiles = {}
+    assert check_grape(c, variant, profiles=profiles) == result
+    assert set(reduced) <= set(profiles)
+    reduced.clear()
+    assert check_grape(c, variant, profiles=profiles) == result
+    assert reduced == []
 
 
 @pytest.mark.parametrize(

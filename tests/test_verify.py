@@ -16,7 +16,7 @@ import grapes.verify as verify
 from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_complex, verify_dual_invariance
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
-from grapes.generators import cyclic_no_useless_digraph, gen_digraph
+from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph
 from grapes.graphs import Digraph, Graph, digraph_to_json, graph_to_json
 from test_graphs import path_graph, star_graph
 from grapes.verify import (
@@ -160,10 +160,11 @@ SMOKE_1729_DUALS = {
     # alexander_dual calls per stage; the graph builders and the forest duals,
     # built from their forbidden sets, call none, and PF/PM makes one per path
     # family with arcs, not two per digraph (an arcless digraph's report reads
-    # no dual)
-    "duality identities done": 288,
-    "alexander duality done": 36,
-    "grape duality done": 38,
+    # no dual).  The run's table keeps each dual by (ground, masks): the
+    # identities stage builds each distinct one once, 87 where it built 288,
+    # and the Alexander-duality and grape-duality stages (36 and 38 before)
+    # find all of theirs there
+    "duality identities done": 87,
     "path-free/path-missing done (184 digraphs)": 28,
 }
 
@@ -208,31 +209,57 @@ def test_the_forest_stage_computes_the_invariants_once_per_distinct_forest(monke
     assert per_stage == {"forest theorem done (44 forests)": len(set(forests))}
 
 
-def test_homology_computations_per_run_are_pinned(monkeypatch):
-    # the strong, forest and wedge-prediction stages check predicted wedges
-    # against homology from the run's table, which takes each mask set's
-    # homology once, in the stage that first needs it: 126 at smoke/1729,
-    # where a table per stage took 279
+def counting_star_quotients(monkeypatch):
+    """Patch the one homology computation; returns the list of mask sets it reduces."""
     computed = []
-    real = homology.reduced_homology
+    real = homology._star_quotient_homology
 
-    def counting_homology(c):
+    def counted(c, v):
         computed.append(c.masks)
-        return real(c)
+        return real(c, v)
 
-    monkeypatch.setattr(grape, "reduced_homology", counting_homology)
+    monkeypatch.setattr(homology, "_star_quotient_homology", counted)
+    return computed
+
+
+def test_homology_computations_per_run_are_pinned(monkeypatch):
+    # every homology the run reads, in recognition, collapse searches, the
+    # Alexander-duality check and the wedge checks, comes from the run's
+    # table, which reduces each mask set once, in the stage that first needs
+    # it: 131 at smoke/1729, where 204 were reduced.  The named instances
+    # run on their own memos
+    computed = counting_star_quotients(monkeypatch)
     per_stage = {}
 
     def close_stage(line):
         per_stage[line] = len(computed) - sum(per_stage.values())
 
     run_suite("smoke", 1729, log=close_stage)
-    assert len(computed) == len(set(computed)) == 126
+    assert len(computed) == 131
+    shared = computed[:-per_stage["named instances done"]]
+    assert len(shared) == len(set(shared)) == 127
     assert {line: n for line, n in per_stage.items() if n} == {
-        "strong/homology consistency done": 25,
+        "alexander duality done": 27,
         "forest theorem done (44 forests)": 100,
-        "wedge predictions done": 1,
+        "named instances done": 4,
     }
+
+
+def test_no_memo_outlives_its_call(monkeypatch, tmp_path, capsys):
+    # the memos live in a call's own table or dict, not in the process
+    computed = counting_star_quotients(monkeypatch)
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps(complex_to_json(cycle_complex(5))))
+    outputs = []
+    for _ in range(2):
+        assert main(["homology", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(computed) == 2 and outputs[0] == outputs[1]
+    runs = []
+    for _ in range(2):
+        computed.clear()
+        runs.append((run_suite("smoke", 1729), len(computed)))
+    assert runs[0] == runs[1] and runs[0][1] == 131
 
 
 def test_pfpm_builds_once_per_path_family(monkeypatch):
@@ -338,7 +365,7 @@ def test_suite_rejects_unknown_level():
 
 
 def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
-    def by_first_element(c, variant):
+    def by_first_element(c, variant, **memo):
         verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
         return SimpleNamespace(verdict=verdict)
 
@@ -520,9 +547,9 @@ def counting_check_grape(monkeypatch):
     keys = []
     real = grape.check_grape
 
-    def counting(c, variant):
+    def counting(c, variant, **memo):
         keys.append((c, variant))
-        return real(c, variant)
+        return real(c, variant, **memo)
 
     monkeypatch.setattr(grape, "check_grape", counting)
     monkeypatch.setattr(verify, "check_grape", counting)
@@ -575,7 +602,17 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
             super().__init__()
             tables.append(self)
 
+    recognitions = []
+    real = grape.check_grape
+
+    def recorded(c, variant, **memo):
+        verdict = real(c, variant, **memo)
+        recognitions.append((c, variant, memo, verdict))
+        return verdict
+
     monkeypatch.setattr(verify, "OutcomeTable", Captured)
+    monkeypatch.setattr(grape, "check_grape", recorded)
+    monkeypatch.setattr(verify, "check_grape", recorded)
     run_suite("smoke", seed)
     (table,) = tables  # one for the whole run
 
@@ -583,15 +620,27 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
         names = tuple(f"x{i}" for i in range(complexes.join_mask(masks).bit_length()))
         return Complex(names, masks)
 
-    profiles = {key[1]: v for key, v in table.entries.items() if key[0] == "homology"}
     outcomes = {key: v for key, v in table.entries.items() if isinstance(key[-1], GrapeVariant)}
-    assert len(profiles) > 100 and len(outcomes) > 200
-    for masks, profile in profiles.items():
+    duals = {key[1]: v for key, v in table.entries.items() if key[0] == "dual"}
+    instances = {key[1]: v for key, v in table.entries.items() if key[0] == "instance"}
+    assert len(table.profiles) > 100 and len(outcomes) > 200
+    assert len(duals) > 100 and len(instances) > 30
+    for masks, profile in table.profiles.items():
         assert profile == homology.reduced_homology(on_masks(masks)), masks
     for (masks, variant), outcome in outcomes.items():
-        fresh = grape.check_grape(on_masks(masks), variant)
+        fresh = real(on_masks(masks), variant)
         wedge = grape.predicted_wedge(fresh.certificate) if fresh.is_yes else None
         assert outcome == (fresh.verdict, wedge), (masks, variant)
+    for c, dual in duals.items():
+        assert dual.ground == c.ground and complexes.equals(dual, complexes.alexander_dual(c)), c
+    for c, instance in instances.items():
+        assert instance == complex_to_json(c), c
+    # every recognition that read the run's profiles, the moved complexes'
+    # included, is a lone recognition's verdict, nodes and certificate
+    shared = [r for r in recognitions if r[2].get("profiles") is table.profiles]
+    assert len(shared) > 200
+    for c, variant, _, verdict in shared:
+        assert real(c, variant) == verdict, (c, variant)
 
 
 def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
