@@ -307,8 +307,10 @@ def alexander_dual(c: Complex) -> Complex:
 
 
 def restrict_ground(c: Complex) -> Complex:
-    """Drop ground elements that are not vertices; facets unchanged."""
+    """Drop ground elements that are not vertices, facets unchanged; c if none is dropped."""
     verts = join_mask(c.masks)
+    if verts == (1 << len(c.ground)) - 1:
+        return c
     ground = tuple(x for i, x in enumerate(c.ground) if verts >> i & 1)
     return Complex(ground, _drop_bits(c.masks, ((1 << len(c.ground)) - 1) ^ verts))
 

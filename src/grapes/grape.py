@@ -25,27 +25,31 @@ ground set to the vertices at every node.  A cone is a grape of every
 variant: at any pivot other than its apex the link and the deletion are
 again cones with that apex, and a cone collapses to void.  So recognition
 ends at every cone, a point included, with a leaf naming its lowest apex,
-and a strong split's witness is a child that is such a leaf.  Every "yes"
-comes with a certificate that replays without searching: a table of nodes
-listed children first, root last, in memory and on the wire.  Every
-certificate folds into a predicted wedge of spheres, and the simple-homotopy
-class of a strong grape (void, or a cross-polytope boundary) is read off it.
+and a strong split's witness is a child that is such a leaf.  One search
+records a node per solved subproblem, children first, root last, unnamed.
+:func:`check_grape` names those reachable from the root, so every "yes" it
+gives comes with a certificate that replays without searching: that table
+of nodes, in memory and on the wire.  An ``OutcomeTable`` names nothing: it
+folds the records into the predicted wedge of spheres, as a certificate
+folds, and the simple-homotopy class of a strong grape (void, or a
+cross-polytope boundary) is read off the wedge.
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
 frozenset of its facet masks (also its memo key), pivots are tried lowest
 bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
 subproblem to its vertices keeps the bit order, so it costs nothing.  Names
-come back only in the certificate: pivots, apexes, cone elements, the
-intermediate complex and the collapse pairs of a sequence, found in face
-order, not integer order (see ``collapse``).  One ``Budget`` counts the
-subproblems, the refutations and the nodes of every collapse search;
-running out is "unknown".  Any other "unknown" names its origin: the reason
-the first inconclusive pivot test gave, and the pivots and sides leading to
-it from the root.  Theorem checks recognise through an ``OutcomeTable``, one
-per suite run, keyed by facet masks as recognition's own memo is.  It keeps
-outcomes (verdicts plus predicted wedges, never certificates), duals, and the
-homology profiles that recognition, a fresh memo otherwise, reads and fills.
+come back only in a named certificate and an "unknown"'s origin: pivots,
+apexes, cone elements, the intermediate complex and the collapse pairs of a
+sequence, found in face order, not integer order (see ``collapse``).  One
+``Budget`` counts the subproblems, the refutations and the nodes of every
+collapse search; running out is "unknown".  Any other "unknown" names its
+origin: the reason the first inconclusive pivot test gave, and the pivots
+and sides leading to it from the root.  Theorem checks recognise through an
+``OutcomeTable``, one per suite run, keyed by facet masks as recognition's
+own memo is.  It keeps outcomes (verdicts plus wedges, never certificates),
+duals, and the homology profiles that recognition, a fresh memo otherwise,
+reads and fills.
 """
 
 from __future__ import annotations
@@ -170,12 +174,6 @@ class GrapeVerdict:
 # -- recognition -------------------------------------------------------------
 
 
-def _base_kind(masks: frozenset) -> Optional[str]:
-    if join_mask(masks):
-        return None
-    return "irrelevant" if masks else "void"
-
-
 def _cone_points(lk: frozenset, dl: frozenset) -> int:
     """The x whose cone over lk sits inside dl, as a mask (vertices of dl):
     every link facet F must give a face F + {x} of dl, so x lies in a facet
@@ -187,6 +185,16 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
         if not out:
             break
     return out
+
+
+class _Node(NamedTuple):
+    """A search record: CertNode's base, pivot or apex as a bit, link, deletion, witness namer."""
+
+    base: Optional[str]
+    bit: int
+    link: Optional[int] = None
+    deletion: Optional[int] = None
+    witness: Optional[Callable] = None
 
 
 def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
@@ -208,8 +216,27 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
     One ``Budget`` of the given limit counts all of the work: each
     subproblem, each refutation, and each node of every collapse search.
     Running out anywhere ends the recognition "unknown" after limit + 1
-    nodes.
+    nodes.  The search is :func:`search_grape`; this names each of its
+    records reachable from the root as exactly one CertNode.
     """
+    verdict, records, name = search_grape(c, variant, budget, profiles=profiles)
+    if records is None:
+        return verdict
+    keep = {len(records) - 1}
+    for i in range(len(records) - 1, -1, -1):
+        if i in keep and not records[i].base:
+            keep |= {records[i].link, records[i].deletion}
+    index = {i: k for k, i in enumerate(sorted(keep))}  # renumbered in their order
+    cert = tuple(CertNode(base=n.base, apex=name(n.bit)) if n.base else CertNode(
+        pivot=name(n.bit), witness=n.witness(), link=index[n.link], deletion=index[n.deletion])
+        for n in map(records.__getitem__, index))
+    return GrapeVerdict("yes", certificate=cert, nodes=verdict.nodes)
+
+
+def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
+                 profiles: Optional[dict] = None) -> tuple:
+    """The recognition :func:`check_grape` describes, less the certificate,
+    with on yes its unnamed records, root last; and the bits' naming function."""
     budget = Budget(budget)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
@@ -227,17 +254,17 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
         return True
 
     def witness(lk: frozenset, dl: frozenset):
-        """Variant gluing condition at one pivot: (status, witness or reason)."""
+        """Variant gluing condition at one pivot: (status, reason or witness namer)."""
         if variant is GrapeVariant.STRONG:
             # a cone side is solved as a cone leaf
             if meet_mask(dl) or meet_mask(lk):
-                return "yes", StrongWitness()
+                return "yes", StrongWitness
             return "no", "neither side is a cone"
 
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
             if x:
-                return "yes", ConeContainmentWitness(name(x & -x))
+                return "yes", lambda: ConeContainmentWitness(name(x & -x))
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
@@ -248,7 +275,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
                     continue
                 steps = search_masks(side_masks, budget, names)
                 if steps is not None:
-                    return "yes", TrivialSideWitness(side, named_steps(steps, names))
+                    return "yes", lambda: TrivialSideWitness(side, named_steps(steps, names))
             if refuted == 2:
                 return "no", "both sides have nonzero reduced homology"
             # an acyclic side that fails to collapse might still be
@@ -259,35 +286,37 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
         for gamma in (lk, dl):
             steps = None if refutes(gamma) else search_masks(gamma, budget, names)
             if steps is not None:
-                return "yes", intermediate(gamma, steps)
+                return "yes", lambda: intermediate(gamma, steps)
         x = _cone_points(lk, dl)
         if x:
             gamma = maximal_masks(f | (x & -x) for f in lk)
             apexes = meet_mask(gamma)
-            return "yes", intermediate(gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
+            return "yes", lambda: intermediate(
+                gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
         return "unknown", "no collapsible intermediate in the fast family"
 
     def intermediate(gamma: frozenset, steps) -> TrivialIntermediateWitness:
         gamma_facets = frozenset(face_of(g, names) for g in gamma)
         return TrivialIntermediateWitness(gamma_facets, named_steps(steps, names))
 
-    nodes: list = []  # certificate nodes of solved subproblems, children first
+    nodes: list = []  # a _Node per solved subproblem, children first
     torsion_read = False  # the root's homology, read at the first inconclusive pivot test
 
-    def solve(masks: frozenset):
-        """One subproblem, as a generator: it yields each link or deletion it
-        needs solved and is sent back that one's (status, node index); an
-        "unknown" carries its origin (reason, pivots, sides) instead."""
-        nonlocal torsion_read
+    def leaf(masks: frozenset) -> Optional[tuple]:
+        """Spends a node; answers a void, irrelevant or cone subproblem with no frame, else None."""
         budget.spend()
-        kind = _base_kind(masks)
-        if kind is not None:
-            nodes.append(CertNode(base=kind))
-            return "yes", len(nodes) - 1
-        apexes = meet_mask(masks)
-        if apexes:  # a cone is a grape of every variant
-            nodes.append(CertNode(base="cone", apex=name(apexes & -apexes)))
-            return "yes", len(nodes) - 1
+        meet = meet_mask(masks)  # the apexes: a cone is a grape of every variant
+        if not meet and join_mask(masks):
+            return None
+        nodes.append(_Node("cone" if meet else "irrelevant" if masks else "void", meet & -meet))
+        memo[masks] = answer = ("yes", len(nodes) - 1)
+        return answer
+
+    def solve(masks: frozenset):
+        """Any other subproblem, as a generator: it yields each link or
+        deletion it needs and is sent back its answer; its last yield is its
+        own, (status, node index) or ("unknown", (reason, pivots, sides))."""
+        nonlocal torsion_read
         origin = None
         rest = join_mask(masks)
         while rest:
@@ -310,59 +339,45 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                nodes.append(CertNode(pivot=name(a), witness=payload, link=lk_ref, deletion=dl_ref))
-                return "yes", len(nodes) - 1
+                nodes.append(_Node(None, a, lk_ref, dl_ref, payload))
+                yield "yes", len(nodes) - 1  # the answer: the frame is not resumed
             if origin is None and status == "unknown":
                 origin = (payload, (name(a),), ())
             elif origin is None:
                 side, (reason, pivots, sides) = (
                     ("link", lk_ref) if lk_status == "unknown" else ("deletion", dl_ref))
                 origin = (reason, (name(a),) + pivots, (side,) + sides)
-        return ("no", None) if origin is None else ("unknown", origin)
+        yield ("no", None) if origin is None else ("unknown", origin)
 
-    # solve's frames on an explicit stack; a memoised subproblem is not pushed
-    stack = [(root, solve(root))]
-    result = None
+    # solve's frames on an explicit stack; a memoised subproblem or a leaf is not pushed
     try:
+        result = leaf(root)
+        stack = [] if result else [(root, solve(root))]
         while stack:
             key, frame = stack[-1]
-            try:
-                sub = frame.send(result)
-            except StopIteration as done:
+            sub = frame.send(result)
+            if sub.__class__ is tuple:  # the frame's answer
                 stack.pop()
-                result = memo[key] = done.value
+                result = memo[key] = sub
                 continue
-            result = memo.get(sub)
+            result = memo.get(sub) or leaf(sub)
             if result is None:
                 stack.append((sub, solve(sub)))
     except BudgetExceeded:
-        return GrapeVerdict("unknown", reason="recognition budget exhausted", nodes=budget.used)
+        reason = "recognition budget exhausted"
+        return GrapeVerdict("unknown", None, reason, budget.used), None, name
     except _Torsion:
-        return GrapeVerdict("no", reason=TORSION_REASON, nodes=budget.used)
+        return GrapeVerdict("no", None, TORSION_REASON, budget.used), None, name
     if result[0] == "yes":
-        return GrapeVerdict("yes", certificate=_reachable(nodes), nodes=budget.used)
+        return GrapeVerdict("yes", nodes=budget.used), nodes, name
     if result[0] == "no":
-        return GrapeVerdict("no", nodes=budget.used)
+        return GrapeVerdict("no", nodes=budget.used), None, name
     # the pivots from the root down to the inconclusive test, and the side
     # taken below each of them but the last
     reason, pivots, sides = result[1]
     where = f"pivots {' > '.join(pivots)}, {' > '.join(sides)}" if sides else (
         f"pivot {pivots[0]}, at the root")
-    return GrapeVerdict("unknown", reason=f"{reason} ({where})", nodes=budget.used)
-
-
-def _reachable(nodes: list) -> tuple:
-    """The nodes reachable from the last one, renumbered in their order."""
-    keep = {len(nodes) - 1}
-    for i in range(len(nodes) - 1, -1, -1):
-        if i in keep and not nodes[i].base:
-            keep |= {nodes[i].link, nodes[i].deletion}
-    index = {i: k for k, i in enumerate(sorted(keep))}
-    return tuple(
-        n if n.base else CertNode(pivot=n.pivot, witness=n.witness, link=index[n.link],
-                                  deletion=index[n.deletion])
-        for n in map(nodes.__getitem__, index)
-    )
+    return GrapeVerdict("unknown", None, f"{reason} ({where})", budget.used), None, name
 
 
 # -- certificate replay --------------------------------------------------------
@@ -388,7 +403,7 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
                     raise ReplayError(f"cone leaf's apex {node.apex!r} is not in every facet")
                 continue
             if node.base:
-                kind = _base_kind(masks)
+                kind = None if join_mask(masks) else "irrelevant" if masks else "void"
                 if kind != node.base:
                     raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
                 continue
@@ -446,8 +461,9 @@ def _verify_witness(
 # -- classification ------------------------------------------------------------
 
 
-def predicted_wedge(cert: tuple) -> dict:
-    """Predicted reduced Betti numbers, folded from a certificate alone.
+def predicted_wedge(cert) -> dict:
+    """Predicted reduced Betti numbers, folded from a certificate alone or
+    from the search's records (nodes the root does not reach fold unread).
 
     At every split the complex is homotopy equivalent to the deletion wedged
     with the suspended link, so predictions add up from the leaves: the
@@ -502,10 +518,11 @@ class OutcomeTable:
 
     Recognition and homology read facet masks only, so :meth:`recognise`
     keeps outcomes by (masks, variant), the verdict plus the wedge folded
-    from the certificate, which is dropped, and ``profiles`` homology by
-    masks, for :meth:`homology` and the table's recognitions and collapse
-    searches.  :meth:`dual` keeps duals by (ground, masks), :meth:`instance`
-    the JSON its reports share; harnesses keep PF/PM or invariants too.
+    straight from :func:`search_grape`'s records, never named, and
+    ``profiles`` homology by masks, for :meth:`homology` and the table's
+    recognitions and collapse searches.  :meth:`dual` keeps duals by (ground,
+    masks), :meth:`instance` the JSON its reports share; harnesses keep PF/PM
+    or invariants too.
     """
 
     def __init__(self) -> None:
@@ -521,9 +538,8 @@ class OutcomeTable:
 
     def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
         def outcome() -> Outcome:
-            verdict = check_grape(c, variant, profiles=self.profiles)
-            cert = verdict.certificate  # None unless yes
-            return Outcome(verdict.verdict, predicted_wedge(cert) if cert else None)
+            verdict, records, _ = search_grape(c, variant, profiles=self.profiles)
+            return Outcome(verdict.verdict, records and predicted_wedge(records))
 
         return self.once((c.masks, variant), outcome)
 

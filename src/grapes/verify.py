@@ -43,6 +43,7 @@ from .grape import (
     OutcomeTable,
     check_grape,
     predicted_wedge,
+    search_grape,
     verify_certificate,
     verify_dual_invariance,
 )
@@ -260,11 +261,11 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
 def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> list:
     """Path-free/path-missing: duality, strong grape status, and dimensions.
 
-    PF and PM depend only on the arc ids and the s-t paths (the full suite
-    at seed 1729 meets 108 path families in 7,020 digraphs), so the outcome
-    table, a fresh one by default, keeps per path family whether PM is the
-    dual of PF, whether some arc is useless, and both strong outcomes, a
-    class on yes and the verdict otherwise.
+    PF and PM depend only on the arc count and the s-t paths as masks (the
+    full suite at seed 1729 meets 108 path families in 7,020 digraphs), so
+    the outcome table, a fresh one by default, keeps per path family whether
+    PM is the dual of PF, whether some arc is useless, and both strong
+    outcomes, none of which reads an arc id.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
@@ -273,25 +274,27 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
 
-    def family() -> tuple:
+    def family() -> tuple:  # each strong outcome as a class's dimension and string, or the verdict
         pf, pm = pf_complex(d), pm_complex(d)
         strong = [outcomes.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
+        classes = [SHClass.of_wedge(o.wedge) if o.is_yes else o.verdict for o in strong]
         return (equals(pm, alexander_dual(pf)), bool(useless_arcs(d)),
-                *(SHClass.of_wedge(o.wedge) if o.is_yes else o.verdict for o in strong))
+                *(c if isinstance(c, str) else (c.cross_dim, str(c)) for c in classes))
 
-    dual_ok, useless, *found = outcomes.once(("pfpm", d.arc_ids(), frozenset(d.paths)), family)
+    dual_ok, useless, *found = outcomes.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
     out = [_report("pfpm-alexander-dual", instance, dual_ok)]
     degenerate = useless or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
-    spheres = (("path-free", n_nonsinks - 1), ("path-missing", len(d.arcs) - n_nonsinks))
-    for (name, n), cls in zip(spheres, found):
-        if not isinstance(cls, SHClass):
+    dims = (None, None) if degenerate else (n_nonsinks - 1, len(d.arcs) - n_nonsinks)
+    for name, n, side in zip(("path-free", "path-missing"), dims, found):
+        if isinstance(side, str):  # the verdict
             out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
-                               observed=cls))
+                               observed=side))
             continue
-        expected = SHClass(None) if degenerate else SHClass(n)
-        out.append(_report(f"pfpm-{name}", instance, cls == expected, expected=str(expected),
-                           observed=str(cls)))
+        dim, observed = side
+        expected = observed if dim == n else str(SHClass(n))  # a class only on a mismatch
+        out.append(_report(f"pfpm-{name}", instance, dim == n, expected=expected,
+                           observed=observed))
     return out
 
 
@@ -325,7 +328,7 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     unused ground element is added (this moves every pivot choice).  c's
     verdicts come from the outcome table, a fresh one by default, and the
     moved complex is searched afresh, reading homology from the table's
-    profiles: that search is the check."""
+    profiles: that search is the check, and its records are never named."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = outcomes.instance(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
@@ -333,7 +336,7 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     out = []
     for variant in GrapeVariant:
         a = outcomes.recognise(c, variant).verdict
-        b = check_grape(moved, variant, profiles=outcomes.profiles).verdict
+        b = search_grape(moved, variant, profiles=outcomes.profiles)[0].verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
@@ -569,8 +572,12 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     ]
     outcomes = OutcomeTable()
     for line, instances, harness in stages:
-        seen = {x: harness(x, outcomes) for x in dict.fromkeys(instances)}  # dropped after the stage
-        reports.extend(r for x in instances for r in seen[x])
+        seen: dict = {}  # dropped after the stage
+        for x in instances:  # one hash per occurrence
+            found = seen.get(x)
+            if found is None:
+                seen[x] = found = harness(x, outcomes)
+            reports.extend(found)
         say(line)
     return {"level": level, "seed": seed, "notes": notes,
             **summarise(reports, ("fail", "unknown"))}

@@ -768,8 +768,10 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
     # sha256 of the stdout of `from-graph --complex dom --dual`, `from-digraph
     # --complex pf`, `verify forest`, `verify pfpm`, of `grape classify` and
     # `verify duality --variant strong` on the boundary of the 4-cross-polytope,
-    # and of the two Berge runs `from-graph --complex dom` (minimal
-    # transversals of the closed neighbourhoods) and `dual` on that boundary
+    # of the two Berge runs `from-graph --complex dom` (minimal transversals
+    # of the closed neighbourhoods) and `dual` on that boundary, and of
+    # `grape check` on it for the comb, weak and strong-weak variants, whose
+    # certificates carry the other three witness kinds
     outputs = []
     graph = write_json("g.json", CHORDED_PATH)
     dag = write_json("d.json", TEN_ARC_DAG)
@@ -781,7 +783,10 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
                  ["grape", "classify", cross],
                  ["verify", "duality", cross, "--variant", "strong"],
                  ["from-graph", graph, "--complex", "dom"],
-                 ["dual", cross]):
+                 ["dual", cross],
+                 ["grape", "check", cross, "--variant", "comb"],
+                 ["grape", "check", cross, "--variant", "weak"],
+                 ["grape", "check", cross, "--variant", "strong-weak"]):
         assert main(argv) == 0
         outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert outputs == [
@@ -793,6 +798,9 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
         "bba6832c2733f9af7bdc79c11350c206ea14c84fc1a86d326dacef76669cd44d",
         "6a7b0e849ce08d33205cb576078761ea360f5cbe2382a892f1c758808d4b23fb",
         "d328551e91e2d233ed69cf67f3ee0b502e854cdfa192672b25a5e22a39ee07e6",
+        "3efd4a70761794694987a3e7056f40062407cd49ab9311587784bf6c21a43575",
+        "a6bde21c208bb732577afb3a8743604d73ff490eb930d896a17d5b2ffdb0f522",
+        "70c00eaec514e4543b15d13117e43c68c1fb768ca065d1f8fa9a792662e54d39",
     ]
 
 

@@ -432,7 +432,12 @@ def test_restrict_ground():
     assert r.ground == ("a",)
     assert r.facets == c.facets
     assert restrict_ground(void_complex("ab")).ground == ()
-    assert restrict_ground(cx("ab", "ab")).ground == ("a", "b")
+    # nothing to drop: the argument itself comes back
+    for full in (cx("ab", "ab"), cx("abc", "ab", "bc"), void_complex(), cx("", "")):
+        assert restrict_ground(full) is full
+    # a non-vertex between vertices: the bits above it move down one place
+    r = restrict_ground(cx("abcd", "ac", "d"))
+    assert r.ground == ("a", "c", "d") and r.masks == frozenset({0b011, 0b100})
 
 
 def test_extend_ground():

@@ -11,6 +11,8 @@ predicted wedge, is also checked against the walk that follows one branch
 of a strong certificate by its cone-leaf children.
 """
 
+import hashlib
+import json
 import string
 import time
 
@@ -61,6 +63,7 @@ from grapes.grape import (
     certificate_variant,
 )
 from grapes.generators import cycle_complex
+from grapes.verify import standard_complexes
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
 from test_homology import oracle_reduced_homology
 from test_complexes import (
@@ -911,6 +914,22 @@ def test_certificate_json_round_trip():
         restored = certificate_from_json(data)
         verify_certificate(cycle_complex(4), variant, restored)
         assert certificate_variant(restored) == variant
+
+
+def test_certificate_bytes_are_pinned():
+    # one sha256 over check_grape's verdict, nodes, reason and certificate
+    # JSON for every variant on a fixed instance set (364 recognitions, with
+    # splits of every witness kind): how the search records its nodes and
+    # when they are named must leave every byte alone
+    digest = hashlib.sha256()
+    for c in standard_complexes(n_random=60, max_ground=5, exhaustive_max=3, seed=7):
+        for variant in ALL_VARIANTS:
+            verdict = check_grape(c, variant)
+            cert = verdict.certificate and certificate_to_json(verdict.certificate)
+            digest.update(json.dumps([verdict.verdict, verdict.nodes, verdict.reason, cert],
+                                     sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "34c8a8b11557f6c7055b788ef2a3ce9e5ea0aa12146d52156d1be001f0dd90d7")
 
 
 def test_combinatorial_witness_is_the_cone_element():

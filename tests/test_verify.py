@@ -1,5 +1,6 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -263,13 +264,16 @@ def test_no_memo_outlives_its_call(monkeypatch, tmp_path, capsys):
 
 
 def test_pfpm_builds_once_per_path_family(monkeypatch):
-    # two digraphs with one path family, {e1}, that differ off the path
+    # two digraphs with one path family, {e1}, that differ off the path, and
+    # a third that differs from the first in its arc ids alone
     first = digraph("stu", [("e1", "s", "t"), ("e2", "u", "s")], "s", "t")
     second = digraph("stu", [("e1", "s", "t"), ("e2", "t", "u")], "s", "t")
-    fresh = [[r.to_json() for r in verify_pfpm_theorem(d)] for d in (first, second)]
+    renamed = digraph("stu", [("f1", "s", "t"), ("f2", "u", "s")], "s", "t")
+    digraphs = (first, second, renamed)
+    fresh = [[r.to_json() for r in verify_pfpm_theorem(d)] for d in digraphs]
     table = grape.OutcomeTable()
     duals = counting(monkeypatch, verify, "alexander_dual")
-    shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in (first, second)]
+    shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in digraphs]
     assert len(duals) == 1 and [key[0] for key in table.entries].count("pfpm") == 1
     assert shared == fresh
 
@@ -367,9 +371,9 @@ def test_suite_rejects_unknown_level():
 def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
     def by_first_element(c, variant, **memo):
         verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
-        return SimpleNamespace(verdict=verdict)
+        return SimpleNamespace(verdict=verdict), None, None
 
-    monkeypatch.setattr(verify, "check_grape", by_first_element)
+    monkeypatch.setattr(verify, "search_grape", by_first_element)
     reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]))
     assert len(reports) == 4
     assert all(r.status == "fail" for r in reports)
@@ -541,24 +545,25 @@ def test_each_stage_runs_its_harness_once_per_distinct_instance(monkeypatch):
 # -- outcome tables -------------------------------------------------------------------
 
 
-def counting_check_grape(monkeypatch):
-    """Replace check_grape where the harnesses call it; returns the list of
-    (complex, variant) keys it is called with."""
+def counting_searches(monkeypatch):
+    """Replace the one recognition search, which check_grape, the outcome
+    table and ground independence call; returns the list of (complex,
+    variant) keys it is called with."""
     keys = []
-    real = grape.check_grape
+    real = grape.search_grape
 
-    def counting(c, variant, **memo):
+    def counting(c, variant, *args, **memo):
         keys.append((c, variant))
-        return real(c, variant, **memo)
+        return real(c, variant, *args, **memo)
 
-    monkeypatch.setattr(grape, "check_grape", counting)
-    monkeypatch.setattr(verify, "check_grape", counting)
+    monkeypatch.setattr(grape, "search_grape", counting)
+    monkeypatch.setattr(verify, "search_grape", counting)
     return keys
 
 
 def searches_per_stage(monkeypatch, runner, seed):
-    """The check_grape keys of each stage of a smoke suite, by stage line."""
-    keys = counting_check_grape(monkeypatch)
+    """The searched keys of each stage of a smoke suite, by stage line."""
+    keys = counting_searches(monkeypatch)
     per_stage = {}
 
     def close_stage(line):
@@ -583,7 +588,7 @@ def test_searches_per_smoke_run_are_pinned(monkeypatch):
     # again in another, under any names; 371 searches at smoke/1729, where a
     # table per stage made 770.  Ground independence still searches every
     # distinct complex's moved copy afresh, for each variant.
-    keys = counting_check_grape(monkeypatch)
+    keys = counting_searches(monkeypatch)
     run_suite("smoke", 1729)
     assert len(keys) == 371
     moved = [(c, variant) for c, variant in keys if c.ground and c.ground[-1].startswith("_")]
@@ -602,18 +607,21 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
             super().__init__()
             tables.append(self)
 
-    recognitions = []
-    real = grape.check_grape
+    # neither the table, which folds the search's records, nor ground
+    # independence calls check_grape, so the search is what is recorded
+    searches = []
+    real_search, real = grape.search_grape, grape.check_grape
 
-    def recorded(c, variant, **memo):
-        verdict = real(c, variant, **memo)
-        recognitions.append((c, variant, memo, verdict))
-        return verdict
+    def recorded(c, variant, budget=grape.DEFAULT_BUDGET, profiles=None):
+        found = real_search(c, variant, budget, profiles)
+        searches.append((c, variant, profiles, found))
+        return found
 
     monkeypatch.setattr(verify, "OutcomeTable", Captured)
-    monkeypatch.setattr(grape, "check_grape", recorded)
-    monkeypatch.setattr(verify, "check_grape", recorded)
+    monkeypatch.setattr(grape, "search_grape", recorded)
+    monkeypatch.setattr(verify, "search_grape", recorded)
     run_suite("smoke", seed)
+    monkeypatch.undo()
     (table,) = tables  # one for the whole run
 
     def on_masks(masks):
@@ -635,16 +643,21 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
         assert dual.ground == c.ground and complexes.equals(dual, complexes.alexander_dual(c)), c
     for c, instance in instances.items():
         assert instance == complex_to_json(c), c
-    # every recognition that read the run's profiles, the moved complexes'
-    # included, is a lone recognition's verdict, nodes and certificate
-    shared = [r for r in recognitions if r[2].get("profiles") is table.profiles]
+    # every search that read the run's profiles, the moved complexes'
+    # included, has a lone check_grape's verdict, wedge, nodes and reason,
+    # and named on the run's profiles it is that lone certificate
+    shared = [r for r in searches if r[2] is table.profiles]
     assert len(shared) > 200
-    for c, variant, _, verdict in shared:
-        assert real(c, variant) == verdict, (c, variant)
+    for c, variant, _, (verdict, records, _) in shared:
+        lone = real(c, variant)
+        assert verdict == dataclasses.replace(lone, certificate=None), (c, variant)
+        wedge = lone.certificate and grape.predicted_wedge(lone.certificate)
+        assert (records and grape.predicted_wedge(records)) == wedge, (c, variant)
+        assert real(c, variant, profiles=table.profiles) == lone, (c, variant)
 
 
 def test_ground_independence_runs_two_searches_on_two_keys(monkeypatch):
-    keys = counting_check_grape(monkeypatch)
+    keys = counting_searches(monkeypatch)
     c = new_complex("abc", [frozenset("ab"), frozenset("bc")])
     reports = ground_independence_reports(c)
     assert [r.status for r in reports] == ["pass"] * 4
