@@ -21,22 +21,14 @@ from .complexes import (
     alexander_dual,
     complex_from_json,
     complex_to_json,
-    cone_over,
-    cross_polytope_boundary,
     deletion,
     enumerate_complexes,
     equals,
-    extend_ground,
-    full_simplex,
     irrelevant_complex,
-    is_cone,
-    join,
     link,
     minimal_nonfaces,
     new_complex,
     restrict_ground,
-    simplex_boundary,
-    suspension,
     void_complex,
 )
 from .grape import (
@@ -75,9 +67,7 @@ from .graphs import (
 from .homology import (
     HomologyProfile,
     SHClass,
-    VOID_CLASS,
     check_alexander_duality,
-    matches_wedge,
     reduced_cohomology,
     reduced_homology,
     smith_normal_form,

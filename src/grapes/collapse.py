@@ -73,12 +73,11 @@ class Budget:
 
 @dataclass(frozen=True)
 class CollapsePair:
+    """A collapse step by name, tau a codimension-1 subface of sigma: unchecked,
+    as the search builds them; ``sequence_from_json`` checks the shape."""
+
     sigma: frozenset
     tau: frozenset
-
-    def __post_init__(self) -> None:
-        if not (self.tau < self.sigma and len(self.tau) == len(self.sigma) - 1):
-            raise ReplayError("collapse pair needs tau a codimension-1 subface of sigma")
 
 
 @dataclass(frozen=True)
@@ -301,8 +300,8 @@ def sequence_from_json(data: object) -> tuple:
         faces = (step.get("sigma"), step.get("tau")) if isinstance(step, dict) else (None,)
         if not all(isinstance(f, list) and all(isinstance(x, str) for x in f) for f in faces):
             raise InputError('each step needs "sigma" and "tau" arrays of strings')
-        try:
-            steps.append(CollapsePair(frozenset(step["sigma"]), frozenset(step["tau"])))
-        except ReplayError as exc:
-            raise InputError(str(exc)) from None
+        sigma, tau = frozenset(step["sigma"]), frozenset(step["tau"])
+        if not (tau < sigma and len(tau) == len(sigma) - 1):
+            raise InputError("collapse pair needs tau a codimension-1 subface of sigma")
+        steps.append(CollapsePair(sigma, tau))
     return tuple(steps)

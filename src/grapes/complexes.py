@@ -11,7 +11,13 @@ with no vertices exist on every ground set and must be kept distinct:
 The ground set matters: elements that appear in no face still influence the
 Alexander dual, so every operation tracks the ground set explicitly.
 
-All operations are pure; a Complex is immutable after construction.
+All operations are pure; a Complex is immutable after construction.  The
+engine builds complexes from names (``new_complex``, ``void_complex``,
+``irrelevant_complex``, ``complex_from_json``), from forbidden sets
+(``avoiding``, which also gives a cross-polytope boundary from its pole
+pairs) and by enumeration (``enumerate_complexes``); on them it takes
+links, deletions, the restriction to the vertices, minimal non-faces and
+the Alexander dual.
 
 There is one face representation, an int mask: bit i stands for element i
 of the ground tuple, and a Complex holds its facets as masks, which every
@@ -85,13 +91,6 @@ class Complex:
         """Elements that occur in at least one face."""
         return face_of(join_mask(self.masks), self.ground)
 
-    def faces(self) -> frozenset:
-        """All faces, including the empty face unless the complex is void.
-
-        Exponential in facet size; meant for desk-scale complexes only.
-        """
-        return frozenset(face_of(s, self.ground) for s in face_masks(self.masks))
-
     def index(self, element: str) -> int:
         try:
             return self.ground.index(element)
@@ -127,32 +126,6 @@ def irrelevant_complex(ground: Iterable[str] = ()) -> Complex:
     return new_complex(ground, (Face(),))
 
 
-def full_simplex(ground: Iterable[str]) -> Complex:
-    ground_t = tuple(ground)
-    return new_complex(ground_t, (ground_t,))
-
-
-def simplex_boundary(ground: Iterable[str]) -> Complex:
-    """All proper subsets of the ground set (boundary of the full simplex)."""
-    ground_t = tuple(ground)
-    return new_complex(ground_t, (set(ground_t) - {x} for x in ground_t))
-
-
-def cross_polytope_boundary(n: int, prefix: str = "p") -> Complex:
-    """Boundary of the n-dimensional cross-polytope: n-fold join of 0-spheres.
-
-    n = 0 gives the irrelevant complex (the (-1)-sphere).
-    """
-    if n < 0:
-        raise InputError("cross-polytope dimension must be >= 0")
-    ground = tuple(f"{prefix}{i}{sign}" for i in range(1, n + 1) for sign in "ab")
-    out = irrelevant_complex(())
-    for i in range(1, n + 1):
-        x, y = f"{prefix}{i}a", f"{prefix}{i}b"
-        out = suspension(out, x, y)
-    return extend_ground(out, ground)
-
-
 # -- vertex operations ----------------------------------------------------
 
 
@@ -169,46 +142,6 @@ def link(c: Complex, x: str) -> Complex:
 def _vertex_op(op, c: Complex, x: str) -> Complex:
     i = c.index(x)
     return Complex(c.ground[:i] + c.ground[i + 1 :], _drop_bits(op(c.masks, 1 << i), 1 << i))
-
-
-def join(c1: Complex, c2: Complex) -> Complex:
-    """Join of two complexes sharing one ground set: unions of faces."""
-    if set(c1.ground) != set(c2.ground):
-        raise InputError("join requires equal ground sets; extend_ground first")
-    bit = bit_table(c1.ground)
-    other = [mask_of(f, bit) for f in c2.facets]
-    return Complex(c1.ground, maximal_masks(f | g for f in c1.masks for g in other))
-
-
-def cone_over(c: Complex, apex: str) -> Complex:
-    """Cone on c: every facet gains the apex.  The apex must be fresh.
-
-    Extends the ground set when the apex is not already a ground element.
-    Void stays void; the cone over the irrelevant complex is a single point.
-    """
-    ground = c.ground if apex in c.ground else c.ground + (apex,)
-    a = 1 << ground.index(apex)
-    if a & join_mask(c.masks):
-        raise InputError(f"cone apex {apex!r} is already a vertex")
-    return Complex(ground, frozenset(m | a for m in c.masks))
-
-
-def suspension(c: Complex, x: str, y: str) -> Complex:
-    """Join with the two-point complex on fresh elements x, y."""
-    if x == y:
-        raise InputError("suspension needs two distinct fresh elements")
-    ground = c.ground + tuple(e for e in (x, y) if e not in c.ground)
-    verts = join_mask(c.masks)
-    points = [1 << ground.index(p) for p in (x, y)]
-    for p, b in zip((x, y), points):
-        if b & verts:
-            raise InputError(f"suspension point {p!r} is already a vertex")
-    # already an antichain: x and y are fresh and distinct
-    return Complex(ground, frozenset(m | b for m in c.masks for b in points))
-
-
-def is_cone(c: Complex) -> bool:
-    return bool(meet_mask(c.masks))
 
 
 # -- duality ---------------------------------------------------------------
@@ -313,17 +246,6 @@ def restrict_ground(c: Complex) -> Complex:
         return c
     ground = tuple(x for i, x in enumerate(c.ground) if verts >> i & 1)
     return Complex(ground, _drop_bits(c.masks, ((1 << len(c.ground)) - 1) ^ verts))
-
-
-def extend_ground(c: Complex, extra: Iterable[str]) -> Complex:
-    """Append new ground elements; elements already present are kept as-is."""
-    ground = list(c.ground)
-    seen = set(ground)
-    for e in extra:
-        if e not in seen:
-            ground.append(e)
-            seen.add(e)
-    return Complex(tuple(ground), c.masks)
 
 
 def equals(c1: Complex, c2: Complex) -> bool:

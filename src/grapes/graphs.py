@@ -55,10 +55,6 @@ class Graph:
             key=lambda pair: (self.index(pair[0]), self.index(pair[1])),
         )
 
-    def adjacent(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
-
-
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
     """Build a graph; checks that the vertices are distinct and that each
     edge joins two distinct vertices."""
@@ -148,16 +144,6 @@ def is_bipartite(g: Graph) -> bool:
                     elif color[w] == color[v]:
                         return False
     return True
-
-
-def complement(g: Graph) -> Graph:
-    edges = [
-        frozenset((u, v))
-        for i, u in enumerate(g.vertices)
-        for v in g.vertices[i + 1 :]
-        if not g.adjacent(u, v)
-    ]
-    return Graph(g.vertices, frozenset(edges))
 
 
 def edge_ground(g: Graph) -> tuple:

@@ -308,14 +308,6 @@ class SHClass:
         return {"class": "cross-polytope-boundary", "n": self.cross_dim}
 
 
-VOID_CLASS = SHClass(None)
-
-
-def matches_wedge(c: Complex, wedge: dict) -> bool:
-    """Is c's reduced homology exactly this wedge?  See :meth:`HomologyProfile.is_wedge`."""
-    return reduced_homology(c).is_wedge(wedge)
-
-
 # -- duality check -----------------------------------------------------------
 
 

@@ -24,12 +24,12 @@ from grapes.cli import VARIANTS, _build_parser, main
 from grapes.complexes import (
     complex_from_json,
     complex_to_json,
-    cross_polytope_boundary,
     void_complex,
 )
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
 from grapes.grape import GrapeVariant, certificate_to_json, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
+from shapes import cross_polytope
 from test_collapse import dunce_hat_with_star
 from test_graphs import path_graph
 
@@ -477,6 +477,8 @@ BAD_TABLES = {
         "kind": "weak", "gamma_facets": [[["x"]]], "collapse": {"steps": []}}),
     "weak_nested_step": node_table(0, 0, witness={
         "kind": "weak", "gamma_facets": [], "collapse": {"steps": [{"sigma": [["a"]], "tau": []}]}}),
+    "weak_step_not_codim_one": node_table(0, 0, witness={
+        "kind": "weak", "gamma_facets": [], "collapse": {"steps": [{"sigma": ["a", "b"], "tau": ["c"]}]}}),
     # formats no version writes any more: the nested tree of format 1, the
     # table of format 2, and a point leaf, which is now a cone leaf
     "format_one": {"pivot": "a", "witness": {"kind": "strong", "cone_side": "link"},
@@ -761,7 +763,7 @@ TEN_ARC_DAG = {
     "s": "s",
     "t": "t",
 }
-CROSS_4 = complex_to_json(cross_polytope_boundary(4))
+CROSS_4 = complex_to_json(cross_polytope(4))
 
 
 def test_builder_outputs_are_byte_stable(write_json, capsys):

@@ -17,10 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grapes import (
     CollapsePair,
+    InputError,
     ReplayError,
     collapse_search,
-    cone_over,
-    full_simplex,
     irrelevant_complex,
     lifted_collapse,
     link,
@@ -29,8 +28,6 @@ from grapes import (
     new_complex,
     reduced_homology,
     replay,
-    simplex_boundary,
-    suspension,
     void_complex,
 )
 from grapes.collapse import (
@@ -43,16 +40,9 @@ from grapes.collapse import (
 )
 from grapes.complexes import face_of, mask_order, meet_mask
 from grapes.generators import cycle_complex
+from shapes import cone, cx, faces, fs, full_simplex, simplex_boundary, suspension
 from test_complexes import frozenset_cone_apexes, maximal_deletion
 from test_homology import RP2, oracle_reduced_homology
-
-
-def fs(*names):
-    return frozenset(names)
-
-
-def cx(ground, *facets):
-    return new_complex(ground, [frozenset(f) for f in facets])
 
 
 def free_pairs(c):
@@ -110,10 +100,9 @@ def test_apply_collapse_rejects_non_free_pair():
 
 
 def test_collapse_pair_shape_is_validated():
-    with pytest.raises(ReplayError):
-        CollapsePair(fs("a", "b"), fs("c"))
-    with pytest.raises(ReplayError):
-        CollapsePair(fs("a", "b"), fs())
+    for tau in (["c"], []):
+        with pytest.raises(InputError, match="codimension-1 subface"):
+            sequence_from_json({"steps": [{"sigma": ["a", "b"], "tau": tau}]})
 
 
 # -- the frozenset oracles ------------------------------------------------------
@@ -171,7 +160,7 @@ def frozenset_cone_sequence(c):
     if not apexes:
         raise ReplayError("cone_sequence requires a cone")
     apex = min(apexes, key=c.index)
-    base_faces = sorted(maximal_deletion(c, apex).faces(), key=lambda f: (-len(f), face_key(c, f)))
+    base_faces = sorted(faces(maximal_deletion(c, apex)), key=lambda f: (-len(f), face_key(c, f)))
     return [CollapsePair(f | {apex}, f) for f in base_faces]
 
 
@@ -324,11 +313,11 @@ def test_irrelevant_complex_not_collapsible():
     ],
 )
 def test_every_cone_collapses_within_small_budget(base):
-    cone = cone_over(base, "zz")
-    budget = 10 * max(1, len(cone.faces()))
-    result = collapse_search(cone, budget=budget)
+    c = cone(base, "zz")
+    budget = 10 * max(1, len(faces(c)))
+    result = collapse_search(c, budget=budget)
     assert result.is_yes
-    assert replay(cone, result.sequence).is_void
+    assert replay(c, result.sequence).is_void
 
 
 def test_two_route_path_free_complex_collapses():
@@ -500,7 +489,7 @@ def test_lifted_collapse_rejects_invalid_link_sequence():
     [
         POINT,
         EDGE,
-        cone_over(cycle_complex(5), "z"),
+        cone(cycle_complex(5), "z"),
     ],
 )
 def test_suspension_transport(base):

@@ -11,20 +11,14 @@ from grapes import (
     alexander_dual,
     complex_from_json,
     complex_to_json,
-    cone_over,
     deletion,
     enumerate_complexes,
     equals,
-    extend_ground,
-    full_simplex,
     irrelevant_complex,
-    join,
     link,
     minimal_nonfaces,
     new_complex,
     restrict_ground,
-    simplex_boundary,
-    suspension,
     void_complex,
 )
 from grapes.complexes import (
@@ -36,14 +30,7 @@ from grapes.complexes import (
     meet_mask,
 )
 from grapes.generators import cycle_complex
-
-
-def fs(*names):
-    return frozenset(names)
-
-
-def cx(ground, *facets):
-    return new_complex(ground, [frozenset(f) for f in facets])
+from shapes import cx, faces, fs, full_simplex, simplex_boundary
 
 
 def has_face(c, face):
@@ -132,21 +119,21 @@ def test_complex_holds_facet_masks_and_derives_the_names():
 
 def test_faces_of_edge():
     c = cx("ab", "ab")
-    assert c.faces() == {fs(), fs("a"), fs("b"), fs("a", "b")}
+    assert faces(c) == {fs(), fs("a"), fs("b"), fs("a", "b")}
 
 
 def test_faces_of_void_is_empty():
-    assert void_complex("ab").faces() == frozenset()
+    assert faces(void_complex("ab")) == frozenset()
 
 
 def test_faces_of_two_points():
     c = cx("ab", "a", "b")
-    assert c.faces() == {fs(), fs("a"), fs("b")}
+    assert faces(c) == {fs(), fs("a"), fs("b")}
 
 
 def test_faces_matches_subset_scan_oracle():
     c = cx("abcd", "abc", "bd")
-    assert set(c.faces()) == brute_faces(c)
+    assert set(faces(c)) == brute_faces(c)
 
 
 def test_vertices():
@@ -291,68 +278,6 @@ def test_link_of_nonvertex_is_void():
     assert link(c, "c").is_void
 
 
-# -- join / cone / suspension ------------------------------------------------------
-
-
-def test_join_of_two_points_is_edge():
-    a = cx("xy", "x")
-    b = cx("xy", "y")
-    assert join(a, b).facets == {fs("x", "y")}
-
-
-def test_join_with_void_is_void():
-    assert join(void_complex("xy"), cx("xy", "x")).is_void
-
-
-def test_join_of_zero_spheres_is_four_cycle():
-    ground = "abcd"
-    s1 = cx(ground, "a", "b")
-    s2 = cx(ground, "c", "d")
-    four_cycle = cx(ground, "ac", "ad", "bc", "bd")
-    assert equals(join(s1, s2), four_cycle)
-
-
-def test_join_requires_shared_ground():
-    with pytest.raises(InputError):
-        join(cx("ab", "a"), cx("ac", "a"))
-
-
-def test_cone_over_irrelevant_is_point():
-    c = cone_over(irrelevant_complex(()), "v")
-    assert c.facets == {fs("v")}
-    assert c.ground == ("v",)
-
-
-def test_cone_rejects_existing_vertex():
-    with pytest.raises(InputError):
-        cone_over(cx("ab", "ab"), "a")
-
-
-def test_cone_over_nonvertex_ground_element_is_allowed():
-    c = cone_over(cx("ab", "a"), "b")
-    assert c.facets == {fs("a", "b")}
-
-
-def test_suspension_of_irrelevant_is_two_points():
-    c = suspension(irrelevant_complex(()), "x", "y")
-    assert c.facets == {fs("x"), fs("y")}
-
-
-def test_suspension_of_two_points_is_four_cycle():
-    s0 = cx("ab", "a", "b")
-    result = suspension(s0, "x", "y")
-    # oracle: expand the join definition over {void face, x, y}
-    expected_facets = {fs("a", "x"), fs("a", "y"), fs("b", "x"), fs("b", "y")}
-    assert result.facets == expected_facets
-
-
-def test_suspension_rejects_duplicate_or_used_points():
-    with pytest.raises(InputError):
-        suspension(cx("ab", "a"), "x", "x")
-    with pytest.raises(InputError):
-        suspension(cx("ab", "a"), "a", "y")
-
-
 # -- cones -------------------------------------------------------------------------
 
 
@@ -438,14 +363,6 @@ def test_restrict_ground():
     # a non-vertex between vertices: the bits above it move down one place
     r = restrict_ground(cx("abcd", "ac", "d"))
     assert r.ground == ("a", "c", "d") and r.masks == frozenset({0b011, 0b100})
-
-
-def test_extend_ground():
-    c = extend_ground(cx("v", "v"), ["w"])
-    assert c.ground == ("v", "w")
-    assert c.facets == {fs("v")}
-    # extending with an existing element is a no-op
-    assert extend_ground(c, ["v"]).ground == ("v", "w")
 
 
 def test_is_subcomplex_link_in_deletion():

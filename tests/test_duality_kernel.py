@@ -28,7 +28,6 @@ from grapes import (
     edge_cover_complex,
     edge_dominance_complex,
     enumerate_complexes,
-    full_simplex,
     graph,
     has_cycle,
     independence_complex,
@@ -36,12 +35,12 @@ from grapes import (
     new_complex,
     pf_complex,
     pm_complex,
-    simplex_boundary,
     useless_arcs,
 )
-from grapes.complexes import MAX_FACES, avoiding, avoiding_dual, cross_polytope_boundary
+from grapes.complexes import MAX_FACES, avoiding, avoiding_dual
 from grapes.generators import all_digraphs, all_trees
 from grapes.graphs import FORBIDDEN_SETS, edge_ground
+from shapes import cross_polytope, full_simplex, simplex_boundary
 from test_cli import run_module
 from test_complexes import has_face
 from test_graphs import edge_label, is_dominating, is_edge_cover, is_independent, path_graph
@@ -242,7 +241,7 @@ def facet_complements(c):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_the_kernel_returns_the_oracles_list_on_cross_polytopes(n):
     # 2^n facet complements, and the dual's n facets, the pairs {p_i, q_i}
-    assert len(assert_kernel_matches_the_oracle(facet_complements(cross_polytope_boundary(n)))) == n
+    assert len(assert_kernel_matches_the_oracle(facet_complements(cross_polytope(n)))) == n
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -257,7 +256,7 @@ def test_both_kernels_overflow_with_the_same_text():
     # Berge's intermediate families on its 32 complements reach 9 sets
     pairs = facet_complements(complex_from_json(pairs_complex(4)))
     assert assert_kernel_matches_the_oracle(pairs, max_faces=8) == "more than 8 sets"
-    cross = facet_complements(cross_polytope_boundary(5))
+    cross = facet_complements(cross_polytope(5))
     assert assert_kernel_matches_the_oracle(cross, max_faces=8) == "more than 8 sets"
 
 
@@ -308,7 +307,7 @@ def test_the_dual_is_bounded_by_max_faces(monkeypatch):
 def test_the_bound_names_an_intermediate_family(monkeypatch):
     # Berge's family on cross(8)'s 256 facet complements peaks at 15 sets,
     # though the dual has 8 facets: the refusal names the family, not the dual
-    cross8 = complexes.cross_polytope_boundary(8)
+    cross8 = cross_polytope(8)
     assert len(alexander_dual(cross8).masks) == 8
     monkeypatch.setattr(complexes, "MAX_FACES", 10)
     with pytest.raises(InputError) as refused:

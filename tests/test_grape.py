@@ -26,23 +26,16 @@ from grapes import (
     InputError,
     ReplayError,
     SHClass,
-    VOID_CLASS,
     certificate_from_json,
     certificate_to_json,
     check_grape,
     classify_strong,
-    cone_over,
-    cross_polytope_boundary,
     enumerate_complexes,
-    full_simplex,
     irrelevant_complex,
-    is_cone,
-    matches_wedge,
     new_complex,
     predicted_wedge,
     reduced_homology,
     restrict_ground,
-    simplex_boundary,
     verify_certificate,
     verify_dual_invariance,
     void_complex,
@@ -50,7 +43,7 @@ from grapes import (
 from dataclasses import replace
 
 from grapes.collapse import obstruction
-from grapes.complexes import Complex, deletion, face_of, join_mask, link
+from grapes.complexes import Complex, deletion, face_of, join_mask, link, meet_mask
 from grapes.grape import (
     TORSION_REASON,
     CertNode,
@@ -64,6 +57,7 @@ from grapes.grape import (
 )
 from grapes.generators import cycle_complex
 from grapes.verify import standard_complexes
+from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
 from test_homology import oracle_reduced_homology
 from test_complexes import (
@@ -75,10 +69,6 @@ from test_complexes import (
 )
 
 ALL_VARIANTS = list(GrapeVariant)
-
-
-def cx(ground, *facets):
-    return new_complex(ground, [frozenset(f) for f in facets])
 
 
 RP2 = cx(
@@ -128,8 +118,8 @@ def frozenset_cone_fits(lk, dl, x):
 def frozenset_between_complexes(lk, dl):
     """All complexes G with lk <= G <= dl (face-wise), as families of faces
     by name, in the order the mask sweep lists them."""
-    lk_faces = lk.faces()
-    extra = sorted(dl.faces() - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))
+    lk_faces = faces(lk)
+    extra = sorted(faces(dl) - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))
 
     def closed(face, have):
         return all((face - {y}) in lk_faces or (face - {y}) in have for y in face)
@@ -332,7 +322,7 @@ def test_homology_settles_only_what_the_old_rule_left_unknown_on_every_small_com
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_recognition_matches_the_frozenset_oracle_on_named_instances(variant):
-    for c in (RP2, cycle_complex(5), cross_polytope_boundary(3),
+    for c in (RP2, cycle_complex(5), cross_polytope(3),
               cx("abcde", "abc", "bcd", "cde", "dea", "eab"), cx("dcba", "ad", "bc", "ca"),
               TORUS, rp2_with_path(2)):
         assert_recognition_matches_the_oracle(c, variant)
@@ -412,14 +402,14 @@ def test_two_points_are_strong():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_cones_are_strong_grapes(n):
     base = cx("abcdefg"[:n], *("abcdefg"[i] for i in range(n)))
-    cone = cone_over(base, "z")
-    verdict = check_grape(cone, GrapeVariant.STRONG)
+    c = cone(base, "z")
+    verdict = check_grape(c, GrapeVariant.STRONG)
     assert verdict.is_yes
-    verify_certificate(cone, GrapeVariant.STRONG, verdict.certificate)
+    verify_certificate(c, GrapeVariant.STRONG, verdict.certificate)
 
 
 def test_every_small_cone_is_one_leaf():
-    cones = [c for c in enumerate_complexes("abcde") if is_cone(c)]
+    cones = [c for c in enumerate_complexes("abcde") if meet_mask(c.masks)]
     assert len(cones) == 686  # 5 of them points, cones too
     for c in cones:
         leaf = CertNode(base="cone", apex=min(frozenset_cone_apexes(c), key=c.index))
@@ -427,7 +417,7 @@ def test_every_small_cone_is_one_leaf():
             verdict = check_grape(c, variant)
             assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", (leaf,), 1)
             verify_certificate(c, variant, verdict.certificate)
-        assert classify_strong(verdict.certificate) == VOID_CLASS
+        assert classify_strong(verdict.certificate) == SHClass(None)
         assert predicted_wedge(verdict.certificate) == {}
 
 
@@ -546,7 +536,7 @@ def test_unknown_below_the_root_names_the_pivots_and_sides(c, origin):
 def test_budget_exhaustion_is_unknown():
     # needs recursion: the octahedron is no cone, and passes the witness
     # test at its first pivot
-    c = cross_polytope_boundary(3)
+    c = cross_polytope(3)
     verdict = check_grape(c, GrapeVariant.STRONG, budget=1)
     assert verdict.verdict == "unknown"
     assert verdict.reason == "recognition budget exhausted"
@@ -630,7 +620,7 @@ def test_weak_nodes_include_every_collapse_search(monkeypatch, c, searches):
     [
         (RP2, 1),
         (cycle_complex(5), 1),
-        (cross_polytope_boundary(3), 7),
+        (cross_polytope(3), 7),
         (simplex_boundary("abcde"), 9),
         (rp2_with_path(4), 9),
     ],
@@ -719,9 +709,9 @@ def classify(c):
 
 
 def test_classify_base_cases():
-    assert classify(void_complex("ab")) == VOID_CLASS
+    assert classify(void_complex("ab")) == SHClass(None)
     assert classify(irrelevant_complex("ab")) == SHClass(0)
-    assert classify(cx("ab", "a")) == VOID_CLASS
+    assert classify(cx("ab", "a")) == SHClass(None)
 
 
 def test_classify_zero_sphere():
@@ -730,13 +720,13 @@ def test_classify_zero_sphere():
 
 def test_classify_cross_polytopes():
     for n in (1, 2, 3):
-        assert classify(cross_polytope_boundary(n)) == SHClass(n)
+        assert classify(cross_polytope(n)) == SHClass(n)
 
 
 def test_classify_path_independence_complex_is_void_class():
     ind_p4 = cx("abcd", "ac", "ad", "bd")
     cls = classify(ind_p4)
-    assert cls == VOID_CLASS
+    assert cls == SHClass(None)
     assert reduced_homology(ind_p4).is_trivial()
 
 
@@ -750,7 +740,7 @@ def test_classification_matches_homology_on_small_complexes():
     for c in enumerate_complexes("abcd"):
         verdict = check_grape(c, GrapeVariant.STRONG)
         if verdict.is_yes:
-            assert matches_wedge(c, classify_strong(verdict.certificate).wedge)
+            assert reduced_homology(c).is_wedge(classify_strong(verdict.certificate).wedge)
 
 
 def branch_classify_strong(cert):
@@ -766,7 +756,7 @@ def branch_classify_strong(cert):
             node = cert[node.link]
         else:
             node = cert[node.deletion]
-    return SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS
+    return SHClass(suspensions) if node.base == "irrelevant" else SHClass(None)
 
 
 def classify_via_link_cones(c, cert):
@@ -783,7 +773,7 @@ def classify_via_link_cones(c, cert):
         else:
             suspensions += 1
             node, cr = cert[node.link], lk
-    return (SHClass(suspensions) if node.base == "irrelevant" else VOID_CLASS), both
+    return (SHClass(suspensions) if node.base == "irrelevant" else SHClass(None)), both
 
 
 def test_classification_branch_independence():
@@ -813,8 +803,7 @@ def test_classify_strong_needs_a_strong_certificate():
 def test_predicted_wedge_examples():
     verdict = check_grape(IND_P3, GrapeVariant.COMBINATORIAL)
     assert predicted_wedge(verdict.certificate) == {0: 1}
-    cone = cone_over(cycle_complex(5), "z")
-    verdict = check_grape(cone, GrapeVariant.COMBINATORIAL)
+    verdict = check_grape(cone(cycle_complex(5), "z"), GrapeVariant.COMBINATORIAL)
     assert predicted_wedge(verdict.certificate) == {}
 
 
@@ -825,7 +814,7 @@ def test_predicted_wedge_matches_betti_on_small_complexes(variant):
     for c in enumerate_complexes("abcd"):
         verdict = check_grape(c, variant)
         if verdict.is_yes:
-            assert matches_wedge(c, predicted_wedge(verdict.certificate))
+            assert reduced_homology(c).is_wedge(predicted_wedge(verdict.certificate))
 
 
 def test_certificate_folds_visit_shared_nodes_once():
@@ -957,7 +946,7 @@ def test_between_complexes_matches_brute_force():
     assert len(listed) == len(set(listed))
     listed = set(listed)
     # oracle: filter every subset of the extra faces for downward closure
-    lk_faces, dl_faces = lk.faces(), dl.faces()
+    lk_faces, dl_faces = faces(lk), faces(dl)
     extra = sorted(dl_faces - lk_faces, key=lambda f: (len(f), tuple(sorted(f))))
     brute = set()
     for choice in chain.from_iterable(

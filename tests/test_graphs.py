@@ -18,7 +18,6 @@ from grapes import (
     edge_cover_complex,
     edge_dominance_complex,
     equals,
-    full_simplex,
     graph,
     has_cycle,
     independence_complex,
@@ -31,7 +30,6 @@ from grapes import (
     useless_arcs,
 )
 from grapes.graphs import (
-    complement,
     edge_ground,
     digraph_from_json,
     digraph_to_json,
@@ -39,11 +37,8 @@ from grapes.graphs import (
     graph_to_json,
 )
 from grapes.generators import all_trees, cyclic_no_useless_digraph
+from shapes import fs, full_simplex
 from test_complexes import has_face
-
-
-def fs(*names):
-    return frozenset(names)
 
 
 def path_graph(n):
@@ -234,10 +229,10 @@ def test_edge_dominance_matches_dominance_of_line_dual():
 def test_dominance_dual_is_neighborhood_complex_of_complement():
     for g in (P3, P4, TRIANGLE, C4, star_graph(5)):
         dual = alexander_dual(dominance_complex(g))
-        comp = complement(g)
         for s in all_subsets(g.vertices):
+            # v is a common neighbour of s in the complement of g
             has_common_neighbor = any(
-                all(comp.adjacent(v, w) for w in s)
+                all(frozenset((v, w)) not in g.edges for w in s)
                 for v in g.vertices
                 if v not in s
             )
@@ -283,7 +278,8 @@ def test_invariants_match_the_name_level_scan():
     graphs = [
         *all_trees(8),
         *(graph("abcd", [p for i, p in enumerate(four) if mask >> i & 1]) for mask in range(64)),
-        *(complement(t) for t in all_trees(6)),
+        *(graph(t.vertices, [p for p in combinations(t.vertices, 2) if frozenset(p) not in t.edges])
+          for t in all_trees(6)),
         graph("", []),
     ]
     for g in graphs:

@@ -12,13 +12,10 @@ from grapes import (
     check_grape,
     classify_strong,
     collapse_search,
-    cone_over,
     deletion,
     equals,
-    join,
     lifted_collapse,
     link,
-    matches_wedge,
     minimal_nonfaces,
     new_complex,
     predicted_wedge,
@@ -26,10 +23,10 @@ from grapes import (
     replay,
     restrict_ground,
     smith_normal_form,
-    suspension,
     verify_certificate,
 )
 from grapes.homology import _invariant_factors
+from shapes import cone, faces, full_simplex, suspension
 from test_complexes import cone_apexes, has_face, is_subcomplex, maximal_deletion
 from test_homology import boundary_matrix, faces_by_dim, oracle_reduced_homology, tuple_columns
 
@@ -72,7 +69,6 @@ def test_antichain_preserved_by_operations(pair):
         link(c, x),
         alexander_dual(c),
         restrict_ground(c),
-        suspension(c, "X", "Y"),
     ):
         assert is_antichain(result.facets)
 
@@ -90,13 +86,13 @@ def test_cone_link_deletion_decomposition(pair):
     """The complex is the cone over its link glued to its deletion along the link."""
     c, x = pair
     lk, dl = link(c, x), deletion(c, x)
-    cone_faces = {f | s for f in lk.faces() for s in ({x},)} | set(lk.faces())
+    cone_faces = {f | s for f in faces(lk) for s in ({x},)} | set(faces(lk))
     if lk.is_void:
         cone_faces = set()
-    union = cone_faces | set(dl.faces())
-    intersection = cone_faces & set(dl.faces())
-    assert union == set(c.faces())
-    assert intersection == set(lk.faces())
+    union = cone_faces | set(faces(dl))
+    intersection = cone_faces & set(faces(dl))
+    assert union == set(faces(c))
+    assert intersection == set(faces(lk))
 
 
 @SETTINGS
@@ -120,11 +116,11 @@ def test_dual_reverses_inclusions(c):
 @given(small_complexes(max_ground=4))
 def test_dual_of_cone_is_cone_with_same_apex(c):
     apex = "z"
-    cone = cone_over(c, apex)
-    if cone.is_void:
+    coned = cone(c, apex)
+    if coned.is_void:
         return
-    dual = alexander_dual(cone)
-    if equals(cone, new_complex(cone.ground, [frozenset(cone.ground)])):
+    dual = alexander_dual(coned)
+    if equals(coned, full_simplex(coned.ground)):
         # the full simplex is the one cone whose dual (the void complex)
         # has no apex to inherit
         assert dual.is_void
@@ -147,17 +143,6 @@ def test_nonvertex_detection_via_dual(pair):
     c, x = pair
     full_minus_x = frozenset(c.ground) - {x}
     assert (x not in c.vertices()) == has_face(alexander_dual(c), full_minus_x)
-
-
-@SETTINGS
-@given(small_complexes(max_ground=3), small_complexes(max_ground=3), small_complexes(max_ground=3))
-def test_join_is_associative_and_commutative(a, b, c):
-    ground = string.ascii_lowercase[:3]
-    a, b, c = (
-        new_complex(ground, x.facets) for x in (a, b, c)
-    )
-    assert equals(join(a, b), join(b, a))
-    assert equals(join(join(a, b), c), join(a, join(b, c)))
 
 
 @SETTINGS
@@ -297,7 +282,7 @@ def test_certificates_replay_and_classes_match_homology(c):
             verify_certificate(c, variant, verdict.certificate)
     strong = check_grape(c, GrapeVariant.STRONG)
     if strong.is_yes:
-        assert matches_wedge(c, classify_strong(strong.certificate).wedge)
+        assert reduced_homology(c).is_wedge(classify_strong(strong.certificate).wedge)
 
 
 @SETTINGS
@@ -330,4 +315,4 @@ def test_wedge_prediction_matches_betti(c):
     for variant in GrapeVariant:
         verdict = check_grape(c, variant)
         if verdict.is_yes:
-            assert matches_wedge(c, predicted_wedge(verdict.certificate)), variant
+            assert reduced_homology(c).is_wedge(predicted_wedge(verdict.certificate)), variant
