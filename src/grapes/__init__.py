@@ -8,7 +8,6 @@ path-missing) together with theorem-verification harnesses.
 """
 
 from .collapse import (
-    CollapsePair,
     ReplayError,
     ShvResult,
     collapse_search,
@@ -32,11 +31,9 @@ from .complexes import (
     void_complex,
 )
 from .grape import (
-    CertNode,
     GrapeVariant,
     GrapeVerdict,
     certificate_from_json,
-    certificate_to_json,
     check_grape,
     classify_strong,
     predicted_wedge,

@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Optional
 
-from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search, sequence_to_json
+from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search
 from .complexes import (
     Complex,
     InputError,
@@ -38,7 +38,6 @@ from .generators import gen_complex, gen_digraph, gen_forest
 from .grape import (
     GrapeVariant,
     certificate_from_json,
-    certificate_to_json,
     certificate_variant,
     check_grape,
     classify_strong,
@@ -176,7 +175,7 @@ def _collapse(args: argparse.Namespace) -> int:
     result = collapse_search(_complex(args), args.budget)
     payload = {"verdict": result.verdict, "nodes": result.nodes}
     if result.sequence is not None:
-        payload["sequence"] = sequence_to_json(result.sequence)
+        payload["sequence"] = result.sequence
     if result.obstruction is not None:
         payload["obstruction"] = result.obstruction.to_json()
     return _emit(payload, result.verdict)
@@ -186,7 +185,7 @@ def _grape_check(args: argparse.Namespace) -> int:
     verdict = check_grape(_complex(args), VARIANTS[args.variant], budget=args.budget)
     payload = {"verdict": verdict.verdict, "nodes": verdict.nodes}
     if verdict.certificate is not None:
-        payload["certificate"] = certificate_to_json(verdict.certificate)
+        payload["certificate"] = verdict.certificate
     if verdict.reason:
         payload["reason"] = verdict.reason
     return _emit(payload, verdict.verdict)
@@ -200,7 +199,7 @@ def _grape_classify(args: argparse.Namespace) -> int:
         {
             "strong": True,
             "class": classify_strong(verdict.certificate).to_json(),
-            "certificate": certificate_to_json(verdict.certificate),
+            "certificate": verdict.certificate,
         }
     )
 

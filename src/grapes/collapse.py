@@ -17,12 +17,15 @@ non-acyclic inputs in polynomial time and leaves the search for the acyclic
 ones.  The search is depth-first and remembers every face set it has seen
 fail, so it expands each face set it reaches at most once.
 
-The search and replay run on facet masks (see ``complexes``), and names come
-back only in the ``CollapsePair``s of a sequence.  Pairs are tried in face
-order: larger faces first, then lexicographic on the ascending ground
-indices.  That is not integer order of the masks ({0, 3} comes before
-{1, 2}, though 9 > 6): it is descending order of the bit string read from
-bit 0 up, which is the key ``mask_order`` gives.
+The search and replay run on facet masks (see ``complexes``).  A sequence
+keeps one form, in memory as on the wire: ``{"steps": [{"sigma": [...],
+"tau": [...]}]}``, each face's names sorted.  The search names its mask
+steps once, by :func:`steps_to_json`, and replay turns the names back into
+masks step by step as it reaches them.  Pairs are tried in face order:
+larger faces first, then lexicographic on the ascending ground indices.
+That is not integer order of the masks ({0, 3} comes before {1, 2}, though
+9 > 6): it is descending order of the bit string read from bit 0 up, which
+is the key ``mask_order`` gives.
 """
 
 from __future__ import annotations
@@ -72,15 +75,6 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class CollapsePair:
-    """A collapse step by name, tau a codimension-1 subface of sigma: unchecked,
-    as the search builds them; ``sequence_from_json`` checks the shape."""
-
-    sigma: frozenset
-    tau: frozenset
-
-
-@dataclass(frozen=True)
 class ShvResult:
     """Verdict of a collapsibility search.
 
@@ -92,7 +86,7 @@ class ShvResult:
     """
 
     verdict: str  # "yes" | "no" | "unknown"
-    sequence: Optional[tuple] = None
+    sequence: Optional[dict] = None  # {"steps": [...]}, as steps_to_json writes it
     nodes: int = 0
     obstruction: Optional[HomologyProfile] = None
 
@@ -143,15 +137,28 @@ def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
     return frozenset(cur)
 
 
-def replay_pairs(masks: frozenset, sequence, bit: dict, names: tuple) -> frozenset:
-    """Replay CollapsePairs by name; a face naming an element outside bit is no facet."""
-    steps = []
-    for pair in sequence:
-        if not bit.keys() >= pair.sigma:
-            replay_masks(masks, steps, names)  # an earlier step may fail first
-            raise ReplayError(f"{sorted(pair.sigma)} is not a facet")
-        steps.append((mask_of(pair.sigma, bit), mask_of(pair.tau, bit)))
-    return replay_masks(masks, steps, names)
+def replay_pairs(masks: frozenset, sequence: dict, bit: dict, names: tuple) -> frozenset:
+    """Replay a sequence by name, each step turned into masks as replay reaches it."""
+    return replay_masks(masks, _step_masks(sequence["steps"], bit), names)
+
+
+def _step_masks(steps: list, bit: dict):
+    """The (sigma, tau) masks of steps by name: a sigma naming an element
+    outside bit is no facet, and tau must be a codimension-1 face of sigma."""
+    for step in steps:
+        sigma, tau = step["sigma"], step["tau"]
+        try:
+            s = mask_of(sigma, bit)
+        except KeyError:
+            raise ReplayError(f"{sorted(set(sigma))} is not a facet") from None
+        try:
+            t = mask_of(tau, bit)
+        except KeyError:
+            t = -1  # a name outside the ground, so outside sigma
+        if t | s != s or (s ^ t).bit_count() != 1:
+            raise ReplayError(
+                f"{sorted(set(tau))} is not a codimension-1 face of {sorted(set(sigma))}")
+        yield s, t
 
 
 def cone_steps(masks: frozenset, apex: int) -> list:
@@ -205,14 +212,16 @@ def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tup
     return None
 
 
-def named_steps(steps, names: tuple) -> tuple:
-    return tuple(CollapsePair(face_of(s, names), face_of(t, names)) for s, t in steps)
+def steps_to_json(steps, names: tuple) -> dict:
+    """Mask steps as a sequence by name: {"steps": [{"sigma": [...], "tau": [...]}]}."""
+    return {"steps": [{"sigma": sorted(face_of(s, names)), "tau": sorted(face_of(t, names))}
+                      for s, t in steps]}
 
 
 # -- by name ------------------------------------------------------------------------
 
 
-def replay(c: Complex, sequence) -> Complex:
+def replay(c: Complex, sequence: dict) -> Complex:
     """Apply a collapse sequence step by step; raises ReplayError when illegal."""
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
@@ -260,11 +269,11 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
         steps = search_masks(c.masks, budget, c.ground)
     except BudgetExceeded:
         return ShvResult("unknown", None, budget.used)
-    sequence = None if steps is None else named_steps(steps, c.ground)
+    sequence = None if steps is None else steps_to_json(steps, c.ground)
     return ShvResult("no" if steps is None else "yes", sequence, budget.used)
 
 
-def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:
+def lifted_collapse(c: Complex, a: str, lk_sequence: dict) -> dict:
     """Lift a collapse of link(c, a) to a collapse of c onto deletion(c, a).
 
     Each link step (F, F - {x}) becomes (F + {a}, (F - {x}) + {a}).  The input
@@ -275,27 +284,18 @@ def lifted_collapse(c: Complex, a: str, lk_sequence) -> tuple:
     end = replay(lk, lk_sequence)
     if not end.is_void:
         raise ReplayError("link sequence does not reach the void complex")
-    lifted = tuple(
-        CollapsePair(p.sigma | {a}, p.tau | {a}) for p in lk_sequence
-    )
+    lifted = {"steps": [{"sigma": sorted([*step["sigma"], a]), "tau": sorted([*step["tau"], a])}
+                        for step in lk_sequence["steps"]]}
     result = replay(c, lifted)
     if result.masks != deletion_masks(c.masks, 1 << c.index(a)):
         raise ReplayError("lifted sequence did not land on the deletion")
     return lifted
 
 
-def sequence_to_json(sequence) -> dict:
-    return {
-        "steps": [
-            {"sigma": sorted(p.sigma), "tau": sorted(p.tau)} for p in sequence
-        ]
-    }
-
-
-def sequence_from_json(data: object) -> tuple:
+def sequence_from_json(data: object) -> dict:
+    """Check a sequence read from JSON and return it."""
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise InputError('collapse sequence JSON needs a "steps" array')
-    steps = []
     for step in data["steps"]:
         faces = (step.get("sigma"), step.get("tau")) if isinstance(step, dict) else (None,)
         if not all(isinstance(f, list) and all(isinstance(x, str) for x in f) for f in faces):
@@ -303,5 +303,4 @@ def sequence_from_json(data: object) -> tuple:
         sigma, tau = frozenset(step["sigma"]), frozenset(step["tau"])
         if not (tau < sigma and len(tau) == len(sigma) - 1):
             raise InputError("collapse pair needs tau a codimension-1 subface of sigma")
-        steps.append(CollapsePair(sigma, tau))
-    return tuple(steps)
+    return data

@@ -25,10 +25,13 @@ operation here and in recognition, replay, collapse search and homology
 runs on.  Names appear only at the boundary: ``new_complex`` and
 ``complex_from_json`` turn names into masks and validate them, and
 ``Complex.facets``, ``complex_to_json`` and the name-level queries turn
-masks back into names.  A ground restricted to the vertices keeps the
-ground order, so the lowest apex of a cone is ``m & -m``.  The face order
-is by size, then by the ascending tuple of ground indices, which is not
-integer order of masks: {0, 3} comes before {1, 2}.
+masks back into names.  Certificates and collapse sequences hold names, in
+their one JSON form: recognition and collapse search write them from
+masks, and replay turns them back into masks where it starts.  A ground
+restricted to the vertices keeps the ground order, so the lowest apex of a
+cone is ``m & -m``.  The face order is by size, then by the ascending tuple
+of ground indices, which is not integer order of masks: {0, 3} comes before
+{1, 2}.
 
 Input is validated once, where it enters (``new_complex``,
 ``complex_from_json``).  Every "does some facet hold this face?" test goes
@@ -96,10 +99,6 @@ class Complex:
             return self.ground.index(element)
         except ValueError:
             raise InputError(f"{element!r} is not a ground element") from None
-
-    def sorted_facets(self) -> list:
-        """Facets by name in face order."""
-        return [frozenset(self.ground[i] for i in row) for row in _sorted_rows(self.masks)]
 
 
 def new_complex(ground: Iterable[str], generators: Iterable[Face]) -> Complex:

@@ -25,27 +25,42 @@ ground set to the vertices at every node.  A cone is a grape of every
 variant: at any pivot other than its apex the link and the deletion are
 again cones with that apex, and a cone collapses to void.  So recognition
 ends at every cone, a point included, with a leaf naming its lowest apex,
-and a strong split's witness is a child that is such a leaf.  One search
-records a node per solved subproblem, children first, root last, unnamed.
-:func:`check_grape` names those reachable from the root, so every "yes" it
-gives comes with a certificate that replays without searching: that table
-of nodes, in memory and on the wire.  An ``OutcomeTable`` names nothing: it
-folds the records into the predicted wedge of spheres, as a certificate
-folds, and the simple-homotopy class of a strong grape (void, or a
-cross-polytope boundary) is read off the wedge.
+and a strong split's witness is a child that is such a leaf.
+
+A certificate has one form, in memory as on the wire: ``{"format": 3,
+"nodes": [...]}``, children first, root last (a memoised subproblem gives a
+node several parents).  A node is a leaf, ``{"base": b}`` for b "void" or
+"irrelevant" or ``{"base": "cone", "apex": x}`` with x in every facet, or a
+split ``{"pivot": a, "witness": w, "link": i, "deletion": j}`` naming its
+children by earlier index.  Its witness w is ``{"kind": "strong"}`` (a
+child is a cone leaf), ``{"kind": "combinatorial", "cone_element": x}``
+(the cone over the link with apex x lies in the deletion), ``{"kind":
+"weak", "gamma_facets": [...], "collapse": s}`` (a complex between link and
+deletion that s collapses) or ``{"kind": "strong-weak", "side": "link" or
+"deletion", "collapse": s}`` (that side collapses), s a collapse sequence in
+its wire form (see ``collapse``).  The search records a node per solved
+subproblem, unnamed: a dict with the document's keys ``base``, ``link`` and
+``deletion``, a ``bit`` for the pivot or apex, and a split's ``witness`` as
+a function that names it.  :func:`check_grape` names the records the root
+reaches, so every "yes" comes with a certificate that replays without
+searching.  An ``OutcomeTable`` names nothing: :func:`predicted_wedge` folds
+the records into the predicted wedge of spheres as it folds a certificate,
+and the simple-homotopy class of a strong grape (void, or a cross-polytope
+boundary) is read off the wedge.
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
 frozenset of its facet masks (also its memo key), pivots are tried lowest
 bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
 subproblem to its vertices keeps the bit order, so it costs nothing.  Names
-come back only in a named certificate and an "unknown"'s origin: pivots,
-apexes, cone elements, the intermediate complex and the collapse pairs of a
-sequence, found in face order, not integer order (see ``collapse``).  One
-``Budget`` counts the subproblems, the refutations and the nodes of every
-collapse search; running out is "unknown".  Any other "unknown" names its
-origin: the reason the first inconclusive pivot test gave, and the pivots
-and sides leading to it from the root.  Theorem checks recognise through an
+come back only in a certificate and an "unknown"'s origin: pivots, apexes,
+cone elements, the intermediate complex and the collapse pairs of a
+sequence, found in face order, not integer order (see ``collapse``); replay
+turns them back into masks where it starts.  One ``Budget`` counts the
+subproblems, the refutations and the nodes of every collapse search;
+running out is "unknown".  Any other "unknown" names its origin: the reason
+the first inconclusive pivot test gave, and the pivots and sides leading to
+it from the root.  Theorem checks recognise through an
 ``OutcomeTable``, one per suite run, keyed by facet masks as recognition's
 own memo is.  It keeps outcomes (verdicts plus wedges, never certificates),
 duals, and the homology profiles that recognition, a fresh memo otherwise,
@@ -56,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -64,12 +79,11 @@ from .collapse import (
     BudgetExceeded,
     ReplayError,
     cone_steps,
-    named_steps,
     obstruction,
     replay_pairs,
     search_masks,
     sequence_from_json,
-    sequence_to_json,
+    steps_to_json,
 )
 from .complexes import (
     Complex,
@@ -103,66 +117,15 @@ class GrapeVariant(Enum):
     STRONG_WEAK = "strong-weak"
 
 
-# -- witnesses ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrongWitness:
-    """The link or the deletion is a cone.  It names nothing: the split's
-    link or deletion child is a cone leaf, which names the apex."""
-
-    variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG
-
-
-@dataclass(frozen=True)
-class ConeContainmentWitness:
-    """Element x whose cone over the link lies inside the deletion."""
-
-    variant: ClassVar[GrapeVariant] = GrapeVariant.COMBINATORIAL
-    cone_element: str
-
-
-@dataclass(frozen=True)
-class TrivialIntermediateWitness:
-    """Collapsible complex squeezed between link and deletion."""
-
-    variant: ClassVar[GrapeVariant] = GrapeVariant.WEAK
-    gamma_facets: frozenset
-    sequence: tuple
-
-
-@dataclass(frozen=True)
-class TrivialSideWitness:
-    """Side (link or deletion) that collapses to void, with its sequence."""
-
-    variant: ClassVar[GrapeVariant] = GrapeVariant.STRONG_WEAK
-    side: str  # "link" | "deletion"
-    sequence: tuple
-
-
-@dataclass(frozen=True)
-class CertNode:
-    """One node of a certificate, a tuple of nodes listed children first.
-
-    A base leaf ("void" or "irrelevant", with no vertex; or "cone", naming
-    an apex that lies in every facet) or a split carrying the pivot, the
-    variant witness, and the indices of its link's and its deletion's
-    nodes, earlier in the tuple.  The last node is the root;
-    memoised subproblems give a node several parents.
-    """
-
-    base: Optional[str] = None
-    pivot: Optional[str] = None
-    witness: Optional[object] = None
-    link: Optional[int] = None
-    deletion: Optional[int] = None
-    apex: Optional[str] = None  # a "cone" leaf only
+# the variant of each witness kind
+_VARIANT_OF_KIND = {"strong": GrapeVariant.STRONG, "combinatorial": GrapeVariant.COMBINATORIAL,
+                    "weak": GrapeVariant.WEAK, "strong-weak": GrapeVariant.STRONG_WEAK}
 
 
 @dataclass(frozen=True)
 class GrapeVerdict:
     verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[tuple] = None  # of CertNode, root last
+    certificate: Optional[dict] = None  # {"format": 3, "nodes": [...]}
     reason: Optional[str] = None
     nodes: int = 0
 
@@ -187,16 +150,6 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-class _Node(NamedTuple):
-    """A search record: CertNode's base, pivot or apex as a bit, link, deletion, witness namer."""
-
-    base: Optional[str]
-    bit: int
-    link: Optional[int] = None
-    deletion: Optional[int] = None
-    witness: Optional[Callable] = None
-
-
 def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
                 profiles: Optional[dict] = None) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
@@ -217,20 +170,26 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
     subproblem, each refutation, and each node of every collapse search.
     Running out anywhere ends the recognition "unknown" after limit + 1
     nodes.  The search is :func:`search_grape`; this names each of its
-    records reachable from the root as exactly one CertNode.
+    records reachable from the root as exactly one certificate node.
     """
     verdict, records, name = search_grape(c, variant, budget, profiles=profiles)
     if records is None:
         return verdict
     keep = {len(records) - 1}
     for i in range(len(records) - 1, -1, -1):
-        if i in keep and not records[i].base:
-            keep |= {records[i].link, records[i].deletion}
+        if i in keep and "base" not in records[i]:
+            keep |= {records[i]["link"], records[i]["deletion"]}
     index = {i: k for k, i in enumerate(sorted(keep))}  # renumbered in their order
-    cert = tuple(CertNode(base=n.base, apex=name(n.bit)) if n.base else CertNode(
-        pivot=name(n.bit), witness=n.witness(), link=index[n.link], deletion=index[n.deletion])
-        for n in map(records.__getitem__, index))
-    return GrapeVerdict("yes", certificate=cert, nodes=verdict.nodes)
+    nodes = []
+    for n in map(records.__getitem__, index):
+        if "base" not in n:
+            nodes.append({"pivot": name(n["bit"]), "witness": n["witness"](),
+                          "link": index[n["link"]], "deletion": index[n["deletion"]]})
+        elif n["base"] == "cone":
+            nodes.append({"base": "cone", "apex": name(n["bit"])})
+        else:
+            nodes.append({"base": n["base"]})
+    return GrapeVerdict("yes", certificate={"format": 3, "nodes": nodes}, nodes=verdict.nodes)
 
 
 def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
@@ -258,13 +217,13 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         if variant is GrapeVariant.STRONG:
             # a cone side is solved as a cone leaf
             if meet_mask(dl) or meet_mask(lk):
-                return "yes", StrongWitness
+                return "yes", lambda: {"kind": "strong"}
             return "no", "neither side is a cone"
 
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
             if x:
-                return "yes", lambda: ConeContainmentWitness(name(x & -x))
+                return "yes", lambda: {"kind": "combinatorial", "cone_element": name(x & -x)}
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
@@ -275,7 +234,8 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
                     continue
                 steps = search_masks(side_masks, budget, names)
                 if steps is not None:
-                    return "yes", lambda: TrivialSideWitness(side, named_steps(steps, names))
+                    return "yes", lambda: {"kind": "strong-weak", "side": side,
+                                           "collapse": steps_to_json(steps, names)}
             if refuted == 2:
                 return "no", "both sides have nonzero reduced homology"
             # an acyclic side that fails to collapse might still be
@@ -295,11 +255,11 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
                 gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
         return "unknown", "no collapsible intermediate in the fast family"
 
-    def intermediate(gamma: frozenset, steps) -> TrivialIntermediateWitness:
-        gamma_facets = frozenset(face_of(g, names) for g in gamma)
-        return TrivialIntermediateWitness(gamma_facets, named_steps(steps, names))
+    def intermediate(gamma: frozenset, steps) -> dict:
+        return {"kind": "weak", "gamma_facets": sorted(sorted(face_of(g, names)) for g in gamma),
+                "collapse": steps_to_json(steps, names)}
 
-    nodes: list = []  # a _Node per solved subproblem, children first
+    nodes: list = []  # a record per solved subproblem, children first
     torsion_read = False  # the root's homology, read at the first inconclusive pivot test
 
     def leaf(masks: frozenset) -> Optional[tuple]:
@@ -308,7 +268,8 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         meet = meet_mask(masks)  # the apexes: a cone is a grape of every variant
         if not meet and join_mask(masks):
             return None
-        nodes.append(_Node("cone" if meet else "irrelevant" if masks else "void", meet & -meet))
+        nodes.append({"base": "cone" if meet else "irrelevant" if masks else "void",
+                      "bit": meet & -meet})
         memo[masks] = answer = ("yes", len(nodes) - 1)
         return answer
 
@@ -339,7 +300,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                nodes.append(_Node(None, a, lk_ref, dl_ref, payload))
+                nodes.append({"bit": a, "link": lk_ref, "deletion": dl_ref, "witness": payload})
                 yield "yes", len(nodes) - 1  # the answer: the frame is not resumed
             if origin is None and status == "unknown":
                 origin = (payload, (name(a),), ())
@@ -383,7 +344,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
 # -- certificate replay --------------------------------------------------------
 
 
-def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
+def verify_certificate(c: Complex, variant: GrapeVariant, cert: dict) -> None:
     """Replay a certificate against a complex; raises ReplayError on any gap.
 
     Verification is independent of the search: pivot legality, the variant
@@ -392,78 +353,82 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: tuple) -> None:
     per distinct complex its parents hand down.
     """
     c = restrict_ground(c)
-    names, root, bit = c.ground, c.masks, bit_table(c.ground)
-    todo = [{} for _ in cert]  # per node: its complexes, as insertion-ordered keys
+    names, root, bit, nodes = c.ground, c.masks, bit_table(c.ground), cert["nodes"]
+    todo = [{} for _ in nodes]  # per node: its complexes, as insertion-ordered keys
     todo[-1][root] = None
-    for i in range(len(cert) - 1, -1, -1):
-        node = cert[i]
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        base = node.get("base")
         for masks in todo[i]:
-            if node.base == "cone":  # meet_mask is 0 on the void and irrelevant complexes
-                if not bit.get(node.apex, 0) & meet_mask(masks):
-                    raise ReplayError(f"cone leaf's apex {node.apex!r} is not in every facet")
+            if base == "cone":  # meet_mask is 0 on the void and irrelevant complexes
+                if not bit.get(node["apex"], 0) & meet_mask(masks):
+                    raise ReplayError(f"cone leaf's apex {node['apex']!r} is not in every facet")
                 continue
-            if node.base:
+            if base:
                 kind = None if join_mask(masks) else "irrelevant" if masks else "void"
-                if kind != node.base:
-                    raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
+                if kind != base:
+                    raise ReplayError(f"base leaf says {base!r} but complex is {kind!r}")
                 continue
-            a = node.pivot
+            a = node["pivot"]
             verts = join_mask(masks)
             if not bit.get(a, 0) & verts:
                 raise ReplayError(f"pivot {a!r} is not a vertex")
             lk = link_masks(masks, bit[a])
             dl = deletion_masks(masks, bit[a])
-            _verify_witness(variant, node.witness, lk, dl, verts ^ bit[a], names, bit)
+            _verify_witness(variant, node["witness"], lk, dl, verts ^ bit[a], names, bit)
             if variant is GrapeVariant.STRONG and "cone" not in (
-                    cert[node.link].base, cert[node.deletion].base):
+                    nodes[node["link"]].get("base"), nodes[node["deletion"]].get("base")):
                 raise ReplayError("strong split has no cone-leaf child")
-            todo[node.link][lk] = None
-            todo[node.deletion][dl] = None
+            todo[node["link"]][lk] = None
+            todo[node["deletion"]][dl] = None
         todo[i] = None
 
 
 def _verify_witness(
-    variant: GrapeVariant, witness: object, lk: frozenset, dl: frozenset, ground: int,
+    variant: GrapeVariant, witness: dict, lk: frozenset, dl: frozenset, ground: int,
     names: tuple, bit: dict,
 ) -> None:
     """One node's witness, with ground the deletion's ground set as a mask."""
-    if getattr(witness, "variant", None) is not variant:
-        raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
+    kind = witness["kind"]
+    if _VARIANT_OF_KIND.get(kind) is not variant:
+        raise ReplayError(f"{variant.value} certificate has a {kind!r} witness")
     if variant is GrapeVariant.STRONG:
         return  # the cone-leaf child replays the cone
     if variant is GrapeVariant.COMBINATORIAL:
-        x = witness.cone_element
+        x = witness["cone_element"]
         if not bit.get(x, 0) & ground:
             raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
         if not bit[x] & _cone_points(lk, dl):
             raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
         return
     if variant is GrapeVariant.WEAK:
-        unknown = {x for f in witness.gamma_facets for x in f if not bit.get(x, 0) & ground}
+        facets = witness["gamma_facets"]
+        unknown = {x for f in facets for x in f if not bit.get(x, 0) & ground}
         if unknown:
             raise ReplayError("intermediate complex is malformed: facet uses unknown ground "
                               f"elements: {sorted(unknown)}")
-        gamma_masks = maximal_masks(mask_of(f, bit) for f in witness.gamma_facets)
+        gamma_masks = maximal_masks(mask_of(f, bit) for f in facets)
         in_gamma, in_dl = holders(gamma_masks), holders(dl)
         if not all(any(in_gamma(f)) for f in lk):
             raise ReplayError("link is not contained in the intermediate complex")
         if not all(any(in_dl(g)) for g in gamma_masks):
             raise ReplayError("intermediate complex is not contained in the deletion")
-        if replay_pairs(gamma_masks, witness.sequence, bit, names):
+        if replay_pairs(gamma_masks, witness["collapse"], bit, names):
             raise ReplayError("intermediate complex does not collapse to void")
         return
     # strong-weak
-    side = lk if witness.side == "link" else dl
-    if replay_pairs(side, witness.sequence, bit, names):
-        raise ReplayError(f"{witness.side} does not collapse to void")
+    side = lk if witness["side"] == "link" else dl
+    if replay_pairs(side, witness["collapse"], bit, names):
+        raise ReplayError(f"{witness['side']} does not collapse to void")
 
 
 # -- classification ------------------------------------------------------------
 
 
-def predicted_wedge(cert) -> dict:
+def predicted_wedge(cert: dict) -> dict:
     """Predicted reduced Betti numbers, folded from a certificate alone or
-    from the search's records (nodes the root does not reach fold unread).
+    from {"nodes": the search's records} (nodes the root does not reach
+    fold unread).
 
     At every split the complex is homotopy equivalent to the deletion wedged
     with the suspended link, so predictions add up from the leaves: the
@@ -472,21 +437,21 @@ def predicted_wedge(cert) -> dict:
     every variant: the strong class and the homology checks read it.
     """
     folds: list = []
-    for node in cert:
-        if node.base:
-            folds.append({-1: 1} if node.base == "irrelevant" else {})
+    for node in cert["nodes"]:
+        if "base" in node:
+            folds.append({-1: 1} if node["base"] == "irrelevant" else {})
             continue
-        out = dict(folds[node.deletion])
-        for k, mult in folds[node.link].items():
+        out = dict(folds[node["deletion"]])
+        for k, mult in folds[node["link"]].items():
             out[k + 1] = out.get(k + 1, 0) + mult
         folds.append(out)
     return folds[-1]
 
 
-def classify_strong(cert: tuple) -> SHClass:
+def classify_strong(cert: dict) -> SHClass:
     """Simple-homotopy class of a strong grape, read off its predicted wedge;
     ReplayError on another variant's witness or a wedge that is not one sphere."""
-    if any(not node.base and not isinstance(node.witness, StrongWitness) for node in cert):
+    if any("base" not in node and node["witness"]["kind"] != "strong" for node in cert["nodes"]):
         raise ReplayError("classification needs a strong certificate")
     try:
         return SHClass.of_wedge(predicted_wedge(cert))
@@ -539,7 +504,7 @@ class OutcomeTable:
     def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
         def outcome() -> Outcome:
             verdict, records, _ = search_grape(c, variant, profiles=self.profiles)
-            return Outcome(verdict.verdict, records and predicted_wedge(records))
+            return Outcome(verdict.verdict, records and predicted_wedge({"nodes": records}))
 
         return self.once((c.masks, variant), outcome)
 
@@ -606,93 +571,51 @@ def verify_dual_invariance(
 # -- certificate JSON --------------------------------------------------------------
 
 
-def _witness_to_json(w: object) -> dict:
-    if isinstance(w, StrongWitness):
-        return {"kind": "strong"}
-    if isinstance(w, ConeContainmentWitness):
-        return {"kind": "combinatorial", "cone_element": w.cone_element}
-    if isinstance(w, TrivialIntermediateWitness):
-        return {
-            "kind": "weak",
-            "gamma_facets": sorted(sorted(f) for f in w.gamma_facets),
-            "collapse": sequence_to_json(w.sequence),
-        }
-    if isinstance(w, TrivialSideWitness):
-        return {
-            "kind": "strong-weak",
-            "side": w.side,
-            "collapse": sequence_to_json(w.sequence),
-        }
-    raise InputError(f"cannot serialize witness {w!r}")
-
-
-def _witness_from_json(data: object) -> object:
+def _check_witness(data: object) -> None:
     if not isinstance(data, dict):
         raise InputError("witness must be an object")
     kind = data.get("kind")
-    if kind == "strong":
-        return StrongWitness()
     if kind == "combinatorial":
-        x = data.get("cone_element")
-        if not isinstance(x, str):
+        if not isinstance(data.get("cone_element"), str):
             raise InputError('combinatorial witness needs a "cone_element" string')
-        return ConeContainmentWitness(x)
-    if kind == "weak":
+    elif kind == "weak":
         facets = data.get("gamma_facets")
         if not isinstance(facets, list) or not all(
             isinstance(f, list) and all(isinstance(x, str) for x in f) for f in facets
         ):
             raise InputError('weak witness needs a "gamma_facets" array of string arrays')
-        return TrivialIntermediateWitness(
-            frozenset(frozenset(f) for f in facets),
-            sequence_from_json(data.get("collapse", {})),
-        )
-    if kind == "strong-weak":
-        side = data.get("side")
-        if side not in ("link", "deletion"):
+        sequence_from_json(data.get("collapse", {}))
+    elif kind == "strong-weak":
+        if data.get("side") not in ("link", "deletion"):
             raise InputError('strong-weak witness needs "side": "link" or "deletion"')
-        return TrivialSideWitness(side, sequence_from_json(data.get("collapse", {})))
-    raise InputError(f"unknown witness kind {kind!r}")
+        sequence_from_json(data.get("collapse", {}))
+    elif kind != "strong":
+        raise InputError(f"unknown witness kind {kind!r}")
 
 
-def _node_to_json(n: CertNode) -> dict:
-    if n.base == "cone":
-        return {"base": "cone", "apex": n.apex}
-    if n.base:
-        return {"base": n.base}
-    return {"pivot": n.pivot, "witness": _witness_to_json(n.witness), "link": n.link,
-            "deletion": n.deletion}
-
-
-def certificate_to_json(cert: tuple) -> dict:
-    """The wire form of a certificate: {"format": 3, "nodes": [...]}."""
-    return {"format": 3, "nodes": [_node_to_json(n) for n in cert]}
-
-
-def _node_from_json(data: object, i: int) -> CertNode:
+def _check_node(data: object, i: int) -> None:
     if not isinstance(data, dict):
         raise InputError("certificate node must be an object")
     if data.get("base") == "cone":
         if not isinstance(data.get("apex"), str):
             raise InputError('cone leaf needs an "apex" string')
-        return CertNode(base="cone", apex=data["apex"])
+        return
     if "base" in data:
         if data["base"] not in ("void", "irrelevant"):
             raise InputError(f"unknown base kind {data['base']!r}")
-        return CertNode(base=data["base"])
-    pivot = data.get("pivot")
-    if not isinstance(pivot, str):
+        return
+    if not isinstance(data.get("pivot"), str):
         raise InputError('split node needs a "pivot" string')
     lk, dl = data.get("link"), data.get("deletion")
     # ints below i: children come first, which also rules out cycles
     if not all(type(ref) is int and 0 <= ref < i for ref in (lk, dl)):
         raise InputError(f"node {i} must name earlier nodes by index, not {lk!r} and {dl!r}")
-    witness = _witness_from_json(data.get("witness"))
-    return CertNode(pivot=pivot, witness=witness, link=lk, deletion=dl)
+    _check_witness(data.get("witness"))
 
 
-def certificate_from_json(data: object) -> tuple:
-    """Read a node table of format 3, the only format written."""
+def certificate_from_json(data: object) -> dict:
+    """Check a certificate read from JSON, format 3 the only format written,
+    and return it."""
     if not isinstance(data, dict):
         raise InputError("certificate must be an object")
     fmt = data.get("format")
@@ -701,10 +624,13 @@ def certificate_from_json(data: object) -> tuple:
     raw = data.get("nodes")
     if not isinstance(raw, list) or not raw:
         raise InputError('certificate needs a nonempty "nodes" array')
-    return tuple(_node_from_json(node, i) for i, node in enumerate(raw))
+    for i, node in enumerate(raw):
+        _check_node(node, i)
+    return data
 
 
-def certificate_variant(cert: tuple) -> Optional[GrapeVariant]:
+def certificate_variant(cert: dict) -> Optional[GrapeVariant]:
     """Variant implied by the root's witness; None for a certificate that is
     one leaf (void, irrelevant or a cone), which holds for every variant."""
-    return getattr(cert[-1].witness, "variant", None)
+    root = cert["nodes"][-1]
+    return None if "base" in root else _VARIANT_OF_KIND[root["witness"]["kind"]]

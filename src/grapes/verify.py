@@ -434,7 +434,7 @@ def cyclic_no_useless_reports() -> list:
             "cyclic-no-useless-pf-facets",
             instance,
             pf.facets == expected_facets,
-            observed=[sorted(f) for f in pf.sorted_facets()],
+            observed=complex_to_json(pf)["facets"],
         ),
         _report("cyclic-no-useless-pf-not-cone", instance, not meet_mask(pf.masks)),
         _report(

@@ -1,14 +1,15 @@
 """Certificate node tables against the recursive tree walkers they replaced.
 
-The tree serialiser and the tree replay are kept here as oracles: a table
-expanded to a tree must serialise like the tree, and both replays must
-accept and reject the same certificates.  So is the table replay on
-frozensets of names that the mask kernel replaced: it must reject every
-tampered certificate with the same error.
+The tree replay is kept here as an oracle: a table expanded to a nested
+tree must equal the tree its nodes stand for, and both replays must accept
+and reject the same certificates.  So is the table replay on frozensets of
+names that the mask kernel replaced: it must reject every tampered
+certificate with the same error.  All of them read the one representation,
+the format-3 document of plain JSON values.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
@@ -20,30 +21,28 @@ from grapes import (
     ReplayError,
     alexander_dual,
     certificate_from_json,
-    certificate_to_json,
     check_grape,
+    collapse_search,
     complex_to_json,
     enumerate_complexes,
     independence_complex,
     irrelevant_complex,
+    replay,
     restrict_ground,
     verify_certificate,
     void_complex,
 )
 from grapes.cli import main
+from grapes.collapse import sequence_from_json
 from grapes.complexes import deletion, link, new_complex
-from grapes.collapse import CollapsePair
-from grapes.grape import (
-    CertNode,
-    ConeContainmentWitness,
-    StrongWitness,
-    TrivialSideWitness,
-    _witness_to_json,
-)
 from test_collapse import frozenset_replay
 from test_complexes import frozenset_cone_apexes, frozenset_link, has_face, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
 from test_graphs import path_graph
+
+# the witness kind each variant's splits carry
+KIND = {GrapeVariant.STRONG: "strong", GrapeVariant.COMBINATORIAL: "combinatorial",
+        GrapeVariant.WEAK: "weak", GrapeVariant.STRONG_WEAK: "strong-weak"}
 
 # -- the recursive oracles ----------------------------------------------------------
 
@@ -53,7 +52,7 @@ class Tree:
     base: Optional[str] = None
     apex: Optional[str] = None
     pivot: Optional[str] = None
-    witness: Optional[object] = None
+    witness: Optional[dict] = None
     link_cert: Optional["Tree"] = None
     del_cert: Optional["Tree"] = None
 
@@ -61,16 +60,16 @@ class Tree:
 def as_tree(cert):
     """The tree a node table stands for, its shared nodes shared as objects."""
     built = []
-    for node in cert:
-        if node.base:
-            built.append(Tree(base=node.base, apex=node.apex))
+    for node in cert["nodes"]:
+        if "base" in node:
+            built.append(Tree(base=node["base"], apex=node.get("apex")))
         else:
             built.append(
                 Tree(
-                    pivot=node.pivot,
-                    witness=node.witness,
-                    link_cert=built[node.link],
-                    del_cert=built[node.deletion],
+                    pivot=node["pivot"],
+                    witness=node["witness"],
+                    link_cert=built[node["link"]],
+                    del_cert=built[node["deletion"]],
                 )
             )
     return built[-1]
@@ -83,7 +82,7 @@ def oracle_to_json(tree):
         return {"base": tree.base}
     return {
         "pivot": tree.pivot,
-        "witness": _witness_to_json(tree.witness),
+        "witness": tree.witness,
         "link": oracle_to_json(tree.link_cert),
         "deletion": oracle_to_json(tree.del_cert),
     }
@@ -124,38 +123,40 @@ def oracle_verify(c, variant, tree):
 
 def frozenset_verify_certificate(c, variant, cert):
     """The table replay on frozensets of names."""
-    todo = [{} for _ in cert]
+    nodes = cert["nodes"]
+    todo = [{} for _ in nodes]
     todo[-1][restrict_ground(c)] = None
-    for i in range(len(cert) - 1, -1, -1):
-        node = cert[i]
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
         for cr in todo[i]:
-            if node.base == "cone":
-                frozenset_verify_cone(cr, node.apex)
+            if node.get("base") == "cone":
+                frozenset_verify_cone(cr, node["apex"])
                 continue
-            if node.base:
+            if "base" in node:
                 kind = frozenset_base_kind(cr)
-                if kind != node.base:
-                    raise ReplayError(f"base leaf says {node.base!r} but complex is {kind!r}")
+                if kind != node["base"]:
+                    raise ReplayError(f"base leaf says {node['base']!r} but complex is {kind!r}")
                 continue
-            a = node.pivot
+            a = node["pivot"]
             if not has_face(cr, frozenset({a})):
                 raise ReplayError(f"pivot {a!r} is not a vertex")
             lk = frozenset_link(cr, a)
             dl = maximal_deletion(cr, a)
-            frozenset_verify_witness(variant, node.witness, lk, dl)
-            has_cone_leaf_child(variant, cert[node.link].base, cert[node.deletion].base)
-            todo[node.link][restrict_ground(lk)] = None
-            todo[node.deletion][restrict_ground(dl)] = None
+            frozenset_verify_witness(variant, node["witness"], lk, dl)
+            has_cone_leaf_child(variant, nodes[node["link"]].get("base"),
+                                nodes[node["deletion"]].get("base"))
+            todo[node["link"]][restrict_ground(lk)] = None
+            todo[node["deletion"]][restrict_ground(dl)] = None
         todo[i] = None
 
 
 def frozenset_verify_witness(variant, witness, lk, dl):
-    if getattr(witness, "variant", None) is not variant:
-        raise ReplayError(f"{variant.value} certificate has a {type(witness).__name__} node")
+    if witness["kind"] != KIND[variant]:
+        raise ReplayError(f"{variant.value} certificate has a {witness['kind']!r} witness")
     if variant is GrapeVariant.STRONG:
         return
     if variant is GrapeVariant.COMBINATORIAL:
-        x = witness.cone_element
+        x = witness["cone_element"]
         if x not in dl.ground:
             raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
         if not frozenset_cone_fits(lk, dl, x):
@@ -163,7 +164,7 @@ def frozenset_verify_witness(variant, witness, lk, dl):
         return
     if variant is GrapeVariant.WEAK:
         try:
-            gamma = new_complex(dl.ground, witness.gamma_facets)
+            gamma = new_complex(dl.ground, [frozenset(f) for f in witness["gamma_facets"]])
         except InputError as exc:
             raise ReplayError(f"intermediate complex is malformed: {exc}") from None
         for f in lk.facets:
@@ -172,16 +173,16 @@ def frozenset_verify_witness(variant, witness, lk, dl):
         for f in gamma.facets:
             if not has_face(dl, f):
                 raise ReplayError("intermediate complex is not contained in the deletion")
-        if not frozenset_replay(gamma, witness.sequence).is_void:
+        if not frozenset_replay(gamma, witness["collapse"]).is_void:
             raise ReplayError("intermediate complex does not collapse to void")
         return
-    side = lk if witness.side == "link" else dl
-    if not frozenset_replay(side, witness.sequence).is_void:
-        raise ReplayError(f"{witness.side} does not collapse to void")
+    side = lk if witness["side"] == "link" else dl
+    if not frozenset_replay(side, witness["collapse"]).is_void:
+        raise ReplayError(f"{witness['side']} does not collapse to void")
 
 
 def expand(data):
-    """A certificate object expanded to a nested tree, as format 1 wrote it."""
+    """A certificate expanded to a nested tree, as format 1 wrote it."""
     built = []
     for node in data["nodes"]:
         if "base" not in node:
@@ -207,20 +208,31 @@ def replay_error(replay, c, variant, cert):
     return None
 
 
+def with_root(cert, node):
+    """The certificate with its root node replaced."""
+    return with_node(cert, len(cert["nodes"]) - 1, node)
+
+
+def with_node(cert, i, node):
+    nodes = list(cert["nodes"])
+    nodes[i] = node
+    return {**cert, "nodes": nodes}
+
+
 def tamperings(c, cert):
     """Certificates that differ from a valid one in one place."""
-    root = cert[-1]
+    root = cert["nodes"][-1]
     for e in c.ground:
-        if e != root.pivot:
-            yield cert[:-1] + (replace(root, pivot=e),)
-    for i, node in enumerate(cert):
-        if node.base:
-            for kind in {"void", "irrelevant"} - {node.base}:
-                yield cert[:i] + (CertNode(base=kind),) + cert[i + 1 :]
-            if node.base != "cone":
-                yield cert[:i] + (CertNode(base="cone", apex=c.ground[0]),) + cert[i + 1 :]
-    if not root.base and root.link != root.deletion:
-        yield cert[:-1] + (replace(root, link=root.deletion, deletion=root.link),)
+        if e != root.get("pivot"):
+            yield with_root(cert, {**root, "pivot": e})
+    for i, node in enumerate(cert["nodes"]):
+        if "base" in node:
+            for kind in {"void", "irrelevant"} - {node["base"]}:
+                yield with_node(cert, i, {"base": kind})
+            if node["base"] != "cone":
+                yield with_node(cert, i, {"base": "cone", "apex": c.ground[0]})
+    if "base" not in root and root["link"] != root["deletion"]:
+        yield with_root(cert, {**root, "link": root["deletion"], "deletion": root["link"]})
 
 
 def witness_tamperings(c, cert):
@@ -228,34 +240,33 @@ def witness_tamperings(c, cert):
     names something outside the ground, claims a wrong apex or side, or
     carries an illegal collapse step; a strong root, whose witness names
     nothing, gets its children swapped or one child twice."""
-    root = cert[-1]
-    w = root.witness
-    if root.base == "cone":
+    root = cert["nodes"][-1]
+    if root.get("base") == "cone":
         for apex in ("zz", None, *c.ground):
-            yield cert[:-1] + (replace(root, apex=apex),)
+            yield with_root(cert, {**root, "apex": apex})
         return
-    if root.base:
+    if "base" in root:
         return
-    if isinstance(w, StrongWitness):
-        for link, deletion in ((root.deletion, root.link), (root.link, root.link),
-                               (root.deletion, root.deletion)):
-            yield cert[:-1] + (replace(root, link=link, deletion=deletion),)
+    w = root["witness"]
+    if w["kind"] == "strong":
+        for link, deletion in ((root["deletion"], root["link"]), (root["link"], root["link"]),
+                               (root["deletion"], root["deletion"])):
+            yield with_root(cert, {**root, "link": link, "deletion": deletion})
         return
-    if isinstance(w, ConeContainmentWitness):
-        changes = [replace(w, cone_element=x) for x in ("zz", root.pivot, *c.ground)]
+    if w["kind"] == "combinatorial":
+        changes = [{**w, "cone_element": x} for x in ("zz", root["pivot"], *c.ground)]
     else:
-        seq = w.sequence
-        zz = CollapsePair(frozenset({"zz", "yy"}), frozenset({"zz"}))
-        changes = [replace(w, sequence=seq[:-1]), replace(w, sequence=(zz,) + seq),
-                   replace(w, sequence=seq[:1] + (zz,) + seq[1:]),
-                   replace(w, sequence=seq[:1] + seq)]
-        if isinstance(w, TrivialSideWitness):
-            changes.append(replace(w, side="link" if w.side == "deletion" else "deletion"))
+        seq = w["collapse"]["steps"]
+        zz = {"sigma": ["yy", "zz"], "tau": ["zz"]}
+        changes = [{**w, "collapse": {"steps": steps}} for steps in (
+            seq[:-1], [zz] + seq, seq[:1] + [zz] + seq[1:], seq[:1] + seq)]
+        if w["kind"] == "strong-weak":
+            changes.append({**w, "side": "link" if w["side"] == "deletion" else "deletion"})
         else:
-            changes += [replace(w, gamma_facets=w.gamma_facets | {frozenset({"zz"})}),
-                        replace(w, gamma_facets=frozenset())]
+            changes += [{**w, "gamma_facets": w["gamma_facets"] + [["zz"]]},
+                        {**w, "gamma_facets": []}]
     for change in changes:
-        yield cert[:-1] + (replace(root, witness=change),)
+        yield with_root(cert, {**root, "witness": change})
 
 
 def test_replays_reject_tampered_witnesses_alike():
@@ -271,19 +282,19 @@ def test_replays_reject_tampered_witnesses_alike():
 
 
 def _flat(cert):
-    """A certificate with its shared nodes written out once per path, as a
-    tree would hold them."""
+    """A certificate's nodes with the shared ones written out once per path,
+    as a tree would hold them."""
     out = []
 
     def walk(i):
-        node = cert[i]
-        if not node.base:
-            node = replace(node, link=walk(node.link), deletion=walk(node.deletion))
+        node = cert["nodes"][i]
+        if "base" not in node:
+            node = {**node, "link": walk(node["link"]), "deletion": walk(node["deletion"])}
         out.append(node)
         return len(out) - 1
 
-    walk(len(cert) - 1)
-    return tuple(out)
+    walk(len(cert["nodes"]) - 1)
+    return out
 
 
 # -- differential checks ---------------------------------------------------------------
@@ -297,9 +308,7 @@ def tables_match_the_tree_walkers(variant):
         if not verdict.is_yes:
             continue
         cert, tree = verdict.certificate, as_tree(verdict.certificate)
-        data = certificate_to_json(cert)
-        assert expand(data) == oracle_to_json(tree)
-        assert certificate_from_json(data) == cert
+        assert expand(cert) == oracle_to_json(tree)
         verify_certificate(c, variant, cert)
         oracle_verify(c, variant, tree)
         for bad in tamperings(c, cert):
@@ -310,6 +319,24 @@ def tables_match_the_tree_walkers(variant):
         checked += 1
     assert checked > 100
     return tampered
+
+
+def test_certificates_and_sequences_are_plain_json():
+    # the one representation holds no tuple, frozenset or callable: it comes
+    # back from a JSON round trip unchanged, and what is read back replays
+    for ground in ("", "a", "ab", "abc", "abcd"):
+        for c in enumerate_complexes(ground):
+            for variant in GrapeVariant:
+                cert = check_grape(c, variant).certificate
+                if cert is not None:
+                    data = json.loads(json.dumps(cert))
+                    assert data == cert
+                    verify_certificate(c, variant, certificate_from_json(data))
+            sequence = collapse_search(c).sequence
+            if sequence is not None:
+                data = json.loads(json.dumps(sequence))
+                assert data == sequence
+                assert replay(c, sequence_from_json(data)).is_void
 
 
 # 5,148 tampered certificates in all
@@ -331,16 +358,16 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
     # certificate is a chain and shares no split
     c = alexander_dual(independence_complex(path_graph(6)))
     cert = check_grape(c, GrapeVariant.WEAK).certificate
-    pairs, todo = set(), [(len(cert) - 1, restrict_ground(c))]
+    pairs, todo = set(), [(len(cert["nodes"]) - 1, restrict_ground(c))]
     while todo:
         i, cr = todo.pop()
-        node = cert[i]
-        if (i, cr) in pairs or node.base:
+        node = cert["nodes"][i]
+        if (i, cr) in pairs or "base" in node:
             continue
         pairs.add((i, cr))
         todo += [
-            (node.link, restrict_ground(link(cr, node.pivot))),
-            (node.deletion, restrict_ground(deletion(cr, node.pivot))),
+            (node["link"], restrict_ground(link(cr, node["pivot"]))),
+            (node["deletion"], restrict_ground(deletion(cr, node["pivot"]))),
         ]
     calls = []
     link_masks = grape.link_masks
@@ -353,7 +380,7 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
     verify_certificate(c, GrapeVariant.WEAK, cert)
     assert len(calls) == len(pairs)
     # a tree replay would link once per split of the written-out tree
-    assert len(pairs) < sum(1 for node in _flat(cert) if not node.base)
+    assert len(pairs) < sum(1 for node in _flat(cert) if "base" not in node)
 
 
 # -- a strong witness is a cone-leaf child -------------------------------------------------
@@ -370,7 +397,7 @@ STRONG_TWO_POINTS = {"format": 3, "nodes": [
 
 def test_a_strong_witness_names_nothing_and_a_point_is_a_cone_leaf(tmp_path, capsys):
     cert = check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate
-    assert certificate_to_json(cert) == STRONG_TWO_POINTS
+    assert cert == STRONG_TWO_POINTS
     assert certificate_from_json(STRONG_TWO_POINTS) == cert
     assert verify_cert_exit(tmp_path, TWO_POINTS, STRONG_TWO_POINTS) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
@@ -392,10 +419,10 @@ def test_every_strong_split_on_five_elements_has_a_cone_leaf_child(variant):
         verdict = check_grape(c, variant)
         verdicts[verdict.verdict] += 1
         nodes += verdict.nodes
-        cert = verdict.certificate or ()
-        for node in cert:
-            if isinstance(node.witness, StrongWitness):
-                assert "cone" in (cert[node.link].base, cert[node.deletion].base)
+        table = verdict.certificate["nodes"] if verdict.certificate else []
+        for node in table:
+            if "base" not in node and node["witness"]["kind"] == "strong":
+                assert "cone" in (table[node["link"]].get("base"), table[node["deletion"]].get("base"))
                 splits += 1
     assert (verdicts, nodes) == FIVE_ELEMENT_PINS[variant]
     assert (splits > 1000) == (variant is GrapeVariant.STRONG)
@@ -408,7 +435,8 @@ K4_LESS_AB = new_complex("abcd", [frozenset(f) for f in ("ac", "ad", "bc", "bd",
 def test_a_strong_split_without_a_cone_leaf_child_is_rejected():
     assert check_grape(K4_LESS_AB, GrapeVariant.STRONG).verdict == "no"
     cert = check_grape(K4_LESS_AB, GrapeVariant.COMBINATORIAL).certificate
-    relabelled = tuple(n if n.base else replace(n, witness=StrongWitness()) for n in cert)
+    relabelled = {**cert, "nodes": [n if "base" in n else {**n, "witness": {"kind": "strong"}}
+                                    for n in cert["nodes"]]}
     # every leaf and pivot replays; only the splits whose sides are no cones fail
     for replay in (verify_certificate, frozenset_verify_certificate):
         with pytest.raises(ReplayError, match="strong split has no cone-leaf child"):
@@ -460,8 +488,8 @@ def verify_cert_exit(tmp_path, c, cert_json):
 
 def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
     cert = check_grape(PATH3, GrapeVariant.STRONG).certificate
-    assert certificate_to_json(cert) == {"format": 3, "nodes": [{"base": "cone", "apex": "b"}]}
-    assert verify_cert_exit(tmp_path, PATH3, certificate_to_json(cert)) == 0
+    assert cert == {"format": 3, "nodes": [{"base": "cone", "apex": "b"}]}
+    assert verify_cert_exit(tmp_path, PATH3, cert) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "any"}
 
 
@@ -475,11 +503,11 @@ def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
     ],
 )
 def test_a_cone_leaf_whose_apex_cones_nothing_is_rejected(tmp_path, capsys, c, apex):
-    cert = (CertNode(base="cone", apex=apex),)
-    for replay in (verify_certificate, frozenset_verify_certificate):
+    cert = {"format": 3, "nodes": [{"base": "cone", "apex": apex}]}
+    for replay_cert in (verify_certificate, frozenset_verify_certificate):
         with pytest.raises(ReplayError, match="not in every facet"):
-            replay(c, GrapeVariant.STRONG, cert)
-    assert verify_cert_exit(tmp_path, c, certificate_to_json(cert)) == 1
+            replay_cert(c, GrapeVariant.STRONG, cert)
+    assert verify_cert_exit(tmp_path, c, cert) == 1
     assert json.loads(capsys.readouterr().out)["valid"] is False
 
 

@@ -27,7 +27,7 @@ from grapes.complexes import (
     void_complex,
 )
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
-from grapes.grape import GrapeVariant, certificate_to_json, check_grape
+from grapes.grape import GrapeVariant, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
 from shapes import cross_polytope
 from test_collapse import dunce_hat_with_star
@@ -607,8 +607,7 @@ C4_FILE, CERT_FILE = "<c4>", "<certificate>"  # fixed files beside the drawn one
 # the 4-cycle: no cone, so its certificates hold splits, witnesses, irrelevant and cone leaves
 C4 = {"ground": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]}
 C4_CERTIFICATES = [
-    certificate_to_json(check_grape(complex_from_json(C4), variant).certificate)
-    for variant in GrapeVariant
+    check_grape(complex_from_json(C4), variant).certificate for variant in GrapeVariant
 ]
 
 
@@ -902,7 +901,7 @@ EVERY_COMMAND = {
 
 def test_every_command_writes_what_the_stdlib_writes(write_json, capsys):
     assert sorted(EVERY_COMMAND) == sorted(leaf_commands(_build_parser()))
-    cert = certificate_to_json(check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate)
+    cert = check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate
     files = {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
              "void": write_json("void.json", complex_to_json(void_complex(""))),
              "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),

@@ -9,6 +9,7 @@ memo changes no conclusion and never costs a node.
 """
 
 import inspect
+import json
 import string
 import sys
 
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grapes import (
-    CollapsePair,
     InputError,
     ReplayError,
     collapse_search,
@@ -34,9 +34,8 @@ from grapes.collapse import (
     ShvResult,
     _free_pairs,
     cone_steps,
-    named_steps,
     sequence_from_json,
-    sequence_to_json,
+    steps_to_json,
 )
 from grapes.complexes import face_of, mask_order, meet_mask
 from grapes.generators import cycle_complex
@@ -45,14 +44,19 @@ from test_complexes import frozenset_cone_apexes, maximal_deletion
 from test_homology import RP2, oracle_reduced_homology
 
 
+def step(sigma, tau):
+    """A collapse step by name, in its wire form."""
+    return {"sigma": sorted(sigma), "tau": sorted(tau)}
+
+
 def free_pairs(c):
     """All free pairs by name, in the order the search tries them."""
-    return list(named_steps([(s, t) for s, t, _ in _free_pairs(c.masks, mask_order)], c.ground))
+    return steps_to_json([(s, t) for s, t, _ in _free_pairs(c.masks, mask_order)], c.ground)["steps"]
 
 
 def apply_collapse(c, pair):
     """Remove a free pair; raises ReplayError if the pair is not free in c."""
-    return replay(c, (pair,))
+    return replay(c, {"steps": [pair]})
 
 
 POINT = cx("v", "v")
@@ -61,7 +65,7 @@ EDGE = cx("ab", "ab")
 
 
 def test_free_pairs_of_point_includes_empty_face():
-    assert free_pairs(POINT) == [CollapsePair(fs("v"), fs())]
+    assert free_pairs(POINT) == [step("v", "")]
 
 
 def test_two_points_have_no_free_pairs():
@@ -71,38 +75,47 @@ def test_two_points_have_no_free_pairs():
 
 def test_free_pairs_of_edge():
     pairs = free_pairs(EDGE)
-    assert set(pairs) == {
-        CollapsePair(fs("a", "b"), fs("a")),
-        CollapsePair(fs("a", "b"), fs("b")),
-    }
+    assert sorted(pairs, key=lambda p: p["tau"]) == [step("ab", "a"), step("ab", "b")]
 
 
 def test_apply_collapse_edge_to_point():
-    result = apply_collapse(EDGE, CollapsePair(fs("a", "b"), fs("b")))
+    result = apply_collapse(EDGE, step("ab", "b"))
     assert result.facets == {fs("a")}
 
 
 def test_apply_collapse_point_to_void():
-    assert apply_collapse(POINT, CollapsePair(fs("v"), fs())).is_void
+    assert apply_collapse(POINT, step("v", "")).is_void
 
 
 def test_apply_collapse_path_step():
     path = cx("abc", "ab", "bc")
-    result = apply_collapse(path, CollapsePair(fs("a", "b"), fs("a")))
+    result = apply_collapse(path, step("ab", "a"))
     assert result.facets == {fs("b", "c")}
 
 
 def test_apply_collapse_rejects_non_free_pair():
     with pytest.raises(ReplayError):
-        apply_collapse(TWO_POINTS, CollapsePair(fs("a"), fs()))
+        apply_collapse(TWO_POINTS, step("a", ""))
     with pytest.raises(ReplayError):
-        apply_collapse(EDGE, CollapsePair(fs("a"), fs()))
+        apply_collapse(EDGE, step("a", ""))
 
 
 def test_collapse_pair_shape_is_validated():
     for tau in (["c"], []):
         with pytest.raises(InputError, match="codimension-1 subface"):
             sequence_from_json({"steps": [{"sigma": ["a", "b"], "tau": tau}]})
+
+
+def test_replay_refuses_a_name_outside_the_ground_and_a_tau_off_sigma():
+    c = cx("abc", "ab", "c")
+    with pytest.raises(ReplayError, match=r"^\['a', 'z'\] is not a facet$"):
+        replay(c, {"steps": [step("az", "a")]})
+    for tau in ("z", "c", "ab", ""):
+        with pytest.raises(ReplayError, match=r"is not a codimension-1 face of \['a', 'b'\]$"):
+            replay(c, {"steps": [step("ab", tau)]})
+    # a legal first step replays before the second fails
+    with pytest.raises(ReplayError, match=r"^\['z'\] is not a codimension-1 face of \['c'\]$"):
+        replay(c, {"steps": [step("ab", "a"), step("c", "z")]})
 
 
 # -- the frozenset oracles ------------------------------------------------------
@@ -118,7 +131,7 @@ def cone_sequence(c):
     apexes = meet_mask(c.masks)
     if not apexes:
         raise ReplayError("cone_sequence requires a cone")
-    return list(named_steps(cone_steps(c.masks, apexes & -apexes), c.ground))
+    return steps_to_json(cone_steps(c.masks, apexes & -apexes), c.ground)["steps"]
 
 
 def frozenset_free_pairs(c):
@@ -129,13 +142,17 @@ def frozenset_free_pairs(c):
         for y in sigma:
             tau = sigma - {y}
             if not any(tau <= other for other in c.facets if other != sigma):
-                out.append(CollapsePair(sigma, tau))
-    out.sort(key=lambda p: (-len(p.sigma), face_key(c, p.sigma), face_key(c, p.tau)))
-    return out
+                out.append((sigma, tau))
+    out.sort(key=lambda p: (-len(p[0]), face_key(c, p[0]), face_key(c, p[1])))
+    return [step(sigma, tau) for sigma, tau in out]
 
 
 def frozenset_apply_collapse(c, pair):
-    sigma, tau = pair.sigma, pair.tau
+    sigma, tau = frozenset(pair["sigma"]), frozenset(pair["tau"])
+    if not sigma <= set(c.ground):
+        raise ReplayError(f"{sorted(sigma)} is not a facet")
+    if not (tau < sigma and len(tau) == len(sigma) - 1):
+        raise ReplayError(f"{sorted(tau)} is not a codimension-1 face of {sorted(sigma)}")
     if sigma not in c.facets:
         raise ReplayError(f"{sorted(sigma)} is not a facet")
     if any(tau <= other for other in c.facets if other != sigma):
@@ -150,7 +167,7 @@ def frozenset_apply_collapse(c, pair):
 
 
 def frozenset_replay(c, sequence):
-    for pair in sequence:
+    for pair in sequence["steps"]:
         c = frozenset_apply_collapse(c, pair)
     return c
 
@@ -161,7 +178,7 @@ def frozenset_cone_sequence(c):
         raise ReplayError("cone_sequence requires a cone")
     apex = min(apexes, key=c.index)
     base_faces = sorted(faces(maximal_deletion(c, apex)), key=lambda f: (-len(f), face_key(c, f)))
-    return [CollapsePair(f | {apex}, f) for f in base_faces]
+    return [step(f | {apex}, f) for f in base_faces]
 
 
 def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
@@ -184,9 +201,9 @@ def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
         if cur.is_void or frozenset_cone_apexes(cur):
             if not cur.is_void:
                 steps.extend(frozenset_cone_sequence(cur))
-            if not frozenset_replay(c, steps).is_void:
+            if not frozenset_replay(c, {"steps": steps}).is_void:
                 raise ReplayError("search produced a sequence that does not replay")
-            return ShvResult("yes", tuple(steps), nodes)
+            return ShvResult("yes", {"steps": steps}, nodes)
         dead = memo and cur.facets in failed
         stack.append((cur, iter(() if dead else frozenset_free_pairs(cur))))
         cur = None
@@ -236,19 +253,22 @@ def assert_search_matches_the_oracle(c, budget=10**6):
 def wrong_steps(c):
     """Collapse sequences that go wrong somewhere, by name."""
     ground = sorted(c.ground)
-    yield [CollapsePair(fs("zz", ground[0]), fs(ground[0]))]
-    yield [CollapsePair(fs(*ground[:2]), fs(ground[0]))] if len(ground) > 1 else []
+    yield [step(["zz", ground[0]], [ground[0]])]
+    yield [step(ground[:2], ground[:1])] if len(ground) > 1 else []
+    yield [step(ground[:1], ["zz"]), step(ground[:2], ground[1:2])]
     for pair in frozenset_free_pairs(c)[:3]:
         rest = frozenset_apply_collapse(c, pair)
         yield [pair, pair]
-        yield [pair, CollapsePair(pair.sigma | {"zz"}, pair.sigma)]
-        yield [pair] + frozenset_free_pairs(rest)[:1] + [CollapsePair(fs("zz"), fs())]
+        yield [pair, step(pair["sigma"] + ["zz"], pair["sigma"])]
+        yield [pair, step(pair["sigma"], pair["sigma"][:-2] + ["zz"])]
+        yield [pair] + frozenset_free_pairs(rest)[:1] + [step(["zz"], [])]
 
 
 def test_search_and_replay_match_the_frozenset_oracle_on_every_small_complex():
     for c in list(enumerate_complexes("abcd")) + [cycle_complex(5), cx("dcba", "ab", "bcd")]:
         assert_search_matches_the_oracle(c)
         for sequence in wrong_steps(c):
+            sequence = {"steps": sequence}
             assert replay_outcome(replay, c, sequence) == replay_outcome(frozenset_replay, c, sequence)
 
 
@@ -276,7 +296,7 @@ def test_search_matches_the_frozenset_oracle(case):
 def test_face_key_order_is_not_integer_order():
     # {a, d} (mask 9) comes before {b, c} (mask 6): lexicographic on indices
     c = cx("abcd", "ad", "bc")
-    assert free_pairs(c)[0].sigma == fs("a", "d")
+    assert free_pairs(c)[0]["sigma"] == ["a", "d"]
 
 
 # -- search --------------------------------------------------------------------
@@ -284,7 +304,7 @@ def test_face_key_order_is_not_integer_order():
 
 def test_search_on_void_succeeds_immediately():
     result = collapse_search(void_complex("ab"))
-    assert result.is_yes and result.sequence == ()
+    assert result.is_yes and result.sequence == {"steps": []}
 
 
 def test_point_collapses_to_void():
@@ -454,8 +474,8 @@ def test_lifted_collapse_smallest_instance():
     c = cx("av", "av")
     lk = link(c, "a")
     assert lk.facets == {fs("v")}
-    lifted = lifted_collapse(c, "a", [CollapsePair(fs("v"), fs())])
-    assert lifted == (CollapsePair(fs("a", "v"), fs("a")),)
+    lifted = lifted_collapse(c, "a", {"steps": [step("v", "")]})
+    assert lifted == {"steps": [step("av", "a")]}
     assert replay(c, lifted).facets == {fs("v")}
 
 
@@ -470,7 +490,7 @@ def test_lifted_collapse_on_independence_complex():
 def test_lifted_collapse_on_full_triangle():
     c = full_simplex("abc")
     result = collapse_search(link(c, "a"))
-    assert result.is_yes and len(result.sequence) == 2
+    assert result.is_yes and len(result.sequence["steps"]) == 2
     lifted = lifted_collapse(c, "a", result.sequence)
     assert replay(c, lifted).facets == {fs("b", "c")}
 
@@ -478,7 +498,7 @@ def test_lifted_collapse_on_full_triangle():
 def test_lifted_collapse_rejects_invalid_link_sequence():
     c = cx("abc", "ab", "bc")
     with pytest.raises(ReplayError):
-        lifted_collapse(c, "b", [CollapsePair(fs("a"), fs())])
+        lifted_collapse(c, "b", {"steps": [step("a", "")]})
 
 
 # -- suspension transport -----------------------------------------------------------
@@ -495,10 +515,10 @@ def test_lifted_collapse_rejects_invalid_link_sequence():
 def test_suspension_transport(base):
     # the s2-cone onto the s1-cone, the s1-cone onto c, then c itself: the
     # sequence of c three times
-    seq = collapse_search(base).sequence
-    lifted_y = tuple(CollapsePair(p.sigma | {"s2"}, p.tau | {"s2"}) for p in seq)
-    lifted_x = tuple(CollapsePair(p.sigma | {"s1"}, p.tau | {"s1"}) for p in seq)
-    assert replay(suspension(base, "s1", "s2"), lifted_y + lifted_x + seq).is_void
+    seq = collapse_search(base).sequence["steps"]
+    lifted_y = [step(p["sigma"] + ["s2"], p["tau"] + ["s2"]) for p in seq]
+    lifted_x = [step(p["sigma"] + ["s1"], p["tau"] + ["s1"]) for p in seq]
+    assert replay(suspension(base, "s1", "s2"), {"steps": lifted_y + lifted_x + seq}).is_void
 
 
 def test_suspension_of_point_is_two_edge_path():
@@ -513,6 +533,5 @@ def test_suspension_of_point_is_two_edge_path():
 
 def test_sequence_json_round_trip():
     result = collapse_search(cx("abc", "ab", "bc"))
-    data = sequence_to_json(result.sequence)
-    assert sequence_from_json(data) == result.sequence
-    assert all(set(step) == {"sigma", "tau"} for step in data["steps"])
+    assert sequence_from_json(json.loads(json.dumps(result.sequence))) == result.sequence
+    assert all(set(s) == {"sigma", "tau"} for s in result.sequence["steps"])

@@ -27,7 +27,6 @@ from grapes import (
     ReplayError,
     SHClass,
     certificate_from_json,
-    certificate_to_json,
     check_grape,
     classify_strong,
     enumerate_complexes,
@@ -40,18 +39,11 @@ from grapes import (
     verify_dual_invariance,
     void_complex,
 )
-from dataclasses import replace
-
 from grapes.collapse import obstruction
 from grapes.complexes import Complex, deletion, face_of, join_mask, link, meet_mask
 from grapes.grape import (
     TORSION_REASON,
-    CertNode,
-    ConeContainmentWitness,
     GrapeVerdict,
-    StrongWitness,
-    TrivialIntermediateWitness,
-    TrivialSideWitness,
     _cone_points,
     certificate_variant,
 )
@@ -138,6 +130,11 @@ def frozenset_between_complexes(lk, dl):
     yield from rec(0, set())
 
 
+def weak_witness(gamma, sequence):
+    return {"kind": "weak", "gamma_facets": sorted(sorted(f) for f in gamma.facets),
+            "collapse": sequence}
+
+
 def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=False):
     """check_grape on frozensets of names, solve on an explicit stack; with
     cone_leaf off a cone is split like any other complex down to points,
@@ -161,30 +158,30 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
     def witness(cr, lk, dl):
         if variant is GrapeVariant.STRONG:
             if frozenset_cone_apexes(dl) or frozenset_cone_apexes(lk):
-                return "yes", StrongWitness()
+                return "yes", {"kind": "strong"}
             return "no", None
         if variant is GrapeVariant.COMBINATORIAL:
             for x in dl.ground:
                 if frozenset_cone_fits(lk, dl, x):
-                    return "yes", ConeContainmentWitness(x)
+                    return "yes", {"kind": "combinatorial", "cone_element": x}
             return "no", None
         if variant is GrapeVariant.STRONG_WEAK:
             refuted = 0
             for side, side_c in (("link", lk), ("deletion", dl)):
                 r = collapses(side_c)
                 if r.is_yes:
-                    return "yes", TrivialSideWitness(side, r.sequence)
+                    return "yes", {"kind": "strong-weak", "side": side, "collapse": r.sequence}
                 refuted += r.obstruction is not None
             return ("no" if old_rule or refuted == 2 else "unknown"), None
         for candidate in (lk, dl):
             r = collapses(candidate)
             if r.is_yes:
-                return "yes", TrivialIntermediateWitness(candidate.facets, r.sequence)
+                return "yes", weak_witness(candidate, r.sequence)
         for x in dl.ground:
             if frozenset_cone_fits(lk, dl, x):
                 gamma = new_complex(lk.ground, frozenset_maximal(f | {x} for f in lk.facets))
-                seq = tuple(frozenset_cone_sequence(gamma)) if not gamma.is_void else ()
-                return "yes", TrivialIntermediateWitness(gamma.facets, seq)
+                seq = frozenset_cone_sequence(gamma) if not gamma.is_void else []
+                return "yes", weak_witness(gamma, {"steps": seq})
         if not old_rule or len(cr.ground) > OLD_SWEEP_MAX_GROUND:
             return "unknown", None
         for faces in frozenset_between_complexes(lk, dl):
@@ -192,7 +189,7 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
             gamma = new_complex(dl.ground, frozenset_maximal(faces))
             r = collapses(gamma)
             if r.is_yes:
-                return "yes", TrivialIntermediateWitness(gamma.facets, r.sequence)
+                return "yes", weak_witness(gamma, r.sequence)
         return "no", None
 
     def read_torsion():
@@ -209,11 +206,11 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
         tick()
         kind = frozenset_base_kind(cr)
         if kind is not None:
-            nodes.append(CertNode(base=kind))
+            nodes.append({"base": kind})
             return "yes", len(nodes) - 1
         apexes = frozenset_cone_apexes(cr)
         if apexes and (cone_leaf or len(cr.vertices()) == 1):
-            nodes.append(CertNode(base="cone", apex=min(apexes, key=cr.index)))
+            nodes.append({"base": "cone", "apex": min(apexes, key=cr.index)})
             return "yes", len(nodes) - 1
         some_unknown = False
         for a in cr.ground:
@@ -231,7 +228,7 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                nodes.append(CertNode(pivot=a, witness=payload, link=lk_ref, deletion=dl_ref))
+                nodes.append({"pivot": a, "witness": payload, "link": lk_ref, "deletion": dl_ref})
                 return "yes", len(nodes) - 1
             some_unknown = True
         return ("unknown" if some_unknown else "no"), None
@@ -259,14 +256,14 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
         return GrapeVerdict(result[0], nodes=state["nodes"])
     keep = {len(nodes) - 1}
     for i in range(len(nodes) - 1, -1, -1):
-        if i in keep and not nodes[i].base:
-            keep |= {nodes[i].link, nodes[i].deletion}
+        if i in keep and "base" not in nodes[i]:
+            keep |= {nodes[i]["link"], nodes[i]["deletion"]}
     index = {i: k for k, i in enumerate(sorted(keep))}
-    cert = tuple(
-        n if n.base else replace(n, link=index[n.link], deletion=index[n.deletion])
+    cert = [
+        n if "base" in n else {**n, "link": index[n["link"]], "deletion": index[n["deletion"]]}
         for n in map(nodes.__getitem__, index)
-    )
-    return GrapeVerdict("yes", certificate=cert, nodes=state["nodes"])
+    ]
+    return GrapeVerdict("yes", certificate={"format": 3, "nodes": cert}, nodes=state["nodes"])
 
 
 def folds(verdict, variant):
@@ -386,7 +383,7 @@ def test_base_cases_are_grapes(variant):
     for c in (void_complex("ab"), irrelevant_complex("ab"), cx("ab", "a")):
         verdict = check_grape(c, variant)
         assert verdict.is_yes
-        assert len(verdict.certificate) == 1 and verdict.certificate[0].base
+        assert len(verdict.certificate["nodes"]) == 1 and "base" in verdict.certificate["nodes"][0]
 
 
 def test_independence_complex_of_path_is_strong():
@@ -412,10 +409,11 @@ def test_every_small_cone_is_one_leaf():
     cones = [c for c in enumerate_complexes("abcde") if meet_mask(c.masks)]
     assert len(cones) == 686  # 5 of them points, cones too
     for c in cones:
-        leaf = CertNode(base="cone", apex=min(frozenset_cone_apexes(c), key=c.index))
+        leaf = {"base": "cone", "apex": min(frozenset_cone_apexes(c), key=c.index)}
         for variant in ALL_VARIANTS:
             verdict = check_grape(c, variant)
-            assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", (leaf,), 1)
+            cert = {"format": 3, "nodes": [leaf]}
+            assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", cert, 1)
             verify_certificate(c, variant, verdict.certificate)
         assert classify_strong(verdict.certificate) == SHClass(None)
         assert predicted_wedge(verdict.certificate) == {}
@@ -748,32 +746,34 @@ def branch_classify_strong(cert):
     deletion-is-cone steps suspend the class of the link, link-is-cone steps
     keep the class of the deletion, so one branch is followed per level, by
     the children alone (the deletion where both are cone leaves)."""
-    node = cert[-1]
+    nodes = cert["nodes"]
+    node = nodes[-1]
     suspensions = 0
-    while not node.base:
-        if cert[node.deletion].base == "cone":
+    while "base" not in node:
+        if nodes[node["deletion"]].get("base") == "cone":
             suspensions += 1
-            node = cert[node.link]
+            node = nodes[node["link"]]
         else:
-            node = cert[node.deletion]
-    return SHClass(suspensions) if node.base == "irrelevant" else SHClass(None)
+            node = nodes[node["deletion"]]
+    return SHClass(suspensions) if node["base"] == "irrelevant" else SHClass(None)
 
 
 def classify_via_link_cones(c, cert):
     """branch_classify_strong, but taking the link as the cone wherever it is one,
     read off the complexes, not the children: (class, how many splits had
     both sides cones)."""
-    node, cr, suspensions, both = cert[-1], restrict_ground(c), 0, 0
-    while not node.base:
-        lk = restrict_ground(frozenset_link(cr, node.pivot))
-        dl = restrict_ground(maximal_deletion(cr, node.pivot))
+    nodes = cert["nodes"]
+    node, cr, suspensions, both = nodes[-1], restrict_ground(c), 0, 0
+    while "base" not in node:
+        lk = restrict_ground(frozenset_link(cr, node["pivot"]))
+        dl = restrict_ground(maximal_deletion(cr, node["pivot"]))
         if frozenset_cone_apexes(lk):
-            both += cert[node.deletion].base == "cone"
-            node, cr = cert[node.deletion], dl
+            both += nodes[node["deletion"]].get("base") == "cone"
+            node, cr = nodes[node["deletion"]], dl
         else:
             suspensions += 1
-            node, cr = cert[node.link], lk
-    return (SHClass(suspensions) if node.base == "irrelevant" else SHClass(None)), both
+            node, cr = nodes[node["link"]], lk
+    return (SHClass(suspensions) if node["base"] == "irrelevant" else SHClass(None)), both
 
 
 def test_classification_branch_independence():
@@ -792,7 +792,7 @@ def test_classification_branch_independence():
 
 def test_classify_strong_needs_a_strong_certificate():
     verdict = check_grape(IND_P3, GrapeVariant.COMBINATORIAL)
-    assert not verdict.certificate[-1].base
+    assert "base" not in verdict.certificate["nodes"][-1]
     with pytest.raises(ReplayError, match="needs a strong certificate"):
         classify_strong(verdict.certificate)
 
@@ -825,22 +825,15 @@ def test_certificate_folds_visit_shared_nodes_once():
     from math import comb
     from time import perf_counter
 
-    cert = (CertNode(base="irrelevant"),) + tuple(
-        CertNode(
-            pivot=f"v{i}",
-            witness=StrongWitness(),
-            link=i,
-            deletion=i,
-        )
+    cert = {"format": 3, "nodes": [{"base": "irrelevant"}] + [
+        {"pivot": f"v{i}", "witness": {"kind": "strong"}, "link": i, "deletion": i}
         for i in range(60)
-    )
+    ]}
     start = perf_counter()
     assert predicted_wedge(cert) == {k - 1: comb(60, k) for k in range(61)}
     with pytest.raises(ReplayError, match="not one sphere"):
         classify_strong(cert)
-    data = certificate_to_json(cert)
-    assert data["format"] == 3 and len(data["nodes"]) == 61
-    assert certificate_from_json(data) == cert
+    assert certificate_from_json(json.loads(json.dumps(cert))) == cert
     assert perf_counter() - start < 1.0
 
 
@@ -858,13 +851,13 @@ def test_certificates_replay_for_all_variants(variant):
 def test_certificate_rejects_wrong_base():
     with pytest.raises(ReplayError):
         verify_certificate(
-            void_complex("ab"), GrapeVariant.STRONG, (CertNode(base="irrelevant"),)
+            void_complex("ab"), GrapeVariant.STRONG, {"format": 3, "nodes": [{"base": "irrelevant"}]}
         )
 
 
 def test_certificate_rejects_bad_pivot():
     cert = check_grape(IND_P3, GrapeVariant.STRONG).certificate
-    tampered = cert[:-1] + (replace(cert[-1], pivot="zz"),)
+    tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "pivot": "zz"}]}
     with pytest.raises(ReplayError):
         verify_certificate(IND_P3, GrapeVariant.STRONG, tampered)
 
@@ -872,9 +865,9 @@ def test_certificate_rejects_bad_pivot():
 def test_certificate_rejects_a_cone_leaf_on_the_wrong_side():
     # at a, the link of two points is the irrelevant complex, no cone
     cert = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).certificate
-    assert cert == (CertNode(base="irrelevant"), CertNode(base="cone", apex="b"),
-                    CertNode(pivot="a", witness=StrongWitness(), link=0, deletion=1))
-    tampered = cert[:-1] + (replace(cert[-1], link=1, deletion=0),)
+    assert cert["nodes"] == [{"base": "irrelevant"}, {"base": "cone", "apex": "b"},
+                             {"pivot": "a", "witness": {"kind": "strong"}, "link": 0, "deletion": 1}]
+    tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "link": 1, "deletion": 0}]}
     with pytest.raises(ReplayError, match="apex 'b' is not in every facet"):
         verify_certificate(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
 
@@ -882,25 +875,22 @@ def test_certificate_rejects_a_cone_leaf_on_the_wrong_side():
 def test_certificate_rejects_noncontained_gamma():
     c5 = cycle_complex(5)
     cert = check_grape(c5, GrapeVariant.WEAK).certificate
-    bad_witness = TrivialIntermediateWitness(
-        frozenset({frozenset("abc")}), ()
-    )
-    tampered = cert[:-1] + (replace(cert[-1], witness=bad_witness),)
+    bad_witness = {"kind": "weak", "gamma_facets": [["a", "b", "c"]], "collapse": {"steps": []}}
+    tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "witness": bad_witness}]}
     with pytest.raises(ReplayError):
         verify_certificate(c5, GrapeVariant.WEAK, tampered)
 
 
 def test_certificate_variant_mismatch_is_rejected():
     verdict = check_grape(IND_P3, GrapeVariant.STRONG)
-    with pytest.raises(ReplayError):
+    with pytest.raises(ReplayError, match="^comb certificate has a 'strong' witness$"):
         verify_certificate(IND_P3, GrapeVariant.COMBINATORIAL, verdict.certificate)
 
 
 def test_certificate_json_round_trip():
     for variant in ALL_VARIANTS:
         verdict = check_grape(cycle_complex(4), variant)
-        data = certificate_to_json(verdict.certificate)
-        restored = certificate_from_json(data)
+        restored = certificate_from_json(json.loads(json.dumps(verdict.certificate)))
         verify_certificate(cycle_complex(4), variant, restored)
         assert certificate_variant(restored) == variant
 
@@ -914,22 +904,21 @@ def test_certificate_bytes_are_pinned():
     for c in standard_complexes(n_random=60, max_ground=5, exhaustive_max=3, seed=7):
         for variant in ALL_VARIANTS:
             verdict = check_grape(c, variant)
-            cert = verdict.certificate and certificate_to_json(verdict.certificate)
-            digest.update(json.dumps([verdict.verdict, verdict.nodes, verdict.reason, cert],
-                                     sort_keys=True).encode())
+            digest.update(json.dumps([verdict.verdict, verdict.nodes, verdict.reason,
+                                      verdict.certificate], sort_keys=True).encode())
     assert digest.hexdigest() == (
         "34c8a8b11557f6c7055b788ef2a3ce9e5ea0aa12146d52156d1be001f0dd90d7")
 
 
 def test_combinatorial_witness_is_the_cone_element():
     verdict = check_grape(cycle_complex(4), GrapeVariant.COMBINATORIAL)
-    root = verdict.certificate[-1]
-    assert isinstance(root.witness, ConeContainmentWitness)
+    root = verdict.certificate["nodes"][-1]
+    assert root["witness"]["kind"] == "combinatorial"
     # replay by hand: every link facet plus the witness element is a face
     c = restrict_ground(cycle_complex(4))
-    lk = link(c, root.pivot)
-    dl = deletion(c, root.pivot)
-    x = root.witness.cone_element
+    lk = link(c, root["pivot"])
+    dl = deletion(c, root["pivot"])
+    x = root["witness"]["cone_element"]
     assert all(has_face(dl, f | {x}) for f in lk.facets)
 
 

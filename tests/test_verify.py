@@ -652,7 +652,7 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
         lone = real(c, variant)
         assert verdict == dataclasses.replace(lone, certificate=None), (c, variant)
         wedge = lone.certificate and grape.predicted_wedge(lone.certificate)
-        assert (records and grape.predicted_wedge(records)) == wedge, (c, variant)
+        assert (records and grape.predicted_wedge({"nodes": records})) == wedge, (c, variant)
         assert real(c, variant, profiles=table.profiles) == lone, (c, variant)
 
 
