@@ -63,7 +63,6 @@ from .graphs import (
 )
 from .homology import (
     HomologyProfile,
-    SHClass,
     check_alexander_duality,
     reduced_cohomology,
     reduced_homology,

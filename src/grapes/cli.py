@@ -198,7 +198,7 @@ def _grape_classify(args: argparse.Namespace) -> int:
     return _emit(
         {
             "strong": True,
-            "class": classify_strong(verdict.certificate).to_json(),
+            "class": classify_strong(verdict.certificate),
             "certificate": verdict.certificate,
         }
     )

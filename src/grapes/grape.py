@@ -44,9 +44,10 @@ subproblem, unnamed: a dict with the document's keys ``base``, ``link`` and
 a function that names it.  :func:`check_grape` names the records the root
 reaches, so every "yes" comes with a certificate that replays without
 searching.  An ``OutcomeTable`` names nothing: :func:`predicted_wedge` folds
-the records into the predicted wedge of spheres as it folds a certificate,
-and the simple-homotopy class of a strong grape (void, or a cross-polytope
-boundary) is read off the wedge.
+the records into the predicted wedge of spheres as it folds a certificate.
+That wedge is the one homotopy type the engine derives: a strong grape's
+class (void, or one sphere) is read off it, and Alexander duality shifts
+it, a k-sphere to a (|X| - k - 3)-sphere (``homology.dual_wedge``).
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
@@ -101,7 +102,7 @@ from .complexes import (
     meet_mask,
     restrict_ground,
 )
-from .homology import HomologyProfile, SHClass, memo_homology
+from .homology import HomologyProfile, class_name, cross_dim, dual_wedge, memo_homology
 
 TORSION_REASON = "the reduced homology has torsion, which no grape has"
 
@@ -448,15 +449,17 @@ def predicted_wedge(cert: dict) -> dict:
     return folds[-1]
 
 
-def classify_strong(cert: dict) -> SHClass:
-    """Simple-homotopy class of a strong grape, read off its predicted wedge;
-    ReplayError on another variant's witness or a wedge that is not one sphere."""
+def classify_strong(cert: dict) -> dict:
+    """The class of a strong grape as ``grape classify`` writes it, read off
+    its predicted wedge by ``homology.cross_dim``.  ReplayError on another
+    variant's witness or a wedge that is not one sphere."""
     if any("base" not in node and node["witness"]["kind"] != "strong" for node in cert["nodes"]):
         raise ReplayError("classification needs a strong certificate")
     try:
-        return SHClass.of_wedge(predicted_wedge(cert))
+        n = cross_dim(predicted_wedge(cert))
     except InputError as exc:
         raise ReplayError(f"not a strong grape's certificate: {exc}") from None
+    return {"class": "void"} if n is None else {"class": "cross-polytope-boundary", "n": n}
 
 
 # -- recognition outcomes ----------------------------------------------------------
@@ -532,9 +535,9 @@ def verify_dual_invariance(
 
     The report always carries the primal verdict.  Unless it is "yes" the
     report fails and the dual is not computed.  For the strong variant the
-    simple-homotopy classes must additionally match across duality: the
-    void class maps to itself and a cross-polytope boundary of dimension n
-    maps to dimension |X| - n - 1 (only asserted for nonempty ground sets).
+    dual's wedge must additionally be the primal's shifted by duality, a
+    k-sphere to a (|X| - k - 3)-sphere and void to void (asserted on a
+    nonempty ground only), and the report names both classes.
     Weak-variant duals may come back "unknown"; this is tolerated, flagged.
     The dual and both recognitions go through the outcome table (a fresh
     one by default), so nothing the table holds is computed again.
@@ -549,22 +552,18 @@ def verify_dual_invariance(
     }
     if not primal.is_yes:
         return report
-    dual_c = outcomes.dual(c)
-    dual = outcomes.recognise(dual_c, variant)
+    dual = outcomes.recognise(outcomes.dual(c), variant)
     weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
     tolerated = weak_family and dual.verdict == "unknown"
     report["dual_verdict"] = dual.verdict
     report["unknown_tolerated"] = tolerated
     report["pass"] = dual.is_yes or tolerated
     if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
-        primal_class = SHClass.of_wedge(primal.wedge)
-        dual_class = SHClass.of_wedge(dual.wedge)
-        expected = primal_class.dual_expected(len(c.ground))
-        report["class"] = str(primal_class)
-        report["dual_class"] = str(dual_class)
-        report["expected_dual_class"] = str(expected)
-        if dual_class != expected:
-            report["pass"] = False
+        expected = dual_wedge(primal.wedge, len(c.ground))
+        report["class"] = class_name(primal.wedge)
+        report["dual_class"] = class_name(dual.wedge)
+        report["expected_dual_class"] = class_name(expected)
+        report["pass"] = dual.wedge == expected
     return report
 
 

@@ -175,6 +175,28 @@ class HomologyProfile:
         }
 
 
+def dual_wedge(wedge: dict, ground_size: int) -> dict:
+    """The wedge of the Alexander dual on a nonempty ground X of ground_size
+    elements: a k-sphere becomes a (|X| - k - 3)-sphere, void stays void."""
+    return {ground_size - k - 3: mult for k, mult in wedge.items()}
+
+
+def cross_dim(wedge: dict) -> Optional[int]:
+    """A strong grape's class: None for void, n for one (n-1)-sphere, the
+    n-dimensional cross-polytope's boundary; InputError on another wedge."""
+    if not wedge:
+        return None
+    if list(wedge.values()) != [1]:
+        raise InputError(f"the wedge {wedge} is not one sphere")
+    return min(wedge) + 1
+
+
+def class_name(wedge: dict) -> str:
+    """The report name of a strong grape's class, :func:`cross_dim` in words."""
+    n = cross_dim(wedge)
+    return "void" if n is None else f"cross-polytope-boundary({n})"
+
+
 def _apex(c: Complex) -> int:
     """The vertex bit whose star is largest by the sum of 2^|F| over the
     facets F through it; the lowest bit on ties.  One pass over the facets."""
@@ -250,62 +272,6 @@ def memo_homology(c: Complex, profiles: dict) -> HomologyProfile:
 def reduced_cohomology(c: Complex) -> HomologyProfile:
     """Reduced integral cohomology, derived from homology by universal coefficients."""
     return reduced_homology(c).cohomology()
-
-
-# -- simple-homotopy classes -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SHClass:
-    """Simple-homotopy class: void, or the boundary of a cross-polytope.
-
-    ``cross_dim`` is None for the void class; n >= 0 names the boundary of
-    the n-dimensional cross-polytope (n = 0 is the irrelevant complex, the
-    (-1)-sphere).
-    """
-
-    cross_dim: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.cross_dim is not None and self.cross_dim < 0:
-            raise InputError("cross-polytope dimension must be >= 0")
-
-    @classmethod
-    def of_wedge(cls, wedge: dict) -> "SHClass":
-        """The empty wedge is void, one (n-1)-sphere the boundary of the
-        n-dimensional cross-polytope; any other wedge is an InputError."""
-        if not wedge:
-            return cls(None)
-        if list(wedge.values()) != [1]:
-            raise InputError(f"the wedge {wedge} is not one sphere")
-        return cls(min(wedge) + 1)
-
-    @property
-    def wedge(self) -> dict:
-        """The wedge of spheres of this class, the inverse of :meth:`of_wedge`."""
-        return {} if self.cross_dim is None else {self.cross_dim - 1: 1}
-
-    @property
-    def is_void_class(self) -> bool:
-        return self.cross_dim is None
-
-    def dual_expected(self, ground_size: int) -> "SHClass":
-        """Class of the Alexander dual predicted by duality (needs |X| > 0)."""
-        if ground_size <= 0:
-            raise InputError("dual class prediction needs a nonempty ground set")
-        if self.cross_dim is None:
-            return self
-        return SHClass(ground_size - self.cross_dim - 1)
-
-    def __str__(self) -> str:
-        if self.cross_dim is None:
-            return "void"
-        return f"cross-polytope-boundary({self.cross_dim})"
-
-    def to_json(self) -> dict:
-        if self.cross_dim is None:
-            return {"class": "void"}
-        return {"class": "cross-polytope-boundary", "n": self.cross_dim}
 
 
 # -- duality check -----------------------------------------------------------

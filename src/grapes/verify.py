@@ -64,7 +64,7 @@ from .graphs import (
     pm_complex,
     useless_arcs,
 )
-from .homology import SHClass, check_alexander_duality, reduced_homology
+from .homology import check_alexander_duality, class_name, reduced_homology
 
 DEFAULT_SEED = 1729
 
@@ -196,43 +196,41 @@ def grape_duality_reports(
 
 
 def _forest_formula_checks(g: Graph, inv) -> list:
-    """Expected classes for the eight forest complexes, from the invariants."""
+    """Expected wedges for the eight forest complexes, from the invariants:
+    void, or the one sphere of a cross-polytope boundary of the dimension n
+    a formula gives, which is the wedge {n - 1: 1}."""
     n_v = len(g.vertices)
     n_e = len(g.edges)
 
     def sphere_or_void(n: int):
-        def check(cls: SHClass) -> bool:
-            if cls.is_void_class:
-                return True
-            return cls == SHClass(n) and inv.i_dom == inv.gamma
-
-        return check
+        return lambda wedge: not wedge or (wedge == {n - 1: 1} and inv.i_dom == inv.gamma)
 
     def exactly(n: int):
-        return lambda cls: cls == SHClass(n)
+        return lambda wedge: wedge == {n - 1: 1}
 
     primal, dual = {}, {}
     for kind, forbidden_sets in FORBIDDEN_SETS.items():
         ground, forbidden = forbidden_sets(g)
         primal[kind], dual[kind] = avoiding(ground, forbidden), avoiding_dual(ground, forbidden)
-    checks = [
+
+    def on_dual(name: str, kind: str, formula) -> tuple:
+        if not dual[kind].ground:
+            # no formula applies on an empty ground: each primal is irrelevant, its
+            # dual void, save the void edge-cover complex of a graph with vertices
+            forced = {-1: 1} if kind == "ec" and n_v else {}
+            formula = lambda wedge: wedge == forced
+        return (name, dual[kind], True, formula)
+
+    return [
         ("independence", primal["ind"], False, sphere_or_void(inv.i_dom)),
         ("dominance", primal["dom"], False, exactly(inv.alpha0)),
         ("edge-cover", primal["ec"], False, sphere_or_void(n_e - n_v + inv.i_dom)),
         ("edge-dominance", primal["ed"], False, exactly(n_e - inv.alpha0)),
-        ("independence", dual["ind"], True, sphere_or_void(n_v - inv.i_dom - 1)),
-        ("dominance", dual["dom"], True, exactly(n_v - inv.alpha0 - 1)),
+        on_dual("independence", "ind", sphere_or_void(n_v - inv.i_dom - 1)),
+        on_dual("dominance", "dom", exactly(n_v - inv.alpha0 - 1)),
+        on_dual("edge-cover", "ec", sphere_or_void(n_v - inv.i_dom - 1)),
+        on_dual("edge-dominance", "ed", exactly(inv.alpha0 - 1)),
     ]
-    if n_e > 0:
-        checks.append(("edge-cover", dual["ec"], True, sphere_or_void(n_v - inv.i_dom - 1)))
-        checks.append(("edge-dominance", dual["ed"], True, exactly(inv.alpha0 - 1)))
-    else:
-        # empty edge set: the duals live on an empty ground set, where the
-        # dimension formulas do not apply; the classes are forced directly
-        # (dual of the void complex is irrelevant, and vice versa)
-        checks.append(("edge-cover", dual["ec"], True, exactly(0)))
-        checks.append(("edge-dominance", dual["ed"], True, lambda cls: cls.is_void_class))
-    return checks
 
 
 def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
@@ -244,7 +242,7 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
     instance = graph_to_json(g)
     out = []
     inv = outcomes.once(("invariants", g), lambda: invariants(g))
-    for name, cpx, dualize, class_ok in _forest_formula_checks(g, inv):
+    for name, cpx, dualize, wedge_ok in _forest_formula_checks(g, inv):
         label = f"forest-{name}{'-dual' if dualize else ''}"
         outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
@@ -252,9 +250,8 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
                 _report(label, instance, False, expected="strong grape", observed=outcome.verdict)
             )
             continue
-        cls = SHClass.of_wedge(outcome.wedge)
-        ok = class_ok(cls) and outcomes.homology(cpx).is_wedge(cls.wedge)
-        out.append(_report(label, instance, ok, observed=str(cls)))
+        ok = wedge_ok(outcome.wedge) and outcomes.homology(cpx).is_wedge(outcome.wedge)
+        out.append(_report(label, instance, ok, observed=class_name(outcome.wedge)))
     return out
 
 
@@ -265,7 +262,7 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     full suite at seed 1729 meets 108 path families in 7,020 digraphs), so
     the outcome table, a fresh one by default, keeps per path family whether
     PM is the dual of PF, whether some arc is useless, and both strong
-    outcomes, none of which reads an arc id.
+    outcomes with the names of their classes, none of which reads an arc id.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
     instance = digraph_to_json(d)
@@ -274,27 +271,26 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
         return [_report("pfpm-empty-conventions", instance, ok)]
 
-    def family() -> tuple:  # each strong outcome as a class's dimension and string, or the verdict
+    def family() -> tuple:  # each strong outcome with its class's name, False unless "yes"
         pf, pm = pf_complex(d), pm_complex(d)
         strong = [outcomes.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
-        classes = [SHClass.of_wedge(o.wedge) if o.is_yes else o.verdict for o in strong]
         return (equals(pm, alexander_dual(pf)), bool(useless_arcs(d)),
-                *(c if isinstance(c, str) else (c.cross_dim, str(c)) for c in classes))
+                *((o, o.is_yes and class_name(o.wedge)) for o in strong))
 
     dual_ok, useless, *found = outcomes.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
     out = [_report("pfpm-alexander-dual", instance, dual_ok)]
     degenerate = useless or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
     dims = (None, None) if degenerate else (n_nonsinks - 1, len(d.arcs) - n_nonsinks)
-    for name, n, side in zip(("path-free", "path-missing"), dims, found):
-        if isinstance(side, str):  # the verdict
+    for name, n, (strong, observed) in zip(("path-free", "path-missing"), dims, found):
+        if not strong.is_yes:
             out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
-                               observed=side))
+                               observed=strong.verdict))
             continue
-        dim, observed = side
-        expected = observed if dim == n else str(SHClass(n))  # a class only on a mismatch
-        out.append(_report(f"pfpm-{name}", instance, dim == n, expected=expected,
-                           observed=observed))
+        expected = {} if n is None else {n - 1: 1}  # void on a degenerate digraph
+        ok = strong.wedge == expected  # a class named per digraph only on a mismatch
+        out.append(_report(f"pfpm-{name}", instance, ok,
+                           expected=observed if ok else class_name(expected), observed=observed))
     return out
 
 
@@ -380,7 +376,7 @@ def wedge_reports(c: Complex, variant: GrapeVariant,
     if wedge is None:
         return []
     if variant is GrapeVariant.STRONG:
-        theorem, expected = "strong-class-homology", str(SHClass.of_wedge(wedge))
+        theorem, expected = "strong-class-homology", class_name(wedge)
     else:
         theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
     ok = outcomes.homology(c).is_wedge(wedge)
@@ -421,7 +417,7 @@ def five_cycle_reports() -> list:
 
 def cyclic_no_useless_reports() -> list:
     """The cyclic-but-no-useless-arcs digraph: path-free complex facets,
-    not a cone, collapsible, classified as simple-homotopy void."""
+    not a cone, collapsible, and a strong grape whose wedge is empty (void)."""
     d = cyclic_no_useless_digraph()
     instance = digraph_to_json(d)
     pf = pf_complex(d)

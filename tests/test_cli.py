@@ -334,6 +334,17 @@ def test_verify_forest_command(write_json, capsys):
     assert out["fail"] == 0 and out["pass"] == 8
 
 
+def test_verify_forest_command_on_the_empty_graph(write_json, capsys):
+    # every complex lives on an empty ground: the primals are irrelevant and
+    # their duals void, forced rather than read off a dimension formula
+    g = write_json("g.json", {"vertices": [], "edges": []})
+    code, out = run_cli(capsys, "verify", "forest", g)
+    assert code == 0
+    assert out["fail"] == 0 and out["unknown"] == 0 and out["pass"] == 8
+    observed = [r["observed"] for r in out["reports"]]
+    assert observed == ["cross-polytope-boundary(0)"] * 4 + ["void"] * 4
+
+
 def test_verify_forest_command_on_eighteen_vertices(write_json, capsys):
     # the face bound counts distinct faces: summed over facets, 2^|F| passed
     # it on the dual side of this forest

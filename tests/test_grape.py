@@ -25,7 +25,7 @@ from grapes import (
     GrapeVariant,
     InputError,
     ReplayError,
-    SHClass,
+    alexander_dual,
     certificate_from_json,
     check_grape,
     classify_strong,
@@ -415,7 +415,7 @@ def test_every_small_cone_is_one_leaf():
             cert = {"format": 3, "nodes": [leaf]}
             assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", cert, 1)
             verify_certificate(c, variant, verdict.certificate)
-        assert classify_strong(verdict.certificate) == SHClass(None)
+        assert classify_strong(verdict.certificate) == VOID
         assert predicted_wedge(verdict.certificate) == {}
 
 
@@ -700,6 +700,15 @@ def test_ground_independence_of_verdicts():
 # -- classification ----------------------------------------------------------------------
 
 
+VOID = {"class": "void"}
+
+
+def boundary(n):
+    """The class of the boundary of the n-dimensional cross-polytope, as
+    ``grape classify`` writes it."""
+    return {"class": "cross-polytope-boundary", "n": n}
+
+
 def classify(c):
     verdict = check_grape(c, GrapeVariant.STRONG)
     assert verdict.is_yes
@@ -707,38 +716,41 @@ def classify(c):
 
 
 def test_classify_base_cases():
-    assert classify(void_complex("ab")) == SHClass(None)
-    assert classify(irrelevant_complex("ab")) == SHClass(0)
-    assert classify(cx("ab", "a")) == SHClass(None)
+    assert classify(void_complex("ab")) == VOID
+    assert classify(irrelevant_complex("ab")) == boundary(0)
+    assert classify(cx("ab", "a")) == VOID
 
 
 def test_classify_zero_sphere():
-    assert classify(cx("ab", "a", "b")) == SHClass(1)
+    assert classify(cx("ab", "a", "b")) == boundary(1)
 
 
 def test_classify_cross_polytopes():
     for n in (1, 2, 3):
-        assert classify(cross_polytope(n)) == SHClass(n)
+        assert classify(cross_polytope(n)) == boundary(n)
 
 
 def test_classify_path_independence_complex_is_void_class():
     ind_p4 = cx("abcd", "ac", "ad", "bd")
     cls = classify(ind_p4)
-    assert cls == SHClass(None)
+    assert cls == VOID
     assert reduced_homology(ind_p4).is_trivial()
 
 
 def test_classify_simplex_boundary():
     # boundary of the simplex on n elements triangulates the (n-2)-sphere
-    assert classify(simplex_boundary("abc")) == SHClass(2)
-    assert classify(simplex_boundary("abcd")) == SHClass(3)
+    assert classify(simplex_boundary("abc")) == boundary(2)
+    assert classify(simplex_boundary("abcd")) == boundary(3)
 
 
 def test_classification_matches_homology_on_small_complexes():
     for c in enumerate_complexes("abcd"):
         verdict = check_grape(c, GrapeVariant.STRONG)
         if verdict.is_yes:
-            assert reduced_homology(c).is_wedge(classify_strong(verdict.certificate).wedge)
+            wedge = predicted_wedge(verdict.certificate)
+            assert reduced_homology(c).is_wedge(wedge)
+            cls = boundary(min(wedge) + 1) if wedge else VOID
+            assert classify_strong(verdict.certificate) == cls
 
 
 def branch_classify_strong(cert):
@@ -755,7 +767,7 @@ def branch_classify_strong(cert):
             node = nodes[node["link"]]
         else:
             node = nodes[node["deletion"]]
-    return SHClass(suspensions) if node["base"] == "irrelevant" else SHClass(None)
+    return boundary(suspensions) if node["base"] == "irrelevant" else VOID
 
 
 def classify_via_link_cones(c, cert):
@@ -773,7 +785,7 @@ def classify_via_link_cones(c, cert):
         else:
             suspensions += 1
             node, cr = nodes[node["link"]], lk
-    return (SHClass(suspensions) if node["base"] == "irrelevant" else SHClass(None)), both
+    return (boundary(suspensions) if node["base"] == "irrelevant" else VOID), both
 
 
 def test_classification_branch_independence():
@@ -815,6 +827,24 @@ def test_predicted_wedge_matches_betti_on_small_complexes(variant):
         verdict = check_grape(c, variant)
         if verdict.is_yes:
             assert reduced_homology(c).is_wedge(predicted_wedge(verdict.certificate))
+
+
+def test_classify_strong_rejects_a_wedge_that_is_not_one_sphere():
+    # hand-built strong certificates: node 0 is irrelevant, 1 void, and 2, 3
+    # and 4 the 0-, 1- and 2-sphere, each the suspended node before it; the
+    # root wedges the given deletion with the suspended given link
+    def cert(link, deletion):
+        splits = [(0, 1), (2, 1), (3, 1), (link, deletion)]
+        return {"format": 3, "nodes": [{"base": "irrelevant"}, {"base": "void"}] + [
+            {"pivot": f"v{i}", "witness": {"kind": "strong"}, "link": lk, "deletion": dl}
+            for i, (lk, dl) in enumerate(splits)
+        ]}
+
+    assert classify_strong(cert(4, 1)) == boundary(4)
+    for link, deletion, wedge in ((2, 3, {1: 2}), (2, 2, {0: 1, 1: 1}), (4, 0, {-1: 1, 3: 1})):
+        assert predicted_wedge(cert(link, deletion)) == wedge
+        with pytest.raises(ReplayError, match="not one sphere"):
+            classify_strong(cert(link, deletion))
 
 
 def test_certificate_folds_visit_shared_nodes_once():
@@ -977,6 +1007,22 @@ def test_dual_invariance_needs_yes_instance():
     assert report["primal_verdict"] == "no"
     assert report["pass"] is False
     assert "dual_verdict" not in report
+
+
+def test_dual_wedge_is_the_shifted_primal_wedge_for_every_variant():
+    # a k-sphere of K is a (|X| - k - 3)-sphere of its Alexander dual, for
+    # every variant's predicted wedge, wherever both sides are grapes
+    pairs = 0
+    for n in range(1, 5):
+        for c in enumerate_complexes("abcd"[:n]):
+            dual = alexander_dual(c)
+            for variant in ALL_VARIANTS:
+                primal, other = check_grape(c, variant), check_grape(dual, variant)
+                if primal.is_yes and other.is_yes:
+                    pairs += 1
+                    assert predicted_wedge(other.certificate) == grapes.homology.dual_wedge(
+                        predicted_wedge(primal.certificate), n)
+    assert pairs == 734  # 170 strong, 197 comb, 197 weak, 170 strong-weak
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

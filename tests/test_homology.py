@@ -11,7 +11,6 @@ import grapes.homology as homology
 
 from grapes import (
     InputError,
-    SHClass,
     check_alexander_duality,
     alexander_dual,
     dominance_complex,
@@ -540,41 +539,48 @@ def test_matches_wedge_examples():
     assert reduced_homology(void_complex("ab")).is_wedge({})
 
 
-def suspend(cls):
-    """Suspension of a class: void stays void, the sphere dimension goes up by one."""
-    return cls if cls.is_void_class else SHClass(cls.cross_dim + 1)
+def suspend(wedge):
+    """Suspension of a wedge of spheres: every sphere's dimension goes up by one."""
+    return {k + 1: mult for k, mult in wedge.items()}
 
 
 def test_suspension_suspends_the_class():
-    assert suspend(SHClass(None)) == SHClass(None)
-    assert suspend(SHClass(1)) == SHClass(2)
-    cases = [(cx("v", "v"), SHClass(None)), (irrelevant_complex("ab"), SHClass(0)),
-             (cross_polytope(2), SHClass(2))]
-    for c, cls in cases:
+    assert suspend({}) == {}
+    assert suspend({0: 1}) == {1: 1}
+    cases = [(cx("v", "v"), {}), (irrelevant_complex("ab"), {-1: 1}),
+             (cross_polytope(2), {1: 1}), (cx("abc", "a", "b", "c"), {0: 2})]
+    for c, wedge in cases:
         susp = reduced_homology(suspension(c, "n", "s"))
-        assert reduced_homology(c).is_wedge(cls.wedge)
-        assert susp.is_wedge(suspend(cls).wedge)
-        assert cls.is_void_class or not susp.is_wedge(cls.wedge)
+        assert reduced_homology(c).is_wedge(wedge)
+        assert susp.is_wedge(suspend(wedge))
+        assert not wedge or not susp.is_wedge(wedge)
 
 
-def test_sh_class_algebra():
-    assert SHClass(1).dual_expected(2) == SHClass(0)
-    assert SHClass(None).dual_expected(3) == SHClass(None)
-    with pytest.raises(InputError):
-        SHClass(None).dual_expected(0)
-    with pytest.raises(InputError):
-        SHClass(-1)
-
-
-def test_sh_class_of_wedge_and_back():
-    assert SHClass.of_wedge({}) == SHClass(None)
-    assert SHClass.of_wedge({-1: 1}) == SHClass(0)
-    assert SHClass.of_wedge({2: 1}) == SHClass(3)
-    for cls in (SHClass(None), SHClass(0), SHClass(1), SHClass(5)):
-        assert SHClass.of_wedge(cls.wedge) == cls
+def test_class_name_is_void_or_a_cross_polytope_boundary():
+    assert homology.class_name({}) == "void"
+    assert homology.class_name({-1: 1}) == "cross-polytope-boundary(0)"
+    assert homology.class_name({2: 1}) == "cross-polytope-boundary(3)"
+    assert [homology.cross_dim(w) for w in ({}, {-1: 1}, {2: 1})] == [None, 0, 3]
     for wedge in ({1: 2}, {0: 1, 1: 1}, {-1: 1, 3: 1}):
-        with pytest.raises(InputError, match="not one sphere"):
-            SHClass.of_wedge(wedge)
+        for name_or_dim in (homology.cross_dim, homology.class_name):
+            with pytest.raises(InputError, match="not one sphere"):
+                name_or_dim(wedge)
+
+
+def test_dual_wedge_shifts_every_sphere():
+    assert homology.dual_wedge({}, 3) == {}
+    assert homology.dual_wedge({0: 1}, 2) == {-1: 1}
+    assert homology.dual_wedge({-1: 1, 0: 2, 2: 1}, 7) == {5: 1, 4: 2, 2: 1}
+    # against the dual's own homology: three points, a triangle's boundary
+    # beside a point, and two circles sharing a vertex, the last two on a
+    # ground with unused elements
+    cases = [(cx("abc", "a", "b", "c"), {0: 2}),
+             (cx("abcde", "ab", "bc", "ac", "d"), {0: 1, 1: 1}),
+             (cx("abcdefg", "ab", "bc", "ac", "ad", "de", "ae"), {1: 2})]
+    for c, wedge in cases:
+        assert reduced_homology(c).is_wedge(wedge)
+        shifted = homology.dual_wedge(wedge, len(c.ground))
+        assert reduced_homology(alexander_dual(c)).is_wedge(shifted)
 
 
 # -- Alexander duality in (co)homology ----------------------------------------------

@@ -74,6 +74,17 @@ def test_forest_theorem_on_single_vertex():
     assert all(status == "pass" for status, _ in out.values())
 
 
+def test_forest_theorem_forces_the_empty_ground_duals_from_the_graph(monkeypatch):
+    # an edgeless graph with vertices has a void edge-cover complex, so an
+    # irrelevant one (no forbidden sets) must fail its dual's report, which
+    # reading the dual off the complex under test would let pass
+    edge_cover = graphs.FORBIDDEN_SETS["ec"]
+    monkeypatch.setitem(graphs.FORBIDDEN_SETS, "ec", lambda g: (edge_cover(g)[0], []))
+    out = classes_of(verify_forest_theorem(graph("v", [])))
+    assert out["forest-edge-cover"] == ("pass", "cross-polytope-boundary(0)")
+    assert out["forest-edge-cover-dual"] == ("fail", "void")
+
+
 def test_forest_theorem_rejects_cycles():
     with pytest.raises(InputError, match="needs a forest"):
         verify_forest_theorem(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
