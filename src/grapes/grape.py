@@ -65,7 +65,12 @@ it from the root.  Theorem checks recognise through an
 ``OutcomeTable``, one per suite run, keyed by facet masks as recognition's
 own memo is.  It keeps outcomes (verdicts plus wedges, never certificates),
 duals, and the homology profiles that recognition, a fresh memo otherwise,
-reads and fills.
+reads and fills.  An outcome may be read off a stronger variant's "yes" on
+the same masks rather than searched: strong implies comb and strong-weak,
+and each of the three implies weak, since each witness rewrites into the
+weaker one at the same split (a cone side gives a cone element, and a cone
+side, a side that collapses or the cone x * lk an intermediate), and every
+certificate folds to the one wedge.
 """
 
 from __future__ import annotations
@@ -201,10 +206,25 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
     c = restrict_ground(c)
     names, root = c.ground, c.masks
     memo: dict = {}
-    profiles = {} if profiles is None else profiles
+    nodes: list = []  # a record per solved subproblem, children first
 
     def name(x: int) -> Optional[str]:
         return names[x.bit_length() - 1] if x else None
+
+    def leaf(masks: frozenset) -> Optional[tuple]:
+        """Spends a node; answers a void, irrelevant or cone subproblem with no frame, else None."""
+        budget.spend()
+        meet = meet_mask(masks)  # the apexes: a cone is a grape of every variant
+        if not meet and join_mask(masks):
+            return None
+        nodes.append({"base": "cone" if meet else "irrelevant" if masks else "void",
+                      "bit": meet & -meet})
+        memo[masks] = answer = ("yes", len(nodes) - 1)
+        return answer
+
+    if leaf(root):  # the root is its own one-node answer: nothing else to set up
+        return GrapeVerdict("yes", nodes=budget.used), nodes, name
+    profiles = {} if profiles is None else profiles
 
     def refutes(masks: frozenset) -> bool:
         """Whether homology refutes a collapse of masks, for one node."""
@@ -260,19 +280,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         return {"kind": "weak", "gamma_facets": sorted(sorted(face_of(g, names)) for g in gamma),
                 "collapse": steps_to_json(steps, names)}
 
-    nodes: list = []  # a record per solved subproblem, children first
     torsion_read = False  # the root's homology, read at the first inconclusive pivot test
-
-    def leaf(masks: frozenset) -> Optional[tuple]:
-        """Spends a node; answers a void, irrelevant or cone subproblem with no frame, else None."""
-        budget.spend()
-        meet = meet_mask(masks)  # the apexes: a cone is a grape of every variant
-        if not meet and join_mask(masks):
-            return None
-        nodes.append({"base": "cone" if meet else "irrelevant" if masks else "void",
-                      "bit": meet & -meet})
-        memo[masks] = answer = ("yes", len(nodes) - 1)
-        return answer
 
     def solve(masks: frozenset):
         """Any other subproblem, as a generator: it yields each link or
@@ -313,8 +321,8 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
 
     # solve's frames on an explicit stack; a memoised subproblem or a leaf is not pushed
     try:
-        result = leaf(root)
-        stack = [] if result else [(root, solve(root))]
+        result = None  # leaf(root) spent the root's node
+        stack = [(root, solve(root))]
         while stack:
             key, frame = stack[-1]
             sub = frame.send(result)
@@ -481,6 +489,15 @@ class Outcome(NamedTuple):
         return self.verdict == "yes"
 
 
+# the variants whose "yes" settles each variant: strong => comb => weak and
+# strong => strong-weak => weak, each arrow a rewrite of the witnesses alone
+_IMPLIED_BY = {
+    GrapeVariant.COMBINATORIAL: (GrapeVariant.STRONG,),
+    GrapeVariant.STRONG_WEAK: (GrapeVariant.STRONG,),
+    GrapeVariant.WEAK: (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL, GrapeVariant.STRONG_WEAK),
+}
+
+
 class OutcomeTable:
     """A memo that computes each key once; one per suite run, dropped with it.
 
@@ -491,6 +508,11 @@ class OutcomeTable:
     recognitions and collapse searches.  :meth:`dual` keeps duals by (ground,
     masks), :meth:`instance` the JSON its reports share; harnesses keep PF/PM
     or invariants too.
+
+    An outcome may be read off a stronger variant's "yes" on the same masks
+    (``_IMPLIED_BY``) instead of searched.  Only what the table already
+    holds is read: a variant nobody asks for is never searched, and a "no"
+    settles nothing.
     """
 
     def __init__(self) -> None:
@@ -506,6 +528,10 @@ class OutcomeTable:
 
     def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
         def outcome() -> Outcome:
+            for stronger in _IMPLIED_BY.get(variant, ()):
+                held = self.entries.get((c.masks, stronger))
+                if held is not None and held.is_yes:
+                    return held  # the same wedge: any certificate folds to the homotopy type
             verdict, records, _ = search_grape(c, variant, profiles=self.profiles)
             return Outcome(verdict.verdict, records and predicted_wedge({"nodes": records}))
 

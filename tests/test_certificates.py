@@ -8,7 +8,9 @@ certificate with the same error.  All of them read the one representation,
 the format-3 document of plain JSON values.
 """
 
+import itertools
 import json
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,8 +35,17 @@ from grapes import (
     void_complex,
 )
 from grapes.cli import main
-from grapes.collapse import sequence_from_json
-from grapes.complexes import deletion, link, new_complex
+from grapes.collapse import cone_steps, sequence_from_json, steps_to_json
+from grapes.complexes import (
+    bit_table,
+    deletion,
+    deletion_masks,
+    face_of,
+    link,
+    link_masks,
+    maximal_masks,
+    new_complex,
+)
 from test_collapse import frozenset_replay
 from test_complexes import frozenset_cone_apexes, frozenset_link, has_face, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
@@ -518,3 +529,95 @@ def test_a_cone_leaf_needs_a_string_apex(tmp_path, capsys, leaf):
     with pytest.raises(InputError, match="apex"):
         certificate_from_json(data)
     assert verify_cert_exit(tmp_path, PATH3, data) == 2
+
+
+# -- the variant lattice ----------------------------------------------------------------
+
+S, C, W, SW = (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL, GrapeVariant.WEAK,
+               GrapeVariant.STRONG_WEAK)
+# strong => comb => weak and strong => strong-weak => weak: the outcome table
+# reads a variant's "yes" off a stronger one's, and convert is the proof
+ARROWS = [(S, C), (S, SW), (S, W), (C, W), (SW, W)]
+
+
+def weak_witness(gamma, collapse, names):
+    return {"kind": "weak", "gamma_facets": sorted(sorted(face_of(g, names)) for g in gamma),
+            "collapse": collapse}
+
+
+def convert_witness(node, nodes, lk, dl, target, names, bit):
+    """One split's witness for target, from the source witness and the split's sides."""
+    w = node["witness"]
+    if w["kind"] == "strong":  # a child is a cone leaf; its apex cones that side
+        side = "link" if nodes[node["link"]].get("base") == "cone" else "deletion"
+        apex = nodes[node[side]]["apex"]
+        if target is C:  # a cone side x * side holds the cone over the link with apex x
+            return {"kind": "combinatorial", "cone_element": apex}
+        cone = lk if side == "link" else dl
+        collapse = steps_to_json(cone_steps(cone, bit[apex]), names)
+        if target is SW:
+            return {"kind": "strong-weak", "side": side, "collapse": collapse}
+        return weak_witness(cone, collapse, names)  # lk <= the cone side <= dl
+    if w["kind"] == "combinatorial":  # lk <= x * lk <= dl, a cone
+        x = bit[w["cone_element"]]
+        gamma = maximal_masks(f | x for f in lk)
+        return weak_witness(gamma, steps_to_json(cone_steps(gamma, x), names), names)
+    # strong-weak: the side that collapses lies between lk and dl
+    return weak_witness(lk if w["side"] == "link" else dl, w["collapse"], names)
+
+
+def convert(c, cert, target):
+    """A certificate of c rewritten for a variant that its own variant
+    implies: pivots, children and leaves stay, each split's witness is
+    rewritten from its sides, and nothing is searched."""
+    c = restrict_ground(c)
+    names, bit, nodes = c.ground, bit_table(c.ground), cert["nodes"]
+    masks = {len(nodes) - 1: c.masks}  # each node's complex, one per node of a recognition
+    out = list(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        if "base" in node:
+            continue
+        a = bit[node["pivot"]]
+        lk, dl = link_masks(masks[i], a), deletion_masks(masks[i], a)
+        assert masks.setdefault(node["link"], lk) == lk
+        assert masks.setdefault(node["deletion"], dl) == dl
+        out[i] = {**node, "witness": convert_witness(node, nodes, lk, dl, target, names, bit)}
+    return {"format": 3, "nodes": out}
+
+
+def converted(complexes_):
+    """Convert every "yes" of the complexes along every arrow and replay it
+    for the target; returns how many were converted."""
+    count = 0
+    for c in complexes_:
+        for source, target in ARROWS:
+            verdict = check_grape(c, source)
+            if not verdict.is_yes:
+                continue
+            cert = certificate_from_json(json.loads(json.dumps(convert(c, verdict.certificate, target))))
+            verify_certificate(c, target, cert)
+            assert grape.predicted_wedge(cert) == grape.predicted_wedge(verdict.certificate)
+            assert check_grape(c, target).is_yes
+            count += 1
+    return count
+
+
+def test_every_yes_on_four_elements_converts_along_every_arrow():
+    assert converted(enumerate_complexes("abcd")) == 736
+
+
+def sampled_complex(seed):
+    """3-8 faces of size 1-3 on 5 or 6 elements: few cones, many splits."""
+    rng = random.Random(seed)
+    ground = "abcdef"[:5 + seed % 2]
+    faces = [frozenset(f) for k in (1, 2, 3) for f in itertools.combinations(ground, k)]
+    return new_complex(ground, rng.sample(faces, rng.randint(3, 8)))
+
+
+def test_a_seeded_sample_on_five_and_six_elements_converts_along_every_arrow():
+    sample = [sampled_complex(1729 + i) for i in range(150)]
+    splits = sum("base" not in node for c in sample
+                 for node in (check_grape(c, S).certificate or {"nodes": []})["nodes"])
+    assert splits > 200  # strong splits, not only cone leaves
+    assert converted(sample) == 622

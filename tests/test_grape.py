@@ -636,6 +636,13 @@ def test_nonpositive_budget_is_input_error(budget):
         check_grape(IND_P3, GrapeVariant.STRONG, budget=budget)
 
 
+@pytest.mark.parametrize("variant", list(GrapeVariant))
+def test_nonpositive_budget_is_input_error_at_a_cone_root(variant):
+    # the path abc is a cone, answered in one node before any search is set up
+    with pytest.raises(InputError):
+        check_grape(cx("abc", "ab", "bc"), variant, budget=0)
+
+
 # -- hierarchy -------------------------------------------------------------------------
 
 
