@@ -43,11 +43,12 @@ subproblem, unnamed: a dict with the document's keys ``base``, ``link`` and
 ``deletion``, a ``bit`` for the pivot or apex, and a split's ``witness`` as
 a function that names it.  :func:`check_grape` names the records the root
 reaches, so every "yes" comes with a certificate that replays without
-searching.  An ``OutcomeTable`` names nothing: :func:`predicted_wedge` folds
-the records into the predicted wedge of spheres as it folds a certificate.
-That wedge is the one homotopy type the engine derives: a strong grape's
-class (void, or one sphere) is read off it, and Alexander duality shifts
-it, a k-sphere to a (|X| - k - 3)-sphere (``homology.dual_wedge``).
+searching.  The search itself folds its records with
+:func:`predicted_wedge`, as that folds a certificate, so every "yes" carries
+the predicted wedge of spheres, named or not.  That wedge is the one
+homotopy type the engine derives: a strong grape's class (void, or one
+sphere) is read off it, and Alexander duality shifts it, a k-sphere to a
+(|X| - k - 3)-sphere (``homology.dual_wedge``).
 
 Recognition and replay run on the mask kernel of ``complexes``: bit i is
 element i of the root's vertices in ground order, a subproblem is the
@@ -63,19 +64,19 @@ running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
 it from the root.  Theorem checks recognise through an
 ``OutcomeTable``, one per suite run, keyed by facet masks as recognition's
-own memo is.  It keeps outcomes (verdicts plus wedges, never certificates),
-duals, and the homology profiles that recognition, a fresh memo otherwise,
-reads and fills.  An outcome may be read off a stronger variant's "yes" on
-the same masks rather than searched: strong implies comb and strong-weak,
-and each of the three implies weak, since each witness rewrites into the
-weaker one at the same split (a cone side gives a cone element, and a cone
-side, a side that collapses or the cone x * lk an intermediate), and every
-certificate folds to the one wedge.
+own memo is.  It keeps the search's own verdicts (each "yes" with its
+wedge, never a certificate), duals, and the homology profiles that its
+recognitions read and fill; ``check_grape`` uses a fresh memo.  A verdict
+may be read off a stronger variant's "yes" on the same masks rather than
+searched: strong implies comb and strong-weak, and each of the three
+implies weak, since each witness rewrites into the weaker one at the same
+split (a cone side gives a cone element, and a cone side, a side that
+collapses or the cone x * lk an intermediate), and every certificate folds
+to the one wedge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -96,7 +97,6 @@ from .complexes import (
     InputError,
     alexander_dual,
     bit_table,
-    complex_to_json,
     deletion_masks,
     face_of,
     holders,
@@ -128,12 +128,15 @@ _VARIANT_OF_KIND = {"strong": GrapeVariant.STRONG, "combinatorial": GrapeVariant
                     "weak": GrapeVariant.WEAK, "strong-weak": GrapeVariant.STRONG_WEAK}
 
 
-@dataclass(frozen=True)
-class GrapeVerdict:
+class GrapeVerdict(NamedTuple):
+    """One recognition's result.  A NamedTuple rather than a frozen
+    dataclass: every search builds one, and a NamedTuple builds faster."""
+
     verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[dict] = None  # {"format": 3, "nodes": [...]}
+    certificate: Optional[dict] = None  # {"format": 3, "nodes": [...]}, check_grape's yes
     reason: Optional[str] = None
     nodes: int = 0
+    wedge: Optional[dict] = None  # the predicted wedge, on every yes
 
     @property
     def is_yes(self) -> bool:
@@ -156,8 +159,7 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
-                profiles: Optional[dict] = None) -> GrapeVerdict:
+def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
     Strong and combinatorial answers are definitive.  The weak variants test
@@ -166,11 +168,12 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
     refutes costs one node and no search, a strong-weak pivot with both
     sides refuted fails, and torsion in the root's homology, read once at
     the first inconclusive pivot test, answers "no" with TORSION_REASON.
-    Homology comes from profiles, a memo keyed by facet masks (a fresh one
-    by default): each face set's homology is computed once per memo.
-    Anything else inconclusive is reported "unknown", never guessed, with
-    its origin.  Every subproblem that is a cone, a point or the root
-    included, is answered "yes" by a one-node "cone" leaf, with no pivot test.
+    Homology comes from a fresh memo keyed by facet masks: each face set's
+    homology is computed once per recognition.  Anything else inconclusive
+    is reported "unknown", never guessed, with its origin.  Every
+    subproblem that is a cone, a point or the root included, is answered
+    "yes" by a one-node "cone" leaf, with no pivot test.  A "yes" carries
+    its certificate and the wedge :func:`predicted_wedge` folds from it.
 
     One ``Budget`` of the given limit counts all of the work: each
     subproblem, each refutation, and each node of every collapse search.
@@ -178,7 +181,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
     nodes.  The search is :func:`search_grape`; this names each of its
     records reachable from the root as exactly one certificate node.
     """
-    verdict, records, name = search_grape(c, variant, budget, profiles=profiles)
+    verdict, records, name = search_grape(c, variant, budget, profiles={})
     if records is None:
         return verdict
     keep = {len(records) - 1}
@@ -195,13 +198,15 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
             nodes.append({"base": "cone", "apex": name(n["bit"])})
         else:
             nodes.append({"base": n["base"]})
-    return GrapeVerdict("yes", certificate={"format": 3, "nodes": nodes}, nodes=verdict.nodes)
+    return verdict._replace(certificate={"format": 3, "nodes": nodes})
 
 
-def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
-                 profiles: Optional[dict] = None) -> tuple:
+def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET, *,
+                 profiles: dict) -> tuple:
     """The recognition :func:`check_grape` describes, less the certificate,
-    with on yes its unnamed records, root last; and the bits' naming function."""
+    with on yes its unnamed records, root last, folded into the verdict's
+    wedge; and the bits' naming function.  Homology is read from and filled
+    into profiles, a memo keyed by facet masks."""
     budget = Budget(budget)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
@@ -222,9 +227,13 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         memo[masks] = answer = ("yes", len(nodes) - 1)
         return answer
 
+    def yes() -> tuple:
+        """The answer with its records, folded into its wedge as a certificate would be."""
+        return GrapeVerdict("yes", nodes=budget.used, wedge=predicted_wedge({"nodes": nodes})), \
+            nodes, name
+
     if leaf(root):  # the root is its own one-node answer: nothing else to set up
-        return GrapeVerdict("yes", nodes=budget.used), nodes, name
-    profiles = {} if profiles is None else profiles
+        return yes()
 
     def refutes(masks: frozenset) -> bool:
         """Whether homology refutes a collapse of masks, for one node."""
@@ -339,7 +348,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
     except _Torsion:
         return GrapeVerdict("no", None, TORSION_REASON, budget.used), None, name
     if result[0] == "yes":
-        return GrapeVerdict("yes", nodes=budget.used), nodes, name
+        return yes()
     if result[0] == "no":
         return GrapeVerdict("no", nodes=budget.used), None, name
     # the pivots from the root down to the inconclusive test, and the side
@@ -473,22 +482,6 @@ def classify_strong(cert: dict) -> dict:
 # -- recognition outcomes ----------------------------------------------------------
 
 
-class Outcome(NamedTuple):
-    """What a theorem check reads of one recognition, never the certificate:
-    the verdict plus the predicted wedge, which a strong class is read off.
-
-    A NamedTuple rather than a dataclass: the class is created at every
-    import, and a dataclass takes about ten times as long to build.
-    """
-
-    verdict: str
-    wedge: Optional[dict] = None  # every yes
-
-    @property
-    def is_yes(self) -> bool:
-        return self.verdict == "yes"
-
-
 # the variants whose "yes" settles each variant: strong => comb => weak and
 # strong => strong-weak => weak, each arrow a rewrite of the witnesses alone
 _IMPLIED_BY = {
@@ -502,17 +495,17 @@ class OutcomeTable:
     """A memo that computes each key once; one per suite run, dropped with it.
 
     Recognition and homology read facet masks only, so :meth:`recognise`
-    keeps outcomes by (masks, variant), the verdict plus the wedge folded
-    straight from :func:`search_grape`'s records, never named, and
-    ``profiles`` homology by masks, for :meth:`homology` and the table's
-    recognitions and collapse searches.  :meth:`dual` keeps duals by (ground,
-    masks), :meth:`instance` the JSON its reports share; harnesses keep PF/PM
-    or invariants too.
+    keeps :func:`search_grape`'s own verdicts by (masks, variant), each
+    "yes" with its wedge and none with a certificate, and ``profiles``
+    homology by masks, for :meth:`homology` and the table's recognitions and
+    collapse searches.  :meth:`dual` keeps duals by (ground, masks);
+    harnesses keep PF/PM or invariants too.
 
-    An outcome may be read off a stronger variant's "yes" on the same masks
-    (``_IMPLIED_BY``) instead of searched.  Only what the table already
-    holds is read: a variant nobody asks for is never searched, and a "no"
-    settles nothing.
+    A verdict may be read off a stronger variant's "yes" on the same masks
+    (``_IMPLIED_BY``) instead of searched: the entry is then that stronger
+    variant's verdict object itself, its node count included.  Only what the
+    table already holds is read: a variant nobody asks for is never
+    searched, and a "no" settles nothing.
     """
 
     def __init__(self) -> None:
@@ -526,14 +519,13 @@ class OutcomeTable:
             self.entries[key] = compute()
         return self.entries[key]
 
-    def recognise(self, c: Complex, variant: GrapeVariant) -> Outcome:
-        def outcome() -> Outcome:
+    def recognise(self, c: Complex, variant: GrapeVariant) -> GrapeVerdict:
+        def outcome() -> GrapeVerdict:
             for stronger in _IMPLIED_BY.get(variant, ()):
                 held = self.entries.get((c.masks, stronger))
                 if held is not None and held.is_yes:
                     return held  # the same wedge: any certificate folds to the homotopy type
-            verdict, records, _ = search_grape(c, variant, profiles=self.profiles)
-            return Outcome(verdict.verdict, records and predicted_wedge({"nodes": records}))
+            return search_grape(c, variant, profiles=self.profiles)[0]
 
         return self.once((c.masks, variant), outcome)
 
@@ -544,9 +536,6 @@ class OutcomeTable:
         """Forward only: c is never filed as the dual of its dual, which
         would make the involution check read back what it checks."""
         return self.once(("dual", c), lambda: alexander_dual(c))
-
-    def instance(self, c: Complex) -> dict:
-        return self.once(("instance", c), lambda: complex_to_json(c))
 
 
 # -- duality transfer ------------------------------------------------------------

@@ -56,12 +56,15 @@ class Graph:
         )
 
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
-    """Build a graph; checks that the vertices are distinct and that each
-    edge joins two distinct vertices."""
+    """Build a graph; checks that the vertices are distinct and nonempty
+    (they name ground elements) and that each edge joins two distinct
+    vertices."""
     g = Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
     vset = set(g.vertices)
     if len(vset) != len(g.vertices):
         raise InputError("graph vertices must be distinct")
+    if "" in vset:
+        raise InputError("graph vertices must be nonempty")
     for e in g.edges:
         if len(e) != 2:
             raise InputError("edges join two distinct vertices (no loops)")
@@ -258,7 +261,8 @@ class Digraph:
 
 def digraph(vertices, arcs, s: str, t: str) -> Digraph:
     """Build a digraph from (id, src, tgt) triples; checks that vertices and
-    arc ids are distinct and that the arcs, s and t use known vertices."""
+    arc ids are distinct, that arc ids (the ground elements of PF and PM)
+    are nonempty and that the arcs, s and t use known vertices."""
     d = Digraph(tuple(vertices), tuple(Arc(i, a, b) for i, a, b in arcs), s, t)
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
@@ -266,6 +270,8 @@ def digraph(vertices, arcs, s: str, t: str) -> Digraph:
     ids = d.arc_ids()
     if len(set(ids)) != len(ids):
         raise InputError("arc ids must be distinct")
+    if "" in ids:
+        raise InputError("arc ids must be nonempty")
     for a in d.arcs:
         if a.src not in vset or a.tgt not in vset:
             raise InputError(f"arc {a.id!r} uses unknown vertices")

@@ -1,11 +1,12 @@
 """Theorem-verification harnesses and the reproducible acceptance suite.
 
 Each harness checks one statement on one instance and returns a list of
-reports (``cad_report``, which the CLI also runs, returns one); a failing
-report embeds the serialized instance so the failure can be replayed on its
-own.  The suite runner wires the harnesses to deterministic instance sets
-(fixed seeds, exhaustive small enumerations), and :func:`summarise` counts
-pass / fail / unknown for the suite and the CLI alike.
+reports (``cad_report``, which the CLI also runs, returns one).  A report
+holds its instance, a complex, graph or digraph, and writes it as JSON only
+when it is printed, so a failure can be replayed on its own.  The suite
+runner wires the harnesses to deterministic instance sets (fixed seeds,
+exhaustive small enumerations), and :func:`summarise` counts pass / fail /
+unknown for the suite and the CLI alike.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .grape import (
     GrapeVariant,
     OutcomeTable,
     check_grape,
-    predicted_wedge,
     search_grape,
     verify_certificate,
     verify_dual_invariance,
@@ -69,10 +69,14 @@ from .homology import check_alexander_duality, class_name, reduced_homology
 DEFAULT_SEED = 1729
 
 
+# the writer of each instance type, called only for a report that is printed
+_INSTANCE_JSON = {Complex: complex_to_json, Graph: graph_to_json, Digraph: digraph_to_json}
+
+
 @dataclass(slots=True)
 class VerificationReport:
     theorem: str
-    instance: dict
+    instance: Complex | Graph | Digraph
     status: str  # "pass" | "fail" | "unknown"
     expected: object = None
     observed: object = None
@@ -81,7 +85,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         out = {
             "theorem": self.theorem,
-            "instance": self.instance,
+            "instance": _INSTANCE_JSON[type(self.instance)](self.instance),
             "status": self.status,
         }
         if self.expected is not None:
@@ -149,14 +153,13 @@ def duality_identity_reports(c: Complex, outcomes: Optional[OutcomeTable] = None
     Every dual comes from the outcome table (a fresh one by default), which
     files a dual under its complex only, so the double dual is built anew."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = outcomes.instance(c)
     dual = outcomes.dual(c)
-    out = [_report("duality-involution", instance, equals(outcomes.dual(dual), c))]
+    out = [_report("duality-involution", c, equals(outcomes.dual(dual), c))]
     for a in c.ground:
         ok = equals(outcomes.dual(deletion(c, a)), link(dual, a)) and equals(
             outcomes.dual(link(c, a)), deletion(dual, a)
         )
-        out.append(_report("duality-deletion-link-swap", instance, ok, element=a))
+        out.append(_report("duality-deletion-link-swap", c, ok, element=a))
     return out
 
 
@@ -167,7 +170,7 @@ def cad_report(c: Complex, outcomes: Optional[OutcomeTable] = None) -> Verificat
     result = check_alexander_duality(c, outcomes.profiles, outcomes.dual(c))
     return _report(
         "combinatorial-alexander-duality",
-        outcomes.instance(c),
+        c,
         result["pass"],
         observed=None if result["pass"] else result,
     )
@@ -184,13 +187,12 @@ def grape_duality_reports(
     ground elements; each yes instance of a variant gives one report.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = outcomes.instance(c)
     small = len(c.ground) <= small_variants_max_ground
     out = []
     for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
         rep = verify_dual_invariance(c, variant, outcomes)
         if rep["primal_verdict"] == "yes":
-            out.append(_report(f"grape-duality-{variant.value}", instance, rep["pass"],
+            out.append(_report(f"grape-duality-{variant.value}", c, rep["pass"],
                                unknown=rep["unknown_tolerated"], **rep))
     return out
 
@@ -239,7 +241,6 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
     if not is_forest(g):
         raise InputError("forest theorem harness needs a forest")
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = graph_to_json(g)
     out = []
     inv = outcomes.once(("invariants", g), lambda: invariants(g))
     for name, cpx, dualize, wedge_ok in _forest_formula_checks(g, inv):
@@ -247,11 +248,11 @@ def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> 
         outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
             out.append(
-                _report(label, instance, False, expected="strong grape", observed=outcome.verdict)
+                _report(label, g, False, expected="strong grape", observed=outcome.verdict)
             )
             continue
         ok = wedge_ok(outcome.wedge) and outcomes.homology(cpx).is_wedge(outcome.wedge)
-        out.append(_report(label, instance, ok, observed=class_name(outcome.wedge)))
+        out.append(_report(label, g, ok, observed=class_name(outcome.wedge)))
     return out
 
 
@@ -265,11 +266,10 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     outcomes with the names of their classes, none of which reads an arc id.
     """
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = digraph_to_json(d)
     if not d.arcs:
         pf, pm = pf_complex(d), pm_complex(d)
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
-        return [_report("pfpm-empty-conventions", instance, ok)]
+        return [_report("pfpm-empty-conventions", d, ok)]
 
     def family() -> tuple:  # each strong outcome with its class's name, False unless "yes"
         pf, pm = pf_complex(d), pm_complex(d)
@@ -278,18 +278,18 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
                 *((o, o.is_yes and class_name(o.wedge)) for o in strong))
 
     dual_ok, useless, *found = outcomes.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
-    out = [_report("pfpm-alexander-dual", instance, dual_ok)]
+    out = [_report("pfpm-alexander-dual", d, dual_ok)]
     degenerate = useless or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
     dims = (None, None) if degenerate else (n_nonsinks - 1, len(d.arcs) - n_nonsinks)
     for name, n, (strong, observed) in zip(("path-free", "path-missing"), dims, found):
         if not strong.is_yes:
-            out.append(_report(f"pfpm-{name}", instance, False, expected="strong grape",
+            out.append(_report(f"pfpm-{name}", d, False, expected="strong grape",
                                observed=strong.verdict))
             continue
         expected = {} if n is None else {n - 1: 1}  # void on a degenerate digraph
         ok = strong.wedge == expected  # a class named per digraph only on a mismatch
-        out.append(_report(f"pfpm-{name}", instance, ok,
+        out.append(_report(f"pfpm-{name}", d, ok,
                            expected=observed if ok else class_name(expected), observed=observed))
     return out
 
@@ -297,15 +297,14 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
 def deletion_contraction_reports(d: Digraph) -> list:
     """Deletion/contraction identities for the path-free complex, plus the
     guaranteed-useless-arc implication after deleting a source arc."""
-    instance = digraph_to_json(d)
     pf = pf_complex(d)
     out = []
     for arc in d.arcs:
         ok = equals(deletion(pf, arc.id), pf_complex(delete_arc(d, arc.id)))
-        out.append(_report("pf-deletion-identity", instance, ok, arc=arc.id))
+        out.append(_report("pf-deletion-identity", d, ok, arc=arc.id))
         if arc.src == d.s:
             ok = equals(link(pf, arc.id), pf_complex(contract_arc(d, arc.id)))
-            out.append(_report("pf-contraction-identity", instance, ok, arc=arc.id))
+            out.append(_report("pf-contraction-identity", d, ok, arc=arc.id))
     useless = useless_arcs(d)
     for arc in d.arcs:
         if (
@@ -315,7 +314,7 @@ def deletion_contraction_reports(d: Digraph) -> list:
             and not any(b.tgt == arc.tgt and b.id != arc.id for b in d.arcs)
         ):
             ok = bool(useless_arcs(delete_arc(d, arc.id)))
-            out.append(_report("pf-deletion-useless", instance, ok, arc=arc.id))
+            out.append(_report("pf-deletion-useless", d, ok, arc=arc.id))
     return out
 
 
@@ -326,7 +325,6 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     moved complex is searched afresh, reading homology from the table's
     profiles: that search is the check, and its records are never named."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = outcomes.instance(c)
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
@@ -336,7 +334,7 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
-                instance,
+                c,
                 a == b,
                 expected=b,
                 observed=a,
@@ -350,7 +348,6 @@ def lifted_collapse_reports(c: Complex, outcomes: Optional[OutcomeTable] = None)
     complex onto the deletion.  Each link's search reads its homology from
     the outcome table's profiles (a fresh table by default)."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
-    instance = outcomes.instance(c)
     out = []
     for a in c.ground:
         result = collapse_search(link(c, a), profiles=outcomes.profiles)
@@ -358,10 +355,10 @@ def lifted_collapse_reports(c: Complex, outcomes: Optional[OutcomeTable] = None)
             continue
         try:
             lifted_collapse(c, a, result.sequence)
-            out.append(_report("lifted-collapse", instance, True, element=a))
+            out.append(_report("lifted-collapse", c, True, element=a))
         except ReplayError as exc:
             out.append(
-                _report("lifted-collapse", instance, False, observed=str(exc), element=a)
+                _report("lifted-collapse", c, False, observed=str(exc), element=a)
             )
     return out
 
@@ -380,7 +377,7 @@ def wedge_reports(c: Complex, variant: GrapeVariant,
     else:
         theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
     ok = outcomes.homology(c).is_wedge(wedge)
-    return [_report(theorem, outcomes.instance(c), ok, expected=expected)]
+    return [_report(theorem, c, ok, expected=expected)]
 
 
 def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
@@ -388,30 +385,28 @@ def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
         return []
     outcomes = OutcomeTable() if outcomes is None else outcomes
     inv = outcomes.once(("invariants", g), lambda: invariants(g))
-    return [_report("konig-cover-matching", graph_to_json(g), inv.alpha0 == inv.beta1,
+    return [_report("konig-cover-matching", g, inv.alpha0 == inv.beta1,
                     expected=inv.beta1, observed=inv.alpha0)]
 
 
 def five_cycle_reports() -> list:
     """The 5-cycle: smallest non-combinatorial grape, still a weak grape."""
     c5 = cycle_complex(5)
-    instance = complex_to_json(c5)
     out = []
     comb = check_grape(c5, GrapeVariant.COMBINATORIAL)
     out.append(
-        _report("five-cycle-not-combinatorial", instance, comb.verdict == "no", observed=comb.verdict)
+        _report("five-cycle-not-combinatorial", c5, comb.verdict == "no", observed=comb.verdict)
     )
     weak = check_grape(c5, GrapeVariant.WEAK)
     if not weak.is_yes:
-        return out + [_report("five-cycle-weak", instance, False, observed=weak.verdict)]
+        return out + [_report("five-cycle-weak", c5, False, observed=weak.verdict)]
     try:
         verify_certificate(c5, GrapeVariant.WEAK, weak.certificate)
     except ReplayError as exc:
-        return out + [_report("five-cycle-weak", instance, False, observed=str(exc))]
-    predicted = predicted_wedge(weak.certificate)
-    ok = predicted == {1: 1} and reduced_homology(c5).is_wedge({1: 1})
-    out.append(_report("five-cycle-weak", instance, ok, expected={"1": 1},
-                       observed={str(k): v for k, v in predicted.items()}))
+        return out + [_report("five-cycle-weak", c5, False, observed=str(exc))]
+    ok = weak.wedge == {1: 1} and reduced_homology(c5).is_wedge({1: 1})
+    out.append(_report("five-cycle-weak", c5, ok, expected={"1": 1},
+                       observed={str(k): v for k, v in weak.wedge.items()}))
     return out
 
 
@@ -419,7 +414,6 @@ def cyclic_no_useless_reports() -> list:
     """The cyclic-but-no-useless-arcs digraph: path-free complex facets,
     not a cone, collapsible, and a strong grape whose wedge is empty (void)."""
     d = cyclic_no_useless_digraph()
-    instance = digraph_to_json(d)
     pf = pf_complex(d)
     expected_facets = frozenset(
         frozenset(f)
@@ -428,21 +422,20 @@ def cyclic_no_useless_reports() -> list:
     out = [
         _report(
             "cyclic-no-useless-pf-facets",
-            instance,
+            d,
             pf.facets == expected_facets,
             observed=complex_to_json(pf)["facets"],
         ),
-        _report("cyclic-no-useless-pf-not-cone", instance, not meet_mask(pf.masks)),
+        _report("cyclic-no-useless-pf-not-cone", d, not meet_mask(pf.masks)),
         _report(
             "cyclic-no-useless-pf-collapsible",
-            instance,
+            d,
             collapse_search(pf).is_yes,
         ),
-        _report("cyclic-no-useless-arc-check", instance, not useless_arcs(d)),
+        _report("cyclic-no-useless-arc-check", d, not useless_arcs(d)),
     ]
     verdict = check_grape(pf, GrapeVariant.STRONG)
-    cls_ok = verdict.is_yes and predicted_wedge(verdict.certificate) == {}
-    out.append(_report("cyclic-no-useless-pf-void-class", instance, cls_ok))
+    out.append(_report("cyclic-no-useless-pf-void-class", d, verdict.wedge == {}))
     return out
 
 
@@ -502,12 +495,13 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     table, dropped when it returns: a mask set met again anywhere in the run
     (in another stage, as a dual, under other names) is recognised once and
     its homology reduced once, for recognition, collapse searches, the
-    Alexander-duality check and the wedge checks alike.  Each Alexander dual
-    is built once per (ground, masks), each complex's instance JSON once,
-    and PF/PM per path family and forest invariants are kept too.  Each
-    stage checks each distinct instance once, and its reports count at
-    every occurrence.  The summary lists every non-passing report with its
-    instance.
+    Alexander-duality check and the wedge checks alike.  An outcome is the
+    search's own verdict, each "yes" with its wedge.  Each Alexander dual is
+    built once per (ground, masks), and PF/PM per path family and forest
+    invariants are kept too.  Each stage checks each distinct instance once,
+    and its reports count at every occurrence.  The summary lists every
+    non-passing report with its instance, the only instances written as
+    JSON.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")

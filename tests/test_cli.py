@@ -510,6 +510,10 @@ BAD_TABLES = {
         ["dual", "{deep}"],
         ["from-graph", "{int_endpoint}", "--complex", "ind"],
         ["from-graph", "{list_endpoint}", "--complex", "ind"],
+        # an empty vertex or arc id would be written as a ground element no
+        # complex reader accepts
+        *(["from-graph", "{empty_vertex}", "--complex", kind] for kind in ("ind", "ec")),
+        *(["from-digraph", "{empty_arc}", "--complex", kind] for kind in ("pf", "pm")),
         ["gen", "complex", "--ground", "3", "--density", "nan", "--seed", "1"],
         ["gen", "complex", "--ground", "3", "--density", "inf", "--seed", "1"],
         ["gen", "complex", "--ground", "3", "--density", "1e300", "--seed", "1"],
@@ -547,6 +551,9 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "edge": write_json("edge.json", EDGE),
         "int_endpoint": write_json("g1.json", {"vertices": ["a", "b"], "edges": [["a", 1]]}),
         "list_endpoint": write_json("g2.json", {"vertices": ["a"], "edges": [[["x"], "a"]]}),
+        "empty_vertex": write_json("g3.json", {"vertices": ["", "x"], "edges": [["", "x"]]}),
+        "empty_arc": write_json("d1.json", {"vertices": ["s", "t"], "arcs": [
+            {"id": "", "src": "s", "tgt": "t"}, {"id": "x", "src": "s", "tgt": "t"}], "s": "s", "t": "t"}),
         # the invariants' subset search is refused past 2^20 subsets
         "forest28": write_json("forest28.json", graph_to_json(gen_forest(28, 1))),
         **{name: write_json(f"{name}.json", table) for name, table in BAD_TABLES.items()},
@@ -624,7 +631,8 @@ C4_CERTIFICATES = [
 
 def exits_cleanly(raw, commands, element="a"):
     """Each command, with FILE standing for a file of the raw bytes, ends with
-    an exit code, never a traceback."""
+    an exit code, never a traceback; what a builder writes with exit 0, the
+    complex reader, and so every complex command, accepts."""
     with tempfile.TemporaryDirectory() as tmp:
         fill = {ELEMENT: element}
         for name, data in ((FILE, raw), (C4_FILE, json.dumps(C4).encode()),
@@ -638,6 +646,8 @@ def exits_cleanly(raw, commands, element="a"):
                 code = main([fill.get(arg, arg) for arg in command])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
+            if code == 0 and command[0].startswith("from-"):
+                complex_from_json(json.loads(out.getvalue()))
 
 
 def dicts_in(data):
@@ -742,6 +752,10 @@ def test_hostile_complex_files_never_end_in_a_traceback(raw, element):
 
 @settings(max_examples=150, deadline=None)
 @given(hostile_graph_files())
+# an empty vertex or arc id, which a builder would write as a ground element
+@example(json.dumps({"vertices": ["", "x"], "edges": [["", "x"]]}).encode())
+@example(json.dumps({"vertices": ["s", "t"], "arcs": [{"id": "", "src": "s", "tgt": "t"},
+                     {"id": "x", "src": "s", "tgt": "t"}], "s": "s", "t": "t"}).encode())
 def test_hostile_graph_files_never_end_in_a_traceback(raw):
     exits_cleanly(raw, FUZZED["graph"])
 

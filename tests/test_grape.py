@@ -46,6 +46,7 @@ from grapes.grape import (
     GrapeVerdict,
     _cone_points,
     certificate_variant,
+    search_grape,
 )
 from grapes.generators import cycle_complex
 from grapes.verify import standard_complexes
@@ -506,12 +507,13 @@ def test_each_face_set_homology_is_read_once_per_recognition(monkeypatch, c, var
     result = check_grape(c, variant)
     assert (result.verdict, result.nodes) == (verdict, nodes)
     assert reduced and len(reduced) == len(set(reduced))
-    # a memo passed in is read and filled, and a second recognition reduces nothing
+    # a memo passed to the search is read and filled, and a second search reduces nothing
     profiles = {}
-    assert check_grape(c, variant, profiles=profiles) == result
+    searched = search_grape(c, variant, profiles=profiles)[0]
+    assert searched == result._replace(certificate=None)
     assert set(reduced) <= set(profiles)
     reduced.clear()
-    assert check_grape(c, variant, profiles=profiles) == result
+    assert search_grape(c, variant, profiles=profiles)[0] == searched
     assert reduced == []
 
 
@@ -824,6 +826,22 @@ def test_predicted_wedge_examples():
     assert predicted_wedge(verdict.certificate) == {0: 1}
     verdict = check_grape(cone(cycle_complex(5), "z"), GrapeVariant.COMBINATORIAL)
     assert predicted_wedge(verdict.certificate) == {}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_every_yes_carries_its_certificates_wedge(variant):
+    # the search folds its records into the wedge the certificate folds to,
+    # on every yes, and sets none otherwise
+    yes = 0
+    for n in range(5):
+        for c in enumerate_complexes(string.ascii_lowercase[:n]):
+            verdict = check_grape(c, variant)
+            if verdict.is_yes:
+                yes += 1
+                assert verdict.wedge == predicted_wedge(verdict.certificate), c
+            else:
+                assert verdict.wedge is None, c
+    assert yes > 100
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

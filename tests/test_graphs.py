@@ -112,6 +112,23 @@ def test_graph_rejects_loops_and_unknown_vertices():
         graph(("a", "a"), [])
 
 
+def test_names_that_become_ground_elements_must_be_nonempty():
+    # graph vertices are the ground elements of Ind and Dom (and name the
+    # edges of EC and ED), arc ids those of PF and PM; a complex refuses an
+    # empty ground element, so graph() and digraph() refuse one as it enters
+    with pytest.raises(InputError, match="nonempty"):
+        graph(("", "x"), [])
+    with pytest.raises(InputError, match="nonempty"):
+        graph_from_json({"vertices": ["x", ""], "edges": [["x", ""]]})
+    with pytest.raises(InputError, match="nonempty"):
+        digraph("st", [("", "s", "t"), ("x", "s", "t")], "s", "t")
+    with pytest.raises(InputError, match="nonempty"):
+        digraph_from_json({"vertices": ["s", "t"], "arcs": [{"id": "", "src": "s", "tgt": "t"}],
+                           "s": "s", "t": "t"})
+    # a digraph vertex names no ground element, so an empty one is allowed
+    assert pf_complex(digraph(("", "t"), [("a", "", "t")], "", "t")).ground == ("a",)
+
+
 def test_digraph_allows_loops_and_parallels():
     d = digraph("ab", [("e1", "a", "a"), ("e2", "a", "b"), ("e3", "a", "b")], "a", "b")
     assert len(d.arcs) == 3

@@ -1,11 +1,9 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
-import dataclasses
 import functools
 import hashlib
 import json
 from collections import defaultdict
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +16,7 @@ from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_co
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph
-from grapes.graphs import Digraph, Graph, digraph_to_json, graph_to_json
+from grapes.graphs import Digraph, Graph, digraph_from_json, digraph_to_json, graph_from_json, graph_to_json
 from test_graphs import path_graph, star_graph
 from test_homology import RP2
 from grapes.verify import (
@@ -355,15 +353,50 @@ def test_konig_on_bipartite_graphs():
 
 
 def test_reports_embed_a_reproducible_instance():
-    # the embedded instance parses back and reproduces the same statuses
+    # a report holds its instance and writes it as JSON when printed; the
+    # JSON parses back and reproduces the same statuses, for a complex, a
+    # graph and a digraph
     from grapes import complex_from_json
 
-    c = new_complex("ab", [frozenset("a")])
-    reports = duality_identity_reports(c)
-    for r in reports:
-        assert r.instance["ground"] == ["a", "b"]
-    replayed = duality_identity_reports(complex_from_json(reports[0].instance))
-    assert [x.status for x in replayed] == [x.status for x in reports]
+    cases = [
+        (new_complex("ab", [frozenset("a")]), duality_identity_reports, complex_from_json),
+        (path_graph(4), verify_forest_theorem, graph_from_json),
+        (cyclic_no_useless_digraph(), deletion_contraction_reports, digraph_from_json),
+    ]
+    for instance, harness, from_json in cases:
+        reports = harness(instance)
+        assert reports and all(r.instance is instance for r in reports)
+        written = {json.dumps(r.to_json()["instance"]) for r in reports}
+        assert len(written) == 1
+        replayed = harness(from_json(json.loads(written.pop())))
+        assert [x.to_json() for x in replayed] == [x.to_json() for x in reports]
+
+
+def test_unprinted_reports_build_no_json(monkeypatch):
+    # a passing run prints no report, so it writes no instance as JSON: the
+    # one writer call left is the named digraph's PF facets, which are
+    # report content
+    calls = []
+
+    def counted(real):
+        def write(x):
+            calls.append(x)
+            return real(x)
+        return write
+
+    for kind, real in list(verify._INSTANCE_JSON.items()):
+        write = counted(real)
+        monkeypatch.setitem(verify._INSTANCE_JSON, kind, write)
+        for module in (verify, grape):  # the modules that make the run's reports
+            monkeypatch.setattr(module, real.__name__, write, raising=False)
+    summary = run_suite("smoke", 7)
+    assert summary["pass"] > 1000 and summary["fail"] == summary["unknown"] == 0
+    assert calls == [graphs.pf_complex(cyclic_no_useless_digraph())]
+    # a printed report does write its instance
+    calls.clear()
+    (report,) = konig_reports(path_graph(3))
+    assert report.to_json()["instance"] == graph_to_json(path_graph(3))
+    assert calls == [path_graph(3)]
 
 
 def test_suite_smoke_passes_and_is_deterministic():
@@ -381,9 +414,9 @@ def test_suite_rejects_unknown_level():
 
 
 def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
-    def by_first_element(c, variant, **memo):
+    def by_first_element(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles):
         verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
-        return SimpleNamespace(verdict=verdict), None, None
+        return grape.GrapeVerdict(verdict, wedge={} if verdict == "yes" else None), None, None
 
     monkeypatch.setattr(verify, "search_grape", by_first_element)
     reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]))
@@ -516,8 +549,10 @@ HARNESSES = {
 
 def _recorded_run(monkeypatch, runner):
     """Run a suite with every harness replaced by one that records its
-    arguments and returns a failing report naming them (or no report, on
-    some instances, where the real harness may)."""
+    arguments and returns a failing report on its instance, the first
+    argument (the 5-cycle for the named-instance harnesses, which take
+    none), naming them all (or no report, on some instances, where the
+    real harness may)."""
     calls = defaultdict(list)
 
     def fake(name, returns):
@@ -525,10 +560,11 @@ def _recorded_run(monkeypatch, runner):
             # the suite also hands over the run's outcome table
             args = tuple(a for a in args if not isinstance(a, grape.OutcomeTable))
             calls[name].append(args)
-            instance = {"args": [TO_JSON.get(type(a), lambda v: v)(a) for a in args]}
-            if returns == "maybe" and len(json.dumps(instance)) % 3 == 0:
+            named = [TO_JSON.get(type(a), lambda v: v)(a) for a in args]
+            if returns == "maybe" and len(json.dumps(named)) % 3 == 0:
                 return []
-            rep = VerificationReport(name, instance, "fail")
+            instance = args[0] if args else cycle_complex(5)
+            rep = VerificationReport(name, instance, "fail", details={"args": named})
             return rep if returns == "one" else [rep]
 
         return harness
@@ -626,8 +662,8 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
     searches = []
     real_search, real = grape.search_grape, grape.check_grape
 
-    def recorded(c, variant, budget=grape.DEFAULT_BUDGET, profiles=None):
-        found = real_search(c, variant, budget, profiles)
+    def recorded(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles):
+        found = real_search(c, variant, budget, profiles=profiles)
         searches.append((c, variant, profiles, found))
         return found
 
@@ -644,19 +680,20 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
 
     outcomes = {key: v for key, v in table.entries.items() if isinstance(key[-1], GrapeVariant)}
     duals = {key[1]: v for key, v in table.entries.items() if key[0] == "dual"}
-    instances = {key[1]: v for key, v in table.entries.items() if key[0] == "instance"}
-    assert len(table.profiles) > 100 and len(outcomes) > 200
-    assert len(duals) > 100 and len(instances) > 30
+    assert len(table.profiles) > 100 and len(outcomes) > 200 and len(duals) > 100
     for masks, profile in table.profiles.items():
         assert profile == homology.reduced_homology(on_masks(masks)), masks
+    # an entry is a lone check_grape's verdict, reason and wedge, less the
+    # certificate; one read off a stronger variant's "yes" keeps that
+    # search's node count, so nodes are compared on searched entries only
     for (masks, variant), outcome in outcomes.items():
         fresh = real(on_masks(masks), variant)
         wedge = grape.predicted_wedge(fresh.certificate) if fresh.is_yes else None
-        assert outcome == (fresh.verdict, wedge), (masks, variant)
+        assert outcome.certificate is None, (masks, variant)
+        assert (outcome.verdict, outcome.reason, outcome.wedge) == (
+            fresh.verdict, fresh.reason, wedge), (masks, variant)
     for c, dual in duals.items():
         assert dual.ground == c.ground and complexes.equals(dual, complexes.alexander_dual(c)), c
-    for c, instance in instances.items():
-        assert instance == complex_to_json(c), c
     # every search that read the run's profiles, the moved complexes'
     # included, has a lone check_grape's verdict, wedge, nodes and reason,
     # and named on the run's profiles it is that lone certificate
@@ -666,12 +703,18 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
     # stronger variant's "yes", and the loop above checked them too
     moved = [r for r in shared if r[0].ground and r[0].ground[-1].startswith("_")]
     assert len(outcomes) > len(shared) - len(moved)
-    for c, variant, _, (verdict, records, _) in shared:
-        lone = real(c, variant)
-        assert verdict == dataclasses.replace(lone, certificate=None), (c, variant)
+    lones = [(c, variant, found, real(c, variant)) for c, variant, _, found in shared]
+    for c, variant, (verdict, records, _), lone in lones:
+        assert verdict == lone._replace(certificate=None), (c, variant)
         wedge = lone.certificate and grape.predicted_wedge(lone.certificate)
         assert (records and grape.predicted_wedge({"nodes": records})) == wedge, (c, variant)
-        assert real(c, variant, profiles=table.profiles) == lone, (c, variant)
+
+    def on_run_profiles(c, variant, budget, *, profiles):
+        return real_search(c, variant, budget, profiles=table.profiles)
+
+    monkeypatch.setattr(grape, "search_grape", on_run_profiles)
+    for c, variant, _, lone in lones:
+        assert real(c, variant) == lone, (c, variant)
 
 
 def test_ground_independence_searches_each_moved_copy_on_its_own_key(monkeypatch):
@@ -693,7 +736,7 @@ def test_a_strong_yes_settles_every_weaker_variant_without_a_search(monkeypatch)
     table = grape.OutcomeTable()
     c = new_complex("ab", [frozenset("a"), frozenset("b")])  # the 0-sphere
     strong = table.recognise(c, GrapeVariant.STRONG)
-    assert strong == ("yes", {0: 1})
+    assert (strong.verdict, strong.wedge) == ("yes", {0: 1})
     for variant in (GrapeVariant.COMBINATORIAL, GrapeVariant.STRONG_WEAK, GrapeVariant.WEAK):
         assert table.recognise(c, variant) is strong
     assert keys == [(c, GrapeVariant.STRONG)]
@@ -705,7 +748,7 @@ def test_a_comb_yes_settles_weak_but_not_strong_weak(monkeypatch):
     c = new_complex("abcd", [frozenset("ab"), frozenset("c"), frozenset("d")])
     assert table.recognise(c, GrapeVariant.STRONG).verdict == "no"
     comb = table.recognise(c, GrapeVariant.COMBINATORIAL)
-    assert comb == ("yes", {0: 2})
+    assert (comb.verdict, comb.wedge) == ("yes", {0: 2})
     assert table.recognise(c, GrapeVariant.WEAK) is comb
     assert table.recognise(c, GrapeVariant.STRONG_WEAK).verdict == "no"
     assert keys == [(c, GrapeVariant.STRONG), (c, GrapeVariant.COMBINATORIAL),
@@ -751,11 +794,12 @@ def test_outcome_table_entries_hold_no_certificate():
     for c in standard_complexes(n_random=10, max_ground=4, exhaustive_max=2, seed=3):
         for variant in GrapeVariant:
             table.recognise(c, variant)
-    assert grape.Outcome._fields == ("verdict", "wedge")
-    kinds = {type(v) for entry in table.entries.values() for v in entry}
-    assert kinds <= {str, dict, type(None)}
-    # the wedge is set on every yes, of every variant
-    assert all((e.wedge is not None) == e.is_yes for e in table.entries.values())
+    entries = table.entries.values()
+    # each entry is the search's own verdict, with no certificate
+    assert entries and all(type(e) is grape.GrapeVerdict for e in entries)
+    assert all(e.certificate is None for e in entries)
+    # the wedge is set exactly on every yes, of every variant
+    assert all((e.wedge is not None) == e.is_yes for e in entries)
     assert {v for (_, v), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
 
 
