@@ -319,21 +319,25 @@ def meet_mask(masks: frozenset) -> int:
     return reduce(and_, masks) if masks else 0
 
 
+def bound_faces(count: int) -> None:
+    """InputError when count faces are more than MAX_FACES."""
+    if count > MAX_FACES:
+        raise InputError(f"the facets span more than {MAX_FACES} faces")
+
+
 def face_masks(masks: Iterable[int]) -> set:
     """Every face of the facet masks: all their submasks, 0 included.
     InputError once there are over MAX_FACES, before a facet's faces are
     built when that facet alone spans more."""
     faces = set()
     for f in masks:
-        if 1 << f.bit_count() > MAX_FACES:
-            raise InputError(f"the facets span more than {MAX_FACES} faces")
+        bound_faces(1 << f.bit_count())
         s = f
         while s:
             faces.add(s)
             s = (s - 1) & f
         faces.add(0)
-        if len(faces) > MAX_FACES:
-            raise InputError(f"the facets span more than {MAX_FACES} faces")
+        bound_faces(len(faces))
     return faces
 
 

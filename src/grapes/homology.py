@@ -6,7 +6,8 @@ the void complex (no faces at all) has all groups zero.  Faces are int masks
 over the ground, submasks of the facets.  Homology is taken of the quotient
 by the star of one vertex, an acyclic cone, which leaves the cells of the
 pair (deletion, link); its sparse boundary maps are reduced top down with
-clearing, and on unit pivots before any dense Smith reduction.
+clearing, by low-pivot column reduction on unit pivots, and only the block
+left over goes to a dense Smith reduction.
 Cohomology follows from homology by universal coefficients.
 
 All arithmetic is exact over Python integers.
@@ -16,11 +17,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Optional
 
-from .complexes import Complex, InputError, alexander_dual, face_masks
+from .complexes import Complex, InputError, alexander_dual, bound_faces, face_masks
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -64,50 +64,43 @@ def smith_normal_form(matrix: list) -> list:
 def _invariant_factors(columns: list) -> tuple:
     """Invariant factors, and the unit-pivot rows, of a sparse matrix of {row: value} columns.
 
-    Pivots on entries of absolute value 1 (shortest column first, then the
-    shortest row with a unit in it) are unimodular and each contribute a 1;
-    the residual block goes to :func:`smith_normal_form`.  Consumes ``columns``.
+    Low-pivot column reduction: while a column's lowest (largest) row owns a
+    pivot, that pivot column is subtracted to clear it.  A column left with
+    +-1 there becomes the pivot of its lowest row.  Unit-low columns are an
+    echelon block with a unimodular pivot minor, so each adds a factor 1.
+    Each other column is then cleared on every pivot row, highest first,
+    which adds only lower rows, and the residual block, on rows that own no
+    pivot, goes to :func:`smith_normal_form`.  Consumes ``columns``.
     """
-    rows = defaultdict(set)
-    for j, col in enumerate(columns):
-        for i in col:
-            rows[i].add(j)
-    heap = [(len(col), j) for j, col in enumerate(columns)]
-    heapify(heap)
-    pivots = set()
-    while heap:
-        size, p = heappop(heap)
-        col = columns[p]
-        if col is None or len(col) != size:
-            continue  # eliminated, or changed since this entry was pushed
-        unit_rows = [i for i, v in col.items() if v == 1 or v == -1]
-        if not unit_rows:
-            continue  # pushed again if a later pivot changes it
-        r = min(unit_rows, key=lambda i: (len(rows[i]), i))
-        columns[p] = None
-        for i in col:
-            rows[i].discard(p)
-        a = col.pop(r)
-        for j in rows.pop(r):
-            other = columns[j]
-            q = other.pop(r) * a  # a = 1/a for a unit
-            for i, v in col.items():
-                w = other.get(i, 0) - q * v
-                if w:
-                    other[i] = w
-                    rows[i].add(j)
+    pivots, residual = {}, []
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                if col[low] == 1 or col[low] == -1:
+                    pivots[low] = col
                 else:
-                    del other[i]
-                    rows[i].discard(j)
-            heappush(heap, (len(other), j))
-        pivots.add(r)
-    live = [col for col in columns if col]
-    at = {i: n for n, i in enumerate({i for col in live for i in col})}
-    residual = [[0] * len(live) for _ in at]
-    for j, col in enumerate(live):
-        for i, v in col.items():
-            residual[at[i]][j] = v
-    return [1] * len(pivots) + smith_normal_form(residual), pivots
+                    residual.append(col)
+                break
+            _subtract(col, col[low] * pivot[low], pivot)
+    for r in sorted(pivots, reverse=True):
+        for col in residual:
+            if r in col:
+                _subtract(col, col[r] * pivots[r][r], pivots[r])
+    rows = sorted({i for col in residual for i in col})
+    block = [[col.get(i, 0) for col in residual] for i in rows]
+    return [1] * len(pivots) + smith_normal_form(block), pivots.keys()
+
+
+def _subtract(col: dict, q: int, pivot: dict) -> None:
+    """col -= q * pivot, in place, dropping the zeros."""
+    for i, v in pivot.items():
+        w = col.get(i, 0) - q * v
+        if w:
+            col[i] = w
+        else:
+            del col[i]
 
 
 # -- boundary maps on mask faces -----------------------------------------------
@@ -213,19 +206,25 @@ def _apex(c: Complex) -> int:
 def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
     """Reduced homology of c as that of the pair (del_v c, lk_v c), v a vertex bit.
 
-    The cells are the faces s with v not in s and s + v not in c, and a
-    column is s's boundary less its rows in the star of v.  Top down, a cell
-    that a unit pivot of the map above was taken on is no column of this map
-    (clearing): those pivot columns are boundaries with +-1 on their rows,
-    triangular in pivot order, so a unimodular change of basis zeroes the
-    cleared columns of this map.
+    The cells are the faces s with v not in s and s + v not in c: the faces
+    of the facets that miss v, less the faces of lk_v.  The complex spans
+    |cells| + 2 |link faces| faces, refused past MAX_FACES as
+    :func:`face_masks` refuses them.  A column is a cell's boundary less its
+    rows in the star of v.  Top down, a cell that a unit pivot of the map
+    above was taken on is no column of this map (clearing): those pivot
+    columns are boundaries with +-1 on their low rows, triangular in pivot
+    order, so a unimodular change of basis zeroes the cleared columns.
     """
-    faces = face_masks(c.masks)
-    cells = {s for s in faces if not s & v and s | v not in faces}
+    top = c.dim()
+    bound_faces(1 << (top + 1))
+    link = face_masks(f ^ v for f in c.masks if f & v)
+    cells = face_masks(f for f in c.masks if not f & v)
+    cells -= link
+    bound_faces(len(cells) + 2 * len(link))
     by_dim = _by_dim(cells)
-    factors = {c.dim() + 1: []}
+    factors = {top + 1: []}
     cleared = frozenset()
-    for k in range(c.dim(), -1, -1):
+    for k in range(top, -1, -1):
         columns = [
             {t: e for t, e in _boundary(s).items() if t in cells}
             for s in by_dim[k]
@@ -233,7 +232,7 @@ def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
         ]
         factors[k], cleared = _invariant_factors(columns)
     betti, torsion = {}, {}
-    for k in range(-1, c.dim() + 1):
+    for k in range(-1, top + 1):
         above = factors[k + 1]
         betti[k] = len(by_dim[k]) - len(factors.get(k, ())) - len(above)
         torsion[k] = tuple(d for d in above if d > 1)
