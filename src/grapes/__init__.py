@@ -22,7 +22,6 @@ from .complexes import (
     complex_to_json,
     deletion,
     enumerate_complexes,
-    equals,
     irrelevant_complex,
     link,
     minimal_nonfaces,

@@ -11,7 +11,8 @@ explicit "unknown" verdict when a ``Budget``, the node counter that grape
 recognition shares with its searches, runs out.  A collapsible complex is
 contractible, so its reduced homology vanishes: :func:`obstruction` refutes a
 complex whose reduced homology has a Betti number or torsion, for one node
-and no search, in ``collapse_search`` and in grape recognition alike.
+and no search, in :func:`collapse_test`, the one test that ``collapse_search``
+and grape recognition call.
 Deciding collapsibility is NP-complete (Tancer 2016); this refutes the
 non-acyclic inputs in polynomial time and leaves the search for the acyclic
 ones.  The search is depth-first and remembers every face set it has seen
@@ -242,6 +243,19 @@ def obstruction(masks: frozenset, names: tuple,
     return None if profile.is_trivial() else profile
 
 
+def collapse_test(masks: frozenset, budget: Budget, names: tuple,
+                  profiles: Optional[dict] = None) -> tuple:
+    """The one collapse test, of recognition and :func:`collapse_search`
+    alike: (obstruction, None) after one node when :func:`obstruction`
+    refutes masks, else (None, the mask steps of :func:`search_masks`, or
+    None once every order failed).  BudgetExceeded on running out."""
+    refuted = obstruction(masks, names, profiles)
+    if refuted is not None:
+        budget.spend()  # the refuting node
+        return refuted, None
+    return None, search_masks(masks, budget, names)
+
+
 def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
                     profiles: Optional[dict] = None) -> ShvResult:
     """Search for a collapse sequence from c to the void complex.
@@ -261,16 +275,12 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
     nodes.  Deterministic for fixed inputs.
     """
     budget = Budget(budget)
-    refuted = obstruction(c.masks, c.ground, profiles)
-    if refuted is not None:
-        budget.spend()  # the refuting node, within every limit
-        return ShvResult("no", None, budget.used, refuted)
     try:
-        steps = search_masks(c.masks, budget, c.ground)
+        refuted, steps = collapse_test(c.masks, budget, c.ground, profiles)
     except BudgetExceeded:
         return ShvResult("unknown", None, budget.used)
     sequence = None if steps is None else steps_to_json(steps, c.ground)
-    return ShvResult("no" if steps is None else "yes", sequence, budget.used)
+    return ShvResult("no" if steps is None else "yes", sequence, budget.used, refuted)
 
 
 def lifted_collapse(c: Complex, a: str, lk_sequence: dict) -> dict:

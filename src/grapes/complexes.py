@@ -90,10 +90,6 @@ class Complex:
         """Max facet cardinality minus one; -1 for irrelevant, -2 for void."""
         return max((m.bit_count() for m in self.masks), default=-1) - 1
 
-    def vertices(self) -> frozenset:
-        """Elements that occur in at least one face."""
-        return face_of(join_mask(self.masks), self.ground)
-
     def index(self, element: str) -> int:
         try:
             return self.ground.index(element)
@@ -245,13 +241,6 @@ def restrict_ground(c: Complex) -> Complex:
         return c
     ground = tuple(x for i, x in enumerate(c.ground) if verts >> i & 1)
     return Complex(ground, _drop_bits(c.masks, ((1 << len(c.ground)) - 1) ^ verts))
-
-
-def equals(c1: Complex, c2: Complex) -> bool:
-    """Same ground set (as a set) and same facet family."""
-    if c1.ground == c2.ground:
-        return c1.masks == c2.masks
-    return set(c1.ground) == set(c2.ground) and c1.facets == c2.facets
 
 
 def _drop_bits(masks: Iterable[int], drop: int) -> frozenset:

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
-from .graphs import Arc, Digraph, Graph, graph
+from .graphs import Arc, Digraph, Graph, edge_order
 
 MAX_GENERATORS = 2**16  # cap on gen_complex's generator faces and gen's vertex and arc counts
 
@@ -43,13 +43,10 @@ def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
         raise InputError(f"forest needs 1 to {MAX_GENERATORS} vertices and a nonnegative drop")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
-    edges = [
-        frozenset((vertices[rng.randrange(i)], vertices[i]))
-        for i in range(1, n)
-    ]
+    edges = [1 << rng.randrange(i) | 1 << i for i in range(1, n)]
     for _ in range(min(drop, len(edges))):
         edges.pop(rng.randrange(len(edges)))
-    return Graph(vertices, frozenset(edges))
+    return Graph(vertices, tuple(sorted(edges, key=edge_order)))
 
 
 def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
@@ -128,7 +125,7 @@ def all_trees(max_n: int) -> Iterator[Graph]:
     if max_n < 1:
         return
     level: list = [[]]
-    yield graph(("v1",), [])
+    yield Graph(("v1",), ())
     for n in range(2, max_n + 1):
         seen = set()
         nxt = []
@@ -139,11 +136,9 @@ def all_trees(max_n: int) -> Iterator[Graph]:
                 if key not in seen:
                     seen.add(key)
                     nxt.append(candidate)
+        vertices = tuple(f"v{i}" for i in range(1, n + 1))
         for edges in nxt:
-            yield graph(
-                tuple(f"v{i}" for i in range(1, n + 1)),
-                [(f"v{a + 1}", f"v{b + 1}") for a, b in edges],
-            )
+            yield Graph(vertices, tuple(sorted((1 << a | 1 << b for a, b in edges), key=edge_order)))
         level = nxt
 
 

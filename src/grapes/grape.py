@@ -85,10 +85,10 @@ from .collapse import (
     Budget,
     BudgetExceeded,
     ReplayError,
+    collapse_test,
     cone_steps,
     obstruction,
     replay_pairs,
-    search_masks,
     sequence_from_json,
     steps_to_json,
 )
@@ -164,10 +164,11 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
 
     Strong and combinatorial answers are definitive.  The weak variants test
     simple-homotopy triviality by collapsibility and refute it by homology:
-    a side or intermediate candidate that :func:`collapse.obstruction`
-    refutes costs one node and no search, a strong-weak pivot with both
-    sides refuted fails, and torsion in the root's homology, read once at
-    the first inconclusive pivot test, answers "no" with TORSION_REASON.
+    each side or intermediate candidate goes through
+    :func:`collapse.collapse_test`, where a homology refutation costs one
+    node and no search, a strong-weak pivot with both sides refuted fails,
+    and torsion in the root's homology, read once at the first inconclusive
+    pivot test, answers "no" with TORSION_REASON.
     Homology comes from a fresh memo keyed by facet masks: each face set's
     homology is computed once per recognition.  Anything else inconclusive
     is reported "unknown", never guessed, with its origin.  Every
@@ -235,13 +236,6 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
     if leaf(root):  # the root is its own one-node answer: nothing else to set up
         return yes()
 
-    def refutes(masks: frozenset) -> bool:
-        """Whether homology refutes a collapse of masks, for one node."""
-        if obstruction(masks, names, profiles) is None:
-            return False
-        budget.spend()
-        return True
-
     def witness(lk: frozenset, dl: frozenset):
         """Variant gluing condition at one pivot: (status, reason or witness namer)."""
         if variant is GrapeVariant.STRONG:
@@ -259,10 +253,8 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         if variant is GrapeVariant.STRONG_WEAK:
             refuted = 0
             for side, side_masks in (("link", lk), ("deletion", dl)):
-                if refutes(side_masks):
-                    refuted += 1
-                    continue
-                steps = search_masks(side_masks, budget, names)
+                obstructed, steps = collapse_test(side_masks, budget, names, profiles)
+                refuted += obstructed is not None
                 if steps is not None:
                     return "yes", lambda: {"kind": "strong-weak", "side": side,
                                            "collapse": steps_to_json(steps, names)}
@@ -274,7 +266,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
 
         # weak: look for a collapsible complex between link and deletion
         for gamma in (lk, dl):
-            steps = None if refutes(gamma) else search_masks(gamma, budget, names)
+            steps = collapse_test(gamma, budget, names, profiles)[1]
             if steps is not None:
                 return "yes", lambda: intermediate(gamma, steps)
         x = _cone_points(lk, dl)

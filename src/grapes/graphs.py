@@ -1,17 +1,25 @@
 """Graphs, digraphs, their exact invariants, and derived simplicial complexes.
 
-Undirected graphs are finite and simple.  Directed graphs are multigraphs
-(parallel arcs and loops allowed) with two distinguished vertices s and t,
-possibly equal; arcs carry identifiers, which become the ground elements of
-the path-free and path-missing complexes.
+Undirected graphs are finite and simple.  A :class:`Graph` is its vertex
+names plus its edges as two-bit vertex masks (bit i for ``vertices[i]``),
+listed once in the one edge order, lower end first, then by mask.
+:func:`graph` turns names into masks, checking them; the generators build
+the masks straight from vertex indices.  Names come back only at the
+boundary: :func:`edge_ground` labels the edges for the edge-cover and
+edge-dominance complexes, and :func:`graph_to_json` writes the graph.
+
+Directed graphs are multigraphs (parallel arcs and loops allowed) with two
+distinguished vertices s and t, possibly equal; arcs carry identifiers,
+which become the ground elements of the path-free and path-missing
+complexes.
 
 Invariants (domination, independent domination, vertex cover, matching) are
-computed by exhaustive search over vertex masks (bit i for ``vertices[i]``):
-a set dominates when it meets every closed neighbourhood, covers when it
-meets every edge, and is independent when it contains none.  A digraph
-lists its simple s-t paths once, as arc masks, in :attr:`Digraph.paths`;
-the path-free and path-missing complexes and the useless arcs read that
-list.
+computed by exhaustive search over vertex masks: a set dominates when it
+meets every closed neighbourhood (:attr:`Graph.closed`, computed once per
+graph), covers when it meets every edge, and is independent when it
+contains none.  A digraph lists its simple s-t paths once, as arc masks, in
+:attr:`Digraph.paths`; the path-free and path-missing complexes and the
+useless arcs read that list.
 """
 
 from __future__ import annotations
@@ -36,48 +44,51 @@ from .complexes import (
 # -- undirected graphs -------------------------------------------------------
 
 
+def edge_order(e: int) -> tuple:
+    """The one edge order: by lower end, then by mask, so {0, 3} (9) comes
+    before {1, 2} (6)."""
+    return e & -e, e
+
+
+def ends(e: int) -> tuple:
+    """An edge mask's two vertex indices, lower first."""
+    return (e & -e).bit_length() - 1, e.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Unchecked: build one from names with :func:`graph`, which validates them."""
+    """Vertex names plus the edges as two-bit vertex masks (bit i for
+    ``vertices[i]``), distinct and in :func:`edge_order`.  Unchecked: build
+    one from names with :func:`graph`, which validates them."""
 
     vertices: tuple[str, ...]
-    edges: frozenset  # frozensets of two distinct vertex names
+    edges: tuple[int, ...]
 
-    def index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise InputError(f"{v!r} is not a vertex") from None
+    @cached_property
+    def closed(self) -> tuple:
+        """The closed neighbourhoods as vertex masks, in vertex order."""
+        bits = (1 << i for i in range(len(self.vertices)))
+        return tuple(b | join_mask(e for e in self.edges if e & b) for b in bits)
 
-    def sorted_edges(self) -> list:
-        return sorted(
-            (tuple(sorted(e, key=self.index)) for e in self.edges),
-            key=lambda pair: (self.index(pair[0]), self.index(pair[1])),
-        )
 
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
     """Build a graph; checks that the vertices are distinct and nonempty
     (they name ground elements) and that each edge joins two distinct
     vertices."""
-    g = Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
-    vset = set(g.vertices)
-    if len(vset) != len(g.vertices):
+    vertices = tuple(vertices)
+    bit = bit_table(vertices)
+    if len(bit) != len(vertices):
         raise InputError("graph vertices must be distinct")
-    if "" in vset:
+    if "" in bit:
         raise InputError("graph vertices must be nonempty")
-    for e in g.edges:
+    masks = set()
+    for e in map(frozenset, edges):
         if len(e) != 2:
             raise InputError("edges join two distinct vertices (no loops)")
-        if not e <= vset:
+        if not e <= bit.keys():
             raise InputError(f"edge {sorted(e)} uses unknown vertices")
-    return g
-
-
-def _masks(g: Graph) -> tuple:
-    """The edges, in edge_ground's order, and the closed neighbourhoods, as vertex masks."""
-    bit = bit_table(g.vertices)
-    edges = sorted((mask_of(e, bit) for e in g.edges), key=lambda e: (e & -e, e))
-    return edges, [b | join_mask(e for e in edges if e & b) for b in bit.values()]
+        masks.add(mask_of(e, bit))
+    return Graph(vertices, tuple(sorted(masks, key=edge_order)))
 
 
 def _subsets(n: int) -> Iterator[int]:
@@ -101,7 +112,7 @@ def invariants(g: Graph) -> GraphInvariants:
     n = len(g.vertices)
     if 1 << n > MAX_FACES:
         raise InputError(f"the invariants search 2^{n} vertex subsets, more than {MAX_FACES}")
-    edges, closed = _masks(g)
+    edges, closed = g.edges, g.closed
     dominating = (s for s in _subsets(n) if all(c & s for c in closed))
     first = next(dominating)
     independent = next(s for s in chain([first], dominating) if not any(e & s == e for e in edges))
@@ -111,73 +122,50 @@ def invariants(g: Graph) -> GraphInvariants:
     return GraphInvariants(first.bit_count(), independent.bit_count(), cover.bit_count(), beta1)
 
 
+def _components(g: Graph) -> Iterator[list]:
+    """Each component's breadth-first layers, as vertex masks, from its lowest vertex."""
+    unseen = (1 << len(g.vertices)) - 1
+    while unseen:
+        layers, seen, layer = [], 0, unseen & -unseen
+        while layer:
+            layers.append(layer)
+            seen |= layer
+            layer = join_mask(c for i, c in enumerate(g.closed) if layer >> i & 1) & ~seen
+        unseen &= ~seen
+        yield layers
+
+
 def is_forest(g: Graph) -> bool:
-    parent = {v: v for v in g.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in g.edges:
-        u, v = tuple(e)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """No cycle: as many edges as vertices less components."""
+    return len(g.edges) == len(g.vertices) - sum(1 for _ in _components(g))
 
 
 def is_bipartite(g: Graph) -> bool:
-    color: dict = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for e in g.edges:
-                if v in e:
-                    (w,) = e - {v}
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False
-    return True
+    """No odd cycle: no edge lies within one breadth-first layer."""
+    layers = [layer for component in _components(g) for layer in component]
+    return not any(e & layer == e for layer in layers for e in g.edges)
 
 
 def edge_ground(g: Graph) -> tuple:
-    """Edge labels in a deterministic order; the ground set for EC/ED."""
-    labels = tuple(f"{u}-{v}" for u, v in g.sorted_edges())
+    """Edge labels in edge order, each its ends' names, lower first: the
+    ground set for EC/ED."""
+    labels = tuple("-".join(g.vertices[i] for i in ends(e)) for e in g.edges)
     if len(set(labels)) != len(labels):
         raise InputError("edge labels collide; rename vertices")
     return labels
 
 
-def _meeting(edges: list, m: int) -> int:
-    """The edges that meet the vertex mask m, as a mask over the edge list."""
+def _meeting(edges: tuple, m: int) -> int:
+    """The edges that meet the vertex mask m, as a mask over the edge tuple."""
     return sum(1 << i for i, e in enumerate(edges) if e & m)
-
-
-def _edge_cover_sets(g: Graph) -> tuple:
-    edges = _masks(g)[0]
-    return edge_ground(g), [_meeting(edges, 1 << i) for i in range(len(g.vertices))]
-
-
-def _edge_dominance_sets(g: Graph) -> tuple:
-    edges = _masks(g)[0]
-    return edge_ground(g), [_meeting(edges, e) for e in edges]
 
 
 # a graph's ground and forbidden sets, by kind: avoiding builds the complex, avoiding_dual its dual
 FORBIDDEN_SETS = {
-    "ind": lambda g: (g.vertices, _masks(g)[0]),
-    "dom": lambda g: (g.vertices, _masks(g)[1]),
-    "ec": _edge_cover_sets,
-    "ed": _edge_dominance_sets,
+    "ind": lambda g: (g.vertices, g.edges),
+    "dom": lambda g: (g.vertices, g.closed),
+    "ec": lambda g: (edge_ground(g), [_meeting(g.edges, 1 << i) for i in range(len(g.vertices))]),
+    "ed": lambda g: (edge_ground(g), [_meeting(g.edges, e) for e in g.edges]),
 }
 
 
@@ -368,7 +356,7 @@ def contract_arc(d: Digraph, arc_id: str) -> Digraph:
 def graph_to_json(g: Graph) -> dict:
     return {
         "vertices": list(g.vertices),
-        "edges": [list(pair) for pair in g.sorted_edges()],
+        "edges": [[g.vertices[i] for i in ends(e)] for e in g.edges],
     }
 
 

@@ -25,7 +25,6 @@ from .complexes import (
     complex_to_json,
     deletion,
     enumerate_complexes,
-    equals,
     link,
     meet_mask,
     new_complex,
@@ -154,11 +153,10 @@ def duality_identity_reports(c: Complex, outcomes: Optional[OutcomeTable] = None
     files a dual under its complex only, so the double dual is built anew."""
     outcomes = OutcomeTable() if outcomes is None else outcomes
     dual = outcomes.dual(c)
-    out = [_report("duality-involution", c, equals(outcomes.dual(dual), c))]
+    out = [_report("duality-involution", c, outcomes.dual(dual) == c)]
     for a in c.ground:
-        ok = equals(outcomes.dual(deletion(c, a)), link(dual, a)) and equals(
-            outcomes.dual(link(c, a)), deletion(dual, a)
-        )
+        ok = (outcomes.dual(deletion(c, a)) == link(dual, a)
+              and outcomes.dual(link(c, a)) == deletion(dual, a))
         out.append(_report("duality-deletion-link-swap", c, ok, element=a))
     return out
 
@@ -274,7 +272,7 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
     def family() -> tuple:  # each strong outcome with its class's name, False unless "yes"
         pf, pm = pf_complex(d), pm_complex(d)
         strong = [outcomes.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
-        return (equals(pm, alexander_dual(pf)), bool(useless_arcs(d)),
+        return (pm == alexander_dual(pf), bool(useless_arcs(d)),
                 *((o, o.is_yes and class_name(o.wedge)) for o in strong))
 
     dual_ok, useless, *found = outcomes.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
@@ -300,10 +298,10 @@ def deletion_contraction_reports(d: Digraph) -> list:
     pf = pf_complex(d)
     out = []
     for arc in d.arcs:
-        ok = equals(deletion(pf, arc.id), pf_complex(delete_arc(d, arc.id)))
+        ok = deletion(pf, arc.id) == pf_complex(delete_arc(d, arc.id))
         out.append(_report("pf-deletion-identity", d, ok, arc=arc.id))
         if arc.src == d.s:
-            ok = equals(link(pf, arc.id), pf_complex(contract_arc(d, arc.id)))
+            ok = link(pf, arc.id) == pf_complex(contract_arc(d, arc.id))
             out.append(_report("pf-contraction-identity", d, ok, arc=arc.id))
     useless = useless_arcs(d)
     for arc in d.arcs:

@@ -15,6 +15,16 @@ def cx(ground, *facets):
     return new_complex(ground, [frozenset(f) for f in facets])
 
 
+def equals(c1, c2):
+    """Same ground set, in any order, and the same facets by name."""
+    return set(c1.ground) == set(c2.ground) and c1.facets == c2.facets
+
+
+def vertices(c):
+    """The elements in some face, by name."""
+    return frozenset().union(*c.facets)
+
+
 def faces(c):
     """Every face by name, the empty face included unless c is void."""
     return frozenset(face_of(s, c.ground) for s in face_masks(c.masks))

@@ -26,7 +26,7 @@ from grapes.complexes import (
     complex_to_json,
     void_complex,
 )
-from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_forest
+from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph, gen_forest
 from grapes.grape import GrapeVariant, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
 from shapes import cross_polytope
@@ -631,8 +631,8 @@ C4_CERTIFICATES = [
 
 def exits_cleanly(raw, commands, element="a"):
     """Each command, with FILE standing for a file of the raw bytes, ends with
-    an exit code, never a traceback; what a builder writes with exit 0, the
-    complex reader, and so every complex command, accepts."""
+    an exit code, never a traceback; what a builder writes with exit 0,
+    ``homology`` reads with exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
         fill = {ELEMENT: element}
         for name, data in ((FILE, raw), (C4_FILE, json.dumps(C4).encode()),
@@ -647,7 +647,11 @@ def exits_cleanly(raw, commands, element="a"):
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
             if code == 0 and command[0].startswith("from-"):
-                complex_from_json(json.loads(out.getvalue()))
+                built = os.path.join(tmp, "built.json")
+                with open(built, "w") as handle:
+                    handle.write(out.getvalue())
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["homology", built]) == 0
 
 
 def dicts_in(data):
@@ -757,6 +761,67 @@ def test_hostile_complex_files_never_end_in_a_traceback(raw, element):
 @example(json.dumps({"vertices": ["s", "t"], "arcs": [{"id": "", "src": "s", "tgt": "t"},
                      {"id": "x", "src": "s", "tgt": "t"}], "s": "s", "t": "t"}).encode())
 def test_hostile_graph_files_never_end_in_a_traceback(raw):
+    exits_cleanly(raw, FUZZED["graph"])
+
+
+UNKNOWN = "w0"  # names no vertex of a generated forest or digraph, nor of TEN_ARC_DAG
+NOT_STRINGS = st.sampled_from([0, None, ["v1"]])
+
+
+@st.composite
+def near_valid_graph_files(draw):
+    """A valid document, of `gen forest`, `gen digraph` or the fixed DAG, with
+    one field mutated: a vertex renamed everywhere to "", to another vertex's
+    name or to a non-string; an arc id made "", a duplicate or a non-string;
+    an edge end or arc end made unknown; an edge given 1 or 3 entries; or s
+    or t made unknown."""
+    source = draw(st.sampled_from(["forest", "digraph", "dag"]))
+    if source == "forest":
+        doc = graph_to_json(gen_forest(draw(st.integers(1, 6)), draw(st.integers(0, 9)),
+                                       draw(st.integers(0, 2))))
+    elif source == "digraph":
+        doc = digraph_to_json(gen_digraph(draw(st.integers(1, 4)), draw(st.integers(0, 6)),
+                                          draw(st.integers(0, 9))))
+    else:
+        doc = json.loads(json.dumps(TEN_ARC_DAG))
+    vertices, edges, arcs = doc["vertices"], doc.get("edges", []), doc.get("arcs", [])
+    mutations = ["vertex"] + ["end", "width"] * bool(edges) + ["arc id", "end"] * bool(arcs)
+    mutations += ["s", "t"] * ("s" in doc)
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "vertex":
+        old = draw(st.sampled_from(vertices))
+        new = draw(st.sampled_from(["", *vertices]).filter(lambda v: v != old) | NOT_STRINGS)
+
+        def rename(v):
+            return new if v == old else v
+
+        doc["vertices"] = [rename(v) for v in vertices]
+        if "edges" in doc:
+            doc["edges"] = [[rename(v) for v in e] for e in edges]
+        else:
+            doc["arcs"] = [{**a, "src": rename(a["src"]), "tgt": rename(a["tgt"])} for a in arcs]
+            doc["s"], doc["t"] = rename(doc["s"]), rename(doc["t"])
+    elif mutation == "arc id":
+        arc = draw(st.sampled_from(arcs))
+        arc["id"] = draw(st.sampled_from(["", *(a["id"] for a in arcs if a is not arc)]) | NOT_STRINGS)
+    elif mutation == "end" and edges:
+        edge = draw(st.sampled_from(edges))
+        edge[draw(st.integers(0, 1))] = UNKNOWN
+    elif mutation == "end":
+        draw(st.sampled_from(arcs))[draw(st.sampled_from(["src", "tgt"]))] = UNKNOWN
+    elif mutation == "width":
+        edge = draw(st.sampled_from(edges))
+        edge[:] = draw(st.sampled_from([edge[:1], edge + [draw(st.sampled_from(vertices))]]))
+    else:
+        doc[mutation] = UNKNOWN
+    return draw(as_json_bytes(doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_valid_graph_files())
+def test_near_valid_graph_files_never_end_in_a_traceback(raw):
+    # with no @example: the one mutated field must reach each check in graph()
+    # and digraph(), the empty-name ones too, by drawing alone
     exits_cleanly(raw, FUZZED["graph"])
 
 

@@ -13,7 +13,6 @@ from grapes import (
     complex_to_json,
     deletion,
     enumerate_complexes,
-    equals,
     irrelevant_complex,
     link,
     minimal_nonfaces,
@@ -30,7 +29,7 @@ from grapes.complexes import (
     meet_mask,
 )
 from grapes.generators import cycle_complex
-from shapes import cx, faces, fs, full_simplex, simplex_boundary
+from shapes import cx, equals, faces, fs, full_simplex, simplex_boundary, vertices
 
 
 def has_face(c, face):
@@ -138,9 +137,9 @@ def test_faces_matches_subset_scan_oracle():
 
 def test_vertices():
     c = cx("abcd", "ab", "c")
-    assert c.vertices() == fs("a", "b", "c")
-    assert irrelevant_complex("ab").vertices() == frozenset()
-    assert void_complex("ab").vertices() == frozenset()
+    assert vertices(c) == fs("a", "b", "c")
+    assert vertices(irrelevant_complex("ab")) == frozenset()
+    assert vertices(void_complex("ab")) == frozenset()
 
 
 # -- deletion / link -------------------------------------------------------------
@@ -290,7 +289,7 @@ def test_five_cycle_is_not_a_cone():
     c5 = cycle_complex(5)
     # oracle: no vertex lies in all five edge facets
     assert not any(
-        all(v in f for f in c5.facets) for v in c5.vertices()
+        all(v in f for f in c5.facets) for v in vertices(c5)
     )
     assert cone_apexes(c5) == frozenset()
 

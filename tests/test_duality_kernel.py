@@ -43,7 +43,7 @@ from grapes.graphs import FORBIDDEN_SETS, edge_ground
 from shapes import cross_polytope, full_simplex, simplex_boundary
 from test_cli import run_module
 from test_complexes import has_face
-from test_graphs import edge_label, is_dominating, is_edge_cover, is_independent, path_graph
+from test_graphs import edge_label, is_dominating, is_edge_cover, is_independent, name_edges, path_graph
 
 
 def frozenset_minimal_nonfaces(c):
@@ -100,7 +100,7 @@ def scan_dominance(g):
 
 def scan_edge_cover(g):
     ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
+    by_label = {edge_label(g, e): e for e in name_edges(g)}
     return scan_complex(
         ground,
         lambda f: is_edge_cover(g, [by_label[x] for x in ground if x not in f]),
@@ -109,11 +109,11 @@ def scan_edge_cover(g):
 
 def scan_edge_dominance(g):
     ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
+    by_label = {edge_label(g, e): e for e in name_edges(g)}
 
     def is_face(f):
         remaining = [by_label[x] for x in ground if x not in f]
-        return all(any(e & r for r in remaining) for e in g.edges)
+        return all(any(e & r for r in remaining) for e in by_label.values())
 
     return scan_complex(ground, is_face)
 

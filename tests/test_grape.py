@@ -19,6 +19,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grapes.collapse
 import grapes.grape
 import grapes.homology
 from grapes import (
@@ -50,7 +51,7 @@ from grapes.grape import (
 )
 from grapes.generators import cycle_complex
 from grapes.verify import standard_complexes
-from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary
+from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary, vertices
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
 from test_homology import oracle_reduced_homology
 from test_complexes import (
@@ -210,7 +211,7 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
             nodes.append({"base": kind})
             return "yes", len(nodes) - 1
         apexes = frozenset_cone_apexes(cr)
-        if apexes and (cone_leaf or len(cr.vertices()) == 1):
+        if apexes and (cone_leaf or len(vertices(cr)) == 1):
             nodes.append({"base": "cone", "apex": min(apexes, key=cr.index)})
             return "yes", len(nodes) - 1
         some_unknown = False
@@ -596,7 +597,7 @@ def test_weak_nodes_include_every_collapse_search(monkeypatch, c, searches):
     # searched; both sides of RP2's first pivot are refuted, and its torsion
     # ends the recognition before any search runs
     budgets, spent = set(), []
-    search_masks = grapes.grape.search_masks
+    search_masks = grapes.collapse.search_masks  # collapse_test's search
 
     def recording(masks, budget, names):
         before = budget.used
@@ -605,7 +606,7 @@ def test_weak_nodes_include_every_collapse_search(monkeypatch, c, searches):
         spent.append(budget.used - before)
         return result
 
-    monkeypatch.setattr(grapes.grape, "search_masks", recording)
+    monkeypatch.setattr(grapes.collapse, "search_masks", recording)
     verdict = check_grape(c, GrapeVariant.WEAK)
     assert bool(spent) is searches and all(spent)
     if searches:

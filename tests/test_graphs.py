@@ -8,7 +8,6 @@ import pytest
 import grapes.verify as verify
 
 from grapes import (
-    Graph,
     InputError,
     alexander_dual,
     contract_arc,
@@ -17,7 +16,6 @@ from grapes import (
     dominance_complex,
     edge_cover_complex,
     edge_dominance_complex,
-    equals,
     graph,
     has_cycle,
     independence_complex,
@@ -29,7 +27,10 @@ from grapes import (
     pm_complex,
     useless_arcs,
 )
+from grapes.complexes import bit_table, join_mask, mask_of
 from grapes.graphs import (
+    FORBIDDEN_SETS,
+    GraphInvariants,
     edge_ground,
     digraph_from_json,
     digraph_to_json,
@@ -37,41 +38,46 @@ from grapes.graphs import (
     graph_to_json,
 )
 from grapes.generators import all_trees, cyclic_no_useless_digraph
-from shapes import fs, full_simplex
+from shapes import equals, fs, full_simplex
 from test_complexes import has_face
 
 
 def path_graph(n):
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
-    return Graph(vertices, frozenset(frozenset(p) for p in zip(vertices, vertices[1:])))
+    return graph(vertices, zip(vertices, vertices[1:]))
 
 
 def star_graph(leaves):
     center = "v1"
     vertices = (center,) + tuple(f"v{i}" for i in range(2, leaves + 2))
-    return Graph(vertices, frozenset(frozenset((center, v)) for v in vertices[1:]))
+    return graph(vertices, [(center, v) for v in vertices[1:]])
+
+
+def name_edges(g):
+    """The edges as frozensets of vertex names, read from the graph's JSON."""
+    return frozenset(frozenset(e) for e in graph_to_json(g)["edges"])
 
 
 def edge_label(g, e):
     """An edge's name in the EC/ED ground: its ends in vertex order."""
-    u, v = sorted(e, key=g.index)
+    u, v = sorted(e, key=g.vertices.index)
     return f"{u}-{v}"
 
 
 def is_dominating(g, chosen):
     """Every vertex is chosen or next to a chosen one."""
     chosen = set(chosen)
-    return chosen.union(*(e for e in g.edges if e & chosen)) == set(g.vertices)
+    return chosen.union(*(e for e in name_edges(g) if e & chosen)) == set(g.vertices)
 
 
 def is_independent(g, chosen):
     chosen = set(chosen)
-    return not any(e <= chosen for e in g.edges)
+    return not any(e <= chosen for e in name_edges(g))
 
 
 def is_vertex_cover(g, chosen):
     chosen = set(chosen)
-    return all(e & chosen for e in g.edges)
+    return all(e & chosen for e in name_edges(g))
 
 
 def is_edge_cover(g, chosen):
@@ -82,8 +88,8 @@ def is_edge_cover(g, chosen):
 
 
 def test_path_and_star_fixtures():
-    assert path_graph(4).edges == {fs("v1", "v2"), fs("v2", "v3"), fs("v3", "v4")}
-    assert star_graph(3).edges == {fs("v1", "v2"), fs("v1", "v3"), fs("v1", "v4")}
+    assert name_edges(path_graph(4)) == {fs("v1", "v2"), fs("v2", "v3"), fs("v3", "v4")}
+    assert name_edges(star_graph(3)) == {fs("v1", "v2"), fs("v1", "v3"), fs("v1", "v4")}
 
 
 P2 = path_graph(2)
@@ -203,7 +209,7 @@ def test_dominance_dual_faces_are_nondominating():
 def test_edge_cover_dual_faces_are_noncovers():
     for g in (P3, P4, star_graph(3), path_graph(6)):
         dual = alexander_dual(edge_cover_complex(g))
-        labels = {f"{u}-{v}": fs(u, v) for u, v in g.sorted_edges()}
+        labels = {edge_label(g, e): e for e in name_edges(g)}
         for s in all_subsets(labels):
             chosen = [labels[x] for x in s]
             assert has_face(dual, s) == (not is_edge_cover(g, chosen))
@@ -213,11 +219,11 @@ def test_edge_dominance_dual_description():
     # a face of the dual: some edge is disjoint from every chosen edge
     for g in (P3, P4, C4, path_graph(6)):
         dual = alexander_dual(edge_dominance_complex(g))
-        labels = {f"{u}-{v}": fs(u, v) for u, v in g.sorted_edges()}
+        labels = {edge_label(g, e): e for e in name_edges(g)}
         for s in all_subsets(labels):
             chosen = [labels[x] for x in s]
             witness = any(
-                all(not (e & f) for f in chosen) for e in g.edges
+                all(not (e & f) for f in chosen) for e in labels.values()
             )
             assert has_face(dual, s) == witness
 
@@ -225,14 +231,14 @@ def test_edge_dominance_dual_description():
 def line_dual(g):
     """Oracle: the graph on the edge labels, two labels adjacent when the edges meet."""
     ground = edge_ground(g)
-    by_label = {edge_label(g, e): e for e in g.edges}
+    by_label = {edge_label(g, e): e for e in name_edges(g)}
     edges = [
-        frozenset((a, b))
+        (a, b)
         for i, a in enumerate(ground)
         for b in ground[i + 1 :]
         if by_label[a] & by_label[b]
     ]
-    return Graph(ground, frozenset(edges))
+    return graph(ground, edges)
 
 
 def test_edge_dominance_matches_dominance_of_line_dual():
@@ -249,7 +255,7 @@ def test_dominance_dual_is_neighborhood_complex_of_complement():
         for s in all_subsets(g.vertices):
             # v is a common neighbour of s in the complement of g
             has_common_neighbor = any(
-                all(frozenset((v, w)) not in g.edges for w in s)
+                all(frozenset((v, w)) not in name_edges(g) for w in s)
                 for v in g.vertices
                 if v not in s
             )
@@ -286,7 +292,7 @@ def scan_invariants(g):
         min(map(len, dominating)),
         min(len(s) for s in dominating if is_independent(g, s)),
         min(len(s) for s in subsets if is_vertex_cover(g, s)),
-        max(len(m) for m in all_subsets(g.edges) if len(frozenset().union(*m)) == 2 * len(m)),
+        max(len(m) for m in all_subsets(name_edges(g)) if len(frozenset().union(*m)) == 2 * len(m)),
     )
 
 
@@ -295,7 +301,7 @@ def test_invariants_match_the_name_level_scan():
     graphs = [
         *all_trees(8),
         *(graph("abcd", [p for i, p in enumerate(four) if mask >> i & 1]) for mask in range(64)),
-        *(graph(t.vertices, [p for p in combinations(t.vertices, 2) if frozenset(p) not in t.edges])
+        *(graph(t.vertices, [p for p in combinations(t.vertices, 2) if frozenset(p) not in name_edges(t)])
           for t in all_trees(6)),
         graph("", []),
     ]
@@ -308,6 +314,153 @@ def test_forest_and_bipartite_predicates():
     assert is_forest(P4) and is_bipartite(P4)
     assert not is_forest(TRIANGLE) and not is_bipartite(TRIANGLE)
     assert not is_forest(C4) and is_bipartite(C4)
+
+
+# -- the name-level oracle ---------------------------------------------------------------
+#
+# The graph code on names, kept as the reference for the mask code: the edge
+# order by vertex index, the masks built from the names, the union-find
+# forest test and the colouring bipartite test.  Each reads the graph's names
+# from its JSON.
+
+
+def oracle_names(g):
+    data = graph_to_json(g)
+    return tuple(data["vertices"]), frozenset(frozenset(e) for e in data["edges"])
+
+
+def oracle_sorted_edges(vertices, edges):
+    return sorted(
+        (tuple(sorted(e, key=vertices.index)) for e in edges),
+        key=lambda pair: (vertices.index(pair[0]), vertices.index(pair[1])),
+    )
+
+
+def oracle_masks(vertices, edges):
+    """The edges, in edge_ground's order, and the closed neighbourhoods, as vertex masks."""
+    bit = bit_table(vertices)
+    masks = sorted((mask_of(e, bit) for e in edges), key=lambda e: (e & -e, e))
+    return masks, [b | join_mask(e for e in masks if e & b) for b in bit.values()]
+
+
+def oracle_forbidden_sets(vertices, edges):
+    masks, closed = oracle_masks(vertices, edges)
+    labels = tuple(f"{u}-{v}" for u, v in oracle_sorted_edges(vertices, edges))
+
+    def meeting(m):
+        return sum(1 << i for i, e in enumerate(masks) if e & m)
+
+    return {
+        "ind": (vertices, masks),
+        "dom": (vertices, closed),
+        "ec": (labels, [meeting(1 << i) for i in range(len(vertices))]),
+        "ed": (labels, [meeting(e) for e in masks]),
+    }
+
+
+def oracle_is_forest(vertices, edges):
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in edges:
+        u, v = tuple(e)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def oracle_is_bipartite(vertices, edges):
+    color = {}
+    for start in vertices:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for e in edges:
+                if v in e:
+                    (w,) = e - {v}
+                    if w not in color:
+                        color[w] = 1 - color[v]
+                        queue.append(w)
+                    elif color[w] == color[v]:
+                        return False
+    return True
+
+
+def oracle_invariants(n, edges, closed):
+    """The smallest dominating, independent dominating and covering vertex
+    masks, and the most pairwise disjoint edges."""
+    dominating = [s for s in range(1 << n) if all(c & s for c in closed)]
+    return GraphInvariants(
+        min(s.bit_count() for s in dominating),
+        min(s.bit_count() for s in dominating if not any(e & s == e for e in edges)),
+        min(s.bit_count() for s in range(1 << n) if all(e & s for e in edges)),
+        max(k for k in range(n // 2 + 1)
+            if any(join_mask(m).bit_count() == 2 * k for m in combinations(edges, k))),
+    )
+
+
+def check_against_the_oracle(vertices, pairs):
+    """graph() on names against the oracle; pairs may repeat an edge or give
+    its upper end first."""
+    g = graph(vertices, pairs)
+    assert oracle_names(g) == (vertices, frozenset(frozenset(p) for p in pairs))
+    vertices, edges = oracle_names(g)
+    forbidden_sets = oracle_forbidden_sets(vertices, edges)
+    assert graph_to_json(g) == {"vertices": list(vertices),
+                                "edges": [list(p) for p in oracle_sorted_edges(vertices, edges)]}
+    assert edge_ground(g) == forbidden_sets["ec"][0]
+    for kind, (ground, forbidden) in forbidden_sets.items():
+        got_ground, got_forbidden = FORBIDDEN_SETS[kind](g)
+        assert (tuple(got_ground), list(got_forbidden)) == (ground, forbidden), kind
+    assert is_forest(g) == oracle_is_forest(vertices, edges)
+    assert is_bipartite(g) == oracle_is_bipartite(vertices, edges)
+    assert invariants(g) == oracle_invariants(len(vertices), *oracle_masks(vertices, edges))
+
+
+NAME_POOL = ("a", "b", "v10", "v2", "x-y", "z")  # "x-y" reads as an edge label's hyphen
+
+
+def shuffled_labelled_graph(n, chosen, rng):
+    """The graph on n of the pool's names, in a shuffled order, whose edges
+    are the pairs of positions chosen picks; each pair in a random
+    orientation and the list shuffled, some pairs twice."""
+    vertices = tuple(rng.sample(NAME_POOL, n))
+    pairs = [p if rng.random() < 0.5 else p[::-1]
+             for i, p in enumerate(combinations(vertices, 2)) if chosen >> i & 1]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))
+    rng.shuffle(pairs)
+    return vertices, pairs
+
+
+def test_graph_code_matches_the_name_level_oracle_on_every_small_graph():
+    rng = random.Random(5)
+    count = 0
+    for n in range(6):
+        for chosen in range(1 << n * (n - 1) // 2):
+            vertices, pairs = shuffled_labelled_graph(n, chosen, rng)
+            check_against_the_oracle(vertices, pairs)
+            count += 1
+    assert count == 1100  # every labelled graph on at most 5 vertices
+
+
+def test_graph_code_matches_the_name_level_oracle_on_seeded_graphs():
+    rng = random.Random(6)
+    for n in range(6, 10):
+        vertices = tuple(f"v{i}" for i in range(1, n + 1))
+        for _ in range(40):
+            order, density = rng.sample(vertices, n), rng.choice((0.15, 0.3, 0.6))
+            pairs = [p for p in combinations(order, 2) if rng.random() < density]
+            check_against_the_oracle(tuple(order), pairs)
 
 
 # -- path-free / path-missing ----------------------------------------------------------------

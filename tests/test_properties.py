@@ -13,7 +13,6 @@ from grapes import (
     classify_strong,
     collapse_search,
     deletion,
-    equals,
     lifted_collapse,
     link,
     minimal_nonfaces,
@@ -26,7 +25,7 @@ from grapes import (
     verify_certificate,
 )
 from grapes.homology import _invariant_factors, _star_quotient_homology
-from shapes import cone, faces, full_simplex, suspension
+from shapes import cone, equals, faces, full_simplex, suspension, vertices
 from test_complexes import cone_apexes, has_face, is_subcomplex, maximal_deletion
 from test_homology import (
     RP2,
@@ -149,7 +148,7 @@ def test_deletion_link_duality(pair):
 def test_nonvertex_detection_via_dual(pair):
     c, x = pair
     full_minus_x = frozenset(c.ground) - {x}
-    assert (x not in c.vertices()) == has_face(alexander_dual(c), full_minus_x)
+    assert (x not in vertices(c)) == has_face(alexander_dual(c), full_minus_x)
 
 
 @SETTINGS

@@ -11,13 +11,14 @@ from grapes import (
     alexander_dual,
     complex_to_json,
     enumerate_complexes,
-    equals,
     irrelevant_complex,
     minimal_nonfaces,
     reduced_homology,
 )
 from grapes.complexes import meet_mask
-from shapes import cone, cross_polytope, cx, faces, fs, full_simplex, simplex_boundary, suspension
+from shapes import (
+    cone, cross_polytope, cx, equals, faces, fs, full_simplex, simplex_boundary, suspension,
+)
 
 
 def subsets(ground):

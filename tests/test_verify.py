@@ -693,7 +693,7 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
         assert (outcome.verdict, outcome.reason, outcome.wedge) == (
             fresh.verdict, fresh.reason, wedge), (masks, variant)
     for c, dual in duals.items():
-        assert dual.ground == c.ground and complexes.equals(dual, complexes.alexander_dual(c)), c
+        assert dual.ground == c.ground and dual == complexes.alexander_dual(c), c
     # every search that read the run's profiles, the moved complexes'
     # included, has a lone check_grape's verdict, wedge, nodes and reason,
     # and named on the run's profiles it is that lone certificate
@@ -803,27 +803,34 @@ def test_outcome_table_entries_hold_no_certificate():
     assert {v for (_, v), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
 
 
-def test_full_suite_output_is_byte_stable(capsys):
-    # sha256 of `grapes suite --level full --seed 1729` stdout and stderr
-    assert main(["suite", "--level", "full", "--seed", "1729"]) == 0
+# sha256 of `grapes suite --level full --seed 1729` stdout and stderr
+FULL_SUITE_1729 = (
+    "912ab1ad32d355bdfd0fa32424b881c690a80946993a7497e52186b6256f4ec5",
+    "a76aceb3e30fdac21b474e25da8e0dca55d70d027914f5d6faad169c057be9e2",
+)
+
+
+def full_suite_digests(capsys, seed):
+    assert main(["suite", "--level", "full", "--seed", seed]) == 0
     captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "912ab1ad32d355bdfd0fa32424b881c690a80946993a7497e52186b6256f4ec5"
-    )
-    assert hashlib.sha256(captured.err.encode()).hexdigest() == (
-        "a76aceb3e30fdac21b474e25da8e0dca55d70d027914f5d6faad169c057be9e2"
-    )
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err))
+
+
+def test_full_suite_output_is_byte_stable(capsys):
+    assert full_suite_digests(capsys, "1729") == FULL_SUITE_1729
+
+
+def test_two_full_suites_in_one_process_match_the_pin(capsys):
+    # a suite run's memos live in its own table, so a second run in the same
+    # process recomputes everything and prints the same bytes
+    assert [full_suite_digests(capsys, "1729") for _ in range(2)] == [FULL_SUITE_1729] * 2
 
 
 def test_full_suite_output_is_byte_stable_at_seed_7(capsys):
     # sha256 of `grapes suite --level full --seed 7` stdout and stderr, a
     # seed held out from tuning: what the run's outcome table holds depends
     # on which variant each stage asks for first, and these bytes do not
-    assert main(["suite", "--level", "full", "--seed", "7"]) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "cc00d9ca876707f78441f51c5cce213f00981d019e116edc808c1a74e4b6ef57"
-    )
-    assert hashlib.sha256(captured.err.encode()).hexdigest() == (
-        "a76aceb3e30fdac21b474e25da8e0dca55d70d027914f5d6faad169c057be9e2"
+    assert full_suite_digests(capsys, "7") == (
+        "cc00d9ca876707f78441f51c5cce213f00981d019e116edc808c1a74e4b6ef57",
+        "a76aceb3e30fdac21b474e25da8e0dca55d70d027914f5d6faad169c057be9e2",
     )
