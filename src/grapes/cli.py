@@ -56,9 +56,9 @@ from .graphs import (
 from .homology import reduced_homology
 from .verify import (
     DEFAULT_SEED,
+    Tally,
     cad_report,
     run_suite,
-    summarise,
     verify_forest_theorem,
     verify_pfpm_theorem,
 )
@@ -163,7 +163,9 @@ def _emit_summary(summary: dict) -> int:
 
 
 def _emit_reports(reports: list) -> int:
-    return _emit_summary(summarise(reports, ("pass", "fail", "unknown")))
+    tally = Tally(show_passes=True)
+    tally.add(tally.held(reports))
+    return _emit_summary(tally.summary())
 
 
 def _homology(args: argparse.Namespace) -> int:

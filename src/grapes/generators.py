@@ -143,15 +143,15 @@ def all_trees(max_n: int) -> Iterator[Graph]:
 
 
 def all_digraphs(max_vertices: int, max_arcs: int) -> Iterator[Digraph]:
-    """Every digraph shape: arc multisets over V x V with all (s, t) choices."""
+    """Every digraph shape: arc multisets over V x V with all (s, t) choices.
+    The arc ids "e1".."ek" are one tuple of strings, shared by every digraph."""
+    ids = tuple(f"e{i}" for i in range(1, max_arcs + 1))
     for nv in range(1, max_vertices + 1):
         vertices = tuple(f"v{i}" for i in range(1, nv + 1))
         pairs = [(a, b) for a in vertices for b in vertices]
         for k in range(max_arcs + 1):
             for multi in combinations_with_replacement(pairs, k):
-                arcs = tuple(
-                    Arc(f"e{i + 1}", a, b) for i, (a, b) in enumerate(multi)
-                )
+                arcs = tuple(Arc(i, a, b) for i, (a, b) in zip(ids, multi))
                 for s in vertices:
                     for t in vertices:
                         yield Digraph(vertices, arcs, s, t)

@@ -5,8 +5,9 @@ names plus its edges as two-bit vertex masks (bit i for ``vertices[i]``),
 listed once in the one edge order, lower end first, then by mask.
 :func:`graph` turns names into masks, checking them; the generators build
 the masks straight from vertex indices.  Names come back only at the
-boundary: :func:`edge_ground` labels the edges for the edge-cover and
-edge-dominance complexes, and :func:`graph_to_json` writes the graph.
+boundary: :func:`edge_ground` labels the edges, once per graph as
+:attr:`Graph.edge_labels`, for the edge-cover and edge-dominance
+complexes, and :func:`graph_to_json` writes the graph.
 
 Directed graphs are multigraphs (parallel arcs and loops allowed) with two
 distinguished vertices s and t, possibly equal; arcs carry identifiers,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
     MAX_FACES,
@@ -69,6 +70,11 @@ class Graph:
         """The closed neighbourhoods as vertex masks, in vertex order."""
         bits = (1 << i for i in range(len(self.vertices)))
         return tuple(b | join_mask(e for e in self.edges if e & b) for b in bits)
+
+    @cached_property
+    def edge_labels(self) -> tuple:
+        """:func:`edge_ground`, once per graph: the ground set of both EC and ED."""
+        return edge_ground(self)
 
 
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
@@ -164,8 +170,8 @@ def _meeting(edges: tuple, m: int) -> int:
 FORBIDDEN_SETS = {
     "ind": lambda g: (g.vertices, g.edges),
     "dom": lambda g: (g.vertices, g.closed),
-    "ec": lambda g: (edge_ground(g), [_meeting(g.edges, 1 << i) for i in range(len(g.vertices))]),
-    "ed": lambda g: (edge_ground(g), [_meeting(g.edges, e) for e in g.edges]),
+    "ec": lambda g: (g.edge_labels, [_meeting(g.edges, 1 << i) for i in range(len(g.vertices))]),
+    "ed": lambda g: (g.edge_labels, [_meeting(g.edges, e) for e in g.edges]),
 }
 
 
@@ -198,8 +204,7 @@ def edge_dominance_complex(g: Graph) -> Complex:
 # -- directed multigraphs ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     id: str
     src: str
     tgt: str

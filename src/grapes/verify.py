@@ -5,8 +5,9 @@ reports (``cad_report``, which the CLI also runs, returns one).  A report
 holds its instance, a complex, graph or digraph, and writes it as JSON only
 when it is printed, so a failure can be replayed on its own.  The suite
 runner wires the harnesses to deterministic instance sets (fixed seeds,
-exhaustive small enumerations), and :func:`summarise` counts pass / fail /
-unknown for the suite and the CLI alike.
+exhaustive small enumerations).  A :class:`Tally` counts pass / fail /
+unknown for the suite and the CLI alike as the reports arrive, and holds
+only the reports it prints: the suite's run keeps none that passed.
 """
 
 from __future__ import annotations
@@ -479,11 +480,35 @@ SIZES = {
 }
 
 
-def summarise(reports: list, shown: tuple) -> dict:
-    """The pass, fail and unknown counts, and the reports with a status in shown, as JSON."""
-    statuses = [r.status for r in reports]
-    counts = {status: statuses.count(status) for status in ("pass", "fail", "unknown")}
-    return {**counts, "reports": [r.to_json() for r in reports if r.status in shown]}
+class Tally:
+    """The pass, fail and unknown counts of the reports fed to it, in the
+    order fed, holding only the reports it prints: those that did not pass,
+    and the passing ones too when show_passes.  The suite and the CLI's
+    ``verify forest`` and ``verify pfpm`` alike count here."""
+
+    def __init__(self, show_passes: bool = False):
+        self.show_passes = show_passes
+        self.counts = dict.fromkeys(("pass", "fail", "unknown"), 0)
+        self.reports: list = []
+
+    def held(self, reports: list):
+        """What the tally keeps of reports, to :meth:`add` at each
+        occurrence: the number of passes alone when it prints none of them,
+        else that number with the reports it prints."""
+        shown = reports if self.show_passes else [r for r in reports if r.status != "pass"]
+        passes = len(reports) - len(shown)
+        return (passes, shown) if shown else passes
+
+    def add(self, held) -> None:
+        passes, shown = (held, ()) if type(held) is int else held
+        self.counts["pass"] += passes
+        for r in shown:
+            self.counts[r.status] += 1
+        self.reports.extend(shown)
+
+    def summary(self) -> dict:
+        """The counts, and the reports it holds as JSON, each writing its instance."""
+        return {**self.counts, "reports": [r.to_json() for r in self.reports]}
 
 
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
@@ -497,15 +522,16 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     search's own verdict, each "yes" with its wedge.  Each Alexander dual is
     built once per (ground, masks), and PF/PM per path family and forest
     invariants are kept too.  Each stage checks each distinct instance once,
-    and its reports count at every occurrence.  The summary lists every
-    non-passing report with its instance, the only instances written as
-    JSON.
+    and its reports count at every occurrence.  The run tallies as it goes:
+    a stage keeps, per distinct instance, its number of passes and its
+    non-passing reports (the number alone when all pass), and the run holds
+    only the non-passing reports, in order.  The summary lists each with
+    its instance, the only instances written as JSON.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
     sizes = SIZES[level]
     say = log or (lambda msg: None)
-    reports: list = []
 
     complexes = standard_complexes(
         sizes.n_random_complexes, sizes.max_ground, sizes.exhaustive_ground, seed
@@ -559,13 +585,13 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]
     outcomes = OutcomeTable()
+    tally = Tally()
     for line, instances, harness in stages:
-        seen: dict = {}  # dropped after the stage
+        seen: dict = {}  # the tally's hold on each distinct instance's reports, for the stage
         for x in instances:  # one hash per occurrence
             found = seen.get(x)
             if found is None:
-                seen[x] = found = harness(x, outcomes)
-            reports.extend(found)
+                seen[x] = found = tally.held(harness(x, outcomes))
+            tally.add(found)
         say(line)
-    return {"level": level, "seed": seed, "notes": notes,
-            **summarise(reports, ("fail", "unknown"))}
+    return {"level": level, "seed": seed, "notes": notes, **tally.summary()}

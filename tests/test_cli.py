@@ -629,6 +629,15 @@ C4_CERTIFICATES = [
 ]
 
 
+def run_quietly(argv):
+    """The exit code and stdout of one in-process call, which must not end in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
 def exits_cleanly(raw, commands, element="a"):
     """Each command, with FILE standing for a file of the raw bytes, ends with
     an exit code, never a traceback; what a builder writes with exit 0,
@@ -641,17 +650,13 @@ def exits_cleanly(raw, commands, element="a"):
             with open(fill[name], "wb") as handle:
                 handle.write(data)
         for command in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([fill.get(arg, arg) for arg in command])
+            code, out = run_quietly([fill.get(arg, arg) for arg in command])
             assert code in (0, 1, 2, 3)
-            assert "Traceback" not in err.getvalue()
             if code == 0 and command[0].startswith("from-"):
                 built = os.path.join(tmp, "built.json")
                 with open(built, "w") as handle:
-                    handle.write(out.getvalue())
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert main(["homology", built]) == 0
+                    handle.write(out)
+                assert run_quietly(["homology", built])[0] == 0
 
 
 def dicts_in(data):
@@ -823,6 +828,36 @@ def test_near_valid_graph_files_never_end_in_a_traceback(raw):
     # with no @example: the one mutated field must reach each check in graph()
     # and digraph(), the empty-name ones too, by drawing alone
     exits_cleanly(raw, FUZZED["graph"])
+
+
+# seeds for closure under the commands that write a complex: the empty ground,
+# a void and an irrelevant complex, a simplex, two points, the 5-cycle, RP2 and
+# the 7-vertex torus
+CLOSURE_SEEDS = [{"ground": [], "facets": []}, {"ground": ["a", "b"], "facets": []},
+                 {"ground": ["a"], "facets": [[]]}, EDGE, TWO_POINTS, C5, RP2, TORUS]
+
+
+def test_every_complex_a_command_writes_is_read_by_every_complex_command(tmp_path):
+    # closure: what dual, link and del write with exit 0 goes through homology,
+    # dual, link and del at each of its elements, collapse and grape check of
+    # every variant; none may refuse it (exit 2) or end in a traceback
+    budget = ["--budget", "50"]
+    built = str(tmp_path / "built.json")
+    for n, seed in enumerate(CLOSURE_SEEDS):
+        path = str(tmp_path / f"seed{n}.json")
+        Path(path).write_text(json.dumps(seed))
+        for writer in [["dual", path],
+                       *([cmd, "--", path, x] for x in seed["ground"] for cmd in ("link", "del"))]:
+            code, out = run_quietly(writer)
+            assert code == 0, writer
+            Path(built).write_text(out)
+            ground = json.loads(out)["ground"]
+            for reader in [["homology", built], ["dual", built],
+                           *([cmd, "--", built, x] for x in ground for cmd in ("link", "del")),
+                           ["collapse", built, *budget],
+                           *(["grape", "check", built, "--variant", v, *budget]
+                             for v in sorted(VARIANTS))]:
+                assert run_quietly(reader)[0] in (0, 1, 3), (writer, reader)
 
 
 @settings(max_examples=150, deadline=None)
