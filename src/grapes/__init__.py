@@ -37,7 +37,6 @@ from .grape import (
     classify_strong,
     predicted_wedge,
     verify_certificate,
-    verify_dual_invariance,
 )
 from .graphs import (
     Arc,
@@ -62,7 +61,6 @@ from .graphs import (
 )
 from .homology import (
     HomologyProfile,
-    check_alexander_duality,
     reduced_cohomology,
     reduced_homology,
     smith_normal_form,

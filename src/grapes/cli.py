@@ -42,7 +42,6 @@ from .grape import (
     check_grape,
     classify_strong,
     verify_certificate,
-    verify_dual_invariance,
 )
 from .graphs import (
     FORBIDDEN_SETS,
@@ -56,8 +55,10 @@ from .graphs import (
 from .homology import reduced_homology
 from .verify import (
     DEFAULT_SEED,
+    OutcomeTable,
     Tally,
     cad_report,
+    grape_duality_report,
     run_suite,
     verify_forest_theorem,
     verify_pfpm_theorem,
@@ -229,13 +230,12 @@ def _from_digraph(args: argparse.Namespace) -> int:
 
 
 def _verify_duality(args: argparse.Namespace) -> int:
-    report = verify_dual_invariance(_complex(args), VARIANTS[args.variant])
-    unknown = report["primal_verdict"] == "unknown" or report.get("unknown_tolerated")
-    return _emit(report, "unknown" if unknown else "pass" if report["pass"] else "fail")
+    report = grape_duality_report(_complex(args), VARIANTS[args.variant], OutcomeTable())
+    return _emit(report.details, report.status)
 
 
 def _verify_cad(args: argparse.Namespace) -> int:
-    report = cad_report(_complex(args))
+    report = cad_report(_complex(args), OutcomeTable())
     return _emit(report.to_json(), report.status)
 
 
@@ -320,13 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("forest", help="forest complexes: grape status and classes")
     p.add_argument("graph")
     p.set_defaults(
-        run=lambda a: _emit_reports(verify_forest_theorem(graph_from_json(_load(a.graph))))
+        run=lambda a: _emit_reports(
+            verify_forest_theorem(graph_from_json(_load(a.graph)), OutcomeTable()))
     )
 
     p = vsub.add_parser("pfpm", help="path-free/path-missing checks")
     p.add_argument("digraph")
     p.set_defaults(
-        run=lambda a: _emit_reports(verify_pfpm_theorem(digraph_from_json(_load(a.digraph))))
+        run=lambda a: _emit_reports(
+            verify_pfpm_theorem(digraph_from_json(_load(a.digraph)), OutcomeTable()))
     )
 
     p = vsub.add_parser("duality", help="grape dual-invariance for one complex")

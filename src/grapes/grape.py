@@ -62,23 +62,13 @@ turns them back into masks where it starts.  One ``Budget`` counts the
 subproblems, the refutations and the nodes of every collapse search;
 running out is "unknown".  Any other "unknown" names its origin: the reason
 the first inconclusive pivot test gave, and the pivots and sides leading to
-it from the root.  Theorem checks recognise through an
-``OutcomeTable``, one per suite run, keyed by facet masks as recognition's
-own memo is.  It keeps the search's own verdicts (each "yes" with its
-wedge, never a certificate), duals, and the homology profiles that its
-recognitions read and fill; ``check_grape`` uses a fresh memo.  A verdict
-may be read off a stronger variant's "yes" on the same masks rather than
-searched: strong implies comb and strong-weak, and each of the three
-implies weak, since each witness rewrites into the weaker one at the same
-split (a cone side gives a cone element, and a cone side, a side that
-collapses or the cone x * lk an intermediate), and every certificate folds
-to the one wedge.
+it from the root.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -95,7 +85,6 @@ from .collapse import (
 from .complexes import (
     Complex,
     InputError,
-    alexander_dual,
     bit_table,
     deletion_masks,
     face_of,
@@ -107,7 +96,7 @@ from .complexes import (
     meet_mask,
     restrict_ground,
 )
-from .homology import HomologyProfile, class_name, cross_dim, dual_wedge, memo_homology
+from .homology import cross_dim
 
 TORSION_REASON = "the reduced homology has torsion, which no grape has"
 
@@ -469,109 +458,6 @@ def classify_strong(cert: dict) -> dict:
     except InputError as exc:
         raise ReplayError(f"not a strong grape's certificate: {exc}") from None
     return {"class": "void"} if n is None else {"class": "cross-polytope-boundary", "n": n}
-
-
-# -- recognition outcomes ----------------------------------------------------------
-
-
-# the variants whose "yes" settles each variant: strong => comb => weak and
-# strong => strong-weak => weak, each arrow a rewrite of the witnesses alone
-_IMPLIED_BY = {
-    GrapeVariant.COMBINATORIAL: (GrapeVariant.STRONG,),
-    GrapeVariant.STRONG_WEAK: (GrapeVariant.STRONG,),
-    GrapeVariant.WEAK: (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL, GrapeVariant.STRONG_WEAK),
-}
-
-
-class OutcomeTable:
-    """A memo that computes each key once; one per suite run, dropped with it.
-
-    Recognition and homology read facet masks only, so :meth:`recognise`
-    keeps :func:`search_grape`'s own verdicts by (masks, variant), each
-    "yes" with its wedge and none with a certificate, and ``profiles``
-    homology by masks, for :meth:`homology` and the table's recognitions and
-    collapse searches.  :meth:`dual` keeps duals by (ground, masks);
-    harnesses keep PF/PM or invariants too.
-
-    A verdict may be read off a stronger variant's "yes" on the same masks
-    (``_IMPLIED_BY``) instead of searched: the entry is then that stronger
-    variant's verdict object itself, its node count included.  Only what the
-    table already holds is read: a variant nobody asks for is never
-    searched, and a "no" settles nothing.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-        self.profiles: dict = {}
-
-    def once(self, key, compute: Callable):
-        """The value under key, calling compute() only if there is none yet
-        (a falsy value, such as an empty list, counts as one)."""
-        if key not in self.entries:
-            self.entries[key] = compute()
-        return self.entries[key]
-
-    def recognise(self, c: Complex, variant: GrapeVariant) -> GrapeVerdict:
-        def outcome() -> GrapeVerdict:
-            for stronger in _IMPLIED_BY.get(variant, ()):
-                held = self.entries.get((c.masks, stronger))
-                if held is not None and held.is_yes:
-                    return held  # the same wedge: any certificate folds to the homotopy type
-            return search_grape(c, variant, profiles=self.profiles)[0]
-
-        return self.once((c.masks, variant), outcome)
-
-    def homology(self, c: Complex) -> HomologyProfile:
-        return memo_homology(c, self.profiles)
-
-    def dual(self, c: Complex) -> Complex:
-        """Forward only: c is never filed as the dual of its dual, which
-        would make the involution check read back what it checks."""
-        return self.once(("dual", c), lambda: alexander_dual(c))
-
-
-# -- duality transfer ------------------------------------------------------------
-
-
-def verify_dual_invariance(
-    c: Complex,
-    variant: GrapeVariant,
-    outcomes: Optional[OutcomeTable] = None,
-) -> dict:
-    """Check that the Alexander dual is a grape of the same variant.
-
-    The report always carries the primal verdict.  Unless it is "yes" the
-    report fails and the dual is not computed.  For the strong variant the
-    dual's wedge must additionally be the primal's shifted by duality, a
-    k-sphere to a (|X| - k - 3)-sphere and void to void (asserted on a
-    nonempty ground only), and the report names both classes.
-    Weak-variant duals may come back "unknown"; this is tolerated, flagged.
-    The dual and both recognitions go through the outcome table (a fresh
-    one by default), so nothing the table holds is computed again.
-    """
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    primal = outcomes.recognise(c, variant)
-    report = {
-        "variant": variant.value,
-        "ground_size": len(c.ground),
-        "primal_verdict": primal.verdict,
-        "pass": primal.is_yes,
-    }
-    if not primal.is_yes:
-        return report
-    dual = outcomes.recognise(outcomes.dual(c), variant)
-    weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
-    tolerated = weak_family and dual.verdict == "unknown"
-    report["dual_verdict"] = dual.verdict
-    report["unknown_tolerated"] = tolerated
-    report["pass"] = dual.is_yes or tolerated
-    if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
-        expected = dual_wedge(primal.wedge, len(c.ground))
-        report["class"] = class_name(primal.wedge)
-        report["dual_class"] = class_name(dual.wedge)
-        report["expected_dual_class"] = class_name(expected)
-        report["pass"] = dual.wedge == expected
-    return report
 
 
 # -- certificate JSON --------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .complexes import Complex, InputError, alexander_dual, bound_faces, face_masks
+from .complexes import Complex, InputError, bound_faces, face_masks
 
 
 # -- integer matrix reduction ----------------------------------------------
@@ -271,45 +271,3 @@ def memo_homology(c: Complex, profiles: dict) -> HomologyProfile:
 def reduced_cohomology(c: Complex) -> HomologyProfile:
     """Reduced integral cohomology, derived from homology by universal coefficients."""
     return reduced_homology(c).cohomology()
-
-
-# -- duality check -----------------------------------------------------------
-
-
-def check_alexander_duality(c: Complex, profiles: Optional[dict] = None,
-                            dual: Optional[Complex] = None) -> dict:
-    """Compare homology of c against cohomology of its Alexander dual.
-
-    Verifies betti_i(c) = cobetti_{|X|-i-3}(dual) with matching torsion, over
-    every index where either side could be nonzero.  Each side's profile is
-    reduced from its own complex, through profiles, a memo keyed by facet
-    masks (a fresh one by default); neither is derived from the other.  The
-    dual's cohomology follows from its homology by universal coefficients.
-    A caller that holds the dual passes it; otherwise it is built here.
-    """
-    profiles = {} if profiles is None else profiles
-    n = len(c.ground)
-    h_c = memo_homology(c, profiles)
-    ch_d = memo_homology(alexander_dual(c) if dual is None else dual, profiles).cohomology()
-    for i in range(-2, n + 1):
-        j = n - i - 3
-        checks = [
-            ("homology vs dual cohomology", h_c.betti_at(i), ch_d.betti_at(j)),
-            (
-                "torsion vs dual torsion",
-                sorted(h_c.torsion_at(i)),
-                sorted(ch_d.torsion_at(j)),
-            ),
-        ]
-        for label, left, right in checks:
-            if left != right:
-                return {
-                    "pass": False,
-                    "ground_size": n,
-                    "index": i,
-                    "dual_index": j,
-                    "which": label,
-                    "left": left,
-                    "right": right,
-                }
-    return {"pass": True, "ground_size": n}

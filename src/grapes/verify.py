@@ -1,20 +1,25 @@
 """Theorem-verification harnesses and the reproducible acceptance suite.
 
-Each harness checks one statement on one instance and returns a list of
-reports (``cad_report``, which the CLI also runs, returns one).  A report
-holds its instance, a complex, graph or digraph, and writes it as JSON only
-when it is printed, so a failure can be replayed on its own.  The suite
-runner wires the harnesses to deterministic instance sets (fixed seeds,
-exhaustive small enumerations).  A :class:`Tally` counts pass / fail /
-unknown for the suite and the CLI alike as the reports arrive, and holds
-only the reports it prints: the suite's run keeps none that passed.
+Every theorem check is a harness here: it checks one statement on one
+instance and returns a list of reports (``cad_report`` and
+``grape_duality_report``, which the CLI also runs, return one).  Each takes
+the instance, then its parameters, then the run's :class:`OutcomeTable`,
+which lives here and is required: the suite passes one table for the whole
+run and each ``verify`` command a fresh one, so a harness computes nothing
+that its table holds.  A report holds its instance, a complex, graph or
+digraph, and writes it as JSON only when it is printed, so a failure can be
+replayed on its own.  The suite runner wires the harnesses to deterministic
+instance sets (fixed seeds, exhaustive small enumerations) of the sizes
+``SIZES`` gives.  A :class:`Tally` counts pass / fail / unknown for the
+suite and the CLI alike as the reports arrive, and holds only the reports
+it prints: the suite's run keeps none that passed.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .collapse import ReplayError, collapse_search, lifted_collapse
 from .complexes import (
@@ -39,14 +44,7 @@ from .generators import (
     gen_digraph,
     gen_forest,
 )
-from .grape import (
-    GrapeVariant,
-    OutcomeTable,
-    check_grape,
-    search_grape,
-    verify_certificate,
-    verify_dual_invariance,
-)
+from .grape import GrapeVariant, GrapeVerdict, check_grape, search_grape, verify_certificate
 from .graphs import (
     FORBIDDEN_SETS,
     Digraph,
@@ -64,7 +62,7 @@ from .graphs import (
     pm_complex,
     useless_arcs,
 )
-from .homology import check_alexander_duality, class_name, reduced_homology
+from .homology import HomologyProfile, class_name, dual_wedge, memo_homology, reduced_homology
 
 DEFAULT_SEED = 1729
 
@@ -105,12 +103,7 @@ def _report(theorem, instance, ok, expected=None, observed=None, unknown=False, 
 # -- instance sets ----------------------------------------------------------
 
 
-def standard_complexes(
-    n_random: int = 500,
-    max_ground: int = 6,
-    exhaustive_max: int = 4,
-    seed: int = DEFAULT_SEED,
-) -> list:
+def standard_complexes(n_random: int, max_ground: int, exhaustive_max: int, seed: int) -> list:
     """The shared complex instance set: exhaustive small + seeded random."""
     out = []
     for n in range(exhaustive_max + 1):
@@ -123,7 +116,7 @@ def standard_complexes(
     return out
 
 
-def standard_forests(n_forests: int = 200, max_tree: int = 8, seed: int = DEFAULT_SEED):
+def standard_forests(n_forests: int, max_tree: int, seed: int):
     """All unlabeled trees up to max_tree vertices, then seeded one-edge-off forests."""
     out = list(all_trees(max_tree))
     for i in range(n_forests):
@@ -131,12 +124,7 @@ def standard_forests(n_forests: int = 200, max_tree: int = 8, seed: int = DEFAUL
     return out
 
 
-def standard_digraphs(
-    n_random: int = 300,
-    exhaustive_v: int = 3,
-    exhaustive_e: int = 4,
-    seed: int = DEFAULT_SEED,
-):
+def standard_digraphs(n_random: int, exhaustive_v: int, exhaustive_e: int, seed: int):
     """Every digraph shape up to the exhaustive sizes, then seeded random
     digraphs on 1-5 vertices with 0-7 arcs."""
     out = list(all_digraphs(exhaustive_v, exhaustive_e))
@@ -145,55 +133,155 @@ def standard_digraphs(
     return out
 
 
+# -- the run's outcome table ---------------------------------------------------
+
+
+# the variants whose "yes" settles each variant: strong => comb => weak and
+# strong => strong-weak => weak, each arrow a rewrite of the witnesses alone
+# at the same split (a cone side gives a cone element, and a cone side, a
+# side that collapses or the cone x * lk an intermediate); every certificate
+# folds to the one wedge
+_IMPLIED_BY = {
+    GrapeVariant.COMBINATORIAL: (GrapeVariant.STRONG,),
+    GrapeVariant.STRONG_WEAK: (GrapeVariant.STRONG,),
+    GrapeVariant.WEAK: (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL, GrapeVariant.STRONG_WEAK),
+}
+
+
+class OutcomeTable:
+    """A memo that computes each key once; one per suite run or CLI command,
+    dropped with it.
+
+    Recognition and homology read facet masks only, so :meth:`recognise`
+    keeps :func:`search_grape`'s own verdicts by (masks, variant), each
+    "yes" with its wedge and none with a certificate, and ``profiles``
+    homology by masks, for :meth:`homology` and the table's recognitions and
+    collapse searches.  :meth:`dual` keeps duals by (ground, masks);
+    harnesses keep PF/PM or invariants too.
+
+    A verdict may be read off a stronger variant's "yes" on the same masks
+    (``_IMPLIED_BY``) instead of searched: the entry is then that stronger
+    variant's verdict object itself, its node count included.  Only what the
+    table already holds is read: a variant nobody asks for is never
+    searched, and a "no" settles nothing.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.profiles: dict = {}
+
+    def once(self, key, compute: Callable):
+        """The value under key, calling compute() only if there is none yet
+        (a falsy value, such as an empty list, counts as one)."""
+        if key not in self.entries:
+            self.entries[key] = compute()
+        return self.entries[key]
+
+    def recognise(self, c: Complex, variant: GrapeVariant) -> GrapeVerdict:
+        def outcome() -> GrapeVerdict:
+            for stronger in _IMPLIED_BY.get(variant, ()):
+                held = self.entries.get((c.masks, stronger))
+                if held is not None and held.is_yes:
+                    return held  # the same wedge: any certificate folds to the homotopy type
+            return search_grape(c, variant, profiles=self.profiles)[0]
+
+        return self.once((c.masks, variant), outcome)
+
+    def homology(self, c: Complex) -> HomologyProfile:
+        return memo_homology(c, self.profiles)
+
+    def dual(self, c: Complex) -> Complex:
+        """Forward only: c is never filed as the dual of its dual, which
+        would make the involution check read back what it checks."""
+        return self.once(("dual", c), lambda: alexander_dual(c))
+
+
 # -- per-instance harnesses ---------------------------------------------------
 
 
-def duality_identity_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
+def duality_identity_reports(c: Complex, table: OutcomeTable) -> list:
     """Double dual is the identity; deletion and link swap across duality.
-    Every dual comes from the outcome table (a fresh one by default), which
-    files a dual under its complex only, so the double dual is built anew."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    dual = outcomes.dual(c)
-    out = [_report("duality-involution", c, outcomes.dual(dual) == c)]
+    Every dual comes from the table, which files a dual under its complex
+    only, so the double dual is built anew."""
+    dual = table.dual(c)
+    out = [_report("duality-involution", c, table.dual(dual) == c)]
     for a in c.ground:
-        ok = (outcomes.dual(deletion(c, a)) == link(dual, a)
-              and outcomes.dual(link(c, a)) == deletion(dual, a))
+        ok = (table.dual(deletion(c, a)) == link(dual, a)
+              and table.dual(link(c, a)) == deletion(dual, a))
         out.append(_report("duality-deletion-link-swap", c, ok, element=a))
     return out
 
 
-def cad_report(c: Complex, outcomes: Optional[OutcomeTable] = None) -> VerificationReport:
-    """Alexander duality in (co)homology, with the dual and both profiles
-    from the outcome table, a fresh one by default."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    result = check_alexander_duality(c, outcomes.profiles, outcomes.dual(c))
-    return _report(
-        "combinatorial-alexander-duality",
-        c,
-        result["pass"],
-        observed=None if result["pass"] else result,
-    )
+def cad_report(c: Complex, table: OutcomeTable) -> VerificationReport:
+    """Combinatorial Alexander duality in (co)homology: betti_i(c) =
+    cobetti_{|X|-i-3}(dual) with matching torsion, over every index where
+    either side could be nonzero.  Each side's profile is reduced from its
+    own complex through the table, and the dual comes from it too; neither
+    profile is derived from the other.  The dual's cohomology follows from
+    its homology by universal coefficients.  A failure observes the first
+    index where the two sides differ."""
+    n = len(c.ground)
+    h_c = table.homology(c)
+    ch_d = table.homology(table.dual(c)).cohomology()
+    for i in range(-2, n + 1):
+        j = n - i - 3
+        for which, left, right in (
+            ("homology vs dual cohomology", h_c.betti_at(i), ch_d.betti_at(j)),
+            ("torsion vs dual torsion", sorted(h_c.torsion_at(i)), sorted(ch_d.torsion_at(j))),
+        ):
+            if left != right:
+                observed = {"pass": False, "ground_size": n, "index": i, "dual_index": j,
+                            "which": which, "left": left, "right": right}
+                return _report("combinatorial-alexander-duality", c, False, observed=observed)
+    return _report("combinatorial-alexander-duality", c, True)
 
 
-def grape_duality_reports(
-    c: Complex,
-    small_variants_max_ground: int = 5,
-    outcomes: Optional[OutcomeTable] = None,
-) -> list:
-    """Dual invariance of grape membership (and classes, for strong).
+def grape_duality_report(c: Complex, variant: GrapeVariant,
+                         table: OutcomeTable) -> VerificationReport:
+    """The Alexander dual of c is a grape of the same variant.
 
-    Variants other than strong are checked up to small_variants_max_ground
-    ground elements; each yes instance of a variant gives one report.
+    The details always carry the primal verdict.  Unless it is "yes" the
+    report does not pass and the dual is not built: it fails on a "no" and
+    is unknown on an "unknown".  For the strong variant the dual's wedge
+    must also be the primal's shifted by duality, a k-sphere to a
+    (|X| - k - 3)-sphere and void to void (asserted on a nonempty ground
+    only), and the details name both classes.  A weak-family dual that
+    comes back "unknown" is tolerated, flagged, and the report is unknown.
+    The dual and both recognitions go through the table.
     """
-    outcomes = OutcomeTable() if outcomes is None else outcomes
+    primal = table.recognise(c, variant)
+    details = {
+        "variant": variant.value,
+        "ground_size": len(c.ground),
+        "primal_verdict": primal.verdict,
+        "pass": primal.is_yes,
+    }
+    unknown = primal.verdict == "unknown"
+    if primal.is_yes:
+        dual = table.recognise(table.dual(c), variant)
+        weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
+        unknown = weak_family and dual.verdict == "unknown"
+        details["dual_verdict"] = dual.verdict
+        details["unknown_tolerated"] = unknown
+        details["pass"] = dual.is_yes or unknown
+        if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
+            expected = dual_wedge(primal.wedge, len(c.ground))
+            details["class"] = class_name(primal.wedge)
+            details["dual_class"] = class_name(dual.wedge)
+            details["expected_dual_class"] = class_name(expected)
+            details["pass"] = dual.wedge == expected
+    return _report(f"grape-duality-{variant.value}", c, details["pass"], unknown=unknown, **details)
+
+
+def grape_duality_reports(c: Complex, small_variants_max_ground: int,
+                          table: OutcomeTable) -> list:
+    """:func:`grape_duality_report` for each variant that c is a grape of:
+    strong always, the others up to small_variants_max_ground ground
+    elements."""
     small = len(c.ground) <= small_variants_max_ground
-    out = []
-    for variant in GrapeVariant if small else (GrapeVariant.STRONG,):
-        rep = verify_dual_invariance(c, variant, outcomes)
-        if rep["primal_verdict"] == "yes":
-            out.append(_report(f"grape-duality-{variant.value}", c, rep["pass"],
-                               unknown=rep["unknown_tolerated"], **rep))
-    return out
+    return [grape_duality_report(c, variant, table)
+            for variant in (GrapeVariant if small else (GrapeVariant.STRONG,))
+            if table.recognise(c, variant).is_yes]
 
 
 def _forest_formula_checks(g: Graph, inv) -> list:
@@ -234,37 +322,35 @@ def _forest_formula_checks(g: Graph, inv) -> list:
     ]
 
 
-def verify_forest_theorem(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
+def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
     """Check the forest theorem: the four graph complexes and their duals are
     strong grapes whose classes follow the invariant formulas."""
     if not is_forest(g):
         raise InputError("forest theorem harness needs a forest")
-    outcomes = OutcomeTable() if outcomes is None else outcomes
     out = []
-    inv = outcomes.once(("invariants", g), lambda: invariants(g))
+    inv = table.once(("invariants", g), lambda: invariants(g))
     for name, cpx, dualize, wedge_ok in _forest_formula_checks(g, inv):
         label = f"forest-{name}{'-dual' if dualize else ''}"
-        outcome = outcomes.recognise(cpx, GrapeVariant.STRONG)
+        outcome = table.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
             out.append(
                 _report(label, g, False, expected="strong grape", observed=outcome.verdict)
             )
             continue
-        ok = wedge_ok(outcome.wedge) and outcomes.homology(cpx).is_wedge(outcome.wedge)
+        ok = wedge_ok(outcome.wedge) and table.homology(cpx).is_wedge(outcome.wedge)
         out.append(_report(label, g, ok, observed=class_name(outcome.wedge)))
     return out
 
 
-def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> list:
+def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
     """Path-free/path-missing: duality, strong grape status, and dimensions.
 
     PF and PM depend only on the arc count and the s-t paths as masks (the
     full suite at seed 1729 meets 108 path families in 7,020 digraphs), so
-    the outcome table, a fresh one by default, keeps per path family whether
+    the table keeps per path family whether
     PM is the dual of PF, whether some arc is useless, and both strong
     outcomes with the names of their classes, none of which reads an arc id.
     """
-    outcomes = OutcomeTable() if outcomes is None else outcomes
     if not d.arcs:
         pf, pm = pf_complex(d), pm_complex(d)
         ok = (pf.is_irrelevant and pm.is_void) if d.s != d.t else (pf.is_void and pm.is_irrelevant)
@@ -272,11 +358,11 @@ def verify_pfpm_theorem(d: Digraph, outcomes: Optional[OutcomeTable] = None) -> 
 
     def family() -> tuple:  # each strong outcome with its class's name, False unless "yes"
         pf, pm = pf_complex(d), pm_complex(d)
-        strong = [outcomes.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
+        strong = [table.recognise(cpx, GrapeVariant.STRONG) for cpx in (pf, pm)]
         return (pm == alexander_dual(pf), bool(useless_arcs(d)),
                 *((o, o.is_yes and class_name(o.wedge)) for o in strong))
 
-    dual_ok, useless, *found = outcomes.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
+    dual_ok, useless, *found = table.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
     out = [_report("pfpm-alexander-dual", d, dual_ok)]
     degenerate = useless or has_cycle(d)
     n_nonsinks = len(nonsinks(d))
@@ -317,19 +403,18 @@ def deletion_contraction_reports(d: Digraph) -> list:
     return out
 
 
-def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
+def ground_independence_reports(c: Complex, table: OutcomeTable) -> list:
     """Verdicts must not change when the ground order is reversed and an
     unused ground element is added (this moves every pivot choice).  c's
-    verdicts come from the outcome table, a fresh one by default, and the
-    moved complex is searched afresh, reading homology from the table's
-    profiles: that search is the check, and its records are never named."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
+    verdicts come from the table, and the moved complex is searched afresh,
+    reading homology from the table's profiles: that search is the check,
+    and its records are never named."""
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
-        a = outcomes.recognise(c, variant).verdict
-        b = search_grape(moved, variant, profiles=outcomes.profiles)[0].verdict
+        a = table.recognise(c, variant).verdict
+        b = search_grape(moved, variant, profiles=table.profiles)[0].verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",
@@ -342,14 +427,13 @@ def ground_independence_reports(c: Complex, outcomes: Optional[OutcomeTable] = N
     return out
 
 
-def lifted_collapse_reports(c: Complex, outcomes: Optional[OutcomeTable] = None) -> list:
+def lifted_collapse_reports(c: Complex, table: OutcomeTable) -> list:
     """Wherever a link collapses, the lifted sequence must collapse the
     complex onto the deletion.  Each link's search reads its homology from
-    the outcome table's profiles (a fresh table by default)."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
+    the table's profiles."""
     out = []
     for a in c.ground:
-        result = collapse_search(link(c, a), profiles=outcomes.profiles)
+        result = collapse_search(link(c, a), profiles=table.profiles)
         if not result.is_yes:
             continue
         try:
@@ -362,28 +446,25 @@ def lifted_collapse_reports(c: Complex, outcomes: Optional[OutcomeTable] = None)
     return out
 
 
-def wedge_reports(c: Complex, variant: GrapeVariant,
-                  outcomes: Optional[OutcomeTable] = None) -> list:
+def wedge_reports(c: Complex, variant: GrapeVariant, table: OutcomeTable) -> list:
     """A yes certificate's predicted wedge must be the homology of c exactly,
     torsion included; a strong one's is reported as its class.  Both come
-    from the outcome table, a fresh one by default."""
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    wedge = outcomes.recognise(c, variant).wedge
+    from the table."""
+    wedge = table.recognise(c, variant).wedge
     if wedge is None:
         return []
     if variant is GrapeVariant.STRONG:
         theorem, expected = "strong-class-homology", class_name(wedge)
     else:
         theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
-    ok = outcomes.homology(c).is_wedge(wedge)
+    ok = table.homology(c).is_wedge(wedge)
     return [_report(theorem, c, ok, expected=expected)]
 
 
-def konig_reports(g: Graph, outcomes: Optional[OutcomeTable] = None) -> list:
+def konig_reports(g: Graph, table: OutcomeTable) -> list:
     if not is_bipartite(g):
         return []
-    outcomes = OutcomeTable() if outcomes is None else outcomes
-    inv = outcomes.once(("invariants", g), lambda: invariants(g))
+    inv = table.once(("invariants", g), lambda: invariants(g))
     return [_report("konig-cover-matching", g, inv.alpha0 == inv.beta1,
                     expected=inv.beta1, observed=inv.alpha0)]
 
@@ -584,14 +665,14 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
         # the named-instance harnesses take no argument; each is its own instance
         ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
     ]
-    outcomes = OutcomeTable()
+    table = OutcomeTable()
     tally = Tally()
     for line, instances, harness in stages:
         seen: dict = {}  # the tally's hold on each distinct instance's reports, for the stage
         for x in instances:  # one hash per occurrence
             found = seen.get(x)
             if found is None:
-                seen[x] = found = tally.held(harness(x, outcomes))
+                seen[x] = found = tally.held(harness(x, table))
             tally.add(found)
         say(line)
     return {"level": level, "seed": seed, "notes": notes, **tally.summary()}

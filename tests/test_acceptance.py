@@ -3,16 +3,18 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s``) and
 enforces the stated wall-clock budget.  Instance sets are deterministic:
 seeded random instances plus exhaustive enumerations of the small cases.
+Every harness call checks its instance from scratch, on a table of its own.
 """
 
 import time
 
 import pytest
 
-from grapes import GrapeVariant, check_alexander_duality
+from grapes import GrapeVariant
 from grapes.generators import gen_digraph
 from grapes.verify import (
     DEFAULT_SEED,
+    OutcomeTable,
     cad_report,
     duality_identity_reports,
     cyclic_no_useless_reports,
@@ -71,13 +73,13 @@ def test_criterion_01_duality_involution_and_identities(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(duality_identity_reports(c))
+        reports.extend(duality_identity_reports(c, OutcomeTable()))
     finish("criterion 1 (duality involution and swap identities)", reports, started, 60)
 
 
 def test_criterion_02_combinatorial_alexander_duality(instance_set):
     started = time.time()
-    reports = [cad_report(c) for c in instance_set if len(c.ground) >= 1]
+    reports = [cad_report(c, OutcomeTable()) for c in instance_set if len(c.ground) >= 1]
     finish("criterion 2 (Alexander duality in (co)homology)", reports, started, 300)
 
 
@@ -89,15 +91,15 @@ def test_criterion_02_combinatorial_alexander_duality(instance_set):
     "convention (see notes/decisions.md)",
 )
 def test_criterion_02_degenerate_empty_ground():
-    for c in standard_complexes(n_random=0, exhaustive_max=0):
-        assert check_alexander_duality(c)["pass"]
+    for c in standard_complexes(n_random=0, max_ground=0, exhaustive_max=0, seed=DEFAULT_SEED):
+        assert cad_report(c, OutcomeTable()).status == "pass"
 
 
 def test_criterion_03_grape_duality_invariance(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(grape_duality_reports(c, small_variants_max_ground=5))
+        reports.extend(grape_duality_reports(c, 5, OutcomeTable()))
     finish("criterion 3 (grape membership dual invariance)", reports, started, 300)
 
 
@@ -105,7 +107,7 @@ def test_criterion_04_strong_classes_match_homology(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(wedge_reports(c, GrapeVariant.STRONG))
+        reports.extend(wedge_reports(c, GrapeVariant.STRONG, OutcomeTable()))
     assert len(reports) > 300
     finish("criterion 4 (strong classes vs homology)", reports, started, 300)
 
@@ -114,7 +116,7 @@ def test_criterion_05_forest_theorem(forest_set):
     started = time.time()
     reports = []
     for g in forest_set:
-        reports.extend(verify_forest_theorem(g))
+        reports.extend(verify_forest_theorem(g, OutcomeTable()))
     assert len(reports) == 8 * len(forest_set)
     finish("criterion 5 (forest complexes and their duals)", reports, started, 600)
 
@@ -123,7 +125,7 @@ def test_criterion_06_pfpm_theorem(digraph_set):
     started = time.time()
     reports = []
     for d in digraph_set:
-        reports.extend(verify_pfpm_theorem(d))
+        reports.extend(verify_pfpm_theorem(d, OutcomeTable()))
     finish("criterion 6 (path-free/path-missing theorem)", reports, started, 600)
 
 
@@ -154,7 +156,7 @@ def test_criterion_10_ground_independence(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(ground_independence_reports(c))
+        reports.extend(ground_independence_reports(c, OutcomeTable()))
     finish("criterion 10 (verdicts ignore unused ground elements and ground order)",
            reports, started, 300)
 
@@ -163,7 +165,7 @@ def test_criterion_11_lifted_collapses(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(lifted_collapse_reports(c))
+        reports.extend(lifted_collapse_reports(c, OutcomeTable()))
     assert len(reports) > 500
     finish("criterion 11 (collapsible links lift to deletion collapses)",
            reports, started, 300)
@@ -173,7 +175,7 @@ def test_criterion_12_wedge_predictions(instance_set):
     started = time.time()
     reports = []
     for c in instance_set:
-        reports.extend(wedge_reports(c, GrapeVariant.COMBINATORIAL))
+        reports.extend(wedge_reports(c, GrapeVariant.COMBINATORIAL, OutcomeTable()))
     assert len(reports) > 300
     finish("criterion 12 (certificate wedge predictions vs homology)",
            reports, started, 300)
@@ -183,7 +185,7 @@ def test_criterion_13_konig(forest_set):
     started = time.time()
     reports = []
     for g in forest_set:
-        reports.extend(konig_reports(g))
+        reports.extend(konig_reports(g, OutcomeTable()))
     assert len(reports) == len(forest_set)
     finish("criterion 13 (cover number equals matching number on bipartite)",
            reports, started, 60)

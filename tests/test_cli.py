@@ -372,6 +372,15 @@ def test_verify_pfpm_command(write_json, capsys):
     assert code == 0 and out["fail"] == 0
 
 
+def pinned_outputs(capsys, argvs):
+    """The exit code and the sha256 of the stdout of each in-process call."""
+    out = []
+    for argv in argvs:
+        code = main(argv)
+        out.append((code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()))
+    return out
+
+
 def test_verify_duality_command(write_json, capsys):
     code, out = run_cli(
         capsys,
@@ -391,6 +400,28 @@ def test_verify_duality_command(write_json, capsys):
         capsys, "verify", "duality", write_json("torus.json", TORUS), "--variant", "weak"
     )
     assert code == 3 and out["primal_verdict"] == "unknown" and out["pass"] is False
+    # exit codes and stdout bytes: an unknown primal, a primal "no" by torsion,
+    # yes pairs of each weak-family variant, and the empty ground, where the
+    # strong classes are not compared
+    c5, rp2 = write_json("c5.json", C5), write_json("rp2.json", RP2)
+    empty = write_json("empty.json", complex_to_json(void_complex("")))
+    assert pinned_outputs(capsys, [
+        ["verify", "duality", write_json("p.json", TWO_POINTS), "--variant", "strong"],
+        ["verify", "duality", c5, "--variant", "comb"],
+        ["verify", "duality", write_json("torus.json", TORUS), "--variant", "weak"],
+        ["verify", "duality", rp2, "--variant", "weak"],
+        ["verify", "duality", c5, "--variant", "weak"],
+        ["verify", "duality", c5, "--variant", "strong-weak"],
+        ["verify", "duality", empty, "--variant", "strong"],
+    ]) == [
+        (0, "3260bd6c1e0e4931b4d2105f892123eb45f08a81bc5a6b4035aec54c3b149a8e"),
+        (1, "ccf262a5476645ce38b3f59695475d33a85dbfd7e30f7c7c1810fb77b84c2b00"),
+        (3, "f5c50526a955763ce3c4b6ea44ea564164db83a1c786f641c3028610ec453b89"),
+        (1, "d60b07e626eff6780906097bbd1d88ac6d04a91e414359dfd2fbcc4f2f92bcb6"),
+        (0, "e236d08cbea5ec68e73e057b646c1e437449822dd0df32e355a3efe6d48f20e7"),
+        (0, "f25d854de7230d9af67ac9dcd88aa9ee7ff4f54f86209c1bc747aaa621d91440"),
+        (0, "67f5f1f7a0bc93a601131c77bbc83128c07bb0d80e3675a30ee1112f9f3d03cf"),
+    ]
 
 
 def test_verify_cad_command(write_json, capsys):
@@ -399,6 +430,16 @@ def test_verify_cad_command(write_json, capsys):
     degenerate = write_json("void.json", complex_to_json(void_complex("")))
     code, out = run_cli(capsys, "verify", "cad", degenerate)
     assert code == 1 and out["status"] == "fail"
+    # exit codes and stdout bytes, the failure's observed index included
+    assert pinned_outputs(capsys, [
+        ["verify", "cad", write_json("c5.json", C5)],
+        ["verify", "cad", write_json("rp2.json", RP2)],
+        ["verify", "cad", degenerate],
+    ]) == [
+        (0, "54e3e686d5c116fe6c8a0173b994b27db17b1bac27dc60cd6feafba00f1f74ba"),
+        (0, "dbb5777bf925636ad349767285f71a05f5f4b26485a5b8d971badfa58a966f2e"),
+        (1, "809802fb2b491e9b3804a17c00dc4d742c4247c3f32f7d4817c3d1ac0a5d7f00"),
+    ]
 
 
 def test_gen_commands_are_deterministic(capsys):
@@ -839,10 +880,11 @@ CLOSURE_SEEDS = [{"ground": [], "facets": []}, {"ground": ["a", "b"], "facets": 
 
 def test_every_complex_a_command_writes_is_read_by_every_complex_command(tmp_path):
     # closure: what dual, link and del write with exit 0 goes through homology,
-    # dual, link and del at each of its elements, collapse and grape check of
-    # every variant; none may refuse it (exit 2) or end in a traceback
+    # dual, link and del at each of its elements, collapse, grape check, verify
+    # cad and verify duality of every variant; none may refuse it (exit 2) or
+    # end in a traceback, and every certificate grape check writes replays
     budget = ["--budget", "50"]
-    built = str(tmp_path / "built.json")
+    built, cert = str(tmp_path / "built.json"), str(tmp_path / "cert.json")
     for n, seed in enumerate(CLOSURE_SEEDS):
         path = str(tmp_path / f"seed{n}.json")
         Path(path).write_text(json.dumps(seed))
@@ -854,10 +896,16 @@ def test_every_complex_a_command_writes_is_read_by_every_complex_command(tmp_pat
             ground = json.loads(out)["ground"]
             for reader in [["homology", built], ["dual", built],
                            *([cmd, "--", built, x] for x in ground for cmd in ("link", "del")),
-                           ["collapse", built, *budget],
-                           *(["grape", "check", built, "--variant", v, *budget]
-                             for v in sorted(VARIANTS))]:
+                           ["collapse", built, *budget], ["verify", "cad", built],
+                           *(["verify", "duality", built, "--variant", v] for v in sorted(VARIANTS))]:
                 assert run_quietly(reader)[0] in (0, 1, 3), (writer, reader)
+            for v in sorted(VARIANTS):
+                code, out = run_quietly(["grape", "check", built, "--variant", v, *budget])
+                assert code in (0, 1, 3), (writer, v)
+                if code == 0:
+                    Path(cert).write_text(json.dumps(json.loads(out)["certificate"]))
+                    code, out = run_quietly(["grape", "verify-cert", built, cert])
+                    assert code == 0 and json.loads(out)["valid"] is True, (writer, v)
 
 
 @settings(max_examples=150, deadline=None)

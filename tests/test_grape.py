@@ -37,7 +37,6 @@ from grapes import (
     reduced_homology,
     restrict_ground,
     verify_certificate,
-    verify_dual_invariance,
     void_complex,
 )
 from grapes.collapse import obstruction
@@ -50,7 +49,7 @@ from grapes.grape import (
     search_grape,
 )
 from grapes.generators import cycle_complex
-from grapes.verify import standard_complexes
+from grapes.verify import OutcomeTable, grape_duality_report, standard_complexes
 from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary, vertices
 from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
 from test_homology import oracle_reduced_homology
@@ -1007,32 +1006,54 @@ def test_between_complexes_matches_brute_force():
 # -- dual invariance -----------------------------------------------------------------------------
 
 
+def dual_invariance(c, variant):
+    """The dual-invariance report of c, on a table of its own."""
+    return grape_duality_report(c, variant, OutcomeTable())
+
+
 def test_dual_invariance_zero_sphere():
-    report = verify_dual_invariance(cx("ab", "a", "b"), GrapeVariant.STRONG)
-    assert report["pass"]
-    assert report["class"] == "cross-polytope-boundary(1)"
-    assert report["dual_class"] == "cross-polytope-boundary(0)"
+    report = dual_invariance(cx("ab", "a", "b"), GrapeVariant.STRONG)
+    assert report.status == "pass" and report.details["pass"]
+    assert report.details["class"] == "cross-polytope-boundary(1)"
+    assert report.details["dual_class"] == "cross-polytope-boundary(0)"
 
 
 def test_dual_invariance_void_on_three():
-    report = verify_dual_invariance(void_complex("abc"), GrapeVariant.STRONG)
-    assert report["pass"]
-    assert report["class"] == "void"
-    assert report["dual_class"] == "void"
+    report = dual_invariance(void_complex("abc"), GrapeVariant.STRONG)
+    assert report.status == "pass" and report.details["pass"]
+    assert report.details["class"] == "void"
+    assert report.details["dual_class"] == "void"
 
 
 def test_dual_invariance_irrelevant_on_three():
-    report = verify_dual_invariance(irrelevant_complex("abc"), GrapeVariant.STRONG)
-    assert report["pass"]
-    assert report["class"] == "cross-polytope-boundary(0)"
-    assert report["dual_class"] == "cross-polytope-boundary(2)"
+    report = dual_invariance(irrelevant_complex("abc"), GrapeVariant.STRONG)
+    assert report.status == "pass" and report.details["pass"]
+    assert report.details["class"] == "cross-polytope-boundary(0)"
+    assert report.details["dual_class"] == "cross-polytope-boundary(2)"
 
 
 def test_dual_invariance_needs_yes_instance():
-    report = verify_dual_invariance(cycle_complex(5), GrapeVariant.COMBINATORIAL)
-    assert report["primal_verdict"] == "no"
-    assert report["pass"] is False
-    assert "dual_verdict" not in report
+    report = dual_invariance(cycle_complex(5), GrapeVariant.COMBINATORIAL)
+    assert report.details["primal_verdict"] == "no"
+    assert report.status == "fail" and report.details["pass"] is False
+    assert "dual_verdict" not in report.details
+
+
+def test_only_a_weak_family_dual_may_be_unknown():
+    # the one status rule: a weak or strong-weak dual that comes back
+    # "unknown" is tolerated, flagged, and makes the report unknown; a strong
+    # one fails.  No small complex has such a dual, so the table is primed
+    c5, two_points = cycle_complex(5), cx("ab", "a", "b")
+    for c, variant, status in ((c5, GrapeVariant.WEAK, "unknown"),
+                               (c5, GrapeVariant.STRONG_WEAK, "unknown"),
+                               (two_points, GrapeVariant.STRONG, "fail")):
+        table = OutcomeTable()
+        table.entries[(table.dual(c).masks, variant)] = GrapeVerdict("unknown", reason="primed")
+        report = grape_duality_report(c, variant, table)
+        assert report.details["dual_verdict"] == "unknown"
+        assert report.status == status, variant
+        assert report.details["unknown_tolerated"] is (status == "unknown")
+        assert report.details["pass"] is (status == "unknown")
 
 
 def test_dual_wedge_is_the_shifted_primal_wedge_for_every_variant():
@@ -1056,8 +1077,8 @@ def test_dual_invariance_on_five_cycle_where_applicable(variant):
     c5 = cycle_complex(5)
     if not check_grape(c5, variant).is_yes:
         pytest.skip("five-cycle is not a yes instance for this variant")
-    report = verify_dual_invariance(c5, variant)
-    assert report["pass"]
+    report = dual_invariance(c5, variant)
+    assert report.status == "pass" and report.details["pass"]
 
 
 # -- five-element census ----------------------------------------------------------

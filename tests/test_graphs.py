@@ -530,7 +530,8 @@ def random_dag(seed):
 
 
 def test_paths_match_the_frozenset_search():
-    suite = [verify.standard_digraphs(sizes.n_random_digraphs, *sizes.exhaustive_digraph)
+    suite = [verify.standard_digraphs(sizes.n_random_digraphs, *sizes.exhaustive_digraph,
+                                      verify.DEFAULT_SEED)
              for sizes in verify.SIZES.values()]
     identity = [verify.standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed=verify.DEFAULT_SEED + 7000)
                 for sizes in verify.SIZES.values()]

@@ -1,4 +1,4 @@
-"""Homology/cohomology via Smith normal form, and the duality check."""
+"""Homology/cohomology via Smith normal form, and the Alexander-duality harness on it."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -13,7 +13,6 @@ import grapes.homology as homology
 
 from grapes import (
     InputError,
-    check_alexander_duality,
     alexander_dual,
     dominance_complex,
     edge_cover_complex,
@@ -30,7 +29,7 @@ from grapes import (
 from grapes.generators import cycle_complex
 from grapes.complexes import Complex, face_masks, mask_order, maximal_masks
 from grapes.homology import HomologyProfile, _boundary, _by_dim, _invariant_factors
-from grapes.verify import DEFAULT_SEED, SIZES, standard_complexes, standard_forests
+from grapes.verify import DEFAULT_SEED, SIZES, OutcomeTable, cad_report, standard_complexes, standard_forests
 from shapes import cone, cross_polytope, cx, full_simplex, suspension
 
 
@@ -674,34 +673,39 @@ def test_dual_wedge_shifts_every_sphere():
 # -- Alexander duality in (co)homology ----------------------------------------------
 
 
+def duality_check(c):
+    """The Alexander-duality report of c, on a table of its own."""
+    return cad_report(c, OutcomeTable())
+
+
 def test_duality_check_two_points():
     # betti_0 of the 0-sphere pairs with cobetti_{-1} of the irrelevant dual
-    assert check_alexander_duality(cx("ab", "a", "b"))["pass"]
+    assert duality_check(cx("ab", "a", "b")).status == "pass"
 
 
 def test_duality_check_void_and_full():
-    assert check_alexander_duality(void_complex("abc"))["pass"]
-    assert check_alexander_duality(full_simplex("abc"))["pass"]
+    assert duality_check(void_complex("abc")).status == "pass"
+    assert duality_check(full_simplex("abc")).status == "pass"
 
 
 def test_duality_check_five_cycle():
-    assert check_alexander_duality(cycle_complex(5))["pass"]
+    assert duality_check(cycle_complex(5)).status == "pass"
 
 
 def test_duality_check_torsion_case():
-    assert check_alexander_duality(RP2)["pass"]
+    assert duality_check(RP2).status == "pass"
 
 
 def test_duality_check_degenerate_empty_ground():
     # on the empty ground set the index map has nowhere to land: the
     # irrelevant complex has a unit in degree -1 but its dual is void,
     # and the mirrored failure shows up for the void complex at -2
-    report = check_alexander_duality(irrelevant_complex(""))
-    assert not report["pass"]
-    assert report["index"] == -1
-    report = check_alexander_duality(void_complex(""))
-    assert not report["pass"]
-    assert report["index"] == -2
+    report = duality_check(irrelevant_complex(""))
+    assert report.status == "fail" and not report.observed["pass"]
+    assert report.observed["index"] == -1
+    report = duality_check(void_complex(""))
+    assert report.status == "fail" and not report.observed["pass"]
+    assert report.observed["index"] == -2
 
 
 def test_homology_invariant_under_ground_extension_and_relabel():

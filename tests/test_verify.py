@@ -12,7 +12,7 @@ import grapes.grape as grape
 import grapes.graphs as graphs
 import grapes.homology as homology
 import grapes.verify as verify
-from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_complex, verify_dual_invariance
+from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_complex
 from grapes.cli import main
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph
@@ -21,12 +21,14 @@ from test_graphs import path_graph, star_graph
 from test_homology import RP2
 from grapes.verify import (
     SIZES,
+    OutcomeTable,
     VerificationReport,
     cad_report,
     duality_identity_reports,
     cyclic_no_useless_reports,
     deletion_contraction_reports,
     five_cycle_reports,
+    grape_duality_report,
     ground_independence_reports,
     konig_reports,
     lifted_collapse_reports,
@@ -44,7 +46,7 @@ def classes_of(reports):
 
 def test_forest_theorem_on_edge():
     # the 0-sphere everywhere: independent domination and cover numbers are 1
-    out = classes_of(verify_forest_theorem(path_graph(2)))
+    out = classes_of(verify_forest_theorem(path_graph(2), OutcomeTable()))
     assert out["forest-independence"] == ("pass", "cross-polytope-boundary(1)")
     assert out["forest-dominance"] == ("pass", "cross-polytope-boundary(1)")
     assert out["forest-edge-cover"] == ("pass", "cross-polytope-boundary(0)")
@@ -52,21 +54,21 @@ def test_forest_theorem_on_edge():
 
 
 def test_forest_theorem_on_four_path():
-    out = classes_of(verify_forest_theorem(path_graph(4)))
+    out = classes_of(verify_forest_theorem(path_graph(4), OutcomeTable()))
     # the independence complex of the 4-path is collapsible
     assert out["forest-independence"] == ("pass", "void")
     assert all(status == "pass" for status, _ in out.values())
 
 
 def test_forest_theorem_on_star():
-    out = classes_of(verify_forest_theorem(star_graph(3)))
+    out = classes_of(verify_forest_theorem(star_graph(3), OutcomeTable()))
     assert out["forest-dominance"] == ("pass", "cross-polytope-boundary(1)")
     assert all(status == "pass" for status, _ in out.values())
 
 
 def test_forest_theorem_on_single_vertex():
     # empty edge set: the edge complexes live on an empty ground set
-    out = classes_of(verify_forest_theorem(graph("v", [])))
+    out = classes_of(verify_forest_theorem(graph("v", []), OutcomeTable()))
     assert out["forest-edge-cover"] == ("pass", "void")
     assert out["forest-edge-cover-dual"] == ("pass", "cross-polytope-boundary(0)")
     assert out["forest-edge-dominance-dual"] == ("pass", "void")
@@ -79,32 +81,32 @@ def test_forest_theorem_forces_the_empty_ground_duals_from_the_graph(monkeypatch
     # reading the dual off the complex under test would let pass
     edge_cover = graphs.FORBIDDEN_SETS["ec"]
     monkeypatch.setitem(graphs.FORBIDDEN_SETS, "ec", lambda g: (edge_cover(g)[0], []))
-    out = classes_of(verify_forest_theorem(graph("v", [])))
+    out = classes_of(verify_forest_theorem(graph("v", []), OutcomeTable()))
     assert out["forest-edge-cover"] == ("pass", "cross-polytope-boundary(0)")
     assert out["forest-edge-cover-dual"] == ("fail", "void")
 
 
 def test_forest_theorem_rejects_cycles():
     with pytest.raises(InputError, match="needs a forest"):
-        verify_forest_theorem(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
+        verify_forest_theorem(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]), OutcomeTable())
 
 
 def test_pfpm_on_two_arc_path():
     d = digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t")
-    out = classes_of(verify_pfpm_theorem(d))
+    out = classes_of(verify_pfpm_theorem(d, OutcomeTable()))
     assert out["pfpm-path-free"] == ("pass", "cross-polytope-boundary(1)")
     assert out["pfpm-path-missing"] == ("pass", "cross-polytope-boundary(0)")
 
 
 def test_pfpm_on_parallel_arcs():
     d = digraph("st", [("e1", "s", "t"), ("e2", "s", "t")], "s", "t")
-    out = classes_of(verify_pfpm_theorem(d))
+    out = classes_of(verify_pfpm_theorem(d, OutcomeTable()))
     assert out["pfpm-path-free"] == ("pass", "cross-polytope-boundary(0)")
     assert out["pfpm-path-missing"] == ("pass", "cross-polytope-boundary(1)")
 
 
 def test_pfpm_on_cyclic_no_useless_digraph():
-    out = classes_of(verify_pfpm_theorem(cyclic_no_useless_digraph()))
+    out = classes_of(verify_pfpm_theorem(cyclic_no_useless_digraph(), OutcomeTable()))
     assert out["pfpm-path-free"] == ("pass", "void")
     assert out["pfpm-path-missing"] == ("pass", "void")
 
@@ -112,7 +114,7 @@ def test_pfpm_on_cyclic_no_useless_digraph():
 def test_pfpm_empty_conventions():
     for s, t in (("s", "t"), ("s", "s")):
         d = digraph("st", [], s, t)
-        reports = verify_pfpm_theorem(d)
+        reports = verify_pfpm_theorem(d, OutcomeTable())
         assert [r.status for r in reports] == ["pass"]
 
 
@@ -147,19 +149,19 @@ def counting_path_lists(monkeypatch):
 
 def test_pfpm_lists_the_st_paths_once(monkeypatch):
     # a digraph keeps its path list, so each check starts from a fresh one
-    before = verify_pfpm_theorem(cyclic_no_useless_digraph())
+    before = verify_pfpm_theorem(cyclic_no_useless_digraph(), OutcomeTable())
     paths = counting_path_lists(monkeypatch)
     d = cyclic_no_useless_digraph()
-    assert [r.to_json() for r in verify_pfpm_theorem(d)] == [r.to_json() for r in before]
+    assert [r.to_json() for r in verify_pfpm_theorem(d, OutcomeTable())] == [r.to_json() for r in before]
     assert len(paths) == 1
     paths.clear()
     d = cyclic_no_useless_digraph()
     deletion_contraction_reports(d)
     assert sum(listed is d for listed in paths) == 1
     paths.clear()
-    digraphs = verify.standard_digraphs(40, 2, 3)
+    digraphs = verify.standard_digraphs(40, 2, 3, verify.DEFAULT_SEED)
     for d in digraphs:
-        verify_pfpm_theorem(d)
+        verify_pfpm_theorem(d, OutcomeTable())
         deletion_contraction_reports(d)
     # the deleted and contracted digraphs list theirs too, each once
     listed = list(map(id, paths))
@@ -188,8 +190,7 @@ def test_alexander_dual_calls_per_stage_are_pinned(monkeypatch):
         calls.append(c)
         return real(c)
 
-    for module in (verify, grape, homology):
-        monkeypatch.setattr(module, "alexander_dual", counted)
+    monkeypatch.setattr(verify, "alexander_dual", counted)  # the one caller in a run
     # no suite input comes near the bound on the dual or on the s-t paths:
     # 2^6 against 2^20
     monkeypatch.setattr(complexes, "MAX_FACES", 2**6)
@@ -280,8 +281,8 @@ def test_pfpm_builds_once_per_path_family(monkeypatch):
     second = digraph("stu", [("e1", "s", "t"), ("e2", "t", "u")], "s", "t")
     renamed = digraph("stu", [("f1", "s", "t"), ("f2", "u", "s")], "s", "t")
     digraphs = (first, second, renamed)
-    fresh = [[r.to_json() for r in verify_pfpm_theorem(d)] for d in digraphs]
-    table = grape.OutcomeTable()
+    fresh = [[r.to_json() for r in verify_pfpm_theorem(d, OutcomeTable())] for d in digraphs]
+    table = OutcomeTable()
     duals = counting(monkeypatch, verify, "alexander_dual")
     shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in digraphs]
     assert len(duals) == 1 and [key[0] for key in table.entries].count("pfpm") == 1
@@ -290,18 +291,18 @@ def test_pfpm_builds_once_per_path_family(monkeypatch):
 
 def test_grape_duality_builds_the_dual_once(monkeypatch):
     c = new_complex("abc", [frozenset("ab"), frozenset("c")])
-    expected = [verify_dual_invariance(c, variant) for variant in GrapeVariant]
-    assert sum(rep["primal_verdict"] == "yes" for rep in expected) > 1
-    duals = counting(monkeypatch, grape, "alexander_dual")
-    reports = verify.grape_duality_reports(c)
+    expected = [grape_duality_report(c, variant, OutcomeTable()) for variant in GrapeVariant]
+    assert sum(rep.details["primal_verdict"] == "yes" for rep in expected) > 1
+    duals = counting(monkeypatch, verify, "alexander_dual")
+    reports = verify.grape_duality_reports(c, 5, OutcomeTable())
     assert len(duals) == 1
-    assert [r.details for r in reports] == [
-        rep for rep in expected if rep["primal_verdict"] == "yes"
+    assert [r.to_json() for r in reports] == [
+        rep.to_json() for rep in expected if rep.details["primal_verdict"] == "yes"
     ]
     # no yes, no dual: the projective plane is not a strong grape
     duals.clear()
     rp2 = new_complex("123456", [frozenset(f) for f in "123 124 135 146 156 236 245 256 345 346".split()])
-    assert verify.grape_duality_reports(rp2) == []
+    assert verify.grape_duality_reports(rp2, 5, OutcomeTable()) == []
     assert duals == []
 
 
@@ -337,19 +338,19 @@ def test_deletion_contraction_on_seeded_digraphs():
 def test_core_reports_on_a_mixed_bag():
     instances = standard_complexes(n_random=20, max_ground=5, exhaustive_max=2, seed=99)
     for c in instances:
-        assert all(r.status == "pass" for r in duality_identity_reports(c))
-        assert all(r.status == "pass" for r in ground_independence_reports(c))
-        assert all(r.status == "pass" for r in lifted_collapse_reports(c))
+        assert all(r.status == "pass" for r in duality_identity_reports(c, OutcomeTable()))
+        assert all(r.status == "pass" for r in ground_independence_reports(c, OutcomeTable()))
+        assert all(r.status == "pass" for r in lifted_collapse_reports(c, OutcomeTable()))
         for variant in (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL):
-            assert all(r.status == "pass" for r in wedge_reports(c, variant))
+            assert all(r.status == "pass" for r in wedge_reports(c, variant, OutcomeTable()))
         if len(c.ground) >= 1:
-            assert cad_report(c).status == "pass"
+            assert cad_report(c, OutcomeTable()).status == "pass"
 
 
 def test_konig_on_bipartite_graphs():
-    assert [r.status for r in konig_reports(path_graph(5))] == ["pass"]
-    assert [r.status for r in konig_reports(star_graph(4))] == ["pass"]
-    assert konig_reports(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])) == []
+    assert [r.status for r in konig_reports(path_graph(5), OutcomeTable())] == ["pass"]
+    assert [r.status for r in konig_reports(star_graph(4), OutcomeTable())] == ["pass"]
+    assert konig_reports(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]), OutcomeTable()) == []
 
 
 def test_reports_embed_a_reproducible_instance():
@@ -359,8 +360,9 @@ def test_reports_embed_a_reproducible_instance():
     from grapes import complex_from_json
 
     cases = [
-        (new_complex("ab", [frozenset("a")]), duality_identity_reports, complex_from_json),
-        (path_graph(4), verify_forest_theorem, graph_from_json),
+        (new_complex("ab", [frozenset("a")]),
+         lambda c: duality_identity_reports(c, OutcomeTable()), complex_from_json),
+        (path_graph(4), lambda g: verify_forest_theorem(g, OutcomeTable()), graph_from_json),
         (cyclic_no_useless_digraph(), deletion_contraction_reports, digraph_from_json),
     ]
     for instance, harness, from_json in cases:
@@ -387,16 +389,25 @@ def test_unprinted_reports_build_no_json(monkeypatch):
     for kind, real in list(verify._INSTANCE_JSON.items()):
         write = counted(real)
         monkeypatch.setitem(verify._INSTANCE_JSON, kind, write)
-        for module in (verify, grape):  # the modules that make the run's reports
-            monkeypatch.setattr(module, real.__name__, write, raising=False)
+        monkeypatch.setattr(verify, real.__name__, write, raising=False)  # where reports are made
     summary = run_suite("smoke", 7)
     assert summary["pass"] > 1000 and summary["fail"] == summary["unknown"] == 0
     assert calls == [graphs.pf_complex(cyclic_no_useless_digraph())]
     # a printed report does write its instance
     calls.clear()
-    (report,) = konig_reports(path_graph(3))
+    (report,) = konig_reports(path_graph(3), OutcomeTable())
     assert report.to_json()["instance"] == graph_to_json(path_graph(3))
     assert calls == [path_graph(3)]
+
+
+def assert_same_summary(got, want):
+    """Two suite summaries are equal: the counts first, then the report
+    lists, where a failure names the first report out of place, then the
+    rest, so that a difference is shown small."""
+    counts = ("pass", "fail", "unknown")
+    assert [got[k] for k in counts] == [want[k] for k in counts]
+    assert got["reports"] == want["reports"]
+    assert got == want
 
 
 def test_suite_smoke_passes_and_is_deterministic():
@@ -405,7 +416,7 @@ def test_suite_smoke_passes_and_is_deterministic():
     assert first["fail"] == 0
     assert first["unknown"] == 0
     assert first["pass"] > 1000
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    assert_same_summary(first, second)
 
 
 def test_suite_rejects_unknown_level():
@@ -419,7 +430,7 @@ def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch)
         return grape.GrapeVerdict(verdict, wedge={} if verdict == "yes" else None), None, None
 
     monkeypatch.setattr(verify, "search_grape", by_first_element)
-    reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]))
+    reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]), OutcomeTable())
     assert len(reports) == 4
     assert all(r.status == "fail" for r in reports)
 
@@ -439,41 +450,41 @@ def reference_suite(level, seed, log=None):
     )
     say(f"instance set: {len(complexes)} complexes")
     for c in complexes:
-        reports.extend(verify.duality_identity_reports(c))
+        reports.extend(verify.duality_identity_reports(c, OutcomeTable()))
     say("duality identities done")
     for c in complexes:
         if len(c.ground) >= 1:
-            reports.append(verify.cad_report(c))
+            reports.append(verify.cad_report(c, OutcomeTable()))
     say("alexander duality done")
     for c in complexes:
-        reports.extend(verify.grape_duality_reports(c, sizes.small_variants_max_ground))
+        reports.extend(verify.grape_duality_reports(c, sizes.small_variants_max_ground, OutcomeTable()))
     say("grape duality done")
     for c in complexes:
-        reports.extend(verify.wedge_reports(c, GrapeVariant.STRONG))
+        reports.extend(verify.wedge_reports(c, GrapeVariant.STRONG, OutcomeTable()))
     say("strong/homology consistency done")
     forests = verify.standard_forests(sizes.n_forests, sizes.max_tree, seed)
     for g in forests:
-        reports.extend(verify.verify_forest_theorem(g))
-        reports.extend(verify.konig_reports(g))
+        reports.extend(verify.verify_forest_theorem(g, OutcomeTable()))
+        reports.extend(verify.konig_reports(g, OutcomeTable()))
     say(f"forest theorem done ({len(forests)} forests)")
     digraphs = verify.standard_digraphs(
         sizes.n_random_digraphs, *sizes.exhaustive_digraph, seed=seed
     )
     for d in digraphs:
-        reports.extend(verify.verify_pfpm_theorem(d))
+        reports.extend(verify.verify_pfpm_theorem(d, OutcomeTable()))
     say(f"path-free/path-missing done ({len(digraphs)} digraphs)")
     for i in range(sizes.n_identity_digraphs):
         d = gen_digraph(1 + i % 5, i % 8, seed + 7000 + i)
         reports.extend(verify.deletion_contraction_reports(d))
     say("deletion/contraction identities done")
     for c in complexes:
-        reports.extend(verify.ground_independence_reports(c))
+        reports.extend(verify.ground_independence_reports(c, OutcomeTable()))
     say("ground independence done")
     for c in complexes:
-        reports.extend(verify.lifted_collapse_reports(c))
+        reports.extend(verify.lifted_collapse_reports(c, OutcomeTable()))
     say("lifted collapses done")
     for c in complexes:
-        reports.extend(verify.wedge_reports(c, GrapeVariant.COMBINATORIAL))
+        reports.extend(verify.wedge_reports(c, GrapeVariant.COMBINATORIAL, OutcomeTable()))
     say("wedge predictions done")
     reports.extend(verify.five_cycle_reports())
     reports.extend(verify.cyclic_no_useless_reports())
@@ -514,7 +525,7 @@ def test_suite_matches_the_naive_reference(seed):
     fast, naive = [], []
     got = run_suite("smoke", seed, log=fast.append)
     want = reference_suite("smoke", seed, log=naive.append)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert_same_summary(got, want)
     assert fast == naive
 
 
@@ -565,7 +576,7 @@ def _recorded_run(monkeypatch, runner, seed=7, mixed=False):
     def fake(name, returns):
         def harness(*args):
             # the suite also hands over the run's outcome table
-            args = tuple(a for a in args if not isinstance(a, grape.OutcomeTable))
+            args = tuple(a for a in args if not isinstance(a, verify.OutcomeTable))
             calls[name].append(args)
             named = [TO_JSON.get(type(a), lambda v: v)(a) for a in args]
             key = len(json.dumps(named)) % 3
@@ -590,7 +601,7 @@ def test_each_stage_runs_its_harness_once_per_distinct_instance(monkeypatch):
     fast, fast_calls = _recorded_run(monkeypatch, run_suite)
     naive, naive_calls = _recorded_run(monkeypatch, reference_suite)
     # same reports in the same order, repeats counted at every occurrence
-    assert json.dumps(fast, sort_keys=True) == json.dumps(naive, sort_keys=True)
+    assert_same_summary(fast, naive)
     assert set(fast_calls) == set(naive_calls) == set(HARNESSES)
     for name, args in fast_calls.items():
         assert len(args) == len(set(args)), name
@@ -606,10 +617,7 @@ def test_the_tally_counts_mixed_reports_as_the_reference_does(monkeypatch, seed)
     # and replays them, with its number of passes, at every occurrence
     fast, _ = _recorded_run(monkeypatch, run_suite, seed, mixed=True)
     naive, _ = _recorded_run(monkeypatch, reference_suite, seed, mixed=True)
-    counts = ("pass", "fail", "unknown")
-    assert [fast[k] for k in counts] == [naive[k] for k in counts]
-    assert fast["reports"] == naive["reports"]  # a failure names the first report out of place
-    assert fast == naive
+    assert_same_summary(fast, naive)
     # every status counts, and some instance's pass, fail, pass, unknown is
     # held as its fail and its unknown, so the test has teeth
     assert min(naive["pass"], naive["fail"], naive["unknown"]) > 0
@@ -694,7 +702,7 @@ def test_searches_per_smoke_run_are_pinned(monkeypatch):
 def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
     tables = []
 
-    class Captured(grape.OutcomeTable):
+    class Captured(verify.OutcomeTable):
         def __init__(self):
             super().__init__()
             tables.append(self)
@@ -762,7 +770,7 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
 def test_ground_independence_searches_each_moved_copy_on_its_own_key(monkeypatch):
     keys = counting_searches(monkeypatch)
     c = new_complex("abc", [frozenset("ab"), frozenset("bc")])
-    reports = ground_independence_reports(c)
+    reports = ground_independence_reports(c, OutcomeTable())
     assert [r.status for r in reports] == ["pass"] * 4
     # the path abc is a cone: its strong "yes" settles the other three
     # variants on c, while the moved copy is searched for every variant
@@ -775,7 +783,7 @@ def test_ground_independence_searches_each_moved_copy_on_its_own_key(monkeypatch
 
 def test_a_strong_yes_settles_every_weaker_variant_without_a_search(monkeypatch):
     keys = counting_searches(monkeypatch)
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     c = new_complex("ab", [frozenset("a"), frozenset("b")])  # the 0-sphere
     strong = table.recognise(c, GrapeVariant.STRONG)
     assert (strong.verdict, strong.wedge) == ("yes", {0: 1})
@@ -786,7 +794,7 @@ def test_a_strong_yes_settles_every_weaker_variant_without_a_search(monkeypatch)
 
 def test_a_comb_yes_settles_weak_but_not_strong_weak(monkeypatch):
     keys = counting_searches(monkeypatch)
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     c = new_complex("abcd", [frozenset("ab"), frozenset("c"), frozenset("d")])
     assert table.recognise(c, GrapeVariant.STRONG).verdict == "no"
     comb = table.recognise(c, GrapeVariant.COMBINATORIAL)
@@ -799,7 +807,7 @@ def test_a_comb_yes_settles_weak_but_not_strong_weak(monkeypatch):
 
 def test_the_table_searches_no_variant_it_is_not_asked_for(monkeypatch):
     keys = counting_searches(monkeypatch)
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     c = new_complex("ab", [frozenset("a"), frozenset("b")])
     # comb asked before strong is searched: no strong search runs first
     assert table.recognise(c, GrapeVariant.COMBINATORIAL).is_yes
@@ -812,13 +820,13 @@ def test_the_table_searches_no_variant_it_is_not_asked_for(monkeypatch):
 def test_a_no_is_never_derived(monkeypatch, order):
     # RP2's torsion makes it no grape of any variant: each "no" is searched
     keys = counting_searches(monkeypatch)
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     assert [table.recognise(RP2, variant).verdict for variant in order] == ["no"] * 4
     assert keys == [(RP2, variant) for variant in order]
 
 
 def test_outcome_table_computes_each_key_once():
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     calls = []
 
     def compute(value):
@@ -832,7 +840,7 @@ def test_outcome_table_computes_each_key_once():
 
 
 def test_outcome_table_entries_hold_no_certificate():
-    table = grape.OutcomeTable()
+    table = OutcomeTable()
     for c in standard_complexes(n_random=10, max_ground=4, exhaustive_max=2, seed=3):
         for variant in GrapeVariant:
             table.recognise(c, variant)
