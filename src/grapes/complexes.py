@@ -426,17 +426,20 @@ def complex_from_json(data: object) -> Complex:
     return Complex(tuple(ground), maximal_masks(masks))
 
 
+def subset_masks(n: int) -> Iterator[int]:
+    """Every subset of n bits as a mask: by size, then in the order of
+    ``combinations`` of the bit positions."""
+    bits = [1 << i for i in range(n)]
+    return (sum(c) for k in range(n + 1) for c in combinations(bits, k))
+
+
 def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:
     """All simplicial complexes on the given ground set (every antichain).
 
     Exponential in 2^|ground|; intended for |ground| <= 4.
     """
     ground_t = new_complex(ground, ()).ground
-    subsets = [
-        sum(1 << i for i in combo)
-        for k in range(len(ground_t) + 1)
-        for combo in combinations(range(len(ground_t)), k)
-    ]
+    subsets = list(subset_masks(len(ground_t)))
 
     def rec(i: int, chosen: list) -> Iterator[Complex]:
         if i == len(subsets):

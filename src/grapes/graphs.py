@@ -39,6 +39,7 @@ from .complexes import (
     face_of,
     join_mask,
     mask_of,
+    subset_masks,
 )
 
 
@@ -97,12 +98,6 @@ def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
     return Graph(vertices, tuple(sorted(masks, key=edge_order)))
 
 
-def _subsets(n: int) -> Iterator[int]:
-    """Every subset of n bits as a mask, smallest first."""
-    bits = [1 << i for i in range(n)]
-    return (sum(c) for k in range(n + 1) for c in combinations(bits, k))
-
-
 @dataclass(frozen=True)
 class GraphInvariants:
     gamma: int  # domination number
@@ -119,10 +114,10 @@ def invariants(g: Graph) -> GraphInvariants:
     if 1 << n > MAX_FACES:
         raise InputError(f"the invariants search 2^{n} vertex subsets, more than {MAX_FACES}")
     edges, closed = g.edges, g.closed
-    dominating = (s for s in _subsets(n) if all(c & s for c in closed))
+    dominating = (s for s in subset_masks(n) if all(c & s for c in closed))
     first = next(dominating)
     independent = next(s for s in chain([first], dominating) if not any(e & s == e for e in edges))
-    cover = next(s for s in _subsets(n) if all(e & s for e in edges))
+    cover = next(s for s in subset_masks(n) if all(e & s for e in edges))
     beta1 = next((k for k in range(n // 2, 0, -1)
                   if any(join_mask(m).bit_count() == 2 * k for m in combinations(edges, k))), 0)
     return GraphInvariants(first.bit_count(), independent.bit_count(), cover.bit_count(), beta1)

@@ -257,12 +257,16 @@ def test_grape_classify(write_json, capsys):
 
 
 def test_grape_verify_cert_round_trip(write_json, capsys, tmp_path):
+    # the face kernel at scale: cross(11) has 2,048 facets on 22 elements
+    cross11 = write_json("cross11.json", complex_to_json(cross_polytope(11)))
     c5 = write_json("c5.json", C5)
-    code, out = run_cli(capsys, "grape", "check", c5, "--variant", "weak")
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(out["certificate"]))
-    code, out = run_cli(capsys, "grape", "verify-cert", c5, str(cert_path))
-    assert code == 0 and out["valid"] is True and out["variant"] == "weak"
+    for path, variant in ((cross11, "comb"), (c5, "weak")):
+        code, out = run_cli(capsys, "grape", "check", path, "--variant", variant)
+        assert code == 0, variant
+        cert_path.write_text(json.dumps(out["certificate"]))
+        code, out = run_cli(capsys, "grape", "verify-cert", path, str(cert_path))
+        assert code == 0 and out["valid"] is True and out["variant"] == variant
     # replaying the certificate against a different complex must fail
     other = write_json("other.json", EDGE)
     code, out = run_cli(capsys, "grape", "verify-cert", other, str(cert_path))
@@ -471,10 +475,12 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert main(["link", str(wrong), "x"]) == 2
 
 
+SRC = str(Path(grapes.__file__).resolve().parent.parent)  # this checkout's source
+
+
 def module_env():
     """The environment for ``python -m grapes`` on this checkout's source."""
-    src = str(Path(grapes.__file__).resolve().parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_module(*argv):
@@ -488,26 +494,41 @@ def test_python_dash_m_entry_point(write_json):
     result = run_module("homology", write_json("c5.json", C5))
     assert result.returncode == 0
     assert json.loads(result.stdout)["betti"]["1"] == 1
+    result = run_module("--help")
+    assert result.returncode == 0 and result.stdout.startswith("usage: grapes")
+
+
+def test_the_smoke_suite_runs_on_the_standard_library_alone():
+    # -S keeps site-packages off sys.path, and PYTHONPATH holds the source
+    # alone (an inherited one may name site-packages), so the engine cannot
+    # import pytest, hypothesis or any other installed package
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "grapes", "suite", "--level", "smoke", "--seed", "7"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback(write_json):
-    # both outputs are larger than a pipe's buffer, so the writer meets the
+    # two outputs are larger than a pipe's buffer, so the writer meets the
     # closed end: the 4,096 facets of the independence complex of a perfect
     # matching on 24 vertices (about 650 KB), and a 600-vertex path's
-    # certificate (about 150 KB)
+    # certificate (about 150 KB); gen's 331 bytes may land whole before the
+    # close, so it exits 0 or 1
     v = [f"v{i}" for i in range(24)]
     matching = write_json("matching.json", {"vertices": v, "edges": [v[i:i + 2] for i in range(0, 24, 2)]})
     names = [f"v{i}" for i in range(1, 601)]
     path = write_json("path.json", {"ground": names, "facets": [list(p) for p in zip(names, names[1:])]})
-    for argv in (("from-graph", matching, "--complex", "ind"),
-                 ("grape", "check", path, "--variant", "strong")):
+    for argv, codes in ((("from-graph", matching, "--complex", "ind"), (1,)),
+                        (("grape", "check", path, "--variant", "strong"), (1,)),
+                        (("gen", "complex", "--ground", "14", "--density", "0.9", "--seed", "1"), (0, 1))):
         # as `| head -c 1` does: read one byte, then close the pipe
         with subprocess.Popen([sys.executable, "-m", "grapes", *argv], stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True, env=module_env()) as proc:
             assert proc.stdout.read(1) == "{"
             proc.stdout.close()
             err = proc.stderr.read()
-        assert proc.returncode == 1, argv
+        assert proc.returncode in codes, argv
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
@@ -914,7 +935,7 @@ def test_hostile_certificate_files_never_end_in_a_traceback(raw):
     exits_cleanly(raw, FUZZED["certificate"])
 
 
-# fixed inputs whose builder outputs CI also hashes on other Python versions
+# fixed inputs of the builder-output pins and read-backs
 CHORDED_PATH = {
     "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12"],
     "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v5"], ["v5", "v6"], ["v6", "v7"],
@@ -938,7 +959,7 @@ TEN_ARC_DAG = {
 CROSS_4 = complex_to_json(cross_polytope(4))
 
 
-def test_builder_outputs_are_byte_stable(write_json, capsys):
+def test_builder_outputs_are_byte_stable(write_json, capsys, tmp_path):
     # sha256 of the stdout of `from-graph --complex dom --dual`, `from-digraph
     # --complex pf`, `verify forest`, `verify pfpm`, of `grape classify` and
     # `verify duality --variant strong` on the boundary of the 4-cross-polytope,
@@ -976,6 +997,16 @@ def test_builder_outputs_are_byte_stable(write_json, capsys):
         "a6bde21c208bb732577afb3a8743604d73ff490eb930d896a17d5b2ffdb0f522",
         "70c00eaec514e4543b15d13117e43c68c1fb768ca065d1f8fa9a792662e54d39",
     ]
+    # what a builder writes, homology reads: each kind on the graph, primal
+    # and dual, and both complexes of the DAG
+    built = tmp_path / "built.json"
+    for argv in (*(["from-graph", graph, "--complex", kind, *dual]
+                   for kind in cli.FORBIDDEN_SETS for dual in ([], ["--dual"])),
+                 *(["from-digraph", dag, "--complex", kind] for kind in ("pf", "pm"))):
+        assert main(argv) == 0, argv
+        built.write_text(capsys.readouterr().out)
+        assert main(["homology", str(built)]) == 0, argv
+        capsys.readouterr()
 
 
 def ladder(k):
@@ -1044,7 +1075,7 @@ def test_the_writer_refuses_keys_that_are_not_strings_and_unknown_types(payload)
         written(payload)
 
 
-# one tiny run of every declared command: path3, points2, graph3 and dag3 as in CI
+# one tiny run of every declared command
 PATH3 = {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]}
 GRAPH3 = {"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"], ["v2", "v3"]]}
 DAG3 = {"vertices": ["s", "u", "t"], "arcs": [{"id": "e1", "src": "s", "tgt": "u"},

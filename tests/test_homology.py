@@ -498,6 +498,7 @@ def test_elimination_gets_only_the_star_quotients_uncleared_cells(monkeypatch):
         [frozenset(f"v{j}" for j in range(12) if j != i) for i in range(12)],
     )
     assert columns_eliminated(monkeypatch, simplex) == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert reduced_homology(simplex).is_wedge({10: 1})
     # the boundary of the 4-dimensional cross-polytope: past the star of one
     # vertex, 8, 12, 6, 1 cells of dimension 3, 2, 1, 0, and clearing drops
     # the 7, 5, 1 that the map above paired

@@ -105,8 +105,9 @@ def test_cross_polytope_of_two_pole_pairs_is_four_cycle():
 
 @pytest.mark.parametrize("n", range(7))
 def test_cross_polytope_json_is_the_pole_pair_product(n):
-    """The workflow writes cross4.json and cross11.json as this product; a
-    builder-output pin on them holds only if the two agree byte for byte."""
+    """The facets are the product of the pole pairs, written in the
+    product's order: a file built as the product is cross_polytope(n)'s
+    JSON byte for byte."""
     g = [f"p{i}{s}" for i in range(1, n + 1) for s in "ab"]
     product = {"ground": g, "facets": [list(f) for f in itertools.product(*zip(g[::2], g[1::2]))]}
     assert json.dumps(complex_to_json(cross_polytope(n))) == json.dumps(product)
