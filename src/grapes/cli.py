@@ -3,9 +3,11 @@
 All commands read and write the JSON interchange formats of the library
 (complexes, graphs, digraphs, certificates, collapse sequences).  Results go
 to stdout as JSON; diagnostics go to stderr.  Each command is declared once,
-with the handler it runs, and its verdict gives the exit code through the one
-table EXIT.  Handlers look the library's functions up as module globals when
-they run, so a tracer that rebinds them is seen by the parser built once.
+in COMMANDS, and its verdict gives the exit code through the one table EXIT.
+A call is parsed by its command's own parser, built on first use; the full
+parser reads only what that one refuses, so every message is the full
+parser's.  Handlers look the library's functions up as module globals when
+they run, so a tracer that rebinds them is seen by the parsers built once.
 
 Exit codes: 0 all checks passed (or plain result produced); 1 some check
 failed (or a recognition answered "no", or stdout was closed early); 2
@@ -20,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 from typing import Optional
 
 from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search
@@ -90,64 +93,90 @@ _SCALAR = {str: _QUOTE, int: int.__repr__, bool: {True: "true", False: "false"}.
 WRITE_PARTS = 1 << 13  # parts held before they go out as one chunk
 
 
+@functools.cache
+def _layout(nl: str) -> tuple:
+    """For a container whose line begins with nl (a newline and an indent): its
+    items' indent, their separator, and the brackets of a list and of a dict."""
+    inner = nl + "  "
+    return inner, "," + inner, ("[" + inner, nl + "]"), ("{" + inner, nl + "}")
+
+
+def _inline(o, nl: str) -> Optional[str]:
+    """The text of o, written with no generator: a scalar, a list of scalars
+    or a dict of those and of such dicts (a facet row, a certificate node and
+    its witness); None when o is or holds a list of containers."""
+    if isinstance(o, (list, tuple)):
+        inner, sep, (opening, closing), _ = _layout(nl)
+        if o and type(o[0]) is str:
+            try:  # a list of strings in one join
+                return opening + sep.join(map(_QUOTE, o)) + closing
+            except TypeError:  # a later item is no string
+                pass
+        if any(isinstance(v, (list, tuple, dict)) for v in o):
+            return None
+        return opening + sep.join(map(_inline, o, repeat(inner))) + closing if o else "[]"
+    if isinstance(o, dict):
+        inner, sep, _, (opening, closing) = _layout(nl)
+        texts = []
+        for k in sorted(o):
+            scalar = _SCALAR.get(type(o[k]))
+            text = scalar(o[k]) if scalar else _inline(o[k], inner)
+            if text is None:
+                return None
+            texts.append(_QUOTE(k) + ": " + text)
+        return opening + sep.join(texts) + closing if texts else "{}"
+    scalar = _SCALAR.get(type(o))
+    return scalar(o) if scalar else json.dumps(o)
+
+
 class _Encoder(json.JSONEncoder):
     """The bytes of indent=2, sort_keys=True, the only layout it writes.
 
     The stdlib encodes an indented payload in pure Python, one chunk per
-    token.  Here the parts gather on a list, which goes out as one chunk
-    when a container begins past WRITE_PARTS parts, and at the end.  Keys
-    must be strings.
+    token.  Here a generator writes only a list of containers, which can be
+    long (the facets, a certificate's nodes), and a dict that holds one;
+    any other value is one _inline call.  The parts gather on a list, which
+    goes out as one chunk once it holds more than WRITE_PARTS parts, and at
+    the end.  Keys must be strings.
     """
 
     def iterencode(self, o, _one_shot=False):
         parts: list = []
         append = parts.append
 
-        def encode(o, nl: str):  # nl: a newline and the indent of o's line
-            if len(parts) > WRITE_PARTS:
-                yield "".join(parts)
-                parts.clear()
-            if isinstance(o, dict):
-                items, brackets = [(_QUOTE(k) + ": ", o[k]) for k in sorted(o)], "{}"
-            elif isinstance(o, (list, tuple)):
-                try:  # a list of strings in one join
-                    if o:
-                        append(f"[{nl}  " + f",{nl}  ".join(map(_QUOTE, o)) + f"{nl}]")
-                        return
-                except TypeError:
-                    pass
-                items, brackets = [("", v) for v in o], "[]"
-            else:
-                scalar = _SCALAR.get(type(o))
-                append(scalar(o) if scalar else json.dumps(o))
-                return
-            if not items:
-                append(brackets)
-                return
-            inner = nl + "  "
-            sep = brackets[0] + inner
+        def encode(o, nl: str):  # a container that _inline refused, its items tried one by one
+            inner, sep, brackets, dict_brackets = _layout(nl)
+            is_dict = isinstance(o, dict)
+            items = ((_QUOTE(k) + ": ", o[k]) for k in sorted(o)) if is_dict else zip(repeat(""), o)
+            opening, closing = dict_brackets if is_dict else brackets
             for head, v in items:
-                scalar = _SCALAR.get(type(v))
-                if scalar:
-                    append(sep + head + scalar(v))
-                else:
-                    append(sep + head)
+                if len(parts) > WRITE_PARTS:
+                    yield "".join(parts)
+                    parts.clear()
+                text = _inline(v, inner)
+                if text is None:
+                    append(opening + head)
                     yield from encode(v, inner)
-                sep = "," + inner
-            append(nl + brackets[1])
+                else:
+                    append(opening + head + text)
+                opening = sep
+            append(closing)
 
-        yield from encode(o, "\n")
-        yield "".join(parts)
+        text = _inline(o, "\n")
+        if text is None:
+            yield from encode(o, "\n")
+            text = "".join(parts)
+        yield text
 
 
 def _emit(payload: object, status: str = "pass") -> int:
     """Write the payload to stdout; the exit code of the status.
 
     The document goes through json.dump, which perfbench's corrupted-output
-    test patches, with _Encoder doing the work.  The newline is a write of
-    its own: when a reader closes the pipe during a large write, the text
-    layer drops the short count, and only a later write meets the broken
-    pipe.
+    test patches, with _Encoder doing the work: one write for a small
+    document, chunks for a large one.  The newline is a write of its own:
+    when a reader closes the pipe during a large write, the text layer drops
+    the short count, and only a later write meets the broken pipe.
     """
     json.dump(payload, sys.stdout, indent=2, sort_keys=True, cls=_Encoder)
     sys.stdout.write("\n")
@@ -243,134 +272,123 @@ def _suite(args: argparse.Namespace) -> int:
     return _emit_summary(run_suite(args.level, args.seed, log=lambda m: print(m, file=sys.stderr)))
 
 
+INT = dict(type=int, required=True)
+COMPLEX, SEED = ("complex", {}), ("--seed", INT)
+VARIANT = ("--variant", dict(choices=sorted(VARIANTS), required=True))
+GROUPS = {"grape": "grape recognition commands", "verify": "theorem verification harnesses",
+          "gen": "seeded instance generators"}
+# Each command once, in the order of the help text: its words, then its help
+# (None: not listed), its handler and its arguments, each a name and options.
+COMMANDS = {
+    ("dual",): ("Alexander dual of a complex",
+                lambda a: _emit(complex_to_json(alexander_dual(_complex(a)))), COMPLEX),
+    ("link",): ("link of a ground element",
+                lambda a: _emit(complex_to_json(link(_complex(a), a.element))),
+                COMPLEX, ("element", {})),
+    ("del",): ("deletion of a ground element",
+               lambda a: _emit(complex_to_json(deletion(_complex(a), a.element))),
+               COMPLEX, ("element", {})),
+    ("homology",): ("reduced homology and cohomology", _homology, COMPLEX),
+    ("collapse",): (
+        "search for a collapse to void", _collapse, COMPLEX,
+        ("--budget", dict(type=int, default=DEFAULT_BUDGET,
+                          help="complexes the search may visit before it answers unknown")),
+        # accepted for the callers that still pass it, such as perfbench's certify-large queries
+        ("--exhaustive", dict(action="store_true",
+                              help="no effect; every search remembers the face sets it has seen fail"))),
+    ("grape", "check"): (
+        "decide one grape variant", _grape_check, COMPLEX, VARIANT,
+        ("--budget", dict(type=int, default=DEFAULT_BUDGET, help="nodes it may spend, collapse "
+                          "searches included, before it answers unknown"))),
+    ("grape", "classify"): ("simple-homotopy class of a strong grape", _grape_classify, COMPLEX),
+    ("grape", "verify-cert"): ("replay a certificate without searching", _grape_verify_cert,
+                               COMPLEX, ("certificate", {})),
+    ("from-graph",): ("complex derived from a graph", _from_graph, ("graph", {}),
+                      ("--complex", dict(dest="kind", choices=list(FORBIDDEN_SETS), required=True)),
+                      ("--dual", dict(action="store_true"))),
+    ("from-digraph",): ("complex derived from a digraph", _from_digraph, ("digraph", {}),
+                        ("--complex", dict(dest="kind", choices=["pf", "pm"], required=True))),
+    ("verify", "forest"): ("forest complexes: grape status and classes", lambda a: _emit_reports(
+        verify_forest_theorem(graph_from_json(_load(a.graph)), OutcomeTable())), ("graph", {})),
+    ("verify", "pfpm"): ("path-free/path-missing checks", lambda a: _emit_reports(
+        verify_pfpm_theorem(digraph_from_json(_load(a.digraph)), OutcomeTable())), ("digraph", {})),
+    ("verify", "duality"): ("grape dual-invariance for one complex", _verify_duality,
+                            COMPLEX, VARIANT),
+    ("verify", "cad"): ("Alexander duality in (co)homology", _verify_cad, COMPLEX),
+    ("gen", "forest"): (None, lambda a: _emit(graph_to_json(gen_forest(a.n, a.seed, a.drop))),
+                        ("--n", INT), SEED, ("--drop", dict(type=int, default=0))),
+    ("gen", "complex"): (None,
+                         lambda a: _emit(complex_to_json(gen_complex(a.ground, a.density, a.seed))),
+                         ("--ground", INT), ("--density", dict(type=float, default=0.3)), SEED),
+    ("gen", "digraph"): (None, lambda a: _emit(digraph_to_json(gen_digraph(a.v, a.arcs, a.seed))),
+                         ("--v", INT), ("--arcs", INT), SEED),
+    ("suite",): ("run the verification suite", _suite,
+                 ("--level", dict(choices=["smoke", "full"], default="smoke")),
+                 ("--seed", dict(type=int, default=DEFAULT_SEED))),
+}
+
+
+def _declare(parser: argparse.ArgumentParser, words: tuple, **defaults):
+    """The parser, given the command's arguments, and its handler as default."""
+    _, run, *arguments = COMMANDS[words]
+    for name, options in arguments:
+        parser.add_argument(name, **options)
+    parser.set_defaults(run=run, **defaults)
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: parsing stores nothing on it."""
+    """The full parser, built on first use and kept: parsing stores nothing on it."""
     parser = argparse.ArgumentParser(
         prog="grapes",
         description="Exact simplicial-complex engine: duality, collapses, "
         "homology, grape recognition, graph complexes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dual", help="Alexander dual of a complex")
-    p.add_argument("complex")
-    p.set_defaults(run=lambda a: _emit(complex_to_json(alexander_dual(_complex(a)))))
-
-    p = sub.add_parser("link", help="link of a ground element")
-    p.add_argument("complex")
-    p.add_argument("element")
-    p.set_defaults(run=lambda a: _emit(complex_to_json(link(_complex(a), a.element))))
-
-    p = sub.add_parser("del", help="deletion of a ground element")
-    p.add_argument("complex")
-    p.add_argument("element")
-    p.set_defaults(run=lambda a: _emit(complex_to_json(deletion(_complex(a), a.element))))
-
-    p = sub.add_parser("homology", help="reduced homology and cohomology")
-    p.add_argument("complex")
-    p.set_defaults(run=_homology)
-
-    p = sub.add_parser("collapse", help="search for a collapse to void")
-    p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="complexes the search may visit before it answers unknown")
-    # accepted for the callers that still pass it, such as perfbench's certify-large queries
-    p.add_argument("--exhaustive", action="store_true",
-                   help="no effect; every search remembers the face sets it has seen fail")
-    p.set_defaults(run=_collapse)
-
-    grape = sub.add_parser("grape", help="grape recognition commands")
-    gsub = grape.add_subparsers(dest="grape_command", required=True)
-
-    p = gsub.add_parser("check", help="decide one grape variant")
-    p.add_argument("complex")
-    p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="nodes it may spend, collapse searches included, before it answers unknown")
-    p.set_defaults(run=_grape_check)
-
-    p = gsub.add_parser("classify", help="simple-homotopy class of a strong grape")
-    p.add_argument("complex")
-    p.set_defaults(run=_grape_classify)
-
-    p = gsub.add_parser("verify-cert", help="replay a certificate without searching")
-    p.add_argument("complex")
-    p.add_argument("certificate")
-    p.set_defaults(run=_grape_verify_cert)
-
-    from_graph = sub.add_parser("from-graph", help="complex derived from a graph")
-    from_graph.add_argument("graph")
-    from_graph.add_argument(
-        "--complex", dest="kind", choices=list(FORBIDDEN_SETS), required=True
-    )
-    from_graph.add_argument("--dual", action="store_true")
-    from_graph.set_defaults(run=_from_graph)
-
-    from_digraph = sub.add_parser("from-digraph", help="complex derived from a digraph")
-    from_digraph.add_argument("digraph")
-    from_digraph.add_argument(
-        "--complex", dest="kind", choices=["pf", "pm"], required=True
-    )
-    from_digraph.set_defaults(run=_from_digraph)
-
-    verify = sub.add_parser("verify", help="theorem verification harnesses")
-    vsub = verify.add_subparsers(dest="verify_command", required=True)
-
-    p = vsub.add_parser("forest", help="forest complexes: grape status and classes")
-    p.add_argument("graph")
-    p.set_defaults(
-        run=lambda a: _emit_reports(
-            verify_forest_theorem(graph_from_json(_load(a.graph)), OutcomeTable()))
-    )
-
-    p = vsub.add_parser("pfpm", help="path-free/path-missing checks")
-    p.add_argument("digraph")
-    p.set_defaults(
-        run=lambda a: _emit_reports(
-            verify_pfpm_theorem(digraph_from_json(_load(a.digraph)), OutcomeTable()))
-    )
-
-    p = vsub.add_parser("duality", help="grape dual-invariance for one complex")
-    p.add_argument("complex")
-    p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.set_defaults(run=_verify_duality)
-
-    p = vsub.add_parser("cad", help="Alexander duality in (co)homology")
-    p.add_argument("complex")
-    p.set_defaults(run=_verify_cad)
-
-    gen = sub.add_parser("gen", help="seeded instance generators")
-    gen_sub = gen.add_subparsers(dest="gen_command", required=True)
-
-    p = gen_sub.add_parser("forest")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--drop", type=int, default=0)
-    p.set_defaults(run=lambda a: _emit(graph_to_json(gen_forest(a.n, a.seed, a.drop))))
-
-    p = gen_sub.add_parser("complex")
-    p.add_argument("--ground", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(run=lambda a: _emit(complex_to_json(gen_complex(a.ground, a.density, a.seed))))
-
-    p = gen_sub.add_parser("digraph")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--arcs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(run=lambda a: _emit(digraph_to_json(gen_digraph(a.v, a.arcs, a.seed))))
-
-    p = sub.add_parser("suite", help="run the verification suite")
-    p.add_argument("--level", choices=["smoke", "full"], default="smoke")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(run=_suite)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (summary, *_) in COMMANDS.items():
+        if words[:-1] not in subparsers:
+            group = subparsers[()].add_parser(words[0], help=GROUPS[words[0]])
+            subparsers[words[:-1]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
+        parser_of = subparsers[words[:-1]].add_parser
+        _declare(parser_of(words[-1], **({"help": summary} if summary else {})), words)
     return parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser as the full parser holds it, but it raises
+    ArgumentError where that one would print an error or the help."""
+
+    def error(self, message=None):
+        raise argparse.ArgumentError(None, message)
+
+    print_help = error
+
+
+@functools.cache
+def _command_parser(words: tuple) -> argparse.ArgumentParser:
+    """The parser of one command, built on first use and kept."""
+    # the namespace's words as the full parser names them: command, then <group>_command
+    return _declare(_CommandParser(), words, **dict(zip(("command", f"{words[0]}_command"), words)))
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """What the full parser makes of argv, read by the parser of the command
+    argv names; the full parser reads only what that one refuses or leaves
+    over, so every message and exit is the full parser's."""
+    words = tuple(argv[:2 if argv[0] in GROUPS else 1]) if argv else ()
+    if words in COMMANDS:
+        try:
+            args, rest = _command_parser(words).parse_known_args(argv[len(words):])
+            if not rest:
+                return args
+        except argparse.ArgumentError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

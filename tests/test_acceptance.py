@@ -88,7 +88,7 @@ def test_criterion_02_combinatorial_alexander_duality(instance_set):
     reason="on the empty ground set the duality index map has no target: the "
     "irrelevant complex keeps its degree -1 unit while its dual is void; "
     "the identity is provably false there under the void-has-zero-homology "
-    "convention (see notes/decisions.md)",
+    "convention (see README, Acceptance suite, the empty ground set)",
 )
 def test_criterion_02_degenerate_empty_ground():
     for c in standard_complexes(n_random=0, max_ground=0, exhaustive_max=0, seed=DEFAULT_SEED):

@@ -98,18 +98,29 @@ def test_handlers_read_library_functions_when_they_run(write_json, capsys, monke
 
 
 def test_main_builds_its_parser_once(write_json, capsys, monkeypatch):
+    # a call parses with its command's own parser, built on first use; the
+    # full parser is built only for what that one cannot answer
     parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def recording(self, *args, **kwargs):
         parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+        return parse_known_args(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    cli._build_parser.cache_clear()
     path = write_json("c.json", {"ground": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"]]})
     assert run_cli(capsys, "link", path, "a") == (0, {"ground": ["b", "c"], "facets": [["b"]]})
+    assert run_cli(capsys, "link", path, "b") == (0, {"ground": ["a", "c"], "facets": [["a"], ["c"]]})
     assert run_cli(capsys, "del", path, "a") == (0, {"ground": ["b", "c"], "facets": [["b", "c"]]})
-    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is not parsers[2]
+    assert cli._build_parser.cache_info().currsize == 0
+    for argv in (["--help"], ["link", "--help"], ["bogus"]):
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert cli._build_parser.cache_info().currsize == 1, argv
+    capsys.readouterr()
 
 
 def test_homology_command(write_json, capsys):
@@ -562,42 +573,42 @@ BAD_TABLES = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["collapse", "{edge}", "--budget", "-1"],
-        ["gen", "complex", "--ground", "30", "--seed", "1"],
-        ["gen", "forest", "--n", "0", "--seed", "1"],
-        ["gen", "digraph", "--v", "0", "--arcs", "1", "--seed", "1"],
-        ["dual", "{deep}"],
-        ["from-graph", "{int_endpoint}", "--complex", "ind"],
-        ["from-graph", "{list_endpoint}", "--complex", "ind"],
-        # an empty vertex or arc id would be written as a ground element no
-        # complex reader accepts
-        *(["from-graph", "{empty_vertex}", "--complex", kind] for kind in ("ind", "ec")),
-        *(["from-digraph", "{empty_arc}", "--complex", kind] for kind in ("pf", "pm")),
-        ["gen", "complex", "--ground", "3", "--density", "nan", "--seed", "1"],
-        ["gen", "complex", "--ground", "3", "--density", "inf", "--seed", "1"],
-        ["gen", "complex", "--ground", "3", "--density", "1e300", "--seed", "1"],
-        ["gen", "complex", "--ground", "3", "--density", "-1", "--seed", "1"],
-        ["gen", "complex", "--ground", "26", "--density", "1", "--seed", "1"],
-        *(["grape", "verify-cert", "{edge}", "{%s}" % name] for name in BAD_TABLES),
-        ["grape", "check", "{edge}", "--variant", "strong", "--budget", "0"],
-        ["grape", "check", "{edge}", "--variant", "strong", "--budget", "-5"],
-        ["gen", "digraph", "--v", "2", "--arcs", "-3", "--seed", "1"],
-        ["gen", "forest", "--n", "3", "--seed", "1", "--drop", "-2"],
-        ["gen", "forest", "--n", "100000000", "--seed", "1"],
-        ["gen", "digraph", "--v", "100000000", "--arcs", "1", "--seed", "1"],
-        ["gen", "digraph", "--v", "2", "--arcs", "100000000", "--seed", "1"],
-        ["homology", "{not_utf8}"],
-        ["homology", "{huge_int}"],
-        ["verify", "cad", "{not_utf8}"],
-        ["verify", "cad", "{huge_int}"],
-        ["homology", "{forty}"],
-        ["verify", "forest", "{forest28}"],
-    ],
-)
-def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
+BAD_VALUES = [
+    ["collapse", "{edge}", "--budget", "-1"],
+    ["gen", "complex", "--ground", "30", "--seed", "1"],
+    ["gen", "forest", "--n", "0", "--seed", "1"],
+    ["gen", "digraph", "--v", "0", "--arcs", "1", "--seed", "1"],
+    ["dual", "{deep}"],
+    ["from-graph", "{int_endpoint}", "--complex", "ind"],
+    ["from-graph", "{list_endpoint}", "--complex", "ind"],
+    # an empty vertex or arc id would be written as a ground element no
+    # complex reader accepts
+    *(["from-graph", "{empty_vertex}", "--complex", kind] for kind in ("ind", "ec")),
+    *(["from-digraph", "{empty_arc}", "--complex", kind] for kind in ("pf", "pm")),
+    ["gen", "complex", "--ground", "3", "--density", "nan", "--seed", "1"],
+    ["gen", "complex", "--ground", "3", "--density", "inf", "--seed", "1"],
+    ["gen", "complex", "--ground", "3", "--density", "1e300", "--seed", "1"],
+    ["gen", "complex", "--ground", "3", "--density", "-1", "--seed", "1"],
+    ["gen", "complex", "--ground", "26", "--density", "1", "--seed", "1"],
+    *(["grape", "verify-cert", "{edge}", "{%s}" % name] for name in BAD_TABLES),
+    ["grape", "check", "{edge}", "--variant", "strong", "--budget", "0"],
+    ["grape", "check", "{edge}", "--variant", "strong", "--budget", "-5"],
+    ["gen", "digraph", "--v", "2", "--arcs", "-3", "--seed", "1"],
+    ["gen", "forest", "--n", "3", "--seed", "1", "--drop", "-2"],
+    ["gen", "forest", "--n", "100000000", "--seed", "1"],
+    ["gen", "digraph", "--v", "100000000", "--arcs", "1", "--seed", "1"],
+    ["gen", "digraph", "--v", "2", "--arcs", "100000000", "--seed", "1"],
+    ["homology", "{not_utf8}"],
+    ["homology", "{huge_int}"],
+    ["verify", "cad", "{not_utf8}"],
+    ["verify", "cad", "{huge_int}"],
+    ["homology", "{forty}"],
+    ["verify", "forest", "{forest28}"],
+]
+
+
+def bad_value_files(write_json, tmp_path):
+    """The files that BAD_VALUES names in braces."""
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000)
     not_utf8 = tmp_path / "not_utf8.json"
@@ -605,7 +616,7 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
     huge_int = tmp_path / "huge_int.json"
     huge_int.write_text('{"ground": ["a"], "facets": [["a"]], "x": %s}' % ("9" * 5000))
     forty = [f"x{i}" for i in range(40)]
-    files = {
+    return {
         "not_utf8": str(not_utf8),
         "huge_int": str(huge_int),
         "forty": write_json("forty.json", {"ground": forty, "facets": [forty]}),
@@ -620,6 +631,11 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
         "forest28": write_json("forest28.json", graph_to_json(gen_forest(28, 1))),
         **{name: write_json(f"{name}.json", table) for name, table in BAD_TABLES.items()},
     }
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES)
+def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
+    files = bad_value_files(write_json, tmp_path)
     result = run_module(*(a.format(**files) for a in argv))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
@@ -1062,6 +1078,18 @@ JSON_PAYLOADS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(JSON_PAYLOADS)
 @example({"a": [True, 1, False, 0, None], "b": {"t": True, "one": 1}, "c": (False, 0)})
+# the edges of the inline path: empty rows, tuples, a string beside a list,
+# rows mixing strings and other scalars, dicts over a list of containers
+@example([[]])
+@example([["a"], []])
+@example([("a",), ["b"]])
+@example(["ab", ["c"]])
+@example({"facets": [["a", 1], [2, "b"], ["c", None, True, 1.5]], "ground": ["a", 0]})
+@example({"a": {}, "b": [], "c": {"d": {"e": [[1]], "f": "g"}}})
+@example({"format": 3, "nodes": [{"apex": "b", "base": "cone"}, {"deletion": 0, "link": 0, "pivot": "a",
+          "witness": {"collapse": {"steps": [{"sigma": ["a", "b"], "tau": ["a"]}]},
+                      "gamma_facets": [["a", "b"], ["b"]], "kind": "weak"}}]})
+@example({"ground": ["\u00e9", "\u2603", "\U0001f600"], "facets": [["\u00e9", "\u2603"], ["\U0001f600"]]})
 def test_the_writer_matches_the_stdlib_indent_path(payload):
     assert written(payload) == oracle_json(payload)
 
@@ -1103,17 +1131,69 @@ EVERY_COMMAND = {
 }
 
 
+def every_command_files(write_json):
+    """The files that EVERY_COMMAND names in braces."""
+    cert = check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate
+    return {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
+            "void": write_json("void.json", complex_to_json(void_complex(""))),
+            "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),
+            "cert": write_json("cert.json", cert)}
+
+
 def test_every_command_writes_what_the_stdlib_writes(write_json, capsys):
     assert sorted(EVERY_COMMAND) == sorted(leaf_commands(_build_parser()))
-    cert = check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate
-    files = {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
-             "void": write_json("void.json", complex_to_json(void_complex(""))),
-             "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),
-             "cert": write_json("cert.json", cert)}
+    files = every_command_files(write_json)
     for argv in EVERY_COMMAND.values():
         main([a.format(**files) for a in argv])
         out = capsys.readouterr().out
         assert out and out == oracle_json(json.loads(out)), argv
+
+
+def outcome(argv):
+    """The exit code, stdout and stderr of one in-process call; an exit
+    raised by argparse counts as an exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_parser_answers_as_the_full_parser_does(write_json, tmp_path, monkeypatch):
+    # a command's own parser on its own would print "grapes link: error: ..."
+    # where the full parser prints "grapes: error: unrecognized arguments: ..."
+    files = {**bad_value_files(write_json, tmp_path), **every_command_files(write_json)}
+    every = {words: [a.format(**files) for a in argv] for words, argv in EVERY_COMMAND.items()}
+    argvs = [[a.format(**files) for a in argv] for argv in BAD_VALUES] + list(every.values())
+    c4, c4_cert = write_json("c4.json", C4), write_json("c4-cert.json", C4_CERTIFICATES[0])
+    for kind, file, element in (("complex", "path3", "b"), ("complex", "path3", "-b"),
+                                ("graph", "graph3", "b"), ("certificate", "cert", "b")):
+        fill = {FILE: files[file], ELEMENT: element, C4_FILE: c4, CERT_FILE: c4_cert}
+        argvs += [[fill.get(a, a) for a in argv] for argv in FUZZED[kind]]
+    argvs += [[], ["bogus"], ["--help"], ["grape"], ["verify", "bogus"], ["gen", "-h"]]
+    for words in leaf_commands(_build_parser()):
+        leaf = _build_parser()
+        for word in words:
+            leaf = subcommands(leaf)[word]
+        # "-h x" would be a positional to a parser without -h
+        argvs += [[*words, "--help"], [*words, "-h x"], every[words] + ["--bogus"]]
+        if any(action.required for action in leaf._actions):
+            argvs.append(list(words))  # a missing positional or required option
+        argvs += [every[words] + [action.option_strings[-1], "nope"]
+                  for action in leaf._actions if action.choices and action.option_strings]
+
+    def full_parser_only(argv):
+        return _build_parser().parse_args(argv)
+
+    for argv in argvs:
+        own = outcome(argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_parse", full_parser_only)
+            assert outcome(argv) == own, argv
+    for argv in every.values():  # the handler is handed the same namespace
+        assert vars(cli._parse(argv)) == vars(full_parser_only(argv))
 
 
 class RecordingStdout(io.StringIO):
