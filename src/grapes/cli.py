@@ -22,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
 from typing import Optional
 
 from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search
@@ -101,84 +100,73 @@ def _layout(nl: str) -> tuple:
     return inner, "," + inner, ("[" + inner, nl + "]"), ("{" + inner, nl + "}")
 
 
-def _inline(o, nl: str) -> Optional[str]:
-    """The text of o, written with no generator: a scalar, a list of scalars
-    or a dict of those and of such dicts (a facet row, a certificate node and
-    its witness); None when o is or holds a list of containers."""
-    if isinstance(o, (list, tuple)):
+def _write(o, nl: str, parts: list, flush) -> None:
+    """Append the text of o, whose line begins with nl, to parts.  Before
+    each item of a list, once parts holds more than WRITE_PARTS parts, they
+    go to flush as one text and parts is emptied: a long list streams at any
+    depth.  A list of strings is one join; keys must be strings.  The
+    document formats nest at most 9 levels, so no input reaches the
+    recursion limit."""
+    if isinstance(o, dict):
+        inner, sep, _, (opening, closing) = _layout(nl)
+        for k in sorted(o):
+            head, v = opening + _QUOTE(k) + ": ", o[k]
+            scalar = _SCALAR.get(type(v))
+            if scalar:  # most values: written here, without a call
+                parts.append(head + scalar(v))
+            else:
+                parts.append(head)
+                _write(v, inner, parts, flush)
+            opening = sep
+        parts.append(closing if o else "{}")
+    elif isinstance(o, (list, tuple)):
         inner, sep, (opening, closing), _ = _layout(nl)
         if o and type(o[0]) is str:
             try:  # a list of strings in one join
-                return opening + sep.join(map(_QUOTE, o)) + closing
+                parts.append(opening + sep.join(map(_QUOTE, o)) + closing)
+                return
             except TypeError:  # a later item is no string
                 pass
-        if any(isinstance(v, (list, tuple, dict)) for v in o):
-            return None
-        return opening + sep.join(map(_inline, o, repeat(inner))) + closing if o else "[]"
-    if isinstance(o, dict):
-        inner, sep, _, (opening, closing) = _layout(nl)
-        texts = []
-        for k in sorted(o):
-            scalar = _SCALAR.get(type(o[k]))
-            text = scalar(o[k]) if scalar else _inline(o[k], inner)
-            if text is None:
-                return None
-            texts.append(_QUOTE(k) + ": " + text)
-        return opening + sep.join(texts) + closing if texts else "{}"
-    scalar = _SCALAR.get(type(o))
-    return scalar(o) if scalar else json.dumps(o)
+        for v in o:
+            if len(parts) > WRITE_PARTS:
+                flush("".join(parts))
+                parts.clear()
+            parts.append(opening)
+            _write(v, inner, parts, flush)
+            opening = sep
+        parts.append(closing if o else "[]")
+    else:
+        scalar = _SCALAR.get(type(o))
+        parts.append(scalar(o) if scalar else json.dumps(o))
 
 
 class _Encoder(json.JSONEncoder):
-    """The bytes of indent=2, sort_keys=True, the only layout it writes.
+    """The bytes of indent=2, sort_keys=True, the only layout it writes, by
+    _write.  json.dump hands iterencode no file, so the stream comes in as a
+    keyword: a long document's parts go to it as they fill, and iterencode
+    yields only the tail."""
 
-    The stdlib encodes an indented payload in pure Python, one chunk per
-    token.  Here a generator writes only a list of containers, which can be
-    long (the facets, a certificate's nodes), and a dict that holds one;
-    any other value is one _inline call.  The parts gather on a list, which
-    goes out as one chunk once it holds more than WRITE_PARTS parts, and at
-    the end.  Keys must be strings.
-    """
+    def __init__(self, *, stream, **options):
+        super().__init__(**options)
+        self.stream = stream
 
     def iterencode(self, o, _one_shot=False):
         parts: list = []
-        append = parts.append
-
-        def encode(o, nl: str):  # a container that _inline refused, its items tried one by one
-            inner, sep, brackets, dict_brackets = _layout(nl)
-            is_dict = isinstance(o, dict)
-            items = ((_QUOTE(k) + ": ", o[k]) for k in sorted(o)) if is_dict else zip(repeat(""), o)
-            opening, closing = dict_brackets if is_dict else brackets
-            for head, v in items:
-                if len(parts) > WRITE_PARTS:
-                    yield "".join(parts)
-                    parts.clear()
-                text = _inline(v, inner)
-                if text is None:
-                    append(opening + head)
-                    yield from encode(v, inner)
-                else:
-                    append(opening + head + text)
-                opening = sep
-            append(closing)
-
-        text = _inline(o, "\n")
-        if text is None:
-            yield from encode(o, "\n")
-            text = "".join(parts)
-        yield text
+        _write(o, "\n", parts, self.stream.write)
+        yield "".join(parts)
 
 
 def _emit(payload: object, status: str = "pass") -> int:
     """Write the payload to stdout; the exit code of the status.
 
-    The document goes through json.dump, which perfbench's corrupted-output
-    test patches, with _Encoder doing the work: one write for a small
-    document, chunks for a large one.  The newline is a write of its own:
-    when a reader closes the pipe during a large write, the text layer drops
-    the short count, and only a later write meets the broken pipe.
+    json.dump writes it, with _Encoder doing the work, only because
+    perfbench's corrupted-output test patches json.dump; stdout goes in as
+    the encoder's stream too, so a long document leaves in chunks.  The
+    newline is a write of its own: when a reader closes the pipe during a
+    large write, the text layer drops the short count, and only a later
+    write meets the broken pipe.
     """
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True, cls=_Encoder)
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True, cls=_Encoder, stream=sys.stdout)
     sys.stdout.write("\n")
     return EXIT[status]
 

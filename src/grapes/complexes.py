@@ -279,18 +279,14 @@ def face_of(m: int, ground: tuple) -> Face:
     return frozenset(out)
 
 
-def _sorted_rows(masks: Iterable[int]) -> list:
-    """The masks as ascending bit-index tuples, in face order."""
-    rows = []
-    for m in masks:
-        row = []
-        while m:
-            low = m & -m
-            row.append(low.bit_length() - 1)
-            m ^= low
-        rows.append(tuple(row))
-    rows.sort(key=lambda row: (len(row), row))
-    return rows
+def bit_indices(m: int) -> list:
+    """The indices of a mask's bits, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def mask_order(m: int) -> tuple:
@@ -396,10 +392,10 @@ def maximal_masks(masks: Iterable[int]) -> frozenset:
 
 
 def complex_to_json(c: Complex) -> dict:
-    return {
-        "ground": list(c.ground),
-        "facets": [[c.ground[i] for i in row] for row in _sorted_rows(c.masks)],
-    }
+    rows = list(map(bit_indices, c.masks))
+    rows.sort()
+    rows.sort(key=len)  # stable: face order, by size and then by index row
+    return {"ground": list(c.ground), "facets": [[c.ground[i] for i in row] for row in rows]}
 
 
 def complex_from_json(data: object) -> Complex:

@@ -1090,8 +1090,46 @@ JSON_PAYLOADS = st.recursive(
           "witness": {"collapse": {"steps": [{"sigma": ["a", "b"], "tau": ["a"]}]},
                       "gamma_facets": [["a", "b"], ["b"]], "kind": "weak"}}]})
 @example({"ground": ["\u00e9", "\u2603", "\U0001f600"], "facets": [["\u00e9", "\u2603"], ["\U0001f600"]]})
+# the edges of the recursive writer: empty containers under a key and in a
+# list, a string-first list that falls back to the item loop, scalars that
+# are no strings, and a weak certificate node (witness, collapse, steps)
+@example({"a": {}})
+@example({"a": []})
+@example([[], {}])
+@example(["a", {"b": 1}])
+@example(("a", ["b"]))
+@example([1.5, True, None, 2])
+@example({"deletion": 1, "link": 0, "pivot": "c", "witness": {
+    "collapse": {"steps": [{"sigma": ["a", "c"], "tau": ["c"]}, {"sigma": ["a"], "tau": []}]},
+    "gamma_facets": [["a", "c"]], "kind": "weak"}})
 def test_the_writer_matches_the_stdlib_indent_path(payload):
     assert written(payload) == oracle_json(payload)
+
+
+class WriteRecorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# a long list of containers two levels down, and a long list of scalars
+# three levels down: each holds several times WRITE_PARTS parts
+@pytest.mark.parametrize("payload", [
+    {"a": {"rows": [[i] for i in range(cli.WRITE_PARTS)]}},
+    {"a": [{"b": list(range(3 * cli.WRITE_PARTS))}]},
+])
+def test_a_long_document_leaves_in_chunks(monkeypatch, payload):
+    stdout = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli._emit(payload) == 0
+    *chunks, newline = stdout.writes
+    assert newline == "\n" and len(chunks) > 1
+    assert "".join(stdout.writes) == oracle_json(payload)
 
 
 # keys that are not strings, which json.dumps would turn into strings, and
