@@ -39,7 +39,6 @@ from .grape import (
     verify_certificate,
 )
 from .graphs import (
-    Arc,
     Digraph,
     Graph,
     contract_arc,

@@ -227,24 +227,22 @@ def replay(c: Complex, sequence: dict) -> Complex:
     return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
 
 
-def obstruction(masks: frozenset, names: tuple,
-                profiles: Optional[dict] = None) -> Optional[HomologyProfile]:
+def obstruction(masks: frozenset, names: tuple, profiles: dict) -> Optional[HomologyProfile]:
     """The reduced homology of a face set that is neither void nor a cone,
     when it is nonzero: the refutation that no collapse to void exists.
     None when it vanishes, for void and cones, and when homology refuses
-    the size.  The profile comes from profiles, a memo keyed by facet masks
-    (a fresh one by default).  Callers spend one node on each refutation."""
+    the size.  The profile comes from profiles, a memo keyed by facet
+    masks.  Callers spend one node on each refutation."""
     if not masks or meet_mask(masks):
         return None
     try:
-        profile = memo_homology(Complex(names, masks), {} if profiles is None else profiles)
+        profile = memo_homology(Complex(names, masks), profiles)
     except InputError:
         return None
     return None if profile.is_trivial() else profile
 
 
-def collapse_test(masks: frozenset, budget: Budget, names: tuple,
-                  profiles: Optional[dict] = None) -> tuple:
+def collapse_test(masks: frozenset, budget: Budget, names: tuple, profiles: dict) -> tuple:
     """The one collapse test, of recognition and :func:`collapse_search`
     alike: (obstruction, None) after one node when :func:`obstruction`
     refutes masks, else (None, the mask steps of :func:`search_masks`, or
@@ -262,11 +260,12 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
 
     A complex that :func:`obstruction` refutes is answered "no" after one
     node, with the homology as ``obstruction``, read from profiles (a suite
-    run passes its table's).  When homology finds the complex acyclic, or
-    refuses its size (over ``MAX_FACES`` faces), the search runs: a
-    backtracking DFS trying free pairs in the canonical order, on an
-    explicit stack of (complex, untried free pairs) so that long collapse
-    sequences do not hit the recursion limit.  Cones are
+    run passes its table's; a fresh memo when none is given).  When
+    homology finds the complex acyclic, or refuses its size (over
+    ``MAX_FACES`` faces), the search runs: a backtracking DFS trying free
+    pairs in the canonical order, on an explicit stack of (complex, untried
+    free pairs) so that long collapse sequences do not hit the recursion
+    limit.  Cones are
     collapsed directly via :func:`cone_steps`.  The search remembers every
     face set whose free pairs all failed, so a face set that two collapse
     orders reach is expanded once; it answers "no" once the whole tree is
@@ -276,7 +275,8 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
     """
     budget = Budget(budget)
     try:
-        refuted, steps = collapse_test(c.masks, budget, c.ground, profiles)
+        refuted, steps = collapse_test(c.masks, budget, c.ground,
+                                       {} if profiles is None else profiles)
     except BudgetExceeded:
         return ShvResult("unknown", None, budget.used)
     sequence = None if steps is None else steps_to_json(steps, c.ground)

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
-from .graphs import Arc, Digraph, Graph, edge_order
+from .graphs import Digraph, Graph, edge_order
 
 MAX_GENERATORS = 2**16  # cap on gen_complex's generator faces and gen's vertex and arc counts
 
@@ -55,11 +55,10 @@ def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
         raise InputError(f"digraph needs 1 to {MAX_GENERATORS} vertices and at most as many arcs")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
-    arcs = tuple(
-        Arc(f"e{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(1, n_arcs + 1)
-    )
-    return Digraph(vertices, arcs, rng.choice(vertices), rng.choice(vertices))
+    ids = tuple(f"e{i}" for i in range(1, n_arcs + 1))
+    index = range(n_vertices)
+    arcs = tuple((rng.choice(index), rng.choice(index)) for _ in ids)
+    return Digraph(vertices, ids, arcs, rng.choice(index), rng.choice(index))
 
 
 def cycle_complex(n: int) -> Complex:
@@ -79,19 +78,9 @@ def cyclic_no_useless_digraph() -> Digraph:
     Every arc lies on a simple s-t path, yet the two middle arcs form a
     cycle; the path-free complex is collapsible but not a cone.
     """
-    return Digraph(
-        ("s", "u", "v", "t"),
-        (
-            Arc("A", "s", "u"),
-            Arc("E", "s", "v"),
-            Arc("C", "u", "v"),
-            Arc("D", "v", "u"),
-            Arc("B", "u", "t"),
-            Arc("F", "v", "t"),
-        ),
-        "s",
-        "t",
-    )
+    s, u, v, t = range(4)
+    return Digraph(("s", "u", "v", "t"), ("A", "E", "C", "D", "B", "F"),
+                   ((s, u), (s, v), (u, v), (v, u), (u, t), (v, t)), s, t)
 
 
 # -- exhaustive enumerations ---------------------------------------------------
@@ -143,15 +132,15 @@ def all_trees(max_n: int) -> Iterator[Graph]:
 
 
 def all_digraphs(max_vertices: int, max_arcs: int) -> Iterator[Digraph]:
-    """Every digraph shape: arc multisets over V x V with all (s, t) choices.
-    The arc ids "e1".."ek" are one tuple of strings, shared by every digraph."""
-    ids = tuple(f"e{i}" for i in range(1, max_arcs + 1))
+    """Every digraph shape: arc multisets over V x V, as vertex-index pairs,
+    with all (s, t) choices.  A digraph with k arcs has the arc ids
+    "e1".."ek", in one tuple shared by the digraphs of its size."""
     for nv in range(1, max_vertices + 1):
         vertices = tuple(f"v{i}" for i in range(1, nv + 1))
-        pairs = [(a, b) for a in vertices for b in vertices]
+        pairs = [(a, b) for a in range(nv) for b in range(nv)]
         for k in range(max_arcs + 1):
-            for multi in combinations_with_replacement(pairs, k):
-                arcs = tuple(Arc(i, a, b) for i, (a, b) in zip(ids, multi))
-                for s in vertices:
-                    for t in vertices:
-                        yield Digraph(vertices, arcs, s, t)
+            ids = tuple(f"e{i}" for i in range(1, k + 1))
+            for arcs in combinations_with_replacement(pairs, k):
+                for s in range(nv):
+                    for t in range(nv):
+                        yield Digraph(vertices, ids, arcs, s, t)

@@ -12,7 +12,12 @@ complexes, and :func:`graph_to_json` writes the graph.
 Directed graphs are multigraphs (parallel arcs and loops allowed) with two
 distinguished vertices s and t, possibly equal; arcs carry identifiers,
 which become the ground elements of the path-free and path-missing
-complexes.
+complexes.  A :class:`Digraph` is its vertex names, its arc ids, and its
+arcs as (source, target) vertex-index pairs in arc order, with s and t
+vertex indices.  :func:`digraph` turns names into indices, checking them;
+the generators build the pairs straight from indices.  Names come back only
+at the boundary: :func:`digraph_to_json` writes the digraph, and the
+complexes and reports name an arc by its id.
 
 Invariants (domination, independent domination, vertex cover, matching) are
 computed by exhaustive search over vertex masks: a set dominates when it
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .complexes import (
     MAX_FACES,
@@ -199,41 +204,30 @@ def edge_dominance_complex(g: Graph) -> Complex:
 # -- directed multigraphs ------------------------------------------------------
 
 
-class Arc(NamedTuple):
-    id: str
-    src: str
-    tgt: str
-
-
 @dataclass(frozen=True)
 class Digraph:
-    """Unchecked: build one from names with :func:`digraph`, which validates them."""
+    """Vertex names, arc ids, and the arcs as (source, target) vertex-index
+    pairs in arc order (``arcs[i]`` has id ``ids[i]``); s and t are vertex
+    indices.  Unchecked: build one from names with :func:`digraph`, which
+    validates them."""
 
     vertices: tuple[str, ...]
-    arcs: tuple[Arc, ...]
-    s: str
-    t: str
-
-    def arc(self, arc_id: str) -> Arc:
-        for a in self.arcs:
-            if a.id == arc_id:
-                return a
-        raise InputError(f"no arc with id {arc_id!r}")
-
-    def arc_ids(self) -> tuple:
-        return tuple(a.id for a in self.arcs)
+    ids: tuple[str, ...]
+    arcs: tuple[tuple[int, int], ...]
+    s: int
+    t: int
 
     @cached_property
     def paths(self) -> tuple:
         """The simple s-t paths as masks over the arcs (bit i for
         ``arcs[i]``), listed once per digraph, depth first; (0,) alone if
         s = t.  InputError once past MAX_FACES paths.  The visited vertices
-        are a mask too, bit i for ``vertices[i]``."""
-        out: dict = {v: (1 << i, []) for i, v in enumerate(self.vertices)}  # bit, arcs out
-        for i, a in enumerate(self.arcs):
-            out[a.src][1].append((a.tgt, out[a.tgt][0], 1 << i))
+        are a mask too, bit i for vertex i."""
+        out: list = [[] for _ in self.vertices]  # per vertex: target, its bit, the arc's bit
+        for i, (a, b) in enumerate(self.arcs):
+            out[a].append((b, 1 << b, 1 << i))
         paths = []
-        stack = [(self.s, out[self.s][0], 0)]
+        stack = [(self.s, 1 << self.s, 0)]
         while stack:
             v, visited, trail = stack.pop()
             if v == self.t:
@@ -241,31 +235,32 @@ class Digraph:
                 if len(paths) > MAX_FACES:
                     raise InputError(f"the digraph has more than {MAX_FACES} s-t paths")
                 continue
-            for tgt, b, a in out[v][1]:
+            for tgt, b, a in out[v]:
                 if not visited & b:
                     stack.append((tgt, visited | b, trail | a))
         return tuple(paths)
 
 
 def digraph(vertices, arcs, s: str, t: str) -> Digraph:
-    """Build a digraph from (id, src, tgt) triples; checks that vertices and
-    arc ids are distinct, that arc ids (the ground elements of PF and PM)
-    are nonempty and that the arcs, s and t use known vertices."""
-    d = Digraph(tuple(vertices), tuple(Arc(i, a, b) for i, a, b in arcs), s, t)
-    vset = set(d.vertices)
-    if len(vset) != len(d.vertices):
+    """Build a digraph from (id, src, tgt) triples of names; checks that
+    vertices and arc ids are distinct, that arc ids (the ground elements of
+    PF and PM) are nonempty and that the arcs, s and t use known vertices."""
+    vertices, arcs = tuple(vertices), tuple(arcs)
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
         raise InputError("digraph vertices must be distinct")
-    ids = d.arc_ids()
+    ids = tuple(i for i, _, _ in arcs)
     if len(set(ids)) != len(ids):
         raise InputError("arc ids must be distinct")
     if "" in ids:
         raise InputError("arc ids must be nonempty")
-    for a in d.arcs:
-        if a.src not in vset or a.tgt not in vset:
-            raise InputError(f"arc {a.id!r} uses unknown vertices")
-    if s not in vset or t not in vset:
+    for i, a, b in arcs:
+        if a not in index or b not in index:
+            raise InputError(f"arc {i!r} uses unknown vertices")
+    if s not in index or t not in index:
         raise InputError("s and t must be vertices")
-    return d
+    pairs = tuple((index[a], index[b]) for _, a, b in arcs)
+    return Digraph(vertices, ids, pairs, index[s], index[t])
 
 
 def pf_complex(d: Digraph) -> Complex:
@@ -274,7 +269,7 @@ def pf_complex(d: Digraph) -> Complex:
     With s = t every set contains the trivial path, so the complex is void;
     with s != t and no arcs it is the irrelevant complex.
     """
-    return avoiding(d.arc_ids(), d.paths)
+    return avoiding(d.ids, d.paths)
 
 
 def pm_complex(d: Digraph) -> Complex:
@@ -285,23 +280,23 @@ def pm_complex(d: Digraph) -> Complex:
     follows it from s to t and is the same path.
     """
     full = (1 << len(d.arcs)) - 1
-    return Complex(d.arc_ids(), frozenset(full ^ p for p in d.paths))
+    return Complex(d.ids, frozenset(full ^ p for p in d.paths))
 
 
 def useless_arcs(d: Digraph) -> frozenset:
     """Arcs lying on no simple path from s to t (loops always qualify)."""
-    return face_of(((1 << len(d.arcs)) - 1) & ~join_mask(d.paths), d.arc_ids())
+    return face_of(((1 << len(d.arcs)) - 1) & ~join_mask(d.paths), d.ids)
 
 
 def has_cycle(d: Digraph) -> bool:
     """Any nontrivial closed walk (loops and anti-parallel pairs count): some
     vertex is left when those with no arc in are peeled off (Kahn's order)."""
-    arcs_in = dict.fromkeys(d.vertices, 0)
-    out_arcs: dict = {v: [] for v in d.vertices}
-    for a in d.arcs:
-        arcs_in[a.tgt] += 1
-        out_arcs[a.src].append(a.tgt)
-    peeled = [v for v, k in arcs_in.items() if not k]
+    arcs_in = [0] * len(d.vertices)
+    out_arcs: list = [[] for _ in d.vertices]
+    for a, b in d.arcs:
+        arcs_in[b] += 1
+        out_arcs[a].append(b)
+    peeled = [v for v, k in enumerate(arcs_in) if not k]
     for v in peeled:  # grows while it is read
         for w in out_arcs[v]:
             arcs_in[w] -= 1
@@ -311,43 +306,31 @@ def has_cycle(d: Digraph) -> bool:
 
 
 def nonsinks(d: Digraph) -> frozenset:
-    return frozenset(a.src for a in d.arcs)
+    """The vertices, as indices, that some arc leaves."""
+    return frozenset(a for a, _ in d.arcs)
 
 
-def delete_arc(d: Digraph, arc_id: str) -> Digraph:
-    d.arc(arc_id)
-    return Digraph(
-        d.vertices, tuple(a for a in d.arcs if a.id != arc_id), d.s, d.t
-    )
+def delete_arc(d: Digraph, i: int) -> Digraph:
+    """Drop arc i."""
+    return Digraph(d.vertices, d.ids[:i] + d.ids[i + 1:], d.arcs[:i] + d.arcs[i + 1:], d.s, d.t)
 
 
-def contract_arc(d: Digraph, arc_id: str) -> Digraph:
-    """Contract an arc out of s: merge its target into s, dropping the arc.
-
-    Only defined when the arc's source is s.  Parallel arcs and loops that
-    arise from the merge are kept; arc ids are preserved.  Contracting a
-    loop at s just removes it.
+def contract_arc(d: Digraph, i: int) -> Digraph:
+    """Contract arc i, which must leave s: merge its target u into s, dropping
+    the arc.  u leaves the vertices, and those after it shift down one.
+    Parallel arcs and loops that arise from the merge are kept; arc ids are
+    preserved.  Contracting a loop at s just removes it.
     """
-    e = d.arc(arc_id)
-    if e.src != d.s:
-        raise InputError("contraction requires an arc whose source is s")
-    u = e.tgt
+    u, rest = d.arcs[i][1], delete_arc(d, i)
     if u == d.s:
-        return delete_arc(d, arc_id)
+        return rest
 
-    def repoint(v: str) -> str:
-        return d.s if v == u else v
+    def repoint(v: int) -> int:
+        v = d.s if v == u else v
+        return v - (v > u)
 
-    return Digraph(
-        tuple(v for v in d.vertices if v != u),
-        tuple(
-            Arc(a.id, repoint(a.src), repoint(a.tgt))
-            for a in d.arcs
-            if a.id != arc_id
-        ),
-        d.s,
-        repoint(d.t),
-    )
+    arcs = tuple((repoint(a), repoint(b)) for a, b in rest.arcs)
+    return Digraph(d.vertices[:u] + d.vertices[u + 1:], rest.ids, arcs, repoint(d.s), repoint(d.t))
 
 
 # -- JSON interchange -----------------------------------------------------------
@@ -378,11 +361,12 @@ def graph_from_json(data: object) -> Graph:
 
 
 def digraph_to_json(d: Digraph) -> dict:
+    v = d.vertices
     return {
-        "vertices": list(d.vertices),
-        "arcs": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in d.arcs],
-        "s": d.s,
-        "t": d.t,
+        "vertices": list(v),
+        "arcs": [{"id": i, "src": v[a], "tgt": v[b]} for i, (a, b) in zip(d.ids, d.arcs)],
+        "s": v[d.s],
+        "t": v[d.t],
     }
 
 

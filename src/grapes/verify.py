@@ -384,22 +384,18 @@ def deletion_contraction_reports(d: Digraph) -> list:
     guaranteed-useless-arc implication after deleting a source arc."""
     pf = pf_complex(d)
     out = []
-    for arc in d.arcs:
-        ok = deletion(pf, arc.id) == pf_complex(delete_arc(d, arc.id))
-        out.append(_report("pf-deletion-identity", d, ok, arc=arc.id))
-        if arc.src == d.s:
-            ok = link(pf, arc.id) == pf_complex(contract_arc(d, arc.id))
-            out.append(_report("pf-contraction-identity", d, ok, arc=arc.id))
+    for i, (arc, (src, _)) in enumerate(zip(d.ids, d.arcs)):
+        ok = deletion(pf, arc) == pf_complex(delete_arc(d, i))
+        out.append(_report("pf-deletion-identity", d, ok, arc=arc))
+        if src == d.s:
+            ok = link(pf, arc) == pf_complex(contract_arc(d, i))
+            out.append(_report("pf-contraction-identity", d, ok, arc=arc))
     useless = useless_arcs(d)
-    for arc in d.arcs:
-        if (
-            arc.src == d.s
-            and arc.id not in useless
-            and len(d.arcs) > 1
-            and not any(b.tgt == arc.tgt and b.id != arc.id for b in d.arcs)
-        ):
-            ok = bool(useless_arcs(delete_arc(d, arc.id)))
-            out.append(_report("pf-deletion-useless", d, ok, arc=arc.id))
+    targets = [tgt for _, tgt in d.arcs]
+    for i, (arc, (src, tgt)) in enumerate(zip(d.ids, d.arcs)):
+        if src == d.s and arc not in useless and len(d.arcs) > 1 and targets.count(tgt) == 1:
+            ok = bool(useless_arcs(delete_arc(d, i)))
+            out.append(_report("pf-deletion-useless", d, ok, arc=arc))
     return out
 
 

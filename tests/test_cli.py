@@ -466,6 +466,15 @@ def test_gen_commands_are_deterministic(capsys):
     assert code == 0 and len(forest["vertices"]) == 5
     code, d = run_cli(capsys, "gen", "digraph", "--v", "3", "--arcs", "4", "--seed", "2")
     assert code == 0 and len(d["arcs"]) == 4
+    # pinned bytes: the generator's draws from random.Random stay the same
+    # on every Python the project supports
+    argvs = [["gen", "digraph", "--v", v, "--arcs", arcs, "--seed", seed]
+             for v, arcs, seed in (("4", "6", "7"), ("5", "9", "1"), ("1", "3", "2"))]
+    assert pinned_outputs(capsys, argvs) == [
+        (0, "bef999a38aa2e4af354b959d878f57c466984e37739bd006a2085864cf0b4198"),
+        (0, "089a1f0fbb5c5bcbf6b43503d28b9ba3ca939c9d429caa3567af281e4ce3a332"),
+        (0, "a2f24dc6802a61781b73e6ff9389ba911a1256f0cf1524c40149aa5533ce3b28"),
+    ]
 
 
 def test_suite_command_smoke(capsys):

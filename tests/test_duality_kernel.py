@@ -119,45 +119,45 @@ def scan_edge_dominance(g):
 
 
 def _reaches(d, allowed, start, goal):
-    """Is goal reachable from start using only arcs with ids in allowed?"""
+    """Is vertex goal reachable from vertex start using only arcs with ids in allowed?"""
     if start == goal:
         return True
     seen = {start}
     queue = [start]
     while queue:
         v = queue.pop()
-        for a in d.arcs:
-            if a.id in allowed and a.src == v and a.tgt not in seen:
-                if a.tgt == goal:
+        for arc, (src, tgt) in zip(d.ids, d.arcs):
+            if arc in allowed and src == v and tgt not in seen:
+                if tgt == goal:
                     return True
-                seen.add(a.tgt)
-                queue.append(a.tgt)
+                seen.add(tgt)
+                queue.append(tgt)
     return False
 
 
 def reaching_has_cycle(d):
     """Some arc whose source is reachable from its target."""
-    everything = frozenset(d.arc_ids())
-    return any(_reaches(d, everything, a.tgt, a.src) for a in d.arcs)
+    everything = frozenset(d.ids)
+    return any(_reaches(d, everything, tgt, src) for src, tgt in d.arcs)
 
 
 def recursive_useless_arcs(d):
     used = set()
     if d.s != d.t:
-        adjacency = {v: [] for v in d.vertices}
-        for a in d.arcs:
-            adjacency[a.src].append(a)
+        adjacency = [[] for _ in d.vertices]
+        for arc, (src, tgt) in zip(d.ids, d.arcs):
+            adjacency[src].append((arc, tgt))
 
         def dfs(v, visited, trail):
             if v == d.t:
                 used.update(trail)
                 return
-            for a in adjacency[v]:
-                if a.tgt not in visited:
-                    dfs(a.tgt, visited | {a.tgt}, trail + (a.id,))
+            for arc, tgt in adjacency[v]:
+                if tgt not in visited:
+                    dfs(tgt, visited | {tgt}, trail + (arc,))
 
         dfs(d.s, frozenset({d.s}), ())
-    return frozenset(d.arc_ids()) - used
+    return frozenset(d.ids) - used
 
 
 # -- the transversal kernel ------------------------------------------------------
@@ -443,12 +443,12 @@ def test_avoiding_dual_is_the_dual_of_avoiding(family):
 
 def test_path_complexes_and_useless_arcs_match_their_definitions():
     for d in all_digraphs(3, 4):
-        arcs = frozenset(d.arc_ids())
+        arcs = frozenset(d.ids)
         assert pf_complex(d) == scan_complex(
-            d.arc_ids(), lambda f: not _reaches(d, f, d.s, d.t)
+            d.ids, lambda f: not _reaches(d, f, d.s, d.t)
         )
         assert pm_complex(d) == scan_complex(
-            d.arc_ids(), lambda f: _reaches(d, arcs - f, d.s, d.t)
+            d.ids, lambda f: _reaches(d, arcs - f, d.s, d.t)
         )
         assert useless_arcs(d) == recursive_useless_arcs(d)
         assert has_cycle(d) == reaching_has_cycle(d)

@@ -138,13 +138,9 @@ def test_all_digraphs_count():
 
 def test_all_digraphs_cover_loops_and_parallels():
     shapes = list(all_digraphs(2, 2))
+    assert any(len(d.arcs) == 2 and d.arcs[0][0] == d.arcs[0][1] for d in shapes)
     assert any(
-        len(d.arcs) == 2 and d.arcs[0].src == d.arcs[0].tgt for d in shapes
-    )
-    assert any(
-        len(d.arcs) == 2
-        and (d.arcs[0].src, d.arcs[0].tgt) == (d.arcs[1].src, d.arcs[1].tgt)
-        and d.arcs[0].src != d.arcs[0].tgt
+        len(d.arcs) == 2 and d.arcs[0] == d.arcs[1] and d.arcs[0][0] != d.arcs[0][1]
         for d in shapes
     )
 
@@ -152,4 +148,4 @@ def test_all_digraphs_cover_loops_and_parallels():
 def test_fixture_graphs():
     assert len(cycle_complex(6).facets) == 6
     d = cyclic_no_useless_digraph()
-    assert d.s == "s" and d.t == "t" and len(d.arcs) == 6
+    assert d.vertices[d.s] == "s" and d.vertices[d.t] == "t" and len(d.arcs) == 6

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
@@ -27,7 +28,7 @@ from grapes import (
     pm_complex,
     useless_arcs,
 )
-from grapes.complexes import bit_table, join_mask, mask_of
+from grapes.complexes import avoiding, bit_table, join_mask, mask_of
 from grapes.graphs import (
     FORBIDDEN_SETS,
     GraphInvariants,
@@ -493,10 +494,37 @@ def test_equal_endpoints_with_arcs():
     assert equals(pm_complex(d), full_simplex(["e"]))
 
 
-def frozenset_paths(d):
-    """The s-t paths by a depth-first search that keeps the visited vertices
-    as a frozenset per step: the reference for Digraph.paths, which keeps a
-    vertex mask, and must list the same paths in the same order."""
+# -- the name-level digraph oracle ---------------------------------------------------------
+#
+# The digraph code on names, kept as the reference for the index code: arcs
+# as (id, src, tgt) triples, the s-t paths and Kahn's peeling on dicts keyed
+# by vertex name, and deletion and contraction by arc id.  Each reads the
+# digraph's names from its JSON.
+
+
+class Arc(NamedTuple):
+    id: str
+    src: str
+    tgt: str
+
+
+class Named(NamedTuple):
+    vertices: tuple
+    arcs: tuple
+    s: str
+    t: str
+
+
+def oracle_digraph(d):
+    data = digraph_to_json(d)
+    arcs = tuple(Arc(a["id"], a["src"], a["tgt"]) for a in data["arcs"])
+    return Named(tuple(data["vertices"]), arcs, data["s"], data["t"])
+
+
+def oracle_paths(d):
+    """The s-t paths, as masks over the arcs, by a depth-first search that
+    keeps the visited vertices as a frozenset of names per step:
+    Digraph.paths must list the same paths in the same order."""
     out_arcs = {v: [] for v in d.vertices}
     for i, a in enumerate(d.arcs):
         out_arcs[a.src].append((a.tgt, 1 << i))
@@ -511,6 +539,65 @@ def frozenset_paths(d):
             if tgt not in visited:
                 stack.append((tgt, visited | {tgt}, trail | a))
     return tuple(paths)
+
+
+def oracle_pf(d):
+    return avoiding(tuple(a.id for a in d.arcs), oracle_paths(d))
+
+
+def oracle_has_cycle(d):
+    arcs_in = dict.fromkeys(d.vertices, 0)
+    out_arcs = {v: [] for v in d.vertices}
+    for a in d.arcs:
+        arcs_in[a.tgt] += 1
+        out_arcs[a.src].append(a.tgt)
+    peeled = [v for v, k in arcs_in.items() if not k]
+    for v in peeled:
+        for w in out_arcs[v]:
+            arcs_in[w] -= 1
+            if not arcs_in[w]:
+                peeled.append(w)
+    return len(peeled) < len(d.vertices)
+
+
+def oracle_nonsinks(d):
+    return frozenset(a.src for a in d.arcs)
+
+
+def oracle_delete_arc(d, arc_id):
+    return d._replace(arcs=tuple(a for a in d.arcs if a.id != arc_id))
+
+
+def oracle_contract_arc(d, arc_id):
+    """Merge the target of the arc, which leaves s, into s."""
+    (u,) = (a.tgt for a in d.arcs if a.id == arc_id)
+    if u == d.s:
+        return oracle_delete_arc(d, arc_id)
+
+    def repoint(v):
+        return d.s if v == u else v
+
+    arcs = tuple(Arc(a.id, repoint(a.src), repoint(a.tgt)) for a in d.arcs if a.id != arc_id)
+    return Named(tuple(v for v in d.vertices if v != u), arcs, d.s, repoint(d.t))
+
+
+def check_digraph_against_the_oracle(d):
+    """The index code on d against the oracle on d's names: the digraph reads
+    back from its JSON, the paths match in order, so do the cycle test and
+    the nonsinks, and every deletion and contraction is the oracle's, PF
+    included."""
+    named = oracle_digraph(d)
+    assert digraph_from_json(digraph_to_json(d)) == d
+    assert d.paths == oracle_paths(named), named
+    assert has_cycle(d) == oracle_has_cycle(named)
+    assert frozenset(d.vertices[v] for v in nonsinks(d)) == oracle_nonsinks(named)
+    for i, arc in enumerate(named.arcs):
+        changed = [(delete_arc(d, i), oracle_delete_arc(named, arc.id))]
+        if arc.src == named.s:
+            changed.append((contract_arc(d, i), oracle_contract_arc(named, arc.id)))
+        for got, want in changed:
+            assert oracle_digraph(got) == want, (named, arc)
+            assert pf_complex(got) == oracle_pf(want)
 
 
 def random_dag(seed):
@@ -529,17 +616,18 @@ def random_dag(seed):
     return digraph(order, arcs, s, t)
 
 
-def test_paths_match_the_frozenset_search():
+def test_digraph_code_matches_the_name_level_oracle():
     suite = [verify.standard_digraphs(sizes.n_random_digraphs, *sizes.exhaustive_digraph,
                                       verify.DEFAULT_SEED)
              for sizes in verify.SIZES.values()]
     identity = [verify.standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed=verify.DEFAULT_SEED + 7000)
                 for sizes in verify.SIZES.values()]
     dags = [random_dag(seed) for seed in range(400)]
-    digraphs = [d for family in suite + identity + [dags] for d in family]
-    assert sum(len(frozenset_paths(d)) > 1 for d in dags) > 100  # many DAGs branch
-    for d in digraphs + [cyclic_no_useless_digraph()]:
-        assert d.paths == frozenset_paths(d), digraph_to_json(d)
+    assert sum(len(d.paths) > 1 for d in dags) > 100  # many DAGs branch
+    assert verify.SIZES["full"].exhaustive_digraph == (3, 4)  # every all_digraphs(3, 4) shape
+    for family in suite + identity + [dags, [cyclic_no_useless_digraph()]]:
+        for d in family:
+            check_digraph_against_the_oracle(d)
 
 
 def test_cyclic_no_useless_path_free_facets():
@@ -588,9 +676,12 @@ def test_has_cycle_examples():
 
 
 def test_nonsinks_examples():
-    assert nonsinks(cyclic_no_useless_digraph()) == {"s", "u", "v"}
-    assert nonsinks(digraph("st", [("e", "s", "t")], "s", "t")) == {"s"}
-    assert nonsinks(digraph("v", [("l", "v", "v")], "v", "v")) == {"v"}
+    def names(d):
+        return {d.vertices[v] for v in nonsinks(d)}
+
+    assert names(cyclic_no_useless_digraph()) == {"s", "u", "v"}
+    assert names(digraph("st", [("e", "s", "t")], "s", "t")) == {"s"}
+    assert names(digraph("v", [("l", "v", "v")], "v", "v")) == {"v"}
 
 
 # -- deletion and contraction ---------------------------------------------------------------------
@@ -598,16 +689,14 @@ def test_nonsinks_examples():
 
 def test_delete_arc():
     d = digraph("st", [("e1", "s", "t"), ("e2", "s", "t")], "s", "t")
-    left = delete_arc(d, "e1")
-    assert left.arc_ids() == ("e2",)
-    with pytest.raises(InputError):
-        delete_arc(d, "nope")
+    left = delete_arc(d, 0)
+    assert (left.ids, left.arcs) == (("e2",), ((0, 1),))
 
 
 def test_contract_arc_on_cyclic_digraph():
-    d = contract_arc(cyclic_no_useless_digraph(), "A")
+    d = contract_arc(cyclic_no_useless_digraph(), 0)  # A, from s to u
     assert d.vertices == ("s", "v", "t")
-    by_id = {a.id: (a.src, a.tgt) for a in d.arcs}
+    by_id = {a["id"]: (a["src"], a["tgt"]) for a in digraph_to_json(d)["arcs"]}
     assert by_id == {
         "E": ("s", "v"),
         "C": ("s", "v"),
@@ -619,22 +708,16 @@ def test_contract_arc_on_cyclic_digraph():
 
 def test_contract_single_arc_merges_s_and_t():
     d = digraph("st", [("e", "s", "t")], "s", "t")
-    merged = contract_arc(d, "e")
+    merged = contract_arc(d, 0)
     assert merged.vertices == ("s",)
     assert merged.arcs == ()
-    assert merged.s == merged.t == "s"
-
-
-def test_contract_requires_source_s():
-    d = digraph("suv", [("a", "s", "u"), ("b", "u", "v")], "s", "v")
-    with pytest.raises(InputError):
-        contract_arc(d, "b")
+    assert merged.s == merged.t == 0
 
 
 def test_contract_loop_at_s_is_deletion():
     d = digraph("st", [("l", "s", "s"), ("e", "s", "t")], "s", "t")
-    out = contract_arc(d, "l")
-    assert out.arc_ids() == ("e",)
+    out = contract_arc(d, 0)
+    assert out.ids == ("e",)
     assert out.vertices == ("s", "t")
 
 

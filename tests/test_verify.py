@@ -335,6 +335,25 @@ def test_deletion_contraction_on_seeded_digraphs():
         assert all(r.status == "pass" for r in deletion_contraction_reports(d))
 
 
+def test_a_failing_arc_report_names_its_arc_by_id(monkeypatch):
+    # with deletion and contraction that change nothing, every arc report
+    # fails; as printed, each names its arc by id, not by its index, and its
+    # instance reads back to the same digraph
+    d = digraph("sut", [("x", "s", "u"), ("y", "u", "t"), ("z", "s", "t")], "s", "t")
+    monkeypatch.setattr(verify, "delete_arc", lambda d, i: d)
+    monkeypatch.setattr(verify, "contract_arc", lambda d, i: d)
+    printed = [json.loads(json.dumps(r.to_json())) for r in deletion_contraction_reports(d)]
+    assert [(p["theorem"], p["status"], p["details"]) for p in printed] == [
+        ("pf-deletion-identity", "fail", {"arc": "x"}),
+        ("pf-contraction-identity", "fail", {"arc": "x"}),
+        ("pf-deletion-identity", "fail", {"arc": "y"}),
+        ("pf-deletion-identity", "fail", {"arc": "z"}),
+        ("pf-contraction-identity", "fail", {"arc": "z"}),
+        ("pf-deletion-useless", "fail", {"arc": "x"}),
+    ]
+    assert all(digraph_from_json(p["instance"]) == d for p in printed)
+
+
 def test_core_reports_on_a_mixed_bag():
     instances = standard_complexes(n_random=20, max_ground=5, exhaustive_max=2, seed=99)
     for c in instances:
