@@ -58,6 +58,7 @@ from .homology import reduced_homology
 from .verify import (
     DEFAULT_SEED,
     OutcomeTable,
+    SIZES,
     Tally,
     cad_report,
     grape_duality_report,
@@ -218,7 +219,7 @@ def _grape_classify(args: argparse.Namespace) -> int:
     return _emit(
         {
             "strong": True,
-            "class": classify_strong(verdict.certificate),
+            "class": classify_strong(verdict.wedge),
             "certificate": verdict.certificate,
         }
     )
@@ -311,7 +312,7 @@ COMMANDS = {
     ("gen", "digraph"): (None, lambda a: _emit(digraph_to_json(gen_digraph(a.v, a.arcs, a.seed))),
                          ("--v", INT), ("--arcs", INT), SEED),
     ("suite",): ("run the verification suite", _suite,
-                 ("--level", dict(choices=["smoke", "full"], default="smoke")),
+                 ("--level", dict(choices=tuple(SIZES), default="smoke")),
                  ("--seed", dict(type=int, default=DEFAULT_SEED))),
 }
 

@@ -31,8 +31,7 @@ is the key ``mask_order`` gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     Complex,
@@ -75,8 +74,7 @@ class Budget:
             raise BudgetExceeded
 
 
-@dataclass(frozen=True)
-class ShvResult:
+class ShvResult(NamedTuple):
     """Verdict of a collapsibility search.
 
     verdict "yes" carries a sequence that replays to the void complex;

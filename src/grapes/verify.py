@@ -100,6 +100,11 @@ def _report(theorem, instance, ok, expected=None, observed=None, unknown=False, 
     return VerificationReport(theorem, instance, status, expected, observed, details)
 
 
+def _wedge_json(wedge: dict) -> dict:
+    """A wedge as a report writes it: dimension (a string) -> multiplicity."""
+    return {str(k): v for k, v in sorted(wedge.items())}
+
+
 # -- instance sets ----------------------------------------------------------
 
 
@@ -242,12 +247,11 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
 
     The details always carry the primal verdict.  Unless it is "yes" the
     report does not pass and the dual is not built: it fails on a "no" and
-    is unknown on an "unknown".  For the strong variant the dual's wedge
-    must also be the primal's shifted by duality, a k-sphere to a
-    (|X| - k - 3)-sphere and void to void (asserted on a nonempty ground
-    only), and the details name both classes.  A weak-family dual that
-    comes back "unknown" is tolerated, flagged, and the report is unknown.
-    The dual and both recognitions go through the table.
+    is unknown on an "unknown".  When both are "yes" on a nonempty ground,
+    for every variant, the dual's wedge must be the primal's shifted by
+    :func:`dual_wedge`, and the details carry the three wedges.  A weak-family
+    dual that comes back "unknown" is tolerated, flagged, and the report is
+    unknown.  The dual and both recognitions go through the table.
     """
     primal = table.recognise(c, variant)
     details = {
@@ -264,11 +268,11 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
         details["dual_verdict"] = dual.verdict
         details["unknown_tolerated"] = unknown
         details["pass"] = dual.is_yes or unknown
-        if variant is GrapeVariant.STRONG and dual.is_yes and len(c.ground) > 0:
+        if dual.is_yes and c.ground:
             expected = dual_wedge(primal.wedge, len(c.ground))
-            details["class"] = class_name(primal.wedge)
-            details["dual_class"] = class_name(dual.wedge)
-            details["expected_dual_class"] = class_name(expected)
+            details["wedge"] = _wedge_json(primal.wedge)
+            details["dual_wedge"] = _wedge_json(dual.wedge)
+            details["expected_dual_wedge"] = _wedge_json(expected)
             details["pass"] = dual.wedge == expected
     return _report(f"grape-duality-{variant.value}", c, details["pass"], unknown=unknown, **details)
 
@@ -287,7 +291,9 @@ def grape_duality_reports(c: Complex, small_variants_max_ground: int,
 def _forest_formula_checks(g: Graph, inv) -> list:
     """Expected wedges for the eight forest complexes, from the invariants:
     void, or the one sphere of a cross-polytope boundary of the dimension n
-    a formula gives, which is the wedge {n - 1: 1}."""
+    a formula gives, which is the wedge {n - 1: 1}.  Each kind has one
+    formula, its primal's, which a dual's wedge shifted back by
+    :func:`dual_wedge` on its ground must meet (the shift is an involution)."""
     n_v = len(g.vertices)
     n_e = len(g.edges)
 
@@ -297,29 +303,25 @@ def _forest_formula_checks(g: Graph, inv) -> list:
     def exactly(n: int):
         return lambda wedge: wedge == {n - 1: 1}
 
-    primal, dual = {}, {}
-    for kind, forbidden_sets in FORBIDDEN_SETS.items():
-        ground, forbidden = forbidden_sets(g)
-        primal[kind], dual[kind] = avoiding(ground, forbidden), avoiding_dual(ground, forbidden)
-
-    def on_dual(name: str, kind: str, formula) -> tuple:
-        if not dual[kind].ground:
+    def on_dual(kind: str, formula, n: int):
+        if not n:
             # no formula applies on an empty ground: each primal is irrelevant, its
             # dual void, save the void edge-cover complex of a graph with vertices
             forced = {-1: 1} if kind == "ec" and n_v else {}
-            formula = lambda wedge: wedge == forced
-        return (name, dual[kind], True, formula)
+            return lambda wedge: wedge == forced
+        return lambda wedge: formula(dual_wedge(wedge, n))
 
-    return [
-        ("independence", primal["ind"], False, sphere_or_void(inv.i_dom)),
-        ("dominance", primal["dom"], False, exactly(inv.alpha0)),
-        ("edge-cover", primal["ec"], False, sphere_or_void(n_e - n_v + inv.i_dom)),
-        ("edge-dominance", primal["ed"], False, exactly(n_e - inv.alpha0)),
-        on_dual("independence", "ind", sphere_or_void(n_v - inv.i_dom - 1)),
-        on_dual("dominance", "dom", exactly(n_v - inv.alpha0 - 1)),
-        on_dual("edge-cover", "ec", sphere_or_void(n_v - inv.i_dom - 1)),
-        on_dual("edge-dominance", "ed", exactly(inv.alpha0 - 1)),
-    ]
+    formulas = {"ind": ("independence", sphere_or_void(inv.i_dom)),
+                "dom": ("dominance", exactly(inv.alpha0)),
+                "ec": ("edge-cover", sphere_or_void(n_e - n_v + inv.i_dom)),
+                "ed": ("edge-dominance", exactly(n_e - inv.alpha0))}
+    primal, dual = [], []
+    for kind, forbidden_sets in FORBIDDEN_SETS.items():
+        ground, forbidden = forbidden_sets(g)
+        name, formula = formulas[kind]
+        primal.append((name, avoiding(ground, forbidden), False, formula))
+        dual.append((name, avoiding_dual(ground, forbidden), True, on_dual(kind, formula, len(ground))))
+    return primal + dual
 
 
 def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
@@ -364,15 +366,14 @@ def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
 
     dual_ok, useless, *found = table.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
     out = [_report("pfpm-alexander-dual", d, dual_ok)]
-    degenerate = useless or has_cycle(d)
-    n_nonsinks = len(nonsinks(d))
-    dims = (None, None) if degenerate else (n_nonsinks - 1, len(d.arcs) - n_nonsinks)
-    for name, n, (strong, observed) in zip(("path-free", "path-missing"), dims, found):
+    # void on a degenerate digraph, else PF's one sphere; PM's is its shift on the arcs
+    pf_wedge = {} if useless or has_cycle(d) else {len(nonsinks(d)) - 2: 1}
+    wedges = (pf_wedge, dual_wedge(pf_wedge, len(d.arcs)))
+    for name, expected, (strong, observed) in zip(("path-free", "path-missing"), wedges, found):
         if not strong.is_yes:
             out.append(_report(f"pfpm-{name}", d, False, expected="strong grape",
                                observed=strong.verdict))
             continue
-        expected = {} if n is None else {n - 1: 1}  # void on a degenerate digraph
         ok = strong.wedge == expected  # a class named per digraph only on a mismatch
         out.append(_report(f"pfpm-{name}", d, ok,
                            expected=observed if ok else class_name(expected), observed=observed))
@@ -444,17 +445,12 @@ def lifted_collapse_reports(c: Complex, table: OutcomeTable) -> list:
 
 def wedge_reports(c: Complex, variant: GrapeVariant, table: OutcomeTable) -> list:
     """A yes certificate's predicted wedge must be the homology of c exactly,
-    torsion included; a strong one's is reported as its class.  Both come
-    from the table."""
+    torsion included.  Both come from the table."""
     wedge = table.recognise(c, variant).wedge
     if wedge is None:
         return []
-    if variant is GrapeVariant.STRONG:
-        theorem, expected = "strong-class-homology", class_name(wedge)
-    else:
-        theorem, expected = "wedge-prediction", {str(k): v for k, v in sorted(wedge.items())}
-    ok = table.homology(c).is_wedge(wedge)
-    return [_report(theorem, c, ok, expected=expected)]
+    return [_report("wedge-prediction", c, table.homology(c).is_wedge(wedge),
+                    expected=_wedge_json(wedge))]
 
 
 def konig_reports(g: Graph, table: OutcomeTable) -> list:
@@ -481,8 +477,8 @@ def five_cycle_reports() -> list:
     except ReplayError as exc:
         return out + [_report("five-cycle-weak", c5, False, observed=str(exc))]
     ok = weak.wedge == {1: 1} and reduced_homology(c5).is_wedge({1: 1})
-    out.append(_report("five-cycle-weak", c5, ok, expected={"1": 1},
-                       observed={str(k): v for k, v in weak.wedge.items()}))
+    out.append(_report("five-cycle-weak", c5, ok, expected=_wedge_json({1: 1}),
+                       observed=_wedge_json(weak.wedge)))
     return out
 
 

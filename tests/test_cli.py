@@ -406,6 +406,7 @@ def test_verify_duality_command(write_json, capsys):
         "strong",
     )
     assert code == 0 and out["pass"] is True
+    assert out["wedge"] == {"0": 1} and out["dual_wedge"] == out["expected_dual_wedge"] == {"-1": 1}
     # a well-formed non-grape exits by its primal verdict
     code, out = run_cli(
         capsys, "verify", "duality", write_json("c5.json", C5), "--variant", "comb"
@@ -416,8 +417,8 @@ def test_verify_duality_command(write_json, capsys):
     )
     assert code == 3 and out["primal_verdict"] == "unknown" and out["pass"] is False
     # exit codes and stdout bytes: an unknown primal, a primal "no" by torsion,
-    # yes pairs of each weak-family variant, and the empty ground, where the
-    # strong classes are not compared
+    # yes pairs of each weak-family variant, whose wedges are compared as the
+    # strong one's are, and the empty ground, where no wedges are compared
     c5, rp2 = write_json("c5.json", C5), write_json("rp2.json", RP2)
     empty = write_json("empty.json", complex_to_json(void_complex("")))
     assert pinned_outputs(capsys, [
@@ -429,12 +430,12 @@ def test_verify_duality_command(write_json, capsys):
         ["verify", "duality", c5, "--variant", "strong-weak"],
         ["verify", "duality", empty, "--variant", "strong"],
     ]) == [
-        (0, "3260bd6c1e0e4931b4d2105f892123eb45f08a81bc5a6b4035aec54c3b149a8e"),
+        (0, "514cd430513a62741483c2a9ab5d40eb6cc10f3f02640746356598cf83731881"),
         (1, "ccf262a5476645ce38b3f59695475d33a85dbfd7e30f7c7c1810fb77b84c2b00"),
         (3, "f5c50526a955763ce3c4b6ea44ea564164db83a1c786f641c3028610ec453b89"),
         (1, "d60b07e626eff6780906097bbd1d88ac6d04a91e414359dfd2fbcc4f2f92bcb6"),
-        (0, "e236d08cbea5ec68e73e057b646c1e437449822dd0df32e355a3efe6d48f20e7"),
-        (0, "f25d854de7230d9af67ac9dcd88aa9ee7ff4f54f86209c1bc747aaa621d91440"),
+        (0, "c179a61af11eeaa430dac4a26e16de0fd9693104707062ba8d309e51101b8da8"),
+        (0, "3417db42ad8e4af299551f04f76746f4377cc463ccf3a62db34884a2526ae382"),
         (0, "67f5f1f7a0bc93a601131c77bbc83128c07bb0d80e3675a30ee1112f9f3d03cf"),
     ]
 
@@ -481,6 +482,19 @@ def test_suite_command_smoke(capsys):
     code, out = run_cli(capsys, "suite", "--level", "smoke", "--seed", "5")
     assert code == 0
     assert out["fail"] == 0 and out["pass"] > 1000
+    # the levels are read off the suite's sizes, and a bad one is refused in
+    # the words of a parser that lists them by hand
+    listed = argparse.ArgumentParser(prog="grapes suite")
+    listed.add_argument("--level", choices=["smoke", "full"], default="smoke")
+    listed.add_argument("--seed", type=int)
+    errors = []
+    for parse, argv in ((main, ["suite", "--level", "bogus"]), (listed.parse_args, ["--level", "bogus"])):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: grapes suite [-h] [--level {smoke,full}] [--seed SEED]\n")
 
 
 def test_malformed_input_exits_two(tmp_path, capsys):
@@ -1015,7 +1029,7 @@ def test_builder_outputs_are_byte_stable(write_json, capsys, tmp_path):
         "dc00289257449c73749c1dd3dd9c3c7148d581ec7836a29a486d9d1d325e8328",
         "cd7e823b53e73bb444e9dd5d7769394ea740388bb891aa1cd0233aa8c3d88d35",
         "11ed2e773905cf80957b0c3935ed12794a12b9771257e7a4d70212eaa488fc34",
-        "bba6832c2733f9af7bdc79c11350c206ea14c84fc1a86d326dacef76669cd44d",
+        "ccc395a45a199215016b817afce6adfaf4fe162e8bdbdefc548e0471eeb47fee",
         "6a7b0e849ce08d33205cb576078761ea360f5cbe2382a892f1c758808d4b23fb",
         "d328551e91e2d233ed69cf67f3ee0b502e854cdfa192672b25a5e22a39ee07e6",
         "3efd4a70761794694987a3e7056f40062407cd49ab9311587784bf6c21a43575",

@@ -273,8 +273,9 @@ def folds(verdict, variant):
     cert = verdict.certificate
     if cert is None:
         return verdict.verdict, None, None
-    strong = classify_strong(cert) if variant is GrapeVariant.STRONG else None
-    return verdict.verdict, strong, predicted_wedge(cert)
+    wedge = predicted_wedge(cert)
+    strong = classify_strong(wedge) if variant is GrapeVariant.STRONG else None
+    return verdict.verdict, strong, wedge
 
 
 def assert_recognition_matches_the_oracle(c, variant, budget=10**6):
@@ -416,8 +417,8 @@ def test_every_small_cone_is_one_leaf():
             cert = {"format": 3, "nodes": [leaf]}
             assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", cert, 1)
             verify_certificate(c, variant, verdict.certificate)
-        assert classify_strong(verdict.certificate) == VOID
-        assert predicted_wedge(verdict.certificate) == {}
+        assert predicted_wedge(verdict.certificate) == verdict.wedge == {}
+        assert classify_strong(verdict.wedge) == VOID
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -721,7 +722,7 @@ def boundary(n):
 def classify(c):
     verdict = check_grape(c, GrapeVariant.STRONG)
     assert verdict.is_yes
-    return classify_strong(verdict.certificate)
+    return classify_strong(verdict.wedge)
 
 
 def test_classify_base_cases():
@@ -759,7 +760,7 @@ def test_classification_matches_homology_on_small_complexes():
             wedge = predicted_wedge(verdict.certificate)
             assert reduced_homology(c).is_wedge(wedge)
             cls = boundary(min(wedge) + 1) if wedge else VOID
-            assert classify_strong(verdict.certificate) == cls
+            assert classify_strong(verdict.wedge) == cls
 
 
 def branch_classify_strong(cert):
@@ -804,18 +805,11 @@ def test_classification_branch_independence():
             verdict = check_grape(c, GrapeVariant.STRONG)
             if not verdict.is_yes:
                 continue
-            left = classify_strong(verdict.certificate)
+            left = classify_strong(verdict.wedge)
             right, n = classify_via_link_cones(c, verdict.certificate)
             assert left == right == branch_classify_strong(verdict.certificate)
             both += n
     assert both > 0
-
-
-def test_classify_strong_needs_a_strong_certificate():
-    verdict = check_grape(IND_P3, GrapeVariant.COMBINATORIAL)
-    assert "base" not in verdict.certificate["nodes"][-1]
-    with pytest.raises(ReplayError, match="needs a strong certificate"):
-        classify_strong(verdict.certificate)
 
 
 # -- wedge predictions ----------------------------------------------------------------------
@@ -865,11 +859,11 @@ def test_classify_strong_rejects_a_wedge_that_is_not_one_sphere():
             for i, (lk, dl) in enumerate(splits)
         ]}
 
-    assert classify_strong(cert(4, 1)) == boundary(4)
+    assert classify_strong(predicted_wedge(cert(4, 1))) == boundary(4)
     for link, deletion, wedge in ((2, 3, {1: 2}), (2, 2, {0: 1, 1: 1}), (4, 0, {-1: 1, 3: 1})):
         assert predicted_wedge(cert(link, deletion)) == wedge
-        with pytest.raises(ReplayError, match="not one sphere"):
-            classify_strong(cert(link, deletion))
+        with pytest.raises(InputError, match="not one sphere"):
+            classify_strong(wedge)
 
 
 def test_certificate_folds_visit_shared_nodes_once():
@@ -886,8 +880,8 @@ def test_certificate_folds_visit_shared_nodes_once():
     ]}
     start = perf_counter()
     assert predicted_wedge(cert) == {k - 1: comb(60, k) for k in range(61)}
-    with pytest.raises(ReplayError, match="not one sphere"):
-        classify_strong(cert)
+    with pytest.raises(InputError, match="not one sphere"):
+        classify_strong(predicted_wedge(cert))
     assert certificate_from_json(json.loads(json.dumps(cert))) == cert
     assert perf_counter() - start < 1.0
 
@@ -1014,22 +1008,22 @@ def dual_invariance(c, variant):
 def test_dual_invariance_zero_sphere():
     report = dual_invariance(cx("ab", "a", "b"), GrapeVariant.STRONG)
     assert report.status == "pass" and report.details["pass"]
-    assert report.details["class"] == "cross-polytope-boundary(1)"
-    assert report.details["dual_class"] == "cross-polytope-boundary(0)"
+    assert report.details["wedge"] == {"0": 1}
+    assert report.details["dual_wedge"] == report.details["expected_dual_wedge"] == {"-1": 1}
 
 
 def test_dual_invariance_void_on_three():
     report = dual_invariance(void_complex("abc"), GrapeVariant.STRONG)
     assert report.status == "pass" and report.details["pass"]
-    assert report.details["class"] == "void"
-    assert report.details["dual_class"] == "void"
+    assert report.details["wedge"] == {}
+    assert report.details["dual_wedge"] == report.details["expected_dual_wedge"] == {}
 
 
 def test_dual_invariance_irrelevant_on_three():
     report = dual_invariance(irrelevant_complex("abc"), GrapeVariant.STRONG)
     assert report.status == "pass" and report.details["pass"]
-    assert report.details["class"] == "cross-polytope-boundary(0)"
-    assert report.details["dual_class"] == "cross-polytope-boundary(2)"
+    assert report.details["wedge"] == {"-1": 1}
+    assert report.details["dual_wedge"] == report.details["expected_dual_wedge"] == {"1": 1}
 
 
 def test_dual_invariance_needs_yes_instance():
@@ -1054,6 +1048,21 @@ def test_only_a_weak_family_dual_may_be_unknown():
         assert report.status == status, variant
         assert report.details["unknown_tolerated"] is (status == "unknown")
         assert report.details["pass"] is (status == "unknown")
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_dual_wedge_off_the_shift_fails_for_every_variant(variant):
+    # the two points are a yes of every variant, a 0-sphere on two elements,
+    # so a yes dual must carry the (2 - 0 - 3)-sphere; the table is primed
+    # with a dual yes carrying each wedge in turn
+    two_points = cx("ab", "a", "b")
+    for wedge, status in (({-1: 1}, "pass"), ({0: 1}, "fail"), ({}, "fail"), ({-1: 2}, "fail")):
+        table = OutcomeTable()
+        table.entries[(table.dual(two_points).masks, variant)] = GrapeVerdict("yes", wedge=wedge)
+        report = grape_duality_report(two_points, variant, table)
+        assert report.status == status, (variant, wedge)
+        assert report.details["expected_dual_wedge"] == {"-1": 1}
+        assert report.details["dual_wedge"] == {str(k): m for k, m in wedge.items()}
 
 
 def test_dual_wedge_is_the_shifted_primal_wedge_for_every_variant():

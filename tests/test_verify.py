@@ -8,6 +8,7 @@ from collections import defaultdict
 import pytest
 
 import grapes.complexes as complexes
+import grapes.generators as generators
 import grapes.grape as grape
 import grapes.graphs as graphs
 import grapes.homology as homology
@@ -452,6 +453,74 @@ def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch)
     reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]), OutcomeTable())
     assert len(reports) == 4
     assert all(r.status == "fail" for r in reports)
+
+
+# -- dual expectations read through the shift, against the explicit formulas ----
+
+
+def explicit_forest_dual_formulas(g, inv):
+    """Each forest dual's formula written out by hand, the empty-ground cases
+    forced as the harness forces them: the oracle for the duals the harness
+    reads through ``dual_wedge``."""
+    n_v, n_e = len(g.vertices), len(g.edges)
+
+    def sphere_or_void(n):
+        return lambda wedge: not wedge or (wedge == {n - 1: 1} and inv.i_dom == inv.gamma)
+
+    def exactly(n):
+        return lambda wedge: wedge == {n - 1: 1}
+
+    def forced(wedge_of_the_empty_ground):
+        return lambda wedge: wedge == wedge_of_the_empty_ground
+
+    return {
+        "independence": sphere_or_void(n_v - inv.i_dom - 1) if n_v else forced({}),
+        "dominance": exactly(n_v - inv.alpha0 - 1) if n_v else forced({}),
+        "edge-cover": sphere_or_void(n_v - inv.i_dom - 1) if n_e else forced({-1: 1} if n_v else {}),
+        "edge-dominance": exactly(inv.alpha0 - 1) if n_e else forced({}),
+    }
+
+
+CANDIDATE_WEDGES = [{}] + [{k: m} for k in range(-2, 25) for m in (1, 2)]
+
+
+def test_forest_duals_read_through_the_shift_match_the_explicit_formulas():
+    full = SIZES["full"]
+    forests = {
+        *generators.all_trees(10),
+        *(generators.gen_forest(n, seed, drop)
+          for n in range(1, 17) for seed in range(6) for drop in range(3)),
+        *verify.standard_forests(full.n_forests, full.max_tree, 1729),
+    }
+    cases = 0
+    for g in forests:
+        inv = graphs.invariants(g)
+        explicit = explicit_forest_dual_formulas(g, inv)
+        for name, cpx, dualize, derived in verify._forest_formula_checks(g, inv):
+            if dualize:
+                for wedge in CANDIDATE_WEDGES:
+                    assert derived(wedge) == explicit[name](wedge), (g, name, wedge)
+                    cases += 1
+    assert len(forests) == 536  # 201 trees, 288 seeded forests and the suite's, less repeats
+    assert cases == len(forests) * 4 * len(CANDIDATE_WEDGES)
+
+
+def test_path_missing_reads_its_wedge_through_the_shift():
+    # on every digraph of the full suite at 1729, PF's expected class and
+    # PM's, its shift by duality on the arcs, are the explicit formulas'
+    full, table, checked = SIZES["full"], OutcomeTable(), 0
+    for d in verify.standard_digraphs(full.n_random_digraphs, *full.exhaustive_digraph, seed=1729):
+        if not d.arcs:
+            continue
+        n_nonsinks = len(graphs.nonsinks(d))
+        degenerate = graphs.useless_arcs(d) or graphs.has_cycle(d)
+        dims = (None, None) if degenerate else (n_nonsinks - 1, len(d.arcs) - n_nonsinks)
+        out = {r.theorem: r for r in verify_pfpm_theorem(d, table)}
+        for name, n in zip(("path-free", "path-missing"), dims):
+            explicit = {} if n is None else {n - 1: 1}
+            assert out[f"pfpm-{name}"].expected == homology.class_name(explicit), (d, name)
+        checked += 1
+    assert checked == 6968  # the 7,020 digraphs less the 52 with no arc
 
 
 # -- the suite against a naive runner -------------------------------------------
