@@ -33,6 +33,7 @@ from .grape import (
     GrapeVariant,
     GrapeVerdict,
     certificate_from_json,
+    certificate_to_json,
     check_grape,
     classify_strong,
     predicted_wedge,

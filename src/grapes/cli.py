@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Optional
 
-from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search
+from .collapse import DEFAULT_BUDGET, ReplayError, collapse_search, steps_to_json
 from .complexes import (
     Complex,
     InputError,
@@ -40,6 +40,7 @@ from .generators import gen_complex, gen_digraph, gen_forest
 from .grape import (
     GrapeVariant,
     certificate_from_json,
+    certificate_to_json,
     certificate_variant,
     check_grape,
     classify_strong,
@@ -193,10 +194,11 @@ def _homology(args: argparse.Namespace) -> int:
 
 
 def _collapse(args: argparse.Namespace) -> int:
-    result = collapse_search(_complex(args), args.budget)
+    c = _complex(args)
+    result = collapse_search(c, args.budget)
     payload = {"verdict": result.verdict, "nodes": result.nodes}
     if result.sequence is not None:
-        payload["sequence"] = result.sequence
+        payload["sequence"] = steps_to_json(result.sequence, c.ground)
     if result.obstruction is not None:
         payload["obstruction"] = result.obstruction.to_json()
     return _emit(payload, result.verdict)
@@ -206,7 +208,7 @@ def _grape_check(args: argparse.Namespace) -> int:
     verdict = check_grape(_complex(args), VARIANTS[args.variant], budget=args.budget)
     payload = {"verdict": verdict.verdict, "nodes": verdict.nodes}
     if verdict.certificate is not None:
-        payload["certificate"] = verdict.certificate
+        payload["certificate"] = certificate_to_json(verdict.certificate)
     if verdict.reason:
         payload["reason"] = verdict.reason
     return _emit(payload, verdict.verdict)
@@ -220,14 +222,14 @@ def _grape_classify(args: argparse.Namespace) -> int:
         {
             "strong": True,
             "class": classify_strong(verdict.wedge),
-            "certificate": verdict.certificate,
+            "certificate": certificate_to_json(verdict.certificate),
         }
     )
 
 
 def _grape_verify_cert(args: argparse.Namespace) -> int:
     c = _complex(args)
-    cert = certificate_from_json(_load(args.certificate))
+    cert = certificate_from_json(_load(args.certificate), c)
     variant = certificate_variant(cert)
     try:
         # a one-leaf certificate (a cone's too) is valid for every variant if the leaf matches

@@ -18,15 +18,15 @@ non-acyclic inputs in polynomial time and leaves the search for the acyclic
 ones.  The search is depth-first and remembers every face set it has seen
 fail, so it expands each face set it reaches at most once.
 
-The search and replay run on facet masks (see ``complexes``).  A sequence
-keeps one form, in memory as on the wire: ``{"steps": [{"sigma": [...],
-"tau": [...]}]}``, each face's names sorted.  The search names its mask
-steps once, by :func:`steps_to_json`, and replay turns the names back into
-masks step by step as it reaches them.  Pairs are tried in face order:
-larger faces first, then lexicographic on the ascending ground indices.
-That is not integer order of the masks ({0, 3} comes before {1, 2}, though
-9 > 6): it is descending order of the bit string read from bit 0 up, which
-is the key ``mask_order`` gives.
+The search and replay run on facet masks (see ``complexes``), and a
+sequence is a tuple of (sigma, tau) mask pairs.  Names meet it only at the
+JSON boundary: :func:`steps_to_json` writes ``{"steps": [{"sigma": [...],
+"tau": [...]}]}``, each face's names sorted, and :func:`sequence_from_json`
+reads it back, a name outside the ground taking a bit above it that replay
+finds in no facet.  Pairs are tried in face order: larger faces first, then
+lexicographic on the ascending ground indices.  That is not integer order
+of the masks ({0, 3} comes before {1, 2}, though 9 > 6): it is descending
+order of the bit string read from bit 0 up, the key ``mask_order`` gives.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import NamedTuple, Optional
 from .complexes import (
     Complex,
     InputError,
-    bit_table,
     deletion_masks,
     face_masks,
     face_of,
@@ -85,7 +84,7 @@ class ShvResult(NamedTuple):
     """
 
     verdict: str  # "yes" | "no" | "unknown"
-    sequence: Optional[dict] = None  # {"steps": [...]}, as steps_to_json writes it
+    sequence: Optional[tuple] = None  # (sigma, tau) mask pairs, on the ground of the complex
     nodes: int = 0
     obstruction: Optional[HomologyProfile] = None
 
@@ -136,37 +135,13 @@ def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
     return frozenset(cur)
 
 
-def replay_pairs(masks: frozenset, sequence: dict, bit: dict, names: tuple) -> frozenset:
-    """Replay a sequence by name, each step turned into masks as replay reaches it."""
-    return replay_masks(masks, _step_masks(sequence["steps"], bit), names)
-
-
-def _step_masks(steps: list, bit: dict):
-    """The (sigma, tau) masks of steps by name: a sigma naming an element
-    outside bit is no facet, and tau must be a codimension-1 face of sigma."""
-    for step in steps:
-        sigma, tau = step["sigma"], step["tau"]
-        try:
-            s = mask_of(sigma, bit)
-        except KeyError:
-            raise ReplayError(f"{sorted(set(sigma))} is not a facet") from None
-        try:
-            t = mask_of(tau, bit)
-        except KeyError:
-            t = -1  # a name outside the ground, so outside sigma
-        if t | s != s or (s ^ t).bit_count() != 1:
-            raise ReplayError(
-                f"{sorted(set(tau))} is not a codimension-1 face of {sorted(set(sigma))}")
-        yield s, t
-
-
-def cone_steps(masks: frozenset, apex: int) -> list:
+def cone_steps(masks: frozenset, apex: int) -> tuple:
     """Canonical collapse of a cone to void: pair every base face with the apex.
 
     Base faces are processed by decreasing size, which keeps every pair free.
     """
     faces = face_masks(f ^ apex for f in masks)
-    return [(s | apex, s) for s in sorted(faces, key=mask_order, reverse=True)]
+    return tuple((s | apex, s) for s in sorted(faces, key=mask_order, reverse=True))
 
 
 class _OrderKeys(dict):
@@ -211,18 +186,9 @@ def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tup
     return None
 
 
-def steps_to_json(steps, names: tuple) -> dict:
-    """Mask steps as a sequence by name: {"steps": [{"sigma": [...], "tau": [...]}]}."""
-    return {"steps": [{"sigma": sorted(face_of(s, names)), "tau": sorted(face_of(t, names))}
-                      for s, t in steps]}
-
-
-# -- by name ------------------------------------------------------------------------
-
-
-def replay(c: Complex, sequence: dict) -> Complex:
-    """Apply a collapse sequence step by step; raises ReplayError when illegal."""
-    return Complex(c.ground, replay_pairs(c.masks, sequence, bit_table(c.ground), c.ground))
+def replay(c: Complex, steps) -> Complex:
+    """Apply (sigma, tau) mask steps to c; raises ReplayError when illegal."""
+    return Complex(c.ground, replay_masks(c.masks, steps, c.ground))
 
 
 def obstruction(masks: frozenset, names: tuple, profiles: dict) -> Optional[HomologyProfile]:
@@ -277,38 +243,48 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
                                        {} if profiles is None else profiles)
     except BudgetExceeded:
         return ShvResult("unknown", None, budget.used)
-    sequence = None if steps is None else steps_to_json(steps, c.ground)
-    return ShvResult("no" if steps is None else "yes", sequence, budget.used, refuted)
+    return ShvResult("no" if steps is None else "yes", steps, budget.used, refuted)
 
 
-def lifted_collapse(c: Complex, a: str, lk_sequence: dict) -> dict:
+def lifted_collapse(c: Complex, a: str, lk_steps) -> tuple:
     """Lift a collapse of link(c, a) to a collapse of c onto deletion(c, a).
 
-    Each link step (F, F - {x}) becomes (F + {a}, (F - {x}) + {a}).  The input
-    must collapse the link to void; the lifted sequence is replayed from c and
-    must land exactly on the deletion, else ReplayError.
+    Each link step (F, F - {x}) becomes (F + {a}, (F - {x}) + {a}): the link's
+    steps index its ground, which is c's without a, so a's bit goes back in
+    between.  The input must collapse the link to void; the lifted steps are
+    replayed from c and must land exactly on the deletion, else ReplayError.
     """
-    lk = link(c, a)
-    end = replay(lk, lk_sequence)
-    if not end.is_void:
+    if not replay(link(c, a), lk_steps).is_void:
         raise ReplayError("link sequence does not reach the void complex")
-    lifted = {"steps": [{"sigma": sorted([*step["sigma"], a]), "tau": sorted([*step["tau"], a])}
-                        for step in lk_sequence["steps"]]}
-    result = replay(c, lifted)
-    if result.masks != deletion_masks(c.masks, 1 << c.index(a)):
+    bit = 1 << c.index(a)
+    low = bit - 1  # the bits below a's stay, the others move up one place
+    lifted = tuple(tuple(m & low | (m ^ m & low) << 1 | bit for m in step) for step in lk_steps)
+    if replay(c, lifted).masks != deletion_masks(c.masks, bit):
         raise ReplayError("lifted sequence did not land on the deletion")
     return lifted
 
 
-def sequence_from_json(data: object) -> dict:
-    """Check a sequence read from JSON and return it."""
+# -- JSON ------------------------------------------------------------------------------
+
+
+def steps_to_json(steps, names: tuple) -> dict:
+    """Mask steps as a sequence by name: {"steps": [{"sigma": [...], "tau": [...]}]}."""
+    return {"steps": [{"sigma": sorted(face_of(s, names)), "tau": sorted(face_of(t, names))}
+                      for s, t in steps]}
+
+
+def sequence_from_json(data: object, bit: dict) -> tuple:
+    """Check a sequence read from JSON and return its (sigma, tau) mask
+    steps, each face read by the name table bit (see ``mask_of``)."""
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise InputError('collapse sequence JSON needs a "steps" array')
+    steps = []
     for step in data["steps"]:
         faces = (step.get("sigma"), step.get("tau")) if isinstance(step, dict) else (None,)
         if not all(isinstance(f, list) and all(isinstance(x, str) for x in f) for f in faces):
             raise InputError('each step needs "sigma" and "tau" arrays of strings')
-        sigma, tau = frozenset(step["sigma"]), frozenset(step["tau"])
-        if not (tau < sigma and len(tau) == len(sigma) - 1):
+        sigma, tau = mask_of(faces[0], bit), mask_of(faces[1], bit)
+        if sigma | tau != sigma or (sigma ^ tau).bit_count() != 1:
             raise InputError("collapse pair needs tau a codimension-1 subface of sigma")
-    return data
+        steps.append((sigma, tau))
+    return tuple(steps)

@@ -25,9 +25,9 @@ operation here and in recognition, replay, collapse search and homology
 runs on.  Names appear only at the boundary: ``new_complex`` and
 ``complex_from_json`` turn names into masks and validate them, and
 ``Complex.facets``, ``complex_to_json`` and the name-level queries turn
-masks back into names.  Certificates and collapse sequences hold names, in
-their one JSON form: recognition and collapse search write them from
-masks, and replay turns them back into masks where it starts.  A ground
+masks back into names.  Certificates and collapse sequences hold masks
+too; only their JSON writers and readers (``grape``, ``collapse``) name
+them, the readers through ``bit_table`` and ``mask_of``.  A ground
 restricted to the vertices keeps the ground order, so the lowest apex of a
 cone is ``m & -m``.  The face order is by size, then by the ascending tuple
 of ground indices, which is not integer order of masks: {0, 3} comes before
@@ -263,9 +263,11 @@ def bit_table(ground: Iterable[str]) -> dict:
 
 
 def mask_of(face: Iterable[str], bit: dict) -> int:
+    """A face's mask by the name table bit; a name outside it is entered
+    with the next bit above the others, so tuple(bit) names every bit."""
     m = 0
     for x in face:
-        m |= bit[x]
+        m |= bit.setdefault(x, 1 << len(bit))
     return m
 
 

@@ -27,42 +27,42 @@ again cones with that apex, and a cone collapses to void.  So recognition
 ends at every cone, a point included, with a leaf naming its lowest apex,
 and a strong split's witness is a child that is such a leaf.
 
-A certificate has one form, in memory as on the wire: ``{"format": 3,
-"nodes": [...]}``, children first, root last (a memoised subproblem gives a
+Recognition and replay run on the mask kernel of ``complexes``: bit i is
+element i of the root's vertices in ground order, a subproblem is the
+frozenset of its facet masks (also its memo key), pivots are tried lowest
+bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
+subproblem to its vertices keeps the bit order, so it costs nothing.
+
+A certificate holds masks too: ``{"ground": names, "nodes": [...]}``, bit i
+for names[i], children first and root last (a memoised subproblem gives a
 node several parents).  A node is a leaf, ``{"base": b}`` for b "void" or
 "irrelevant" or ``{"base": "cone", "apex": x}`` with x in every facet, or a
 split ``{"pivot": a, "witness": w, "link": i, "deletion": j}`` naming its
 children by earlier index.  Its witness w is ``{"kind": "strong"}`` (a
 child is a cone leaf), ``{"kind": "combinatorial", "cone_element": x}``
 (the cone over the link with apex x lies in the deletion), ``{"kind":
-"weak", "gamma_facets": [...], "collapse": s}`` (a complex between link and
-deletion that s collapses) or ``{"kind": "strong-weak", "side": "link" or
-"deletion", "collapse": s}`` (that side collapses), s a collapse sequence in
-its wire form (see ``collapse``).  The search records a node per solved
-subproblem, unnamed: a dict with the document's keys ``base``, ``link`` and
-``deletion``, a ``bit`` for the pivot or apex, and a split's ``witness`` as
-a function that names it.  :func:`check_grape` names the records the root
-reaches, so every "yes" comes with a certificate that replays without
-searching.  The search itself folds its records with
-:func:`predicted_wedge`, as that folds a certificate, so every "yes" carries
-the predicted wedge of spheres, named or not.  That wedge is the one
-homotopy type the engine derives: a strong grape's class (void, or one
-sphere) is read off it, and Alexander duality shifts it, a k-sphere to a
-(|X| - k - 3)-sphere (``homology.dual_wedge``).
+"weak", "gamma_facets": G, "collapse": s}`` (G the facets of a complex
+between link and deletion that s collapses) or ``{"kind": "strong-weak",
+"side": "link" or "deletion", "collapse": s}`` (that side collapses), s a
+tuple of collapse pairs (see ``collapse``).  The search records a node per
+solved subproblem in this form, a split's witness as a function that
+makes it, and :func:`check_grape` keeps the records the root reaches, so
+every "yes" comes with a certificate that replays without searching.  The
+search folds its records with :func:`predicted_wedge`, as that folds a
+certificate, so every "yes" carries the predicted wedge of spheres.  That
+wedge is the one homotopy type the engine derives: a strong grape's class
+(void, or one sphere) is read off it, and Alexander duality shifts it, a
+k-sphere to a (|X| - k - 3)-sphere (``homology.dual_wedge``).
 
-Recognition and replay run on the mask kernel of ``complexes``: bit i is
-element i of the root's vertices in ground order, a subproblem is the
-frozenset of its facet masks (also its memo key), pivots are tried lowest
-bit first and the smallest apex of a cone is ``m & -m``.  Restricting a
-subproblem to its vertices keeps the bit order, so it costs nothing.  Names
-come back only in a certificate and an "unknown"'s origin: pivots, apexes,
-cone elements, the intermediate complex and the collapse pairs of a
-sequence, found in face order, not integer order (see ``collapse``); replay
-turns them back into masks where it starts.  One ``Budget`` counts the
-subproblems, the refutations and the nodes of every collapse search;
-running out is "unknown".  Any other "unknown" names its origin: the reason
-the first inconclusive pivot test gave, and the pivots and sides leading to
-it from the root.
+Names meet a certificate only in :func:`certificate_to_json`, which writes
+format 3, the same table with every bit, facet and pair named, and
+:func:`certificate_from_json`, which reads it back against a complex: a
+name outside the vertices takes a bit above them that replay finds
+nowhere, so a replay error names it as the document does.  One ``Budget``
+counts the subproblems, the refutations and the nodes of every collapse
+search; running out is "unknown".  Any other "unknown" names its origin:
+the reason the first inconclusive pivot test gave, and the pivots and
+sides leading to it from the root.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .collapse import (
     collapse_test,
     cone_steps,
     obstruction,
-    replay_pairs,
+    replay_masks,
     sequence_from_json,
     steps_to_json,
 )
@@ -122,7 +122,7 @@ class GrapeVerdict(NamedTuple):
     dataclass: every search builds one, and a NamedTuple builds faster."""
 
     verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[dict] = None  # {"format": 3, "nodes": [...]}, check_grape's yes
+    certificate: Optional[dict] = None  # {"ground": ..., "nodes": [...]}, check_grape's yes
     reason: Optional[str] = None
     nodes: int = 0
     wedge: Optional[dict] = None  # the predicted wedge, on every yes
@@ -168,43 +168,35 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     One ``Budget`` of the given limit counts all of the work: each
     subproblem, each refutation, and each node of every collapse search.
     Running out anywhere ends the recognition "unknown" after limit + 1
-    nodes.  The search is :func:`search_grape`; this names each of its
-    records reachable from the root as exactly one certificate node.
+    nodes.  The search is :func:`search_grape`; this keeps the records
+    that the root reaches, renumbered, each split with its witness made.
     """
-    verdict, records, name = search_grape(c, variant, budget, profiles={})
+    verdict, records = search_grape(c, variant, budget, profiles={})
     if records is None:
         return verdict
-    keep = {len(records) - 1}
-    for i in range(len(records) - 1, -1, -1):
-        if i in keep and "base" not in records[i]:
-            keep |= {records[i]["link"], records[i]["deletion"]}
+    found = records["nodes"]
+    keep = {len(found) - 1}
+    for i in range(len(found) - 1, -1, -1):
+        if i in keep and "base" not in found[i]:
+            keep |= {found[i]["link"], found[i]["deletion"]}
     index = {i: k for k, i in enumerate(sorted(keep))}  # renumbered in their order
-    nodes = []
-    for n in map(records.__getitem__, index):
-        if "base" not in n:
-            nodes.append({"pivot": name(n["bit"]), "witness": n["witness"](),
-                          "link": index[n["link"]], "deletion": index[n["deletion"]]})
-        elif n["base"] == "cone":
-            nodes.append({"base": "cone", "apex": name(n["bit"])})
-        else:
-            nodes.append({"base": n["base"]})
-    return verdict._replace(certificate={"format": 3, "nodes": nodes})
+    nodes = [n if "base" in n else {**n, "witness": n["witness"](), "link": index[n["link"]],
+                                    "deletion": index[n["deletion"]]}
+             for n in map(found.__getitem__, index)]
+    return verdict._replace(certificate={"ground": records["ground"], "nodes": nodes})
 
 
 def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET, *,
                  profiles: dict) -> tuple:
     """The recognition :func:`check_grape` describes, less the certificate,
-    with on yes its unnamed records, root last, folded into the verdict's
-    wedge; and the bits' naming function.  Homology is read from and filled
-    into profiles, a memo keyed by facet masks."""
+    with on yes its records, a certificate's table with every split's
+    witness still to be made, folded into the verdict's wedge.  Homology is
+    read from and filled into profiles, a memo keyed by facet masks."""
     budget = Budget(budget)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
     memo: dict = {}
     nodes: list = []  # a record per solved subproblem, children first
-
-    def name(x: int) -> Optional[str]:
-        return names[x.bit_length() - 1] if x else None
 
     def leaf(masks: frozenset) -> Optional[tuple]:
         """Spends a node; answers a void, irrelevant or cone subproblem with no frame, else None."""
@@ -212,21 +204,21 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         meet = meet_mask(masks)  # the apexes: a cone is a grape of every variant
         if not meet and join_mask(masks):
             return None
-        nodes.append({"base": "cone" if meet else "irrelevant" if masks else "void",
-                      "bit": meet & -meet})
+        nodes.append({"base": "cone", "apex": meet & -meet} if meet else
+                     {"base": "irrelevant" if masks else "void"})
         memo[masks] = answer = ("yes", len(nodes) - 1)
         return answer
 
     def yes() -> tuple:
         """The answer with its records, folded into its wedge as a certificate would be."""
-        return GrapeVerdict("yes", nodes=budget.used, wedge=predicted_wedge({"nodes": nodes})), \
-            nodes, name
+        records = {"ground": names, "nodes": nodes}
+        return GrapeVerdict("yes", nodes=budget.used, wedge=predicted_wedge(records)), records
 
     if leaf(root):  # the root is its own one-node answer: nothing else to set up
         return yes()
 
     def witness(lk: frozenset, dl: frozenset):
-        """Variant gluing condition at one pivot: (status, reason or witness namer)."""
+        """Variant gluing condition at one pivot: (status, reason or witness maker)."""
         if variant is GrapeVariant.STRONG:
             # a cone side is solved as a cone leaf
             if meet_mask(dl) or meet_mask(lk):
@@ -236,7 +228,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
             if x:
-                return "yes", lambda: {"kind": "combinatorial", "cone_element": name(x & -x)}
+                return "yes", lambda: {"kind": "combinatorial", "cone_element": x & -x}
             return "no", "no cone over the link fits inside the deletion"
 
         if variant is GrapeVariant.STRONG_WEAK:
@@ -245,8 +237,7 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
                 obstructed, steps = collapse_test(side_masks, budget, names, profiles)
                 refuted += obstructed is not None
                 if steps is not None:
-                    return "yes", lambda: {"kind": "strong-weak", "side": side,
-                                           "collapse": steps_to_json(steps, names)}
+                    return "yes", lambda: {"kind": "strong-weak", "side": side, "collapse": steps}
             if refuted == 2:
                 return "no", "both sides have nonzero reduced homology"
             # an acyclic side that fails to collapse might still be
@@ -257,18 +248,14 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         for gamma in (lk, dl):
             steps = collapse_test(gamma, budget, names, profiles)[1]
             if steps is not None:
-                return "yes", lambda: intermediate(gamma, steps)
+                return "yes", lambda: {"kind": "weak", "gamma_facets": gamma, "collapse": steps}
         x = _cone_points(lk, dl)
-        if x:
+        if x:  # the cone's steps are made only for a record the root reaches
             gamma = maximal_masks(f | (x & -x) for f in lk)
             apexes = meet_mask(gamma)
-            return "yes", lambda: intermediate(
-                gamma, cone_steps(gamma, apexes & -apexes) if gamma else ())
+            return "yes", lambda: {"kind": "weak", "gamma_facets": gamma, "collapse": cone_steps(
+                gamma, apexes & -apexes) if gamma else ()}
         return "unknown", "no collapsible intermediate in the fast family"
-
-    def intermediate(gamma: frozenset, steps) -> dict:
-        return {"kind": "weak", "gamma_facets": sorted(sorted(face_of(g, names)) for g in gamma),
-                "collapse": steps_to_json(steps, names)}
 
     torsion_read = False  # the root's homology, read at the first inconclusive pivot test
 
@@ -299,14 +286,14 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
             if dl_status == "no":
                 continue
             if status == lk_status == dl_status == "yes":
-                nodes.append({"bit": a, "link": lk_ref, "deletion": dl_ref, "witness": payload})
+                nodes.append({"pivot": a, "witness": payload, "link": lk_ref, "deletion": dl_ref})
                 yield "yes", len(nodes) - 1  # the answer: the frame is not resumed
             if origin is None and status == "unknown":
-                origin = (payload, (name(a),), ())
+                origin = (payload, (a,), ())
             elif origin is None:
                 side, (reason, pivots, sides) = (
                     ("link", lk_ref) if lk_status == "unknown" else ("deletion", dl_ref))
-                origin = (reason, (name(a),) + pivots, (side,) + sides)
+                origin = (reason, (a,) + pivots, (side,) + sides)
         yield ("no", None) if origin is None else ("unknown", origin)
 
     # solve's frames on an explicit stack; a memoised subproblem or a leaf is not pushed
@@ -325,19 +312,20 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
                 stack.append((sub, solve(sub)))
     except BudgetExceeded:
         reason = "recognition budget exhausted"
-        return GrapeVerdict("unknown", None, reason, budget.used), None, name
+        return GrapeVerdict("unknown", None, reason, budget.used), None
     except _Torsion:
-        return GrapeVerdict("no", None, TORSION_REASON, budget.used), None, name
+        return GrapeVerdict("no", None, TORSION_REASON, budget.used), None
     if result[0] == "yes":
         return yes()
     if result[0] == "no":
-        return GrapeVerdict("no", nodes=budget.used), None, name
+        return GrapeVerdict("no", nodes=budget.used), None
     # the pivots from the root down to the inconclusive test, and the side
     # taken below each of them but the last
     reason, pivots, sides = result[1]
+    pivots = [_name(a, names) for a in pivots]
     where = f"pivots {' > '.join(pivots)}, {' > '.join(sides)}" if sides else (
         f"pivot {pivots[0]}, at the root")
-    return GrapeVerdict("unknown", None, f"{reason} ({where})", budget.used), None, name
+    return GrapeVerdict("unknown", None, f"{reason} ({where})", budget.used), None
 
 
 # -- certificate replay --------------------------------------------------------
@@ -346,13 +334,14 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
 def verify_certificate(c: Complex, variant: GrapeVariant, cert: dict) -> None:
     """Replay a certificate against a complex; raises ReplayError on any gap.
 
-    Verification is independent of the search: pivot legality, the variant
-    witness (for a strong split, a cone-leaf child), and both
-    sub-certificates are all checked from scratch.  Each node replays once
-    per distinct complex its parents hand down.
+    Its bits index c's vertices in ground order, as :func:`check_grape` and
+    :func:`certificate_from_json` give them.  Verification is independent
+    of the search: pivot legality, the variant witness (for a strong split,
+    a cone-leaf child), and both sub-certificates are all checked from
+    scratch.  Each node replays once per distinct complex its parents hand
+    down.
     """
-    c = restrict_ground(c)
-    names, root, bit, nodes = c.ground, c.masks, bit_table(c.ground), cert["nodes"]
+    root, names, nodes = restrict_ground(c).masks, cert["ground"], cert["nodes"]
     todo = [{} for _ in nodes]  # per node: its complexes, as insertion-ordered keys
     todo[-1][root] = None
     for i in range(len(nodes) - 1, -1, -1):
@@ -360,8 +349,9 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: dict) -> None:
         base = node.get("base")
         for masks in todo[i]:
             if base == "cone":  # meet_mask is 0 on the void and irrelevant complexes
-                if not bit.get(node["apex"], 0) & meet_mask(masks):
-                    raise ReplayError(f"cone leaf's apex {node['apex']!r} is not in every facet")
+                if not node["apex"] & meet_mask(masks):
+                    raise ReplayError(
+                        f"cone leaf's apex {_name(node['apex'], names)!r} is not in every facet")
                 continue
             if base:
                 kind = None if join_mask(masks) else "irrelevant" if masks else "void"
@@ -370,11 +360,11 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: dict) -> None:
                 continue
             a = node["pivot"]
             verts = join_mask(masks)
-            if not bit.get(a, 0) & verts:
-                raise ReplayError(f"pivot {a!r} is not a vertex")
-            lk = link_masks(masks, bit[a])
-            dl = deletion_masks(masks, bit[a])
-            _verify_witness(variant, node["witness"], lk, dl, verts ^ bit[a], names, bit)
+            if not a & verts:
+                raise ReplayError(f"pivot {_name(a, names)!r} is not a vertex")
+            lk = link_masks(masks, a)
+            dl = deletion_masks(masks, a)
+            _verify_witness(variant, node["witness"], lk, dl, verts ^ a, names)
             if variant is GrapeVariant.STRONG and "cone" not in (
                     nodes[node["link"]].get("base"), nodes[node["deletion"]].get("base")):
                 raise ReplayError("strong split has no cone-leaf child")
@@ -384,8 +374,7 @@ def verify_certificate(c: Complex, variant: GrapeVariant, cert: dict) -> None:
 
 
 def _verify_witness(
-    variant: GrapeVariant, witness: dict, lk: frozenset, dl: frozenset, ground: int,
-    names: tuple, bit: dict,
+    variant: GrapeVariant, witness: dict, lk: frozenset, dl: frozenset, ground: int, names: tuple,
 ) -> None:
     """One node's witness, with ground the deletion's ground set as a mask."""
     kind = witness["kind"]
@@ -395,29 +384,29 @@ def _verify_witness(
         return  # the cone-leaf child replays the cone
     if variant is GrapeVariant.COMBINATORIAL:
         x = witness["cone_element"]
-        if not bit.get(x, 0) & ground:
-            raise ReplayError(f"cone element {x!r} is not in the deletion ground set")
-        if not bit[x] & _cone_points(lk, dl):
-            raise ReplayError(f"cone over the link with apex {x!r} does not fit the deletion")
+        if not x & ground:
+            raise ReplayError(f"cone element {_name(x, names)!r} is not in the deletion ground set")
+        if not x & _cone_points(lk, dl):
+            raise ReplayError(
+                f"cone over the link with apex {_name(x, names)!r} does not fit the deletion")
         return
     if variant is GrapeVariant.WEAK:
-        facets = witness["gamma_facets"]
-        unknown = {x for f in facets for x in f if not bit.get(x, 0) & ground}
+        gamma = witness["gamma_facets"]
+        unknown = join_mask(gamma) & ~ground
         if unknown:
             raise ReplayError("intermediate complex is malformed: facet uses unknown ground "
-                              f"elements: {sorted(unknown)}")
-        gamma_masks = maximal_masks(mask_of(f, bit) for f in facets)
-        in_gamma, in_dl = holders(gamma_masks), holders(dl)
+                              f"elements: {sorted(face_of(unknown, names))}")
+        in_gamma, in_dl = holders(gamma), holders(dl)
         if not all(any(in_gamma(f)) for f in lk):
             raise ReplayError("link is not contained in the intermediate complex")
-        if not all(any(in_dl(g)) for g in gamma_masks):
+        if not all(any(in_dl(g)) for g in gamma):
             raise ReplayError("intermediate complex is not contained in the deletion")
-        if replay_pairs(gamma_masks, witness["collapse"], bit, names):
+        if replay_masks(gamma, witness["collapse"], names):
             raise ReplayError("intermediate complex does not collapse to void")
         return
     # strong-weak
     side = lk if witness["side"] == "link" else dl
-    if replay_pairs(side, witness["collapse"], bit, names):
+    if replay_masks(side, witness["collapse"], names):
         raise ReplayError(f"{witness['side']} does not collapse to void")
 
 
@@ -458,51 +447,77 @@ def classify_strong(wedge: dict) -> dict:
 # -- certificate JSON --------------------------------------------------------------
 
 
-def _check_witness(data: object) -> None:
+def _name(x: int, names: tuple) -> str:
+    """The name of a one-bit mask."""
+    return names[x.bit_length() - 1]
+
+
+def certificate_to_json(cert: dict) -> dict:
+    """A certificate in its wire form, format 3: every bit, facet mask and
+    collapse step named by the ground that the certificate carries."""
+    names = cert["ground"]
+    fields = {"pivot": lambda x: _name(x, names), "apex": lambda x: _name(x, names),
+              "cone_element": lambda x: _name(x, names), "witness": lambda w: written(w),
+              "gamma_facets": lambda gamma: sorted(sorted(face_of(g, names)) for g in gamma),
+              "collapse": lambda steps: steps_to_json(steps, names)}
+
+    def written(node: dict) -> dict:
+        return {k: fields[k](v) if k in fields else v for k, v in node.items()}
+
+    return {"format": 3, "nodes": [written(node) for node in cert["nodes"]]}
+
+
+def _witness_from_json(data: object, bit: dict) -> dict:
     if not isinstance(data, dict):
         raise InputError("witness must be an object")
     kind = data.get("kind")
     if kind == "combinatorial":
         if not isinstance(data.get("cone_element"), str):
             raise InputError('combinatorial witness needs a "cone_element" string')
-    elif kind == "weak":
+        return {"kind": kind, "cone_element": mask_of((data["cone_element"],), bit)}
+    if kind == "weak":
         facets = data.get("gamma_facets")
         if not isinstance(facets, list) or not all(
             isinstance(f, list) and all(isinstance(x, str) for x in f) for f in facets
         ):
             raise InputError('weak witness needs a "gamma_facets" array of string arrays')
-        sequence_from_json(data.get("collapse", {}))
-    elif kind == "strong-weak":
+        return {"kind": kind, "gamma_facets": maximal_masks(mask_of(f, bit) for f in facets),
+                "collapse": sequence_from_json(data.get("collapse", {}), bit)}
+    if kind == "strong-weak":
         if data.get("side") not in ("link", "deletion"):
             raise InputError('strong-weak witness needs "side": "link" or "deletion"')
-        sequence_from_json(data.get("collapse", {}))
-    elif kind != "strong":
+        return {"kind": kind, "side": data["side"],
+                "collapse": sequence_from_json(data.get("collapse", {}), bit)}
+    if kind != "strong":
         raise InputError(f"unknown witness kind {kind!r}")
+    return {"kind": kind}
 
 
-def _check_node(data: object, i: int) -> None:
+def _node_from_json(data: object, i: int, bit: dict) -> dict:
     if not isinstance(data, dict):
         raise InputError("certificate node must be an object")
     if data.get("base") == "cone":
         if not isinstance(data.get("apex"), str):
             raise InputError('cone leaf needs an "apex" string')
-        return
+        return {"base": "cone", "apex": mask_of((data["apex"],), bit)}
     if "base" in data:
         if data["base"] not in ("void", "irrelevant"):
             raise InputError(f"unknown base kind {data['base']!r}")
-        return
+        return {"base": data["base"]}
     if not isinstance(data.get("pivot"), str):
         raise InputError('split node needs a "pivot" string')
     lk, dl = data.get("link"), data.get("deletion")
     # ints below i: children come first, which also rules out cycles
     if not all(type(ref) is int and 0 <= ref < i for ref in (lk, dl)):
         raise InputError(f"node {i} must name earlier nodes by index, not {lk!r} and {dl!r}")
-    _check_witness(data.get("witness"))
+    return {"pivot": mask_of((data["pivot"],), bit),
+            "witness": _witness_from_json(data.get("witness"), bit), "link": lk, "deletion": dl}
 
 
-def certificate_from_json(data: object) -> dict:
+def certificate_from_json(data: object, c: Complex) -> dict:
     """Check a certificate read from JSON, format 3 the only format written,
-    and return it."""
+    and return it on masks, bit i for element i of c's vertices in ground
+    order and a name outside them a bit above (see ``mask_of``)."""
     if not isinstance(data, dict):
         raise InputError("certificate must be an object")
     fmt = data.get("format")
@@ -511,9 +526,9 @@ def certificate_from_json(data: object) -> dict:
     raw = data.get("nodes")
     if not isinstance(raw, list) or not raw:
         raise InputError('certificate needs a nonempty "nodes" array')
-    for i, node in enumerate(raw):
-        _check_node(node, i)
-    return data
+    bit = bit_table(restrict_ground(c).ground)
+    nodes = [_node_from_json(node, i, bit) for i, node in enumerate(raw)]
+    return {"ground": tuple(bit), "nodes": nodes}
 
 
 def certificate_variant(cert: dict) -> Optional[GrapeVariant]:

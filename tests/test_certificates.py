@@ -4,8 +4,10 @@ The tree replay is kept here as an oracle: a table expanded to a nested
 tree must equal the tree its nodes stand for, and both replays must accept
 and reject the same certificates.  So is the table replay on frozensets of
 names that the mask kernel replaced: it must reject every tampered
-certificate with the same error.  All of them read the one representation,
-the format-3 document of plain JSON values.
+certificate with the same error.  The oracles read the format-3 document of
+plain JSON values, by name, as ``certificate_to_json`` writes it; the mask
+replay reads what ``certificate_from_json`` makes of the same document, so
+a tampering reaches it as it reaches the CLI.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from grapes import (
     ReplayError,
     alexander_dual,
     certificate_from_json,
+    certificate_to_json,
     check_grape,
     collapse_search,
     complex_to_json,
@@ -35,18 +38,16 @@ from grapes import (
     void_complex,
 )
 from grapes.cli import main
-from grapes.collapse import cone_steps, sequence_from_json, steps_to_json
+from grapes.collapse import cone_steps, steps_to_json
 from grapes.complexes import (
-    bit_table,
     deletion,
     deletion_masks,
-    face_of,
     link,
     link_masks,
     maximal_masks,
     new_complex,
 )
-from test_collapse import frozenset_replay
+from test_collapse import frozenset_replay, read
 from test_complexes import frozenset_cone_apexes, frozenset_link, has_face, maximal_deletion
 from test_grape import frozenset_base_kind, frozenset_cone_fits
 from test_graphs import path_graph
@@ -192,6 +193,16 @@ def frozenset_verify_witness(variant, witness, lk, dl):
         raise ReplayError(f"{witness['side']} does not collapse to void")
 
 
+def wire(verdict):
+    """A verdict's certificate in its wire form, None on no certificate."""
+    return verdict.certificate and certificate_to_json(verdict.certificate)
+
+
+def wire_verify(c, variant, data):
+    """Replay of a certificate document: the reader, then replay on masks."""
+    verify_certificate(c, variant, certificate_from_json(data, c))
+
+
 def expand(data):
     """A certificate expanded to a nested tree, as format 1 wrote it."""
     built = []
@@ -211,11 +222,14 @@ def accepts(replay, c, variant, cert):
 
 
 def replay_error(replay, c, variant, cert):
-    """The message a replay rejects a certificate with, or None."""
+    """The message a replay rejects a certificate with, or None; a
+    certificate that the reader refuses gives ("refused", its message)."""
     try:
         replay(c, variant, cert)
     except ReplayError as exc:
         return str(exc)
+    except InputError as exc:
+        return ("refused", str(exc))
     return None
 
 
@@ -281,15 +295,22 @@ def witness_tamperings(c, cert):
 
 
 def test_replays_reject_tampered_witnesses_alike():
-    rejected = 0
+    rejected = refused = 0
     for variant in GrapeVariant:
         for c in enumerate_complexes("abcd"):
-            cert = check_grape(c, variant).certificate
+            cert = wire(check_grape(c, variant))
             for bad in witness_tamperings(c, cert) if cert else ():
-                error = replay_error(verify_certificate, c, variant, bad)
-                assert error == replay_error(frozenset_verify_certificate, c, variant, bad)
+                error = replay_error(wire_verify, c, variant, bad)
+                want = replay_error(frozenset_verify_certificate, c, variant, bad)
+                if error == ("refused", 'cone leaf needs an "apex" string'):
+                    # an apex that is no string: the CLI refuses it too
+                    assert want == "cone leaf's apex None is not in every facet"
+                    refused += 1
+                else:
+                    assert error == want
                 rejected += error is not None
-    assert rejected > 1000
+    # a None apex for each of the 53 cones on four elements, in every variant
+    assert rejected > 1000 and refused == 53 * len(GrapeVariant)
 
 
 def _flat(cert):
@@ -318,12 +339,13 @@ def tables_match_the_tree_walkers(variant):
         verdict = check_grape(c, variant)
         if not verdict.is_yes:
             continue
-        cert, tree = verdict.certificate, as_tree(verdict.certificate)
+        cert = wire(verdict)
+        tree = as_tree(cert)
         assert expand(cert) == oracle_to_json(tree)
-        verify_certificate(c, variant, cert)
+        verify_certificate(c, variant, verdict.certificate)
         oracle_verify(c, variant, tree)
         for bad in tamperings(c, cert):
-            error = replay_error(verify_certificate, c, variant, bad)
+            error = replay_error(wire_verify, c, variant, bad)
             assert error == replay_error(frozenset_verify_certificate, c, variant, bad)
             assert (error is None) == accepts(oracle_verify, c, variant, as_tree(bad))
             tampered += 1
@@ -333,21 +355,24 @@ def tables_match_the_tree_walkers(variant):
 
 
 def test_certificates_and_sequences_are_plain_json():
-    # the one representation holds no tuple, frozenset or callable: it comes
-    # back from a JSON round trip unchanged, and what is read back replays
+    # the wire forms hold no tuple, frozenset or callable: they come back
+    # from a JSON round trip unchanged, and the readers give back the
+    # certificate or sequence on masks itself, which replays
     for ground in ("", "a", "ab", "abc", "abcd"):
         for c in enumerate_complexes(ground):
             for variant in GrapeVariant:
-                cert = check_grape(c, variant).certificate
-                if cert is not None:
-                    data = json.loads(json.dumps(cert))
-                    assert data == cert
-                    verify_certificate(c, variant, certificate_from_json(data))
+                verdict = check_grape(c, variant)
+                if verdict.certificate is not None:
+                    data = json.loads(json.dumps(wire(verdict)))
+                    assert data == wire(verdict)
+                    assert certificate_from_json(data, c) == verdict.certificate
+                    verify_certificate(c, variant, certificate_from_json(data, c))
             sequence = collapse_search(c).sequence
             if sequence is not None:
-                data = json.loads(json.dumps(sequence))
-                assert data == sequence
-                assert replay(c, sequence_from_json(data)).is_void
+                data = json.loads(json.dumps(steps_to_json(sequence, c.ground)))
+                assert data == steps_to_json(sequence, c.ground)
+                assert read(c, data) == (c, sequence)
+                assert replay(c, sequence).is_void
 
 
 # 5,148 tampered certificates in all
@@ -368,7 +393,8 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
     # weak: the cone side of every strong split is a leaf, so a strong
     # certificate is a chain and shares no split
     c = alexander_dual(independence_complex(path_graph(6)))
-    cert = check_grape(c, GrapeVariant.WEAK).certificate
+    verdict = check_grape(c, GrapeVariant.WEAK)
+    cert = wire(verdict)
     pairs, todo = set(), [(len(cert["nodes"]) - 1, restrict_ground(c))]
     while todo:
         i, cr = todo.pop()
@@ -388,7 +414,7 @@ def test_replay_links_once_per_node_and_complex(monkeypatch):
         return link_masks(masks, a)
 
     monkeypatch.setattr(grape, "link_masks", counted)
-    verify_certificate(c, GrapeVariant.WEAK, cert)
+    verify_certificate(c, GrapeVariant.WEAK, verdict.certificate)
     assert len(calls) == len(pairs)
     # a tree replay would link once per split of the written-out tree
     assert len(pairs) < sum(1 for node in _flat(cert) if "base" not in node)
@@ -407,9 +433,9 @@ STRONG_TWO_POINTS = {"format": 3, "nodes": [
 
 
 def test_a_strong_witness_names_nothing_and_a_point_is_a_cone_leaf(tmp_path, capsys):
-    cert = check_grape(TWO_POINTS, GrapeVariant.STRONG).certificate
-    assert cert == STRONG_TWO_POINTS
-    assert certificate_from_json(STRONG_TWO_POINTS) == cert
+    verdict = check_grape(TWO_POINTS, GrapeVariant.STRONG)
+    assert wire(verdict) == STRONG_TWO_POINTS
+    assert certificate_from_json(STRONG_TWO_POINTS, TWO_POINTS) == verdict.certificate
     assert verify_cert_exit(tmp_path, TWO_POINTS, STRONG_TWO_POINTS) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "strong"}
 
@@ -445,11 +471,11 @@ K4_LESS_AB = new_complex("abcd", [frozenset(f) for f in ("ac", "ad", "bc", "bd",
 
 def test_a_strong_split_without_a_cone_leaf_child_is_rejected():
     assert check_grape(K4_LESS_AB, GrapeVariant.STRONG).verdict == "no"
-    cert = check_grape(K4_LESS_AB, GrapeVariant.COMBINATORIAL).certificate
+    cert = wire(check_grape(K4_LESS_AB, GrapeVariant.COMBINATORIAL))
     relabelled = {**cert, "nodes": [n if "base" in n else {**n, "witness": {"kind": "strong"}}
                                     for n in cert["nodes"]]}
     # every leaf and pivot replays; only the splits whose sides are no cones fail
-    for replay in (verify_certificate, frozenset_verify_certificate):
+    for replay in (wire_verify, frozenset_verify_certificate):
         with pytest.raises(ReplayError, match="strong split has no cone-leaf child"):
             replay(K4_LESS_AB, GrapeVariant.STRONG, relabelled)
     assert not accepts(oracle_verify, K4_LESS_AB, GrapeVariant.STRONG, as_tree(relabelled))
@@ -477,7 +503,7 @@ def test_an_old_certificate_is_refused(tmp_path, capsys, name):
     data = OLD_CERTIFICATES[name]
     match = "unknown base kind 'point'" if name == "point_leaf" else "unsupported certificate format"
     with pytest.raises(InputError, match=match):
-        certificate_from_json(data)
+        certificate_from_json(data, TWO_POINTS)
     assert verify_cert_exit(tmp_path, TWO_POINTS, data) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error:")
@@ -498,7 +524,7 @@ def verify_cert_exit(tmp_path, c, cert_json):
 
 
 def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
-    cert = check_grape(PATH3, GrapeVariant.STRONG).certificate
+    cert = wire(check_grape(PATH3, GrapeVariant.STRONG))
     assert cert == {"format": 3, "nodes": [{"base": "cone", "apex": "b"}]}
     assert verify_cert_exit(tmp_path, PATH3, cert) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "variant": "any"}
@@ -515,7 +541,7 @@ def test_a_cone_is_one_leaf_valid_for_any_variant(tmp_path, capsys):
 )
 def test_a_cone_leaf_whose_apex_cones_nothing_is_rejected(tmp_path, capsys, c, apex):
     cert = {"format": 3, "nodes": [{"base": "cone", "apex": apex}]}
-    for replay_cert in (verify_certificate, frozenset_verify_certificate):
+    for replay_cert in (wire_verify, frozenset_verify_certificate):
         with pytest.raises(ReplayError, match="not in every facet"):
             replay_cert(c, GrapeVariant.STRONG, cert)
     assert verify_cert_exit(tmp_path, c, cert) == 1
@@ -527,7 +553,7 @@ def test_a_cone_leaf_whose_apex_cones_nothing_is_rejected(tmp_path, capsys, c, a
 def test_a_cone_leaf_needs_a_string_apex(tmp_path, capsys, leaf):
     data = {"format": 3, "nodes": [leaf]}
     with pytest.raises(InputError, match="apex"):
-        certificate_from_json(data)
+        certificate_from_json(data, PATH3)
     assert verify_cert_exit(tmp_path, PATH3, data) == 2
 
 
@@ -540,13 +566,9 @@ S, C, W, SW = (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL, GrapeVariant.WEA
 ARROWS = [(S, C), (S, SW), (S, W), (C, W), (SW, W)]
 
 
-def weak_witness(gamma, collapse, names):
-    return {"kind": "weak", "gamma_facets": sorted(sorted(face_of(g, names)) for g in gamma),
-            "collapse": collapse}
-
-
-def convert_witness(node, nodes, lk, dl, target, names, bit):
-    """One split's witness for target, from the source witness and the split's sides."""
+def convert_witness(node, nodes, lk, dl, target):
+    """One split's witness for target, from the source witness and the
+    split's sides, all on masks."""
     w = node["witness"]
     if w["kind"] == "strong":  # a child is a cone leaf; its apex cones that side
         side = "link" if nodes[node["link"]].get("base") == "cone" else "deletion"
@@ -554,36 +576,34 @@ def convert_witness(node, nodes, lk, dl, target, names, bit):
         if target is C:  # a cone side x * side holds the cone over the link with apex x
             return {"kind": "combinatorial", "cone_element": apex}
         cone = lk if side == "link" else dl
-        collapse = steps_to_json(cone_steps(cone, bit[apex]), names)
         if target is SW:
-            return {"kind": "strong-weak", "side": side, "collapse": collapse}
-        return weak_witness(cone, collapse, names)  # lk <= the cone side <= dl
+            return {"kind": "strong-weak", "side": side, "collapse": cone_steps(cone, apex)}
+        return {"kind": "weak", "gamma_facets": cone, "collapse": cone_steps(cone, apex)}
     if w["kind"] == "combinatorial":  # lk <= x * lk <= dl, a cone
-        x = bit[w["cone_element"]]
+        x = w["cone_element"]
         gamma = maximal_masks(f | x for f in lk)
-        return weak_witness(gamma, steps_to_json(cone_steps(gamma, x), names), names)
+        return {"kind": "weak", "gamma_facets": gamma, "collapse": cone_steps(gamma, x)}
     # strong-weak: the side that collapses lies between lk and dl
-    return weak_witness(lk if w["side"] == "link" else dl, w["collapse"], names)
+    return {"kind": "weak", "gamma_facets": lk if w["side"] == "link" else dl,
+            "collapse": w["collapse"]}
 
 
 def convert(c, cert, target):
     """A certificate of c rewritten for a variant that its own variant
     implies: pivots, children and leaves stay, each split's witness is
-    rewritten from its sides, and nothing is searched."""
-    c = restrict_ground(c)
-    names, bit, nodes = c.ground, bit_table(c.ground), cert["nodes"]
-    masks = {len(nodes) - 1: c.masks}  # each node's complex, one per node of a recognition
+    rewritten from its sides, and nothing is searched or named."""
+    nodes = cert["nodes"]
+    masks = {len(nodes) - 1: restrict_ground(c).masks}  # each node's complex, one per node
     out = list(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
         if "base" in node:
             continue
-        a = bit[node["pivot"]]
-        lk, dl = link_masks(masks[i], a), deletion_masks(masks[i], a)
+        lk, dl = link_masks(masks[i], node["pivot"]), deletion_masks(masks[i], node["pivot"])
         assert masks.setdefault(node["link"], lk) == lk
         assert masks.setdefault(node["deletion"], dl) == dl
-        out[i] = {**node, "witness": convert_witness(node, nodes, lk, dl, target, names, bit)}
-    return {"format": 3, "nodes": out}
+        out[i] = {**node, "witness": convert_witness(node, nodes, lk, dl, target)}
+    return {**cert, "nodes": out}
 
 
 def converted(complexes_):
@@ -595,8 +615,9 @@ def converted(complexes_):
             verdict = check_grape(c, source)
             if not verdict.is_yes:
                 continue
-            cert = certificate_from_json(json.loads(json.dumps(convert(c, verdict.certificate, target))))
+            cert = convert(c, verdict.certificate, target)
             verify_certificate(c, target, cert)
+            assert certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))), c) == cert
             assert grape.predicted_wedge(cert) == grape.predicted_wedge(verdict.certificate)
             assert check_grape(c, target).is_yes
             count += 1

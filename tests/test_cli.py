@@ -27,7 +27,7 @@ from grapes.complexes import (
     void_complex,
 )
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph, gen_forest
-from grapes.grape import GrapeVariant, check_grape
+from grapes.grape import GrapeVariant, certificate_to_json, check_grape
 from grapes.graphs import digraph_to_json, graph_to_json
 from shapes import cross_polytope
 from test_collapse import dunce_hat_with_star
@@ -665,6 +665,31 @@ def test_bad_values_exit_two_without_traceback(write_json, tmp_path, argv):
     assert result.stderr.startswith("input error:")
 
 
+# certificates that the reader refuses, each with the one line it writes to stderr
+REFUSED_TABLES = {
+    "witness_not_an_object": (node_table(0, 0, witness="strong"),
+                              "witness must be an object"),
+    "combinatorial_without_cone_element": (
+        node_table(0, 0, witness={"kind": "combinatorial", "cone_element": ["b"]}),
+        'combinatorial witness needs a "cone_element" string'),
+    "strong_weak_side_neither": (
+        node_table(0, 0, witness={"kind": "strong-weak", "side": "both", "collapse": {"steps": []}}),
+        'strong-weak witness needs "side": "link" or "deletion"'),
+    "node_not_an_object": ({"format": 3, "nodes": [["base", "void"]]},
+                           "certificate node must be an object"),
+    "collapse_without_steps": (
+        node_table(0, 0, witness={"kind": "strong-weak", "side": "link", "collapse": {}}),
+        'collapse sequence JSON needs a "steps" array'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_TABLES))
+def test_a_refused_certificate_exits_two_with_the_readers_message(write_json, name):
+    table, message = REFUSED_TABLES[name]
+    argv = ["grape", "verify-cert", write_json("edge.json", EDGE), write_json("cert.json", table)]
+    assert outcome(argv) == (2, "", f"input error: {message}\n")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
@@ -726,7 +751,8 @@ C4_FILE, CERT_FILE = "<c4>", "<certificate>"  # fixed files beside the drawn one
 # the 4-cycle: no cone, so its certificates hold splits, witnesses, irrelevant and cone leaves
 C4 = {"ground": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]}
 C4_CERTIFICATES = [
-    check_grape(complex_from_json(C4), variant).certificate for variant in GrapeVariant
+    certificate_to_json(check_grape(complex_from_json(C4), variant).certificate)
+    for variant in GrapeVariant
 ]
 
 
@@ -1194,7 +1220,7 @@ EVERY_COMMAND = {
 
 def every_command_files(write_json):
     """The files that EVERY_COMMAND names in braces."""
-    cert = check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate
+    cert = certificate_to_json(check_grape(complex_from_json(TWO_POINTS), GrapeVariant.STRONG).certificate)
     return {"path3": write_json("path3.json", PATH3), "points2": write_json("points2.json", TWO_POINTS),
             "void": write_json("void.json", complex_to_json(void_complex(""))),
             "graph3": write_json("graph3.json", GRAPH3), "dag3": write_json("dag3.json", DAG3),

@@ -2,7 +2,9 @@
 
 The search and replay on names that the mask kernel replaced are kept here
 as oracles; the kernel must give the same pairs, sequences, node counts,
-obstructions and replay errors.  The oracle search without the homology
+obstructions and replay errors.  A sequence by name reaches the kernel as
+the CLI's do: through its JSON reader, which refuses a malformed step, and
+then replay on masks.  The oracle search without the homology
 rule is kept too, to show that the rule refutes no collapsible complex, and
 so is the search without the memo of failed face sets, to show that the
 memo changes no conclusion and never costs a node.
@@ -37,7 +39,7 @@ from grapes.collapse import (
     sequence_from_json,
     steps_to_json,
 )
-from grapes.complexes import face_of, mask_order, meet_mask
+from grapes.complexes import Complex, bit_table, face_of, mask_order, meet_mask
 from grapes.generators import cycle_complex
 from shapes import cone, cx, faces, fs, full_simplex, simplex_boundary, suspension
 from test_complexes import frozenset_cone_apexes, maximal_deletion
@@ -54,9 +56,28 @@ def free_pairs(c):
     return steps_to_json([(s, t) for s, t, _ in _free_pairs(c.masks, mask_order)], c.ground)["steps"]
 
 
+def read(c, sequence):
+    """A sequence by name read against c: c on its ground widened by the
+    names outside it, as the reader numbers them, and the mask steps."""
+    bit = bit_table(c.ground)
+    steps = sequence_from_json(sequence, bit)
+    return Complex(tuple(bit), c.masks), steps
+
+
+def wire_replay(c, sequence):
+    """Replay of a sequence by name: the reader, then replay on masks."""
+    return Complex(c.ground, replay(*read(c, sequence)).masks)
+
+
+def by_name(c, result):
+    """A search result with its sequence written by name."""
+    return result if result.sequence is None else result._replace(
+        sequence=steps_to_json(result.sequence, c.ground))
+
+
 def apply_collapse(c, pair):
     """Remove a free pair; raises ReplayError if the pair is not free in c."""
-    return replay(c, {"steps": [pair]})
+    return wire_replay(c, {"steps": [pair]})
 
 
 POINT = cx("v", "v")
@@ -103,19 +124,21 @@ def test_apply_collapse_rejects_non_free_pair():
 def test_collapse_pair_shape_is_validated():
     for tau in (["c"], []):
         with pytest.raises(InputError, match="codimension-1 subface"):
-            sequence_from_json({"steps": [{"sigma": ["a", "b"], "tau": tau}]})
+            sequence_from_json({"steps": [{"sigma": ["a", "b"], "tau": tau}]}, bit_table("ab"))
 
 
 def test_replay_refuses_a_name_outside_the_ground_and_a_tau_off_sigma():
+    # a name outside the ground reads as a bit above it, which replay finds
+    # in no facet; a tau off sigma is refused by the reader, before any
+    # step replays
     c = cx("abc", "ab", "c")
     with pytest.raises(ReplayError, match=r"^\['a', 'z'\] is not a facet$"):
-        replay(c, {"steps": [step("az", "a")]})
-    for tau in ("z", "c", "ab", ""):
-        with pytest.raises(ReplayError, match=r"is not a codimension-1 face of \['a', 'b'\]$"):
-            replay(c, {"steps": [step("ab", tau)]})
-    # a legal first step replays before the second fails
-    with pytest.raises(ReplayError, match=r"^\['z'\] is not a codimension-1 face of \['c'\]$"):
-        replay(c, {"steps": [step("ab", "a"), step("c", "z")]})
+        wire_replay(c, {"steps": [step("az", "a")]})
+    for steps in ([step("ab", tau)] for tau in ("z", "c", "ab", "")):
+        with pytest.raises(InputError, match="^collapse pair needs tau a codimension-1 subface"):
+            wire_replay(c, {"steps": steps})
+    with pytest.raises(InputError, match="^collapse pair needs tau a codimension-1 subface"):
+        wire_replay(c, {"steps": [step("ab", "a"), step("c", "z")]})
 
 
 # -- the frozenset oracles ------------------------------------------------------
@@ -223,16 +246,19 @@ def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
 
 
 def replay_outcome(replay_fn, c, sequence):
-    """The replayed facets, or the ReplayError message."""
+    """The replayed facets, the ReplayError message, or the InputError by
+    which the reader refuses a step."""
     try:
         return replay_fn(c, sequence).facets
     except ReplayError as exc:
         return str(exc)
+    except InputError as exc:
+        return ("refused", str(exc))
 
 
 def assert_search_matches_the_oracle(c, budget=10**6):
     for nodes in (3, budget):
-        got = collapse_search(c, nodes)
+        got = by_name(c, collapse_search(c, nodes))
         assert got == frozenset_collapse_search(c, nodes)
         # wherever the search without the memo concludes, it concludes the
         # same, with the same sequence, and spends at least as many nodes
@@ -269,7 +295,12 @@ def test_search_and_replay_match_the_frozenset_oracle_on_every_small_complex():
         assert_search_matches_the_oracle(c)
         for sequence in wrong_steps(c):
             sequence = {"steps": sequence}
-            assert replay_outcome(replay, c, sequence) == replay_outcome(frozenset_replay, c, sequence)
+            got, want = (replay_outcome(f, c, sequence) for f in (wire_replay, frozenset_replay))
+            if got == ("refused", "collapse pair needs tau a codimension-1 subface of sigma"):
+                # the reader refuses, up front, the step the oracle fails at
+                assert "is not a codimension-1 face of" in want
+            else:
+                assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +335,7 @@ def test_face_key_order_is_not_integer_order():
 
 def test_search_on_void_succeeds_immediately():
     result = collapse_search(void_complex("ab"))
-    assert result.is_yes and result.sequence == {"steps": []}
+    assert result.is_yes and result.sequence == ()
 
 
 def test_point_collapses_to_void():
@@ -474,8 +505,8 @@ def test_lifted_collapse_smallest_instance():
     c = cx("av", "av")
     lk = link(c, "a")
     assert lk.facets == {fs("v")}
-    lifted = lifted_collapse(c, "a", {"steps": [step("v", "")]})
-    assert lifted == {"steps": [step("av", "a")]}
+    lifted = lifted_collapse(c, "a", read(lk, {"steps": [step("v", "")]})[1])
+    assert steps_to_json(lifted, c.ground) == {"steps": [step("av", "a")]}
     assert replay(c, lifted).facets == {fs("v")}
 
 
@@ -490,15 +521,23 @@ def test_lifted_collapse_on_independence_complex():
 def test_lifted_collapse_on_full_triangle():
     c = full_simplex("abc")
     result = collapse_search(link(c, "a"))
-    assert result.is_yes and len(result.sequence["steps"]) == 2
+    assert result.is_yes and len(result.sequence) == 2
     lifted = lifted_collapse(c, "a", result.sequence)
     assert replay(c, lifted).facets == {fs("b", "c")}
 
 
 def test_lifted_collapse_rejects_invalid_link_sequence():
     c = cx("abc", "ab", "bc")
-    with pytest.raises(ReplayError):
-        lifted_collapse(c, "b", {"steps": [step("a", "")]})
+    with pytest.raises(ReplayError, match=r"^\[\] is contained in another face$"):
+        lifted_collapse(c, "b", read(link(c, "b"), {"steps": [step("a", "")]})[1])
+
+
+def test_lifted_collapse_rejects_a_link_sequence_that_stops_short():
+    # legal but incomplete: no steps leave the link of a, the edge bc, standing
+    c = full_simplex("abc")
+    assert collapse_search(link(c, "a")).is_yes
+    with pytest.raises(ReplayError, match="^link sequence does not reach the void complex$"):
+        lifted_collapse(c, "a", ())
 
 
 # -- suspension transport -----------------------------------------------------------
@@ -515,10 +554,10 @@ def test_lifted_collapse_rejects_invalid_link_sequence():
 def test_suspension_transport(base):
     # the s2-cone onto the s1-cone, the s1-cone onto c, then c itself: the
     # sequence of c three times
-    seq = collapse_search(base).sequence["steps"]
+    seq = steps_to_json(collapse_search(base).sequence, base.ground)["steps"]
     lifted_y = [step(p["sigma"] + ["s2"], p["tau"] + ["s2"]) for p in seq]
     lifted_x = [step(p["sigma"] + ["s1"], p["tau"] + ["s1"]) for p in seq]
-    assert replay(suspension(base, "s1", "s2"), {"steps": lifted_y + lifted_x + seq}).is_void
+    assert wire_replay(suspension(base, "s1", "s2"), {"steps": lifted_y + lifted_x + seq}).is_void
 
 
 def test_suspension_of_point_is_two_edge_path():
@@ -532,6 +571,8 @@ def test_suspension_of_point_is_two_edge_path():
 
 
 def test_sequence_json_round_trip():
-    result = collapse_search(cx("abc", "ab", "bc"))
-    assert sequence_from_json(json.loads(json.dumps(result.sequence))) == result.sequence
-    assert all(set(s) == {"sigma", "tau"} for s in result.sequence["steps"])
+    c = cx("abc", "ab", "bc")
+    result = collapse_search(c)
+    data = steps_to_json(result.sequence, c.ground)
+    assert read(c, json.loads(json.dumps(data))) == (c, result.sequence)
+    assert all(set(s) == {"sigma", "tau"} for s in data["steps"])

@@ -8,7 +8,10 @@ rule on it refutes nothing by homology and sweeps every intermediate complex
 instead, as recognition once did on request; the homology rule may only
 settle what that rule left "unknown".  The strong class, now read off the
 predicted wedge, is also checked against the walk that follows one branch
-of a strong certificate by its cone-leaf children.
+of a strong certificate by its cone-leaf children.  The oracles hold
+certificates by name, so a certificate on masks meets them in its wire
+form: written by ``certificate_to_json``, or read back by
+``certificate_from_json`` before it replays.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from grapes import (
     ReplayError,
     alexander_dual,
     certificate_from_json,
+    certificate_to_json,
     check_grape,
     classify_strong,
     enumerate_complexes,
@@ -51,7 +55,7 @@ from grapes.grape import (
 from grapes.generators import cycle_complex
 from grapes.verify import OutcomeTable, grape_duality_report, standard_complexes
 from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary, vertices
-from test_collapse import frozenset_collapse_search, frozenset_cone_sequence
+from test_collapse import DUNCE_HAT, frozenset_collapse_search, frozenset_cone_sequence
 from test_homology import oracle_reduced_homology
 from test_complexes import (
     frozenset_cone_apexes,
@@ -78,6 +82,16 @@ TORUS = cx("0123456", *({str(i), str((i + 1) % 7), str((i + 3) % 7)} for i in ra
 # the 7-simplex with a handle v00-w-x-v01: contractible simplex, one loop
 SIMPLEX_WITH_HANDLE = cx([f"v0{i}" for i in range(8)] + ["w", "x"],
                          [f"v0{i}" for i in range(8)], ("v00", "w"), ("w", "x"), ("x", "v01"))
+
+
+def wire(verdict):
+    """A verdict's certificate in its wire form, None on no certificate."""
+    return verdict.certificate and certificate_to_json(verdict.certificate)
+
+
+def wire_verify(c, variant, data):
+    """Replay of a certificate document: the reader, then replay on masks."""
+    verify_certificate(c, variant, certificate_from_json(data, c))
 
 
 # -- the frozenset oracle ------------------------------------------------------------
@@ -281,7 +295,7 @@ def folds(verdict, variant):
 def assert_recognition_matches_the_oracle(c, variant, budget=10**6):
     got = check_grape(c, variant, budget)
     want = frozenset_check_grape(c, variant, budget)
-    assert (got.verdict, got.certificate, got.nodes) == (want.verdict, want.certificate, want.nodes)
+    assert (got.verdict, wire(got), got.nodes) == (want.verdict, want.certificate, want.nodes)
     if want.reason:  # budget exhaustion or torsion; the oracle names no other origin
         assert got.reason == want.reason
     if budget == 10**6:  # splitting cones spends more nodes than a lower budget may allow
@@ -415,7 +429,7 @@ def test_every_small_cone_is_one_leaf():
         for variant in ALL_VARIANTS:
             verdict = check_grape(c, variant)
             cert = {"format": 3, "nodes": [leaf]}
-            assert (verdict.verdict, verdict.certificate, verdict.nodes) == ("yes", cert, 1)
+            assert (verdict.verdict, wire(verdict), verdict.nodes) == ("yes", cert, 1)
             verify_certificate(c, variant, verdict.certificate)
         assert predicted_wedge(verdict.certificate) == verdict.wedge == {}
         assert classify_strong(verdict.wedge) == VOID
@@ -488,6 +502,55 @@ def test_a_refuted_side_is_not_searched(variant):
     assert verdict.is_yes
     verify_certificate(SIMPLEX_WITH_HANDLE, variant, verdict.certificate)
     assert predicted_wedge(verdict.certificate) == {1: 1}
+
+
+def test_the_weak_cone_candidate_collapses_only_in_a_certificate(monkeypatch):
+    # the search records a witness maker, so the search that an outcome
+    # table runs makes no cone steps, and check_grape makes them at most
+    # once per split it keeps
+    made = []
+    real = grapes.grape.cone_steps
+
+    def counted(masks, apex):
+        made.append(masks)
+        return real(masks, apex)
+
+    monkeypatch.setattr(grapes.grape, "cone_steps", counted)
+    total = 0
+    for c in enumerate_complexes("abcd"):
+        search_grape(c, GrapeVariant.WEAK, profiles={})
+        assert made == [], c
+        verdict = check_grape(c, GrapeVariant.WEAK)
+        assert len(made) <= sum("base" not in node for node in verdict.certificate["nodes"]), c
+        total += len(made)
+        made.clear()
+    assert total > 0
+
+
+# the cone over the dunce hat with apex a, plus the point x
+DUNCE_CONE_AND_POINT = new_complex(("a", *DUNCE_HAT.ground, "x"),
+                                   [f | {"a"} for f in DUNCE_HAT.facets] + [frozenset("x")])
+
+
+def test_a_strong_weak_pivot_where_no_side_collapses_fails_without_a_guess(monkeypatch):
+    # at a, the first pivot, the link is the dunce hat, acyclic with no
+    # collapse, and the deletion has H~_0: the witness is "unknown".  The
+    # link's own recognition answers "no", so a fails, and a later pivot
+    # gives the yes
+    tested = []
+    real = grapes.grape.collapse_test
+
+    def spied(masks, *rest):
+        tested.append(real(masks, *rest))
+        return tested[-1]
+
+    monkeypatch.setattr(grapes.grape, "collapse_test", spied)
+    verdict = check_grape(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK)
+    assert [(refuted is None, steps is None) for refuted, steps in tested[:2]] == [
+        (True, True), (False, True)]
+    assert (verdict.verdict, verdict.nodes, verdict.wedge) == ("yes", 77, {0: 1})
+    verify_certificate(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK, verdict.certificate)
+    wire_verify(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK, json.loads(json.dumps(wire(verdict))))
 
 
 @pytest.mark.parametrize("c, variant, verdict, nodes", [
@@ -806,7 +869,7 @@ def test_classification_branch_independence():
             if not verdict.is_yes:
                 continue
             left = classify_strong(verdict.wedge)
-            right, n = classify_via_link_cones(c, verdict.certificate)
+            right, n = classify_via_link_cones(c, wire(verdict))
             assert left == right == branch_classify_strong(verdict.certificate)
             both += n
     assert both > 0
@@ -882,7 +945,8 @@ def test_certificate_folds_visit_shared_nodes_once():
     assert predicted_wedge(cert) == {k - 1: comb(60, k) for k in range(61)}
     with pytest.raises(InputError, match="not one sphere"):
         classify_strong(predicted_wedge(cert))
-    assert certificate_from_json(json.loads(json.dumps(cert))) == cert
+    # read against the void complex, every pivot is a name outside its vertices
+    assert certificate_to_json(certificate_from_json(json.loads(json.dumps(cert)), void_complex())) == cert
     assert perf_counter() - start < 1.0
 
 
@@ -899,35 +963,35 @@ def test_certificates_replay_for_all_variants(variant):
 
 def test_certificate_rejects_wrong_base():
     with pytest.raises(ReplayError):
-        verify_certificate(
+        wire_verify(
             void_complex("ab"), GrapeVariant.STRONG, {"format": 3, "nodes": [{"base": "irrelevant"}]}
         )
 
 
 def test_certificate_rejects_bad_pivot():
-    cert = check_grape(IND_P3, GrapeVariant.STRONG).certificate
+    cert = wire(check_grape(IND_P3, GrapeVariant.STRONG))
     tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "pivot": "zz"}]}
-    with pytest.raises(ReplayError):
-        verify_certificate(IND_P3, GrapeVariant.STRONG, tampered)
+    with pytest.raises(ReplayError, match="^pivot 'zz' is not a vertex$"):
+        wire_verify(IND_P3, GrapeVariant.STRONG, tampered)
 
 
 def test_certificate_rejects_a_cone_leaf_on_the_wrong_side():
     # at a, the link of two points is the irrelevant complex, no cone
-    cert = check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG).certificate
+    cert = wire(check_grape(cx("ab", "a", "b"), GrapeVariant.STRONG))
     assert cert["nodes"] == [{"base": "irrelevant"}, {"base": "cone", "apex": "b"},
                              {"pivot": "a", "witness": {"kind": "strong"}, "link": 0, "deletion": 1}]
     tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "link": 1, "deletion": 0}]}
     with pytest.raises(ReplayError, match="apex 'b' is not in every facet"):
-        verify_certificate(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
+        wire_verify(cx("ab", "a", "b"), GrapeVariant.STRONG, tampered)
 
 
 def test_certificate_rejects_noncontained_gamma():
     c5 = cycle_complex(5)
-    cert = check_grape(c5, GrapeVariant.WEAK).certificate
+    cert = wire(check_grape(c5, GrapeVariant.WEAK))
     bad_witness = {"kind": "weak", "gamma_facets": [["a", "b", "c"]], "collapse": {"steps": []}}
     tampered = {**cert, "nodes": cert["nodes"][:-1] + [{**cert["nodes"][-1], "witness": bad_witness}]}
     with pytest.raises(ReplayError):
-        verify_certificate(c5, GrapeVariant.WEAK, tampered)
+        wire_verify(c5, GrapeVariant.WEAK, tampered)
 
 
 def test_certificate_variant_mismatch_is_rejected():
@@ -939,29 +1003,31 @@ def test_certificate_variant_mismatch_is_rejected():
 def test_certificate_json_round_trip():
     for variant in ALL_VARIANTS:
         verdict = check_grape(cycle_complex(4), variant)
-        restored = certificate_from_json(json.loads(json.dumps(verdict.certificate)))
+        restored = certificate_from_json(json.loads(json.dumps(wire(verdict))), cycle_complex(4))
+        assert restored == verdict.certificate
         verify_certificate(cycle_complex(4), variant, restored)
         assert certificate_variant(restored) == variant
 
 
 def test_certificate_bytes_are_pinned():
     # one sha256 over check_grape's verdict, nodes, reason and certificate
-    # JSON for every variant on a fixed instance set (364 recognitions, with
-    # splits of every witness kind): how the search records its nodes and
-    # when they are named must leave every byte alone
+    # JSON, as certificate_to_json writes it, for every variant on a fixed
+    # instance set (364 recognitions, with splits of every witness kind): how
+    # the search records its nodes and when they are named must leave every
+    # byte alone
     digest = hashlib.sha256()
     for c in standard_complexes(n_random=60, max_ground=5, exhaustive_max=3, seed=7):
         for variant in ALL_VARIANTS:
             verdict = check_grape(c, variant)
             digest.update(json.dumps([verdict.verdict, verdict.nodes, verdict.reason,
-                                      verdict.certificate], sort_keys=True).encode())
+                                      wire(verdict)], sort_keys=True).encode())
     assert digest.hexdigest() == (
         "34c8a8b11557f6c7055b788ef2a3ce9e5ea0aa12146d52156d1be001f0dd90d7")
 
 
 def test_combinatorial_witness_is_the_cone_element():
     verdict = check_grape(cycle_complex(4), GrapeVariant.COMBINATORIAL)
-    root = verdict.certificate["nodes"][-1]
+    root = wire(verdict)["nodes"][-1]
     assert root["witness"]["kind"] == "combinatorial"
     # replay by hand: every link facet plus the witness element is a face
     c = restrict_ground(cycle_complex(4))

@@ -842,10 +842,10 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
     moved = [r for r in shared if r[0].ground and r[0].ground[-1].startswith("_")]
     assert len(outcomes) > len(shared) - len(moved)
     lones = [(c, variant, found, real(c, variant)) for c, variant, _, found in shared]
-    for c, variant, (verdict, records, _), lone in lones:
+    for c, variant, (verdict, records), lone in lones:
         assert verdict == lone._replace(certificate=None), (c, variant)
         wedge = lone.certificate and grape.predicted_wedge(lone.certificate)
-        assert (records and grape.predicted_wedge({"nodes": records})) == wedge, (c, variant)
+        assert (records and grape.predicted_wedge(records)) == wedge, (c, variant)
 
     def on_run_profiles(c, variant, budget, *, profiles):
         return real_search(c, variant, budget, profiles=table.profiles)
