@@ -11,14 +11,16 @@ variant-specific gluing condition.  The four variants decided here:
 * weak: some intermediate complex between link and deletion is
   simple-homotopy trivial (tested by collapsibility, so inconclusive
   searches surface as "unknown");
-* strong-weak: the link or deletion itself is simple-homotopy trivial
-  (same collapsibility caveat).
+* strong-weak: the link or deletion itself is simple-homotopy trivial.
 
 Every witness makes the link null-homotopic in the deletion, so a grape is
 the deletion wedged with the suspended link and its reduced homology is
-free.  A weak-family "no" is read off homology, which carries the proof: a
-strong-weak pivot fails when both sides have nonzero reduced homology, and
-a complex with torsion is no grape of any variant.
+free: a complex with torsion is no grape of any variant.  Both weak
+variants test the link, then the deletion, by collapsibility.  That
+decides strong-weak: a side that could be its witness is an acyclic
+strong-weak grape, and such a grape collapses (the README's lemma), so a
+strong-weak pivot where no side collapses fails, and only the budget
+leaves a strong-weak search "unknown".
 
 Grape status depends only on the vertex set, so recognition normalizes the
 ground set to the vertices at every node.  A cone is a grape of every
@@ -151,13 +153,14 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
 def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
-    Strong and combinatorial answers are definitive.  The weak variants test
-    simple-homotopy triviality by collapsibility and refute it by homology:
-    each side or intermediate candidate goes through
-    :func:`collapse.collapse_test`, where a homology refutation costs one
-    node and no search, a strong-weak pivot with both sides refuted fails,
-    and torsion in the root's homology, read once at the first inconclusive
-    pivot test, answers "no" with TORSION_REASON.
+    Strong, combinatorial and strong-weak answers are definitive.  The weak
+    variants test simple-homotopy triviality by collapsibility: the link,
+    then the deletion, goes through :func:`collapse.collapse_test`, where a
+    homology refutation costs one node and no search.  A strong-weak pivot
+    where neither side collapses fails (see the module docstring).  A weak
+    pivot tries the cone over the link next; failing that it is
+    inconclusive, and torsion in the root's homology, read once at the
+    first inconclusive pivot test, answers "no" with TORSION_REASON.
     Homology comes from a fresh memo keyed by facet masks: each face set's
     homology is computed once per recognition.  Anything else inconclusive
     is reported "unknown", never guessed, with its origin.  Every
@@ -218,37 +221,31 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         return yes()
 
     def witness(lk: frozenset, dl: frozenset):
-        """Variant gluing condition at one pivot: (status, reason or witness maker)."""
+        """Variant gluing condition at one pivot: ("yes", witness maker),
+        ("no", None) or ("unknown", reason)."""
         if variant is GrapeVariant.STRONG:
             # a cone side is solved as a cone leaf
             if meet_mask(dl) or meet_mask(lk):
                 return "yes", lambda: {"kind": "strong"}
-            return "no", "neither side is a cone"
+            return "no", None
 
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
             if x:
                 return "yes", lambda: {"kind": "combinatorial", "cone_element": x & -x}
-            return "no", "no cone over the link fits inside the deletion"
+            return "no", None
 
-        if variant is GrapeVariant.STRONG_WEAK:
-            refuted = 0
-            for side, side_masks in (("link", lk), ("deletion", dl)):
-                obstructed, steps = collapse_test(side_masks, budget, names, profiles)
-                refuted += obstructed is not None
-                if steps is not None:
-                    return "yes", lambda: {"kind": "strong-weak", "side": side, "collapse": steps}
-            if refuted == 2:
-                return "no", "both sides have nonzero reduced homology"
-            # an acyclic side that fails to collapse might still be
-            # simple-homotopy trivial
-            return "unknown", "neither side collapses (collapse-only test)"
-
-        # weak: look for a collapsible complex between link and deletion
-        for gamma in (lk, dl):
+        # the weak family: a side that collapses
+        for side, gamma in (("link", lk), ("deletion", dl)):
             steps = collapse_test(gamma, budget, names, profiles)[1]
             if steps is not None:
+                if variant is GrapeVariant.STRONG_WEAK:
+                    return "yes", lambda: {"kind": "strong-weak", "side": side, "collapse": steps}
                 return "yes", lambda: {"kind": "weak", "gamma_facets": gamma, "collapse": steps}
+        if variant is GrapeVariant.STRONG_WEAK:
+            # a witness side would be an acyclic strong-weak grape, which collapses (README)
+            return "no", None
+        # weak: the cone over the link, a complex between link and deletion
         x = _cone_points(lk, dl)
         if x:  # the cone's steps are made only for a record the root reaches
             gamma = maximal_masks(f | (x & -x) for f in lk)

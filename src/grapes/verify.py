@@ -249,9 +249,10 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
     report does not pass and the dual is not built: it fails on a "no" and
     is unknown on an "unknown".  When both are "yes" on a nonempty ground,
     for every variant, the dual's wedge must be the primal's shifted by
-    :func:`dual_wedge`, and the details carry the three wedges.  A weak-family
-    dual that comes back "unknown" is tolerated, flagged, and the report is
-    unknown.  The dual and both recognitions go through the table.
+    :func:`dual_wedge`, and the details carry the three wedges.  A weak dual
+    that comes back "unknown" is tolerated, flagged, and the report is
+    unknown: the weak search is the one that can end "unknown" short of its
+    budget.  The dual and both recognitions go through the table.
     """
     primal = table.recognise(c, variant)
     details = {
@@ -263,8 +264,7 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
     unknown = primal.verdict == "unknown"
     if primal.is_yes:
         dual = table.recognise(table.dual(c), variant)
-        weak_family = variant in (GrapeVariant.WEAK, GrapeVariant.STRONG_WEAK)
-        unknown = weak_family and dual.verdict == "unknown"
+        unknown = variant is GrapeVariant.WEAK and dual.verdict == "unknown"
         details["dual_verdict"] = dual.verdict
         details["unknown_tolerated"] = unknown
         details["pass"] = dual.is_yes or unknown

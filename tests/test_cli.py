@@ -381,6 +381,16 @@ def test_verify_forest_rejects_nonforest(write_json, capsys):
     assert result.stderr.startswith("input error:") and "Traceback" not in result.stderr
 
 
+def test_colliding_edge_labels_are_refused(write_json, capsys):
+    # the edges a-b -- c and a -- b-c are both labelled "a-b-c"
+    g = write_json("g.json", {"vertices": ["a-b", "c", "a", "b-c"],
+                              "edges": [["a-b", "c"], ["a", "b-c"]]})
+    for argv in (["from-graph", g, "--complex", "ec"], ["from-graph", g, "--complex", "ed"],
+                 ["verify", "forest", g]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "input error: edge labels collide; rename vertices\n")
+
+
 def test_verify_pfpm_command(write_json, capsys):
     d = write_json("d.json", digraph_to_json(cyclic_no_useless_digraph()))
     code, out = run_cli(capsys, "verify", "pfpm", d)

@@ -91,6 +91,7 @@ def test_all_trees_census():
         assert is_forest(g)
         assert len(g.edges) == len(g.vertices) - 1
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+    assert list(all_trees(0)) == []
 
 
 def centre_canonical(n, edges):
@@ -147,5 +148,7 @@ def test_all_digraphs_cover_loops_and_parallels():
 
 def test_fixture_graphs():
     assert len(cycle_complex(6).facets) == 6
+    with pytest.raises(InputError, match="^cycle needs at least three vertices$"):
+        cycle_complex(2)
     d = cyclic_no_useless_digraph()
     assert d.vertices[d.s] == "s" and d.vertices[d.t] == "t" and len(d.arcs) == 6

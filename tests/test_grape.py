@@ -43,7 +43,7 @@ from grapes import (
     verify_certificate,
     void_complex,
 )
-from grapes.collapse import obstruction
+from grapes.collapse import collapse_search, obstruction
 from grapes.complexes import Complex, deletion, face_of, join_mask, link, meet_mask
 from grapes.grape import (
     TORSION_REASON,
@@ -55,7 +55,12 @@ from grapes.grape import (
 from grapes.generators import cycle_complex
 from grapes.verify import OutcomeTable, grape_duality_report, standard_complexes
 from shapes import cone, cross_polytope, cx, faces, full_simplex, simplex_boundary, vertices
-from test_collapse import DUNCE_HAT, frozenset_collapse_search, frozenset_cone_sequence
+from test_collapse import (
+    DUNCE_HAT,
+    dunce_hat_with_star,
+    frozenset_collapse_search,
+    frozenset_cone_sequence,
+)
 from test_homology import oracle_reduced_homology
 from test_complexes import (
     frozenset_cone_apexes,
@@ -82,6 +87,14 @@ TORUS = cx("0123456", *({str(i), str((i + 1) % 7), str((i + 3) % 7)} for i in ra
 # the 7-simplex with a handle v00-w-x-v01: contractible simplex, one loop
 SIMPLEX_WITH_HANDLE = cx([f"v0{i}" for i in range(8)] + ["w", "x"],
                          [f"v0{i}" for i in range(8)], ("v00", "w"), ("w", "x"), ("x", "v01"))
+
+# the cone over the dunce hat with apex a, plus the point x
+DUNCE_CONE_AND_POINT = new_complex(("a", *DUNCE_HAT.ground, "x"),
+                                   [f | {"a"} for f in DUNCE_HAT.facets] + [frozenset("x")])
+
+# the suspension of the dunce hat, apexes n and s: contractible
+SUSPENDED_DUNCE_HAT = new_complex(("n", "s", *DUNCE_HAT.ground),
+                                  [f | {x} for f in DUNCE_HAT.facets for x in "ns"])
 
 
 def wire(verdict):
@@ -153,10 +166,11 @@ def weak_witness(gamma, sequence):
 def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=False):
     """check_grape on frozensets of names, solve on an explicit stack; with
     cone_leaf off a cone is split like any other complex down to points,
-    which stay cone leaves.  With old_rule on,
-    no homology is read: the weak family's "no" comes from collapse-only
-    searches, of both sides (strong-weak) or of every intermediate complex
-    of a node on at most OLD_SWEEP_MAX_GROUND vertices (weak)."""
+    which stay cone leaves.  A strong-weak pivot where neither side
+    collapses fails, by the README's lemma.  With old_rule on, no homology
+    is read: every collapse test is a search, and the weak variant's "no"
+    comes from the searches of every intermediate complex of a node on at
+    most OLD_SWEEP_MAX_GROUND vertices."""
     state = {"nodes": 0, "torsion_read": False}
     memo = {}
 
@@ -181,13 +195,11 @@ def frozenset_check_grape(c, variant, budget=10**6, cone_leaf=True, old_rule=Fal
                     return "yes", {"kind": "combinatorial", "cone_element": x}
             return "no", None
         if variant is GrapeVariant.STRONG_WEAK:
-            refuted = 0
             for side, side_c in (("link", lk), ("deletion", dl)):
                 r = collapses(side_c)
                 if r.is_yes:
                     return "yes", {"kind": "strong-weak", "side": side, "collapse": r.sequence}
-                refuted += r.obstruction is not None
-            return ("no" if old_rule or refuted == 2 else "unknown"), None
+            return "no", None
         for candidate in (lk, dl):
             r = collapses(candidate)
             if r.is_yes:
@@ -337,7 +349,7 @@ def test_homology_settles_only_what_the_old_rule_left_unknown_on_every_small_com
 def test_recognition_matches_the_frozenset_oracle_on_named_instances(variant):
     for c in (RP2, cycle_complex(5), cross_polytope(3),
               cx("abcde", "abc", "bcd", "cde", "dea", "eab"), cx("dcba", "ad", "bc", "ca"),
-              TORUS, rp2_with_path(2)):
+              TORUS, rp2_with_path(2), DUNCE_CONE_AND_POINT):
         assert_recognition_matches_the_oracle(c, variant)
     assert_recognition_matches_the_oracle(rp2_with_path(2), variant, budget=40)
     # five nodes run out as the weak variant starts a collapse search
@@ -527,16 +539,11 @@ def test_the_weak_cone_candidate_collapses_only_in_a_certificate(monkeypatch):
     assert total > 0
 
 
-# the cone over the dunce hat with apex a, plus the point x
-DUNCE_CONE_AND_POINT = new_complex(("a", *DUNCE_HAT.ground, "x"),
-                                   [f | {"a"} for f in DUNCE_HAT.facets] + [frozenset("x")])
-
-
 def test_a_strong_weak_pivot_where_no_side_collapses_fails_without_a_guess(monkeypatch):
     # at a, the first pivot, the link is the dunce hat, acyclic with no
-    # collapse, and the deletion has H~_0: the witness is "unknown".  The
-    # link's own recognition answers "no", so a fails, and a later pivot
-    # gives the yes
+    # collapse, and the deletion has H~_0: neither side collapses, so a
+    # fails at once (the README's lemma: a witness side would collapse),
+    # and a later pivot gives the yes
     tested = []
     real = grapes.grape.collapse_test
 
@@ -548,9 +555,54 @@ def test_a_strong_weak_pivot_where_no_side_collapses_fails_without_a_guess(monke
     verdict = check_grape(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK)
     assert [(refuted is None, steps is None) for refuted, steps in tested[:2]] == [
         (True, True), (False, True)]
-    assert (verdict.verdict, verdict.nodes, verdict.wedge) == ("yes", 77, {0: 1})
+    assert (verdict.verdict, verdict.nodes, verdict.wedge) == ("yes", 50, {0: 1})
     verify_certificate(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK, verdict.certificate)
     wire_verify(DUNCE_CONE_AND_POINT, GrapeVariant.STRONG_WEAK, json.loads(json.dumps(wire(verdict))))
+
+
+@pytest.mark.parametrize("c, verdict, nodes", [
+    (DUNCE_HAT, "no", 27),
+    (DUNCE_CONE_AND_POINT, "yes", 50),
+    (SUSPENDED_DUNCE_HAT, "no", 58),
+    (dunce_hat_with_star(1), "no", 56),
+    (dunce_hat_with_star(2), "no", 113),
+    (dunce_hat_with_star(3), "no", 229),
+])
+def test_strong_weak_is_unknown_only_when_the_budget_runs_out(c, verdict, nodes):
+    # complexes built on the dunce hat, which is contractible with no
+    # collapse: the search ends "yes" or "no", and below its need it ends
+    # "unknown" with the budget's reason only
+    got = check_grape(c, GrapeVariant.STRONG_WEAK)
+    assert (got.verdict, got.reason, got.nodes) == (verdict, None, nodes)
+    for budget in (1, nodes // 2, nodes - 1):
+        short = check_grape(c, GrapeVariant.STRONG_WEAK, budget)
+        assert (short.verdict, short.reason, short.nodes) == (
+            "unknown", "recognition budget exhausted", budget + 1)
+    assert check_grape(c, GrapeVariant.STRONG_WEAK, nodes)[:4] == got[:4]
+    if got.is_yes:
+        verify_certificate(c, GrapeVariant.STRONG_WEAK, got.certificate)
+        wire_verify(c, GrapeVariant.STRONG_WEAK, json.loads(json.dumps(wire(got))))
+
+
+def test_an_acyclic_strong_weak_grape_collapses():
+    # the README's lemma, by which a strong-weak pivot where no side
+    # collapses fails: every acyclic strong-weak "yes" on at most four
+    # elements and among the named instances collapses (the dunce hat, its
+    # suspension and the star are acyclic "no"s; the acyclic "yes"s named
+    # are the cone over the dunce hat, a collapsible 3-complex, and the
+    # 7-simplex with a path of two edges)
+    named = (RP2, cycle_complex(5), cross_polytope(3), TORUS, rp2_with_path(2),
+             SIMPLEX_WITH_HANDLE, DUNCE_HAT, DUNCE_CONE_AND_POINT, SUSPENDED_DUNCE_HAT,
+             dunce_hat_with_star(3), cone(DUNCE_HAT, "z"),
+             cx("ABCDEF", "AECD", "FBCD", "AFD", "BEC"),
+             cx([f"v0{i}" for i in range(8)] + ["w", "x"], [f"v0{i}" for i in range(8)],
+                ("v00", "w"), ("w", "x")))
+    acyclic = 0
+    for c in (*enumerate_complexes("abcd"), *named):
+        if check_grape(c, GrapeVariant.STRONG_WEAK).is_yes and reduced_homology(c).is_trivial():
+            acyclic += 1
+            assert collapse_search(c).is_yes, c
+    assert acyclic == 66 + 3
 
 
 @pytest.mark.parametrize("c, variant, verdict, nodes", [
@@ -1100,12 +1152,13 @@ def test_dual_invariance_needs_yes_instance():
 
 
 def test_only_a_weak_family_dual_may_be_unknown():
-    # the one status rule: a weak or strong-weak dual that comes back
-    # "unknown" is tolerated, flagged, and makes the report unknown; a strong
-    # one fails.  No small complex has such a dual, so the table is primed
+    # the one status rule: a weak dual that comes back "unknown" is
+    # tolerated, flagged, and makes the report unknown; a strong-weak or
+    # strong one, which only the budget can leave unknown, fails.  No small
+    # complex has such a dual, so the table is primed
     c5, two_points = cycle_complex(5), cx("ab", "a", "b")
     for c, variant, status in ((c5, GrapeVariant.WEAK, "unknown"),
-                               (c5, GrapeVariant.STRONG_WEAK, "unknown"),
+                               (c5, GrapeVariant.STRONG_WEAK, "fail"),
                                (two_points, GrapeVariant.STRONG, "fail")):
         table = OutcomeTable()
         table.entries[(table.dual(c).masks, variant)] = GrapeVerdict("unknown", reason="primed")

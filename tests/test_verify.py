@@ -321,6 +321,51 @@ def test_a_weak_certificate_that_fails_to_replay_gives_one_report(monkeypatch):
     assert [(r.status, r.observed) for r in weak] == [("fail", "refused")]
 
 
+def reports_of(reports):
+    return [(r.theorem, r.status, r.expected, r.observed, r.details) for r in reports]
+
+
+def test_a_forest_complex_that_is_no_strong_grape_fails_its_report(monkeypatch):
+    table = OutcomeTable()
+    monkeypatch.setattr(table, "recognise", lambda c, variant: grape.GrapeVerdict("no"))
+    names = ("independence", "dominance", "edge-cover", "edge-dominance")
+    assert reports_of(verify_forest_theorem(path_graph(2), table)) == [
+        (f"forest-{name}{dual}", "fail", "strong grape", "no", {})
+        for dual in ("", "-dual") for name in names]
+
+
+def test_a_path_complex_that_is_no_strong_grape_fails_its_report(monkeypatch):
+    # path-free is recognised, path-missing comes back "unknown"
+    d = digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t")
+    table = OutcomeTable()
+    pm, real = graphs.pm_complex(d), table.recognise
+    monkeypatch.setattr(table, "recognise", lambda c, variant: (
+        grape.GrapeVerdict("unknown") if c == pm else real(c, variant)))
+    assert reports_of(verify_pfpm_theorem(d, table)) == [
+        ("pfpm-alexander-dual", "pass", None, None, {}),
+        ("pfpm-path-free", "pass", "cross-polytope-boundary(1)", "cross-polytope-boundary(1)", {}),
+        ("pfpm-path-missing", "fail", "strong grape", "unknown", {})]
+
+
+def test_a_lifted_collapse_that_fails_to_replay_fails_its_report(monkeypatch):
+    def refuse(c, a, steps):
+        raise ReplayError("refused")
+
+    monkeypatch.setattr(verify, "lifted_collapse", refuse)
+    # the independence complex of the 3-path: the links of a and c are points
+    ind_p3 = new_complex("abc", [frozenset("ac"), frozenset("b")])
+    assert reports_of(lifted_collapse_reports(ind_p3, OutcomeTable())) == [
+        ("lifted-collapse", "fail", None, "refused", {"element": a}) for a in "ac"]
+
+
+def test_a_five_cycle_that_is_no_weak_grape_fails_its_report(monkeypatch):
+    real = verify.check_grape
+    monkeypatch.setattr(verify, "check_grape", lambda c, variant: (
+        grape.GrapeVerdict("unknown") if variant is GrapeVariant.WEAK else real(c, variant)))
+    assert [(r.theorem, r.status, r.observed) for r in five_cycle_reports()] == [
+        ("five-cycle-not-combinatorial", "pass", "no"), ("five-cycle-weak", "fail", "unknown")]
+
+
 def test_deletion_contraction_on_cyclic_digraph():
     reports = deletion_contraction_reports(cyclic_no_useless_digraph())
     assert reports and all(r.status == "pass" for r in reports)
