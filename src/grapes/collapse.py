@@ -16,7 +16,8 @@ and grape recognition call.
 Deciding collapsibility is NP-complete (Tancer 2016); this refutes the
 non-acyclic inputs in polynomial time and leaves the search for the acyclic
 ones.  The search is depth-first and remembers every face set it has seen
-fail, so it expands each face set it reaches at most once.
+fail, so it expands each face set it reaches at most once; it makes a
+facet's free pairs only when it reaches that facet.
 
 The search and replay run on facet masks (see ``complexes``), and a
 sequence is a tuple of (sigma, tau) mask pairs.  Names meet it only at the
@@ -31,6 +32,7 @@ order of the bit string read from bit 0 up, the key ``mask_order`` gives.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .complexes import (
@@ -113,12 +115,12 @@ def _free_faces(masks, sigma: int) -> list:
 
 
 def _free_pairs(masks: frozenset, order_key):
-    """(sigma, tau, free faces of sigma) for every free pair, in face order."""
-    out = []
+    """(sigma, tau, free faces of sigma) for every free pair, in face order;
+    a facet's free faces are made only when the iteration reaches it."""
     for sigma in sorted(masks, key=order_key, reverse=True):
         faces = _free_faces(masks, sigma)
-        out += [(sigma, tau, faces) for tau in faces]
-    return out
+        for tau in faces:
+            yield sigma, tau, faces
 
 
 def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
@@ -144,44 +146,33 @@ def cone_steps(masks: frozenset, apex: int) -> tuple:
     return tuple((s | apex, s) for s in sorted(faces, key=mask_order, reverse=True))
 
 
-class _OrderKeys(dict):
-    """mask -> mask_order(mask), each computed on first use."""
-
-    def __missing__(self, m: int) -> tuple:
-        self[m] = key = mask_order(m)
-        return key
-
-
 def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tuple]:
     """collapse_search on facet masks, spending a node per complex visited: the
     mask steps, or None once every order failed; BudgetExceeded on running out."""
-    order_key = _OrderKeys().__getitem__  # each face's key once per search
+    order_key = cache(mask_order)  # each face's key once per search
     failed: set = set()
-    stack: list = []  # (facets, iterator over their untried free pairs)
-    steps: list = []  # steps[i]: the free pair being tried at stack[i]
+    stack: list = []  # (facets, their untried free pairs, the pair being tried)
     cur: Optional[frozenset] = masks
     while cur is not None:
         budget.spend()
         apexes = meet_mask(cur)
         if not cur or apexes:
+            steps = tuple(pair for _, _, pair in stack)
             if cur:
-                steps.extend(cone_steps(cur, apexes & -apexes))
+                steps += cone_steps(cur, apexes & -apexes)
             if replay_masks(masks, steps, names):
                 raise ReplayError("search produced a sequence that does not replay")
-            return tuple(steps)
-        stack.append((cur, iter(() if cur in failed else _free_pairs(cur, order_key))))
+            return steps
+        stack.append((cur, iter(() if cur in failed else _free_pairs(cur, order_key)), None))
         cur = None
         while stack and cur is None:
-            top, pairs = stack[-1]
+            top, pairs, _ = stack.pop()
             pair = next(pairs, None)
             if pair is None:
-                stack.pop()
                 failed.add(top)
-                if stack:
-                    steps.pop()
             else:
                 sigma, tau, faces = pair
-                steps.append((sigma, tau))
+                stack.append((top, pairs, (sigma, tau)))
                 cur = top.difference((sigma,)).union(f for f in faces if f != tau)
     return None
 
@@ -228,8 +219,8 @@ def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
     homology finds the complex acyclic, or refuses its size (over
     ``MAX_FACES`` faces), the search runs: a backtracking DFS trying free
     pairs in the canonical order, on an explicit stack of (complex, untried
-    free pairs) so that long collapse sequences do not hit the recursion
-    limit.  Cones are
+    free pairs, pair being tried) so that long collapse sequences do not hit
+    the recursion limit; a "yes" reads its sequence off that stack.  Cones are
     collapsed directly via :func:`cone_steps`.  The search remembers every
     face set whose free pairs all failed, so a face set that two collapse
     orders reach is expanded once; it answers "no" once the whole tree is

@@ -37,6 +37,9 @@ Input is validated once, where it enters (``new_complex``,
 ``complex_from_json``).  Every "does some facet hold this face?" test goes
 through :func:`holders`: one set lookup per vertex outside the face, plus a
 scan of the facets at least two elements larger, none in a pure complex.
+The exception is ``collapse._free_faces``: one pass over the facets for
+all of a facet's codimension-1 faces, asked at each collapse node and step
+of a face set just changed, where a ``holders`` index would cost a sort.
 
 Every dual, primal graph or path-free complex and list of minimal non-faces
 comes from one kernel, :func:`_transversals` (Berge's algorithm).  Its plain

@@ -18,6 +18,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import grapes.collapse
 from grapes import (
     InputError,
     ReplayError,
@@ -472,9 +473,20 @@ def test_collapsible_implies_trivial_homology():
         assert reduced_homology(c).is_trivial()
 
 
+def path_complex(n):
+    """The path v1 - v2 - ... - vn."""
+    names = [f"v{i}" for i in range(1, n + 1)]
+    return new_complex(names, [frozenset(p) for p in zip(names, names[1:])])
+
+
+def stacked_ball(tetrahedra):
+    """The stacked 3-ball of the tetrahedra {vi, ..., vi+3}."""
+    names = [f"v{i}" for i in range(tetrahedra + 3)]
+    return new_complex(names, [frozenset(names[i:i + 4]) for i in range(tetrahedra)])
+
+
 def test_long_path_collapses_under_a_low_recursion_limit():
-    names = [f"v{i}" for i in range(1, 251)]
-    path = new_complex(names, [frozenset(p) for p in zip(names, names[1:])])
+    path = path_complex(250)
     limit = sys.getrecursionlimit()
     # well below the 247 nested calls a recursive search would need
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -484,6 +496,27 @@ def test_long_path_collapses_under_a_low_recursion_limit():
         sys.setrecursionlimit(limit)
     assert result.is_yes
     assert replay(path, result.sequence).is_void
+
+
+@pytest.mark.parametrize("c, nodes", [(path_complex(200), 198), (stacked_ball(100), 401)])
+def test_the_search_makes_only_the_free_pairs_it_tries(c, nodes, monkeypatch):
+    # a "yes" takes the first free pair at nearly every node, so the search
+    # and its replay check make about two facets' free faces per step;
+    # making every facet's at every node would take 20,097 and 50,902 calls
+    real, calls = grapes.collapse._free_faces, []
+    monkeypatch.setattr(grapes.collapse, "_free_faces", lambda *a: calls.append(a) or real(*a))
+    result = collapse_search(c)
+    assert (result.verdict, result.nodes) == ("yes", nodes)
+    assert len(calls) < 3 * len(result.sequence)
+    assert replay(c, result.sequence).is_void
+
+
+def test_the_search_replays_its_sequence_before_returning_it(monkeypatch):
+    # a cone tail one pair short leaves the apex behind
+    real = grapes.collapse.cone_steps
+    monkeypatch.setattr(grapes.collapse, "cone_steps", lambda masks, apex: real(masks, apex)[:-1])
+    with pytest.raises(ReplayError, match="^search produced a sequence that does not replay$"):
+        collapse_search(full_simplex("abc"))
 
 
 def test_search_is_deterministic():
