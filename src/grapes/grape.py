@@ -47,11 +47,10 @@ child is a cone leaf), ``{"kind": "combinatorial", "cone_element": x}``
 between link and deletion that s collapses) or ``{"kind": "strong-weak",
 "side": "link" or "deletion", "collapse": s}`` (that side collapses), s a
 tuple of collapse pairs (see ``collapse``).  The search records a node per
-solved subproblem in this form, a split's witness as a function that
-makes it, and :func:`check_grape` keeps the records the root reaches, so
-every "yes" comes with a certificate that replays without searching.  The
-search folds its records with :func:`predicted_wedge`, as that folds a
-certificate, so every "yes" carries the predicted wedge of spheres.  That
+solved subproblem in this form, and on a "yes" that table is the
+certificate, which replays without searching; a node the root does not
+reach is skipped by replay and left out by the writer.  Every "yes" carries
+the wedge of spheres that :func:`predicted_wedge` folds from it.  That
 wedge is the one homotopy type the engine derives: a strong grape's class
 (void, or one sphere) is read off it, and Alexander duality shifts it, a
 k-sphere to a (|X| - k - 3)-sphere (``homology.dual_wedge``).
@@ -150,7 +149,8 @@ def _cone_points(lk: frozenset, dl: frozenset) -> int:
     return out
 
 
-def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET) -> GrapeVerdict:
+def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET, *,
+                profiles: Optional[dict] = None) -> GrapeVerdict:
     """Decide grape membership for one variant, with a certificate on yes.
 
     Strong, combinatorial and strong-weak answers are definitive.  The weak
@@ -161,45 +161,28 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET)
     pivot tries the cone over the link next; failing that it is
     inconclusive, and torsion in the root's homology, read once at the
     first inconclusive pivot test, answers "no" with TORSION_REASON.
-    Homology comes from a fresh memo keyed by facet masks: each face set's
-    homology is computed once per recognition.  Anything else inconclusive
-    is reported "unknown", never guessed, with its origin.  Every
-    subproblem that is a cone, a point or the root included, is answered
-    "yes" by a one-node "cone" leaf, with no pivot test.  A "yes" carries
-    its certificate and the wedge :func:`predicted_wedge` folds from it.
+    Homology is read from and filled into profiles, a memo keyed by facet
+    masks (a fresh one when none is given), so each face set's homology is
+    computed once per memo.  Anything else inconclusive is reported
+    "unknown", never guessed, with its origin.  Every subproblem that is a
+    cone, a point or the root included, is answered "yes" by a one-node
+    "cone" leaf, with no pivot test.  A "yes" carries its certificate, the
+    search's own table of a node per solved subproblem, and the wedge
+    :func:`predicted_wedge` folds from it.  Replay and the fold skip the
+    nodes the root does not reach, and :func:`certificate_to_json` leaves
+    them out.
 
     One ``Budget`` of the given limit counts all of the work: each
     subproblem, each refutation, and each node of every collapse search.
     Running out anywhere ends the recognition "unknown" after limit + 1
-    nodes.  The search is :func:`search_grape`; this keeps the records
-    that the root reaches, renumbered, each split with its witness made.
+    nodes.
     """
-    verdict, records = search_grape(c, variant, budget, profiles={})
-    if records is None:
-        return verdict
-    found = records["nodes"]
-    keep = {len(found) - 1}
-    for i in range(len(found) - 1, -1, -1):
-        if i in keep and "base" not in found[i]:
-            keep |= {found[i]["link"], found[i]["deletion"]}
-    index = {i: k for k, i in enumerate(sorted(keep))}  # renumbered in their order
-    nodes = [n if "base" in n else {**n, "witness": n["witness"](), "link": index[n["link"]],
-                                    "deletion": index[n["deletion"]]}
-             for n in map(found.__getitem__, index)]
-    return verdict._replace(certificate={"ground": records["ground"], "nodes": nodes})
-
-
-def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET, *,
-                 profiles: dict) -> tuple:
-    """The recognition :func:`check_grape` describes, less the certificate,
-    with on yes its records, a certificate's table with every split's
-    witness still to be made, folded into the verdict's wedge.  Homology is
-    read from and filled into profiles, a memo keyed by facet masks."""
+    profiles = {} if profiles is None else profiles
     budget = Budget(budget)
     c = restrict_ground(c)
     names, root = c.ground, c.masks
     memo: dict = {}
-    nodes: list = []  # a record per solved subproblem, children first
+    nodes: list = []  # a node per solved subproblem, children first
 
     def leaf(masks: frozenset) -> Optional[tuple]:
         """Spends a node; answers a void, irrelevant or cone subproblem with no frame, else None."""
@@ -212,27 +195,27 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
         memo[masks] = answer = ("yes", len(nodes) - 1)
         return answer
 
-    def yes() -> tuple:
-        """The answer with its records, folded into its wedge as a certificate would be."""
-        records = {"ground": names, "nodes": nodes}
-        return GrapeVerdict("yes", nodes=budget.used, wedge=predicted_wedge(records)), records
+    def yes() -> GrapeVerdict:
+        """The answer with its certificate, folded into its wedge."""
+        cert = {"ground": names, "nodes": nodes}
+        return GrapeVerdict("yes", cert, nodes=budget.used, wedge=predicted_wedge(cert))
 
     if leaf(root):  # the root is its own one-node answer: nothing else to set up
         return yes()
 
     def witness(lk: frozenset, dl: frozenset):
-        """Variant gluing condition at one pivot: ("yes", witness maker),
+        """Variant gluing condition at one pivot: ("yes", witness),
         ("no", None) or ("unknown", reason)."""
         if variant is GrapeVariant.STRONG:
             # a cone side is solved as a cone leaf
             if meet_mask(dl) or meet_mask(lk):
-                return "yes", lambda: {"kind": "strong"}
+                return "yes", {"kind": "strong"}
             return "no", None
 
         if variant is GrapeVariant.COMBINATORIAL:
             x = _cone_points(lk, dl)
             if x:
-                return "yes", lambda: {"kind": "combinatorial", "cone_element": x & -x}
+                return "yes", {"kind": "combinatorial", "cone_element": x & -x}
             return "no", None
 
         # the weak family: a side that collapses
@@ -240,18 +223,18 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
             steps = collapse_test(gamma, budget, names, profiles)[1]
             if steps is not None:
                 if variant is GrapeVariant.STRONG_WEAK:
-                    return "yes", lambda: {"kind": "strong-weak", "side": side, "collapse": steps}
-                return "yes", lambda: {"kind": "weak", "gamma_facets": gamma, "collapse": steps}
+                    return "yes", {"kind": "strong-weak", "side": side, "collapse": steps}
+                return "yes", {"kind": "weak", "gamma_facets": gamma, "collapse": steps}
         if variant is GrapeVariant.STRONG_WEAK:
             # a witness side would be an acyclic strong-weak grape, which collapses (README)
             return "no", None
         # weak: the cone over the link, a complex between link and deletion
         x = _cone_points(lk, dl)
-        if x:  # the cone's steps are made only for a record the root reaches
+        if x:
             gamma = maximal_masks(f | (x & -x) for f in lk)
             apexes = meet_mask(gamma)
-            return "yes", lambda: {"kind": "weak", "gamma_facets": gamma, "collapse": cone_steps(
-                gamma, apexes & -apexes) if gamma else ()}
+            return "yes", {"kind": "weak", "gamma_facets": gamma,
+                           "collapse": cone_steps(gamma, apexes & -apexes) if gamma else ()}
         return "unknown", "no collapsible intermediate in the fast family"
 
     torsion_read = False  # the root's homology, read at the first inconclusive pivot test
@@ -308,21 +291,20 @@ def search_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET
             if result is None:
                 stack.append((sub, solve(sub)))
     except BudgetExceeded:
-        reason = "recognition budget exhausted"
-        return GrapeVerdict("unknown", None, reason, budget.used), None
+        return GrapeVerdict("unknown", None, "recognition budget exhausted", budget.used)
     except _Torsion:
-        return GrapeVerdict("no", None, TORSION_REASON, budget.used), None
+        return GrapeVerdict("no", None, TORSION_REASON, budget.used)
     if result[0] == "yes":
         return yes()
     if result[0] == "no":
-        return GrapeVerdict("no", nodes=budget.used), None
+        return GrapeVerdict("no", nodes=budget.used)
     # the pivots from the root down to the inconclusive test, and the side
     # taken below each of them but the last
     reason, pivots, sides = result[1]
     pivots = [_name(a, names) for a in pivots]
     where = f"pivots {' > '.join(pivots)}, {' > '.join(sides)}" if sides else (
         f"pivot {pivots[0]}, at the root")
-    return GrapeVerdict("unknown", None, f"{reason} ({where})", budget.used), None
+    return GrapeVerdict("unknown", None, f"{reason} ({where})", budget.used)
 
 
 # -- certificate replay --------------------------------------------------------
@@ -411,9 +393,8 @@ def _verify_witness(
 
 
 def predicted_wedge(cert: dict) -> dict:
-    """Predicted reduced Betti numbers, folded from a certificate alone or
-    from {"nodes": the search's records} (nodes the root does not reach
-    fold unread).
+    """Predicted reduced Betti numbers, folded from a certificate alone
+    (nodes the root does not reach fold unread).
 
     At every split the complex is homotopy equivalent to the deletion wedged
     with the suspended link, so predictions add up from the leaves: the
@@ -450,18 +431,25 @@ def _name(x: int, names: tuple) -> str:
 
 
 def certificate_to_json(cert: dict) -> dict:
-    """A certificate in its wire form, format 3: every bit, facet mask and
-    collapse step named by the ground that the certificate carries."""
-    names = cert["ground"]
+    """A certificate in its wire form, format 3: the nodes the root reaches,
+    renumbered in their order, with every bit, facet mask and collapse step
+    named by the ground that the certificate carries."""
+    names, found = cert["ground"], cert["nodes"]
+    keep = {len(found) - 1}
+    for i in range(len(found) - 1, -1, -1):
+        if i in keep and "base" not in found[i]:
+            keep |= {found[i]["link"], found[i]["deletion"]}
+    index = {i: k for k, i in enumerate(sorted(keep))}
     fields = {"pivot": lambda x: _name(x, names), "apex": lambda x: _name(x, names),
               "cone_element": lambda x: _name(x, names), "witness": lambda w: written(w),
               "gamma_facets": lambda gamma: sorted(sorted(face_of(g, names)) for g in gamma),
-              "collapse": lambda steps: steps_to_json(steps, names)}
+              "collapse": lambda steps: steps_to_json(steps, names),
+              "link": index.__getitem__, "deletion": index.__getitem__}
 
     def written(node: dict) -> dict:
         return {k: fields[k](v) if k in fields else v for k, v in node.items()}
 
-    return {"format": 3, "nodes": [written(node) for node in cert["nodes"]]}
+    return {"format": 3, "nodes": [written(found[i]) for i in index]}
 
 
 def _witness_from_json(data: object, bit: dict) -> dict:

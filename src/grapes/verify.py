@@ -44,7 +44,7 @@ from .generators import (
     gen_digraph,
     gen_forest,
 )
-from .grape import GrapeVariant, GrapeVerdict, check_grape, search_grape, verify_certificate
+from .grape import GrapeVariant, GrapeVerdict, check_grape, verify_certificate
 from .graphs import (
     FORBIDDEN_SETS,
     Digraph,
@@ -158,10 +158,10 @@ class OutcomeTable:
     dropped with it.
 
     Recognition and homology read facet masks only, so :meth:`recognise`
-    keeps :func:`search_grape`'s own verdicts by (masks, variant), each
-    "yes" with its wedge and none with a certificate, and ``profiles``
-    homology by masks, for :meth:`homology` and the table's recognitions and
-    collapse searches.  :meth:`dual` keeps duals by (ground, masks);
+    keeps :func:`check_grape`'s verdicts by (masks, variant), each "yes"
+    with its wedge and its certificate dropped, and ``profiles`` homology by
+    masks, for :meth:`homology` and the table's recognitions and collapse
+    searches.  :meth:`dual` keeps duals by (ground, masks);
     harnesses keep PF/PM or invariants too.
 
     A verdict may be read off a stronger variant's "yes" on the same masks
@@ -188,7 +188,10 @@ class OutcomeTable:
                 held = self.entries.get((c.masks, stronger))
                 if held is not None and held.is_yes:
                     return held  # the same wedge: any certificate folds to the homotopy type
-            return search_grape(c, variant, profiles=self.profiles)[0]
+            found = check_grape(c, variant, profiles=self.profiles)
+            # not _replace, whose resized temporary tuple grows CPython's
+            # 5-tuple free list by one per call (67 KB over a full suite)
+            return GrapeVerdict(found.verdict, None, found.reason, found.nodes, found.wedge)
 
         return self.once((c.masks, variant), outcome)
 
@@ -403,15 +406,15 @@ def deletion_contraction_reports(d: Digraph) -> list:
 def ground_independence_reports(c: Complex, table: OutcomeTable) -> list:
     """Verdicts must not change when the ground order is reversed and an
     unused ground element is added (this moves every pivot choice).  c's
-    verdicts come from the table, and the moved complex is searched afresh,
-    reading homology from the table's profiles: that search is the check,
-    and its records are never named."""
+    verdicts come from the table, and the moved complex is recognised
+    afresh, reading homology from the table's profiles: that recognition is
+    the check, and only its verdict is read."""
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
         a = table.recognise(c, variant).verdict
-        b = search_grape(moved, variant, profiles=table.profiles)[0].verdict
+        b = check_grape(moved, variant, profiles=table.profiles).verdict
         out.append(
             _report(
                 f"ground-independence-{variant.value}",

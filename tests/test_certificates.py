@@ -354,10 +354,28 @@ def tables_match_the_tree_walkers(variant):
     return tampered
 
 
+def reached(cert):
+    """The nodes of a certificate that its root reaches, found depth first
+    and renumbered in their order."""
+    nodes, seen, todo = cert["nodes"], set(), [len(cert["nodes"]) - 1]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo += [] if "base" in nodes[i] else [nodes[i]["link"], nodes[i]["deletion"]]
+    index = {i: k for k, i in enumerate(sorted(seen))}
+    return {"ground": cert["ground"], "nodes": [
+        n if "base" in n else {**n, "link": index[n["link"]], "deletion": index[n["deletion"]]}
+        for n in map(nodes.__getitem__, index)]}
+
+
 def test_certificates_and_sequences_are_plain_json():
     # the wire forms hold no tuple, frozenset or callable: they come back
     # from a JSON round trip unchanged, and the readers give back the
-    # certificate or sequence on masks itself, which replays
+    # certificate's reached part or the sequence on masks itself, which
+    # replays; a search's table may hold nodes its root does not reach, and
+    # 12 of the 742 certificates here do
+    partial = 0
     for ground in ("", "a", "ab", "abc", "abcd"):
         for c in enumerate_complexes(ground):
             for variant in GrapeVariant:
@@ -365,14 +383,18 @@ def test_certificates_and_sequences_are_plain_json():
                 if verdict.certificate is not None:
                     data = json.loads(json.dumps(wire(verdict)))
                     assert data == wire(verdict)
-                    assert certificate_from_json(data, c) == verdict.certificate
-                    verify_certificate(c, variant, certificate_from_json(data, c))
+                    read_back = certificate_from_json(data, c)
+                    assert read_back == reached(verdict.certificate)
+                    partial += read_back != verdict.certificate
+                    verify_certificate(c, variant, verdict.certificate)
+                    verify_certificate(c, variant, read_back)
             sequence = collapse_search(c).sequence
             if sequence is not None:
                 data = json.loads(json.dumps(steps_to_json(sequence, c.ground)))
                 assert data == steps_to_json(sequence, c.ground)
                 assert read(c, data) == (c, sequence)
                 assert replay(c, sequence).is_void
+    assert partial == 12
 
 
 # 5,148 tampered certificates in all

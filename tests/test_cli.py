@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import grapes
 import grapes.cli as cli
+import grapes.collapse
 import grapes.complexes as complexes
 import grapes.graphs as graphs
 from grapes.cli import VARIANTS, _build_parser, main
@@ -140,6 +141,18 @@ def test_collapse_command_yes_and_no(write_json, capsys):
     assert code == 1 and out["verdict"] == "no"
     code, out = run_cli(capsys, "collapse", write_json("p2.json", TWO_POINTS))
     assert code == 1 and out["verdict"] == "no"
+
+
+def test_a_search_that_does_not_replay_exits_one(write_json, capsys, monkeypatch):
+    # a search checks its own sequence by replay before it answers: a cone
+    # collapse short of its last pair leaves the triangle standing
+    real = grapes.collapse.cone_steps
+    monkeypatch.setattr(grapes.collapse, "cone_steps", lambda masks, apex: real(masks, apex)[:-1])
+    path = write_json("t.json", {"ground": list("abc"), "facets": [list("abc")]})
+    assert main(["collapse", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "replay error: search produced a sequence that does not replay\n"
 
 
 def test_collapse_exhaustive_flag_changes_nothing(write_json, capsys):

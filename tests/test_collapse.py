@@ -573,6 +573,16 @@ def test_lifted_collapse_rejects_a_link_sequence_that_stops_short():
         lifted_collapse(c, "a", ())
 
 
+def test_lifted_collapse_rejects_a_lift_that_misses_the_deletion(monkeypatch):
+    # the lift of a sound link collapse lands on the true deletion, so only
+    # a deletion that disagrees reaches the last check
+    c = cx("abc", "ab", "bc")
+    steps = collapse_search(link(c, "a")).sequence
+    monkeypatch.setattr(grapes.collapse, "deletion_masks", lambda masks, bit: frozenset())
+    with pytest.raises(ReplayError, match="^lifted sequence did not land on the deletion$"):
+        lifted_collapse(c, "a", steps)
+
+
 # -- suspension transport -----------------------------------------------------------
 
 

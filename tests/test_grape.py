@@ -43,14 +43,13 @@ from grapes import (
     verify_certificate,
     void_complex,
 )
-from grapes.collapse import collapse_search, obstruction
+from grapes.collapse import collapse_search, obstruction, replay_masks
 from grapes.complexes import Complex, deletion, face_of, join_mask, link, meet_mask
 from grapes.grape import (
     TORSION_REASON,
     GrapeVerdict,
     _cone_points,
     certificate_variant,
-    search_grape,
 )
 from grapes.generators import cycle_complex
 from grapes.verify import OutcomeTable, grape_duality_report, standard_complexes
@@ -516,10 +515,11 @@ def test_a_refuted_side_is_not_searched(variant):
     assert predicted_wedge(verdict.certificate) == {1: 1}
 
 
-def test_the_weak_cone_candidate_collapses_only_in_a_certificate(monkeypatch):
-    # the search records a witness maker, so the search that an outcome
-    # table runs makes no cone steps, and check_grape makes them at most
-    # once per split it keeps
+def test_every_weak_split_holds_its_witness_as_a_plain_value(monkeypatch):
+    # the search makes each witness where it finds it, the weak cone
+    # candidate's collapse steps included, so every split of the table,
+    # reached from the root or not, holds a witness whose steps collapse
+    # its intermediate complex
     made = []
     real = grapes.grape.cone_steps
 
@@ -528,15 +528,13 @@ def test_the_weak_cone_candidate_collapses_only_in_a_certificate(monkeypatch):
         return real(masks, apex)
 
     monkeypatch.setattr(grapes.grape, "cone_steps", counted)
-    total = 0
     for c in enumerate_complexes("abcd"):
-        search_grape(c, GrapeVariant.WEAK, profiles={})
-        assert made == [], c
-        verdict = check_grape(c, GrapeVariant.WEAK)
-        assert len(made) <= sum("base" not in node for node in verdict.certificate["nodes"]), c
-        total += len(made)
-        made.clear()
-    assert total > 0
+        cert = check_grape(c, GrapeVariant.WEAK).certificate
+        witnesses = [n["witness"] for n in cert["nodes"] if "base" not in n]
+        assert all(type(w) is dict and w["kind"] == "weak" for w in witnesses), c
+        for w in witnesses:
+            assert not replay_masks(w["gamma_facets"], w["collapse"], cert["ground"]), c
+    assert made  # the cone candidate is among them
 
 
 def test_a_strong_weak_pivot_where_no_side_collapses_fails_without_a_guess(monkeypatch):
@@ -625,11 +623,11 @@ def test_each_face_set_homology_is_read_once_per_recognition(monkeypatch, c, var
     assert reduced and len(reduced) == len(set(reduced))
     # a memo passed to the search is read and filled, and a second search reduces nothing
     profiles = {}
-    searched = search_grape(c, variant, profiles=profiles)[0]
-    assert searched == result._replace(certificate=None)
+    searched = check_grape(c, variant, profiles=profiles)
+    assert searched == result
     assert set(reduced) <= set(profiles)
     reduced.clear()
-    assert search_grape(c, variant, profiles=profiles)[0] == searched
+    assert check_grape(c, variant, profiles=profiles) == searched
     assert reduced == []
 
 
@@ -939,8 +937,8 @@ def test_predicted_wedge_examples():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_every_yes_carries_its_certificates_wedge(variant):
-    # the search folds its records into the wedge the certificate folds to,
-    # on every yes, and sets none otherwise
+    # the search folds its certificate into the wedge, on every yes, and
+    # sets none otherwise
     yes = 0
     for n in range(5):
         for c in enumerate_complexes(string.ascii_lowercase[:n]):

@@ -490,11 +490,11 @@ def test_suite_rejects_unknown_level():
 
 
 def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch):
-    def by_first_element(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles):
+    def by_first_element(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles=None):
         verdict = "yes" if c.ground and c.ground[0] == "a" else "no"
-        return grape.GrapeVerdict(verdict, wedge={} if verdict == "yes" else None), None, None
+        return grape.GrapeVerdict(verdict, wedge={} if verdict == "yes" else None)
 
-    monkeypatch.setattr(verify, "search_grape", by_first_element)
+    monkeypatch.setattr(verify, "check_grape", by_first_element)
     reports = ground_independence_reports(new_complex("ab", [frozenset("ab")]), OutcomeTable())
     assert len(reports) == 4
     assert all(r.status == "fail" for r in reports)
@@ -777,18 +777,17 @@ def test_a_smoke_run_holds_little_memory():
 
 
 def counting_searches(monkeypatch):
-    """Replace the one recognition search, which check_grape, the outcome
-    table and ground independence call; returns the list of (complex,
-    variant) keys it is called with."""
+    """Replace the one recognition function, which the outcome table, ground
+    independence and the named instances call; returns the list of
+    (complex, variant) keys it is called with."""
     keys = []
-    real = grape.search_grape
+    real = grape.check_grape
 
     def counting(c, variant, *args, **memo):
         keys.append((c, variant))
         return real(c, variant, *args, **memo)
 
-    monkeypatch.setattr(grape, "search_grape", counting)
-    monkeypatch.setattr(verify, "search_grape", counting)
+    monkeypatch.setattr(verify, "check_grape", counting)
     return keys
 
 
@@ -840,19 +839,18 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
             super().__init__()
             tables.append(self)
 
-    # neither the table, which folds the search's records, nor ground
-    # independence calls check_grape, so the search is what is recorded
+    # every recognition of the run, the table's and ground independence's,
+    # is a check_grape call, recorded with the memo it reads
     searches = []
-    real_search, real = grape.search_grape, grape.check_grape
+    real = grape.check_grape
 
-    def recorded(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles):
-        found = real_search(c, variant, budget, profiles=profiles)
+    def recorded(c, variant, budget=grape.DEFAULT_BUDGET, *, profiles=None):
+        found = real(c, variant, budget, profiles=profiles)
         searches.append((c, variant, profiles, found))
         return found
 
     monkeypatch.setattr(verify, "OutcomeTable", Captured)
-    monkeypatch.setattr(grape, "search_grape", recorded)
-    monkeypatch.setattr(verify, "search_grape", recorded)
+    monkeypatch.setattr(verify, "check_grape", recorded)
     run_suite("smoke", seed)
     monkeypatch.undo()
     (table,) = tables  # one for the whole run
@@ -878,26 +876,18 @@ def test_the_run_table_agrees_with_fresh_computations(monkeypatch, seed):
     for c, dual in duals.items():
         assert dual.ground == c.ground and dual == complexes.alexander_dual(c), c
     # every search that read the run's profiles, the moved complexes'
-    # included, has a lone check_grape's verdict, wedge, nodes and reason,
-    # and named on the run's profiles it is that lone certificate
+    # included, is a lone check_grape's verdict, certificate included, and
+    # a lone search on the run's profiles gives that verdict too
     shared = [r for r in searches if r[2] is table.profiles]
     assert len(shared) > 200
     # every table search files one outcome; the rest were read off a
     # stronger variant's "yes", and the loop above checked them too
     moved = [r for r in shared if r[0].ground and r[0].ground[-1].startswith("_")]
     assert len(outcomes) > len(shared) - len(moved)
-    lones = [(c, variant, found, real(c, variant)) for c, variant, _, found in shared]
-    for c, variant, (verdict, records), lone in lones:
-        assert verdict == lone._replace(certificate=None), (c, variant)
-        wedge = lone.certificate and grape.predicted_wedge(lone.certificate)
-        assert (records and grape.predicted_wedge(records)) == wedge, (c, variant)
-
-    def on_run_profiles(c, variant, budget, *, profiles):
-        return real_search(c, variant, budget, profiles=table.profiles)
-
-    monkeypatch.setattr(grape, "search_grape", on_run_profiles)
-    for c, variant, _, lone in lones:
-        assert real(c, variant) == lone, (c, variant)
+    for c, variant, _, found in shared:
+        lone = real(c, variant)
+        assert found == lone, (c, variant)
+        assert real(c, variant, profiles=table.profiles) == lone, (c, variant)
 
 
 def test_ground_independence_searches_each_moved_copy_on_its_own_key(monkeypatch):
@@ -984,6 +974,27 @@ def test_outcome_table_entries_hold_no_certificate():
     # the wedge is set exactly on every yes, of every variant
     assert all((e.wedge is not None) == e.is_yes for e in entries)
     assert {v for (_, v), e in table.entries.items() if e.is_yes} == set(GrapeVariant)
+
+
+def test_every_yes_of_the_full_suite_carries_a_certificate_that_replays(monkeypatch):
+    # every recognition of a suite run is a check_grape call, so every "yes"
+    # that the run searches comes with a certificate, and each replays
+    # against its complex without searching
+    found = []
+    real = grape.check_grape
+
+    def spied(c, variant, *args, **memo):
+        verdict = real(c, variant, *args, **memo)
+        found.append((c, variant, verdict))
+        return verdict
+
+    monkeypatch.setattr(verify, "check_grape", spied)
+    run_suite("full", 1729)
+    monkeypatch.undo()
+    yes = [(c, variant, verdict.certificate) for c, variant, verdict in found if verdict.is_yes]
+    assert len(yes) == 1977
+    for c, variant, cert in yes:
+        grape.verify_certificate(c, variant, cert)
 
 
 # sha256 of `grapes suite --level full --seed 1729` stdout and stderr
