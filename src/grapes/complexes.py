@@ -441,16 +441,13 @@ def enumerate_complexes(ground: Iterable[str]) -> Iterator[Complex]:
     """
     ground_t = new_complex(ground, ()).ground
     subsets = list(subset_masks(len(ground_t)))
-
-    def rec(i: int, chosen: list) -> Iterator[Complex]:
+    stack = [(0, ())]  # (the next subset to decide, the antichain so far)
+    while stack:
+        i, chosen = stack.pop()
         if i == len(subsets):
             yield Complex(ground_t, frozenset(chosen))
-            return
-        yield from rec(i + 1, chosen)
+            continue
         s = subsets[i]
         if not any(s & t in (s, t) for t in chosen):
-            chosen.append(s)
-            yield from rec(i + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+            stack.append((i + 1, chosen + (s,)))
+        stack.append((i + 1, chosen))  # taken first: every antichain without s comes first

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
-from .graphs import Digraph, Graph, edge_order
+from .graphs import Digraph, Graph, canonical_forest, edge_order
 
 MAX_GENERATORS = 2**16  # cap on gen_complex's generator faces and gen's vertex and arc counts
 
@@ -86,48 +86,30 @@ def cyclic_no_useless_digraph() -> Digraph:
 # -- exhaustive enumerations ---------------------------------------------------
 
 
-def _tree_canonical(n: int, edges: list) -> object:
-    """Isomorphism-invariant form of a tree on vertices 0..n-1.
-
-    The least, over all roots, of the recursive sorted-children form: that
-    form is a complete invariant of rooted trees, so its least value over
-    the roots is one of unrooted trees.
-    """
-    adjacency = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    def form(v: int, parent: int) -> tuple:
-        return tuple(sorted(form(w, v) for w in adjacency[v] if w != parent))
-
-    return min(form(root, -1) for root in range(n))
-
-
 def all_trees(max_n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees on 1..max_n vertices.
 
     Grows level by level: every tree on n vertices arises by attaching a new
     leaf to some tree on n - 1 vertices; duplicates are filtered by the
-    canonical form.
+    edges of :func:`canonical_forest`.
     """
     if max_n < 1:
         return
-    level: list = [[]]
-    yield Graph(("v1",), ())
+    level = [Graph(("v1",), ())]
+    yield from level
     for n in range(2, max_n + 1):
+        vertices = tuple(f"v{i}" for i in range(1, n + 1))
         seen = set()
         nxt = []
-        for edges in level:
+        for tree in level:
             for attach in range(n - 1):
-                candidate = edges + [(attach, n - 1)]
-                key = _tree_canonical(n, candidate)
+                edges = tuple(sorted(tree.edges + (1 << attach | 1 << n - 1,), key=edge_order))
+                candidate = Graph(vertices, edges)
+                key = canonical_forest(candidate).edges
                 if key not in seen:
                     seen.add(key)
                     nxt.append(candidate)
-        vertices = tuple(f"v{i}" for i in range(1, n + 1))
-        for edges in nxt:
-            yield Graph(vertices, tuple(sorted((1 << a | 1 << b for a, b in edges), key=edge_order)))
+        yield from nxt
         level = nxt
 
 

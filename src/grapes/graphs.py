@@ -59,7 +59,8 @@ def edge_order(e: int) -> tuple:
 
 def ends(e: int) -> tuple:
     """An edge mask's two vertex indices, lower first."""
-    return (e & -e).bit_length() - 1, e.bit_length() - 1
+    high = e.bit_length() - 1
+    return (e ^ 1 << high).bit_length() - 1, high
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,78 @@ def is_bipartite(g: Graph) -> bool:
     """No odd cycle: no edge lies within one breadth-first layer."""
     layers = [layer for component in _components(g) for layer in component]
     return not any(e & layer == e for layer in layers for e in g.edges)
+
+
+def canonical_forest(g: Graph) -> Graph:
+    """g relabelled into its canonical form: two forests are isomorphic
+    exactly when their forms have as many vertices and equal edges.  Each
+    vertex keeps its name, so the form's vertex tuple is an isomorphism from
+    g onto the form.  InputError when g has a cycle.
+
+    Leaves are peeled layer by layer, and a vertex's layer is its height
+    once each tree hangs from its centre, the vertex peeled last; a tree
+    peeled last as an edge hangs from the end with the lower code, with the
+    other end as its last child.  Codes go out height by height, each
+    ranking the sorted codes of a vertex's children among those of every
+    vertex of its height, so they compare the same in every labelling of g
+    (Aho, Hopcroft and Ullman's tree isomorphism, 1974).  The trees follow
+    one another by code, each in preorder, children by code.  No recursion;
+    O(n log n) comparisons of codes.
+    """
+    n = len(g.vertices)
+    left = [0] * n  # each vertex's neighbours not yet peeled
+    link = [0] * n  # the XOR of their indices: the last one, once it is alone
+    for e in g.edges:
+        a, b = ends(e)
+        left[a] += 1
+        left[b] += 1
+        link[a] ^= b
+        link[b] ^= a
+    height, code, place = [-1] * n, [0] * n, [0] * n
+    children: list = [[] for _ in range(n)]
+    centres = []  # (a vertex peeled last, the other one peeled with it or None)
+    ranked = 0  # the codes given out, to the layers below
+    h, layer = 0, [v for v in range(n) if left[v] <= 1]
+    while layer:
+        rows = []
+        for v in layer:
+            height[v] = h
+            children[v].sort(key=code.__getitem__)
+            rows.append(tuple(map(code.__getitem__, children[v])))
+        rank = {row: ranked + i for i, row in enumerate(sorted(set(rows)))}
+        ranked += len(rank)
+        nxt = []
+        for v, row in zip(layer, rows):
+            code[v], w = rank[row], link[v]
+            if left[v] and height[w] < 0:  # the one neighbour left: v's parent
+                children[w].append(v)
+                left[w] -= 1
+                link[w] ^= v
+                if left[w] == 1:
+                    nxt.append(w)
+            else:
+                centres.append((v, w if left[v] else None))
+        h, layer = h + 1, nxt
+    if -1 in height:
+        raise InputError("the canonical form needs a forest")
+    roots = []  # (the tree's code, its root)
+    for v, w in centres:
+        if w is None:
+            roots.append(((code[v],), v))
+        elif (code[v], v) < (code[w], w):
+            children[v].append(w)
+            roots.append(((code[v], code[w]), v))
+    order = []
+    for _, root in sorted(roots):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            place[v] = len(order)
+            order.append(v)
+            stack.extend(reversed(children[v]))
+    # a vertex's children follow it in place order: the edges come out in edge order
+    edges = tuple(1 << i | 1 << place[w] for i, v in enumerate(order) for w in children[v])
+    return Graph(tuple(g.vertices[v] for v in order), edges)
 
 
 def edge_ground(g: Graph) -> tuple:

@@ -49,9 +49,11 @@ from .graphs import (
     FORBIDDEN_SETS,
     Digraph,
     Graph,
+    canonical_forest,
     contract_arc,
     delete_arc,
     digraph_to_json,
+    edge_ground,
     graph_to_json,
     has_cycle,
     invariants,
@@ -162,7 +164,8 @@ class OutcomeTable:
     with its wedge and its certificate dropped, and ``profiles`` homology by
     masks, for :meth:`homology` and the table's recognitions and collapse
     searches.  :meth:`dual` keeps duals by (ground, masks);
-    harnesses keep PF/PM or invariants too.
+    harnesses keep PF/PM per path family and a forest's invariants and
+    complexes per isomorphism class too.
 
     A verdict may be read off a stronger variant's "yes" on the same masks
     (``_IMPLIED_BY``) instead of searched: the entry is then that stronger
@@ -327,14 +330,39 @@ def _forest_formula_checks(g: Graph, inv) -> list:
     return primal + dual
 
 
+def _forest_class(g: Graph, table: OutcomeTable) -> tuple:
+    """The invariants and the eight formula checks of g's isomorphism class,
+    computed on the edges of g's canonical copy with the vertices v1..vn.
+    The table keeps the copy per forest and the class per canonical key."""
+    h = table.once(("canonical", g), lambda: canonical_forest(g))
+
+    def compute() -> tuple:
+        f = Graph(tuple(f"v{i}" for i in range(1, len(h.vertices) + 1)), h.edges)
+        inv = invariants(f)
+        return inv, _forest_formula_checks(f, inv)
+
+    return table.once(("forest", len(h.vertices), h.edges), compute)
+
+
 def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
     """Check the forest theorem: the four graph complexes and their duals are
-    strong grapes whose classes follow the invariant formulas."""
+    strong grapes whose classes follow the invariant formulas.
+
+    The checks run once per isomorphism class (:func:`_forest_class`), keyed
+    by :func:`canonical_forest`'s vertex count and edges, and the reports
+    name g.  Sharing is sound by construction: two forests share a key only
+    when the canonical relabelling, an explicit isomorphism, maps one onto
+    the other, and every quantity checked here is invariant under
+    relabelling.  The class's complexes have the masks of the canonical
+    copy's, so recognition and homology meet one mask-keyed entry per
+    class.  g's own edge labels are still read, so that labels that collide
+    are refused as when EC and ED are built on g."""
     if not is_forest(g):
         raise InputError("forest theorem harness needs a forest")
+    inv, checks = _forest_class(g, table)
+    edge_ground(g)  # refuses colliding labels
     out = []
-    inv = table.once(("invariants", g), lambda: invariants(g))
-    for name, cpx, dualize, wedge_ok in _forest_formula_checks(g, inv):
+    for name, cpx, dualize, wedge_ok in checks:
         label = f"forest-{name}{'-dual' if dualize else ''}"
         outcome = table.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
@@ -459,7 +487,7 @@ def wedge_reports(c: Complex, variant: GrapeVariant, table: OutcomeTable) -> lis
 def konig_reports(g: Graph, table: OutcomeTable) -> list:
     if not is_bipartite(g):
         return []
-    inv = table.once(("invariants", g), lambda: invariants(g))
+    inv = _forest_class(g, table)[0] if is_forest(g) else invariants(g)
     return [_report("konig-cover-matching", g, inv.alpha0 == inv.beta1,
                     expected=inv.beta1, observed=inv.alpha0)]
 
@@ -596,8 +624,12 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     its homology reduced once, for recognition, collapse searches, the
     Alexander-duality check and the wedge checks alike.  An outcome is the
     search's own verdict, each "yes" with its wedge.  Each Alexander dual is
-    built once per (ground, masks), and PF/PM per path family and forest
-    invariants are kept too.  Each stage checks each distinct instance once,
+    built once per (ground, masks), and PF/PM per path family.  A forest's
+    invariants and its eight complexes are kept per isomorphism class, keyed
+    by its canonical relabelling (:func:`canonical_forest`): two forests
+    share them only when an explicit isomorphism, the relabelling, maps one
+    onto the other, and every quantity the forest stage checks is invariant
+    under it.  Each stage checks each distinct instance once,
     and its reports count at every occurrence.  The run tallies as it goes:
     a stage keeps, per distinct instance, its number of passes and its
     non-passing reports (the number alone when all pass), and the run holds

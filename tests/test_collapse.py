@@ -575,10 +575,13 @@ def test_lifted_collapse_rejects_a_link_sequence_that_stops_short():
 
 def test_lifted_collapse_rejects_a_lift_that_misses_the_deletion(monkeypatch):
     # the lift of a sound link collapse lands on the true deletion, so only
-    # a deletion that disagrees reaches the last check
+    # a corrupted lift reaches the last check: the replay from c loses the
+    # lift's last pair, which leaves the edge ab standing
     c = cx("abc", "ab", "bc")
     steps = collapse_search(link(c, "a")).sequence
-    monkeypatch.setattr(grapes.collapse, "deletion_masks", lambda masks, bit: frozenset())
+    real = grapes.collapse.replay
+    monkeypatch.setattr(grapes.collapse, "replay",
+                        lambda cpx, seq: real(cpx, seq[:-1] if cpx is c else seq))
     with pytest.raises(ReplayError, match="^lifted sequence did not land on the deletion$"):
         lifted_collapse(c, "a", steps)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-import grapes.generators as generators
 from grapes import is_forest
 from grapes.complexes import InputError, complex_to_json
 from grapes.generators import (
@@ -15,7 +14,7 @@ from grapes.generators import (
     gen_digraph,
     gen_forest,
 )
-from grapes.graphs import digraph_to_json, graph_to_json
+from grapes.graphs import Graph, digraph_to_json, edge_order, graph_to_json
 
 
 def test_gen_complex_is_deterministic():
@@ -125,11 +124,25 @@ def centre_canonical(n, edges):
     return min(form(c, -1) for c in range(n) if alive[c])
 
 
-def test_all_trees_matches_the_centre_rooted_canonical_form(monkeypatch):
-    trees = list(all_trees(10))
-    monkeypatch.setattr(generators, "_tree_canonical", centre_canonical)
-    assert trees == list(all_trees(10))
-    assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
+def test_all_trees_matches_the_centre_rooted_canonical_form():
+    # the same growth, each level deduplicated by the oracle form: the same
+    # trees, in the same order
+    expected, level = [Graph(("v1",), ())], [[]]
+    for n in range(2, 11):
+        seen, nxt = set(), []
+        for edges in level:
+            for attach in range(n - 1):
+                candidate = edges + [(attach, n - 1)]
+                key = centre_canonical(n, candidate)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(candidate)
+        vertices = tuple(f"v{i}" for i in range(1, n + 1))
+        expected.extend(Graph(vertices, tuple(sorted((1 << a | 1 << b for a, b in edges), key=edge_order)))
+                        for edges in nxt)
+        level = nxt
+    assert list(all_trees(10)) == expected
+    assert len(expected) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
 
 
 def test_all_digraphs_count():

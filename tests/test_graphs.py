@@ -1,11 +1,18 @@
 """Graph/digraph models, invariants, and the derived complexes."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+import types
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import grapes
 import grapes.verify as verify
 
 from grapes import (
@@ -31,16 +38,21 @@ from grapes import (
 from grapes.complexes import avoiding, bit_table, join_mask, mask_of
 from grapes.graphs import (
     FORBIDDEN_SETS,
+    Graph,
     GraphInvariants,
+    canonical_forest,
     edge_ground,
+    edge_order,
+    ends,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
     graph_to_json,
 )
-from grapes.generators import all_trees, cyclic_no_useless_digraph
+from grapes.generators import all_trees, cyclic_no_useless_digraph, gen_forest
 from shapes import equals, fs, full_simplex
 from test_complexes import has_face
+from test_generators import centre_canonical
 
 
 def path_graph(n):
@@ -315,6 +327,118 @@ def test_forest_and_bipartite_predicates():
     assert is_forest(P4) and is_bipartite(P4)
     assert not is_forest(TRIANGLE) and not is_bipartite(TRIANGLE)
     assert not is_forest(C4) and is_bipartite(C4)
+
+
+# -- the canonical form of forests -------------------------------------------------------
+
+
+def forest_corpus():
+    """Every forest of the full suite at seeds 1729 and 7, the 201 trees on
+    at most ten vertices and the seeded forests on 1-16 vertices, each once."""
+    full = verify.SIZES["full"]
+    return list(dict.fromkeys([
+        *(g for seed in (1729, 7) for g in verify.standard_forests(full.n_forests, full.max_tree, seed)),
+        *all_trees(10),
+        *(gen_forest(n, seed, drop) for n in range(1, 17) for seed in range(6) for drop in range(3)),
+    ]))
+
+
+def relabelled(g, rng):
+    """g with its vertices in a random order, each name and edge following its vertex."""
+    order = list(range(len(g.vertices)))
+    rng.shuffle(order)  # order[i] is the old index of the new vertex i
+    new = {old: i for i, old in enumerate(order)}
+    edges = sorted((1 << new[a] | 1 << new[b] for a, b in map(ends, g.edges)), key=edge_order)
+    return Graph(tuple(g.vertices[v] for v in order), tuple(edges))
+
+
+def canonical_key(g):
+    h = canonical_forest(g)
+    return len(h.vertices), h.edges
+
+
+def oracle_class(g):
+    """g's isomorphism class by the tree oracle: the sorted centre-rooted
+    forms of its components."""
+    edges = graph_to_json(g)["edges"]
+    component = {v: {v} for v in g.vertices}
+    for a, b in edges:
+        merged = component[a] | component[b]
+        for v in merged:
+            component[v] = merged
+    forms = []
+    for vertices in {frozenset(c) for c in component.values()}:
+        index = {v: i for i, v in enumerate(sorted(vertices))}
+        forms.append(centre_canonical(len(index), [(index[a], index[b]) for a, b in edges if a in index]))
+    return tuple(sorted(forms))
+
+
+def test_the_canonical_form_is_an_isomorphism_that_no_relabelling_moves():
+    rng = random.Random(1729)
+    forests = forest_corpus()
+    assert len(forests) == 622
+    for g in forests:
+        h = canonical_forest(g)
+        # the names move with their vertices: the same named edges
+        assert sorted(h.vertices) == sorted(g.vertices) and name_edges(h) == name_edges(g)
+        assert list(h.edges) == sorted(set(h.edges), key=edge_order)
+        for _ in range(3):
+            assert canonical_key(relabelled(g, rng)) == canonical_key(g), g
+
+
+def test_forests_share_a_canonical_form_exactly_when_the_oracle_says_isomorphic():
+    pairs = {(canonical_key(g), oracle_class(g)) for g in forest_corpus()}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({o for _, o in pairs}) == 389
+
+
+def test_the_trees_on_ten_vertices_have_distinct_canonical_forms():
+    # OEIS A000055: 1, 1, 1, 2, 3, 6, 11, 23, 47 and 106 trees on 1..10 vertices
+    trees = list(all_trees(10))
+    assert len({canonical_key(t) for t in trees}) == len(trees) == 201
+
+
+def test_the_canonical_form_refuses_a_cycle():
+    with pytest.raises(InputError, match="^the canonical form needs a forest$"):
+        canonical_forest(C4)
+
+
+TIMED_CANONICAL_FORMS = """
+import json, sys, time
+from grapes.generators import gen_forest
+from grapes.graphs import Graph, canonical_forest
+
+def best_of_three(g):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        canonical_forest(g)
+        best = min(best, time.perf_counter() - start)
+        if best < 1:
+            break
+    return best
+
+n = 1 << 16
+path = Graph(tuple(f"v{i}" for i in range(1, n + 1)), tuple(1 << i | 1 << i + 1 for i in range(n - 1)))
+sys.setrecursionlimit(50)
+seconds = {"path": best_of_three(path)}
+del path
+seconds["gen forest"] = best_of_three(gen_forest(n, 1))
+print(json.dumps(seconds))
+"""
+
+
+def test_the_canonical_form_takes_under_a_second_on_65536_vertices_without_recursion():
+    # a child process, so that the 300 MB of edge masks die with it; no
+    # recursion, under a recursion limit of 50, on a path of depth 32,768
+    # from its centre, and on gen forest --n 65536 --seed 1
+    env = {**os.environ, "PYTHONPATH": str(Path(grapes.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-c", TIMED_CANONICAL_FORMS], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    seconds = json.loads(result.stdout)
+    assert all(s < 1 for s in seconds.values()), seconds
+    nested = [c for c in canonical_forest.__code__.co_consts if isinstance(c, types.CodeType)]
+    assert all("canonical_forest" not in c.co_names for c in (canonical_forest.__code__, *nested))
 
 
 # -- the name-level oracle ---------------------------------------------------------------
