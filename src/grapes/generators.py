@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .complexes import Complex, InputError, irrelevant_complex, new_complex, void_complex
-from .graphs import Digraph, Graph, canonical_forest, edge_order
+from .graphs import Digraph, Graph, canonical_forest
 
 MAX_GENERATORS = 2**16  # cap on gen_complex's generator faces and gen's vertex and arc counts
 
@@ -43,10 +43,10 @@ def gen_forest(n: int, seed: int, drop: int = 0) -> Graph:
         raise InputError(f"forest needs 1 to {MAX_GENERATORS} vertices and a nonnegative drop")
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
-    edges = [1 << rng.randrange(i) | 1 << i for i in range(1, n)]
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
     for _ in range(min(drop, len(edges))):
         edges.pop(rng.randrange(len(edges)))
-    return Graph(vertices, tuple(sorted(edges, key=edge_order)))
+    return Graph(vertices, tuple(sorted(edges)))
 
 
 def gen_digraph(n_vertices: int, n_arcs: int, seed: int) -> Digraph:
@@ -103,8 +103,7 @@ def all_trees(max_n: int) -> Iterator[Graph]:
         nxt = []
         for tree in level:
             for attach in range(n - 1):
-                edges = tuple(sorted(tree.edges + (1 << attach | 1 << n - 1,), key=edge_order))
-                candidate = Graph(vertices, edges)
+                candidate = Graph(vertices, tuple(sorted(tree.edges + ((attach, n - 1),))))
                 key = canonical_forest(candidate).edges
                 if key not in seen:
                     seen.add(key)

@@ -1,13 +1,14 @@
 """Graphs, digraphs, their exact invariants, and derived simplicial complexes.
 
 Undirected graphs are finite and simple.  A :class:`Graph` is its vertex
-names plus its edges as two-bit vertex masks (bit i for ``vertices[i]``),
-listed once in the one edge order, lower end first, then by mask.
-:func:`graph` turns names into masks, checking them; the generators build
-the masks straight from vertex indices.  Names come back only at the
-boundary: :func:`edge_ground` labels the edges, once per graph as
+names plus its edges as (lower, higher) vertex-index pairs, distinct and
+sorted.  :func:`graph` turns names into indices, checking them; the
+generators build the pairs straight from indices.  Names come back only at
+the boundary: :func:`edge_ground` labels the edges, once per graph as
 :attr:`Graph.edge_labels`, for the edge-cover and edge-dominance
-complexes, and :func:`graph_to_json` writes the graph.
+complexes, and :func:`graph_to_json` writes the graph.  Vertex sets are
+masks (bit i for ``vertices[i]``): the closed neighbourhoods, and the edges
+too where a search or a complex needs them as sets.
 
 Directed graphs are multigraphs (parallel arcs and loops allowed) with two
 distinguished vertices s and t, possibly equal; arcs carry identifiers,
@@ -40,10 +41,9 @@ from .complexes import (
     Complex,
     InputError,
     avoiding,
-    bit_table,
+    bit_indices,
     face_of,
     join_mask,
-    mask_of,
     subset_masks,
 )
 
@@ -51,32 +51,23 @@ from .complexes import (
 # -- undirected graphs -------------------------------------------------------
 
 
-def edge_order(e: int) -> tuple:
-    """The one edge order: by lower end, then by mask, so {0, 3} (9) comes
-    before {1, 2} (6)."""
-    return e & -e, e
-
-
-def ends(e: int) -> tuple:
-    """An edge mask's two vertex indices, lower first."""
-    high = e.bit_length() - 1
-    return (e ^ 1 << high).bit_length() - 1, high
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Vertex names plus the edges as two-bit vertex masks (bit i for
-    ``vertices[i]``), distinct and in :func:`edge_order`.  Unchecked: build
-    one from names with :func:`graph`, which validates them."""
+    """Vertex names plus the edges as (lower, higher) vertex-index pairs,
+    distinct and sorted.  Unchecked: build one from names with
+    :func:`graph`, which validates them."""
 
     vertices: tuple[str, ...]
-    edges: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
 
     @cached_property
     def closed(self) -> tuple:
         """The closed neighbourhoods as vertex masks, in vertex order."""
-        bits = (1 << i for i in range(len(self.vertices)))
-        return tuple(b | join_mask(e for e in self.edges if e & b) for b in bits)
+        closed = [1 << i for i in range(len(self.vertices))]
+        for a, b in self.edges:
+            closed[a] |= 1 << b
+            closed[b] |= 1 << a
+        return tuple(closed)
 
     @cached_property
     def edge_labels(self) -> tuple:
@@ -89,19 +80,19 @@ def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
     (they name ground elements) and that each edge joins two distinct
     vertices."""
     vertices = tuple(vertices)
-    bit = bit_table(vertices)
-    if len(bit) != len(vertices):
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
         raise InputError("graph vertices must be distinct")
-    if "" in bit:
+    if "" in index:
         raise InputError("graph vertices must be nonempty")
-    masks = set()
+    pairs = set()
     for e in map(frozenset, edges):
         if len(e) != 2:
             raise InputError("edges join two distinct vertices (no loops)")
-        if not e <= bit.keys():
+        if not e <= index.keys():
             raise InputError(f"edge {sorted(e)} uses unknown vertices")
-        masks.add(mask_of(e, bit))
-    return Graph(vertices, tuple(sorted(masks, key=edge_order)))
+        pairs.add(tuple(sorted(map(index.__getitem__, e))))
+    return Graph(vertices, tuple(sorted(pairs)))
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,7 @@ def invariants(g: Graph) -> GraphInvariants:
     n = len(g.vertices)
     if 1 << n > MAX_FACES:
         raise InputError(f"the invariants search 2^{n} vertex subsets, more than {MAX_FACES}")
-    edges, closed = g.edges, g.closed
+    edges, closed = [1 << a | 1 << b for a, b in g.edges], g.closed
     dominating = (s for s in subset_masks(n) if all(c & s for c in closed))
     first = next(dominating)
     independent = next(s for s in chain([first], dominating) if not any(e & s == e for e in edges))
@@ -137,7 +128,7 @@ def _components(g: Graph) -> Iterator[list]:
         while layer:
             layers.append(layer)
             seen |= layer
-            layer = join_mask(c for i, c in enumerate(g.closed) if layer >> i & 1) & ~seen
+            layer = join_mask(g.closed[i] for i in bit_indices(layer)) & ~seen
         unseen &= ~seen
         yield layers
 
@@ -150,7 +141,7 @@ def is_forest(g: Graph) -> bool:
 def is_bipartite(g: Graph) -> bool:
     """No odd cycle: no edge lies within one breadth-first layer."""
     layers = [layer for component in _components(g) for layer in component]
-    return not any(e & layer == e for layer in layers for e in g.edges)
+    return not any(layer >> a & layer >> b & 1 for layer in layers for a, b in g.edges)
 
 
 def canonical_forest(g: Graph) -> Graph:
@@ -172,8 +163,7 @@ def canonical_forest(g: Graph) -> Graph:
     n = len(g.vertices)
     left = [0] * n  # each vertex's neighbours not yet peeled
     link = [0] * n  # the XOR of their indices: the last one, once it is alone
-    for e in g.edges:
-        a, b = ends(e)
+    for a, b in g.edges:
         left[a] += 1
         left[b] += 1
         link[a] ^= b
@@ -220,31 +210,31 @@ def canonical_forest(g: Graph) -> Graph:
             place[v] = len(order)
             order.append(v)
             stack.extend(reversed(children[v]))
-    # a vertex's children follow it in place order: the edges come out in edge order
-    edges = tuple(1 << i | 1 << place[w] for i, v in enumerate(order) for w in children[v])
+    # a vertex's children follow it in place order: the edges come out sorted
+    edges = tuple((i, place[w]) for i, v in enumerate(order) for w in children[v])
     return Graph(tuple(g.vertices[v] for v in order), edges)
 
 
 def edge_ground(g: Graph) -> tuple:
-    """Edge labels in edge order, each its ends' names, lower first: the
-    ground set for EC/ED."""
-    labels = tuple("-".join(g.vertices[i] for i in ends(e)) for e in g.edges)
+    """Edge labels in the order of g.edges, each its ends' names, lower
+    first: the ground set for EC/ED."""
+    labels = tuple(f"{g.vertices[a]}-{g.vertices[b]}" for a, b in g.edges)
     if len(set(labels)) != len(labels):
         raise InputError("edge labels collide; rename vertices")
     return labels
 
 
 def _meeting(edges: tuple, m: int) -> int:
-    """The edges that meet the vertex mask m, as a mask over the edge tuple."""
-    return sum(1 << i for i, e in enumerate(edges) if e & m)
+    """The edges with an end in the vertex mask m, as a mask over the edge tuple."""
+    return sum(1 << i for i, (a, b) in enumerate(edges) if m & (1 << a | 1 << b))
 
 
 # a graph's ground and forbidden sets, by kind: avoiding builds the complex, avoiding_dual its dual
 FORBIDDEN_SETS = {
-    "ind": lambda g: (g.vertices, g.edges),
+    "ind": lambda g: (g.vertices, [1 << a | 1 << b for a, b in g.edges]),
     "dom": lambda g: (g.vertices, g.closed),
     "ec": lambda g: (g.edge_labels, [_meeting(g.edges, 1 << i) for i in range(len(g.vertices))]),
-    "ed": lambda g: (g.edge_labels, [_meeting(g.edges, e) for e in g.edges]),
+    "ed": lambda g: (g.edge_labels, [_meeting(g.edges, 1 << a | 1 << b) for a, b in g.edges]),
 }
 
 
@@ -412,7 +402,7 @@ def contract_arc(d: Digraph, i: int) -> Digraph:
 def graph_to_json(g: Graph) -> dict:
     return {
         "vertices": list(g.vertices),
-        "edges": [[g.vertices[i] for i in ends(e)] for e in g.edges],
+        "edges": [[g.vertices[a], g.vertices[b]] for a, b in g.edges],
     }
 
 

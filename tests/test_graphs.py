@@ -42,8 +42,6 @@ from grapes.graphs import (
     GraphInvariants,
     canonical_forest,
     edge_ground,
-    edge_order,
-    ends,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
@@ -348,7 +346,7 @@ def relabelled(g, rng):
     order = list(range(len(g.vertices)))
     rng.shuffle(order)  # order[i] is the old index of the new vertex i
     new = {old: i for i, old in enumerate(order)}
-    edges = sorted((1 << new[a] | 1 << new[b] for a, b in map(ends, g.edges)), key=edge_order)
+    edges = sorted(tuple(sorted((new[a], new[b]))) for a, b in g.edges)
     return Graph(tuple(g.vertices[v] for v in order), tuple(edges))
 
 
@@ -381,7 +379,7 @@ def test_the_canonical_form_is_an_isomorphism_that_no_relabelling_moves():
         h = canonical_forest(g)
         # the names move with their vertices: the same named edges
         assert sorted(h.vertices) == sorted(g.vertices) and name_edges(h) == name_edges(g)
-        assert list(h.edges) == sorted(set(h.edges), key=edge_order)
+        assert list(h.edges) == sorted(set(h.edges)) and all(a < b for a, b in h.edges)
         for _ in range(3):
             assert canonical_key(relabelled(g, rng)) == canonical_key(g), g
 
@@ -403,7 +401,7 @@ def test_the_canonical_form_refuses_a_cycle():
 
 
 TIMED_CANONICAL_FORMS = """
-import json, sys, time
+import json, resource, sys, time
 from grapes.generators import gen_forest
 from grapes.graphs import Graph, canonical_forest
 
@@ -418,32 +416,35 @@ def best_of_three(g):
     return best
 
 n = 1 << 16
-path = Graph(tuple(f"v{i}" for i in range(1, n + 1)), tuple(1 << i | 1 << i + 1 for i in range(n - 1)))
+path = Graph(tuple(f"v{i}" for i in range(1, n + 1)), tuple((i, i + 1) for i in range(n - 1)))
 sys.setrecursionlimit(50)
 seconds = {"path": best_of_three(path)}
 del path
 seconds["gen forest"] = best_of_three(gen_forest(n, 1))
-print(json.dumps(seconds))
+print(json.dumps({"seconds": seconds, "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
 def test_the_canonical_form_takes_under_a_second_on_65536_vertices_without_recursion():
-    # a child process, so that the 300 MB of edge masks die with it; no
+    # a child process, so that its peak resident set is its own; no
     # recursion, under a recursion limit of 50, on a path of depth 32,768
-    # from its centre, and on gen forest --n 65536 --seed 1
+    # from its centre, and on gen forest --n 65536 --seed 1; the child's
+    # peak resident set (ru_maxrss, in kilobytes on Linux) stays under
+    # 200 MB, as edges held as index pairs take O(n) memory
     env = {**os.environ, "PYTHONPATH": str(Path(grapes.__file__).parent.parent)}
     result = subprocess.run([sys.executable, "-c", TIMED_CANONICAL_FORMS], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    seconds = json.loads(result.stdout)
-    assert all(s < 1 for s in seconds.values()), seconds
+    measured = json.loads(result.stdout)
+    assert all(s < 1 for s in measured["seconds"].values()), measured
+    assert measured["peak_kb"] < 200 * 1024, measured
     nested = [c for c in canonical_forest.__code__.co_consts if isinstance(c, types.CodeType)]
     assert all("canonical_forest" not in c.co_names for c in (canonical_forest.__code__, *nested))
 
 
 # -- the name-level oracle ---------------------------------------------------------------
 #
-# The graph code on names, kept as the reference for the mask code: the edge
+# The graph code on names, kept as the reference for the index code: the edge
 # order by vertex index, the masks built from the names, the union-find
 # forest test and the colouring bipartite test.  Each reads the graph's names
 # from its JSON.
@@ -586,6 +587,33 @@ def test_graph_code_matches_the_name_level_oracle_on_seeded_graphs():
             order, density = rng.sample(vertices, n), rng.choice((0.15, 0.3, 0.6))
             pairs = [p for p in combinations(order, 2) if rng.random() < density]
             check_against_the_oracle(tuple(order), pairs)
+
+
+def seeded_named_graphs(rng):
+    """graph() on 1-12 shuffled names: a random tree, the same less some
+    edges, and a random graph, each pair in a random orientation."""
+    for n in range(1, 13):
+        for _ in range(8):
+            vertices = tuple(rng.sample([f"v{i}" for i in range(1, n + 1)], n))
+            tree = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+            dense = [p for p in combinations(vertices, 2) if rng.random() < 0.4]
+            for pairs in (tree, rng.sample(tree, len(tree) // 2), dense):
+                yield graph(vertices, [p if rng.random() < 0.5 else p[::-1] for p in pairs])
+
+
+def test_edges_and_forbidden_sets_match_the_name_level_oracle_on_forests_and_their_forms():
+    # the index pairs and the forbidden masks built from them, on every
+    # forest of the corpus, on seeded graph() inputs and on each forest's
+    # canonical form, whose edges canonical_forest writes itself
+    graphs = [*forest_corpus(), *seeded_named_graphs(random.Random(53))]
+    graphs += [canonical_forest(g) for g in graphs if is_forest(g)]
+    assert len(graphs) == 1757
+    for g in graphs:
+        vertices, edges = oracle_names(g)
+        assert list(g.edges) == [tuple(map(vertices.index, p)) for p in oracle_sorted_edges(vertices, edges)]
+        for kind, (ground, forbidden) in oracle_forbidden_sets(vertices, edges).items():
+            got_ground, got_forbidden = FORBIDDEN_SETS[kind](g)
+            assert (tuple(got_ground), list(got_forbidden)) == (ground, forbidden), (kind, g)
 
 
 # -- path-free / path-missing ----------------------------------------------------------------
