@@ -52,8 +52,6 @@ from .graphs import (
     has_cycle,
     independence_complex,
     invariants,
-    is_bipartite,
-    is_forest,
     nonsinks,
     pf_complex,
     pm_complex,

@@ -4,11 +4,13 @@ Undirected graphs are finite and simple.  A :class:`Graph` is its vertex
 names plus its edges as (lower, higher) vertex-index pairs, distinct and
 sorted.  :func:`graph` turns names into indices, checking them; the
 generators build the pairs straight from indices.  Names come back only at
-the boundary: :func:`edge_ground` labels the edges, once per graph as
-:attr:`Graph.edge_labels`, for the edge-cover and edge-dominance
-complexes, and :func:`graph_to_json` writes the graph.  Vertex sets are
-masks (bit i for ``vertices[i]``): the closed neighbourhoods, and the edges
-too where a search or a complex needs them as sets.
+the boundary: :attr:`Graph.edge_labels` labels the edges, once per graph,
+for the edge-cover and edge-dominance complexes, and :func:`graph_to_json`
+writes the graph.  Vertex sets are masks (bit i for ``vertices[i]``): the
+closed neighbourhoods, and the edges too where a search or a complex needs
+them as sets.  The one forest test is the leaf peel of
+:func:`canonical_forest`, which gives a forest its canonical relabelling
+and a graph with a cycle None.
 
 Directed graphs are multigraphs (parallel arcs and loops allowed) with two
 distinguished vertices s and t, possibly equal; arcs carry identifiers,
@@ -34,14 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .complexes import (
     MAX_FACES,
     Complex,
     InputError,
     avoiding,
-    bit_indices,
     face_of,
     join_mask,
     subset_masks,
@@ -71,8 +72,12 @@ class Graph:
 
     @cached_property
     def edge_labels(self) -> tuple:
-        """:func:`edge_ground`, once per graph: the ground set of both EC and ED."""
-        return edge_ground(self)
+        """The edge labels in edge order, each its ends' names, lower first:
+        the ground set of both EC and ED.  InputError when two collide."""
+        labels = tuple(f"{self.vertices[a]}-{self.vertices[b]}" for a, b in self.edges)
+        if len(set(labels)) != len(labels):
+            raise InputError("edge labels collide; rename vertices")
+        return labels
 
 
 def graph(vertices: Iterable[str], edges: Iterable) -> Graph:
@@ -120,35 +125,11 @@ def invariants(g: Graph) -> GraphInvariants:
     return GraphInvariants(first.bit_count(), independent.bit_count(), cover.bit_count(), beta1)
 
 
-def _components(g: Graph) -> Iterator[list]:
-    """Each component's breadth-first layers, as vertex masks, from its lowest vertex."""
-    unseen = (1 << len(g.vertices)) - 1
-    while unseen:
-        layers, seen, layer = [], 0, unseen & -unseen
-        while layer:
-            layers.append(layer)
-            seen |= layer
-            layer = join_mask(g.closed[i] for i in bit_indices(layer)) & ~seen
-        unseen &= ~seen
-        yield layers
-
-
-def is_forest(g: Graph) -> bool:
-    """No cycle: as many edges as vertices less components."""
-    return len(g.edges) == len(g.vertices) - sum(1 for _ in _components(g))
-
-
-def is_bipartite(g: Graph) -> bool:
-    """No odd cycle: no edge lies within one breadth-first layer."""
-    layers = [layer for component in _components(g) for layer in component]
-    return not any(layer >> a & layer >> b & 1 for layer in layers for a, b in g.edges)
-
-
-def canonical_forest(g: Graph) -> Graph:
+def canonical_forest(g: Graph) -> Graph | None:
     """g relabelled into its canonical form: two forests are isomorphic
     exactly when their forms have as many vertices and equal edges.  Each
     vertex keeps its name, so the form's vertex tuple is an isomorphism from
-    g onto the form.  InputError when g has a cycle.
+    g onto the form.  None when g has a cycle: this is the one forest test.
 
     Leaves are peeled layer by layer, and a vertex's layer is its height
     once each tree hangs from its centre, the vertex peeled last; a tree
@@ -193,8 +174,8 @@ def canonical_forest(g: Graph) -> Graph:
             else:
                 centres.append((v, w if left[v] else None))
         h, layer = h + 1, nxt
-    if -1 in height:
-        raise InputError("the canonical form needs a forest")
+    if -1 in height:  # a vertex never came down to one neighbour left: g has a cycle
+        return None
     roots = []  # (the tree's code, its root)
     for v, w in centres:
         if w is None:
@@ -213,15 +194,6 @@ def canonical_forest(g: Graph) -> Graph:
     # a vertex's children follow it in place order: the edges come out sorted
     edges = tuple((i, place[w]) for i, v in enumerate(order) for w in children[v])
     return Graph(tuple(g.vertices[v] for v in order), edges)
-
-
-def edge_ground(g: Graph) -> tuple:
-    """Edge labels in the order of g.edges, each its ends' names, lower
-    first: the ground set for EC/ED."""
-    labels = tuple(f"{g.vertices[a]}-{g.vertices[b]}" for a, b in g.edges)
-    if len(set(labels)) != len(labels):
-        raise InputError("edge labels collide; rename vertices")
-    return labels
 
 
 def _meeting(edges: tuple, m: int) -> int:

@@ -53,12 +53,9 @@ from .graphs import (
     contract_arc,
     delete_arc,
     digraph_to_json,
-    edge_ground,
     graph_to_json,
     has_cycle,
     invariants,
-    is_bipartite,
-    is_forest,
     nonsinks,
     pf_complex,
     pm_complex,
@@ -333,8 +330,11 @@ def _forest_formula_checks(g: Graph, inv) -> list:
 def _forest_class(g: Graph, table: OutcomeTable) -> tuple:
     """The invariants and the eight formula checks of g's isomorphism class,
     computed on the edges of g's canonical copy with the vertices v1..vn.
-    The table keeps the copy per forest and the class per canonical key."""
+    The table keeps the copy per forest and the class per canonical key.
+    InputError when g has a cycle (it has no canonical copy)."""
     h = table.once(("canonical", g), lambda: canonical_forest(g))
+    if h is None:
+        raise InputError("forest theorem harness needs a forest")
 
     def compute() -> tuple:
         f = Graph(tuple(f"v{i}" for i in range(1, len(h.vertices) + 1)), h.edges)
@@ -356,11 +356,10 @@ def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
     relabelling.  The class's complexes have the masks of the canonical
     copy's, so recognition and homology meet one mask-keyed entry per
     class.  g's own edge labels are still read, so that labels that collide
-    are refused as when EC and ED are built on g."""
-    if not is_forest(g):
-        raise InputError("forest theorem harness needs a forest")
+    are refused as when EC and ED are built on g.  The refusals come in
+    that order: a cycle, then the invariants' size, then colliding labels."""
     inv, checks = _forest_class(g, table)
-    edge_ground(g)  # refuses colliding labels
+    g.edge_labels  # refuses colliding labels
     out = []
     for name, cpx, dualize, wedge_ok in checks:
         label = f"forest-{name}{'-dual' if dualize else ''}"
@@ -485,9 +484,10 @@ def wedge_reports(c: Complex, variant: GrapeVariant, table: OutcomeTable) -> lis
 
 
 def konig_reports(g: Graph, table: OutcomeTable) -> list:
-    if not is_bipartite(g):
-        return []
-    inv = _forest_class(g, table)[0] if is_forest(g) else invariants(g)
+    """König's theorem on a forest, which is bipartite: its vertex cover
+    number equals its matching number.  The invariants are its class's,
+    from the table; InputError on a cycle, as for the forest theorem."""
+    inv = _forest_class(g, table)[0]
     return [_report("konig-cover-matching", g, inv.alpha0 == inv.beta1,
                     expected=inv.beta1, observed=inv.alpha0)]
 

@@ -187,5 +187,5 @@ def test_criterion_13_konig(forest_set):
     for g in forest_set:
         reports.extend(konig_reports(g, OutcomeTable()))
     assert len(reports) == len(forest_set)
-    finish("criterion 13 (cover number equals matching number on bipartite)",
+    finish("criterion 13 (cover number equals matching number on forests)",
            reports, started, 60)

@@ -394,6 +394,39 @@ def test_verify_forest_rejects_nonforest(write_json, capsys):
     assert result.stderr.startswith("input error:") and "Traceback" not in result.stderr
 
 
+MEASURED_VERIFY_FOREST = """
+import json, resource, subprocess, sys
+child = subprocess.run([sys.executable, "-m", "grapes", "verify", "forest", sys.argv[1]],
+                       capture_output=True, text=True)
+print(json.dumps({"code": child.returncode, "stdout": child.stdout, "stderr": child.stderr,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("shape", ["path", "gen forest"])
+def test_verify_forest_refuses_65536_vertices_in_linear_memory(write_json, shape):
+    # the forest test is the canonical form's leaf peel, which keeps O(n)
+    # ints, and the invariants' size refusal follows it: no closed
+    # neighbourhood or breadth-first layer of Θ(n) bits per vertex, which
+    # took the child to 585 MB on the path and 454 MB on the forest.  The
+    # child's peak resident set (ru_maxrss, in kilobytes on Linux) is read
+    # by a process of its own, which waits for nothing else
+    n = 1 << 16
+    if shape == "path":
+        names = [f"v{i}" for i in range(1, n + 1)]
+        payload = {"vertices": names, "edges": [list(e) for e in zip(names, names[1:])]}
+    else:
+        payload = graph_to_json(gen_forest(n, 1))
+    g = write_json("g.json", payload)
+    result = subprocess.run([sys.executable, "-c", MEASURED_VERIFY_FOREST, g], env=module_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    measured = json.loads(result.stdout)
+    assert (measured["code"], measured["stdout"], measured["stderr"]) == (
+        2, "", "input error: the invariants search 2^65536 vertex subsets, more than 1048576\n")
+    assert measured["peak_kb"] < 150 * 1024, measured["peak_kb"]
+
+
 def test_colliding_edge_labels_are_refused(write_json, capsys):
     # the edges a-b -- c and a -- b-c are both labelled "a-b-c"
     g = write_json("g.json", {"vertices": ["a-b", "c", "a", "b-c"],

@@ -39,7 +39,7 @@ from grapes import (
 )
 from grapes.complexes import MAX_FACES, avoiding, avoiding_dual
 from grapes.generators import all_digraphs, all_trees
-from grapes.graphs import FORBIDDEN_SETS, edge_ground
+from grapes.graphs import FORBIDDEN_SETS
 from shapes import cross_polytope, full_simplex, simplex_boundary
 from test_cli import run_module
 from test_complexes import has_face
@@ -99,7 +99,7 @@ def scan_dominance(g):
 
 
 def scan_edge_cover(g):
-    ground = edge_ground(g)
+    ground = g.edge_labels
     by_label = {edge_label(g, e): e for e in name_edges(g)}
     return scan_complex(
         ground,
@@ -108,7 +108,7 @@ def scan_edge_cover(g):
 
 
 def scan_edge_dominance(g):
-    ground = edge_ground(g)
+    ground = g.edge_labels
     by_label = {edge_label(g, e): e for e in name_edges(g)}
 
     def is_face(f):

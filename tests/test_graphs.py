@@ -28,8 +28,6 @@ from grapes import (
     has_cycle,
     independence_complex,
     invariants,
-    is_bipartite,
-    is_forest,
     nonsinks,
     pf_complex,
     pm_complex,
@@ -41,7 +39,6 @@ from grapes.graphs import (
     Graph,
     GraphInvariants,
     canonical_forest,
-    edge_ground,
     digraph_from_json,
     digraph_to_json,
     graph_from_json,
@@ -241,7 +238,7 @@ def test_edge_dominance_dual_description():
 
 def line_dual(g):
     """Oracle: the graph on the edge labels, two labels adjacent when the edges meet."""
-    ground = edge_ground(g)
+    ground = g.edge_labels
     by_label = {edge_label(g, e): e for e in name_edges(g)}
     edges = [
         (a, b)
@@ -321,12 +318,6 @@ def test_invariants_match_the_name_level_scan():
         assert (inv.gamma, inv.i_dom, inv.alpha0, inv.beta1) == scan_invariants(g), g
 
 
-def test_forest_and_bipartite_predicates():
-    assert is_forest(P4) and is_bipartite(P4)
-    assert not is_forest(TRIANGLE) and not is_bipartite(TRIANGLE)
-    assert not is_forest(C4) and is_bipartite(C4)
-
-
 # -- the canonical form of forests -------------------------------------------------------
 
 
@@ -396,8 +387,10 @@ def test_the_trees_on_ten_vertices_have_distinct_canonical_forms():
 
 
 def test_the_canonical_form_refuses_a_cycle():
-    with pytest.raises(InputError, match="^the canonical form needs a forest$"):
-        canonical_forest(C4)
+    # None is the one forest test: an even cycle, an odd one, and a cycle
+    # with a tree hanging from it, whose leaves are peeled before it stops
+    assert canonical_forest(C4) is None and canonical_forest(TRIANGLE) is None
+    assert canonical_forest(graph("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")])) is None
 
 
 TIMED_CANONICAL_FORMS = """
@@ -445,9 +438,8 @@ def test_the_canonical_form_takes_under_a_second_on_65536_vertices_without_recur
 # -- the name-level oracle ---------------------------------------------------------------
 #
 # The graph code on names, kept as the reference for the index code: the edge
-# order by vertex index, the masks built from the names, the union-find
-# forest test and the colouring bipartite test.  Each reads the graph's names
-# from its JSON.
+# order by vertex index, the masks built from the names and the union-find
+# forest test.  Each reads the graph's names from its JSON.
 
 
 def oracle_names(g):
@@ -463,7 +455,7 @@ def oracle_sorted_edges(vertices, edges):
 
 
 def oracle_masks(vertices, edges):
-    """The edges, in edge_ground's order, and the closed neighbourhoods, as vertex masks."""
+    """The edges, in the order of Graph.edge_labels, and the closed neighbourhoods, as vertex masks."""
     bit = bit_table(vertices)
     masks = sorted((mask_of(e, bit) for e in edges), key=lambda e: (e & -e, e))
     return masks, [b | join_mask(e for e in masks if e & b) for b in bit.values()]
@@ -502,26 +494,6 @@ def oracle_is_forest(vertices, edges):
     return True
 
 
-def oracle_is_bipartite(vertices, edges):
-    color = {}
-    for start in vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for e in edges:
-                if v in e:
-                    (w,) = e - {v}
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False
-    return True
-
-
 def oracle_invariants(n, edges, closed):
     """The smallest dominating, independent dominating and covering vertex
     masks, and the most pairwise disjoint edges."""
@@ -544,12 +516,11 @@ def check_against_the_oracle(vertices, pairs):
     forbidden_sets = oracle_forbidden_sets(vertices, edges)
     assert graph_to_json(g) == {"vertices": list(vertices),
                                 "edges": [list(p) for p in oracle_sorted_edges(vertices, edges)]}
-    assert edge_ground(g) == forbidden_sets["ec"][0]
+    assert g.edge_labels == forbidden_sets["ec"][0]
     for kind, (ground, forbidden) in forbidden_sets.items():
         got_ground, got_forbidden = FORBIDDEN_SETS[kind](g)
         assert (tuple(got_ground), list(got_forbidden)) == (ground, forbidden), kind
-    assert is_forest(g) == oracle_is_forest(vertices, edges)
-    assert is_bipartite(g) == oracle_is_bipartite(vertices, edges)
+    assert (canonical_forest(g) is None) == (not oracle_is_forest(vertices, edges))
     assert invariants(g) == oracle_invariants(len(vertices), *oracle_masks(vertices, edges))
 
 
@@ -606,7 +577,7 @@ def test_edges_and_forbidden_sets_match_the_name_level_oracle_on_forests_and_the
     # forest of the corpus, on seeded graph() inputs and on each forest's
     # canonical form, whose edges canonical_forest writes itself
     graphs = [*forest_corpus(), *seeded_named_graphs(random.Random(53))]
-    graphs += [canonical_forest(g) for g in graphs if is_forest(g)]
+    graphs += [h for h in map(canonical_forest, graphs) if h is not None]
     assert len(graphs) == 1757
     for g in graphs:
         vertices, edges = oracle_names(g)

@@ -241,9 +241,8 @@ def labelled_forest_reports(g):
             continue
         ok = wedge_ok(outcome.wedge) and table.homology(cpx).is_wedge(outcome.wedge)
         out.append((label, "pass" if ok else "fail", None, homology.class_name(outcome.wedge)))
-    if graphs.is_bipartite(g):
-        ok = inv.alpha0 == inv.beta1
-        out.append(("konig-cover-matching", "pass" if ok else "fail", inv.beta1, inv.alpha0))
+    ok = inv.alpha0 == inv.beta1
+    out.append(("konig-cover-matching", "pass" if ok else "fail", inv.beta1, inv.alpha0))
     return out
 
 
@@ -474,10 +473,12 @@ def test_core_reports_on_a_mixed_bag():
             assert cad_report(c, OutcomeTable()).status == "pass"
 
 
-def test_konig_on_bipartite_graphs():
+def test_konig_on_forests():
     assert [r.status for r in konig_reports(path_graph(5), OutcomeTable())] == ["pass"]
     assert [r.status for r in konig_reports(star_graph(4), OutcomeTable())] == ["pass"]
-    assert konig_reports(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]), OutcomeTable()) == []
+    # it takes forests only, and refuses a cycle as the forest harness does
+    with pytest.raises(InputError, match="^forest theorem harness needs a forest$"):
+        konig_reports(graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]), OutcomeTable())
 
 
 def test_reports_embed_a_reproducible_instance():
@@ -742,7 +743,7 @@ HARNESSES = {
     "cad_report": "one",
     "grape_duality_reports": "list",
     "verify_forest_theorem": "list",
-    "konig_reports": "maybe",
+    "konig_reports": "list",
     "verify_pfpm_theorem": "list",
     "deletion_contraction_reports": "list",
     "ground_independence_reports": "list",
