@@ -12,16 +12,19 @@ recognition shares with its searches, runs out.  A collapsible complex is
 contractible, so its reduced homology vanishes: :func:`obstruction` refutes a
 complex whose reduced homology has a Betti number or torsion, for one node
 and no search, in :func:`collapse_test`, the one test that ``collapse_search``
-and grape recognition call.
+and grape recognition call.  :func:`replay` is the one replay, of searches,
+certificate witnesses and lifted collapses alike.
 Deciding collapsibility is NP-complete (Tancer 2016); this refutes the
 non-acyclic inputs in polynomial time and leaves the search for the acyclic
 ones.  The search is depth-first and remembers every face set it has seen
 fail, so it expands each face set it reaches at most once; it makes a
 facet's free pairs only when it reaches that facet.
 
-The search and replay run on facet masks (see ``complexes``), and a
-sequence is a tuple of (sigma, tau) mask pairs.  Names meet it only at the
-JSON boundary: :func:`steps_to_json` writes ``{"steps": [{"sigma": [...],
+Each function takes the ``Complex`` it works on and runs on its facet masks
+(see ``complexes``); a sequence is a tuple of (sigma, tau) mask pairs.  The
+names ride in the ``Complex`` because replay errors name faces and homology
+reads a ``Complex``; otherwise names meet a sequence only at the JSON
+boundary: :func:`steps_to_json` writes ``{"steps": [{"sigma": [...],
 "tau": [...]}]}``, each face's names sorted, and :func:`sequence_from_json`
 reads it back, a name outside the ground taking a bit above it that replay
 finds in no facet.  Pairs are tried in face order: larger faces first, then
@@ -41,7 +44,6 @@ from .complexes import (
     deletion_masks,
     face_masks,
     face_of,
-    link,
     mask_of,
     mask_order,
     meet_mask,
@@ -123,18 +125,18 @@ def _free_pairs(masks: frozenset, order_key):
             yield sigma, tau, faces
 
 
-def replay_masks(masks: frozenset, steps, names: tuple) -> frozenset:
-    """Apply (sigma, tau) mask steps; raises ReplayError, naming faces, when illegal."""
-    cur = set(masks)
+def replay(c: Complex, steps) -> Complex:
+    """Apply (sigma, tau) mask steps to c; ReplayError, naming a face, on an illegal step."""
+    cur = set(c.masks)
     for sigma, tau in steps:
         if sigma not in cur:
-            raise ReplayError(f"{sorted(face_of(sigma, names))} is not a facet")
+            raise ReplayError(f"{sorted(face_of(sigma, c.ground))} is not a facet")
         free = _free_faces(cur, sigma)
         if tau not in free:
-            raise ReplayError(f"{sorted(face_of(tau, names))} is contained in another face")
+            raise ReplayError(f"{sorted(face_of(tau, c.ground))} is contained in another face")
         cur.remove(sigma)
         cur.update(f for f in free if f != tau)
-    return frozenset(cur)
+    return Complex(c.ground, frozenset(cur))
 
 
 def cone_steps(masks: frozenset, apex: int) -> tuple:
@@ -146,13 +148,40 @@ def cone_steps(masks: frozenset, apex: int) -> tuple:
     return tuple((s | apex, s) for s in sorted(faces, key=mask_order, reverse=True))
 
 
-def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tuple]:
-    """collapse_search on facet masks, spending a node per complex visited: the
-    mask steps, or None once every order failed; BudgetExceeded on running out."""
+def obstruction(c: Complex, profiles: dict) -> Optional[HomologyProfile]:
+    """The reduced homology of c, when c is neither void nor a cone and the
+    homology is nonzero: the refutation that no collapse to void exists.
+    None when it vanishes, for void and cones, and when homology refuses
+    the size.  The profile comes from profiles, a memo keyed by facet
+    masks.  Callers spend one node on each refutation."""
+    if not c.masks or meet_mask(c.masks):
+        return None
+    try:
+        profile = memo_homology(c, profiles)
+    except InputError:
+        return None
+    return None if profile.is_trivial() else profile
+
+
+def collapse_test(c: Complex, budget: Budget, profiles: dict) -> tuple:
+    """The one collapse test, of recognition and :func:`collapse_search`
+    alike, spending a node per face set visited; BudgetExceeded on running
+    out.  (obstruction, None) after one node when :func:`obstruction`
+    refutes c.  Else (None, the steps), or (None, None) once every order
+    failed, from a backtracking DFS that tries free pairs in the canonical
+    order on an explicit stack, so that long sequences do not hit the
+    recursion limit, and reads a "yes" off that stack; a cone is finished
+    by :func:`cone_steps`.  Face sets whose free pairs all failed are
+    remembered, so each is expanded once.  The steps are replayed before
+    they are returned."""
+    refuted = obstruction(c, profiles)
+    if refuted is not None:
+        budget.spend()  # the refuting node
+        return refuted, None
     order_key = cache(mask_order)  # each face's key once per search
     failed: set = set()
     stack: list = []  # (facets, their untried free pairs, the pair being tried)
-    cur: Optional[frozenset] = masks
+    cur: Optional[frozenset] = c.masks
     while cur is not None:
         budget.spend()
         apexes = meet_mask(cur)
@@ -160,9 +189,9 @@ def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tup
             steps = tuple(pair for _, _, pair in stack)
             if cur:
                 steps += cone_steps(cur, apexes & -apexes)
-            if replay_masks(masks, steps, names):
+            if replay(c, steps).masks:
                 raise ReplayError("search produced a sequence that does not replay")
-            return steps
+            return None, steps
         stack.append((cur, iter(() if cur in failed else _free_pairs(cur, order_key)), None))
         cur = None
         while stack and cur is None:
@@ -174,64 +203,22 @@ def search_masks(masks: frozenset, budget: Budget, names: tuple) -> Optional[tup
                 sigma, tau, faces = pair
                 stack.append((top, pairs, (sigma, tau)))
                 cur = top.difference((sigma,)).union(f for f in faces if f != tau)
-    return None
-
-
-def replay(c: Complex, steps) -> Complex:
-    """Apply (sigma, tau) mask steps to c; raises ReplayError when illegal."""
-    return Complex(c.ground, replay_masks(c.masks, steps, c.ground))
-
-
-def obstruction(masks: frozenset, names: tuple, profiles: dict) -> Optional[HomologyProfile]:
-    """The reduced homology of a face set that is neither void nor a cone,
-    when it is nonzero: the refutation that no collapse to void exists.
-    None when it vanishes, for void and cones, and when homology refuses
-    the size.  The profile comes from profiles, a memo keyed by facet
-    masks.  Callers spend one node on each refutation."""
-    if not masks or meet_mask(masks):
-        return None
-    try:
-        profile = memo_homology(Complex(names, masks), profiles)
-    except InputError:
-        return None
-    return None if profile.is_trivial() else profile
-
-
-def collapse_test(masks: frozenset, budget: Budget, names: tuple, profiles: dict) -> tuple:
-    """The one collapse test, of recognition and :func:`collapse_search`
-    alike: (obstruction, None) after one node when :func:`obstruction`
-    refutes masks, else (None, the mask steps of :func:`search_masks`, or
-    None once every order failed).  BudgetExceeded on running out."""
-    refuted = obstruction(masks, names, profiles)
-    if refuted is not None:
-        budget.spend()  # the refuting node
-        return refuted, None
-    return None, search_masks(masks, budget, names)
+    return None, None
 
 
 def collapse_search(c: Complex, budget: int = DEFAULT_BUDGET,
                     profiles: Optional[dict] = None) -> ShvResult:
-    """Search for a collapse sequence from c to the void complex.
-
-    A complex that :func:`obstruction` refutes is answered "no" after one
-    node, with the homology as ``obstruction``, read from profiles (a suite
-    run passes its table's; a fresh memo when none is given).  When
-    homology finds the complex acyclic, or refuses its size (over
-    ``MAX_FACES`` faces), the search runs: a backtracking DFS trying free
-    pairs in the canonical order, on an explicit stack of (complex, untried
-    free pairs, pair being tried) so that long collapse sequences do not hit
-    the recursion limit; a "yes" reads its sequence off that stack.  Cones are
-    collapsed directly via :func:`cone_steps`.  The search remembers every
-    face set whose free pairs all failed, so a face set that two collapse
-    orders reach is expanded once; it answers "no" once the whole tree is
-    exhausted within the budget.  A "yes" sequence is replayed before it is
-    returned.  Running out of the budget is "unknown" after budget + 1
-    nodes.  Deterministic for fixed inputs.
+    """Search for a collapse sequence from c to the void complex by
+    :func:`collapse_test`, which reads homology from profiles (a suite run
+    passes its table's; a fresh memo when none is given).  A refuted complex
+    is "no" with its homology as ``obstruction``; when homology vanishes or
+    refuses the size (over ``MAX_FACES`` faces) the search answers.  Running
+    out of the budget is "unknown" after budget + 1 nodes.  Deterministic
+    for fixed inputs.
     """
     budget = Budget(budget)
     try:
-        refuted, steps = collapse_test(c.masks, budget, c.ground,
-                                       {} if profiles is None else profiles)
+        refuted, steps = collapse_test(c, budget, {} if profiles is None else profiles)
     except BudgetExceeded:
         return ShvResult("unknown", None, budget.used)
     return ShvResult("no" if steps is None else "yes", steps, budget.used, refuted)
@@ -242,11 +229,10 @@ def lifted_collapse(c: Complex, a: str, lk_steps) -> tuple:
 
     Each link step (F, F - {x}) becomes (F + {a}, (F - {x}) + {a}): the link's
     steps index its ground, which is c's without a, so a's bit goes back in
-    between.  The input must collapse the link to void; the lifted steps are
-    replayed from c and must land exactly on the deletion, else ReplayError.
+    between.  Lifted steps replay in c exactly when the link's replay in the
+    link, and land on the deletion exactly when those reach void, so one
+    replay from c checks both, else ReplayError.
     """
-    if not replay(link(c, a), lk_steps).is_void:
-        raise ReplayError("link sequence does not reach the void complex")
     bit = 1 << c.index(a)
     low = bit - 1  # the bits below a's stay, the others move up one place
     lifted = tuple(tuple(m & low | (m ^ m & low) << 1 | bit for m in step) for step in lk_steps)

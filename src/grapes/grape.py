@@ -79,7 +79,7 @@ from .collapse import (
     collapse_test,
     cone_steps,
     obstruction,
-    replay_masks,
+    replay,
     sequence_from_json,
     steps_to_json,
 )
@@ -220,7 +220,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
 
         # the weak family: a side that collapses
         for side, gamma in (("link", lk), ("deletion", dl)):
-            steps = collapse_test(gamma, budget, names, profiles)[1]
+            steps = collapse_test(Complex(names, gamma), budget, profiles)[1]
             if steps is not None:
                 if variant is GrapeVariant.STRONG_WEAK:
                     return "yes", {"kind": "strong-weak", "side": side, "collapse": steps}
@@ -256,7 +256,7 @@ def check_grape(c: Complex, variant: GrapeVariant, budget: int = DEFAULT_BUDGET,
                 continue
             if status == "unknown" and not torsion_read:
                 torsion_read = True
-                profile = obstruction(root, names, profiles)
+                profile = obstruction(c, profiles)
                 if profile is not None and any(profile.torsion.values()):
                     raise _Torsion
             lk_status, lk_ref = yield lk
@@ -380,12 +380,12 @@ def _verify_witness(
             raise ReplayError("link is not contained in the intermediate complex")
         if not all(any(in_dl(g)) for g in gamma):
             raise ReplayError("intermediate complex is not contained in the deletion")
-        if replay_masks(gamma, witness["collapse"], names):
+        if replay(Complex(names, gamma), witness["collapse"]).masks:
             raise ReplayError("intermediate complex does not collapse to void")
         return
     # strong-weak
     side = lk if witness["side"] == "link" else dl
-    if replay_masks(side, witness["collapse"], names):
+    if replay(Complex(names, side), witness["collapse"]).masks:
         raise ReplayError(f"{witness['side']} does not collapse to void")
 
 

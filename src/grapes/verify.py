@@ -2,11 +2,14 @@
 
 Every theorem check is a harness here: it checks one statement on one
 instance and returns a list of reports (``cad_report`` and
-``grape_duality_report``, which the CLI also runs, return one).  Each takes
-the instance, then its parameters, then the run's :class:`OutcomeTable`,
-which lives here and is required: the suite passes one table for the whole
-run and each ``verify`` command a fresh one, so a harness computes nothing
-that its table holds.  A report holds its instance, a complex, graph or
+``grape_duality_report``, which the CLI also runs, return one).  A harness
+takes the instance, then its parameters, then the run's
+:class:`OutcomeTable`, which lives here: the suite passes one table for
+the whole run and each ``verify`` command a fresh one, so a harness
+computes nothing that its table holds.  Three take no table:
+``deletion_contraction_reports`` compares complexes it builds, and
+``five_cycle_reports`` and ``cyclic_no_useless_reports`` check their fixed
+instance once per run.  A report holds its instance, a complex, graph or
 digraph, and writes it as JSON only when it is printed, so a failure can be
 replayed on its own.  The suite runner wires the harnesses to deterministic
 instance sets (fixed seeds, exhaustive small enumerations) of the sizes
@@ -252,10 +255,10 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
     report does not pass and the dual is not built: it fails on a "no" and
     is unknown on an "unknown".  When both are "yes" on a nonempty ground,
     for every variant, the dual's wedge must be the primal's shifted by
-    :func:`dual_wedge`, and the details carry the three wedges.  A weak dual
-    that comes back "unknown" is tolerated, flagged, and the report is
-    unknown: the weak search is the one that can end "unknown" short of its
-    budget.  The dual and both recognitions go through the table.
+    :func:`dual_wedge`, and the details carry the three wedges.  A dual of
+    any variant that comes back "unknown" is flagged and the report is
+    unknown, never a guessed "fail".  The dual and both recognitions go
+    through the table.
     """
     primal = table.recognise(c, variant)
     details = {
@@ -267,7 +270,7 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
     unknown = primal.verdict == "unknown"
     if primal.is_yes:
         dual = table.recognise(table.dual(c), variant)
-        unknown = variant is GrapeVariant.WEAK and dual.verdict == "unknown"
+        unknown = dual.verdict == "unknown"
         details["dual_verdict"] = dual.verdict
         details["unknown_tolerated"] = unknown
         details["pass"] = dual.is_yes or unknown
@@ -365,9 +368,8 @@ def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
         label = f"forest-{name}{'-dual' if dualize else ''}"
         outcome = table.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
-            out.append(
-                _report(label, g, False, expected="strong grape", observed=outcome.verdict)
-            )
+            out.append(_report(label, g, False, expected="strong grape", observed=outcome.verdict,
+                               unknown=outcome.verdict == "unknown"))
             continue
         ok = wedge_ok(outcome.wedge) and table.homology(cpx).is_wedge(outcome.wedge)
         out.append(_report(label, g, ok, observed=class_name(outcome.wedge)))
@@ -402,7 +404,7 @@ def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
     for name, expected, (strong, observed) in zip(("path-free", "path-missing"), wedges, found):
         if not strong.is_yes:
             out.append(_report(f"pfpm-{name}", d, False, expected="strong grape",
-                               observed=strong.verdict))
+                               observed=strong.verdict, unknown=strong.verdict == "unknown"))
             continue
         ok = strong.wedge == expected  # a class named per digraph only on a mismatch
         out.append(_report(f"pfpm-{name}", d, ok,

@@ -496,6 +496,26 @@ def test_verify_duality_command(write_json, capsys):
     ]
 
 
+def test_verify_duality_exits_three_on_an_unknown_dual(write_json, capsys, monkeypatch):
+    # C5 is a strong-weak grape and so is its dual; with the dual's
+    # recognition held to one node it comes back "unknown", which is no
+    # guessed "fail": the report is unknown and the command exits 3
+    real, recognised = grapes.verify.check_grape, []
+
+    def dual_runs_out(c, variant, **kwargs):
+        recognised.append(c)
+        return real(c, variant, 1 if len(recognised) > 1 else grapes.collapse.DEFAULT_BUDGET,
+                    **kwargs)
+
+    monkeypatch.setattr(grapes.verify, "check_grape", dual_runs_out)
+    code, out = run_cli(
+        capsys, "verify", "duality", write_json("c5.json", C5), "--variant", "strong-weak")
+    assert len(recognised) == 2
+    assert (out["primal_verdict"], out["dual_verdict"], out["unknown_tolerated"]) == (
+        "yes", "unknown", True)
+    assert code == 3
+
+
 def test_verify_cad_command(write_json, capsys):
     code, out = run_cli(capsys, "verify", "cad", write_json("c5.json", C5))
     assert code == 0 and out["status"] == "pass"

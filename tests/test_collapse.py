@@ -7,11 +7,14 @@ the CLI's do: through its JSON reader, which refuses a malformed step, and
 then replay on masks.  The oracle search without the homology
 rule is kept too, to show that the rule refutes no collapsible complex, and
 so is the search without the memo of failed face sets, to show that the
-memo changes no conclusion and never costs a node.
+memo changes no conclusion and never costs a node, and the lift that
+replays the link's sequence on the link before it replays the lift, to
+show that the one replay of the lift accepts the same sequences.
 """
 
 import inspect
 import json
+import random
 import string
 import sys
 
@@ -40,7 +43,7 @@ from grapes.collapse import (
     sequence_from_json,
     steps_to_json,
 )
-from grapes.complexes import Complex, bit_table, face_of, mask_order, meet_mask
+from grapes.complexes import Complex, bit_table, deletion_masks, face_of, mask_order, meet_mask
 from grapes.generators import cycle_complex
 from shapes import cone, cx, faces, fs, full_simplex, simplex_boundary, suspension
 from test_complexes import frozenset_cone_apexes, maximal_deletion
@@ -207,7 +210,7 @@ def frozenset_cone_sequence(c):
 
 def frozenset_collapse_search(c, budget=10**6, memo=True, obstruction=True):
     """collapse_search on frozensets; with obstruction off, the search alone,
-    as search_masks runs it; with memo off, a search that expands a face set
+    as collapse_test runs it; with memo off, a search that expands a face set
     again each time a collapse order reaches it."""
     if obstruction and c.facets and not frozenset_cone_apexes(c):
         profile = oracle_reduced_homology(c)
@@ -560,23 +563,26 @@ def test_lifted_collapse_on_full_triangle():
 
 
 def test_lifted_collapse_rejects_invalid_link_sequence():
+    # the link step ({a}, {}) is not free in the link of b, two points, so
+    # its lift ({a, b}, {b}) is not free in c: {b} lies in the edge bc too
     c = cx("abc", "ab", "bc")
-    with pytest.raises(ReplayError, match=r"^\[\] is contained in another face$"):
+    with pytest.raises(ReplayError, match=r"^\['b'\] is contained in another face$"):
         lifted_collapse(c, "b", read(link(c, "b"), {"steps": [step("a", "")]})[1])
 
 
 def test_lifted_collapse_rejects_a_link_sequence_that_stops_short():
-    # legal but incomplete: no steps leave the link of a, the edge bc, standing
+    # legal but incomplete: no steps leave the link of a, the edge bc, standing,
+    # so the triangle abc stays and the lift misses the deletion
     c = full_simplex("abc")
     assert collapse_search(link(c, "a")).is_yes
-    with pytest.raises(ReplayError, match="^link sequence does not reach the void complex$"):
+    with pytest.raises(ReplayError, match="^lifted sequence did not land on the deletion$"):
         lifted_collapse(c, "a", ())
 
 
 def test_lifted_collapse_rejects_a_lift_that_misses_the_deletion(monkeypatch):
-    # the lift of a sound link collapse lands on the true deletion, so only
-    # a corrupted lift reaches the last check: the replay from c loses the
-    # lift's last pair, which leaves the edge ab standing
+    # the lift of a sound link collapse lands on the true deletion; a replay
+    # from c that loses the lift's last pair leaves the edge ab standing,
+    # which the one check compares against the deletion
     c = cx("abc", "ab", "bc")
     steps = collapse_search(link(c, "a")).sequence
     real = grapes.collapse.replay
@@ -584,6 +590,61 @@ def test_lifted_collapse_rejects_a_lift_that_misses_the_deletion(monkeypatch):
                         lambda cpx, seq: real(cpx, seq[:-1] if cpx is c else seq))
     with pytest.raises(ReplayError, match="^lifted sequence did not land on the deletion$"):
         lifted_collapse(c, "a", steps)
+
+
+def two_check_lifted_collapse(c, a, lk_steps):
+    """The lift that replays the link's sequence on the link first, then
+    replays the lifted steps from c onto the deletion."""
+    if not replay(link(c, a), lk_steps).is_void:
+        raise ReplayError("link sequence does not reach the void complex")
+    bit = 1 << c.index(a)
+    low = bit - 1
+    lifted = tuple(tuple(m & low | (m ^ m & low) << 1 | bit for m in step) for step in lk_steps)
+    if replay(c, lifted).masks != deletion_masks(c.masks, bit):
+        raise ReplayError("lifted sequence did not land on the deletion")
+    return lifted
+
+
+def lift_outcome(lift, c, a, lk_steps):
+    """The lifted steps, or None when the lift raises ReplayError."""
+    try:
+        return lift(c, a, lk_steps)
+    except ReplayError:
+        return None
+
+
+def link_step_lists(lk, rng):
+    """The link's search sequence (empty unless it is a "yes"), its prefix,
+    its suffix and its reversal, then 6 lists of random pairs on the link's
+    ground, each tau sigma less one element."""
+    found = collapse_search(lk).sequence or ()
+    yield from (found, found[:-1], found[1:], found[::-1])
+    n = len(lk.ground)
+    for _ in range(6):
+        pairs = []
+        for _ in range(rng.randint(0, 4) if n else 0):
+            sigma = rng.randrange(1, 1 << n)
+            y = rng.choice([1 << i for i in range(n) if sigma >> i & 1])
+            pairs.append((sigma, sigma ^ y))
+        yield tuple(pairs)
+
+
+def test_the_one_check_lift_accepts_what_the_two_check_lift_accepts():
+    # every complex on at most 4 elements, at every element: a lifted step is
+    # legal in c exactly when its link step is legal in the link, so the
+    # replay of the link's sequence on the link adds nothing to the replay of
+    # the lift onto the deletion
+    rng = random.Random(1729)
+    cases = accepted = 0
+    for n in range(1, 5):
+        for c in enumerate_complexes("abcd"[:n]):
+            for a in c.ground:
+                for lk_steps in link_step_lists(link(c, a), rng):
+                    want = lift_outcome(two_check_lifted_collapse, c, a, lk_steps)
+                    assert lift_outcome(lifted_collapse, c, a, lk_steps) == want, (c, a, lk_steps)
+                    cases += 1
+                    accepted += want is not None
+    assert (cases, accepted) == (7470, 1084)
 
 
 # -- suspension transport -----------------------------------------------------------

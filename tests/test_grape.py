@@ -43,7 +43,7 @@ from grapes import (
     verify_certificate,
     void_complex,
 )
-from grapes.collapse import collapse_search, obstruction, replay_masks
+from grapes.collapse import collapse_search, replay
 from grapes.complexes import Complex, deletion, face_of, join_mask, link, meet_mask
 from grapes.grape import (
     TORSION_REASON,
@@ -533,7 +533,7 @@ def test_every_weak_split_holds_its_witness_as_a_plain_value(monkeypatch):
         witnesses = [n["witness"] for n in cert["nodes"] if "base" not in n]
         assert all(type(w) is dict and w["kind"] == "weak" for w in witnesses), c
         for w in witnesses:
-            assert not replay_masks(w["gamma_facets"], w["collapse"], cert["ground"]), c
+            assert replay(Complex(cert["ground"], w["gamma_facets"]), w["collapse"]).is_void, c
     assert made  # the cone candidate is among them
 
 
@@ -545,8 +545,8 @@ def test_a_strong_weak_pivot_where_no_side_collapses_fails_without_a_guess(monke
     tested = []
     real = grapes.grape.collapse_test
 
-    def spied(masks, *rest):
-        tested.append(real(masks, *rest))
+    def spied(c, *rest):
+        tested.append(real(c, *rest))
         return tested[-1]
 
     monkeypatch.setattr(grapes.grape, "collapse_test", spied)
@@ -708,18 +708,21 @@ def test_budget_edge_is_exactly_the_nodes_spent(c, variant, expected):
 def test_weak_nodes_include_every_collapse_search(monkeypatch, c, searches):
     # C5's links, two points, are refuted and its deletions, paths, are
     # searched; both sides of RP2's first pivot are refuted, and its torsion
-    # ends the recognition before any search runs
+    # ends the recognition before any search runs; a test that homology
+    # refutes spends its one node and searches nothing, so only the tests
+    # that searched are counted
     budgets, spent = set(), []
-    search_masks = grapes.collapse.search_masks  # collapse_test's search
+    real = grapes.grape.collapse_test
 
-    def recording(masks, budget, names):
+    def recording(cpx, budget, profiles):
         before = budget.used
-        result = search_masks(masks, budget, names)
-        budgets.add(budget)
-        spent.append(budget.used - before)
+        result = real(cpx, budget, profiles)
+        if result[0] is None:  # no refutation: the test searched
+            budgets.add(budget)
+            spent.append(budget.used - before)
         return result
 
-    monkeypatch.setattr(grapes.collapse, "search_masks", recording)
+    monkeypatch.setattr(grapes.grape, "collapse_test", recording)
     verdict = check_grape(c, GrapeVariant.WEAK)
     assert bool(spent) is searches and all(spent)
     if searches:
@@ -1149,19 +1152,20 @@ def test_dual_invariance_needs_yes_instance():
     assert "dual_verdict" not in report.details
 
 
-def test_only_a_weak_family_dual_may_be_unknown():
-    # the one status rule: a weak dual that comes back "unknown" is
-    # tolerated, flagged, and makes the report unknown; a strong-weak or
-    # strong one, which only the budget can leave unknown, fails.  No small
-    # complex has such a dual, so the table is primed
-    c5, two_points = cycle_complex(5), cx("ab", "a", "b")
-    for c, variant, status in ((c5, GrapeVariant.WEAK, "unknown"),
-                               (c5, GrapeVariant.STRONG_WEAK, "fail"),
-                               (two_points, GrapeVariant.STRONG, "fail")):
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_an_unknown_dual_makes_the_report_unknown_for_every_variant(variant):
+    # the one status rule: a dual that comes back "unknown", whichever
+    # variant's search ran out, is flagged and makes the report unknown,
+    # never a guessed "fail"; a dual "no" fails.  The two points are a yes
+    # of every variant, and no small complex has an unknown dual, so the
+    # table is primed
+    two_points = cx("ab", "a", "b")
+    for dual_verdict, status in (("unknown", "unknown"), ("no", "fail")):
         table = OutcomeTable()
-        table.entries[(table.dual(c).masks, variant)] = GrapeVerdict("unknown", reason="primed")
-        report = grape_duality_report(c, variant, table)
-        assert report.details["dual_verdict"] == "unknown"
+        table.entries[(table.dual(two_points).masks, variant)] = GrapeVerdict(
+            dual_verdict, reason="primed")
+        report = grape_duality_report(two_points, variant, table)
+        assert report.details["dual_verdict"] == dual_verdict
         assert report.status == status, variant
         assert report.details["unknown_tolerated"] is (status == "unknown")
         assert report.details["pass"] is (status == "unknown")

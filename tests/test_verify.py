@@ -396,16 +396,46 @@ def test_a_forest_complex_that_is_no_strong_grape_fails_its_report(monkeypatch):
 
 
 def test_a_path_complex_that_is_no_strong_grape_fails_its_report(monkeypatch):
-    # path-free is recognised, path-missing comes back "unknown"
+    # path-free is recognised, path-missing comes back "no"
     d = digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t")
     table = OutcomeTable()
     pm, real = graphs.pm_complex(d), table.recognise
     monkeypatch.setattr(table, "recognise", lambda c, variant: (
-        grape.GrapeVerdict("unknown") if c == pm else real(c, variant)))
+        grape.GrapeVerdict("no") if c == pm else real(c, variant)))
     assert reports_of(verify_pfpm_theorem(d, table)) == [
         ("pfpm-alexander-dual", "pass", None, None, {}),
         ("pfpm-path-free", "pass", "cross-polytope-boundary(1)", "cross-polytope-boundary(1)", {}),
-        ("pfpm-path-missing", "fail", "strong grape", "unknown", {})]
+        ("pfpm-path-missing", "fail", "strong grape", "no", {})]
+
+
+def primed(table, cpx, verdict="unknown"):
+    """table, holding verdict as the strong recognition of cpx's masks."""
+    table.entries[(cpx.masks, GrapeVariant.STRONG)] = grape.GrapeVerdict(verdict, reason="primed")
+    return table
+
+
+def test_a_forest_complex_whose_recognition_is_unknown_reports_unknown():
+    # an "unknown" is never a guessed "fail": the table is primed with an
+    # unknown independence complex for the 4-path's class, so each of the
+    # class's complexes on those masks reports unknown and the others pass
+    g, table = path_graph(4), OutcomeTable()
+    checks = verify._forest_class(g, table)[1]
+    ind = checks[0][1]
+    reports = verify_forest_theorem(g, primed(table, ind))
+    assert [(r.status, r.observed) for r in reports] == [
+        ("unknown", "unknown") if cpx.masks == ind.masks else ("pass", r.observed)
+        for r, (_, cpx, _, _) in zip(reports, checks)]
+    assert reports[0].theorem == "forest-independence" and reports[0].expected == "strong grape"
+
+
+def test_a_path_complex_whose_recognition_is_unknown_reports_unknown():
+    # the primed table holds an unknown path-missing complex
+    d = digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t")
+    table = primed(OutcomeTable(), graphs.pm_complex(d))
+    assert reports_of(verify_pfpm_theorem(d, table)) == [
+        ("pfpm-alexander-dual", "pass", None, None, {}),
+        ("pfpm-path-free", "pass", "cross-polytope-boundary(1)", "cross-polytope-boundary(1)", {}),
+        ("pfpm-path-missing", "unknown", "strong grape", "unknown", {})]
 
 
 def test_a_lifted_collapse_that_fails_to_replay_fails_its_report(monkeypatch):
