@@ -320,13 +320,14 @@ def face_masks(masks: Iterable[int]) -> set:
     InputError once there are over MAX_FACES, before a facet's faces are
     built when that facet alone spans more."""
     faces = set()
+    add = faces.add
     for f in masks:
         bound_faces(1 << f.bit_count())
         s = f
         while s:
-            faces.add(s)
+            add(s)
             s = (s - 1) & f
-        faces.add(0)
+        add(0)
         bound_faces(len(faces))
     return faces
 
@@ -404,7 +405,10 @@ def complex_to_json(c: Complex) -> dict:
 
 
 def complex_from_json(data: object) -> Complex:
-    """Decode in one pass, by name lookup; data that fails a lookup, or a
+    """Decode in one pass, by name lookup.  A facet's mask is the sum of its
+    names' bits: a sum's popcount is the facet's length unless a repeated
+    name made it carry, so when the popcounts fall short of the lengths,
+    the facets' bits are ORed instead.  Data that fails a lookup, or a
     ground with empty or repeated names, is checked name by name."""
     if not isinstance(data, dict):
         raise InputError("complex JSON must be an object")
@@ -415,8 +419,9 @@ def complex_from_json(data: object) -> Complex:
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError('complex JSON needs a "facets" array of arrays')
     bit = bit_table(ground)
+    get = bit.__getitem__
     try:
-        masks = [reduce(or_, map(bit.__getitem__, f), 0) for f in facets]
+        masks = [sum(map(get, f)) for f in facets]
     except (KeyError, TypeError):  # an unknown name or a non-string entry
         masks = None
     if masks is None or len(bit) != len(ground) or "" in bit:
@@ -424,6 +429,8 @@ def complex_from_json(data: object) -> Complex:
             if not all(isinstance(x, str) for x in f):
                 raise InputError("facet entries must be strings")
         return new_complex(ground, facets)
+    if sum(map(int.bit_count, masks)) != sum(map(len, facets)):  # a sum carried
+        masks = [reduce(or_, map(get, f), 0) for f in facets]
     return Complex(tuple(ground), maximal_masks(masks))
 
 

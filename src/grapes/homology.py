@@ -5,9 +5,12 @@ dimension -1, so the irrelevant complex has one unit of homology there and
 the void complex (no faces at all) has all groups zero.  Faces are int masks
 over the ground, submasks of the facets.  Homology is taken of the quotient
 by the star of one vertex, an acyclic cone, which leaves the cells of the
-pair (deletion, link); its sparse boundary maps are reduced top down with
-clearing, by low-pivot column reduction on unit pivots, and only the block
-left over goes to a dense Smith reduction.
+pair (deletion, link).  The vertex is found in one pass over the facets, a
+byte of each mask at a time; the cells are bucketed by size, and each
+column of a boundary map is built straight onto the cells, with no
+boundary of the whole face in between.  The sparse maps are reduced top
+down with clearing, by low-pivot column reduction on unit pivots, and only
+the block left over goes to a dense Smith reduction.
 Cohomology follows from homology by universal coefficients.
 
 All arithmetic is exact over Python integers.
@@ -15,8 +18,8 @@ All arithmetic is exact over Python integers.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Optional
 
@@ -103,27 +106,6 @@ def _subtract(col: dict, q: int, pivot: dict) -> None:
             del col[i]
 
 
-# -- boundary maps on mask faces -----------------------------------------------
-
-
-def _by_dim(faces) -> dict:
-    """Faces by dimension, the empty face at -1."""
-    by_dim = defaultdict(list)
-    for s in faces:
-        by_dim[s.bit_count() - 1].append(s)
-    return by_dim
-
-
-def _boundary(f: int) -> dict:
-    """Face f's boundary as a {face: sign} column, signs alternating along ascending bits."""
-    col, sign, rest = {}, 1, f
-    while rest:
-        low = rest & -rest
-        col[f ^ low] = sign
-        sign, rest = -sign, rest ^ low
-    return col
-
-
 # -- profiles ----------------------------------------------------------------
 
 
@@ -190,16 +172,33 @@ def class_name(wedge: dict) -> str:
     return "void" if n is None else f"cross-polytope-boundary({n})"
 
 
+@cache
+def _byte_bits() -> tuple:
+    """The bit positions of each byte value, ascending: entry b is a bytes
+    object of b's bits, which iterates as ints in half the memory of a
+    tuple.  Built by doubling on the first call, so that the import neither
+    spends time nor holds memory on it."""
+    table = [b""]
+    for i in range(8):
+        bit = bytes([i])
+        table += [t + bit for t in table]
+    return tuple(table)
+
+
 def _apex(c: Complex) -> int:
     """The vertex bit whose star is largest by the sum of 2^|F| over the
-    facets F through it; the lowest bit on ties.  One pass over the facets."""
+    facets F through it; the lowest bit on ties.  One pass over the facets,
+    each read a byte at a time through the table of a byte's bit positions."""
+    byte_bits = _byte_bits()
     weight = [0] * len(c.ground)
     for f in c.masks:
         w = 1 << f.bit_count()
+        base = 0
         while f:
-            low = f & -f
-            weight[low.bit_length() - 1] += w
-            f ^= low
+            for i in byte_bits[f & 255]:
+                weight[base + i] += w
+            f >>= 8
+            base += 8
     return 1 << weight.index(max(weight))
 
 
@@ -209,11 +208,14 @@ def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
     The cells are the faces s with v not in s and s + v not in c: the faces
     of the facets that miss v, less the faces of lk_v.  The complex spans
     |cells| + 2 |link faces| faces, refused past MAX_FACES as
-    :func:`face_masks` refuses them.  A column is a cell's boundary less its
-    rows in the star of v.  Top down, a cell that a unit pivot of the map
-    above was taken on is no column of this map (clearing): those pivot
-    columns are boundaries with +-1 on their low rows, triangular in pivot
-    order, so a unimodular change of basis zeroes the cleared columns.
+    :func:`face_masks` refuses them.  Cells are bucketed by size, the empty
+    face first.  A column is a cell's boundary less its rows in the star of
+    v, written straight onto the cells as a {face: sign} dict, signs
+    alternating along ascending bits.  Top down, a cell that a unit pivot
+    of the map above was taken on is no column of this map (clearing):
+    those pivot columns are boundaries with +-1 on their low rows,
+    triangular in pivot order, so a unimodular change of basis zeroes the
+    cleared columns.
     """
     top = c.dim()
     bound_faces(1 << (top + 1))
@@ -221,20 +223,28 @@ def _star_quotient_homology(c: Complex, v: int) -> HomologyProfile:
     cells = face_masks(f for f in c.masks if not f & v)
     cells -= link
     bound_faces(len(cells) + 2 * len(link))
-    by_dim = _by_dim(cells)
+    by_size = [[] for _ in range(top + 2)]
+    for s in cells:
+        by_size[s.bit_count()].append(s)
     factors = {top + 1: []}
     cleared = frozenset()
     for k in range(top, -1, -1):
-        columns = [
-            {t: e for t, e in _boundary(s).items() if t in cells}
-            for s in by_dim[k]
-            if s not in cleared
-        ]
+        columns = []
+        for s in by_size[k + 1]:
+            if s in cleared:
+                continue
+            col, sign, rest = {}, 1, s
+            while rest:
+                low = rest & -rest
+                if s ^ low in cells:
+                    col[s ^ low] = sign
+                sign, rest = -sign, rest ^ low
+            columns.append(col)
         factors[k], cleared = _invariant_factors(columns)
     betti, torsion = {}, {}
     for k in range(-1, top + 1):
         above = factors[k + 1]
-        betti[k] = len(by_dim[k]) - len(factors.get(k, ())) - len(above)
+        betti[k] = len(by_size[k + 1]) - len(factors.get(k, ())) - len(above)
         torsion[k] = tuple(d for d in above if d > 1)
     return HomologyProfile(betti, torsion)
 

@@ -256,8 +256,9 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
     is unknown on an "unknown".  When both are "yes" on a nonempty ground,
     for every variant, the dual's wedge must be the primal's shifted by
     :func:`dual_wedge`, and the details carry the three wedges.  A dual of
-    any variant that comes back "unknown" is flagged and the report is
-    unknown, never a guessed "fail".  The dual and both recognitions go
+    any variant that comes back "unknown" is flagged (``unknown_tolerated``)
+    and the report is unknown, never a guessed "fail", with ``pass`` false,
+    as the command's exit code 3 says.  The dual and both recognitions go
     through the table.
     """
     primal = table.recognise(c, variant)
@@ -273,7 +274,7 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
         unknown = dual.verdict == "unknown"
         details["dual_verdict"] = dual.verdict
         details["unknown_tolerated"] = unknown
-        details["pass"] = dual.is_yes or unknown
+        details["pass"] = dual.is_yes
         if dual.is_yes and c.ground:
             expected = dual_wedge(primal.wedge, len(c.ground))
             details["wedge"] = _wedge_json(primal.wedge)
@@ -499,12 +500,12 @@ def five_cycle_reports() -> list:
     c5 = cycle_complex(5)
     out = []
     comb = check_grape(c5, GrapeVariant.COMBINATORIAL)
-    out.append(
-        _report("five-cycle-not-combinatorial", c5, comb.verdict == "no", observed=comb.verdict)
-    )
+    out.append(_report("five-cycle-not-combinatorial", c5, comb.verdict == "no",
+                       observed=comb.verdict, unknown=comb.verdict == "unknown"))
     weak = check_grape(c5, GrapeVariant.WEAK)
     if not weak.is_yes:
-        return out + [_report("five-cycle-weak", c5, False, observed=weak.verdict)]
+        return out + [_report("five-cycle-weak", c5, False, observed=weak.verdict,
+                              unknown=weak.verdict == "unknown")]
     try:
         verify_certificate(c5, GrapeVariant.WEAK, weak.certificate)
     except ReplayError as exc:
@@ -524,6 +525,7 @@ def cyclic_no_useless_reports() -> list:
         frozenset(f)
         for f in ({"A", "E", "C", "D"}, {"F", "B", "C", "D"}, {"A", "F", "D"}, {"B", "E", "C"})
     )
+    collapse = collapse_search(pf)
     out = [
         _report(
             "cyclic-no-useless-pf-facets",
@@ -532,15 +534,13 @@ def cyclic_no_useless_reports() -> list:
             observed=complex_to_json(pf)["facets"],
         ),
         _report("cyclic-no-useless-pf-not-cone", d, not meet_mask(pf.masks)),
-        _report(
-            "cyclic-no-useless-pf-collapsible",
-            d,
-            collapse_search(pf).is_yes,
-        ),
+        _report("cyclic-no-useless-pf-collapsible", d, collapse.is_yes,
+                unknown=collapse.verdict == "unknown"),
         _report("cyclic-no-useless-arc-check", d, not useless_arcs(d)),
     ]
     verdict = check_grape(pf, GrapeVariant.STRONG)
-    out.append(_report("cyclic-no-useless-pf-void-class", d, verdict.wedge == {}))
+    out.append(_report("cyclic-no-useless-pf-void-class", d, verdict.wedge == {},
+                       unknown=verdict.verdict == "unknown"))
     return out
 
 

@@ -513,6 +513,8 @@ def test_verify_duality_exits_three_on_an_unknown_dual(write_json, capsys, monke
     assert len(recognised) == 2
     assert (out["primal_verdict"], out["dual_verdict"], out["unknown_tolerated"]) == (
         "yes", "unknown", True)
+    # the document agrees with the exit code: an unknown is no pass
+    assert out["pass"] is False
     assert code == 3
 
 

@@ -454,6 +454,13 @@ def test_json_absorbs_repeated_and_smaller_faces():
     assert complex_from_json(data) == Complex(("a", "b", "c"), frozenset({0b011, 0b100}))
 
 
+def test_json_a_repeated_name_whose_sum_carries_onto_a_real_bit_decodes_to_its_set():
+    # the bits of a and a sum to b's bit: the popcount check must catch the carry
+    data = {"ground": ["a", "b"], "facets": [["a", "a"]]}
+    assert complex_from_json(data) == Complex(("a", "b"), frozenset({0b01}))
+    assert complex_from_json(data).facets == {frozenset("a")}
+
+
 # -- enumeration ------------------------------------------------------------------------
 
 

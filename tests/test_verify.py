@@ -17,6 +17,7 @@ import grapes.homology as homology
 import grapes.verify as verify
 from grapes import GrapeVariant, InputError, ReplayError, digraph, graph, new_complex
 from grapes.cli import main
+from grapes.collapse import ShvResult
 from grapes.complexes import Complex, complex_to_json
 from grapes.generators import cycle_complex, cyclic_no_useless_digraph, gen_digraph
 from grapes.graphs import Digraph, Graph, digraph_from_json, digraph_to_json, graph_from_json, graph_to_json
@@ -449,12 +450,31 @@ def test_a_lifted_collapse_that_fails_to_replay_fails_its_report(monkeypatch):
         ("lifted-collapse", "fail", None, "refused", {"element": a}) for a in "ac"]
 
 
-def test_a_five_cycle_that_is_no_weak_grape_fails_its_report(monkeypatch):
+@pytest.mark.parametrize("verdict, status", [("unknown", "unknown"), ("no", "fail")])
+def test_a_five_cycle_weak_recognition_reads_unknown_on_unknown_and_fail_on_no(monkeypatch, verdict, status):
     real = verify.check_grape
     monkeypatch.setattr(verify, "check_grape", lambda c, variant: (
-        grape.GrapeVerdict("unknown") if variant is GrapeVariant.WEAK else real(c, variant)))
+        grape.GrapeVerdict(verdict) if variant is GrapeVariant.WEAK else real(c, variant)))
     assert [(r.theorem, r.status, r.observed) for r in five_cycle_reports()] == [
-        ("five-cycle-not-combinatorial", "pass", "no"), ("five-cycle-weak", "fail", "unknown")]
+        ("five-cycle-not-combinatorial", "pass", "no"), ("five-cycle-weak", status, verdict)]
+
+
+def test_a_five_cycle_combinatorial_recognition_that_ends_unknown_is_no_pass(monkeypatch):
+    real = verify.check_grape
+    monkeypatch.setattr(verify, "check_grape", lambda c, variant: (
+        grape.GrapeVerdict("unknown") if variant is GrapeVariant.COMBINATORIAL else real(c, variant)))
+    assert [(r.theorem, r.status) for r in five_cycle_reports()] == [
+        ("five-cycle-not-combinatorial", "unknown"), ("five-cycle-weak", "pass")]
+
+
+@pytest.mark.parametrize("verdict, status", [("unknown", "unknown"), ("no", "fail")])
+def test_the_cyclic_digraphs_searches_read_unknown_on_unknown_and_fail_on_no(monkeypatch, verdict, status):
+    monkeypatch.setattr(verify, "collapse_search", lambda c: ShvResult(verdict))
+    monkeypatch.setattr(verify, "check_grape", lambda c, variant: grape.GrapeVerdict(verdict))
+    statuses = {r.theorem: r.status for r in cyclic_no_useless_reports()}
+    assert statuses["cyclic-no-useless-pf-collapsible"] == status
+    assert statuses["cyclic-no-useless-pf-void-class"] == status
+    assert statuses["cyclic-no-useless-pf-facets"] == "pass"
 
 
 def test_deletion_contraction_on_cyclic_digraph():
