@@ -16,6 +16,11 @@ instance sets (fixed seeds, exhaustive small enumerations) of the sizes
 ``SIZES`` gives.  A :class:`Tally` counts pass / fail / unknown for the
 suite and the CLI alike as the reports arrive, and holds only the reports
 it prints: the suite's run keeps none that passed.
+
+One rule reads a search's verdict (:func:`_unless_yes`): an "unknown"
+makes its report "unknown", never a pass, a fail or no report; a check that
+needs a "yes" fails on "no", and one that checks only what a "yes" gives
+makes no report on "no".
 """
 
 from __future__ import annotations
@@ -100,6 +105,14 @@ class VerificationReport:
 def _report(theorem, instance, ok, expected=None, observed=None, unknown=False, **details):
     status = "unknown" if unknown else ("pass" if ok else "fail")
     return VerificationReport(theorem, instance, status, expected, observed, details)
+
+
+def _unless_yes(theorem, instance, outcome, **fields):
+    """None when the search's outcome is "yes"; else the report its verdict
+    makes, observed: "unknown" on "unknown" and "fail" on "no"."""
+    if not outcome.is_yes:
+        return _report(theorem, instance, False, observed=outcome.verdict,
+                       unknown=outcome.verdict == "unknown", **fields)
 
 
 def _wedge_json(wedge: dict) -> dict:
@@ -286,48 +299,40 @@ def grape_duality_report(c: Complex, variant: GrapeVariant,
 
 def grape_duality_reports(c: Complex, small_variants_max_ground: int,
                           table: OutcomeTable) -> list:
-    """:func:`grape_duality_report` for each variant that c is a grape of:
-    strong always, the others up to small_variants_max_ground ground
-    elements."""
+    """:func:`grape_duality_report` for each variant whose recognition of c
+    does not end "no" (an "unknown" one reports unknown): strong always, the
+    others up to small_variants_max_ground ground elements."""
     small = len(c.ground) <= small_variants_max_ground
     return [grape_duality_report(c, variant, table)
             for variant in (GrapeVariant if small else (GrapeVariant.STRONG,))
-            if table.recognise(c, variant).is_yes]
+            if table.recognise(c, variant).verdict != "no"]
 
 
 def _forest_formula_checks(g: Graph, inv) -> list:
-    """Expected wedges for the eight forest complexes, from the invariants:
-    void, or the one sphere of a cross-polytope boundary of the dimension n
-    a formula gives, which is the wedge {n - 1: 1}.  Each kind has one
-    formula, its primal's, which a dual's wedge shifted back by
-    :func:`dual_wedge` on its ground must meet (the shift is an involution)."""
+    """The eight forest complexes as (label, complex, allowed wedges), the
+    four primals then their duals.  A primal's wedges come from the
+    invariants: the one sphere of the cross-polytope boundary of the
+    dimension n a formula gives, the wedge {n - 1: 1}, for dom and ed; for
+    ind and ec the void, or that sphere too when i_dom == gamma.  A dual's
+    are its primal's shifted by :func:`dual_wedge` on their ground.  On an
+    empty ground no formula applies and the dual's wedge is forced: each
+    primal is irrelevant and its dual void, save the edge-cover complex of
+    a graph with vertices, which is void, its dual irrelevant."""
     n_v = len(g.vertices)
     n_e = len(g.edges)
-
-    def sphere_or_void(n: int):
-        return lambda wedge: not wedge or (wedge == {n - 1: 1} and inv.i_dom == inv.gamma)
-
-    def exactly(n: int):
-        return lambda wedge: wedge == {n - 1: 1}
-
-    def on_dual(kind: str, formula, n: int):
-        if not n:
-            # no formula applies on an empty ground: each primal is irrelevant, its
-            # dual void, save the void edge-cover complex of a graph with vertices
-            forced = {-1: 1} if kind == "ec" and n_v else {}
-            return lambda wedge: wedge == forced
-        return lambda wedge: formula(dual_wedge(wedge, n))
-
-    formulas = {"ind": ("independence", sphere_or_void(inv.i_dom)),
-                "dom": ("dominance", exactly(inv.alpha0)),
-                "ec": ("edge-cover", sphere_or_void(n_e - n_v + inv.i_dom)),
-                "ed": ("edge-dominance", exactly(n_e - inv.alpha0))}
+    spheres_too = inv.i_dom == inv.gamma
+    formulas = {"ind": ("independence", [{}, {inv.i_dom - 1: 1}] if spheres_too else [{}]),
+                "dom": ("dominance", [{inv.alpha0 - 1: 1}]),
+                "ec": ("edge-cover", [{}, {n_e - n_v + inv.i_dom - 1: 1}] if spheres_too else [{}]),
+                "ed": ("edge-dominance", [{n_e - inv.alpha0 - 1: 1}])}
     primal, dual = [], []
     for kind, forbidden_sets in FORBIDDEN_SETS.items():
         ground, forbidden = forbidden_sets(g)
-        name, formula = formulas[kind]
-        primal.append((name, avoiding(ground, forbidden), False, formula))
-        dual.append((name, avoiding_dual(ground, forbidden), True, on_dual(kind, formula, len(ground))))
+        name, wedges = formulas[kind]
+        dual_wedges = ([dual_wedge(wedge, len(ground)) for wedge in wedges] if ground
+                       else [{-1: 1} if kind == "ec" and n_v else {}])
+        primal.append((f"forest-{name}", avoiding(ground, forbidden), wedges))
+        dual.append((f"forest-{name}-dual", avoiding_dual(ground, forbidden), dual_wedges))
     return primal + dual
 
 
@@ -365,15 +370,11 @@ def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
     inv, checks = _forest_class(g, table)
     g.edge_labels  # refuses colliding labels
     out = []
-    for name, cpx, dualize, wedge_ok in checks:
-        label = f"forest-{name}{'-dual' if dualize else ''}"
+    for label, cpx, wedges in checks:
         outcome = table.recognise(cpx, GrapeVariant.STRONG)
-        if not outcome.is_yes:
-            out.append(_report(label, g, False, expected="strong grape", observed=outcome.verdict,
-                               unknown=outcome.verdict == "unknown"))
-            continue
-        ok = wedge_ok(outcome.wedge) and table.homology(cpx).is_wedge(outcome.wedge)
-        out.append(_report(label, g, ok, observed=class_name(outcome.wedge)))
+        ok = outcome.wedge in wedges and table.homology(cpx).is_wedge(outcome.wedge)
+        out.append(_unless_yes(label, g, outcome, expected="strong grape")
+                   or _report(label, g, ok, observed=class_name(outcome.wedge)))
     return out
 
 
@@ -403,13 +404,10 @@ def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
     pf_wedge = {} if useless or has_cycle(d) else {len(nonsinks(d)) - 2: 1}
     wedges = (pf_wedge, dual_wedge(pf_wedge, len(d.arcs)))
     for name, expected, (strong, observed) in zip(("path-free", "path-missing"), wedges, found):
-        if not strong.is_yes:
-            out.append(_report(f"pfpm-{name}", d, False, expected="strong grape",
-                               observed=strong.verdict, unknown=strong.verdict == "unknown"))
-            continue
         ok = strong.wedge == expected  # a class named per digraph only on a mismatch
-        out.append(_report(f"pfpm-{name}", d, ok,
-                           expected=observed if ok else class_name(expected), observed=observed))
+        out.append(_unless_yes(f"pfpm-{name}", d, strong, expected="strong grape")
+                   or _report(f"pfpm-{name}", d, ok,
+                              expected=observed if ok else class_name(expected), observed=observed))
     return out
 
 
@@ -438,52 +436,50 @@ def ground_independence_reports(c: Complex, table: OutcomeTable) -> list:
     unused ground element is added (this moves every pivot choice).  c's
     verdicts come from the table, and the moved complex is recognised
     afresh, reading homology from the table's profiles: that recognition is
-    the check, and only its verdict is read."""
+    the check, and only its verdict is read: a report is unknown when
+    either side is."""
     fresh = "_" * (max(map(len, c.ground), default=0) + 1)  # longer than any element
     moved = new_complex(tuple(reversed(c.ground)) + (fresh,), c.facets)
     out = []
     for variant in GrapeVariant:
         a = table.recognise(c, variant).verdict
         b = check_grape(moved, variant, profiles=table.profiles).verdict
-        out.append(
-            _report(
-                f"ground-independence-{variant.value}",
-                c,
-                a == b,
-                expected=b,
-                observed=a,
-            )
-        )
+        out.append(_report(f"ground-independence-{variant.value}", c, a == b,
+                           expected=b, observed=a, unknown="unknown" in (a, b)))
     return out
 
 
 def lifted_collapse_reports(c: Complex, table: OutcomeTable) -> list:
     """Wherever a link collapses, the lifted sequence must collapse the
-    complex onto the deletion.  Each link's search reads its homology from
-    the table's profiles."""
+    complex onto the deletion.  A link that does not collapse makes no
+    report, and one whose search ends "unknown" an unknown one.  Each link's
+    search reads its homology from the table's profiles."""
     out = []
     for a in c.ground:
         result = collapse_search(link(c, a), profiles=table.profiles)
-        if not result.is_yes:
+        if result.verdict == "no":
             continue
-        try:
-            lifted_collapse(c, a, result.sequence)
-            out.append(_report("lifted-collapse", c, True, element=a))
-        except ReplayError as exc:
-            out.append(
-                _report("lifted-collapse", c, False, observed=str(exc), element=a)
-            )
+        report = _unless_yes("lifted-collapse", c, result, element=a)
+        if report is None:
+            try:
+                lifted_collapse(c, a, result.sequence)
+                report = _report("lifted-collapse", c, True, element=a)
+            except ReplayError as exc:
+                report = _report("lifted-collapse", c, False, observed=str(exc), element=a)
+        out.append(report)
     return out
 
 
 def wedge_reports(c: Complex, variant: GrapeVariant, table: OutcomeTable) -> list:
     """A yes certificate's predicted wedge must be the homology of c exactly,
-    torsion included.  Both come from the table."""
-    wedge = table.recognise(c, variant).wedge
-    if wedge is None:
+    torsion included.  Both come from the table.  A "no" predicts nothing
+    and makes no report; an "unknown" makes an unknown one."""
+    outcome = table.recognise(c, variant)
+    if outcome.verdict == "no":
         return []
-    return [_report("wedge-prediction", c, table.homology(c).is_wedge(wedge),
-                    expected=_wedge_json(wedge))]
+    return [_unless_yes("wedge-prediction", c, outcome)
+            or _report("wedge-prediction", c, table.homology(c).is_wedge(outcome.wedge),
+                       expected=_wedge_json(outcome.wedge))]
 
 
 def konig_reports(g: Graph, table: OutcomeTable) -> list:
@@ -504,8 +500,7 @@ def five_cycle_reports() -> list:
                        observed=comb.verdict, unknown=comb.verdict == "unknown"))
     weak = check_grape(c5, GrapeVariant.WEAK)
     if not weak.is_yes:
-        return out + [_report("five-cycle-weak", c5, False, observed=weak.verdict,
-                              unknown=weak.verdict == "unknown")]
+        return out + [_unless_yes("five-cycle-weak", c5, weak)]
     try:
         verify_certificate(c5, GrapeVariant.WEAK, weak.certificate)
     except ReplayError as exc:

@@ -234,13 +234,12 @@ def labelled_forest_reports(g):
     of the harness that runs on isomorphism classes."""
     table, inv = OutcomeTable(), graphs.invariants(g)
     out = []
-    for name, cpx, dualize, wedge_ok in verify._forest_formula_checks(g, inv):
-        label = f"forest-{name}{'-dual' if dualize else ''}"
+    for label, cpx, allowed in verify._forest_formula_checks(g, inv):
         outcome = table.recognise(cpx, GrapeVariant.STRONG)
         if not outcome.is_yes:
             out.append((label, "fail", "strong grape", outcome.verdict))
             continue
-        ok = wedge_ok(outcome.wedge) and table.homology(cpx).is_wedge(outcome.wedge)
+        ok = outcome.wedge in allowed and table.homology(cpx).is_wedge(outcome.wedge)
         out.append((label, "pass" if ok else "fail", None, homology.class_name(outcome.wedge)))
     ok = inv.alpha0 == inv.beta1
     out.append(("konig-cover-matching", "pass" if ok else "fail", inv.beta1, inv.alpha0))
@@ -409,36 +408,6 @@ def test_a_path_complex_that_is_no_strong_grape_fails_its_report(monkeypatch):
         ("pfpm-path-missing", "fail", "strong grape", "no", {})]
 
 
-def primed(table, cpx, verdict="unknown"):
-    """table, holding verdict as the strong recognition of cpx's masks."""
-    table.entries[(cpx.masks, GrapeVariant.STRONG)] = grape.GrapeVerdict(verdict, reason="primed")
-    return table
-
-
-def test_a_forest_complex_whose_recognition_is_unknown_reports_unknown():
-    # an "unknown" is never a guessed "fail": the table is primed with an
-    # unknown independence complex for the 4-path's class, so each of the
-    # class's complexes on those masks reports unknown and the others pass
-    g, table = path_graph(4), OutcomeTable()
-    checks = verify._forest_class(g, table)[1]
-    ind = checks[0][1]
-    reports = verify_forest_theorem(g, primed(table, ind))
-    assert [(r.status, r.observed) for r in reports] == [
-        ("unknown", "unknown") if cpx.masks == ind.masks else ("pass", r.observed)
-        for r, (_, cpx, _, _) in zip(reports, checks)]
-    assert reports[0].theorem == "forest-independence" and reports[0].expected == "strong grape"
-
-
-def test_a_path_complex_whose_recognition_is_unknown_reports_unknown():
-    # the primed table holds an unknown path-missing complex
-    d = digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t")
-    table = primed(OutcomeTable(), graphs.pm_complex(d))
-    assert reports_of(verify_pfpm_theorem(d, table)) == [
-        ("pfpm-alexander-dual", "pass", None, None, {}),
-        ("pfpm-path-free", "pass", "cross-polytope-boundary(1)", "cross-polytope-boundary(1)", {}),
-        ("pfpm-path-missing", "unknown", "strong grape", "unknown", {})]
-
-
 def test_a_lifted_collapse_that_fails_to_replay_fails_its_report(monkeypatch):
     def refuse(c, a, steps):
         raise ReplayError("refused")
@@ -450,31 +419,101 @@ def test_a_lifted_collapse_that_fails_to_replay_fails_its_report(monkeypatch):
         ("lifted-collapse", "fail", None, "refused", {"element": a}) for a in "ac"]
 
 
-@pytest.mark.parametrize("verdict, status", [("unknown", "unknown"), ("no", "fail")])
-def test_a_five_cycle_weak_recognition_reads_unknown_on_unknown_and_fail_on_no(monkeypatch, verdict, status):
+def test_a_five_cycle_weak_recognition_that_ends_no_fails(monkeypatch):
     real = verify.check_grape
     monkeypatch.setattr(verify, "check_grape", lambda c, variant: (
-        grape.GrapeVerdict(verdict) if variant is GrapeVariant.WEAK else real(c, variant)))
+        grape.GrapeVerdict("no") if variant is GrapeVariant.WEAK else real(c, variant)))
     assert [(r.theorem, r.status, r.observed) for r in five_cycle_reports()] == [
-        ("five-cycle-not-combinatorial", "pass", "no"), ("five-cycle-weak", status, verdict)]
+        ("five-cycle-not-combinatorial", "pass", "no"), ("five-cycle-weak", "fail", "no")]
 
 
-def test_a_five_cycle_combinatorial_recognition_that_ends_unknown_is_no_pass(monkeypatch):
-    real = verify.check_grape
-    monkeypatch.setattr(verify, "check_grape", lambda c, variant: (
-        grape.GrapeVerdict("unknown") if variant is GrapeVariant.COMBINATORIAL else real(c, variant)))
-    assert [(r.theorem, r.status) for r in five_cycle_reports()] == [
-        ("five-cycle-not-combinatorial", "unknown"), ("five-cycle-weak", "pass")]
-
-
-@pytest.mark.parametrize("verdict, status", [("unknown", "unknown"), ("no", "fail")])
-def test_the_cyclic_digraphs_searches_read_unknown_on_unknown_and_fail_on_no(monkeypatch, verdict, status):
-    monkeypatch.setattr(verify, "collapse_search", lambda c: ShvResult(verdict))
-    monkeypatch.setattr(verify, "check_grape", lambda c, variant: grape.GrapeVerdict(verdict))
+def test_the_cyclic_digraphs_searches_fail_on_no(monkeypatch):
+    monkeypatch.setattr(verify, "collapse_search", lambda c: ShvResult("no"))
+    monkeypatch.setattr(verify, "check_grape", lambda c, variant: grape.GrapeVerdict("no"))
     statuses = {r.theorem: r.status for r in cyclic_no_useless_reports()}
-    assert statuses["cyclic-no-useless-pf-collapsible"] == status
-    assert statuses["cyclic-no-useless-pf-void-class"] == status
+    assert statuses["cyclic-no-useless-pf-collapsible"] == "fail"
+    assert statuses["cyclic-no-useless-pf-void-class"] == "fail"
     assert statuses["cyclic-no-useless-pf-facets"] == "pass"
+
+
+# -- no "unknown" fails, passes or vanishes ---------------------------------------------
+
+# the harnesses of run_suite's stage table, each on instances where it
+# reports today, as (instance, harness of the instance and a table)
+C5 = cycle_complex(5)
+IND_P3 = new_complex("abc", [frozenset("ac"), frozenset("b")])  # the links of a and c are points
+EDGE_AND_POINT = new_complex("abc", [frozenset("ab"), frozenset("c")])
+CONTRACT_CASES = {
+    "duality_identity_reports": [(c, duality_identity_reports) for c in (C5, IND_P3)],
+    "cad_report": [(c, lambda c, table: [cad_report(c, table)]) for c in (C5, IND_P3)],
+    "grape_duality_reports": [(c, lambda c, table: verify.grape_duality_reports(c, 5, table))
+                              for c in (C5, EDGE_AND_POINT)],
+    "wedge_reports": [(c, lambda c, table, variant=variant: wedge_reports(c, variant, table))
+                      for c in (IND_P3, EDGE_AND_POINT)
+                      for variant in (GrapeVariant.STRONG, GrapeVariant.COMBINATORIAL)],
+    "verify_forest_theorem": [(g, verify_forest_theorem) for g in (path_graph(2), path_graph(4), star_graph(3))],
+    "konig_reports": [(path_graph(4), konig_reports)],
+    "verify_pfpm_theorem": [(d, verify_pfpm_theorem) for d in (
+        digraph("sut", [("e1", "s", "u"), ("e2", "u", "t")], "s", "t"), cyclic_no_useless_digraph(), digraph("st", [], "s", "t"))],
+    "deletion_contraction_reports": [(cyclic_no_useless_digraph(), lambda d, _: deletion_contraction_reports(d))],
+    "ground_independence_reports": [(c, ground_independence_reports) for c in (C5, IND_P3)],
+    "lifted_collapse_reports": [(c, lifted_collapse_reports) for c in (IND_P3, EDGE_AND_POINT)],
+    "five_cycle_reports": [(None, lambda _, __: five_cycle_reports())],
+    "cyclic_no_useless_reports": [(None, lambda _, __: cyclic_no_useless_reports())],
+}
+
+# the theorems whose reports rest on no recognition or collapse search
+SEARCH_FREE = {
+    "duality-involution", "duality-deletion-link-swap", "combinatorial-alexander-duality",
+    "konig-cover-matching", "pfpm-alexander-dual", "pfpm-empty-conventions",
+    "pf-deletion-identity", "pf-contraction-identity", "pf-deletion-useless",
+    "cyclic-no-useless-pf-facets", "cyclic-no-useless-pf-not-cone", "cyclic-no-useless-arc-check",
+}
+
+
+def searching_to_no_end(monkeypatch):
+    """Every recognition and collapse search the harnesses run ends "unknown"."""
+    monkeypatch.setattr(verify, "check_grape", lambda c, variant, *args, **memo: (
+        grape.GrapeVerdict("unknown", reason="patched")))
+    monkeypatch.setattr(verify, "collapse_search", lambda c, **memo: ShvResult("unknown"))
+
+
+@pytest.mark.parametrize("name", CONTRACT_CASES)
+def test_an_unknown_search_makes_its_report_unknown_in_every_harness(monkeypatch, name):
+    assert set(CONTRACT_CASES) == set(HARNESSES)  # every harness of the stage table
+    for instance, harness in CONTRACT_CASES[name]:
+        real = harness(instance, OutcomeTable())
+        assert real and all(r.status == "pass" for r in real), (name, instance)
+        with monkeypatch.context() as patch:
+            searching_to_no_end(patch)
+            unknown = harness(instance, OutcomeTable())
+        # no report fails, none that rests on a search passes, and none vanishes
+        assert len(unknown) >= len(real), (name, instance)
+        for r in unknown:
+            if r.theorem in SEARCH_FREE:
+                assert r.status == "pass", (name, r.theorem)
+                continue
+            assert r.status == "unknown", (name, r.theorem)
+            assert r.observed in (None, "unknown"), (name, r.theorem)  # the verdict, if anything
+            if r.theorem.startswith(("forest-", "pfpm-path-")):
+                assert r.expected == "strong grape", (name, r.theorem)
+
+
+@pytest.mark.parametrize("unknown_side", ["moved", "table"])
+def test_ground_independence_is_unknown_when_either_side_is(monkeypatch, unknown_side):
+    # the table holds C5's real verdicts and the moved copy comes back
+    # unknown, or the table holds unknowns and the moved copy is searched
+    table = OutcomeTable()
+    for variant in GrapeVariant:
+        if unknown_side == "moved":
+            table.recognise(C5, variant)
+        else:
+            table.entries[(C5.masks, variant)] = grape.GrapeVerdict("unknown", reason="primed")
+    if unknown_side == "moved":
+        searching_to_no_end(monkeypatch)
+    reports = ground_independence_reports(C5, table)
+    assert [r.status for r in reports] == ["unknown"] * 4
+    assert all("unknown" in (r.expected, r.observed) for r in reports)
 
 
 def test_deletion_contraction_on_cyclic_digraph():
@@ -613,13 +652,13 @@ def test_ground_independence_fails_on_an_order_dependent_recognizer(monkeypatch)
     assert all(r.status == "fail" for r in reports)
 
 
-# -- dual expectations read through the shift, against the explicit formulas ----
+# -- the forest wedge lists, against the explicit formulas ---------------------
 
 
-def explicit_forest_dual_formulas(g, inv):
-    """Each forest dual's formula written out by hand, the empty-ground cases
-    forced as the harness forces them: the oracle for the duals the harness
-    reads through ``dual_wedge``."""
+def explicit_forest_formulas(g, inv):
+    """Each forest complex's formula written out by hand, by label, the duals'
+    empty-ground cases forced as the harness forces them: the oracle for the
+    wedge lists the harness builds, the duals' through ``dual_wedge``."""
     n_v, n_e = len(g.vertices), len(g.edges)
 
     def sphere_or_void(n):
@@ -632,17 +671,22 @@ def explicit_forest_dual_formulas(g, inv):
         return lambda wedge: wedge == wedge_of_the_empty_ground
 
     return {
-        "independence": sphere_or_void(n_v - inv.i_dom - 1) if n_v else forced({}),
-        "dominance": exactly(n_v - inv.alpha0 - 1) if n_v else forced({}),
-        "edge-cover": sphere_or_void(n_v - inv.i_dom - 1) if n_e else forced({-1: 1} if n_v else {}),
-        "edge-dominance": exactly(inv.alpha0 - 1) if n_e else forced({}),
+        "forest-independence": sphere_or_void(inv.i_dom),
+        "forest-dominance": exactly(inv.alpha0),
+        "forest-edge-cover": sphere_or_void(n_e - n_v + inv.i_dom),
+        "forest-edge-dominance": exactly(n_e - inv.alpha0),
+        "forest-independence-dual": sphere_or_void(n_v - inv.i_dom - 1) if n_v else forced({}),
+        "forest-dominance-dual": exactly(n_v - inv.alpha0 - 1) if n_v else forced({}),
+        "forest-edge-cover-dual": (sphere_or_void(n_v - inv.i_dom - 1) if n_e
+                                   else forced({-1: 1} if n_v else {})),
+        "forest-edge-dominance-dual": exactly(inv.alpha0 - 1) if n_e else forced({}),
     }
 
 
 CANDIDATE_WEDGES = [{}] + [{k: m} for k in range(-2, 25) for m in (1, 2)]
 
 
-def test_forest_duals_read_through_the_shift_match_the_explicit_formulas():
+def test_forest_wedge_lists_match_the_explicit_formulas():
     full = SIZES["full"]
     forests = {
         *generators.all_trees(10),
@@ -653,14 +697,16 @@ def test_forest_duals_read_through_the_shift_match_the_explicit_formulas():
     cases = 0
     for g in forests:
         inv = graphs.invariants(g)
-        explicit = explicit_forest_dual_formulas(g, inv)
-        for name, cpx, dualize, derived in verify._forest_formula_checks(g, inv):
-            if dualize:
-                for wedge in CANDIDATE_WEDGES:
-                    assert derived(wedge) == explicit[name](wedge), (g, name, wedge)
-                    cases += 1
+        explicit = explicit_forest_formulas(g, inv)
+        checks = verify._forest_formula_checks(g, inv)
+        assert [label for label, _, _ in checks] == list(explicit)
+        for label, _, allowed in checks:
+            assert all(wedge in CANDIDATE_WEDGES for wedge in allowed), (g, label)
+            for wedge in CANDIDATE_WEDGES:
+                assert (wedge in allowed) == explicit[label](wedge), (g, label, wedge)
+                cases += 1
     assert len(forests) == 536  # 201 trees, 288 seeded forests and the suite's, less repeats
-    assert cases == len(forests) * 4 * len(CANDIDATE_WEDGES)
+    assert cases == len(forests) * 8 * len(CANDIDATE_WEDGES)
 
 
 def test_path_missing_reads_its_wedge_through_the_shift():
