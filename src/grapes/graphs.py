@@ -33,7 +33,7 @@ useless arcs read that list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable
@@ -239,41 +239,50 @@ def edge_dominance_complex(g: Graph) -> Complex:
 # -- directed multigraphs ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digraph:
     """Vertex names, arc ids, and the arcs as (source, target) vertex-index
     pairs in arc order (``arcs[i]`` has id ``ids[i]``); s and t are vertex
     indices.  Unchecked: build one from names with :func:`digraph`, which
-    validates them."""
+    validates them.  Slotted, with no per-instance dict: the s-t paths are
+    kept in a slot that the first read of :attr:`paths` fills, and that
+    equality, hashing and repr ignore."""
 
     vertices: tuple[str, ...]
     ids: tuple[str, ...]
     arcs: tuple[tuple[int, int], ...]
     s: int
     t: int
+    _paths: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def paths(self) -> tuple:
-        """The simple s-t paths as masks over the arcs (bit i for
-        ``arcs[i]``), listed once per digraph, depth first; (0,) alone if
-        s = t.  InputError once past MAX_FACES paths.  The visited vertices
-        are a mask too, bit i for vertex i."""
-        out: list = [[] for _ in self.vertices]  # per vertex: target, its bit, the arc's bit
-        for i, (a, b) in enumerate(self.arcs):
-            out[a].append((b, 1 << b, 1 << i))
-        paths = []
-        stack = [(self.s, 1 << self.s, 0)]
-        while stack:
-            v, visited, trail = stack.pop()
-            if v == self.t:
-                paths.append(trail)
-                if len(paths) > MAX_FACES:
-                    raise InputError(f"the digraph has more than {MAX_FACES} s-t paths")
-                continue
-            for tgt, b, a in out[v]:
-                if not visited & b:
-                    stack.append((tgt, visited | b, trail | a))
-        return tuple(paths)
+        """The simple s-t paths (:func:`st_paths`), listed once per digraph."""
+        if self._paths is None:
+            object.__setattr__(self, "_paths", st_paths(self))
+        return self._paths
+
+
+def st_paths(d: Digraph) -> tuple:
+    """The simple s-t paths as masks over the arcs (bit i for ``arcs[i]``),
+    depth first; (0,) alone if s = t.  InputError once past MAX_FACES paths.
+    The visited vertices are a mask too, bit i for vertex i."""
+    out: list = [[] for _ in d.vertices]  # per vertex: target, its bit, the arc's bit
+    for i, (a, b) in enumerate(d.arcs):
+        out[a].append((b, 1 << b, 1 << i))
+    paths = []
+    stack = [(d.s, 1 << d.s, 0)]
+    while stack:
+        v, visited, trail = stack.pop()
+        if v == d.t:
+            paths.append(trail)
+            if len(paths) > MAX_FACES:
+                raise InputError(f"the digraph has more than {MAX_FACES} s-t paths")
+            continue
+        for tgt, b, a in out[v]:
+            if not visited & b:
+                stack.append((tgt, visited | b, trail | a))
+    return tuple(paths)
 
 
 def digraph(vertices, arcs, s: str, t: str) -> Digraph:

@@ -176,9 +176,12 @@ class OutcomeTable:
     keeps :func:`check_grape`'s verdicts by (masks, variant), each "yes"
     with its wedge and its certificate dropped, and ``profiles`` homology by
     masks, for :meth:`homology` and the table's recognitions and collapse
-    searches.  :meth:`dual` keeps duals by (ground, masks);
-    harnesses keep PF/PM per path family and a forest's invariants and
-    complexes per isomorphism class too.
+    searches.  :meth:`dual` keeps duals by (ground, masks).  These
+    ``entries`` and ``profiles`` serve every stage of a suite run and live
+    for the run.  What one harness alone reads goes in ``stage``: PF/PM per
+    path family, and a forest's canonical copy and its class's invariants
+    and complexes.  The suite empties it as each stage ends, so it holds one
+    stage's entries at a time.
 
     A verdict may be read off a stronger variant's "yes" on the same masks
     (``_IMPLIED_BY``) instead of searched: the entry is then that stronger
@@ -190,13 +193,16 @@ class OutcomeTable:
     def __init__(self) -> None:
         self.entries: dict = {}
         self.profiles: dict = {}
+        self.stage: dict = {}
 
-    def once(self, key, compute: Callable):
-        """The value under key, calling compute() only if there is none yet
-        (a falsy value, such as an empty list, counts as one)."""
-        if key not in self.entries:
-            self.entries[key] = compute()
-        return self.entries[key]
+    def once(self, key, compute: Callable, memo: dict | None = None):
+        """The value under key in memo, the run-wide entries unless given,
+        calling compute() only if there is none yet (a falsy value, such as
+        an empty list, counts as one)."""
+        memo = self.entries if memo is None else memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def recognise(self, c: Complex, variant: GrapeVariant) -> GrapeVerdict:
         def outcome() -> GrapeVerdict:
@@ -339,9 +345,9 @@ def _forest_formula_checks(g: Graph, inv) -> list:
 def _forest_class(g: Graph, table: OutcomeTable) -> tuple:
     """The invariants and the eight formula checks of g's isomorphism class,
     computed on the edges of g's canonical copy with the vertices v1..vn.
-    The table keeps the copy per forest and the class per canonical key.
-    InputError when g has a cycle (it has no canonical copy)."""
-    h = table.once(("canonical", g), lambda: canonical_forest(g))
+    The table's stage memo keeps the copy per forest and the class per
+    canonical key.  InputError when g has a cycle (it has no canonical copy)."""
+    h = table.once(("canonical", g), lambda: canonical_forest(g), table.stage)
     if h is None:
         raise InputError("forest theorem harness needs a forest")
 
@@ -350,7 +356,7 @@ def _forest_class(g: Graph, table: OutcomeTable) -> tuple:
         inv = invariants(f)
         return inv, _forest_formula_checks(f, inv)
 
-    return table.once(("forest", len(h.vertices), h.edges), compute)
+    return table.once(("forest", len(h.vertices), h.edges), compute, table.stage)
 
 
 def verify_forest_theorem(g: Graph, table: OutcomeTable) -> list:
@@ -383,9 +389,9 @@ def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
 
     PF and PM depend only on the arc count and the s-t paths as masks (the
     full suite at seed 1729 meets 108 path families in 7,020 digraphs), so
-    the table keeps per path family whether
-    PM is the dual of PF, whether some arc is useless, and both strong
-    outcomes with the names of their classes, none of which reads an arc id.
+    the table's stage memo keeps per path family whether PM is the dual of
+    PF, whether some arc is useless, and both strong outcomes with the names
+    of their classes, none of which reads an arc id.
     """
     if not d.arcs:
         pf, pm = pf_complex(d), pm_complex(d)
@@ -398,7 +404,8 @@ def verify_pfpm_theorem(d: Digraph, table: OutcomeTable) -> list:
         return (pm == alexander_dual(pf), bool(useless_arcs(d)),
                 *((o, o.is_yes and class_name(o.wedge)) for o in strong))
 
-    dual_ok, useless, *found = table.once(("pfpm", len(d.arcs), frozenset(d.paths)), family)
+    key = ("pfpm", len(d.arcs), frozenset(d.paths))
+    dual_ok, useless, *found = table.once(key, family, table.stage)
     out = [_report("pfpm-alexander-dual", d, dual_ok)]
     # void on a degenerate digraph, else PF's one sphere; PM's is its shift on the arcs
     pf_wedge = {} if useless or has_cycle(d) else {len(nonsinks(d)) - 2: 1}
@@ -612,6 +619,20 @@ class Tally:
         return {**self.counts, "reports": [r.to_json() for r in self.reports]}
 
 
+def _run_stage(instances: list, harness: Callable, table: OutcomeTable, tally: Tally) -> int:
+    """Tally harness's reports on each instance, checking each distinct one
+    once; returns the number of instances.  The stage's memo of what the
+    tally holds per instance dies when it returns, and so does the instance
+    list unless the caller holds it."""
+    seen: dict = {}
+    for x in instances:  # one hash per occurrence
+        found = seen.get(x)
+        if found is None:
+            seen[x] = found = tally.held(harness(x, table))
+        tally.add(found)
+    return len(instances)
+
+
 def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = None) -> dict:
     """Run the whole verification matrix; returns the aggregated summary.
 
@@ -621,17 +642,25 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     its homology reduced once, for recognition, collapse searches, the
     Alexander-duality check and the wedge checks alike.  An outcome is the
     search's own verdict, each "yes" with its wedge.  Each Alexander dual is
-    built once per (ground, masks), and PF/PM per path family.  A forest's
-    invariants and its eight complexes are kept per isomorphism class, keyed
-    by its canonical relabelling (:func:`canonical_forest`): two forests
-    share them only when an explicit isomorphism, the relabelling, maps one
-    onto the other, and every quantity the forest stage checks is invariant
-    under it.  Each stage checks each distinct instance once,
-    and its reports count at every occurrence.  The run tallies as it goes:
-    a stage keeps, per distinct instance, its number of passes and its
-    non-passing reports (the number alone when all pass), and the run holds
-    only the non-passing reports, in order.  The summary lists each with
-    its instance, the only instances written as JSON.
+    built once per (ground, masks).  Each stage checks each distinct
+    instance once, and its reports count at every occurrence.
+
+    State lives as long as what reads it.  The complexes, which seven
+    stages check, and the table's recognitions, duals and homology profiles
+    live for the run.  The forests, the digraphs and the identity digraphs
+    are built as their stage starts, and they, the stage's memo of its
+    distinct instances and the table's stage memo are dropped as it ends,
+    before its line is logged: PF/PM per path family, and a forest's
+    canonical relabelling (:func:`canonical_forest`) with its class's
+    invariants and eight complexes.  Two forests share a class only when an
+    explicit isomorphism, the relabelling, maps one onto the other, and
+    every quantity the forest stage checks is invariant under it.
+
+    The run tallies as it goes: a stage keeps, per distinct instance, its
+    number of passes and its non-passing reports (the number alone when all
+    pass), and the run holds only the non-passing reports, in order.  The
+    summary lists each with its instance, the only instances written as
+    JSON.
     """
     if level not in SIZES:
         raise ValueError(f"unknown suite level {level!r}")
@@ -641,62 +670,53 @@ def run_suite(level: str = "smoke", seed: int = DEFAULT_SEED, log: Callable = No
     complexes = standard_complexes(
         sizes.n_random_complexes, sizes.max_ground, sizes.exhaustive_ground, seed
     )
-    forests = standard_forests(sizes.n_forests, sizes.max_tree, seed)
-    digraphs = standard_digraphs(
-        sizes.n_random_digraphs,
-        sizes.exhaustive_digraph[0],
-        sizes.exhaustive_digraph[1],
-        seed=seed,
-    )
-    identity_digraphs = standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed=seed + 7000)
     say(f"instance set: {len(complexes)} complexes")
     notes = [
         "(co)homological duality checked on nonempty ground sets only: the "
         "index map i -> |X|-i-3 is degenerate for |X| = 0 and the identity "
         "provably fails there"
     ]
-    # each harness takes an instance and the run's outcome table
+    # each stage: its line, given its number of instances; its instances,
+    # built as it starts; and its harness, which takes an instance and the
+    # run's outcome table
     stages = [
-        ("duality identities done", complexes, duality_identity_reports),
-        ("alexander duality done", complexes,
+        ("duality identities done", lambda: complexes, duality_identity_reports),
+        ("alexander duality done", lambda: complexes,
          lambda c, table: [cad_report(c, table)] if c.ground else []),
         (
             "grape duality done",
-            complexes,
+            lambda: complexes,
             lambda c, table: grape_duality_reports(c, sizes.small_variants_max_ground, table),
         ),
-        ("strong/homology consistency done", complexes,
+        ("strong/homology consistency done", lambda: complexes,
          lambda c, table: wedge_reports(c, GrapeVariant.STRONG, table)),
         (
-            f"forest theorem done ({len(forests)} forests)",
-            forests,
+            "forest theorem done ({} forests)",
+            lambda: standard_forests(sizes.n_forests, sizes.max_tree, seed),
             lambda g, table: verify_forest_theorem(g, table) + konig_reports(g, table),
         ),
         (
-            f"path-free/path-missing done ({len(digraphs)} digraphs)",
-            digraphs,
+            "path-free/path-missing done ({} digraphs)",
+            lambda: standard_digraphs(sizes.n_random_digraphs, *sizes.exhaustive_digraph, seed),
             verify_pfpm_theorem,
         ),
         (
             "deletion/contraction identities done",
-            identity_digraphs,
+            lambda: standard_digraphs(sizes.n_identity_digraphs, 0, 0, seed + 7000),
             lambda d, _: deletion_contraction_reports(d),
         ),
-        ("ground independence done", complexes, ground_independence_reports),
-        ("lifted collapses done", complexes, lifted_collapse_reports),
-        ("wedge predictions done", complexes,
+        ("ground independence done", lambda: complexes, ground_independence_reports),
+        ("lifted collapses done", lambda: complexes, lifted_collapse_reports),
+        ("wedge predictions done", lambda: complexes,
          lambda c, table: wedge_reports(c, GrapeVariant.COMBINATORIAL, table)),
         # the named-instance harnesses take no argument; each is its own instance
-        ("named instances done", [five_cycle_reports, cyclic_no_useless_reports], lambda h, _: h()),
+        ("named instances done", lambda: [five_cycle_reports, cyclic_no_useless_reports],
+         lambda h, _: h()),
     ]
     table = OutcomeTable()
     tally = Tally()
     for line, instances, harness in stages:
-        seen: dict = {}  # the tally's hold on each distinct instance's reports, for the stage
-        for x in instances:  # one hash per occurrence
-            found = seen.get(x)
-            if found is None:
-                seen[x] = found = tally.held(harness(x, table))
-            tally.add(found)
-        say(line)
+        n = _run_stage(instances(), harness, table, tally)
+        table.stage.clear()
+        say(line.format(n))
     return {"level": level, "seed": seed, "notes": notes, **tally.summary()}

@@ -416,9 +416,11 @@ def calibration(g):
             link[b] ^= a
 
 def timed(f, g):
-    start = time.perf_counter()
+    # CPU time of this process alone: another process on the same cores
+    # takes none of it, so load cannot slow one of the two timings only
+    start = time.process_time()
     f(g)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 def ratio(g):
     # the least time of each over up to three interleaved tries
@@ -449,10 +451,11 @@ def test_the_canonical_form_keeps_pace_with_a_linear_pass_on_65536_vertices_with
     # 32,768 from their centres, and on gen forest --n 16384 and 65536 with
     # --seed 1.  The peel takes under PEEL_BOUND times as long as 16 passes
     # that only count each vertex's neighbours, timed on the same graph in
-    # the same process: about 0.5 to 1.6 times on CPython 3.11, and a peel
-    # that rescans every vertex per layer takes over 100 on the path.  The
-    # child's peak resident set (ru_maxrss, in kilobytes on Linux) stays
-    # under 200 MB, as edges held as index pairs take O(n) memory
+    # the same process's CPU time: about 0.5 to 1.6 times on CPython 3.11,
+    # and a peel that rescans every vertex per layer takes over 100 on the
+    # path.  The child's peak resident set (ru_maxrss, in kilobytes on
+    # Linux) stays under 200 MB, as edges held as index pairs take O(n)
+    # memory
     env = {**os.environ, "PYTHONPATH": str(Path(grapes.__file__).parent.parent)}
     result = subprocess.run([sys.executable, "-c", TIMED_CANONICAL_FORMS, str(PEEL_BOUND)], env=env,
                             capture_output=True, text=True, timeout=120)

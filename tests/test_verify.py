@@ -1,6 +1,5 @@
 """Verification harnesses on pinned instances, and suite determinism."""
 
-import functools
 import gc
 import hashlib
 import json
@@ -136,18 +135,16 @@ def counting(monkeypatch, module, name):
 
 
 def counting_path_lists(monkeypatch):
-    """Patch the Digraph.paths view with one that records each digraph whose
-    s-t paths it lists."""
+    """Patch the s-t path listing that fills Digraph.paths with one that
+    records each digraph whose paths it lists."""
     listed = []
-    real = graphs.Digraph.paths.func
+    real = graphs.st_paths
 
     def paths(d):
         listed.append(d)
         return real(d)
 
-    view = functools.cached_property(paths)
-    view.__set_name__(graphs.Digraph, "paths")
-    monkeypatch.setattr(graphs.Digraph, "paths", view)
+    monkeypatch.setattr(graphs, "st_paths", paths)
     return listed
 
 
@@ -254,7 +251,7 @@ def test_forests_of_one_class_report_as_each_did_on_its_own_labelling():
         assert all(r.instance is g for r in reports)
         got = [(r.theorem, r.status, r.expected, r.observed) for r in reports]
         assert got == labelled_forest_reports(g), g
-    classes = [key for key in table.entries if key[0] == "forest"]
+    classes = [key for key in table.stage if key[0] == "forest"]
     assert (len(forests), len(classes)) == (622, 389)
 
 
@@ -347,7 +344,7 @@ def test_pfpm_builds_once_per_path_family(monkeypatch):
     table = OutcomeTable()
     duals = counting(monkeypatch, verify, "alexander_dual")
     shared = [[r.to_json() for r in verify_pfpm_theorem(d, table)] for d in digraphs]
-    assert len(duals) == 1 and [key[0] for key in table.entries].count("pfpm") == 1
+    assert len(duals) == 1 and [key[0] for key in table.stage].count("pfpm") == 1
     assert shared == fresh
 
 
@@ -917,11 +914,16 @@ def test_the_tally_counts_mixed_reports_as_the_reference_does(monkeypatch, seed)
 
 
 def test_a_smoke_run_holds_little_memory():
-    # the run tallies as it goes and holds only its non-passing reports:
-    # tracemalloc's peak for smoke/1729 reads 0.49 MB (CPython 3.11), where
-    # a run that kept every report until the end read 0.89-0.92 MB
+    # the run tallies as it goes and holds only its non-passing reports, and
+    # each stage's instances and private memo live for that stage alone.
+    # After a first run, so that what the interpreter allocates once per
+    # process is not counted, tracemalloc's peak for smoke/1729 reads
+    # 386-451 KB on CPython 3.10-3.13, where runs that held every instance
+    # set and private memo entry to the end read 541-668 KB, and a run that
+    # also kept every report read 0.89-0.92 MB (CPython 3.11)
     import tracemalloc
 
+    run_suite("smoke", 1729)
     tracemalloc.start()
     try:
         summary = run_suite("smoke", 1729)
@@ -929,7 +931,50 @@ def test_a_smoke_run_holds_little_memory():
     finally:
         tracemalloc.stop()
     assert (summary["pass"], summary["fail"], summary["unknown"]) == (2607, 0, 0)
-    assert peak < 650_000
+    assert peak < 500_000
+
+
+def test_each_stage_drops_its_instances_and_private_memo_as_it_ends(monkeypatch):
+    # the forests, the digraphs and the identity digraphs are built as their
+    # stage starts, and dropped, with the stage's memo, before its line is
+    # logged; the table's recognitions, duals and profiles live for the run
+    tables = []
+
+    class Recorded(OutcomeTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    def instances():
+        return [o for o in gc.get_objects() if type(o) in (Graph, Digraph)]
+
+    def made_by_the_run():
+        return [o for o in instances() if id(o) not in before]
+
+    held = []  # per line: the run-wide keys, and the instances and stage entries left
+
+    def log(line):
+        table = tables[0] if tables else OutcomeTable()  # none yet at the first line
+        held.append((line, set(table.entries), set(table.profiles), made_by_the_run(), dict(table.stage)))
+
+    monkeypatch.setattr(verify, "OutcomeTable", Recorded)
+    # the count can see both kinds of instance
+    assert gc.is_tracked(path_graph(2)) and gc.is_tracked(cyclic_no_useless_digraph())
+    gc.collect()
+    kept = instances()  # alive through the run, so that no run-made instance takes an id of theirs
+    before = set(map(id, kept))
+    summary = run_suite("smoke", 7, log=log)
+    assert summary["pass"] > 0 and summary["fail"] == 0
+    assert [line for line, *_ in held] == SMOKE_7_STAGE_LINES
+    for line, _, _, instances, stage in held:
+        assert instances == [] and stage == {}, line
+    # nothing run-wide is dropped, and the forest and path stages add to it
+    grown = {}
+    for (_, entries, profiles, _, _), (line, later_entries, later_profiles, _, _) in zip(held, held[1:]):
+        assert entries <= later_entries and profiles <= later_profiles, line
+        grown[line] = (len(later_entries) > len(entries), len(later_profiles) > len(profiles))
+    assert grown["forest theorem done (44 forests)"] == (True, True)
+    assert grown["path-free/path-missing done (184 digraphs)"][0]
 
 
 # -- outcome tables -------------------------------------------------------------------
